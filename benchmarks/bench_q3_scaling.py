@@ -1,11 +1,11 @@
 """Q3 — engine runtime vs workload size (code-base-wide application).
 
 Besides the original runtime-vs-size sweeps, this file measures the
-driver-level optimisations: the required-token prefilter (files that cannot
-match are answered without parsing), parallel application (``jobs=N``) and
-whole-cookbook batch application (``PatchSet`` pipelines), compared against
-the seed serial path (``Engine.apply_to_files``: no prefilter, no
-parallelism).
+code-base-level optimisations: the required-token prefilter (files that
+cannot match are answered without parsing), parallel application
+(``jobs=N``) and whole-cookbook batch application (``PatchSet`` pipelines),
+compared against the seed serial path (a cold-cache
+``patch.apply(files, prefilter=False)``: no prefilter, no parallelism).
 
 Setting ``REPRO_BENCH_QUICK=1`` runs a smoke-mode sweep: smaller patch sets
 and no hard speedup thresholds, so CI can check the harness itself without
@@ -21,7 +21,6 @@ from repro import CodeBase, PatchSet, SemanticPatch
 from repro.analysis import scaling_sweep
 from repro.cookbook import (bloat_removal, cuda_hip, instrumentation, mdspan,
                             openacc_openmp, stl_modernize, unrolling)
-from repro.engine import Engine
 from repro.engine.cache import DEFAULT_TREE_CACHE
 from repro.workloads import (cuda_app, gadget, openacc_app, openmp_kernels,
                              rawloops)
@@ -111,10 +110,10 @@ def _texts(result) -> dict[str, str]:
 
 
 def _seed_serial(patch, codebase):
-    """The seed code path: serial engine, no prefilter, no shared cache."""
-    engine = Engine(patch.ast, options=patch.options)
+    """The seed code path: serial, no prefilter, cold parse cache."""
+    DEFAULT_TREE_CACHE.clear()
     started = time.perf_counter()
-    result = engine.apply_to_files(codebase.files)
+    result = patch.apply(codebase.files, prefilter=False)
     return result, time.perf_counter() - started
 
 
@@ -245,8 +244,7 @@ def test_q3_pipeline_vs_sequential_applies(benchmark):
         current = dict(codebase.files)
         for patch in patches:
             DEFAULT_TREE_CACHE.clear()
-            result = Engine(patch.ast, options=patch.options) \
-                .apply_to_files(current)
+            result = patch.apply(current, prefilter=False)
             current = {name: fr.text for name, fr in result.files.items()}
         return current
 

@@ -4,7 +4,7 @@ HPC-oriented Refactorings with Coccinelle" (Martone & Lawall, IPPS 2025).
 The package provides:
 
 * :mod:`repro.lang` — a from-scratch C/C++-subset front end (lexer, parser,
-  AST, CFG, pretty printer, symbol tables),
+  AST, pretty printer, symbol tables),
 * :mod:`repro.smpl` — the Semantic Patch Language: rules, metavariables,
   dots, disjunction/conjunction, python scripting rules, isomorphisms,
 * :mod:`repro.engine` — the matching and transformation engine producing

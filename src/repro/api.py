@@ -274,20 +274,13 @@ class SemanticPatch:
         one per CPU); ``prefilter`` skips files the required-token analysis
         proves cannot match (behaviour-preserving, on by default);
         ``compile`` selects the compiled matcher backend (``None`` defers to
-        ``REPRO_MATCHER``, which defaults to compiled).  The returned result
-        carries the driver's timing breakdown in ``.stats``.
+        ``REPRO_MATCHER``, which defaults to compiled).  The run is a
+        one-patch :class:`~repro.engine.pipeline.PatchPipeline`, so the
+        result is a :class:`~repro.engine.pipeline.PipelineResult` carrying
+        the timing breakdown in ``.stats``.
         """
-        from .engine.driver import Driver
-
-        if isinstance(codebase, CodeBase):
-            files = codebase.files
-            index = codebase.token_index() if prefilter else None
-        else:
-            files = dict(codebase)
-            index = None
-        driver = Driver(self.ast, options=self.options, jobs=jobs,
-                        prefilter=prefilter, compile=compile)
-        return driver.run(files, token_index=index)
+        return PatchSet([self]).apply(codebase, jobs=jobs,
+                                      prefilter=prefilter, compile=compile)
 
     def transform(self, codebase: "CodeBase", *,
                   jobs: "int | str" = 1, prefilter: bool = True,
@@ -305,7 +298,7 @@ class PatchSet:
 
     ``PatchSet([p1, p2]).apply(codebase)`` is observably equivalent to
     ``p2.apply(p1.transform(codebase))`` — byte-identical texts and per-rule
-    reports, per patch — but runs as a *single* driver pass: each file is
+    reports, per patch — but runs as a *single* pass: each file is
     token-scanned once, parsed once per text state (the parse cache is
     shared across patch boundaries), gated against the union of the patches'
     prefilters and shipped to a worker process once for all patches.  See

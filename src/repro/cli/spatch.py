@@ -214,10 +214,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--watch-backend", choices=BACKENDS, default="auto",
                         metavar="NAME",
                         help="change-detection backend for --watch: auto "
-                             "(watchdog if importable, else inotify, else "
-                             "poll), watchdog, inotify or poll; the "
-                             "REPRO_WATCH_BACKEND environment variable "
-                             "overrides 'auto'")
+                             "(inotify where available, else poll), "
+                             "inotify or poll; the REPRO_WATCH_BACKEND "
+                             "environment variable overrides 'auto'")
     parser.add_argument("--profile", action="store_true",
                         help="print a timing/skip-rate breakdown to stderr")
     parser.add_argument("--trace", metavar="FILE", default=None,
@@ -577,14 +576,10 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
 
 def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
            since=None, memo=None):
-    """One application pass; incremental/watch/memo runs always go through
-    the PatchSet pipeline so the result carries reuse records (the memo
-    lives at the pipeline's patch boundaries)."""
-    if len(patches) == 1 and since is None and memo is None \
-            and not (args.incremental or args.watch):
-        result = patches[0].apply(codebase, jobs=args.jobs,
-                                  prefilter=not args.no_prefilter)
-        return result, [(patches[0], result)]
+    """One application pass through the PatchSet pipeline, whatever the
+    number of patches: the result carries the reuse records --incremental
+    and --watch seed the next run with, and the memo lives at the
+    pipeline's patch boundaries."""
     result = PatchSet(patches).apply(codebase, jobs=args.jobs,
                                      prefilter=not args.no_prefilter,
                                      since=since, memo=memo)
@@ -592,7 +587,7 @@ def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
 
 
 def _save_state(args, result) -> None:
-    if not args.incremental or not hasattr(result, "records"):
+    if not args.incremental:
         return
     from ..engine.cache import DEFAULT_TREE_CACHE
     from ..engine.incremental import PipelineState
@@ -818,11 +813,11 @@ def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
     runs until interrupted.
 
     The wait between sweeps goes through a pluggable backend
-    (``--watch-backend``): watchdog or inotify block on real filesystem
-    events, so a change is noticed in milliseconds instead of at the next
-    poll tick, while the portable fallback just sleeps the interval.  The
-    sweep still runs either way — a backend can only improve latency,
-    never correctness.
+    (``--watch-backend``): inotify blocks on real filesystem events, so a
+    change is noticed in milliseconds instead of at the next poll tick,
+    while the portable fallback just sleeps the interval.  The sweep still
+    runs either way — a backend can only improve latency, never
+    correctness.
     """
     from ..server.watch import create_watcher
 

@@ -87,8 +87,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "filesystem watcher")
     parser.add_argument("--watch-backend", choices=BACKENDS, default="auto",
                         help="watcher backend for --watch-roots (default "
-                             "auto: watchdog if importable, else inotify, "
-                             "else polling)")
+                             "auto: inotify where available, else "
+                             "polling)")
     parser.add_argument("--metrics", default=None, metavar="ADDR",
                         help="serve a stdlib-only Prometheus endpoint at "
                              "ADDR (HOST:PORT; PORT 0 picks a free port): "

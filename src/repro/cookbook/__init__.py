@@ -75,7 +75,7 @@ def builders() -> dict:
 def full_modernization_pipeline(*, mdspan_arrays: Optional[dict] = None):
     """The whole cookbook as one :class:`~repro.api.PatchSet`: every
     ready-to-apply use-case patch, in the canonical :func:`builders` order,
-    batch-applied in a single driver pass.
+    batch-applied in a single pipeline pass.
 
     ``mdspan_arrays`` optionally redirects the mdspan multi-index patch at
     specific ``{array_name: rank}`` pairs (the default targets the literal

@@ -1,10 +1,11 @@
 """Matching and transformation engine for semantic patches.
 
-Layered as driver → prefilter → cache → session → matcher/transform: the
-:class:`Driver` orchestrates whole code bases (prefilter skipping, parse
-caching, optional parallel workers), each :class:`FileSession` applies the
-rule sequence to one file, and :class:`Engine` is the stable per-patch entry
-point wrapping both.
+Layered as pipeline → prefilter → cache → session → matcher/transform: the
+:class:`PatchPipeline` orchestrates one or more patches over whole code
+bases (prefilter skipping, parse caching, optional parallel workers), each
+:class:`FileSession` applies the rule sequence to one file, and
+:class:`Engine` is the per-patch state (script namespace, compiled
+matchers) a pipeline holds for each of its patches.
 """
 
 from .bindings import BoundValue, Env, Position, EMPTY_ENV
@@ -18,10 +19,9 @@ from .memo import MemoEntry, TransformMemo
 from .session import FileSession
 from .prefilter import PatchPrefilter, TokenIndex, required_tokens, scan_token_set
 from .engine import Engine
-from .driver import Driver, DriverStats, resolve_jobs
 from .pipeline import (FileRecord, PatchPipeline, PipelinePrefilter,
                        PipelineResult, PipelineStats, boundary_hashes,
-                       patch_fingerprint, patchset_fingerprint)
+                       patch_fingerprint, patchset_fingerprint, resolve_jobs)
 from .incremental import (IncrementalPipeline, IncrementalStats,
                           PipelineState)
 
@@ -37,9 +37,8 @@ __all__ = [
     "FileSession",
     "PatchPrefilter", "TokenIndex", "required_tokens", "scan_token_set",
     "Engine",
-    "Driver", "DriverStats", "resolve_jobs",
     "FileRecord", "PatchPipeline", "PipelinePrefilter", "PipelineResult",
     "PipelineStats", "boundary_hashes", "patch_fingerprint",
-    "patchset_fingerprint",
+    "patchset_fingerprint", "resolve_jobs",
     "IncrementalPipeline", "IncrementalStats", "PipelineState",
 ]

@@ -40,7 +40,7 @@ _PERSIST_VERSION = 1
 # registry children created once at import: the hot path pays one locked
 # integer add, and fork-pool workers ship these as deltas so parse-cache
 # traffic aggregates in the parent (closing the old "per-worker, not
-# aggregated" gap in DriverStats.describe)
+# aggregated" gap in PipelineStats.describe)
 _M_HITS = _obs.REGISTRY.counter(
     "repro_parse_cache_hits_total", "Parse-cache hits", cache="tree")
 _M_MISSES = _obs.REGISTRY.counter(
@@ -293,7 +293,7 @@ class TreeCache:
     def counters(self) -> dict:
         """Every counter this cache keeps, as one JSON-able dict — what
         ``--profile`` and the server's ``stats`` verb report (the hit/miss
-        pair was previously only visible inside ``DriverStats``)."""
+        pair was previously only visible inside ``PipelineStats``)."""
         with self._lock:
             return {"entries": len(self._entries),
                     "max_entries": self.max_entries,
@@ -354,5 +354,5 @@ class TreeCache:
         return self.restore(entries)
 
 
-#: process-wide cache shared by drivers unless a caller supplies its own
+#: process-wide cache shared by pipelines unless a caller supplies its own
 DEFAULT_TREE_CACHE = TreeCache()

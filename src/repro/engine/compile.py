@@ -93,9 +93,9 @@ class MatcherStats:
     """Process-wide matcher counters (the ``counters()``/``as_dict()`` hook
     convention TreeCache and TokenIndex already follow).
 
-    Deliberately *not* part of ``DriverStats``/``PipelineStats``: those are
-    reconstructed exactly by incremental splicing ("stats match a cold run's
-    modulo timing"), which volatile matcher traffic would break.  Surfaced
+    Deliberately *not* part of ``PipelineStats``: those are reconstructed
+    exactly by incremental splicing ("stats match a cold run's modulo
+    timing"), which volatile matcher traffic would break.  Surfaced
     through ``--profile`` and the server's ``"profile"`` payload instead.
     """
 

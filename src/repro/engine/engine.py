@@ -1,4 +1,5 @@
-"""Rule orchestration: apply a whole semantic patch to files.
+"""Per-patch engine state: one semantic patch, its script namespace and
+its compiled matchers.
 
 The heavy lifting lives in three cooperating layers:
 
@@ -6,14 +7,13 @@ The heavy lifting lives in three cooperating layers:
   environment chains and re-parse-after-edit;
 * :class:`~repro.engine.prefilter.PatchPrefilter` — required-token analysis
   that skips files a rule cannot possibly match, without parsing them;
-* :class:`~repro.engine.driver.Driver` — code-base-level orchestration with
-  a content-hash parse cache and optional parallel workers.
+* :class:`~repro.engine.pipeline.PatchPipeline` — code-base-level
+  orchestration with a content-hash parse cache and optional parallel
+  workers, holding one :class:`Engine` per patch.
 
-:class:`Engine` remains the stable entry point the public API and older
-callers use: ``apply_to_file`` runs one session, ``apply_to_files`` is a
-thin wrapper over a serial, prefilter-less driver run — i.e. exactly the
-historical semantics.  Initialize rules run once per engine before the
-first file; finalize rules run once after a whole-code-base application.
+``apply_to_file`` runs one session over one file's contents.  Initialize
+rules run once per engine before the first file; finalize rules run once
+after a whole-code-base application.
 """
 
 from __future__ import annotations
@@ -65,16 +65,6 @@ class Engine:
         """Apply the whole patch to one file's contents."""
         self._run_initialize_rules()
         return self.session_for(filename, text).run()
-
-    def apply_to_files(self, files: dict[str, str]) -> PatchResult:
-        """Apply the patch to a mapping ``{filename: text}`` (serial, no
-        prefilter — the driver's compatibility path)."""
-        from .driver import Driver
-
-        driver = Driver(self.patch, options=self.options, jobs=1,
-                        prefilter=False, engine=self,
-                        tree_cache=self.tree_cache)
-        return driver.run(files)
 
     # -- initialize / finalize ------------------------------------------------
 

@@ -75,10 +75,10 @@ from ..obs import registry as _obs
 from ..options import SpatchOptions
 from ..smpl.ast import SemanticPatchAST
 from .cache import TreeCache, content_sha1
-from .driver import (_M_WORKER_HITS, _M_WORKER_MISSES,
-                     parallel_preserves_semantics)
-from .pipeline import (FileRecord, PatchPipeline, PipelineResult,
-                       PipelineStats, _FileOutcome, boundary_hashes)
+from .pipeline import (_M_WORKER_HITS, _M_WORKER_MISSES, FileRecord,
+                       PatchPipeline, PipelineResult, PipelineStats,
+                       _FileOutcome, boundary_hashes,
+                       parallel_preserves_semantics)
 from .prefilter import TokenIndex, scan_token_set
 from .report import FileResult
 

@@ -1,10 +1,9 @@
-"""PatchPipeline: apply an ordered list of semantic patches in one pass.
+"""PatchPipeline: the one orchestrator that applies semantic patches to a
+code base.
 
-Sequentially chaining ``SemanticPatch.apply`` runs one full driver pass per
-patch: every pass re-scans every file for prefilter tokens, re-parses
-whatever the (bounded) tree cache has evicted and pays the per-code-base
-orchestration cost again — applying a 12-patch modernization cookbook costs
-12 full passes.  The pipeline restructures the same work *file-major*:
+A single patch (``SemanticPatch.apply``) and a whole cookbook
+(``PatchSet.apply``) both run here; a one-patch run is just a pipeline of
+length one.  The work is laid out *file-major*:
 
 * **one planning scan** — each file's token set is computed once and checked
   against the union of all patches' prefilters; a file no patch could ever
@@ -16,10 +15,11 @@ orchestration cost again — applying a 12-patch modernization cookbook costs
   with a single :class:`~repro.engine.cache.TreeCache` shared across patch
   boundaries, so a patch that does not edit a file hands the *same* parse
   tree to the next patch instead of re-parsing;
-* **one distribution** — files are fanned out over ``jobs`` worker
-  processes exactly as in :class:`~repro.engine.driver.Driver`, but each
-  file crosses the process boundary once for all patches instead of once
-  per patch.
+* **one distribution** — files are fanned out over ``jobs`` forked worker
+  processes (Coccinelle's ``--jobs``, see :func:`run_fork_pool`), each file
+  crossing the process boundary once for all patches; results are
+  re-assembled in the input file order, so the outcome is deterministic
+  regardless of scheduling.
 
 Equivalence to sequential composition
 -------------------------------------
@@ -36,31 +36,174 @@ before patch ``k-1`` has finished the whole code base (its ``finalize``
 rules still run last, in patch order).  Cookbook-style scripts that only
 read their translation tables cannot tell the difference.
 
-Parallel semantics follow the driver: if *any* patch combines per-file
-``script:python`` rules with a ``finalize`` rule, the whole pipeline falls
-back to serial application rather than silently changing their meaning.
+Script-rule semantics
+---------------------
+``initialize:python`` rules run once before any file and
+``finalize:python`` rules run once after all files.  With ``jobs > 1``
+each worker process runs the initialize rules of script-bearing patches
+itself, so that ``script:python`` rules see the dictionaries they set up;
+this is identical to serial application as long as script rules do not
+*mutate* state shared across files (true of every cookbook patch — their
+scripts only read the translation tables).  Because a finalize rule may
+legitimately read state accumulated by per-file scripts, the pipeline falls
+back to serial application when *any* patch contains both kinds of rule,
+rather than silently changing their meaning.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..obs import registry as _obs
+from ..obs import trace as _trace
 from ..options import SpatchOptions
-from ..smpl.ast import SemanticPatchAST
+from ..smpl.ast import ScriptRule, SemanticPatchAST
 from .cache import DEFAULT_TREE_CACHE, TreeCache, content_sha1
 from .compile import backend_enabled
-from .driver import (_M_WORKER_HITS, _M_WORKER_MISSES, DriverStats,
-                     ast_from_payload, has_per_file_scripts,
-                     parallel_preserves_semantics, patch_payload, resolve_jobs,
-                     run_fork_pool)
 from .memo import TransformMemo, memo_flags
 from .prefilter import PatchPrefilter, TokenIndex, scan_token_set
 from .report import FileResult, PatchResult
+
+# worker-aggregated parse-cache children: run_fork_pool merges worker
+# telemetry deltas onto these (origin="workers"), which is what lets a
+# jobs>1 run report real cache counters instead of "not aggregated"
+_M_WORKER_HITS = _obs.REGISTRY.counter(
+    "repro_parse_cache_hits_total", "Parse-cache hits",
+    cache="tree", origin="workers")
+_M_WORKER_MISSES = _obs.REGISTRY.counter(
+    "repro_parse_cache_misses_total", "Parse-cache misses (real parses)",
+    cache="tree", origin="workers")
+
+
+def resolve_jobs(jobs) -> int:
+    """Normalise a ``jobs`` argument: ``"auto"``/``0``/``None`` mean one
+    worker per CPU."""
+    if jobs in (None, 0, "auto"):
+        return os.cpu_count() or 1
+    count = int(jobs)
+    if count < 1:
+        raise ValueError(f"jobs must be >= 1 or 'auto', got {jobs!r}")
+    return count
+
+
+def has_per_file_scripts(patch: SemanticPatchAST) -> bool:
+    """True when the patch has ``script:python`` rules that run per file."""
+    return any(isinstance(r, ScriptRule) and r.when == "script"
+               for r in patch.rules)
+
+
+def parallel_preserves_semantics(patch: SemanticPatchAST,
+                                 options: SpatchOptions) -> bool:
+    """Parallel workers re-run initialize themselves but the parent runs
+    finalize; a patch combining per-file scripts with a finalize rule may
+    aggregate across files, which only serial application preserves."""
+    if not options.python_scripting:
+        return True
+    script_rules = [r for r in patch.rules if isinstance(r, ScriptRule)]
+    has_per_file = any(r.when == "script" for r in script_rules)
+    has_finalize = any(r.when == "finalize" for r in script_rules)
+    return not (has_per_file and has_finalize)
+
+
+def patch_payload(patch: SemanticPatchAST):
+    """What a worker process needs to rebuild ``patch``: its source text when
+    available (cheap to pickle, re-parsed once per worker), the AST otherwise.
+    Frontend patches ship their format tag with the text so workers re-parse
+    with the matching frontend parser, not the SmPL one."""
+    fmt = getattr(patch, "format", None)
+    if fmt:
+        return ("frontend", (fmt, patch.source_text))
+    if patch.source_text:
+        return ("text", patch.source_text)
+    return ("ast", patch)
+
+
+def ast_from_payload(payload, options: Optional[SpatchOptions]) -> SemanticPatchAST:
+    from ..smpl.parser import parse_semantic_patch
+
+    kind, data = payload
+    if kind == "text":
+        return parse_semantic_patch(data, options=options)
+    if kind == "frontend":
+        from ..frontends import parse_patch_text
+
+        fmt, text = data
+        return parse_patch_text(text, format=fmt, options=options)
+    return data
+
+
+#: marker tagging a worker batch return that carries a telemetry envelope
+_TELEMETRY_TAG = "__repro_telemetry__"
+
+
+def _telemetry_worker(worker, batch):
+    """Run one batch in a forked worker, capturing the registry delta (and
+    the span tree, when the parent had tracing active at fork time — the
+    contextvar forks with the process) so the parent can aggregate worker
+    telemetry instead of losing it with the child."""
+    if not _obs.enabled():
+        return (_TELEMETRY_TAG, list(worker(batch)), None, None)
+    capture = _obs.telemetry_capture()
+    spans = None
+    if _trace.tracing_active():
+        tracer = _trace.start_trace(f"fork-worker[{os.getpid()}]")
+        try:
+            results = list(worker(batch))
+        finally:
+            spans = tracer.finish().to_payload()
+    else:
+        results = list(worker(batch))
+    return (_TELEMETRY_TAG, results, capture.delta(), spans)
+
+
+def run_fork_pool(items: list, jobs: int, initializer, initargs, worker) -> list:
+    """Fan ``items`` out over ``jobs`` forked worker processes in batches and
+    return the concatenated per-item results (shared by
+    :class:`PatchPipeline` and
+    :class:`~repro.engine.incremental.IncrementalPipeline`).  A few batches
+    per worker so an expensive item does not serialise the tail, while
+    keeping per-task pickling overhead low.
+
+    Degenerate inputs never pay fork cost: an empty ``items`` answers
+    immediately and a single item (or ``jobs <= 1``) runs in-process — the
+    initializer builds the same fresh per-worker state it would in a forked
+    child, just in this process.  The established callers already route
+    such inputs to their serial paths before reaching here (that is how
+    one-file incremental deltas avoid forking), so this is a guarantee for
+    new callers, not a hot path.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    if not items:
+        return []
+    if len(items) == 1 or jobs <= 1:
+        initializer(*initargs)
+        return list(worker(items))
+
+    ctx = multiprocessing.get_context("fork")
+    batch_size = max(1, math.ceil(len(items) / (jobs * 4)))
+    batches = [items[i:i + batch_size]
+               for i in range(0, len(items), batch_size)]
+    results: list = []
+    wrapped = functools.partial(_telemetry_worker, worker)
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+                             initializer=initializer,
+                             initargs=initargs) as pool:
+        for tag, batch_results, delta, spans in pool.map(wrapped, batches):
+            assert tag == _TELEMETRY_TAG
+            results.extend(batch_results)
+            if delta:
+                _obs.merge_telemetry(delta, origin="workers")
+            if spans:
+                _trace.graft_payloads([spans])
+    return results
 
 
 @dataclass
@@ -77,7 +220,7 @@ class PipelineStats:
     sessions_gated: int = 0
     #: (file, rule) applications the prefilter answered without running
     #: (inside surviving sessions and for whole-skipped files alike, matching
-    #: what per-patch Driver runs would report)
+    #: what sequential one-patch runs would report)
     rules_gated: int = 0
     prefilter: bool = True
     jobs_requested: "int | str" = 1
@@ -449,7 +592,7 @@ def _pipeline_worker_apply(batch) -> list[_FileOutcome]:
 
 class PatchPipeline:
     """Applies an ordered list of semantic patches to a whole code base in a
-    single driver pass (see the module docstring for the semantics)."""
+    single pass (see the module docstring for the semantics)."""
 
     def __init__(self, patches: Sequence[SemanticPatchAST],
                  options: Optional[Sequence[Optional[SpatchOptions]]] = None, *,
@@ -591,8 +734,8 @@ class PatchPipeline:
         return outcomes, skipped
 
     def _run_initialize(self, any_files: bool, jobs_used: int) -> None:
-        """Initialize rules: once per patch, mirroring the driver (the
-        workers run them instead for script-bearing patches, so their
+        """Initialize rules: once per patch, as soon as any file is processed
+        (the workers run them instead for script-bearing patches, so their
         per-file scripts see the initialized globals)."""
         if not any_files:
             return
@@ -671,23 +814,25 @@ class PatchPipeline:
                 text_sha = output_sha  # None when unmemoized: rehash lazily
 
     def _fresh_result(self, n_files: int, jobs_used: int,
-                      ) -> tuple[PipelineResult, list[DriverStats]]:
+                      ) -> tuple[PipelineResult, list[PipelineStats]]:
         """An empty result plus per-patch coverage counters, shaped like a
-        sequential Driver run's stats (timing is not broken out per patch —
-        the pass is shared)."""
+        sequential one-patch run's stats (timing is not broken out per patch
+        — the pass is shared)."""
         result = PipelineResult(
             patch_names=list(self.names),
             per_patch=[PatchResult() for _ in self.patches],
             fingerprint=self.fingerprint,
             patch_fingerprints=list(self.patch_fingerprints))
         per_patch_stats = [
-            DriverStats(files_total=n_files, prefilter=self.prefilter_enabled,
-                        jobs_requested=self.jobs_requested, jobs_used=jobs_used)
+            PipelineStats(patches=1, files_total=n_files,
+                          prefilter=self.prefilter_enabled,
+                          jobs_requested=self.jobs_requested,
+                          jobs_used=jobs_used)
             for _ in self.patches]
         return result, per_patch_stats
 
     def _assemble_skipped(self, result: PipelineResult,
-                          per_patch_stats: list[DriverStats],
+                          per_patch_stats: list[PipelineStats],
                           stats: PipelineStats, name: str, text: str) -> None:
         """Splice one whole-pipeline-skipped file into ``result``."""
         n_rules_per_patch = self._n_rules_per_patch
@@ -710,7 +855,7 @@ class PatchPipeline:
         stats.rules_gated += sum(n_rules_per_patch)
 
     def _assemble_outcome(self, result: PipelineResult,
-                          per_patch_stats: list[DriverStats],
+                          per_patch_stats: list[PipelineStats],
                           stats: PipelineStats, name: str, text: str,
                           outcome: _FileOutcome) -> None:
         """Splice one file's freshly computed session outcomes into ``result``."""
@@ -737,7 +882,7 @@ class PatchPipeline:
                          for d in fr.diagnostics])
 
     def _run_finalize(self, result: PipelineResult,
-                      per_patch_stats: list[DriverStats]) -> None:
+                      per_patch_stats: list[PipelineStats]) -> None:
         """Finalize rules run once per patch, in patch order, at the end."""
         for index, (engine, patch_result) in enumerate(
                 zip(self.engines, result.per_patch)):

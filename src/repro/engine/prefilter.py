@@ -38,8 +38,8 @@ identifier-like words over the raw text (strings and comments included).
 Required ⊆ real pattern tokens and scanned ⊇ real file tokens, so
 ``required ⊆ scanned`` is a necessary condition for a match and gating on
 its failure is behaviour-preserving — not just "same output text" but the
-same reports, exports and diagnostics, which is what lets the driver enable
-it by default.
+same reports, exports and diagnostics, which is what lets the pipeline
+enable it by default.
 
 A whole file can additionally be skipped *without creating a session* when
 no rule of the patch could run in it: no surviving patch rule, and no
@@ -313,7 +313,7 @@ class PatchPrefilter:
 
 class TokenIndex:
     """Lazy per-file token sets for a collection of sources (the
-    per-code-base index the driver consults; cached by
+    per-code-base index the pipeline consults; cached by
     :meth:`repro.api.CodeBase.token_index`)."""
 
     def __init__(self, files: Optional[Mapping[str, str]] = None):

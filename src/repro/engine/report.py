@@ -83,7 +83,7 @@ class PatchResult:
 
     files: dict[str, FileResult] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: driver timing/coverage breakdown (a ``DriverStats``); not part of the
+    #: timing/coverage breakdown (a ``PipelineStats``); not part of the
     #: semantic outcome, so excluded from equality
     stats: object = field(default=None, compare=False, repr=False)
 

@@ -5,10 +5,10 @@ the current text, the parse tree (re-parsed after every rule that edited the
 file, so later rules see the already-transformed program), the set of rules
 that applied, the exported environment chains and the accumulated reports
 and diagnostics.  The :class:`~repro.engine.engine.Engine` and the
-:class:`~repro.engine.driver.Driver` both create one session per file; the
-driver additionally passes ``allowed_rules`` computed by the prefilter so
-that rules which cannot possibly match this file are skipped without even
-parsing it.
+:class:`~repro.engine.pipeline.PatchPipeline` both create one session per
+file; the pipeline additionally passes ``allowed_rules`` computed by the
+prefilter so that rules which cannot possibly match this file are skipped
+without even parsing it.
 
 Metavariable bindings are threaded between rules as *environment chains*:
 every match (or script execution) extends the environment it inherited, and

@@ -1,4 +1,4 @@
-"""C/C++ front-end substrate: lexer, parser, AST, CFG, pretty printer."""
+"""C/C++ front-end substrate: lexer, parser, AST, pretty printer."""
 
 from .source import SourceFile, Location
 from .lexer import Lexer, Token, TokenKind, tokenize

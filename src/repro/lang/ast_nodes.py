@@ -11,7 +11,7 @@ Design notes
   the minus-slice of a semantic patch, it simply knows which identifiers are
   metavariables when parsing a pattern.
 * :func:`iter_child_nodes` provides generic traversal used by the matcher,
-  the CFG builder, the interpreter and the analysis passes.
+  the interpreter and the analysis passes.
 """
 
 from __future__ import annotations

@@ -18,12 +18,11 @@ language server warm rather than re-running a batch compiler:
   (``repro-spatchd``; unix-domain or TCP);
 * :mod:`~repro.server.client` — :class:`RemoteClient`, backing
   ``repro-spatch --server ADDR``;
-* :mod:`~repro.server.watch` — filesystem-watching backends (``watchdog``
-  when importable, Linux inotify via ``ctypes``/``selectors``, portable
-  polling fallback) used by ``--watch`` and workspace auto-refresh.
+* :mod:`~repro.server.watch` — filesystem-watching backends (Linux inotify
+  via ``ctypes``/``selectors``, portable polling fallback) used by
+  ``--watch`` and workspace auto-refresh.
 
-Everything imports only the Python standard library; ``watchdog`` is
-feature-detected, never required.
+Everything imports only the Python standard library.
 """
 
 from .client import ConnectionLost, RemoteClient, RemoteError

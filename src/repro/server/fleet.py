@@ -3,34 +3,35 @@
 One CPython process can hold many warm workspaces but only one GIL: with
 the v1 daemon, two clients applying to two *different* workspaces still
 match one-at-a-time.  :class:`ApplyFleet` moves apply execution into a
-pool of long-lived **worker processes** (the persistent-sibling of
-:func:`~repro.engine.driver.run_fork_pool`'s per-call forks): each
+pool of long-lived **worker processes** (the persistent sibling of
+:func:`~repro.engine.pipeline.run_fork_pool`'s per-call forks): each
 workspace is pinned to one worker by a stable shard of its name, so
 per-workspace operations stay serial — the same consistency clients
 already rely on — while N workers serve N concurrent applies across
 workspaces on N CPUs.
 
-Mirror protocol
----------------
+Delta protocol
+--------------
 The parent keeps the authoritative file tree (it answers ``sync_files``
-manifests); each worker keeps a warm *mirror* per pinned workspace — a
-:class:`~repro.api.CodeBase`, a :class:`~repro.engine.cache.TreeCache`
-backed by a per-worker :class:`~repro.engine.cache.SharedTreeStore`, the
-last :class:`~repro.engine.pipeline.PipelineResult` seeding incremental
-splicing, and a bounded built-patch cache.  Every apply job carries the
-delta since the parent last spoke to that worker *plus* the full
-``{name: sha1}`` manifest the tree must hash to afterwards; the worker
-applies the delta, verifies the manifest, and answers ``{"resync": true}``
-on any mismatch — the parent then resends the job with the full tree.
-That one self-healing rule covers every divergence at once: a respawned
-worker, a corrupt restored snapshot, a parent restart with stale
-``fleet_seen`` bookkeeping.
+manifests); each worker keeps its own warm
+:class:`~repro.server.service.Workspace` per pinned workspace — code base,
+a parse cache backed by a per-worker
+:class:`~repro.engine.cache.SharedTreeStore`, the last result seeding
+incremental splicing, and the bounded built-patch cache — and applies
+through the same :meth:`~repro.server.service.Workspace.run` the parent
+uses in-process.  Every apply job carries the delta since the parent last
+spoke to that worker *plus* the full ``{name: sha1}`` manifest the tree
+must hash to afterwards; the worker applies the delta, verifies the
+manifest, and answers ``{"resync": true}`` on any mismatch — the parent
+then resends the job with the full tree.  That one self-healing rule
+covers every divergence at once: a respawned worker, a corrupt restored
+snapshot, a parent restart with stale ``fleet_seen`` bookkeeping.
 
 Restart survival: with a ``state_root``, a worker restores a workspace
-mirror from its :class:`~repro.engine.incremental.PipelineState` snapshot
-on first touch and re-saves it after every stored apply, so a daemon
-killed ``-9`` comes back warm (files, last result *and* parse-cache
-entries) instead of cold.
+from its :class:`~repro.engine.incremental.PipelineState` snapshot on
+first touch (:meth:`~repro.server.service.Workspace.restore`) and re-saves
+it after every stored apply, so a daemon killed ``-9`` comes back warm
+(files, last result *and* parse-cache entries) instead of cold.
 
 Workers are forked at service construction time — before the daemon's
 accept threads exist — so no lock can be mid-acquire in the child, and
@@ -45,19 +46,14 @@ import multiprocessing
 import os
 import threading
 import traceback
-from collections import OrderedDict
 from typing import Optional
-
-#: bound on each worker's per-workspace built-patch cache (mirrors the
-#: parent's ``MAX_CACHED_PATCH_SPECS`` discipline)
-_WORKER_PATCH_SPECS = 64
 
 
 def shard_of(name: str, workers: int) -> int:
     """The worker index workspace ``name`` is pinned to.  ``hash()`` is
     salted per process, so shard on a stable digest — the pin must hold
     across daemon restarts (a restarted parent's delta bookkeeping and the
-    worker's restored mirror meet at the same worker)."""
+    worker's restored workspace meet at the same worker)."""
     digest = hashlib.sha1(name.encode("utf-8", "surrogatepass")).hexdigest()
     return int(digest[:8], 16) % workers
 
@@ -76,20 +72,6 @@ def state_path(state_root: str, name: str) -> str:
 # worker side (runs in the forked child)
 # ---------------------------------------------------------------------------
 
-class _Mirror:
-    """One workspace's warm state inside a worker process."""
-
-    def __init__(self, cache_entries: int, shared):
-        from ..api import CodeBase
-        from ..engine.cache import TreeCache
-
-        self.codebase = CodeBase()
-        self.cache = TreeCache(max_entries=cache_entries, shared=shared)
-        self.last = None
-        self.patches: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self.restored = False
-
-
 class _FleetWorker:
     """The worker loop: receive a job, answer it, forever."""
 
@@ -101,7 +83,8 @@ class _FleetWorker:
         self.config = config
         self.state_root = config.get("state_root")
         self.cache_entries = config.get("cache_entries", 512)
-        self.mirrors: dict[str, _Mirror] = {}
+        #: this worker's copy of every workspace pinned to it
+        self.workspaces: dict = {}
         #: per-worker shared parse-tree layer: vendored-identical files
         #: across this worker's workspaces parse once
         self.tree_store = SharedTreeStore()
@@ -125,7 +108,7 @@ class _FleetWorker:
                 if op == "apply":
                     self.conn.send(self._apply(job))
                 elif op == "drop":
-                    self.mirrors.pop(job.get("workspace"), None)
+                    self._drop(job.get("workspace"))
                     self.conn.send({"ok": True})
                 elif op == "stats":
                     self.conn.send({"ok": True, "stats": self._stats()})
@@ -142,62 +125,41 @@ class _FleetWorker:
                 except (OSError, ValueError):
                     return
 
-    # -- mirror maintenance --------------------------------------------------
+    # -- workspace table -----------------------------------------------------
 
-    def _mirror(self, name: str) -> _Mirror:
-        mirror = self.mirrors.get(name)
-        if mirror is None:
-            mirror = self.mirrors[name] = _Mirror(self.cache_entries,
-                                                  self.tree_store)
-            self._restore(name, mirror)
-        return mirror
+    def _workspace(self, name: str):
+        """The worker's copy of ``name``, warm-started from its snapshot on
+        first touch (corrupt or missing snapshots load nothing; the
+        manifest check heals the rest)."""
+        from .service import Workspace
 
-    def _restore(self, name: str, mirror: _Mirror) -> None:
-        """Warm-start a first-touched mirror from its snapshot (corrupt or
-        missing snapshots load nothing; the manifest check heals the rest)."""
-        if self.state_root is None:
-            return
-        from ..engine.incremental import PipelineState
+        workspace = self.workspaces.get(name)
+        if workspace is None:
+            workspace = self.workspaces[name] = Workspace(
+                name, cache_entries=self.cache_entries,
+                shared=self.tree_store)
+            workspace.restore(self.state_root)
+        return workspace
 
-        state = PipelineState.load(state_path(self.state_root, name))
-        if state is None or state.files is None:
-            return
-        for filename, text in state.files.items():
-            mirror.codebase[filename] = text
-        mirror.last = state.result
-        mirror.cache.restore(state.cache_entries)
-        mirror.restored = True
-
-    def _save(self, name: str, mirror: _Mirror) -> None:
-        if self.state_root is None:
-            return
-        from ..engine.incremental import PipelineState
-
-        try:
-            os.makedirs(self.state_root, exist_ok=True)
-            PipelineState(result=mirror.last,
-                          cache_entries=mirror.cache.snapshot(),
-                          files=dict(mirror.codebase.files),
-                          ).save(state_path(self.state_root, name))
-        except Exception:
-            pass  # an unwritable state dir must never fail the apply
+    def _drop(self, name: str) -> None:
+        workspace = self.workspaces.pop(name, None)
+        if workspace is not None:
+            workspace.release_specs()
 
     # -- jobs ----------------------------------------------------------------
 
     def _apply(self, job: dict) -> dict:
-        from ..engine.incremental import IncrementalPipeline
         from ..obs import registry as _obs
-        from ..server.service import ServiceError
-        from .protocol import (options_from_payload, profile_payload,
-                               result_payload)
+        from .protocol import options_from_payload
+        from .service import ServiceError
 
         # per-job before/after capture of this worker's registry: the delta
         # rides the reply so the parent daemon's /metrics stays exact even
         # though all the matching happened in this process
         capture = _obs.telemetry_capture() if _obs.enabled() else None
         name = job["workspace"]
-        mirror = self._mirror(name)
-        codebase = mirror.codebase
+        workspace = self._workspace(name)
+        codebase = workspace.codebase
         if job.get("full"):
             for filename in codebase.names():
                 del codebase[filename]
@@ -212,66 +174,37 @@ class _FleetWorker:
             if codebase.content_hashes() != manifest:
                 # divergence (respawned worker, stale snapshot, lost delta):
                 # ask the parent for the full tree instead of guessing
-                self.mirrors.pop(name, None)
+                self._drop(name)
                 return {"ok": False, "resync": True}
         try:
-            built = self._patches(mirror, job["patches"],
-                                  options_from_payload(job.get("options")))
-            pipeline = IncrementalPipeline(
-                [patch.ast for patch in built],
-                options=[patch.options for patch in built],
-                names=[patch.name for patch in built],
-                jobs=job.get("jobs", 1),
-                prefilter=job.get("prefilter", True),
-                tree_cache=mirror.cache, memo=self.memo)
-            token_index = codebase.token_index() \
-                if job.get("prefilter", True) else None
-            result = pipeline.run(codebase.files, since=mirror.last,
-                                  token_index=token_index)
+            built = workspace.build_patches(
+                job["patches"], options_from_payload(job.get("options")))
         except ServiceError as exc:
             return {"ok": False,
                     "error": {"kind": exc.kind, "message": str(exc)}}
-        if job.get("store", True):
-            mirror.last = result
-            self._save(name, mirror)
-        payload = result_payload(result, built,
-                                 include_diff=job.get("diff", True),
-                                 include_texts=job.get("texts", False))
-        if job.get("profile"):
-            payload["profile"] = profile_payload(
-                result, cache=mirror.cache,
-                token_index=codebase._token_index, memo=self.memo)
-            payload["profile"]["tree_store"] = self.tree_store.counters()
-            payload["profile"]["restored"] = mirror.restored
+        prefilter = job.get("prefilter", True)
+        payload = workspace.run(
+            built, files=codebase.files, since=workspace.last,
+            token_index=codebase.token_index() if prefilter else None,
+            store=job.get("store", True), diff=job.get("diff", True),
+            texts=job.get("texts", False), profile=bool(job.get("profile")),
+            memo=self.memo, jobs=job.get("jobs", 1), prefilter=prefilter)
         reply = {"ok": True, "payload": payload, "pid": os.getpid()}
         if capture is not None:
             reply["telemetry"] = capture.delta()
         return reply
 
-    def _patches(self, mirror: _Mirror, specs, options):
-        from ..server.service import build_patch_list, spec_key
-
-        key = tuple(spec_key(spec, repr(options)) for spec in specs)
-        cached = mirror.patches.get(key)
-        if cached is None:
-            cached = tuple(build_patch_list(specs, options))
-            mirror.patches[key] = cached
-            while len(mirror.patches) > _WORKER_PATCH_SPECS:
-                mirror.patches.popitem(last=False)
-        else:
-            mirror.patches.move_to_end(key)
-        return list(cached)
-
     def _stats(self) -> dict:
         return {
             "pid": os.getpid(),
-            "workspaces": sorted(self.mirrors),
-            "restored": sorted(n for n, m in self.mirrors.items()
-                               if m.restored),
+            "workspaces": sorted(self.workspaces),
+            "restored": sorted(name for name, workspace
+                               in self.workspaces.items()
+                               if workspace.restored),
             "memo": self.memo.counters(),
             "tree_store": self.tree_store.counters(),
-            "parse_caches": {name: mirror.cache.counters()
-                             for name, mirror in self.mirrors.items()},
+            "parse_caches": {name: workspace.cache.counters()
+                             for name, workspace in self.workspaces.items()},
         }
 
 
@@ -330,7 +263,7 @@ class ApplyFleet:
     def call(self, name: str, job: dict) -> dict:
         """One job round trip to the pinned worker.  A dead worker is
         respawned and reported as ``{"resync": true}`` — the caller's
-        full-tree retry then rebuilds the fresh worker's mirror."""
+        full-tree retry then rebuilds the fresh worker's workspace."""
         handle = self._handles[self.shard(name)]
         with handle.lock:
             try:
@@ -352,7 +285,8 @@ class ApplyFleet:
         return reply
 
     def drop(self, name: str) -> None:
-        """Forget a workspace's mirror (parent-side eviction); best-effort."""
+        """Forget a worker's copy of a workspace (parent-side eviction);
+        best-effort."""
         try:
             self.call(name, {"op": "drop", "workspace": name})
         except (EOFError, OSError):

@@ -195,12 +195,9 @@ def nonguard_matches(patch: SemanticPatch, patch_result) -> int:
 
 
 def per_patch_pairs(result, patches: Sequence[SemanticPatch]):
-    """``(patch, its PatchResult)`` pairs for any result shape: a pipeline
-    result carries per-patch views, a plain single-patch result is its own."""
-    per_patch = getattr(result, "per_patch", None)
-    if per_patch and len(per_patch) == len(patches):
-        return list(zip(patches, per_patch))
-    return [(patch, result) for patch in patches]
+    """``(patch, its PatchResult)`` pairs of a pipeline result, which carries
+    one per-patch view per applied patch."""
+    return list(zip(patches, result.per_patch))
 
 
 def exit_status(result, patches: Sequence[SemanticPatch]) -> int:

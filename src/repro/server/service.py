@@ -19,6 +19,14 @@ state PRs 3–4 built but which previously died with every CLI process:
   degrades to a cold run, never to wrong output (the engine's existing
   ``since=`` guarantees; the service adds no new reuse logic of its own).
 
+:meth:`Workspace.run` is the one run path: in-process applies, lock-free
+queries and the fleet workers' applies all build their
+:class:`~repro.engine.incremental.IncrementalPipeline` there, store the
+result (and its snapshot) there, and render the result and profile
+payloads there.  The verbs differ only in what they hand it: the files
+(the live code base or the published snapshot), the ``since=`` seed, the
+token index, and whether the result is stored.
+
 Concurrency model
 -----------------
 Every verb that *mutates* a workspace runs under that workspace's lock, so
@@ -66,6 +74,7 @@ from typing import Optional, Sequence
 
 from ..api import CodeBase, SemanticPatch
 from ..engine.cache import SharedTreeStore, TreeCache, content_sha1
+from ..engine.compile import compile_key, evict_compiled
 from ..engine.incremental import IncrementalPipeline, PipelineState
 from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo
 from ..engine.pipeline import PipelineResult
@@ -97,10 +106,43 @@ class ServiceError(Exception):
         self.kind = kind
 
 
+#: how many live spec-cache entries pin each compiled-patch cache key.  The
+#: compile cache is process-wide, so the pins are too: every workspace of
+#: every service in this process (or of one fleet worker) counts here, and a
+#: compiled form is only evicted from the cache when its last holder lets go
+_COMPILE_REFS: dict[str, int] = {}
+_COMPILE_LOCK = threading.Lock()
+
+
+def _retain_compiled(patches: Sequence[SemanticPatch]) -> None:
+    """Pin the compiled-cache keys of one freshly cached spec's patches
+    (one reference per live spec-cache entry holding them)."""
+    with _COMPILE_LOCK:
+        for patch in patches:
+            key = compile_key(patch.ast, patch.options)
+            _COMPILE_REFS[key] = _COMPILE_REFS.get(key, 0) + 1
+
+
+def _release_compiled(patches: Sequence[SemanticPatch]) -> None:
+    """Unpin one evicted spec's patches; a compiled form is only evicted
+    from the global cache when no spec cache in the process holds its
+    fingerprint any more."""
+    for patch in patches:
+        key = compile_key(patch.ast, patch.options)
+        with _COMPILE_LOCK:
+            remaining = _COMPILE_REFS.get(key, 0) - 1
+            if remaining > 0:
+                _COMPILE_REFS[key] = remaining
+                continue
+            _COMPILE_REFS.pop(key, None)
+            last_holder = remaining == 0
+        if last_holder:
+            evict_compiled(patch.ast, patch.options)
+
+
 def spec_key(spec: dict, options_key: str) -> tuple:
     """The cache identity of one wire patch spec (kind, name, content
-    hash, options) — shared by the parent's per-workspace spec cache and
-    the fleet workers' mirrors, so both layers dedup identically."""
+    hash, options) in a workspace's spec cache."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ServiceError("bad-patch", "patch specs must be objects with "
                                         "a 'kind' field")
@@ -116,23 +158,39 @@ def spec_key(spec: dict, options_key: str) -> tuple:
     raise ServiceError("bad-patch", f"unknown patch spec kind {kind!r}")
 
 
-def build_patch_list(specs: Sequence[dict],
-                     options: Optional[SpatchOptions]) -> list[SemanticPatch]:
-    """Parse an ordered list of wire specs into patches (no caching —
-    callers layer their own; raises :class:`ServiceError` on bad specs)."""
-    if not specs:
-        raise ServiceError("bad-request", "no patches given")
-    built: list[SemanticPatch] = []
-    for spec in specs:
-        spec_key(spec, "")  # validate the shape before parsing anything
-        built.extend(PatchService._parse_spec(spec, options))
-    return built
+def parse_spec(spec: dict, options: Optional[SpatchOptions],
+               ) -> list[SemanticPatch]:
+    """The patches one validated wire spec names (raises
+    :class:`ServiceError` on an unparsable patch or unknown cookbook name)."""
+    from ..cookbook import builders
+
+    kind = spec["kind"]
+    if kind == "smpl" or kind in FRONTEND_WIRE_KINDS:
+        # the error message is the same one-line file:line diagnostic the
+        # in-process CLI prints (patch_error_line over the spec's name), so
+        # a --server run fails byte-identically to a local one
+        name = spec.get("name", f"<{kind}>")
+        try:
+            return [SemanticPatch.from_text(spec["text"], options=options,
+                                            name=name, format=kind)]
+        except Exception as exc:
+            raise ServiceError("bad-patch",
+                               patch_error_line(name, exc)) from None
+    name = spec.get("name")
+    if name == FULL_PIPELINE:
+        from ..cookbook import full_modernization_pipeline
+
+        return list(full_modernization_pipeline())
+    table = builders()
+    if name not in table:
+        raise ServiceError("bad-patch", f"unknown cookbook patch {name!r}")
+    return [table[name]()]
 
 
 def _aggregate_worker_stats(per_worker: Sequence[dict]) -> dict:
     """Fold the fleet's per-worker stat rows into one fleet-wide view:
-    counter dicts (memo, tree_store, every mirror's parse cache) sum
-    key-wise, workspace lists just count.  This is the satellite fix for
+    counter dicts (memo, tree_store, every worker workspace's parse cache)
+    sum key-wise, workspace lists just count.  This is the satellite fix for
     the fleet-mode profile gap — per-worker counters previously appeared
     only as N disjoint rows a human had to add up."""
     def fold(total: dict, counters: Optional[dict]) -> None:
@@ -157,7 +215,11 @@ def _aggregate_worker_stats(per_worker: Sequence[dict]) -> dict:
 
 
 class Workspace:
-    """One named unit of warm server state (see the module docstring)."""
+    """One named unit of warm server state (see the module docstring).
+
+    The daemon process holds one per open workspace; each fleet worker
+    holds its own copy of every workspace pinned to it, kept in step by
+    the parent's delta jobs."""
 
     def __init__(self, name: str, *, cache_entries: int = 512,
                  root: Optional[str] = None,
@@ -185,6 +247,10 @@ class Workspace:
         self.fleet_seen: Optional[dict] = None
         #: whether this workspace was warm-started from a state snapshot
         self.restored = False
+        #: where stored runs snapshot to (bound by :meth:`restore`; ``None``
+        #: = the state dies with the process, and rooted workspaces, which
+        #: re-read their directory instead, never bind one)
+        self.state_root: Optional[str] = None
         #: requests currently executing against this workspace (guarded by
         #: the service lock); eviction skips any workspace with one in
         #: flight, so a dispatched request can never lose its workspace
@@ -194,7 +260,8 @@ class Workspace:
         #: so repeated requests do not re-parse the same SMPL; never shared
         #: across workspaces (patch ASTs then never cross workspace
         #: threads), and bounded so an authoring loop saving a new SMPL
-        #: revision per request cannot grow it forever
+        #: revision per request cannot grow it forever.  Entries pin their
+        #: compiled forms in the process-wide compile cache
         self._patches: "OrderedDict[tuple, tuple[SemanticPatch, ...]]" = \
             OrderedDict()
         #: guards ``_patches`` alone, so the lock-free query path can build
@@ -261,6 +328,144 @@ class Workspace:
             self._watcher.close()
         # the thread is a daemon and checks the stop flag after every wait;
         # don't join (a poll backend may be mid-sleep)
+
+    # -- patch building ------------------------------------------------------
+
+    def build_patches(self, specs: Sequence[dict],
+                      options: Optional[SpatchOptions],
+                      ) -> list[SemanticPatch]:
+        """The ordered patch list a request's wire specs name, cached by
+        spec identity (kind, name, content hash, options) so steady-state
+        requests skip SMPL re-parsing.  Guarded by the dedicated spec-cache
+        lock, not the workspace lock — the lock-free query path builds
+        patches too."""
+        if not specs:
+            raise ServiceError("bad-request", "no patches given")
+        built: list[SemanticPatch] = []
+        options_key = repr(options)
+        for spec in specs:
+            key = spec_key(spec, options_key)
+            with self._patches_lock:
+                cached = self._patches.get(key)
+                if cached is not None:
+                    self._patches.move_to_end(key)
+            if cached is None:
+                # parse outside the lock (SMPL parsing is the slow part);
+                # two racing queries may both parse — last writer wins and
+                # the loser's pins are released, so the books balance
+                cached = tuple(parse_spec(spec, options))
+                _retain_compiled(cached)
+                overflow = []
+                with self._patches_lock:
+                    previous = self._patches.get(key)
+                    if previous is not None:
+                        overflow.append(cached)
+                        cached = previous
+                    else:
+                        self._patches[key] = cached
+                        while len(self._patches) > MAX_CACHED_PATCH_SPECS:
+                            # an evicted spec's compiled matchers would only
+                            # be rebuilt on a cache miss anyway; the drop is
+                            # refcounted process-wide, so another workspace
+                            # whose cached spec shares the fingerprint keeps
+                            # the compiled form hot
+                            overflow.append(
+                                self._patches.popitem(last=False)[1])
+                for evicted in overflow:
+                    _release_compiled(evicted)
+            built.extend(cached)
+        return built
+
+    def release_specs(self) -> None:
+        """Unpin everything the spec cache holds (eviction and shutdown),
+        letting now-orphaned compiled forms go."""
+        with self._patches_lock:
+            cached_specs = list(self._patches.values())
+            self._patches.clear()
+        for cached in cached_specs:
+            _release_compiled(cached)
+
+    # -- runs ----------------------------------------------------------------
+
+    def run(self, built: Sequence[SemanticPatch], *, files: dict,
+            since: Optional[PipelineResult], token_index, store: bool,
+            diff: bool, texts: bool, profile: bool,
+            memo: Optional[TransformMemo], jobs: "int | str",
+            prefilter: bool) -> dict:
+        """Apply ``built`` to ``files`` and return the response payload:
+        the shared :mod:`result payload <repro.server.protocol>` plus, with
+        ``profile``, the volatile profile section.
+
+        The run goes through
+        :class:`~repro.engine.incremental.IncrementalPipeline` over this
+        workspace's parse cache, seeded with ``since`` — the engine splices
+        unchanged files and patch prefixes, or degrades to a cold run when
+        nothing is reusable.  With ``store`` the result becomes
+        :attr:`last` and is snapshotted (caller holds the lock); without
+        it the workspace is left exactly as it was."""
+        pipeline = IncrementalPipeline(
+            [patch.ast for patch in built],
+            options=[patch.options for patch in built],
+            names=[patch.name for patch in built],
+            jobs=jobs, prefilter=prefilter, tree_cache=self.cache, memo=memo)
+        result = pipeline.run(files, since=since, token_index=token_index)
+        if store:
+            self.last = result
+            self.save(self.state_root)
+        # ``result_payload`` is read from the module globals at call time,
+        # so a wrapper installed on this module sees every run
+        payload = result_payload(result, built, include_diff=diff,
+                                 include_texts=texts)
+        payload["workspace"] = self.name
+        if profile:
+            payload["profile"] = profile_payload(
+                result, cache=self.cache, token_index=token_index, memo=memo)
+            if self.cache.shared is not None:
+                payload["profile"]["tree_store"] = \
+                    self.cache.shared.counters()
+            payload["profile"]["restored"] = self.restored
+        return payload
+
+    # -- restart survival ----------------------------------------------------
+
+    def restore(self, state_root: Optional[str]) -> bool:
+        """Bind this workspace to its snapshot under ``state_root`` (every
+        later stored run re-saves there) and warm-start from it: files,
+        last result and parse-cache entries.  Returns whether anything was
+        restored; corrupt or absent snapshots restore nothing — the next
+        run is cold, never wrong.  Caller holds the lock."""
+        self.state_root = state_root
+        if state_root is None:
+            return False
+        from .fleet import state_path
+
+        state = PipelineState.load(state_path(state_root, self.name))
+        if state is None or state.files is None:
+            return False
+        for filename, text in state.files.items():
+            self.codebase[filename] = text
+        self.last = state.result
+        self.cache.restore(state.cache_entries)
+        self.publish_files()
+        self.restored = True
+        return True
+
+    def save(self, state_root: Optional[str]) -> None:
+        """Snapshot files, last result and parse cache under
+        ``state_root``; caller holds the lock.  An unwritable state
+        directory never fails the run that triggered the save."""
+        if state_root is None:
+            return
+        from .fleet import state_path
+
+        try:
+            os.makedirs(state_root, exist_ok=True)
+            PipelineState(result=self.last,
+                          cache_entries=self.cache.snapshot(),
+                          files=dict(self.codebase.files),
+                          ).save(state_path(state_root, self.name))
+        except Exception:
+            pass
 
     # -- stats --------------------------------------------------------------
 
@@ -332,11 +537,6 @@ class PatchService:
                                      memo_entries=memo_entries,
                                      memo_dir=memo_dir,
                                      state_root=self.state_root)
-        #: how many live cached specs (across all workspaces) pin each
-        #: compiled-patch cache key; the global compile cache is only told
-        #: to evict when the last holder lets go
-        self._compile_refs: dict[str, int] = {}
-        self._compile_lock = threading.Lock()
         self.started_at = time.time()
         self.requests_total = 0
         self.evictions = 0
@@ -415,8 +615,13 @@ class PatchService:
             workspace.last_used = time.time()
             if created and root is not None:
                 workspace.load_root()
-            elif created:
-                self._restore_workspace(workspace)
+            elif created and workspace.restore(self.state_root) \
+                    and self._fleet is not None:
+                # the pinned worker restores from the same snapshot on first
+                # touch: seeding the delta base with the snapshot manifest
+                # means the first post-restart apply ships only real edits
+                # (any divergence is caught by the job's manifest check)
+                workspace.fleet_seen = workspace.codebase.content_hashes()
             if watch and root is not None:
                 workspace.start_auto_refresh(watch_backend, watch_interval,
                                              self.log)
@@ -425,59 +630,10 @@ class PatchService:
                     "restored": workspace.restored,
                     "protocol": PROTOCOL_VERSION}
 
-    # -- restart survival ----------------------------------------------------
-
-    def _state_path(self, name: str) -> Optional[str]:
-        if self.state_root is None:
-            return None
-        from .fleet import state_path
-
-        return state_path(self.state_root, name)
-
-    def _restore_workspace(self, workspace: Workspace) -> None:
-        """Warm-start a freshly created client-synced workspace from its
-        snapshot (rooted workspaces re-read their directory instead);
-        caller holds the workspace lock.  Corrupt or absent snapshots
-        restore nothing — the next sync/apply runs cold, never wrong."""
-        path = self._state_path(workspace.name)
-        if path is None:
-            return
-        state = PipelineState.load(path)
-        if state is None or state.files is None:
-            return
-        for filename, text in state.files.items():
-            workspace.codebase[filename] = text
-        workspace.last = state.result
-        workspace.cache.restore(state.cache_entries)
-        workspace.publish_files()
-        workspace.restored = True
-        if self._fleet is not None:
-            # the pinned worker restores from the same snapshot on first
-            # touch: seeding the delta base with the snapshot manifest
-            # means the first post-restart apply ships only real edits
-            # (any divergence is caught by the job's manifest check)
-            workspace.fleet_seen = {
-                filename: content_sha1(text)
-                for filename, text in state.files.items()}
-
-    def _save_workspace(self, workspace: Workspace) -> None:
-        """Snapshot one workspace after a stored apply (in-process mode;
-        fleet workers snapshot their own mirrors); caller holds the lock."""
-        path = self._state_path(workspace.name)
-        if path is None or workspace.root is not None:
-            return
-        try:
-            os.makedirs(self.state_root, exist_ok=True)
-            PipelineState(result=workspace.last,
-                          cache_entries=workspace.cache.snapshot(),
-                          files=dict(workspace.codebase.files)).save(path)
-        except Exception:
-            pass  # an unwritable state dir must never fail the apply
-
     def _drop_evicted(self, names) -> None:
-        """Tell the fleet to forget evicted workspaces' mirrors — purely
-        memory hygiene (a reopened workspace self-heals via the manifest
-        check), so it happens off-thread and best-effort."""
+        """Tell the fleet to forget evicted workspaces' worker copies —
+        purely memory hygiene (a reopened workspace self-heals via the
+        manifest check), so it happens off-thread and best-effort."""
         if not names or self._fleet is None:
             return
         fleet = self._fleet
@@ -511,7 +667,7 @@ class PatchService:
                 self.evictions += 1
                 evicted.append(name)
                 workspace.close()
-                self._release_workspace_specs(workspace)
+                workspace.release_specs()
             finally:
                 workspace.lock.release()
         return evicted
@@ -598,51 +754,33 @@ class PatchService:
 
         ``patches`` is a list of wire specs (``{"kind": "cookbook",
         "name": ...}`` or ``{"kind": "smpl", "text": ..., "name": ...}``,
-        applied in order as one pipeline).  The run goes through
-        :class:`~repro.engine.incremental.IncrementalPipeline` seeded with
-        the workspace's last result — the engine splices unchanged files
-        and patch prefixes, or degrades to a cold run when nothing is
-        reusable.  The response is the shared :mod:`result payload
-        <repro.server.protocol>` (diffs and changed texts on request,
-        volatile profile section under ``"profile"``).
+        applied in order as one pipeline).  The run is a
+        :meth:`Workspace.run` seeded with the workspace's last result — the
+        engine splices unchanged files and patch prefixes, or degrades to a
+        cold run when nothing is reusable.  The response is the shared
+        :mod:`result payload <repro.server.protocol>` (diffs and changed
+        texts on request, volatile profile section under ``"profile"``).
 
         With a fleet (``workers >= 2``), stored applies execute in the
-        workspace's pinned worker process; the workspace lock is held for
-        the round trip, so per-workspace serialization is identical to the
-        in-process path."""
+        workspace's pinned worker process, through the worker's copy of
+        the workspace; the workspace lock is held for the round trip, so
+        per-workspace serialization is identical to the in-process path."""
         if self._fleet is not None and store:
             return self._apply_fleet(name, patches, options=options,
                                      jobs=jobs, prefilter=prefilter,
                                      diff=diff, texts=texts, profile=profile)
         with self._checkout(name) as workspace, workspace.lock:
-            built = self._build_patches(workspace, patches,
-                                        options_from_payload(options))
+            built = workspace.build_patches(patches,
+                                            options_from_payload(options))
             workspace.applies += 1
-            pipeline = IncrementalPipeline(
-                [patch.ast for patch in built],
-                options=[patch.options for patch in built],
-                names=[patch.name for patch in built],
+            payload = workspace.run(
+                built, files=workspace.codebase.files, since=workspace.last,
+                token_index=workspace.codebase.token_index()
+                if prefilter else None,
+                store=store, diff=diff, texts=texts, profile=profile,
+                memo=self.memo,
                 jobs=self.default_jobs if jobs is None else jobs,
-                prefilter=prefilter, tree_cache=workspace.cache,
-                memo=self.memo)
-            token_index = workspace.codebase.token_index() if prefilter \
-                else None
-            result = pipeline.run(workspace.codebase.files,
-                                  since=workspace.last,
-                                  token_index=token_index)
-            if store:
-                workspace.last = result
-                self._save_workspace(workspace)
-            payload = result_payload(result, built, include_diff=diff,
-                                     include_texts=texts)
-            payload["workspace"] = name
-            if profile:
-                payload["profile"] = profile_payload(
-                    result, cache=workspace.cache,
-                    token_index=workspace.codebase._token_index,
-                    memo=self.memo)
-                payload["profile"]["tree_store"] = self.tree_store.counters()
-                payload["profile"]["restored"] = workspace.restored
+                prefilter=prefilter)
         if store:
             self._maybe_prune_memo()
         return payload
@@ -689,7 +827,6 @@ class PatchService:
         _obs.merge_telemetry(reply.get("telemetry"), origin="fleet")
         self._maybe_prune_memo()
         payload = reply["payload"]
-        payload["workspace"] = name
         if profile and "profile" in payload:
             payload["profile"]["fleet_worker"] = {
                 "index": self._fleet.shard(name), "pid": reply.get("pid")}
@@ -709,29 +846,18 @@ class PatchService:
         incremental engine re-verifies every content hash before reusing
         anything."""
         with self._checkout(name) as workspace:
-            built = self._build_patches(workspace, patches,
-                                        options_from_payload(options))
-            files = workspace._files_view  # atomic snapshot reference
-            since = workspace.last  # immutable once published
-            pipeline = IncrementalPipeline(
-                [patch.ast for patch in built],
-                options=[patch.options for patch in built],
-                names=[patch.name for patch in built],
-                jobs=self.default_jobs if jobs is None else jobs,
-                prefilter=prefilter, tree_cache=workspace.cache,
-                memo=self.memo)
-            # no token index: it is owned (and lazily built) by the
-            # codebase under the workspace lock this path must not take;
+            built = workspace.build_patches(patches,
+                                            options_from_payload(options))
+            # the atomically published file snapshot and the immutable last
+            # result; no token index: it is owned (and lazily built) by the
+            # code base under the workspace lock this path must not take, so
             # the prefilter falls back to direct token scans
-            result = pipeline.run(files, since=since, token_index=None)
-            payload = result_payload(result, built, include_diff=False,
-                                     include_texts=False)
-            payload["workspace"] = name
-            if profile:
-                payload["profile"] = profile_payload(
-                    result, cache=workspace.cache, memo=self.memo)
-                payload["profile"]["tree_store"] = self.tree_store.counters()
-            return payload
+            return workspace.run(
+                built, files=workspace._files_view, since=workspace.last,
+                token_index=None, store=False, diff=False, texts=False,
+                profile=profile, memo=self.memo,
+                jobs=self.default_jobs if jobs is None else jobs,
+                prefilter=prefilter)
 
     def stats(self, name: Optional[str] = None) -> dict:
         """Service- and per-workspace counters (cache hit/miss/dedup and
@@ -818,7 +944,7 @@ class PatchService:
             self._workspaces.clear()
         for workspace in workspaces:
             workspace.close()
-            self._release_workspace_specs(workspace)
+            workspace.release_specs()
         if self._fleet is not None:
             self._fleet.close()
         _obs.REGISTRY.unregister_collector(self._collector)
@@ -856,117 +982,3 @@ class PatchService:
 
         threading.Thread(target=prune, name="memo-prune",
                          daemon=True).start()
-
-    # -- patch building ------------------------------------------------------
-
-    def _build_patches(self, workspace: Workspace, specs: Sequence[dict],
-                       options: Optional[SpatchOptions],
-                       ) -> list[SemanticPatch]:
-        """The ordered patch list a request's wire specs name, cached per
-        workspace by spec identity (kind, name, content hash, options) so
-        steady-state requests skip SMPL re-parsing.  Guarded by the
-        workspace's dedicated spec-cache lock, not the workspace lock —
-        the lock-free query path builds patches too."""
-        if not specs:
-            raise ServiceError("bad-request", "no patches given")
-        built: list[SemanticPatch] = []
-        options_key = repr(options)
-        for spec in specs:
-            key = spec_key(spec, options_key)
-            with workspace._patches_lock:
-                cached = workspace._patches.get(key)
-                if cached is not None:
-                    workspace._patches.move_to_end(key)
-            if cached is None:
-                # parse outside the lock (SMPL parsing is the slow part);
-                # two racing queries may both parse — last writer wins and
-                # the loser's refcount is released, so the books balance
-                cached = tuple(self._parse_spec(spec, options))
-                self._retain_compiled(cached)
-                overflow = []
-                with workspace._patches_lock:
-                    previous = workspace._patches.get(key)
-                    if previous is not None:
-                        overflow.append(cached)
-                        cached = previous
-                    else:
-                        workspace._patches[key] = cached
-                        while len(workspace._patches) > \
-                                MAX_CACHED_PATCH_SPECS:
-                            # an evicted spec's compiled matchers would only
-                            # be rebuilt on a cache miss anyway; the drop is
-                            # refcounted service-wide, so another workspace
-                            # whose cached spec shares the fingerprint keeps
-                            # the compiled form hot
-                            overflow.append(
-                                workspace._patches.popitem(last=False)[1])
-                for evicted in overflow:
-                    self._release_compiled(evicted)
-            built.extend(cached)
-        return built
-
-    def _retain_compiled(self, patches: Sequence[SemanticPatch]) -> None:
-        """Pin the compiled-cache keys of one freshly cached spec's patches
-        (one reference per live spec-cache entry holding them)."""
-        from ..engine.compile import compile_key
-
-        with self._compile_lock:
-            for patch in patches:
-                key = compile_key(patch.ast, patch.options)
-                self._compile_refs[key] = self._compile_refs.get(key, 0) + 1
-
-    def _release_compiled(self, patches: Sequence[SemanticPatch]) -> None:
-        """Unpin one evicted spec's patches; a compiled form is only evicted
-        from the global cache when no workspace's spec cache holds its
-        fingerprint any more."""
-        from ..engine.compile import compile_key, evict_compiled
-
-        for patch in patches:
-            key = compile_key(patch.ast, patch.options)
-            with self._compile_lock:
-                remaining = self._compile_refs.get(key, 0) - 1
-                if remaining > 0:
-                    self._compile_refs[key] = remaining
-                    continue
-                self._compile_refs.pop(key, None)
-                last_holder = remaining == 0
-            if last_holder:
-                evict_compiled(patch.ast, patch.options)
-
-    def _release_workspace_specs(self, workspace: Workspace) -> None:
-        """Unpin everything a dying workspace's spec cache holds (LRU
-        eviction and shutdown), letting now-orphaned compiled forms go."""
-        with workspace._patches_lock:
-            cached_specs = list(workspace._patches.values())
-            workspace._patches.clear()
-        for cached in cached_specs:
-            self._release_compiled(cached)
-
-    @staticmethod
-    def _parse_spec(spec: dict, options: Optional[SpatchOptions],
-                    ) -> list[SemanticPatch]:
-        from ..cookbook import builders
-
-        kind = spec["kind"]
-        if kind == "smpl" or kind in FRONTEND_WIRE_KINDS:
-            # the error message is the same one-line file:line diagnostic
-            # the in-process CLI prints (patch_error_line over the spec's
-            # name), so a --server run fails byte-identically to a local one
-            name = spec.get("name", f"<{kind}>")
-            try:
-                return [SemanticPatch.from_text(
-                    spec["text"], options=options, name=name,
-                    format=kind)]
-            except Exception as exc:
-                raise ServiceError("bad-patch",
-                                   patch_error_line(name, exc)) from None
-        name = spec.get("name")
-        if name == FULL_PIPELINE:
-            from ..cookbook import full_modernization_pipeline
-
-            return list(full_modernization_pipeline())
-        table = builders()
-        if name not in table:
-            raise ServiceError("bad-patch",
-                               f"unknown cookbook patch {name!r}")
-        return [table[name]()]

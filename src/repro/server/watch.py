@@ -6,11 +6,8 @@ deciding what re-runs), so a backend only answers one question — *"may
 anything have changed since I last asked?"* — through ``wait(timeout)``.
 Returning ``True`` means "sweep now"; a spurious ``True`` costs one cheap
 sweep and a missed event costs only latency (callers still sweep at least
-once per timeout).  That contract lets three implementations coexist:
+once per timeout).  That contract lets two implementations coexist:
 
-* :class:`WatchdogWatcher` — the optional third-party ``watchdog`` package
-  (kqueue/FSEvents/ReadDirectoryChangesW where available), feature-detected
-  and never required;
 * :class:`InotifyWatcher` — Linux inotify via ``ctypes`` + ``selectors``,
   no third-party code;
 * :class:`PollWatcher` — the portable fallback: ``wait`` simply sleeps the
@@ -25,17 +22,15 @@ fancier backend cannot start.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import pathlib
 import selectors
 import sys
-import threading
 import time
 from typing import Callable, Iterable, Optional
 
 #: recognised ``--watch-backend`` / ``REPRO_WATCH_BACKEND`` values
-BACKENDS = ("auto", "watchdog", "inotify", "poll")
+BACKENDS = ("auto", "inotify", "poll")
 
 #: environment override consulted when the caller asks for ``auto``
 BACKEND_ENV = "REPRO_WATCH_BACKEND"
@@ -135,57 +130,7 @@ class InotifyWatcher:
         os.close(self._fd)
 
 
-# ---------------------------------------------------------------------------
-# watchdog (optional third-party; feature-detected, never required)
-# ---------------------------------------------------------------------------
-
-class WatchdogWatcher:
-    """The ``watchdog`` package's observer, when importable: any event sets
-    a flag that the next ``wait`` reports."""
-
-    name = "watchdog"
-
-    def __init__(self, roots: Iterable[str]):
-        if importlib.util.find_spec("watchdog") is None:
-            raise OSError("watchdog is not importable")
-        from watchdog.events import FileSystemEventHandler
-        from watchdog.observers import Observer
-
-        self.roots = list(roots)
-        self._changed = threading.Event()
-        changed = self._changed
-
-        class _Handler(FileSystemEventHandler):
-            def on_any_event(self, event):
-                changed.set()
-
-        self._observer = Observer(timeout=0.2)
-        handler = _Handler()
-        for root in self.roots:
-            path = pathlib.Path(root)
-            target = path if path.is_dir() else path.parent
-            if target.is_dir():
-                self._observer.schedule(handler, str(target), recursive=True)
-        self._observer.daemon = True
-        self._observer.start()
-
-    def wait(self, timeout: float) -> bool:
-        fired = self._changed.wait(timeout)
-        if fired:
-            # only consume the flag when reporting it: clearing after a
-            # timed-out wait would race an event landing in between and
-            # silently swallow the one notification a caller that skips
-            # sweeps on False (the server refresh loop) would ever get
-            self._changed.clear()
-        return fired
-
-    def close(self) -> None:
-        self._observer.stop()
-        self._observer.join(timeout=2.0)
-
-
-_BACKEND_CLASSES = {"watchdog": WatchdogWatcher, "inotify": InotifyWatcher,
-                    "poll": PollWatcher}
+_BACKEND_CLASSES = {"inotify": InotifyWatcher, "poll": PollWatcher}
 
 
 def create_watcher(roots: Iterable[str], backend: str = "auto",
@@ -193,9 +138,9 @@ def create_watcher(roots: Iterable[str], backend: str = "auto",
     """The best available watcher over ``roots``.
 
     ``backend`` pins a choice (``auto`` consults ``REPRO_WATCH_BACKEND``
-    first, then tries watchdog → inotify → poll); a pinned backend that
-    cannot start falls back to polling rather than failing the watch loop.
-    The decision — and any fallback — is reported through ``log``."""
+    first, then tries inotify → poll); a pinned backend that cannot start
+    falls back to polling rather than failing the watch loop.  The
+    decision — and any fallback — is reported through ``log``."""
     log = log or (lambda message: print(f"# {message}", file=sys.stderr))
     if backend not in BACKENDS:
         raise ValueError(f"unknown watch backend {backend!r}; "
@@ -204,7 +149,7 @@ def create_watcher(roots: Iterable[str], backend: str = "auto",
         backend = os.environ.get(BACKEND_ENV, "auto")
         if backend not in BACKENDS:
             backend = "auto"
-    candidates = ["watchdog", "inotify", "poll"] if backend == "auto" \
+    candidates = ["inotify", "poll"] if backend == "auto" \
         else [backend, "poll"]
     roots = list(roots)
     last_error: Optional[BaseException] = None

@@ -431,19 +431,16 @@ class TestForkPoolCounterExactness:
 
     def _run(self, jobs: int):
         from repro import SemanticPatch
-        from repro.engine.driver import Driver
 
         patch = SemanticPatch.from_string(self.RENAME)
-        driver = Driver(patch.ast, options=patch.options, jobs=jobs,
-                        prefilter=False)
-        return driver.run(self._files())
+        return patch.apply(self._files(), jobs=jobs, prefilter=False)
 
     def test_worker_deltas_are_exact(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        from repro.engine import driver as driver_mod
+        from repro.engine import pipeline as pipeline_mod
 
-        hits0 = driver_mod._M_WORKER_HITS.value
-        misses0 = driver_mod._M_WORKER_MISSES.value
+        hits0 = pipeline_mod._M_WORKER_HITS.value
+        misses0 = pipeline_mod._M_WORKER_MISSES.value
         files = self._files()
         result = self._run(jobs=4)
         assert result.stats.jobs_used == 4
@@ -455,8 +452,8 @@ class TestForkPoolCounterExactness:
         # and the registry's origin="workers" children moved by the same
         # amounts (the deltas are per-job before/after captures, so a
         # parallel-running test cannot inflate them)
-        assert driver_mod._M_WORKER_MISSES.value - misses0 == len(files)
-        assert driver_mod._M_WORKER_HITS.value - hits0 == 0
+        assert pipeline_mod._M_WORKER_MISSES.value - misses0 == len(files)
+        assert pipeline_mod._M_WORKER_HITS.value - hits0 == 0
         # the transform happened in every file despite the scatter
         for name in files:
             assert result[name].changed
@@ -465,7 +462,7 @@ class TestForkPoolCounterExactness:
         monkeypatch.setenv("REPRO_OBS", "0")
         result = self._run(jobs=4)
         assert result.stats.jobs_used == 4
-        # no telemetry channel: the driver refuses to guess and says so
+        # no telemetry channel: the pipeline refuses to guess and says so
         assert result.stats.cache_scope == "unavailable"
         assert result.stats.cache_hits == 0
         assert result.stats.cache_misses == 0

@@ -1,11 +1,13 @@
-"""Tests for the code-base driver: parallel jobs, parse cache, CLI surface."""
+"""Tests for whole-code-base application (``SemanticPatch.apply``, a
+one-patch pipeline): input order, prefilter coverage, parse cache, parallel
+jobs and script-rule semantics, plus the CLI surface."""
 
 import pytest
 
 from repro import CodeBase, SemanticPatch, __version__
 from repro.engine import Engine
 from repro.engine.cache import TreeCache
-from repro.engine.driver import Driver, resolve_jobs
+from repro.engine.pipeline import resolve_jobs
 from repro.cli.spatch import main as spatch_main
 
 
@@ -24,40 +26,41 @@ class TestDriver:
     def test_results_keep_input_order(self):
         files = _mixed_files()
         patch = SemanticPatch.from_string(RENAME_PATCH)
-        result = Driver(patch.ast, options=patch.options).run(files)
+        result = patch.apply(files)
         assert list(result.files) == list(files)
 
     def test_stats_report_skips_and_gates(self):
         files = _mixed_files(6)
         patch = SemanticPatch.from_string(RENAME_PATCH)
-        driver = Driver(patch.ast, options=patch.options)
-        result = driver.run(files)
+        result = patch.apply(files)
         assert result.stats.files_total == 8
         assert result.stats.files_skipped == 6
         assert 0 < result.stats.skip_rate < 1
-        assert "skipped without parsing: 6" in result.stats.describe()
+        # one rule, gated in each of the six skipped files
+        assert result.stats.rules_gated == 6
+        assert "skipped for the whole pipeline: 6" in result.stats.describe()
+        assert result.result_for(0).stats.files_skipped == 6
         assert result["match_0.c"].changed
         assert not result["plain_0.c"].changed
 
     def test_prefilter_off_parses_everything(self):
         files = _mixed_files(3)
         patch = SemanticPatch.from_string(RENAME_PATCH)
-        driver = Driver(patch.ast, options=patch.options, prefilter=False)
-        result = driver.run(files)
+        result = patch.apply(files, prefilter=False)
         assert result.stats.files_skipped == 0
+        assert result.stats.sessions_run == len(files)
+        assert list(result.files) == list(files)
         assert result["match_0.c"].changed
 
     def test_tree_cache_hits_on_repeated_application(self):
-        files = _mixed_files(2)
+        # texts no other test uses, so the process-wide cache starts cold
+        files = {name: f"/* repeated application */\n{text}"
+                 for name, text in _mixed_files(2).items()}
         patch = SemanticPatch.from_string(RENAME_PATCH)
-        cache = TreeCache()
         for expect_hits in (False, True):
-            driver = Driver(patch.ast, options=patch.options,
-                            prefilter=False, tree_cache=cache)
-            result = driver.run(files)
+            result = patch.apply(files, prefilter=False)
             assert result["match_0.c"].changed
             assert (result.stats.cache_hits > 0) is expect_hits
-        assert len(cache) > 0
 
     def test_tree_cache_is_bounded(self):
         cache = TreeCache(max_entries=2)
@@ -65,16 +68,6 @@ class TestDriver:
         for i in range(5):
             cache.get_or_parse(f"int x_{i};\n", f"f{i}.c", DEFAULT_OPTIONS)
         assert len(cache) == 2
-
-    def test_engine_apply_to_files_still_works(self):
-        """The historical entry point remains a thin wrapper over the driver
-        with seed semantics (serial, no prefilter)."""
-        files = _mixed_files(2)
-        patch = SemanticPatch.from_string(RENAME_PATCH)
-        result = Engine(patch.ast, options=patch.options).apply_to_files(files)
-        assert result["match_0.c"].changed
-        assert list(result.files) == list(files)
-        assert result.stats.files_skipped == 0
 
     def test_engine_apply_to_file_still_works(self):
         patch = SemanticPatch.from_string(RENAME_PATCH)
@@ -107,15 +100,15 @@ class TestParallelJobs:
 
     def test_parallel_falls_back_when_finalize_aggregates_scripts(self):
         """A patch combining per-file scripts with a finalize rule may carry
-        state across files; the driver must refuse to parallelise it."""
+        state across files; the pipeline must refuse to parallelise it."""
         text = ("@initialize:python@ @@\nseen = []\n\n"
                 "@a@\nidentifier f;\n@@\nmarked(f);\n\n"
                 "@script:python s@\nf << a.f;\n@@\nseen.append(f)\n\n"
                 "@finalize:python@ @@\nprint('seen', len(seen))\n")
         patch = SemanticPatch.from_string(text)
-        driver = Driver(patch.ast, options=patch.options, jobs=4)
-        result = driver.run({"a.c": "void t(void) { marked(x); }\n",
-                             "b.c": "void u(void) { marked(y); }\n"})
+        result = patch.apply({"a.c": "void t(void) { marked(x); }\n",
+                              "b.c": "void u(void) { marked(y); }\n"},
+                             jobs=4)
         assert result.stats.jobs_used == 1
 
     def test_initialize_runs_exactly_once_for_script_free_parallel_patch(self, tmp_path):
@@ -126,16 +119,14 @@ class TestParallelJobs:
                 f"open({str(marker)!r}, 'a').write('ran\\n')\n\n"
                 f"@r@ @@\n- old_api();\n+ new_api();\n")
         patch = SemanticPatch.from_string(text)
-        driver = Driver(patch.ast, options=patch.options, jobs=2, prefilter=False)
-        result = driver.run(_mixed_files(2))
+        result = patch.apply(_mixed_files(2), jobs=2, prefilter=False)
         assert result.stats.jobs_used == 2
         assert result["match_0.c"].changed
         assert marker.read_text().count("ran") == 1
 
     def test_parallel_used_for_script_free_patches(self):
         patch = SemanticPatch.from_string(RENAME_PATCH)
-        driver = Driver(patch.ast, options=patch.options, jobs=2, prefilter=False)
-        result = driver.run(_mixed_files(2))
+        result = patch.apply(_mixed_files(2), jobs=2, prefilter=False)
         assert result.stats.jobs_used == 2
         assert result["match_0.c"].changed
 

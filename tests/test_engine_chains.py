@@ -8,7 +8,6 @@ rules downstream of it.  That dep-candidate path had no direct coverage.
 """
 
 from repro import apply_patch
-from repro.engine import Engine
 from repro.api import SemanticPatch
 
 
@@ -68,12 +67,13 @@ class TestDependencyChainFiltering:
         assert "also_present" not in result.text
 
     def test_chain_preserved_through_driver_prefilter(self):
-        """The chain semantics must be identical when the driver gates rules:
-        gating 'b' in a file without 'marked' must not disturb other files."""
+        """The chain semantics must be identical when the prefilter gates
+        rules: gating 'b' in a file without 'marked' must not disturb other
+        files."""
         patch = SemanticPatch.from_string(FILTER_CHAIN)
         files = {"has.c": CODE, "hasnot.c": "void u(void) { unrelated(); }\n"}
         filtered = patch.apply(dict(files), prefilter=True)
-        baseline = Engine(patch.ast, options=patch.options).apply_to_files(files)
+        baseline = patch.apply(dict(files), prefilter=False)
         for name in files:
             assert filtered[name].text == baseline[name].text
             assert filtered[name].rule_reports == baseline[name].rule_reports

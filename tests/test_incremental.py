@@ -534,7 +534,7 @@ class TestRunForkPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bomb)
 
     def test_empty_items_return_empty_without_a_pool(self, monkeypatch):
-        from repro.engine.driver import run_fork_pool
+        from repro.engine.pipeline import run_fork_pool
 
         self._forbid_pool(monkeypatch)
         called = []
@@ -543,7 +543,7 @@ class TestRunForkPool:
         assert called == []  # not even the initializer runs
 
     def test_single_item_runs_in_process(self, monkeypatch):
-        from repro.engine.driver import run_fork_pool
+        from repro.engine.pipeline import run_fork_pool
 
         self._forbid_pool(monkeypatch)
         state = {}
@@ -558,7 +558,7 @@ class TestRunForkPool:
         assert run_fork_pool([21], 4, initializer, (42,), worker) == [42]
 
     def test_result_order_preserved_in_process(self, monkeypatch):
-        from repro.engine.driver import run_fork_pool
+        from repro.engine.pipeline import run_fork_pool
 
         self._forbid_pool(monkeypatch)
         out = run_fork_pool(["a"], 1, lambda: None, (), list)

@@ -291,41 +291,50 @@ class TestPatchCacheBound:
 
 
 class TestCompileCacheRefcounting:
-    """One workspace's spec-LRU eviction must not evict a compiled patch
-    another workspace's cached spec still holds (the compile cache is
-    global and fingerprint-keyed, so the service refcounts keys across
-    workspaces and only drops the compiled form with the last holder)."""
+    """One spec-LRU eviction must not evict a compiled patch another cached
+    spec still holds (the compile cache is process-wide and
+    fingerprint-keyed, so the pins live in one module-level table shared by
+    every workspace of every service, and only the last holder drops the
+    compiled form).  Each test uses its own SMPL text, so pins left behind
+    by other tests' services cannot skew the counts."""
 
-    def _shared_key(self, service, spec):
+    def _shared_key(self, spec):
         from repro.engine.compile import compile_key
+        from repro.server.service import parse_spec
 
-        patch = service._parse_spec(spec, None)[0]
+        patch = parse_spec(spec, None)[0]
         return compile_key(patch.ast, patch.options)
+
+    def _flood(self, service, name):
+        from repro.server.service import MAX_CACHED_PATCH_SPECS
+
+        for revision in range(MAX_CACHED_PATCH_SPECS):
+            service.apply(name, [smpl_spec(
+                f"@f@ @@\n- flood_{revision}();\n", name=f"f{revision}")])
 
     def test_flooding_one_workspace_does_not_force_a_recompile(self):
         from repro.engine.compile import MATCHER_STATS, backend_enabled
-        from repro.server.service import MAX_CACHED_PATCH_SPECS
+        from repro.server.service import _COMPILE_REFS
 
         if not backend_enabled(None):
             pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
 
         service = make_service()
-        shared = smpl_spec(RENAME_SMPL, name="shared")
+        shared = smpl_spec("@r@ @@\n- old();\n+ pinned_by_two();\n",
+                           name="shared")
         for name in ("w1", "w2"):
             service.open_workspace(name)
             service.sync_files(name, files={
                 f"{name}.c": f"void {name}(void) {{ old(); }}\n"})
             service.apply(name, [shared])
-        key = self._shared_key(service, shared)
-        assert service._compile_refs[key] == 2
+        key = self._shared_key(shared)
+        assert _COMPILE_REFS[key] == 2
 
         # flood w1's spec LRU until the shared spec falls out of it; w2's
         # cached spec must keep the compiled form pinned in the global cache
-        for revision in range(MAX_CACHED_PATCH_SPECS):
-            service.apply("w1", [smpl_spec(
-                f"@f@ @@\n- flood_{revision}();\n", name=f"f{revision}")])
+        self._flood(service, "w1")
         assert key not in service.workspace("w1")._patches
-        assert service._compile_refs[key] == 1
+        assert _COMPILE_REFS[key] == 1
 
         # w2 re-applies over fresh content (new content so the transform
         # memo cannot answer without a session): zero new compile misses
@@ -335,30 +344,66 @@ class TestCompileCacheRefcounting:
         payload = service.apply("w2", [shared])
         assert payload["files"]["w2.c"]["changed"]
         assert MATCHER_STATS.compile_cache_misses == misses_before
+        service.close()
+
+    def test_flooding_one_service_keeps_another_services_form(self):
+        """Two services in one process share the compile cache, so they
+        must share the pins too: service A's spec-LRU eviction must not
+        evict a compiled form service B still holds."""
+        from repro.engine.compile import MATCHER_STATS, backend_enabled
+        from repro.server.service import _COMPILE_REFS
+
+        if not backend_enabled(None):
+            pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
+
+        first, second = make_service(), make_service()
+        shared = smpl_spec("@r@ @@\n- old();\n+ pinned_across();\n",
+                           name="shared")
+        for service in (first, second):
+            service.open_workspace("w")
+            service.sync_files("w", files={"w.c": "void w(void) { old(); }\n"})
+            service.apply("w", [shared])
+        key = self._shared_key(shared)
+        assert _COMPILE_REFS[key] == 2
+
+        self._flood(first, "w")
+        assert key not in first.workspace("w")._patches
+        assert _COMPILE_REFS[key] == 1
+
+        second.sync_files("w", files={
+            "w.c": "void w(void) { int fresh; old(); }\n"})
+        misses_before = MATCHER_STATS.compile_cache_misses
+        payload = second.apply("w", [shared])
+        assert payload["files"]["w.c"]["changed"]
+        assert MATCHER_STATS.compile_cache_misses == misses_before
+        first.close()
+        second.close()
 
     def test_last_holder_eviction_drops_the_compiled_form(self):
         from repro.engine import compile as compile_module
         from repro.engine.compile import backend_enabled
+        from repro.server.service import _COMPILE_REFS
 
         if not backend_enabled(None):
             pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
 
         service = make_service(max_workspaces=2)
-        shared = smpl_spec(OTHER_SMPL, name="shared")
+        shared = smpl_spec("@s@ @@\n- gone();\n+ last_holder();\n",
+                           name="shared")
         for name in ("w1", "w2"):
             service.open_workspace(name)
             service.sync_files(name, files={
                 f"{name}.c": f"void {name}(void) {{ gone(); }}\n"})
             service.apply(name, [shared])
-        key = self._shared_key(service, shared)
+        key = self._shared_key(shared)
         assert key in compile_module._COMPILE_CACHE
 
         # evicting w1 releases one reference; the compiled form survives
         service.open_workspace("w3")  # LRU pushes w1 out
-        assert service._compile_refs[key] == 1
+        assert _COMPILE_REFS[key] == 1
         assert key in compile_module._COMPILE_CACHE
 
         # closing the service releases the last one; the form is dropped
         service.close()
-        assert key not in service._compile_refs
+        assert key not in _COMPILE_REFS
         assert key not in compile_module._COMPILE_CACHE

@@ -43,9 +43,8 @@ class TestSelection:
 
     def test_auto_never_picks_an_unavailable_watchdog(self, tmp_path,
                                                       monkeypatch):
-        # simulate an environment with no watchdog package at all
-        monkeypatch.setattr(watch.importlib.util, "find_spec",
-                            lambda name: None)
+        # auto tries inotify, then poll — never a third-party backend
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         logs = []
         watcher = create_watcher([str(tmp_path)], backend="auto",
                                  log=logs.append)
@@ -55,14 +54,22 @@ class TestSelection:
 
     def test_pinned_backend_falls_back_to_poll_with_a_log_line(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(watch.importlib.util, "find_spec",
-                            lambda name: None)
+        def no_inotify():
+            raise OSError("libc lacks inotify_init1")
+
+        # simulate a platform without inotify
+        monkeypatch.setattr(watch, "_libc", no_inotify)
         logs = []
-        watcher = create_watcher([str(tmp_path)], backend="watchdog",
+        watcher = create_watcher([str(tmp_path)], backend="inotify",
                                  log=logs.append)
         assert isinstance(watcher, PollWatcher)
         assert any("fell back" in line for line in logs)
         watcher.close()
+
+    def test_watchdog_is_no_longer_a_backend(self, tmp_path):
+        assert "watchdog" not in watch.BACKENDS
+        with pytest.raises(ValueError):
+            create_watcher([str(tmp_path)], backend="watchdog")
 
     def test_env_override_pins_the_choice(self, tmp_path, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "poll")
@@ -76,7 +83,7 @@ class TestSelection:
         monkeypatch.setenv(BACKEND_ENV, "nonsense")
         watcher = create_watcher([str(tmp_path)], backend="auto",
                                  log=lambda line: None)
-        assert watcher.name in ("watchdog", "inotify", "poll")
+        assert watcher.name in ("inotify", "poll")
         watcher.close()
 
 
