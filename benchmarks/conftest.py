@@ -118,7 +118,7 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
     match, transform, memo, splice, sync — count/sum/mean and interpolated
     p50/p90/p99 each) into any saved ``--benchmark-json`` file, so a BENCH
     artifact records not just how long each experiment took but where the
-    engine spent the time.  Empty when telemetry is off (``REPRO_OBS=0``)."""
+    engine spent the time."""
     from repro.obs import registry as _obs
 
     output_json["repro_phases"] = _obs.phase_summaries()

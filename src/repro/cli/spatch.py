@@ -276,22 +276,23 @@ def _build_patches(patch_args: list[tuple[str, str]],
     return patches
 
 
-def _print_counter_lines(codebase: CodeBase, memo=None) -> None:
+def _print_counter_lines(codebase: CodeBase, counts, memo=None) -> None:
     """The cache/prefilter counters ``--profile`` surfaces beyond the run's
     own stats: process-wide parse-cache traffic (hits/misses/dedup waits/
-    evictions), token-index scan reuse, the compiled-matcher counters and —
-    with ``--memo-dir`` — the transform memo's two-tier traffic."""
+    evictions) and compiled-matcher counters from the registry, plus the
+    run's token-index scan reuse and — with ``--memo-dir`` — the transform
+    memo's two-tier traffic from its capture ``counts``."""
     from ..engine.cache import DEFAULT_TREE_CACHE
     from ..engine.compile import matcher_counters
 
-    cache = DEFAULT_TREE_CACHE.counters()
+    cache = DEFAULT_TREE_CACHE.counters(_obs.REGISTRY)
     print(f"# parse cache (process): {cache['entries']}/"
           f"{cache['max_entries']} entries, {cache['hits']} hit(s), "
           f"{cache['misses']} miss(es), {cache['dedup_waits']} dedup "
           f"wait(s), {cache['evictions']} eviction(s)", file=sys.stderr)
     token_index = codebase._token_index
     if token_index is not None:
-        counters = token_index.counters()
+        counters = token_index.counters(counts)
         print(f"# token index: {counters['scan_hits']} cached scan(s) "
               f"reused, {counters['scan_misses']} fresh scan(s)",
               file=sys.stderr)
@@ -306,7 +307,7 @@ def _print_counter_lines(codebase: CodeBase, memo=None) -> None:
           f"{matcher['trees_indexed']} tree(s) indexed, "
           f"{matcher['index_reuses']} index reuse(s)", file=sys.stderr)
     if memo is not None:
-        counters = memo.counters()
+        counters = memo.counters(counts)
         print(f"# transform memo: {counters['hits']} hit(s) "
               f"({counters['disk_hits']} from disk), {counters['misses']} "
               f"miss(es), {counters['stores']} store(s), "
@@ -314,7 +315,7 @@ def _print_counter_lines(codebase: CodeBase, memo=None) -> None:
 
 
 def _print_json(result, patches: list[SemanticPatch], codebase: CodeBase,
-                *, profile: bool, memo=None) -> None:
+                counts, *, profile: bool, memo=None) -> None:
     """Emit the machine-readable payload — the exact serialization the
     server's ``apply`` response uses, so local and remote runs compare
     byte-for-byte on the deterministic sections."""
@@ -322,7 +323,7 @@ def _print_json(result, patches: list[SemanticPatch], codebase: CodeBase,
 
     payload = result_payload(result, patches)
     if profile:
-        payload["profile"] = profile_payload(result,
+        payload["profile"] = profile_payload(result, counts,
                                              cache=DEFAULT_TREE_CACHE,
                                              token_index=codebase._token_index,
                                              memo=memo)
@@ -444,12 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         verbose=args.verbose,
     )
 
-    tracer = None
-    if args.trace and not _obs.enabled():
-        print("# trace: telemetry is disabled (REPRO_OBS); no trace will "
-              "be written", file=sys.stderr)
-    elif args.trace:
-        tracer = _trace.start_trace("repro-spatch")
+    tracer = _trace.start_trace("repro-spatch") if args.trace else None
     journal = open_journal(args.journal)
     try:
         return _run(parser, args, options, journal)
@@ -534,7 +530,8 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
             since = state.result
             DEFAULT_TREE_CACHE.restore(state.cache_entries)
 
-    result, per_patch = _apply(patches, codebase, args, since, memo=memo)
+    with _obs.Capture() as counts:
+        result, per_patch = _apply(patches, codebase, args, since, memo=memo)
     _save_state(args, result)
 
     if args.report or args.verbose:
@@ -553,7 +550,7 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
             print(f"# {line}", file=sys.stderr)
         if getattr(result, "incremental", None) is not None:
             print(f"# {result.incremental.describe()}", file=sys.stderr)
-        _print_counter_lines(codebase, memo=memo)
+        _print_counter_lines(codebase, counts, memo=memo)
 
     # guard-rule matches mean "already modernized, stood down", not "the
     # patch applied": they must not turn a no-op re-run into exit 0
@@ -562,7 +559,7 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
 
     if args.json:
         _print_json(result, [patch for patch, _ in per_patch], codebase,
-                    profile=args.profile, memo=memo)
+                    counts, profile=args.profile, memo=memo)
         rewritten = _emit_output(result, result.files, paths, args) \
             if args.in_place else []
     else:
@@ -655,7 +652,7 @@ def _remote_main(args, options: SpatchOptions) -> int:
     # carries this id (the daemon echoes it back, its journal records it),
     # so a retried or failed run is greppable end to end
     tracer = None
-    if _obs.enabled() and not _trace.tracing_active():
+    if not _trace.tracing_active():
         tracer = _trace.start_trace("spatch-remote")
     try:
         return _remote_run(args, options, codebase, paths, workspace, specs)

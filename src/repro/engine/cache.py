@@ -14,10 +14,12 @@ options matter because they change how the front end disambiguates.
 
 Two callers racing on the same key are deduplicated: the first one parses
 while the others wait on a per-key in-flight marker, so a tree is never built
-twice and the hit/miss counters stay exact (one miss per unique parse, one
-hit per answered caller).  The cache can also be persisted (:meth:`save` /
-:meth:`load`): content-hash keys stay valid across processes, which lets
-repeated CLI invocations skip parsing files they have seen before.
+twice and the hit/miss counts stay exact (one miss per unique parse, one
+hit per answered caller).  The counts live in the metrics registry, so a
+capture around any stretch of work reads exactly its traffic.  The cache can
+also be persisted (:meth:`save` / :meth:`load`): content-hash keys stay
+valid across processes, which lets repeated CLI invocations skip parsing
+files they have seen before.
 """
 
 from __future__ import annotations
@@ -37,19 +39,37 @@ from ..options import SpatchOptions
 #: format tag for persisted caches; bump on incompatible layout changes
 _PERSIST_VERSION = 1
 
-# registry children created once at import: the hot path pays one locked
-# integer add, and fork-pool workers ship these as deltas so parse-cache
-# traffic aggregates in the parent (closing the old "per-worker, not
-# aggregated" gap in PipelineStats.describe)
-_M_HITS = _obs.REGISTRY.counter(
-    "repro_parse_cache_hits_total", "Parse-cache hits", cache="tree")
-_M_MISSES = _obs.REGISTRY.counter(
-    "repro_parse_cache_misses_total", "Parse-cache misses (real parses)",
-    cache="tree")
-_M_SHARED_HITS = _obs.REGISTRY.counter(
-    "repro_parse_cache_hits_total", "Shared-store hits", cache="shared")
-_M_SHARED_MISSES = _obs.REGISTRY.counter(
-    "repro_parse_cache_misses_total", "Shared-store misses", cache="shared")
+def _children(cache: str, *events: tuple[str, str]) -> dict:
+    return {event: _obs.REGISTRY.counter(f"repro_parse_cache_{event}_total",
+                                         help_text, cache=cache)
+            for event, help_text in events}
+
+
+# every cache event increments exactly one of these registry children; the
+# caches keep only their sizes, and a capture around a run or request reads
+# what that run counted (fork-pool and fleet workers ship theirs home)
+_TREE = _children(
+    "tree", ("hits", "Parse-cache hits"),
+    ("misses", "Parse-cache misses (real parses)"),
+    ("dedup_waits", "Hits answered by waiting on another caller's parse"),
+    ("evictions", "Parse-cache LRU evictions"))
+_SHARED = _children(
+    "shared", ("hits", "Parse-cache hits"),
+    ("misses", "Parse-cache misses (real parses)"),
+    ("stores", "Shared-store new entries"),
+    ("rebinds", "Shared-store hits rebound to another filename"),
+    ("evictions", "Parse-cache LRU evictions"))
+
+
+def parse_cache_counts(counts) -> dict:
+    """The parse-cache traffic ``counts`` (a capture, or the registry for
+    process-wide totals) recorded: ``shared_hits`` are local misses the
+    shared content-addressed store answered."""
+    return {"hits": counts.total(_TREE["hits"]),
+            "misses": counts.total(_TREE["misses"]),
+            "dedup_waits": counts.total(_TREE["dedup_waits"]),
+            "shared_hits": counts.total(_SHARED["hits"]),
+            "evictions": counts.total(_TREE["evictions"])}
 
 
 def content_sha1(text: str) -> str:
@@ -98,12 +118,6 @@ class SharedTreeStore:
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, ParseTree]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        #: hits answered for a different filename than the stored parse
-        self.rebinds = 0
-        self.evictions = 0
 
     def get(self, text_sha: str, options: SpatchOptions, name: str,
             text: str) -> Optional[ParseTree]:
@@ -113,17 +127,13 @@ class SharedTreeStore:
         with self._lock:
             tree = self._entries.get(key)
             if tree is None:
-                self.misses += 1
-                if _obs.enabled():
-                    _M_SHARED_MISSES.inc()
+                _SHARED["misses"].inc()
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
-            if _obs.enabled():
-                _M_SHARED_HITS.inc()
+            _SHARED["hits"].inc()
             if tree.source.name == name:
                 return tree
-            self.rebinds += 1
+            _SHARED["rebinds"].inc()
         # rebind outside the lock: SourceFile.__post_init__ rescans line
         # starts, which is O(len(text)) work other callers need not wait on
         return dataclasses.replace(
@@ -134,29 +144,22 @@ class SharedTreeStore:
         key = (text_sha, options)
         with self._lock:
             if key not in self._entries:
-                self.stores += 1
+                _SHARED["stores"].inc()
             self._entries[key] = tree
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.stores = 0
-            self.rebinds = self.evictions = 0
+                _SHARED["evictions"].inc()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def counters(self) -> dict:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "max_entries": self.max_entries,
-                    "hits": self.hits, "misses": self.misses,
-                    "stores": self.stores, "rebinds": self.rebinds,
-                    "evictions": self.evictions}
+    def counters(self, counts) -> dict:
+        """This store's size plus the traffic ``counts`` recorded."""
+        return {"entries": len(self._entries),
+                "max_entries": self.max_entries,
+                **{event: counts.total(child)
+                   for event, child in _SHARED.items()}}
 
 
 class TreeCache:
@@ -174,16 +177,6 @@ class TreeCache:
         self._entries: "OrderedDict[tuple, ParseTree]" = OrderedDict()
         self._inflight: dict[tuple, _InFlight] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: hits that were answered by waiting on another caller's in-flight
-        #: parse instead of a stored entry (how much concurrent dedup saved)
-        self.dedup_waits = 0
-        #: local misses answered by the shared content-addressed store
-        #: (each one is a parse some other cache already paid for)
-        self.shared_hits = 0
-        #: entries dropped past the LRU bound since construction/clear
-        self.evictions = 0
 
     @staticmethod
     def _key(text: str, name: str, options: SpatchOptions) -> tuple:
@@ -197,9 +190,7 @@ class TreeCache:
             tree = self._entries.get(key)
             if tree is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                if _obs.enabled():
-                    _M_HITS.inc()
+                _TREE["hits"].inc()
                 return tree
             inflight = self._inflight.get(key)
             if inflight is None:
@@ -213,11 +204,9 @@ class TreeCache:
             inflight.event.wait()
             if inflight.error is not None:
                 raise inflight.error
+            _TREE["hits"].inc()
+            _TREE["dedup_waits"].inc()
             with self._lock:
-                self.hits += 1
-                if _obs.enabled():
-                    _M_HITS.inc()
-                self.dedup_waits += 1
                 # a dedup-answered caller is a *use* of the entry like any
                 # other hit: refresh its recency so the snapshot cap and the
                 # LRU bound see the true access order
@@ -231,11 +220,8 @@ class TreeCache:
             except Exception:
                 tree = None  # a broken share degrades to a parse, never a failure
         if tree is not None:
+            _TREE["hits"].inc()
             with self._lock:
-                self.hits += 1
-                if _obs.enabled():
-                    _M_HITS.inc()
-                self.shared_hits += 1
                 self._store(key, tree)
                 del self._inflight[key]
             inflight.tree = tree
@@ -251,10 +237,8 @@ class TreeCache:
             inflight.error = exc
             inflight.event.set()
             raise
+        _TREE["misses"].inc()
         with self._lock:
-            self.misses += 1
-            if _obs.enabled():
-                _M_MISSES.inc()
             self._store(key, tree)
             del self._inflight[key]
         inflight.tree = tree
@@ -272,35 +256,20 @@ class TreeCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            _TREE["evictions"].inc()
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.dedup_waits = 0
-            self.shared_hits = 0
-            self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` counters since construction/clear."""
-        return self.hits, self.misses
-
-    def counters(self) -> dict:
-        """Every counter this cache keeps, as one JSON-able dict — what
-        ``--profile`` and the server's ``stats`` verb report (the hit/miss
-        pair was previously only visible inside ``PipelineStats``)."""
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "max_entries": self.max_entries,
-                    "hits": self.hits, "misses": self.misses,
-                    "dedup_waits": self.dedup_waits,
-                    "shared_hits": self.shared_hits,
-                    "evictions": self.evictions}
+    def counters(self, counts) -> dict:
+        """This cache's size plus the traffic ``counts`` recorded — what
+        ``--profile`` and the server's ``stats`` verb report."""
+        return {"entries": len(self._entries),
+                "max_entries": self.max_entries, **parse_cache_counts(counts)}
 
     # -- persistence ----------------------------------------------------------
 

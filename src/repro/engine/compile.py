@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, fields as dc_fields
 from itertools import chain
 from operator import itemgetter
 from threading import Lock
@@ -88,95 +87,49 @@ def backend_enabled(compile_flag: Optional[bool] = None) -> bool:
 # observability
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatcherStats:
-    """Process-wide matcher counters (the ``counters()``/``as_dict()`` hook
-    convention TreeCache and TokenIndex already follow).
-
-    Deliberately *not* part of ``PipelineStats``: those are reconstructed
-    exactly by incremental splicing ("stats match a cold run's modulo
-    timing"), which volatile matcher traffic would break.  Surfaced
-    through ``--profile`` and the server's ``"profile"`` payload instead.
-    """
-
-    #: compiled match_all invocations
-    match_calls: int = 0
-    #: candidate nodes / sequence starts actually attempted
-    candidates_visited: int = 0
-    #: candidates skipped by the root-type / secondary-key filters
-    candidates_filtered: int = 0
-    #: pattern nodes answered by the interpreted fallback closure
-    dispatch_fallbacks: int = 0
-    #: rules lowered to closure chains
-    rules_compiled: int = 0
-    #: rules whose whole pattern fell back to the interpreter
-    rules_fallback: int = 0
-    #: compiled-patch cache traffic (fingerprint-keyed)
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_cache_evictions: int = 0
-    #: fused-walk traffic: fresh NodeIndex walks vs. reuses of a cached one
-    trees_indexed: int = 0
-    index_reuses: int = 0
-    #: pattern-trie shape of the most recently built compiled patch
-    trie_rules: int = 0
-    trie_roots: int = 0
-
-    @property
-    def filter_rate(self) -> float:
-        total = self.candidates_visited + self.candidates_filtered
-        return self.candidates_filtered / total if total else 0.0
-
-    @property
-    def fusion_factor(self) -> float:
-        """Tree walks saved by index sharing: matches served per walk."""
-        return (self.trees_indexed + self.index_reuses) / self.trees_indexed \
-            if self.trees_indexed else 0.0
-
-    def as_dict(self) -> dict:
-        from dataclasses import asdict
-
-        payload = asdict(self)
-        payload["filter_rate"] = self.filter_rate
-        payload["fusion_factor"] = self.fusion_factor
-        return payload
-
-    def counters(self) -> dict:
-        return self.as_dict()
-
-    def reset(self) -> None:
-        for f in dc_fields(self):
-            setattr(self, f.name, f.default)
+#: the matcher's counters, in ``matcher_counters`` key order.  Deliberately
+#: *not* part of ``PipelineStats``: those are reconstructed exactly by
+#: incremental splicing ("stats match a cold run's modulo timing"), which
+#: volatile matcher traffic would break.  Surfaced through ``--profile``
+#: and the server's ``"profile"`` payload instead.
+_MATCHER = {field: _obs.REGISTRY.counter(f"repro_matcher_{field}_total",
+                                         help_text)
+            for field, help_text in (
+    ("match_calls", "Compiled match_all invocations"),
+    ("candidates_visited", "Candidate nodes or sequence starts attempted"),
+    ("candidates_filtered", "Candidates skipped by the root-type filters"),
+    ("dispatch_fallbacks", "Pattern nodes answered by the interpreter"),
+    ("rules_compiled", "Rules lowered to closure chains"),
+    ("rules_fallback", "Rules whose whole pattern fell back"),
+    ("compile_cache_hits", "Compiled-patch cache hits"),
+    ("compile_cache_misses", "Compiled-patch cache misses"),
+    ("compile_cache_evictions", "Compiled-patch cache evictions"),
+    ("trees_indexed", "Fresh NodeIndex walks"),
+    ("index_reuses", "Reuses of a cached NodeIndex"))}
+#: pattern-trie shape of the most recently built compiled patch
+_M_TRIE_RULES = _obs.REGISTRY.gauge(
+    "repro_matcher_trie_rules", "Rules in the latest pattern trie")
+_M_TRIE_ROOTS = _obs.REGISTRY.gauge(
+    "repro_matcher_trie_roots", "Root paths in the latest pattern trie")
+_M_COMPILE_ENTRIES = _obs.REGISTRY.gauge(
+    "repro_compile_cache_entries", "Compiled patches currently cached")
 
 
-MATCHER_STATS = MatcherStats()
-
-
-def matcher_counters() -> dict:
-    """The process-wide matcher counters (``--profile`` / server profile)."""
-    return MATCHER_STATS.counters()
-
-
-def reset_matcher_stats() -> None:
-    MATCHER_STATS.reset()
-
-
-def _matcher_collector():
-    """Surface :data:`MATCHER_STATS` and the compile cache through the
-    metrics registry (see :mod:`repro.obs.registry`).  A collector rather
-    than in-place registry counters: the matcher hot path stays untouched
-    and the registry still sees exact process-wide totals at scrape time."""
-    stats = MATCHER_STATS
-    for field in dc_fields(stats):
-        yield (f"repro_matcher_{field.name}_total", "counter",
-               f"Matcher counter {field.name!r} (see MatcherStats)",
-               {}, float(getattr(stats, field.name)))
-    info = compile_cache_info()
-    yield ("repro_compile_cache_entries", "gauge",
-           "Compiled patches currently cached", {}, float(info["entries"]))
-
-
-_obs.REGISTRY.register_collector(_matcher_collector)
+def matcher_counters(counts=_obs.REGISTRY) -> dict:
+    """The matcher counters ``counts`` recorded (a run's or request's
+    capture; the whole process by default), the latest trie shape, and
+    the derived ``filter_rate`` / ``fusion_factor``."""
+    payload = {field: counts.total(child) for field, child in _MATCHER.items()}
+    payload["trie_rules"] = int(_M_TRIE_RULES.value)
+    payload["trie_roots"] = int(_M_TRIE_ROOTS.value)
+    candidates = payload["candidates_visited"] + payload["candidates_filtered"]
+    payload["filter_rate"] = payload["candidates_filtered"] / candidates \
+        if candidates else 0.0
+    indexed = payload["trees_indexed"]
+    # tree walks saved by index sharing: matches served per walk
+    payload["fusion_factor"] = (indexed + payload["index_reuses"]) / indexed \
+        if indexed else 0.0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +216,11 @@ def index_for(tree: ParseTree) -> NodeIndex:
     patches and pipeline patch boundaries fuses their walks automatically."""
     index = getattr(tree, "_node_index", None)
     if index is not None:
-        MATCHER_STATS.index_reuses += 1
+        _MATCHER["index_reuses"].inc()
         return index
     index = NodeIndex(tree)
     tree._node_index = index
-    MATCHER_STATS.trees_indexed += 1
+    _MATCHER["trees_indexed"].inc()
     return index
 
 
@@ -449,12 +402,12 @@ class CompiledRule:
         self.min_len = 0
         try:
             self._lower()
-            MATCHER_STATS.rules_compiled += 1
+            _MATCHER["rules_compiled"].inc()
         except Exception:
             # a pattern shape the compiler does not understand: keep the
             # rule correct by running it through the reference interpreter
             self._fallback = True
-            MATCHER_STATS.rules_fallback += 1
+            _MATCHER["rules_fallback"].inc()
 
     def _lower(self) -> None:
         rule = self.rule
@@ -489,7 +442,7 @@ class CompiledRule:
         m = Matcher(self.rule, tree, options=self.options)
         if self._fallback:
             return m.match_all(inherited_env)
-        MATCHER_STATS.match_calls += 1
+        _MATCHER["match_calls"].inc()
         base = MState(env=inherited_env)
         results: list[MState] = []
         if self.kind == KIND_EXPRESSION:
@@ -519,29 +472,30 @@ class CompiledRule:
     # -- candidate plans ------------------------------------------------------
 
     def _expr_candidates(self, index: NodeIndex, env: Env):
-        stats = MATCHER_STATS
+        visited = _MATCHER["candidates_visited"]
+        filtered = _MATCHER["candidates_filtered"]
         if self.callee_key is not None:
             mode, name = self.callee_key
             if mode == "always" or env.get(name) is None:
                 bucket = index.by_callee.get(name, _EMPTY)
-                stats.candidates_visited += len(bucket)
-                stats.candidates_filtered += len(index.exprs) - len(bucket)
+                visited.inc(len(bucket))
+                filtered.inc(len(index.exprs) - len(bucket))
                 return bucket
         filt = self.expr_filter
         if filt is None:
-            stats.candidates_visited += len(index.exprs)
+            visited.inc(len(index.exprs))
             return index.exprs
         lists = [bucket for t in filt
                  if (bucket := index.exprs_by_type.get(t))]
         if not lists:
-            stats.candidates_filtered += len(index.exprs)
+            filtered.inc(len(index.exprs))
             return _EMPTY
         if len(lists) == 1:
             merged = lists[0]
         else:
             merged = sorted(chain.from_iterable(lists), key=itemgetter(0))
-        stats.candidates_visited += len(merged)
-        stats.candidates_filtered += len(index.exprs) - len(merged)
+        visited.inc(len(merged))
+        filtered.inc(len(index.exprs) - len(merged))
         return merged
 
     def _seq_results(self, m: Matcher, index: NodeIndex, base: MState,
@@ -578,8 +532,8 @@ class CompiledRule:
                     visited += 1
                     for st, _end in seq_f(m, seq, start, base, False, 0):
                         results.append(st)
-        MATCHER_STATS.candidates_visited += visited
-        MATCHER_STATS.candidates_filtered += total - visited
+        _MATCHER["candidates_visited"].inc(visited)
+        _MATCHER["candidates_filtered"].inc(total - visited)
 
     # -- statement lowering ---------------------------------------------------
 
@@ -607,7 +561,7 @@ class CompiledRule:
 
     def _stmt_interp(self, pat: A.Node) -> Callable:
         def fallback(m, code, st):
-            MATCHER_STATS.dispatch_fallbacks += 1
+            _MATCHER["dispatch_fallbacks"].inc()
             return m.match_stmt(pat, code, st)
 
         return fallback
@@ -983,7 +937,7 @@ class CompiledRule:
 
     def _expr_interp(self, pat: A.Node) -> Callable:
         def fallback(m, code, st):
-            MATCHER_STATS.dispatch_fallbacks += 1
+            _MATCHER["dispatch_fallbacks"].inc()
             return m._match_expr_dispatch(pat, code, st)
 
         return fallback
@@ -1360,8 +1314,8 @@ class PatternTrie:
             for path in self._paths_of(crule):
                 self.paths.setdefault(path, []).append(crule.rule.name)
         self.n_rules = len(rules)
-        MATCHER_STATS.trie_rules = self.n_rules
-        MATCHER_STATS.trie_roots = len(self.paths)
+        _M_TRIE_RULES.set(self.n_rules)
+        _M_TRIE_ROOTS.set(len(self.paths))
 
     @staticmethod
     def _paths_of(crule: CompiledRule) -> list[tuple]:
@@ -1467,15 +1421,16 @@ def compiled_patch_for(patch: SemanticPatchAST,
         cached = _COMPILE_CACHE.get(key)
         if cached is not None:
             _COMPILE_CACHE.move_to_end(key)
-            MATCHER_STATS.compile_cache_hits += 1
+            _MATCHER["compile_cache_hits"].inc()
             return cached
-        MATCHER_STATS.compile_cache_misses += 1
+        _MATCHER["compile_cache_misses"].inc()
     compiled = CompiledPatch(patch, options)
     with _COMPILE_LOCK:
         _COMPILE_CACHE[key] = compiled
         while len(_COMPILE_CACHE) > MAX_COMPILED_PATCHES:
             _COMPILE_CACHE.popitem(last=False)
-            MATCHER_STATS.compile_cache_evictions += 1
+            _MATCHER["compile_cache_evictions"].inc()
+        _M_COMPILE_ENTRIES.set(len(_COMPILE_CACHE))
     return compiled
 
 
@@ -1486,7 +1441,8 @@ def evict_compiled(patch: SemanticPatchAST, options: SpatchOptions) -> bool:
     with _COMPILE_LOCK:
         if key in _COMPILE_CACHE:
             del _COMPILE_CACHE[key]
-            MATCHER_STATS.compile_cache_evictions += 1
+            _MATCHER["compile_cache_evictions"].inc()
+            _M_COMPILE_ENTRIES.set(len(_COMPILE_CACHE))
             return True
     return False
 
@@ -1500,3 +1456,4 @@ def compile_cache_info() -> dict:
 def clear_compile_cache() -> None:
     with _COMPILE_LOCK:
         _COMPILE_CACHE.clear()
+        _M_COMPILE_ENTRIES.set(0)

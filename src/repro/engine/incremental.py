@@ -75,9 +75,8 @@ from ..obs import registry as _obs
 from ..options import SpatchOptions
 from ..smpl.ast import SemanticPatchAST
 from .cache import TreeCache, content_sha1
-from .pipeline import (_M_WORKER_HITS, _M_WORKER_MISSES, FileRecord,
-                       PatchPipeline, PipelineResult, PipelineStats,
-                       _FileOutcome, boundary_hashes,
+from .pipeline import (FileRecord, PatchPipeline, PipelineResult,
+                       PipelineStats, _FileOutcome, boundary_hashes,
                        parallel_preserves_semantics)
 from .prefilter import TokenIndex, scan_token_set
 from .report import FileResult
@@ -191,6 +190,13 @@ class IncrementalPipeline:
         cached per-file results wherever the content hash is unchanged —
         whole-chain results when the patch set is identical, prefix results
         (with a suffix replay) when it shares a leading subsequence."""
+        with _obs.Capture() as counts:
+            result = self._run(files, since, token_index)
+        result.stats.take_counts(counts)
+        return result
+
+    def _run(self, files: dict[str, str], since: Optional[PipelineResult],
+             token_index: Optional[TokenIndex]) -> PipelineResult:
         started = time.perf_counter()
         pipeline = self.pipeline
         incremental = IncrementalStats(files_total=len(files),
@@ -297,9 +303,6 @@ class IncrementalPipeline:
             patches=len(pipeline.patches), files_total=len(files),
             prefilter=pipeline.prefilter_enabled,
             jobs_requested=pipeline.jobs_requested)
-        cache_hits0, cache_misses0 = pipeline.tree_cache.stats()
-        memo0 = pipeline.memo.stats() if pipeline.memo is not None else (0, 0)
-        worker0 = (_M_WORKER_HITS.value, _M_WORKER_MISSES.value)
         outcomes, skipped = pipeline._plan_and_apply(rerun, token_index, stats)
         if files and not rerun:
             # a cold run over a non-empty code base runs initialize rules
@@ -324,8 +327,7 @@ class IncrementalPipeline:
                                                name, text, outcomes[name])
 
         pipeline._run_finalize(result, per_patch_stats)
-        return self._seal(result, stats, incremental, started,
-                          cache_hits0, cache_misses0, memo0, worker0)
+        return self._seal(result, stats, incremental, started)
 
     def _run_prefix(self, files: dict[str, str], since: PipelineResult,
                     prefix_len: int, token_index: Optional[TokenIndex],
@@ -342,9 +344,6 @@ class IncrementalPipeline:
             patches=len(pipeline.patches), files_total=len(files),
             prefilter=pipeline.prefilter_enabled,
             jobs_requested=pipeline.jobs_requested)
-        cache_hits0, cache_misses0 = pipeline.tree_cache.stats()
-        memo0 = pipeline.memo.stats() if pipeline.memo is not None else (0, 0)
-        worker0 = (_M_WORKER_HITS.value, _M_WORKER_MISSES.value)
         prior_boundary = since.per_patch[prefix_len - 1].files
 
         # ---- plan: hash-diff the tree and union-scan against the new list
@@ -423,30 +422,13 @@ class IncrementalPipeline:
                                                name, text, outcomes[name])
 
         pipeline._run_finalize(result, per_patch_stats)
-        return self._seal(result, stats, incremental, started,
-                          cache_hits0, cache_misses0, memo0, worker0)
+        return self._seal(result, stats, incremental, started)
 
-    def _seal(self, result: PipelineResult, stats: PipelineStats,
-              incremental: IncrementalStats, started: float,
-              cache_hits0: int, cache_misses0: int,
-              memo0: tuple[int, int] = (0, 0),
-              worker0: Optional[tuple[int, int]] = None) -> PipelineResult:
-        """Shared run epilogue: cache counters, timings, stat attachment."""
-        pipeline = self.pipeline
-        if stats.jobs_used == 1:
-            cache_hits1, cache_misses1 = pipeline.tree_cache.stats()
-            stats.cache_hits = cache_hits1 - cache_hits0
-            stats.cache_misses = cache_misses1 - cache_misses0
-        elif worker0 is not None and _obs.enabled():
-            stats.cache_hits = int(_M_WORKER_HITS.value - worker0[0])
-            stats.cache_misses = int(_M_WORKER_MISSES.value - worker0[1])
-            stats.cache_scope = "workers"
-        else:
-            stats.cache_scope = "unavailable"
-        if pipeline.memo is not None:
-            memo_hits1, memo_misses1 = pipeline.memo.stats()
-            stats.memo_hits = memo_hits1 - memo0[0]
-            stats.memo_misses = memo_misses1 - memo0[1]
+    @staticmethod
+    def _seal(result: PipelineResult, stats: PipelineStats,
+              incremental: IncrementalStats,
+              started: float) -> PipelineResult:
+        """Shared run epilogue: timings and stat attachment."""
         stats.total_seconds = time.perf_counter() - started
         incremental.total_seconds = time.perf_counter() - started
         result.stats = stats

@@ -80,14 +80,27 @@ from .report import FileResult, RuleReport
 #: (stale-versioned entries degrade to a miss, never to wrong output)
 _DISK_VERSION = 1
 
-_M_HITS = _obs.REGISTRY.counter(
-    "repro_memo_lookups_total", "Transform-memo lookups", result="hit")
-_M_MISSES = _obs.REGISTRY.counter(
-    "repro_memo_lookups_total", "Transform-memo lookups", result="miss")
-_M_DISK_HITS = _obs.REGISTRY.counter(
-    "repro_memo_lookups_total", "Transform-memo lookups", result="disk_hit")
-_M_STORES = _obs.REGISTRY.counter(
-    "repro_memo_stores_total", "Transform-memo entry stores")
+#: every memo event's registry child, keyed like :meth:`TransformMemo.counters`
+_COUNTS = {key: _obs.REGISTRY.counter(f"repro_memo_{family}_total", help_text,
+                                      **labels)
+           for key, family, help_text, labels in (
+    ("hits", "lookups", "Transform-memo lookups", {"result": "hit"}),
+    ("misses", "lookups", "Transform-memo lookups", {"result": "miss"}),
+    ("stores", "stores", "Transform-memo entry stores", {}),
+    ("evictions", "evictions", "Transform-memo LRU evictions", {}),
+    ("disk_hits", "lookups", "Transform-memo lookups", {"result": "disk_hit"}),
+    ("disk_misses", "disk", "On-disk tier traffic", {"event": "miss"}),
+    ("disk_stores", "disk", "On-disk tier traffic", {"event": "store"}),
+    ("disk_errors", "disk", "On-disk tier traffic", {"event": "error"}),
+    ("blob_hits", "blob", "Raw-text blob tier traffic", {"event": "hit"}),
+    ("blob_misses", "blob", "Raw-text blob tier traffic", {"event": "miss"}),
+    ("blob_stores", "blob", "Raw-text blob tier traffic", {"event": "store"}))}
+
+
+def memo_counts(counts) -> dict:
+    """The memo traffic ``counts`` (a capture, or the registry) recorded."""
+    return {key: counts.total(child) for key, child in _COUNTS.items()}
+
 
 #: default bound on the in-memory LRU tier
 DEFAULT_MEMO_ENTRIES = 4096
@@ -165,20 +178,6 @@ class TransformMemo:
         #: never cross the wire twice
         self._blobs: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        #: on-disk tier traffic (all zero when no ``path`` is configured)
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_stores = 0
-        #: corrupt/stale/unwritable entry files degraded to a miss/no-op
-        self.disk_errors = 0
-        #: blob (raw text) tier traffic
-        self.blob_hits = 0
-        self.blob_misses = 0
-        self.blob_stores = 0
         if self.path is not None:
             os.makedirs(self.path, exist_ok=True)
 
@@ -195,35 +194,22 @@ class TransformMemo:
             entry = self._entries.get(key)
             if entry is not None:
                 if entry.diagnostics and entry.filename != filename:
-                    self.misses += 1
-                    if _obs.enabled():
-                        _M_MISSES.inc()
+                    _COUNTS["misses"].inc()
                     return None
                 self._entries.move_to_end(key)
-                self.hits += 1
-                if _obs.enabled():
-                    _M_HITS.inc()
+                _COUNTS["hits"].inc()
                 return entry
         entry = self._disk_lookup(key)
         if entry is not None:
             if entry.diagnostics and entry.filename != filename:
-                with self._lock:
-                    self.misses += 1
-                if _obs.enabled():
-                    _M_MISSES.inc()
+                _COUNTS["misses"].inc()
                 return None
             with self._lock:
-                self.hits += 1
-                self.disk_hits += 1
                 self._store_locked(key, entry)
-            if _obs.enabled():
-                _M_HITS.inc()
-                _M_DISK_HITS.inc()
+            _COUNTS["hits"].inc()
+            _COUNTS["disk_hits"].inc()
             return entry
-        with self._lock:
-            self.misses += 1
-        if _obs.enabled():
-            _M_MISSES.inc()
+        _COUNTS["misses"].inc()
         return None
 
     def store(self, text_sha: str, fingerprint: str, flags: str,
@@ -232,11 +218,9 @@ class TransformMemo:
         with self._lock:
             known = key in self._entries
             self._store_locked(key, entry)
-            if known:
-                return  # refreshed recency; the disk entry is already there
-            self.stores += 1
-        if _obs.enabled():
-            _M_STORES.inc()
+        if known:
+            return  # refreshed recency; the disk entry is already there
+        _COUNTS["stores"].inc()
         self._disk_store(key, entry)
 
     def store_result(self, text_sha: str, fingerprint: str, flags: str,
@@ -254,7 +238,7 @@ class TransformMemo:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            _COUNTS["evictions"].inc()
 
     # -- the on-disk tier ----------------------------------------------------
 
@@ -277,15 +261,13 @@ class TransformMemo:
             if not isinstance(entry, MemoEntry):
                 raise ValueError("not a memo entry")
         except FileNotFoundError:
-            with self._lock:
-                self.disk_misses += 1
+            _COUNTS["disk_misses"].inc()
             return None
         except Exception:
             # corrupt, truncated, version-skewed or hash-colliding entries
             # all degrade to a miss; drop the file so the next store heals it
-            with self._lock:
-                self.disk_errors += 1
-                self.disk_misses += 1
+            _COUNTS["disk_errors"].inc()
+            _COUNTS["disk_misses"].inc()
             try:
                 os.unlink(target)
             except OSError:
@@ -319,11 +301,9 @@ class TransformMemo:
         except Exception:
             # a read-only or full disk must never break the apply; the
             # memory tier already holds the entry
-            with self._lock:
-                self.disk_errors += 1
+            _COUNTS["disk_errors"].inc()
             return
-        with self._lock:
-            self.disk_stores += 1
+        _COUNTS["disk_stores"].inc()
 
     # -- the blob (raw text) tier --------------------------------------------
 
@@ -345,8 +325,8 @@ class TransformMemo:
             self._blobs.move_to_end(text_sha)
             while len(self._blobs) > self.max_blob_entries:
                 self._blobs.popitem(last=False)
-            if not known:
-                self.blob_stores += 1
+        if not known:
+            _COUNTS["blob_stores"].inc()
         if not known and self.path is not None:
             target = self._blob_path(text_sha)
             try:
@@ -368,8 +348,7 @@ class TransformMemo:
                         pass
                     raise
             except Exception:
-                with self._lock:
-                    self.disk_errors += 1
+                _COUNTS["disk_errors"].inc()
         return text_sha
 
     def recall_text(self, text_sha: str) -> Optional[str]:
@@ -380,8 +359,9 @@ class TransformMemo:
             text = self._blobs.get(text_sha)
             if text is not None:
                 self._blobs.move_to_end(text_sha)
-                self.blob_hits += 1
-                return text
+        if text is not None:
+            _COUNTS["blob_hits"].inc()
+            return text
         if self.path is not None:
             target = self._blob_path(text_sha)
             try:
@@ -393,22 +373,20 @@ class TransformMemo:
                 text = None
             except Exception:
                 text = None
-                with self._lock:
-                    self.disk_errors += 1
+                _COUNTS["disk_errors"].inc()
                 try:
                     os.unlink(target)
                 except OSError:
                     pass
             if text is not None:
+                _COUNTS["blob_hits"].inc()
                 with self._lock:
-                    self.blob_hits += 1
                     self._blobs[text_sha] = text
                     self._blobs.move_to_end(text_sha)
                     while len(self._blobs) > self.max_blob_entries:
                         self._blobs.popitem(last=False)
                 return text
-        with self._lock:
-            self.blob_misses += 1
+        _COUNTS["blob_misses"].inc()
         return None
 
     # -- disk-tier garbage collection ----------------------------------------
@@ -468,38 +446,18 @@ class TransformMemo:
     # -- maintenance / observability -----------------------------------------
 
     def clear(self) -> None:
-        """Drop the memory tier and reset counters (the on-disk tier is
-        untouched — it is shared state other processes may be using)."""
+        """Drop the memory tiers (the on-disk tier is untouched — it is
+        shared state other processes may be using)."""
         with self._lock:
             self._entries.clear()
             self._blobs.clear()
-            self.hits = self.misses = self.stores = self.evictions = 0
-            self.disk_hits = self.disk_misses = 0
-            self.disk_stores = self.disk_errors = 0
-            self.blob_hits = self.blob_misses = self.blob_stores = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` since construction/clear (the delta pair the
-        pipeline folds into its per-run stats)."""
-        return self.hits, self.misses
-
-    def counters(self) -> dict:
-        """Every counter this memo keeps, as one JSON-able dict — what
+    def counters(self, counts) -> dict:
+        """This memo's sizes plus the traffic ``counts`` recorded — what
         ``--profile`` and the server's ``stats`` verb report."""
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "max_entries": self.max_entries,
-                    "path": self.path,
-                    "hits": self.hits, "misses": self.misses,
-                    "stores": self.stores, "evictions": self.evictions,
-                    "disk_hits": self.disk_hits,
-                    "disk_misses": self.disk_misses,
-                    "disk_stores": self.disk_stores,
-                    "disk_errors": self.disk_errors,
-                    "blob_entries": len(self._blobs),
-                    "blob_hits": self.blob_hits,
-                    "blob_misses": self.blob_misses,
-                    "blob_stores": self.blob_stores}
+        return {"entries": len(self._entries),
+                "max_entries": self.max_entries, "path": self.path,
+                "blob_entries": len(self._blobs), **memo_counts(counts)}

@@ -65,21 +65,12 @@ from ..obs import registry as _obs
 from ..obs import trace as _trace
 from ..options import SpatchOptions
 from ..smpl.ast import ScriptRule, SemanticPatchAST
-from .cache import DEFAULT_TREE_CACHE, TreeCache, content_sha1
+from .cache import (DEFAULT_TREE_CACHE, TreeCache, content_sha1,
+                    parse_cache_counts)
 from .compile import backend_enabled
-from .memo import TransformMemo, memo_flags
+from .memo import TransformMemo, memo_counts, memo_flags
 from .prefilter import PatchPrefilter, TokenIndex, scan_token_set
 from .report import FileResult, PatchResult
-
-# worker-aggregated parse-cache children: run_fork_pool merges worker
-# telemetry deltas onto these (origin="workers"), which is what lets a
-# jobs>1 run report real cache counters instead of "not aggregated"
-_M_WORKER_HITS = _obs.REGISTRY.counter(
-    "repro_parse_cache_hits_total", "Parse-cache hits",
-    cache="tree", origin="workers")
-_M_WORKER_MISSES = _obs.REGISTRY.counter(
-    "repro_parse_cache_misses_total", "Parse-cache misses (real parses)",
-    cache="tree", origin="workers")
 
 
 def resolve_jobs(jobs) -> int:
@@ -139,28 +130,22 @@ def ast_from_payload(payload, options: Optional[SpatchOptions]) -> SemanticPatch
     return data
 
 
-#: marker tagging a worker batch return that carries a telemetry envelope
-_TELEMETRY_TAG = "__repro_telemetry__"
-
-
 def _telemetry_worker(worker, batch):
-    """Run one batch in a forked worker, capturing the registry delta (and
-    the span tree, when the parent had tracing active at fork time — the
-    contextvar forks with the process) so the parent can aggregate worker
-    telemetry instead of losing it with the child."""
-    if not _obs.enabled():
-        return (_TELEMETRY_TAG, list(worker(batch)), None, None)
-    capture = _obs.telemetry_capture()
+    """Run one batch in a forked worker under a capture (and the span tree,
+    when the parent had tracing active at fork time — the contextvar forks
+    with the process) so the parent can aggregate worker telemetry instead
+    of losing it with the child."""
     spans = None
-    if _trace.tracing_active():
-        tracer = _trace.start_trace(f"fork-worker[{os.getpid()}]")
-        try:
+    with _obs.Capture() as counts:
+        if _trace.tracing_active():
+            tracer = _trace.start_trace(f"fork-worker[{os.getpid()}]")
+            try:
+                results = list(worker(batch))
+            finally:
+                spans = tracer.finish().to_payload()
+        else:
             results = list(worker(batch))
-        finally:
-            spans = tracer.finish().to_payload()
-    else:
-        results = list(worker(batch))
-    return (_TELEMETRY_TAG, results, capture.delta(), spans)
+    return results, counts.payload(), spans
 
 
 def run_fork_pool(items: list, jobs: int, initializer, initargs, worker) -> list:
@@ -196,11 +181,9 @@ def run_fork_pool(items: list, jobs: int, initializer, initargs, worker) -> list
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
                              initializer=initializer,
                              initargs=initargs) as pool:
-        for tag, batch_results, delta, spans in pool.map(wrapped, batches):
-            assert tag == _TELEMETRY_TAG
+        for batch_results, counts, spans in pool.map(wrapped, batches):
             results.extend(batch_results)
-            if delta:
-                _obs.merge_telemetry(delta, origin="workers")
+            _obs.merge_telemetry(counts, origin="workers")
             if spans:
                 _trace.graft_payloads([spans])
     return results
@@ -228,6 +211,7 @@ class PipelineStats:
     scan_seconds: float = 0.0
     apply_seconds: float = 0.0
     total_seconds: float = 0.0
+    #: parse-cache traffic of the run, in this process and its workers
     cache_hits: int = 0
     cache_misses: int = 0
     #: (file, patch) sessions answered from the transform memo instead of
@@ -235,9 +219,6 @@ class PipelineStats:
     #: session, so coverage counters match a cold run exactly)
     memo_hits: int = 0
     memo_misses: int = 0
-    #: where the cache counters came from: "local", "workers" (aggregated
-    #: fork-pool telemetry), or "unavailable" (parallel, telemetry off)
-    cache_scope: str = "local"
 
     @property
     def skip_rate(self) -> float:
@@ -258,6 +239,12 @@ class PipelineStats:
         payload["session_rate"] = self.session_rate
         return payload
 
+    def take_counts(self, counts) -> None:
+        """Fill the cache and memo fields from the run's capture."""
+        parse, memo = parse_cache_counts(counts), memo_counts(counts)
+        self.cache_hits, self.cache_misses = parse["hits"], parse["misses"]
+        self.memo_hits, self.memo_misses = memo["hits"], memo["misses"]
+
     def describe(self) -> str:
         lines = [
             f"patches: {self.patches}  files: {self.files_total}  "
@@ -270,12 +257,8 @@ class PipelineStats:
             f"prefilter: {'on' if self.prefilter else 'off'}",
             f"token scan: {self.scan_seconds:.3f}s  apply: "
             f"{self.apply_seconds:.3f}s  total: {self.total_seconds:.3f}s",
-            "parse cache: per-worker, not aggregated"
-            if self.cache_scope == "unavailable"
-            else f"parse cache: {self.cache_hits} hit(s), "
-                 f"{self.cache_misses} miss(es)"
-                 + (" (aggregated from workers)"
-                    if self.cache_scope == "workers" else ""),
+            f"parse cache: {self.cache_hits} hit(s), "
+            f"{self.cache_misses} miss(es)",
         ]
         if self.memo_hits or self.memo_misses:
             lines.append(f"transform memo: {self.memo_hits} hit(s), "
@@ -653,17 +636,18 @@ class PatchPipeline:
     def run(self, files: dict[str, str],
             token_index: Optional[TokenIndex] = None) -> PipelineResult:
         """Apply every patch, in order, to ``{filename: text}``."""
+        with _obs.Capture() as counts:
+            result = self._run(files, token_index)
+        result.stats.take_counts(counts)
+        return result
+
+    def _run(self, files: dict[str, str],
+             token_index: Optional[TokenIndex]) -> PipelineResult:
         started = time.perf_counter()
         stats = self.stats = PipelineStats(
             patches=len(self.patches), files_total=len(files),
             prefilter=self.prefilter_enabled,
             jobs_requested=self.jobs_requested)
-        cache_hits0, cache_misses0 = self.tree_cache.stats()
-        memo_hits0, memo_misses0 = self.memo.stats() if self.memo is not None \
-            else (0, 0)
-        telemetry = _obs.enabled()
-        worker_hits0 = _M_WORKER_HITS.value
-        worker_misses0 = _M_WORKER_MISSES.value
 
         outcomes, skipped = self._plan_and_apply(files, token_index, stats)
 
@@ -678,21 +662,6 @@ class PatchPipeline:
                                        name, text, outcomes[name])
 
         self._run_finalize(result, per_patch_stats)
-
-        if stats.jobs_used == 1:
-            cache_hits1, cache_misses1 = self.tree_cache.stats()
-            stats.cache_hits = cache_hits1 - cache_hits0
-            stats.cache_misses = cache_misses1 - cache_misses0
-        elif telemetry:
-            stats.cache_hits = int(_M_WORKER_HITS.value - worker_hits0)
-            stats.cache_misses = int(_M_WORKER_MISSES.value - worker_misses0)
-            stats.cache_scope = "workers"
-        else:
-            stats.cache_scope = "unavailable"
-        if self.memo is not None:
-            memo_hits1, memo_misses1 = self.memo.stats()
-            stats.memo_hits = memo_hits1 - memo_hits0
-            stats.memo_misses = memo_misses1 - memo_misses0
         stats.total_seconds = time.perf_counter() - started
         result.stats = stats
         return result

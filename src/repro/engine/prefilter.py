@@ -322,10 +322,6 @@ class TokenIndex:
         #: kept so a stale entry is detected when a caller hands us newer
         #: contents for the same name (files dicts are mutated in place)
         self._scanned: dict[str, tuple[str, frozenset[str]]] = {}
-        #: queries answered from a cached scan vs. fresh regex scans run —
-        #: the prefilter-side counters ``--profile``/``stats`` surface
-        self.scan_hits = 0
-        self.scan_misses = 0
 
     def add(self, name: str, text: str) -> None:
         self._files[name] = text
@@ -347,23 +343,21 @@ class TokenIndex:
         if cached is not None:
             cached_text, tokens = cached
             if cached_text is text or cached_text == text:
-                self.scan_hits += 1
-                if _obs.enabled():
-                    _M_SCAN_HITS.inc()
+                _M_SCAN_HITS.inc()
                 return tokens
         with _obs.phase("prefilter"):
             tokens = scan_token_set(text)
         self._scanned[name] = (text, tokens)
-        self.scan_misses += 1
-        if _obs.enabled():
-            _M_SCAN_MISSES.inc()
+        _M_SCAN_MISSES.inc()
         return tokens
 
-    def counters(self) -> dict:
-        """The index's scan-reuse counters as one JSON-able dict (consumed by
-        ``--profile`` and the server's ``stats`` verb)."""
+    def counters(self, counts) -> dict:
+        """The index's sizes plus the scan reuse ``counts`` recorded —
+        queries answered from a cached scan vs. fresh regex scans run
+        (consumed by ``--profile`` and the server's ``stats`` verb)."""
         return {"files": len(self._files), "scanned": len(self._scanned),
-                "scan_hits": self.scan_hits, "scan_misses": self.scan_misses}
+                "scan_hits": counts.total(_M_SCAN_HITS),
+                "scan_misses": counts.total(_M_SCAN_MISSES)}
 
     def __len__(self) -> int:
         return len(self._files)

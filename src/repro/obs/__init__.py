@@ -4,12 +4,13 @@ This package is the single aggregation point for everything the engine
 and the daemon know about their own behaviour:
 
 * :mod:`~repro.obs.registry` — a thread-safe **metrics registry**
-  (counters, gauges, fixed-bucket monotonic-clock histograms).  Engine
-  modules create their metric children at import time so the hot path
-  pays one lock-free attribute lookup plus one locked integer add; the
-  registry renders Prometheus text exposition and serializes counter
-  *deltas* across fork boundaries so worker telemetry aggregates in the
-  parent.
+  (counters, gauges, fixed-bucket monotonic-clock histograms), the only
+  place the engine keeps a count.  Engine modules create their metric
+  children at import time so the hot path pays one locked integer add;
+  a :class:`~repro.obs.registry.Capture` records what one run, request
+  or worker batch counted, and every per-run view (``PipelineStats``,
+  ``--profile``, the ``stats`` verb) is read from one.  Worker captures
+  cross fork boundaries as payloads and merge into the parent's.
 * :mod:`~repro.obs.trace` — a **span tracer** carried on a contextvar.
   ``span(name)`` is a shared no-op when no trace is active (one
   contextvar read, no allocation), a real timed span otherwise; span
@@ -21,23 +22,22 @@ and the daemon know about their own behaviour:
   endpoint in Prometheus text format (``repro-spatchd --metrics``).
 
 Soundness: instrumentation only ever *times and counts* — it never
-touches the text, diff, report, or exit-code computation, so telemetry
-on vs. off is byte-identical by construction (and proved by the
-differential suites in ``tests/test_obs.py``).  Setting ``REPRO_OBS=0``
-turns even the registry arithmetic off.
+touches the text, diff, report, or exit-code computation, so a run under
+an active trace and capture is byte-identical to a run under neither
+(proved by the differential suites in ``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
-from .registry import (REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
-                       enabled, merge_telemetry, phase, phase_summaries,
-                       telemetry_capture)
+from .registry import (REGISTRY, Capture, Counter, Gauge, Histogram,
+                       MetricsRegistry, merge_telemetry, phase,
+                       phase_summaries)
 from .trace import (current_trace_id, new_trace_id, span, start_trace,
                     tracing_active)
 
 __all__ = [
-    "REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "enabled", "merge_telemetry", "phase", "phase_summaries",
-    "telemetry_capture", "current_trace_id", "new_trace_id", "span",
+    "REGISTRY", "Capture", "Counter", "Gauge", "Histogram",
+    "MetricsRegistry", "merge_telemetry", "phase", "phase_summaries",
+    "current_trace_id", "new_trace_id", "span",
     "start_trace", "tracing_active",
 ]

@@ -1,35 +1,31 @@
 """A thread-safe metrics registry: counters, gauges, and fixed-bucket
-monotonic-clock histograms.
+monotonic-clock histograms, plus scoped captures of what they recorded.
 
 Design notes
 ------------
-*Children are cheap, families are the unit of exposition.*  A *family*
-is one metric name with one type and help string; a *child* is one
-labelled time series inside it.  Engine modules fetch their children
-once at import time (``_HITS = REGISTRY.counter(...)``) so the hot path
-is a single ``inc()`` — one ``threading.Lock`` acquire and an integer
-add — with no dict lookups.
+*Children are the only counters.*  A *family* is one metric name with one
+type and help string; a *child* is one labelled time series inside it.
+Engine modules fetch their children once at import time
+(``_HITS = REGISTRY.counter(...)``) and every event increments exactly one
+child: one ``threading.Lock`` acquire and an integer add.  Objects such as
+caches and memos keep only their sizes; every count lives here.
 
-*Collectors bridge the legacy counters.*  Objects that keep their own
-counters (``TreeCache``, ``TransformMemo``, ``MatcherStats``, ...)
-register a **collector** callback; at snapshot/render time the registry
-folds the callback's ``(name, kind, help, labels, value)`` tuples in as
-if they were native children.  That makes the registry the single
-source of truth for ``/metrics``, the ``stats`` verb, and ``--profile``
-without rewriting every battle-tested counter in place.
+*Views are scoped captures.*  A :class:`Capture` is a context manager that
+records every counter increment and histogram observation made in its own
+context (a contextvar, so requests running on other threads stay out).  On
+exit it folds into any enclosing capture.  A pipeline run, a server
+request, a fork-pool batch and a fleet job each open one, and everything
+they report — ``PipelineStats`` counts, the ``--profile`` sections, the
+``stats`` verb's totals — is read from a capture, so the numbers of one
+request agree wherever they are shown.
 
-*Deltas cross fork boundaries.*  ``telemetry_capture()`` snapshots the
-native counter/histogram state inside a worker process; the matching
-``end()`` returns a JSON-serializable delta (everything that happened
-during the batch), which the parent folds back in with
-:func:`merge_telemetry` under an ``origin="workers"`` label — so fleet
-and fork-pool telemetry aggregates in the parent instead of dying with
-the child.
+*Captures cross fork boundaries.*  A worker batch ships its capture's
+:meth:`~Capture.payload` home; the parent folds it in with
+:func:`merge_telemetry` under an ``origin`` label, inside the parent
+request's own capture.  :meth:`Capture.total` and
+:meth:`MetricsRegistry.total` sum a child over every ``origin``.
 
-Disabling: ``REPRO_OBS=0`` (or ``off``/``no``/``false``) turns
-:func:`enabled` false; ``phase()`` then returns a shared no-op context
-manager and ``inc()`` calls short-circuit at the call sites that guard
-on it.  Instrumentation never touches output bytes either way.
+Instrumentation never touches output bytes: it only counts and times.
 """
 
 from __future__ import annotations
@@ -37,8 +33,9 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
+from contextvars import ContextVar
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -51,46 +48,49 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 PHASES = ("parse", "prefilter", "match", "transform", "memo",
           "splice", "sync")
 
-_DISABLED_VALUES = ("0", "off", "no", "false")
-
-
-def enabled() -> bool:
-    """Whether telemetry arithmetic runs at all (``REPRO_OBS=0`` kills
-    it); output bytes are identical either way."""
-    return os.environ.get("REPRO_OBS", "").strip().lower() \
-        not in _DISABLED_VALUES
+#: the innermost open :class:`Capture` of the current context
+_ACTIVE: ContextVar[Optional["Capture"]] = ContextVar("repro_capture",
+                                                      default=None)
 
 
 # ---------------------------------------------------------------------------
 # metric children
 # ---------------------------------------------------------------------------
 
-class Counter:
-    """A monotonically increasing count."""
+class _Child:
+    """One labelled series of the family ``name``."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("name", "labels", "_value", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, name: str = "", labels: LabelItems = ()) -> None:
+        self.name = name
+        self.labels = labels
         self._value = 0
         self._lock = threading.Lock()
+
+    @property
+    def value(self):
+        return self._value
+
+
+class Counter(_Child):
+    """A monotonically increasing count."""
+
+    __slots__ = ()
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
+        capture = _ACTIVE.get()
+        if capture is not None:
+            counters = capture.counters
+            counters[self] = counters.get(self, 0) + amount
 
-    @property
-    def value(self) -> int:
-        return self._value
 
+class Gauge(_Child):
+    """A value that can go up and down (workspace count, trie shape)."""
 
-class Gauge:
-    """A value that can go up and down (workspace count, queue depth)."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -103,18 +103,41 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    @property
-    def value(self) -> float:
-        return self._value
+
+def summarize(state: dict) -> dict:
+    """count / sum / mean plus bucket-interpolated p50/p90/p99 of one
+    histogram :meth:`~Histogram.state` — what the bench JSON records per
+    phase."""
+    count = state["count"]
+    result = {"count": count, "sum": round(state["sum"], 6)}
+    if not count:
+        return result
+    result["mean"] = round(state["sum"] / count, 6)
+    bounds = list(state["buckets"]) + [float("inf")]
+    for quantile in (0.5, 0.9, 0.99):
+        target = quantile * count
+        running = 0
+        for bound, bucket_count in zip(bounds, state["counts"]):
+            running += bucket_count
+            if running >= target:
+                value = bound if bound != float("inf") \
+                    else state["buckets"][-1]
+                result[f"p{int(quantile * 100)}"] = value
+                break
+    return result
 
 
 class Histogram:
     """Fixed-bucket histogram over seconds, fed from the monotonic clock
     (callers time with :func:`time.perf_counter`, never wall clock)."""
 
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_lock")
+    __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_count",
+                 "_lock")
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
+    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
+                 name: str = "", labels: LabelItems = ()) -> None:
+        self.name = name
+        self.labels = labels
         self.buckets = tuple(buckets)
         self._counts = [0] * (len(self.buckets) + 1)  # trailing +Inf
         self._sum = 0.0
@@ -127,54 +150,162 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+        capture = _ACTIVE.get()
+        if capture is not None:
+            row = capture.row(self)
+            row[0][index] += 1
+            row[1] += value
+            row[2] += 1
 
     def state(self) -> dict:
-        """A JSON-serializable snapshot (used for deltas and summaries)."""
+        """A JSON-serializable snapshot (used for payloads and summaries)."""
         with self._lock:
             return {"buckets": list(self.buckets),
                     "counts": list(self._counts),
                     "sum": self._sum, "count": self._count}
 
     def merge_state(self, state: dict) -> None:
-        """Fold another histogram's (delta) state in; bucket layouts must
-        match (they always do — one family, one layout)."""
-        counts = state.get("counts") or []
+        """Fold another histogram's state in (a worker's captured
+        observations); bucket layouts must match — one family, one
+        layout."""
+        counts, total, number = state["counts"], state["sum"], state["count"]
         with self._lock:
             for index, extra in enumerate(counts):
-                if index < len(self._counts):
-                    self._counts[index] += extra
-            self._sum += state.get("sum", 0.0)
-            self._count += state.get("count", 0)
+                self._counts[index] += extra
+            self._sum += total
+            self._count += number
+        capture = _ACTIVE.get()
+        if capture is not None:
+            capture.merged(self, counts, total, number)
 
     def summary(self) -> dict:
-        """count / sum / mean plus bucket-interpolated p50/p90/p99 — what
-        the bench JSON records per phase."""
-        state = self.state()
-        count = state["count"]
-        result = {"count": count, "sum": round(state["sum"], 6)}
-        if not count:
-            return result
-        result["mean"] = round(state["sum"] / count, 6)
-        bounds = list(state["buckets"]) + [float("inf")]
-        for quantile in (0.5, 0.9, 0.99):
-            target = quantile * count
-            running = 0
-            for bound, bucket_count in zip(bounds, state["counts"]):
-                running += bucket_count
-                if running >= target:
-                    value = bound if bound != float("inf") \
-                        else state["buckets"][-1]
-                    result[f"p{int(quantile * 100)}"] = value
-                    break
-        return result
+        return summarize(self.state())
+
+
+# ---------------------------------------------------------------------------
+# scoped captures
+# ---------------------------------------------------------------------------
+
+def _covers(child, name: str, labels: LabelItems) -> bool:
+    return child.name == name and all(item in child.labels
+                                      for item in labels)
+
+
+class Capture:
+    """Every counter increment and histogram observation made in this
+    capture's context while it is open (see the module docstring).
+
+    Usage::
+
+        with Capture() as counts:
+            ...                      # run something
+        counts.total(_HITS)          # what it counted, over every origin
+        counts.payload()             # the JSON form a worker ships home
+
+    A capture is recorded into by one context only; :meth:`add` folds
+    finished captures into a long-lived one (a workspace's or a service's
+    running totals) and is safe from any thread."""
+
+    __slots__ = ("counters", "histograms", "_token", "_lock")
+
+    def __init__(self) -> None:
+        #: child -> amount counted
+        self.counters: Dict[Counter, int] = {}
+        #: child -> ``[bucket counts, sum, count]`` observed
+        self.histograms: Dict[Histogram, list] = {}
+        self._token = None
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "Capture":
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        _ACTIVE.reset(self._token)
+        outer = _ACTIVE.get()
+        if outer is not None:
+            outer._fold(self)
+        return False
+
+    # -- recording (the open context only) ----------------------------------
+
+    def row(self, histogram: Histogram) -> list:
+        """``histogram``'s ``[bucket counts, sum, count]`` in this capture."""
+        row = self.histograms.get(histogram)
+        if row is None:
+            row = self.histograms[histogram] = [
+                [0] * (len(histogram.buckets) + 1), 0.0, 0]
+        return row
+
+    def merged(self, histogram: Histogram, counts: list, total: float,
+               number: int) -> None:
+        row = self.row(histogram)
+        for index, extra in enumerate(counts):
+            row[0][index] += extra
+        row[1] += total
+        row[2] += number
+
+    def _fold(self, other: "Capture") -> None:
+        counters = self.counters
+        for child, amount in other.counters.items():
+            counters[child] = counters.get(child, 0) + amount
+        for histogram, (counts, total, number) in other.histograms.items():
+            self.merged(histogram, counts, total, number)
+
+    def add(self, other: "Capture") -> None:
+        """Fold a finished capture into this one (thread-safe)."""
+        with self._lock:
+            self._fold(other)
+
+    # -- reading -------------------------------------------------------------
+
+    def total(self, child) -> int:
+        """What ``child`` counted here, summed over every ``origin`` (the
+        same series merged from workers carries an extra label)."""
+        name, labels = child.name, child.labels
+        with self._lock:
+            return sum(amount for counted, amount in self.counters.items()
+                       if _covers(counted, name, labels))
+
+    def phases(self) -> dict:
+        """Per-phase summaries of the ``repro_phase_seconds`` observations
+        made here, over every origin; only phases that observed something
+        appear."""
+        merged = Capture()
+        with self._lock:
+            for histogram, row in self.histograms.items():
+                if histogram.name == _PHASE_FAMILY:
+                    phase_name = dict(histogram.labels)["phase"]
+                    merged.merged(_PHASE_HISTOGRAMS[phase_name], *row)
+        return {name: summarize(_state(histogram, row))
+                for name, histogram in _PHASE_HISTOGRAMS.items()
+                if (row := merged.histograms.get(histogram)) and row[2]}
+
+    def payload(self) -> dict:
+        """The JSON-serializable form a worker ships home:
+        ``{"counters": {key: amount}, "histograms": {key: state}}`` keyed
+        ``name{labels}``."""
+        with self._lock:
+            return {
+                "counters": {child.name + _label_suffix(child.labels): amount
+                             for child, amount in self.counters.items()
+                             if amount},
+                "histograms": {
+                    histogram.name + _label_suffix(histogram.labels):
+                        _state(histogram, row)
+                    for histogram, row in self.histograms.items() if row[2]}}
+
+
+def _state(histogram: Histogram, row: list) -> dict:
+    """A capture row of ``histogram`` in :meth:`Histogram.state` form."""
+    counts, total, number = row
+    return {"buckets": list(histogram.buckets), "counts": list(counts),
+            "sum": total, "count": number}
 
 
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
-
-_KINDS = ("counter", "gauge", "histogram")
-
 
 class _Family:
     __slots__ = ("name", "kind", "help", "children")
@@ -211,7 +342,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
-        self._collectors: list[Callable[[], Iterable[tuple]]] = []
 
     # -- child access --------------------------------------------------------
 
@@ -228,7 +358,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {family.kind}")
             child = family.children.get(items)
             if child is None:
-                child = factory()
+                child = factory(name, items)
                 family.children[items] = child
             return child
 
@@ -243,40 +373,23 @@ class MetricsRegistry:
                   buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels: str) -> Histogram:
         return self._child(name, "histogram", help_text, labels,
-                           lambda: Histogram(buckets))
+                           lambda name, items: Histogram(buckets, name,
+                                                         items))
 
-    # -- collectors ----------------------------------------------------------
-
-    def register_collector(self, collector: Callable[[], Iterable[tuple]]):
-        """Register a callback yielding ``(name, kind, help, labels,
-        value)`` tuples, folded in at snapshot/render time.  Returns the
-        callback so callers can :meth:`unregister_collector` later."""
+    def total(self, child) -> int:
+        """The process-wide count of ``child``, summed over every
+        ``origin`` (the same reading :meth:`Capture.total` gives for one
+        scope)."""
         with self._lock:
-            self._collectors.append(collector)
-        return collector
-
-    def unregister_collector(self, collector) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(collector)
-            except ValueError:
-                pass
-
-    def _collected(self) -> list[tuple]:
-        with self._lock:
-            collectors = list(self._collectors)
-        rows: list[tuple] = []
-        for collector in collectors:
-            try:
-                rows.extend(collector())
-            except Exception:  # a broken collector must not kill /metrics
-                continue
-        return rows
+            family = self._families.get(child.name)
+            siblings = list(family.children.values()) if family else []
+        return sum(sibling.value for sibling in siblings
+                   if _covers(sibling, child.name, child.labels))
 
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Every family (native + collected) as plain JSON-ready data:
+        """Every family as plain JSON-ready data:
         ``{name: {"type", "help", "samples": {label-suffix: value}}}``
         with histogram samples as their :meth:`~Histogram.state`."""
         out: dict = {}
@@ -292,28 +405,7 @@ class MetricsRegistry:
                 else:
                     samples[key] = child.value
             out[name] = {"type": kind, "help": help_text, "samples": samples}
-        for name, kind, help_text, labels, value in self._collected():
-            family = out.setdefault(
-                name, {"type": kind, "help": help_text, "samples": {}})
-            family["samples"][_label_suffix(_label_items(labels))] = value
         return out
-
-    def counter_values(self) -> Dict[str, float]:
-        """Flat native counter/histogram state keyed ``name{labels}`` —
-        the capture format behind fork-boundary deltas.  Histogram states
-        are included under a ``!hist`` marker key."""
-        values: Dict[str, object] = {}
-        with self._lock:
-            families = [(f.name, f.kind, dict(f.children))
-                        for f in self._families.values()]
-        for name, kind, children in families:
-            for items, child in children.items():
-                key = name + _label_suffix(items)
-                if kind == "counter":
-                    values[key] = child.value
-                elif kind == "histogram":
-                    values["!hist!" + key] = child.state()
-        return values
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition (format version 0.0.4)."""
@@ -355,28 +447,30 @@ def _format_number(value) -> str:
 REGISTRY = MetricsRegistry()
 
 
+def _free_locks_after_fork() -> None:
+    """A fork copies the locks other threads held at that instant, so a
+    forked worker's first increment of such a child would deadlock: give
+    the child process fresh, free locks."""
+    REGISTRY._lock = threading.Lock()
+    for family in REGISTRY._families.values():
+        for child in family.children.values():
+            child._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_free_locks_after_fork)
+
+
 # ---------------------------------------------------------------------------
 # phase timing (histograms + spans in one call)
 # ---------------------------------------------------------------------------
 
+_PHASE_FAMILY = "repro_phase_seconds"
+
 _PHASE_HISTOGRAMS: Dict[str, Histogram] = {
     name: REGISTRY.histogram(
-        "repro_phase_seconds",
+        _PHASE_FAMILY,
         "Wall seconds per engine phase (monotonic clock)", phase=name)
     for name in PHASES}
-
-
-class _NoopPhase:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NOOP_PHASE = _NoopPhase()
 
 
 class _Phase:
@@ -401,95 +495,24 @@ class _Phase:
 
 
 def phase(name: str):
-    """Time one engine phase: observe the ``repro_phase_seconds`` family
-    and, when a trace is active, record a span of the same name.  Returns
-    a shared no-op when telemetry is disabled."""
-    if not enabled():
-        return _NOOP_PHASE
+    """Time one engine phase (one of :data:`PHASES`): observe the
+    ``repro_phase_seconds`` family and, when a trace is active, record a
+    span of the same name."""
     from . import trace as _trace
     span_cm = _trace.span(name) if _trace.tracing_active() else None
-    histogram = _PHASE_HISTOGRAMS.get(name)
-    if histogram is None:
-        histogram = REGISTRY.histogram(
-            "repro_phase_seconds",
-            "Wall seconds per engine phase (monotonic clock)", phase=name)
-        _PHASE_HISTOGRAMS[name] = histogram
-    return _Phase(histogram, span_cm)
+    return _Phase(_PHASE_HISTOGRAMS[name], span_cm)
 
 
 def phase_summaries() -> dict:
-    """Per-phase histogram summaries (count/sum/mean/p50/p90/p99) — the
-    payload the bench JSON and the ``metrics`` verb expose."""
+    """Process-wide per-phase histogram summaries (count/sum/mean/p50/p90/
+    p99) — what the bench JSON and the ``metrics`` verb expose."""
     return {name: _PHASE_HISTOGRAMS[name].summary()
             for name in PHASES if _PHASE_HISTOGRAMS[name].state()["count"]}
 
 
 # ---------------------------------------------------------------------------
-# fork-boundary deltas
+# fork-boundary merges
 # ---------------------------------------------------------------------------
-
-class telemetry_capture:
-    """Capture everything the registry (and the matcher's global stats)
-    records between ``begin`` and ``end`` — inside a fork-pool or fleet
-    worker — as a JSON-serializable delta payload for the parent.
-
-    Usage in a worker batch::
-
-        capture = telemetry_capture()
-        ...  # run the batch
-        envelope = capture.delta()   # {} when nothing moved
-    """
-
-    def __init__(self) -> None:
-        self._before = REGISTRY.counter_values() if enabled() else {}
-        self._matcher_before = self._matcher_values() if enabled() else {}
-
-    @staticmethod
-    def _matcher_values() -> Dict[str, int]:
-        try:
-            from ..engine.compile import matcher_counters
-        except Exception:  # pragma: no cover - import cycle guard
-            return {}
-        return {key: value for key, value in matcher_counters().items()
-                if isinstance(value, int)}
-
-    def delta(self) -> dict:
-        if not enabled():
-            return {}
-        after = REGISTRY.counter_values()
-        counters: Dict[str, float] = {}
-        histograms: Dict[str, dict] = {}
-        for key, value in after.items():
-            if key.startswith("!hist!"):
-                before = self._before.get(key) or {}
-                delta_counts = list(value["counts"])
-                for index, prior in enumerate(before.get("counts") or []):
-                    if index < len(delta_counts):
-                        delta_counts[index] -= prior
-                count = value["count"] - before.get("count", 0)
-                if count:
-                    histograms[key[len("!hist!"):]] = {
-                        "buckets": value["buckets"],
-                        "counts": delta_counts,
-                        "sum": value["sum"] - before.get("sum", 0.0),
-                        "count": count}
-            else:
-                moved = value - self._before.get(key, 0)
-                if moved:
-                    counters[key] = moved
-        matcher_after = self._matcher_values()
-        matcher = {key: matcher_after[key] - self._matcher_before.get(key, 0)
-                   for key in matcher_after
-                   if matcher_after[key] != self._matcher_before.get(key, 0)}
-        payload: dict = {}
-        if counters:
-            payload["counters"] = counters
-        if histograms:
-            payload["histograms"] = histograms
-        if matcher:
-            payload["matcher"] = matcher
-        return payload
-
 
 def _split_key(key: str) -> tuple[str, dict]:
     """``name{a="b"}`` back into ``(name, {"a": "b"})``."""
@@ -506,11 +529,10 @@ def _split_key(key: str) -> tuple[str, dict]:
 
 def merge_telemetry(payload: Optional[dict], *,
                     origin: str = "workers") -> None:
-    """Fold a worker's delta payload into the parent registry.  Counter
-    and histogram deltas land on the same families tagged
-    ``origin=<origin>``; matcher deltas land on
-    ``repro_matcher_*_total`` counters with the same tag."""
-    if not payload or not enabled():
+    """Fold a worker's :meth:`Capture.payload` into this process: each
+    counter and histogram lands on its family tagged ``origin=<origin>``,
+    and — like any other increment — in the caller's open capture."""
+    if not payload:
         return
     for key, moved in (payload.get("counters") or {}).items():
         name, labels = _split_key(key)
@@ -523,7 +545,3 @@ def merge_telemetry(payload: Optional[dict], *,
             name, buckets=tuple(state.get("buckets") or DEFAULT_BUCKETS),
             **labels)
         histogram.merge_state(state)
-    for key, moved in (payload.get("matcher") or {}).items():
-        REGISTRY.counter(f"repro_matcher_{key}_total",
-                         "Matcher counters aggregated from workers",
-                         origin=origin).inc(int(moved))

@@ -51,11 +51,6 @@ class Span:
         self.children: list[Span] = []
         self.meta: dict = {}
 
-    @property
-    def duration_ns(self) -> int:
-        end = self.end_ns if self.end_ns is not None else perf_counter_ns()
-        return end - self.start_ns
-
     def finish(self) -> None:
         if self.end_ns is None:
             self.end_ns = perf_counter_ns()
@@ -102,9 +97,6 @@ class Tracer:
             _CURRENT.set(None)
         return self.root
 
-    def chrome_trace_json(self) -> list[dict]:
-        return chrome_trace_events(self.root.to_payload())
-
 
 def start_trace(name: str = "run",
                 trace_id: Optional[str] = None) -> Tracer:
@@ -120,10 +112,6 @@ def tracing_active() -> bool:
 def current_trace_id() -> Optional[str]:
     current = _CURRENT.get()
     return current.trace_id if current is not None else None
-
-
-def current_span() -> Optional[Span]:
-    return _CURRENT.get()
 
 
 class _NoopSpan:

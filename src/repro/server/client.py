@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 from ..api import CodeBase, SemanticPatch
 from ..errors import ReproError
-from ..obs import registry as _obs
 from ..obs import trace as _trace
 from ..options import SpatchOptions
 from .protocol import (PROTOCOL_VERSION, ProtocolError, options_payload,
@@ -150,12 +149,8 @@ class RemoteClient:
     @staticmethod
     def _stamp_trace(message: dict) -> None:
         """Attach the request's trace id: the active trace's (one CLI
-        invocation = one trace spanning all its requests) or a fresh one.
-        Skipped entirely when telemetry is off, so the wire bytes with
-        ``REPRO_OBS=0`` are exactly the pre-trace protocol's."""
-        if _obs.enabled():
-            message["trace"] = (_trace.current_trace_id()
-                                or _trace.new_trace_id())
+        invocation = one trace spanning all its requests) or a fresh one."""
+        message["trace"] = _trace.current_trace_id() or _trace.new_trace_id()
 
     def request(self, verb: str, **params) -> dict:
         """One request/response; under v2 this is ``submit().wait()``, so

@@ -48,6 +48,8 @@ import threading
 import traceback
 from typing import Optional
 
+from ..obs import registry as _obs
+
 
 def shard_of(name: str, workers: int) -> int:
     """The worker index workspace ``name`` is pinned to.  ``hash()`` is
@@ -93,6 +95,9 @@ class _FleetWorker:
         self.memo = TransformMemo(
             max_entries=config.get("memo_entries", 4096),
             path=config.get("memo_dir"))
+        #: what every job counted (the sum of the jobs' captures): this
+        #: worker's memo and tree-store traffic for the ``stats`` op
+        self.counts = _obs.Capture()
 
     def run(self) -> None:
         while True:
@@ -106,7 +111,15 @@ class _FleetWorker:
                     self.conn.send({"ok": True})
                     return
                 if op == "apply":
-                    self.conn.send(self._apply(job))
+                    # what the job counted rides the reply, so the parent's
+                    # request capture and /metrics stay exact even though
+                    # all the matching happened in this process
+                    with _obs.Capture() as counts:
+                        reply = self._apply(job)
+                    self.counts.add(counts)
+                    if reply.get("ok"):
+                        reply["telemetry"] = counts.payload()
+                    self.conn.send(reply)
                 elif op == "drop":
                     self._drop(job.get("workspace"))
                     self.conn.send({"ok": True})
@@ -149,14 +162,9 @@ class _FleetWorker:
     # -- jobs ----------------------------------------------------------------
 
     def _apply(self, job: dict) -> dict:
-        from ..obs import registry as _obs
         from .protocol import options_from_payload
         from .service import ServiceError
 
-        # per-job before/after capture of this worker's registry: the delta
-        # rides the reply so the parent daemon's /metrics stays exact even
-        # though all the matching happened in this process
-        capture = _obs.telemetry_capture() if _obs.enabled() else None
         name = job["workspace"]
         workspace = self._workspace(name)
         codebase = workspace.codebase
@@ -189,10 +197,7 @@ class _FleetWorker:
             store=job.get("store", True), diff=job.get("diff", True),
             texts=job.get("texts", False), profile=bool(job.get("profile")),
             memo=self.memo, jobs=job.get("jobs", 1), prefilter=prefilter)
-        reply = {"ok": True, "payload": payload, "pid": os.getpid()}
-        if capture is not None:
-            reply["telemetry"] = capture.delta()
-        return reply
+        return {"ok": True, "payload": payload, "pid": os.getpid()}
 
     def _stats(self) -> dict:
         return {
@@ -201,14 +206,19 @@ class _FleetWorker:
             "restored": sorted(name for name, workspace
                                in self.workspaces.items()
                                if workspace.restored),
-            "memo": self.memo.counters(),
-            "tree_store": self.tree_store.counters(),
-            "parse_caches": {name: workspace.cache.counters()
+            "memo": self.memo.counters(self.counts),
+            "tree_store": self.tree_store.counters(self.counts),
+            "parse_caches": {name: workspace.cache.counters(workspace.counts)
                              for name, workspace in self.workspaces.items()},
         }
 
 
-def _fleet_worker_main(conn, config: dict) -> None:
+def _fleet_worker_main(conn, config: dict, inherited) -> None:
+    # the fork copied the parent's end of this worker's pipe and of every
+    # earlier worker's; closing them leaves the parent process as the only
+    # holder, so ``recv`` sees EOF (and the worker exits) once it dies
+    for parent_end in inherited:
+        parent_end.close()
     _FleetWorker(conn, config).run()
 
 
@@ -243,15 +253,18 @@ class ApplyFleet:
                         "state_root": os.fspath(state_root)
                         if state_root is not None else None}
         self._ctx = multiprocessing.get_context("fork")
-        self._handles: list[_WorkerHandle] = [
-            self._spawn(index) for index in range(workers)]
+        self._handles: list[_WorkerHandle] = []
+        for index in range(workers):
+            self._handles.append(self._spawn(index))
         self.respawns = 0
         self._closed = False
 
     def _spawn(self, index: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = [handle.conn for handle in self._handles] + [parent_conn]
         process = self._ctx.Process(
-            target=_fleet_worker_main, args=(child_conn, self._config),
+            target=_fleet_worker_main,
+            args=(child_conn, self._config, inherited),
             name=f"spatchd-fleet-{index}", daemon=True)
         process.start()
         child_conn.close()

@@ -251,13 +251,17 @@ def result_payload(result, patches: Sequence[SemanticPatch], *,
     return payload
 
 
-def profile_payload(result, *, cache=None, token_index=None,
+def profile_payload(result, counts, *, cache=None, token_index=None,
                     memo=None) -> dict:
     """The volatile companion of :func:`result_payload`: timings and
-    coverage from the run's stats, the incremental reuse breakdown, and the
-    cache/prefilter/memo counters the satellite surfaces (pass the
-    :class:`~repro.engine.cache.TreeCache` / token index /
-    :class:`~repro.engine.memo.TransformMemo` actually used)."""
+    coverage from the run's stats, the incremental reuse breakdown, and —
+    from ``counts``, the run's :class:`~repro.obs.registry.Capture` — the
+    cache/prefilter/memo/matcher traffic and per-phase wall times of that
+    run alone (pass the :class:`~repro.engine.cache.TreeCache` / token
+    index / :class:`~repro.engine.memo.TransformMemo` actually used; their
+    sizes ride along)."""
+    from ..engine.compile import matcher_counters
+
     payload: dict = {}
     stats = getattr(result, "stats", None)
     if stats is not None:
@@ -266,20 +270,15 @@ def profile_payload(result, *, cache=None, token_index=None,
     if incremental is not None:
         payload["incremental"] = incremental.as_dict()
     if cache is not None:
-        payload["parse_cache"] = cache.counters()
+        payload["parse_cache"] = cache.counters(counts)
     if token_index is not None:
-        payload["token_index"] = token_index.counters()
+        payload["token_index"] = token_index.counters(counts)
     if memo is not None:
-        payload["memo"] = memo.counters()
-    from ..engine.compile import matcher_counters
-    from ..obs import registry as _obs
-
-    payload["matcher"] = matcher_counters()
-    if _obs.enabled():
-        # per-phase wall-time histograms from the metrics registry (parse,
-        # prefilter, match, transform, memo, splice, sync) — only phases
-        # that actually observed something appear
-        phases = _obs.phase_summaries()
-        if phases:
-            payload["phases"] = phases
+        payload["memo"] = memo.counters(counts)
+    payload["matcher"] = matcher_counters(counts)
+    # per-phase wall-time histograms (parse, prefilter, match, transform,
+    # memo, splice, sync) — only phases that observed something appear
+    phases = counts.phases()
+    if phases:
+        payload["phases"] = phases
     return payload

@@ -65,6 +65,7 @@ coldest).
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -88,6 +89,13 @@ from .protocol import (PROTOCOL_VERSION, options_from_payload,
 #: pseudo cookbook name expanding to the whole-cookbook pipeline preset
 #: (mirrors the CLI's ``--cookbook full_modernization``)
 FULL_PIPELINE = "full_modernization"
+
+_M_WORKSPACES = _obs.REGISTRY.gauge(
+    "repro_service_workspaces", "Warm workspaces currently held")
+_M_REQUESTS = _obs.REGISTRY.counter(
+    "repro_service_requests_total", "Requests the service has handled")
+_M_EVICTIONS = _obs.REGISTRY.counter(
+    "repro_service_evictions_total", "Workspaces evicted LRU")
 
 #: LRU bound on built-patch specs cached per workspace: an authoring loop
 #: ships a fresh SMPL revision per request (new content hash, new key), so
@@ -238,6 +246,9 @@ class Workspace:
         self.requests = 0
         self.applies = 0
         self.syncs = 0
+        #: what every run against this workspace counted (the sum of the
+        #: runs' captures): the ``stats`` verb's per-workspace traffic
+        self.counts = _obs.Capture()
         #: atomically *replaced* (never mutated) snapshot of the file dict,
         #: published at the end of every mutation while the lock is held —
         #: what lock-free readers (``query``) run against
@@ -408,7 +419,9 @@ class Workspace:
             options=[patch.options for patch in built],
             names=[patch.name for patch in built],
             jobs=jobs, prefilter=prefilter, tree_cache=self.cache, memo=memo)
-        result = pipeline.run(files, since=since, token_index=token_index)
+        with _obs.Capture() as counts:
+            result = pipeline.run(files, since=since, token_index=token_index)
+        self.counts.add(counts)
         if store:
             self.last = result
             self.save(self.state_root)
@@ -419,10 +432,11 @@ class Workspace:
         payload["workspace"] = self.name
         if profile:
             payload["profile"] = profile_payload(
-                result, cache=self.cache, token_index=token_index, memo=memo)
+                result, counts, cache=self.cache, token_index=token_index,
+                memo=memo)
             if self.cache.shared is not None:
                 payload["profile"]["tree_store"] = \
-                    self.cache.shared.counters()
+                    self.cache.shared.counters(counts)
             payload["profile"]["restored"] = self.restored
         return payload
 
@@ -483,10 +497,27 @@ class Workspace:
             "has_result": self.last is not None,
             "restored": self.restored,
             "patches_cached": len(self._patches),
-            "parse_cache": self.cache.counters(),
-            "token_index": token_index.counters()
+            "parse_cache": self.cache.counters(self.counts),
+            "token_index": token_index.counters(self.counts)
             if token_index is not None else None,
         }
+
+
+def _counted(verb):
+    """Count one request of a :class:`PatchService` verb and add what it
+    counted (its capture) to the service's running totals, failed
+    requests included."""
+    @functools.wraps(verb)
+    def counted(service: "PatchService", *args, **kwargs):
+        counts = _obs.Capture()
+        try:
+            with counts:
+                _M_REQUESTS.inc()
+                return verb(service, *args, **kwargs)
+        finally:
+            service.counts.add(counts)
+
+    return counted
 
 
 class PatchService:
@@ -538,12 +569,9 @@ class PatchService:
                                      memo_dir=memo_dir,
                                      state_root=self.state_root)
         self.started_at = time.time()
-        self.requests_total = 0
-        self.evictions = 0
-        #: unregistered in :meth:`close` — an embedded service must not
-        #: leak scrapes of its dead self through the process registry
-        self._collector = _obs.REGISTRY.register_collector(
-            self._metrics_collector)
+        #: what every request counted, fleet workers' traffic included (the
+        #: sum of the requests' captures)
+        self.counts = _obs.Capture()
 
     # -- workspace table -----------------------------------------------------
 
@@ -563,7 +591,6 @@ class PatchService:
         self._workspaces.move_to_end(name)
         workspace.last_used = time.time()
         workspace.requests += 1
-        self.requests_total += 1
         return workspace
 
     @contextmanager
@@ -581,6 +608,7 @@ class PatchService:
             with self._lock:
                 workspace.in_flight -= 1
 
+    @_counted
     def open_workspace(self, name: str, *, root: Optional[str] = None,
                        watch: bool = False, watch_backend: str = "auto",
                        watch_interval: float = 0.5) -> dict:
@@ -601,11 +629,11 @@ class PatchService:
                 workspace = Workspace(name, cache_entries=self.cache_entries,
                                       root=root, shared=self.tree_store)
                 self._workspaces[name] = workspace
+                _M_WORKSPACES.inc()
                 evicted = self._evict_cold_locked()
             else:
                 evicted = []
             self._workspaces.move_to_end(name)
-            self.requests_total += 1
         self._drop_evicted(evicted)
         if not created and root is not None and workspace.root != root:
             raise ServiceError("bad-request",
@@ -664,7 +692,8 @@ class PatchService:
                 continue
             try:
                 del self._workspaces[name]
-                self.evictions += 1
+                _M_EVICTIONS.inc()
+                _M_WORKSPACES.dec()
                 evicted.append(name)
                 workspace.close()
                 workspace.release_specs()
@@ -674,6 +703,7 @@ class PatchService:
 
     # -- verbs ---------------------------------------------------------------
 
+    @_counted
     def sync_files(self, name: str, *, files: Optional[dict] = None,
                    remove: Optional[Sequence[str]] = None,
                    hashes: Optional[dict] = None) -> dict:
@@ -746,6 +776,7 @@ class PatchService:
                     "added": added, "changed": changed, "removed": removed,
                     "recalled": recalled, "need": need}
 
+    @_counted
     def apply(self, name: str, patches: Sequence[dict], *,
               options: Optional[dict] = None, jobs: "int | str | None" = None,
               prefilter: bool = True, diff: bool = True, texts: bool = False,
@@ -821,9 +852,9 @@ class PatchService:
                 raise ServiceError(error.get("kind", "internal"),
                                    error.get("message", "fleet apply failed"))
             workspace.fleet_seen = manifest
-        # fold the worker's registry delta into the parent's registry under
-        # origin="fleet": the daemon's /metrics then covers matching that
-        # happened in worker processes, exactly (per-job before/after)
+        # fold the worker's capture into this request's under
+        # origin="fleet": the daemon's /metrics and the service totals then
+        # cover matching that happened in worker processes, exactly
         _obs.merge_telemetry(reply.get("telemetry"), origin="fleet")
         self._maybe_prune_memo()
         payload = reply["payload"]
@@ -832,6 +863,7 @@ class PatchService:
                 "index": self._fleet.shard(name), "pid": reply.get("pid")}
         return payload
 
+    @_counted
     def query(self, name: str, patches: Sequence[dict], *,
               options: Optional[dict] = None, jobs: "int | str | None" = None,
               prefilter: bool = True, profile: bool = False) -> dict:
@@ -859,30 +891,31 @@ class PatchService:
                 jobs=self.default_jobs if jobs is None else jobs,
                 prefilter=prefilter)
 
+    @_counted
     def stats(self, name: Optional[str] = None) -> dict:
-        """Service- and per-workspace counters (cache hit/miss/dedup and
-        prefilter scan reuse included — the satellite's user-visible
-        surface for numbers that previously died with the process)."""
+        """Service- and per-workspace counters: sizes, plus the traffic the
+        service's requests (and each workspace's runs) counted — cache
+        hit/miss/dedup and prefilter scan reuse included."""
         with self._lock:
             workspaces = list(self._workspaces.values())
-            payload = {
-                "protocol": PROTOCOL_VERSION,
-                "uptime_seconds": time.time() - self.started_at,
-                "workspaces": len(workspaces),
-                "max_workspaces": self.max_workspaces,
-                "workers": self.workers,
-                "requests_total": self.requests_total,
-                "evictions": self.evictions,
-            }
+        payload = {
+            "protocol": PROTOCOL_VERSION,
+            "uptime_seconds": time.time() - self.started_at,
+            "workspaces": len(workspaces),
+            "max_workspaces": self.max_workspaces,
+            "workers": self.workers,
+            "requests_total": self.counts.total(_M_REQUESTS),
+            "evictions": self.counts.total(_M_EVICTIONS),
+        }
         from ..engine.compile import compile_cache_info, matcher_counters
 
-        payload["matcher"] = matcher_counters()
+        payload["matcher"] = matcher_counters(self.counts)
         payload["compile_cache"] = compile_cache_info()
-        payload["memo"] = self.memo.counters()
-        payload["tree_store"] = self.tree_store.counters()
-        # stats never takes a workspace lock (counters are monotonic ints
-        # and every embedded counters() call locks its own structure), so
-        # a monitoring poll never queues behind a long apply
+        payload["memo"] = self.memo.counters(self.counts)
+        payload["tree_store"] = self.tree_store.counters(self.counts)
+        # stats never takes a workspace lock (the running totals lock only
+        # themselves), so a monitoring poll never queues behind a long
+        # apply
         if name is not None:
             with self._checkout(name) as workspace:
                 payload["workspace"] = workspace.stats_payload()
@@ -903,35 +936,9 @@ class PatchService:
         timing summaries, and the rendered Prometheus text — the ``metrics``
         wire verb and the daemon's HTTP ``/metrics`` endpoint both read
         this one surface."""
-        return {"enabled": _obs.enabled(),
-                "snapshot": _obs.REGISTRY.snapshot(),
+        return {"snapshot": _obs.REGISTRY.snapshot(),
                 "phases": _obs.phase_summaries(),
                 "prometheus": _obs.REGISTRY.render_prometheus()}
-
-    def _metrics_collector(self):
-        """Service-level gauges/counters for the registry: workspace table
-        shape, the shared memo and tree store.  A collector (polled at
-        scrape time) so the request hot path pays nothing."""
-        with self._lock:
-            workspaces = len(self._workspaces)
-            requests = self.requests_total
-            evictions = self.evictions
-        yield ("repro_service_workspaces", "gauge",
-               "Warm workspaces currently held", {}, float(workspaces))
-        yield ("repro_service_requests_total", "counter",
-               "Requests the service has handled", {}, float(requests))
-        yield ("repro_service_evictions_total", "counter",
-               "Workspaces evicted LRU", {}, float(evictions))
-        for key, value in self.memo.counters().items():
-            if isinstance(value, (int, float)) and key != "max_entries":
-                kind = "gauge" if key == "entries" else "counter"
-                yield (f"repro_service_memo_{key}", kind,
-                       "Shared transform-memo counter", {}, float(value))
-        for key, value in self.tree_store.counters().items():
-            if isinstance(value, (int, float)) and key != "max_entries":
-                kind = "gauge" if key == "entries" else "counter"
-                yield (f"repro_service_tree_store_{key}", kind,
-                       "Shared parse-tree store counter", {}, float(value))
 
     def ping(self) -> dict:
         return {"protocol": PROTOCOL_VERSION, "pid": os.getpid()}
@@ -942,12 +949,12 @@ class PatchService:
         with self._lock:
             workspaces = list(self._workspaces.values())
             self._workspaces.clear()
+            _M_WORKSPACES.dec(len(workspaces))
         for workspace in workspaces:
             workspace.close()
             workspace.release_specs()
         if self._fleet is not None:
             self._fleet.close()
-        _obs.REGISTRY.unregister_collector(self._collector)
 
     # -- memo GC -------------------------------------------------------------
 

@@ -2,9 +2,12 @@
 
 The dedup contract: when N threads race ``get_or_parse`` on the same
 ``(name, sha1, options)`` key, exactly one of them parses; the others wait
-for its tree.  The counters stay *exact* — one miss per unique parse, one
+for its tree.  The counts stay *exact* — one miss per unique parse, one
 hit per caller answered without parsing — which the pipeline's ``--profile``
-output and the incremental benchmarks rely on.
+output and the incremental benchmarks rely on.  Counts live in the metrics
+registry; each test reads them from a capture around the work it drives
+(one per thread for the racing tests: a capture sees only its own
+context).
 """
 
 import pickle
@@ -12,8 +15,25 @@ import threading
 
 import pytest
 
-from repro.engine.cache import TreeCache, content_sha1
+from repro.engine.cache import TreeCache, content_sha1, parse_cache_counts
+from repro.obs import Capture
+from repro.obs import registry as _obs
 from repro.options import DEFAULT_OPTIONS, SpatchOptions
+
+
+def _hits_misses(counts) -> tuple[int, int]:
+    parse = parse_cache_counts(counts)
+    return parse["hits"], parse["misses"]
+
+
+def _captured(totals: Capture, work):
+    """``work`` wrapped to run under its own capture (on whatever thread
+    calls it) and add what it counted to ``totals``."""
+    def run(*args):
+        with Capture() as counts:
+            work(*args)
+        totals.add(counts)
+    return run
 
 
 def _install_counting_parser(monkeypatch, delay: float = 0.0):
@@ -48,6 +68,7 @@ class TestInFlightDeduplication:
         barrier = threading.Barrier(n_threads)
         trees = [None] * n_threads
         errors = []
+        totals = Capture()
 
         def worker(slot):
             try:
@@ -57,7 +78,8 @@ class TestInFlightDeduplication:
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,))
+        threads = [threading.Thread(target=_captured(totals, worker),
+                                    args=(i,))
                    for i in range(n_threads)]
         for thread in threads:
             thread.start()
@@ -66,7 +88,7 @@ class TestInFlightDeduplication:
 
         assert not errors
         assert len(calls) == 1  # exactly one parse hit the parser
-        assert cache.stats() == (n_threads - 1, 1)
+        assert _hits_misses(totals) == (n_threads - 1, 1)
         assert all(tree is trees[0] for tree in trees)  # same shared tree
 
     def test_stress_many_keys_counters_exact(self, monkeypatch):
@@ -78,6 +100,7 @@ class TestInFlightDeduplication:
         n_threads = 8
         barrier = threading.Barrier(n_threads)
         errors = []
+        totals = Capture()
 
         def worker(offset):
             try:
@@ -89,7 +112,8 @@ class TestInFlightDeduplication:
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,))
+        threads = [threading.Thread(target=_captured(totals, worker),
+                                    args=(i,))
                    for i in range(n_threads)]
         for thread in threads:
             thread.start()
@@ -98,7 +122,7 @@ class TestInFlightDeduplication:
 
         assert not errors
         assert len(calls) == len(texts)
-        hits, misses = cache.stats()
+        hits, misses = _hits_misses(totals)
         assert misses == len(texts)
         assert hits == n_threads * len(texts) - len(texts)
         assert len(cache) == len(texts)
@@ -195,10 +219,12 @@ class TestPersistence:
         calls = _install_counting_parser(monkeypatch)
         fresh = TreeCache()
         assert fresh.load(target) == 2
-        tree = fresh.get_or_parse("int persisted;\n", "p.c", DEFAULT_OPTIONS)
+        with Capture() as counts:
+            tree = fresh.get_or_parse("int persisted;\n", "p.c",
+                                      DEFAULT_OPTIONS)
         assert tree.source.text == "int persisted;\n"
         assert calls == []  # answered from the persisted entry
-        assert fresh.stats() == (1, 0)
+        assert _hits_misses(counts) == (1, 0)
 
     def test_load_missing_or_corrupt_is_a_no_op(self, tmp_path):
         cache = TreeCache()
@@ -228,8 +254,9 @@ class TestPersistence:
         cache.save(target)
         fresh = TreeCache()
         fresh.load(target)
-        fresh.get_or_parse("int opt;\n", "o.c", SpatchOptions(cxx=17))
-        assert fresh.stats() == (0, 1)  # different options: a real parse
+        with Capture() as counts:
+            fresh.get_or_parse("int opt;\n", "o.c", SpatchOptions(cxx=17))
+        assert _hits_misses(counts) == (0, 1)  # different options: a parse
 
 
 class TestContentSha1:
@@ -250,36 +277,42 @@ class TestCounters:
         _install_counting_parser(monkeypatch, delay=0.05)
         cache = TreeCache()
         barrier = threading.Barrier(4)
+        totals = Capture()
 
         def worker():
             barrier.wait()
             cache.get_or_parse("int c;\n", "c.c", DEFAULT_OPTIONS)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads = [threading.Thread(target=_captured(totals, worker))
+                   for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        counters = cache.counters()
+        counters = cache.counters(totals)
         assert counters["misses"] == 1
         assert counters["hits"] == 3
         # every hit was answered by waiting on the in-flight parse
         assert counters["dedup_waits"] == 3
         # a later plain hit does not count as a dedup wait
-        cache.get_or_parse("int c;\n", "c.c", DEFAULT_OPTIONS)
-        assert cache.counters()["dedup_waits"] == 3
-        assert cache.counters()["hits"] == 4
+        _captured(totals, cache.get_or_parse)("int c;\n", "c.c",
+                                              DEFAULT_OPTIONS)
+        assert cache.counters(totals)["dedup_waits"] == 3
+        assert cache.counters(totals)["hits"] == 4
 
     def test_evictions_counted_and_reset(self):
         cache = TreeCache(max_entries=2)
-        for index in range(4):
-            cache.get_or_parse(f"int e{index};\n", f"e{index}.c",
-                               DEFAULT_OPTIONS)
-        counters = cache.counters()
+        with Capture() as counts:
+            for index in range(4):
+                cache.get_or_parse(f"int e{index};\n", f"e{index}.c",
+                                   DEFAULT_OPTIONS)
+        counters = cache.counters(counts)
         assert counters["evictions"] == 2
         assert counters["entries"] == 2 and counters["max_entries"] == 2
+        # clear drops the entries; a fresh capture starts from zero
         cache.clear()
-        fresh = cache.counters()
+        fresh = cache.counters(Capture())
+        assert fresh["entries"] == 0
         assert fresh["evictions"] == fresh["dedup_waits"] == 0
         assert fresh["hits"] == fresh["misses"] == 0
 
@@ -289,15 +322,17 @@ class TestTokenIndexCounters:
         from repro.engine.prefilter import TokenIndex
 
         index = TokenIndex({"a.c": "int alpha;\n"})
-        index.tokens_of("a.c")
-        index.tokens_of("a.c")
-        counters = index.counters()
+        with Capture() as counts:
+            index.tokens_of("a.c")
+            index.tokens_of("a.c")
+        counters = index.counters(counts)
         assert counters["scan_misses"] == 1
         assert counters["scan_hits"] == 1
         # new content for the same name forces a fresh scan
         index.add("a.c", "int beta;\n")
-        assert "beta" in index.tokens_of("a.c")
-        assert index.counters()["scan_misses"] == 2
+        with counts:
+            assert "beta" in index.tokens_of("a.c")
+        assert index.counters(counts)["scan_misses"] == 2
 
 
 class TestRecencyExactness:
@@ -385,14 +420,14 @@ class TestMemoCounterExactness:
         cache = TreeCache()
         memo = TransformMemo()
         cold = self._run(cache, memo)
-        cold_traffic = cache.stats()
         assert cold.stats.memo_misses == 1  # hit.c ran; miss.c was gated
 
-        warm = self._run(cache, memo)
+        with Capture() as counts:
+            warm = self._run(cache, memo)
         assert warm.stats.memo_hits == 1 and warm.stats.memo_misses == 0
-        # the short-circuited session never consulted the parse cache: its
-        # counters are byte-for-byte what the cold run left behind
-        assert cache.stats() == cold_traffic
+        # the short-circuited session never consulted the parse cache: the
+        # warm run recorded no parse-cache traffic at all
+        assert _hits_misses(counts) == (0, 0)
         assert warm.stats.cache_hits == 0
         assert warm.stats.cache_misses == 0
         # and coverage counters still match the cold run (logical session)
@@ -405,12 +440,13 @@ class TestMemoCounterExactness:
 
         cache = TreeCache()
         memo = TransformMemo()
-        first = self._run(cache, memo)
-        assert first.stats.sessions_run == \
-            first.stats.memo_hits + first.stats.memo_misses
-        second = self._run(cache, memo)
+        with Capture() as counts:
+            first = self._run(cache, memo)
+            assert first.stats.sessions_run == \
+                first.stats.memo_hits + first.stats.memo_misses
+            second = self._run(cache, memo)
         assert second.stats.sessions_run == second.stats.memo_hits
-        counters = memo.counters()
+        counters = memo.counters(counts)
         assert counters["hits"] == 1 and counters["misses"] == 1
         assert counters["stores"] == 1
 
@@ -435,41 +471,33 @@ class TestForkPoolCounterExactness:
         patch = SemanticPatch.from_string(self.RENAME)
         return patch.apply(self._files(), jobs=jobs, prefilter=False)
 
-    def test_worker_deltas_are_exact(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        from repro.engine import pipeline as pipeline_mod
-
-        hits0 = pipeline_mod._M_WORKER_HITS.value
-        misses0 = pipeline_mod._M_WORKER_MISSES.value
+    def test_worker_deltas_are_exact(self):
         files = self._files()
-        result = self._run(jobs=4)
+        with Capture() as counts:
+            result = self._run(jobs=4)
         assert result.stats.jobs_used == 4
-        # the merged counters are labelled as worker-scoped, and they are
-        # exact: each worker parsed each of its files exactly once, cold
-        assert result.stats.cache_scope == "workers"
+        # the merged counts are exact: each worker parsed each of its files
+        # exactly once, cold
         assert result.stats.cache_misses == len(files)
         assert result.stats.cache_hits == 0
-        # and the registry's origin="workers" children moved by the same
-        # amounts (the deltas are per-job before/after captures, so a
+        # and they landed on the registry's origin="workers" children
+        # inside the caller's capture (per-batch captures, so a
         # parallel-running test cannot inflate them)
-        assert pipeline_mod._M_WORKER_MISSES.value - misses0 == len(files)
-        assert pipeline_mod._M_WORKER_HITS.value - hits0 == 0
+        worker_misses = _obs.REGISTRY.counter(
+            "repro_parse_cache_misses_total", cache="tree", origin="workers")
+        worker_hits = _obs.REGISTRY.counter(
+            "repro_parse_cache_hits_total", cache="tree", origin="workers")
+        assert counts.counters.get(worker_misses, 0) == len(files)
+        assert counts.counters.get(worker_hits, 0) == 0
+        local_misses = _obs.REGISTRY.counter(
+            "repro_parse_cache_misses_total", cache="tree")
+        assert counts.counters.get(local_misses, 0) == 0
         # the transform happened in every file despite the scatter
         for name in files:
             assert result[name].changed
 
-    def test_scope_is_unavailable_when_telemetry_is_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
-        result = self._run(jobs=4)
-        assert result.stats.jobs_used == 4
-        # no telemetry channel: the pipeline refuses to guess and says so
-        assert result.stats.cache_scope == "unavailable"
-        assert result.stats.cache_hits == 0
-        assert result.stats.cache_misses == 0
-
     def test_serial_run_stays_locally_scoped(self):
         result = self._run(jobs=1)
-        assert result.stats.cache_scope == "local"
         assert result.stats.cache_misses == len(self._files())
 
 

@@ -24,6 +24,7 @@ from repro.engine.compile import (CompiledPatch, CompiledRule, backend_enabled,
 from repro.engine.matcher import Matcher
 from repro.engine.prefilter import PatchPrefilter, TokenQuery, scan_token_set
 from repro.lang.parser import parse_source
+from repro.obs import REGISTRY, Capture
 from repro.options import SpatchOptions
 from repro.smpl.parser import parse_semantic_patch
 
@@ -272,14 +273,13 @@ class TestCompileCache:
         clear_compile_cache()
         patch_a = parse_semantic_patch(TRIE_PATCH)
         patch_b = parse_semantic_patch(TRIE_PATCH)
-        before = matcher_counters()
-        compiled_a = compiled_patch_for(patch_a, patch_a.options)
-        compiled_b = compiled_patch_for(patch_b, patch_b.options)
+        with Capture() as counts:
+            compiled_a = compiled_patch_for(patch_a, patch_a.options)
+            compiled_b = compiled_patch_for(patch_b, patch_b.options)
         assert compiled_a is compiled_b
-        after = matcher_counters()
-        assert after["compile_cache_misses"] == \
-            before["compile_cache_misses"] + 1
-        assert after["compile_cache_hits"] >= before["compile_cache_hits"] + 1
+        counters = matcher_counters(counts)
+        assert counters["compile_cache_misses"] == 1
+        assert counters["compile_cache_hits"] == 1
         # the twin rule resolves by name to the cached compilation's rule
         twin_rule = patch_b.patch_rules()[0]
         crule = compiled_a.rule_for(twin_rule)
@@ -290,8 +290,11 @@ class TestCompileCache:
         patch = parse_semantic_patch(TRIE_PATCH)
         compiled_patch_for(patch, patch.options)
         assert compile_cache_info()["entries"] == 1
+        entries = REGISTRY.gauge("repro_compile_cache_entries")
+        assert entries.value == 1
         assert evict_compiled(patch, patch.options) is True
         assert compile_cache_info()["entries"] == 0
+        assert entries.value == 0
         assert evict_compiled(patch, patch.options) is False
 
     def test_engine_compile_kwarg_beats_environment(self, monkeypatch):

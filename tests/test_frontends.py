@@ -33,6 +33,7 @@ from repro.errors import patch_error_line
 from repro.frontends import (WIRE_KINDS, detect_format, parse_patch_text,
                              sha256_hex)
 from repro.frontends.core import interior_words
+from repro.obs import Capture
 from repro.server.client import RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
 from repro.server.protocol import result_payload
@@ -477,9 +478,10 @@ class TestEngineIntegration:
     def test_memo_replays_byte_identically(self):
         memo = TransformMemo()
         patch = frontend_patch("blocks")
-        first = PatchSet([patch]).apply(codebase(), memo=memo)
-        second = PatchSet([patch]).apply(codebase(), memo=memo)
-        assert memo.counters()["hits"] > 0
+        with Capture() as counts:
+            first = PatchSet([patch]).apply(codebase(), memo=memo)
+            second = PatchSet([patch]).apply(codebase(), memo=memo)
+        assert memo.counters(counts)["hits"] > 0
         for name in CORPUS:
             assert first.files[name].text == second.files[name].text
 

@@ -23,6 +23,7 @@ from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import content_sha1
 from repro.engine.incremental import (IncrementalPipeline, IncrementalStats,
                                       PipelineState)
+from repro.obs import Capture
 
 from test_prefilter import _cookbook_patch
 from test_pipeline_differential import _mini
@@ -35,6 +36,12 @@ RENAME_B = "@r@ @@\n- mid_api();\n+ new_api();\n"
 def _patches(*texts):
     return [SemanticPatch.from_string(text, name=f"p{i}")
             for i, text in enumerate(texts)]
+
+
+def _hits_misses(cache, counts):
+    """The ``(hits, misses)`` pair ``counts`` recorded for the cache."""
+    counters = cache.counters(counts)
+    return counters["hits"], counters["misses"]
 
 
 def assert_results_identical(incremental, cold, context=""):
@@ -655,9 +662,9 @@ class TestPipelineState:
         restored = TreeCache()
         assert restored.restore(loaded.cache_entries) == 2
         # the kept entries are the LRU-hottest: the last text parsed hits
-        hits0, _ = restored.stats()
-        restored.get_or_parse(hottest, "f5.c", patchset[0].options)
-        assert restored.stats()[0] == hits0 + 1
+        with Capture() as counts:
+            restored.get_or_parse(hottest, "f5.c", patchset[0].options)
+        assert restored.counters(counts)["hits"] == 1
         # and the result still seeds an incremental run
         again = patchset.apply({"a.c": "void f(void) { old_api(); }\n"},
                                since=loaded.result)
@@ -693,12 +700,15 @@ class TestPipelineState:
         loaded = PipelineState.load(target)
         kept = TreeCache()
         kept.restore(loaded.cache_entries)
-        kept.get_or_parse("int cached_0;\n", "f0.c", patchset[0].options)
-        kept.get_or_parse("int cached_3;\n", "f3.c", patchset[0].options)
-        assert kept.stats() == (2, 0)  # the touched-old + last-inserted hit
+        with Capture() as counts:
+            kept.get_or_parse("int cached_0;\n", "f0.c", patchset[0].options)
+            kept.get_or_parse("int cached_3;\n", "f3.c", patchset[0].options)
+        # the touched-old + last-inserted hit
+        assert _hits_misses(kept, counts) == (2, 0)
         # cached_1 was the true LRU-coldest: it fell past the cap
-        kept.get_or_parse("int cached_1;\n", "f1.c", patchset[0].options)
-        assert kept.stats() == (2, 1)
+        with counts:
+            kept.get_or_parse("int cached_1;\n", "f1.c", patchset[0].options)
+        assert _hits_misses(kept, counts) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.engine.cache import TreeCache, content_sha1
 from repro.engine.memo import (DEFAULT_MEMO_ENTRIES, MemoEntry,
                                TransformMemo, memo_flags)
 from repro.engine.report import FileResult, RuleReport
+from repro.obs import Capture
 
 RENAME_A = "@r@ @@\n- old_api();\n+ mid_api();\n"
 RENAME_B = "@r@ @@\n- mid_api();\n+ new_api();\n"
@@ -47,6 +48,18 @@ def _reports(result):
     return {name: [(r.rule, r.matches, r.deletions, r.insertions)
                    for r in file_result.rule_reports]
             for name, file_result in result.files.items()}
+
+
+def _hits_misses(memo, counts):
+    """The ``(hits, misses)`` pair ``counts`` recorded for the memo."""
+    counters = memo.counters(counts)
+    return counters["hits"], counters["misses"]
+
+
+def _service_hits_misses(service):
+    """The service's running ``(hits, misses)`` memo totals."""
+    counters = service.stats()["memo"]
+    return counters["hits"], counters["misses"]
 
 
 class TestMemoEntry:
@@ -89,12 +102,13 @@ class TestMemoFlags:
 class TestMemoryTier:
     def test_lookup_miss_then_store_then_hit(self):
         memo = TransformMemo()
-        assert memo.lookup("sha", "fp", "pc", "a.c") is None
-        memo.store("sha", "fp", "pc", _entry())
-        entry = memo.lookup("sha", "fp", "pc", "a.c")
+        with Capture() as counts:
+            assert memo.lookup("sha", "fp", "pc", "a.c") is None
+            memo.store("sha", "fp", "pc", _entry())
+            entry = memo.lookup("sha", "fp", "pc", "a.c")
         assert entry is not None and entry.reports == (("r", 1, 1, 1),)
-        assert memo.stats() == (1, 1)
-        assert memo.stores == 1
+        assert _hits_misses(memo, counts) == (1, 1)
+        assert memo.counters(counts)["stores"] == 1
 
     def test_keys_distinguish_every_component(self):
         memo = TransformMemo()
@@ -105,11 +119,12 @@ class TestMemoryTier:
 
     def test_lru_eviction_drops_least_recently_used(self):
         memo = TransformMemo(max_entries=2)
-        memo.store("s1", "fp", "pc", _entry())
-        memo.store("s2", "fp", "pc", _entry())
-        memo.lookup("s1", "fp", "pc", "a.c")  # refresh s1: s2 is coldest
-        memo.store("s3", "fp", "pc", _entry())
-        assert memo.evictions == 1
+        with Capture() as counts:
+            memo.store("s1", "fp", "pc", _entry())
+            memo.store("s2", "fp", "pc", _entry())
+            memo.lookup("s1", "fp", "pc", "a.c")  # refresh s1: s2 is coldest
+            memo.store("s3", "fp", "pc", _entry())
+        assert memo.counters(counts)["evictions"] == 1
         assert memo.lookup("s2", "fp", "pc", "a.c") is None  # evicted
         assert memo.lookup("s1", "fp", "pc", "a.c") is not None
         assert memo.lookup("s3", "fp", "pc", "a.c") is not None
@@ -117,9 +132,10 @@ class TestMemoryTier:
 
     def test_restore_of_known_key_does_not_recount_stores(self):
         memo = TransformMemo()
-        memo.store("sha", "fp", "pc", _entry())
-        memo.store("sha", "fp", "pc", _entry())
-        assert memo.stores == 1
+        with Capture() as counts:
+            memo.store("sha", "fp", "pc", _entry())
+            memo.store("sha", "fp", "pc", _entry())
+        assert memo.counters(counts)["stores"] == 1
 
     def test_diagnostics_pin_the_filename(self):
         # diagnostics embed the filename they were produced under: an entry
@@ -139,23 +155,32 @@ class TestMemoryTier:
         memo.lookup("sha", "fp", "pc", "a.c")
         memo.clear()
         assert len(memo) == 0
-        assert memo.stats() == (0, 0)
-        assert memo.counters()["stores"] == 0
+        # counts belong to captures: one opened after the clear starts
+        # from zero, and the dropped entry now misses
+        with Capture() as counts:
+            assert memo.lookup("sha", "fp", "pc", "a.c") is None
+        assert _hits_misses(memo, counts) == (0, 1)
+        assert memo.counters(counts)["stores"] == 0
 
 
 class TestDiskTier:
     def test_round_trip_across_instances(self, tmp_path):
         first = TransformMemo(path=tmp_path / "memo")
-        first.store("sha", "fp", "pc", _entry(text="int b;\n"))
-        assert first.disk_stores == 1
+        with Capture() as counts:
+            first.store("sha", "fp", "pc", _entry(text="int b;\n"))
+        assert first.counters(counts)["disk_stores"] == 1
 
         fresh = TransformMemo(path=tmp_path / "memo")  # a "new process"
-        entry = fresh.lookup("sha", "fp", "pc", "a.c")
+        with Capture() as counts:
+            entry = fresh.lookup("sha", "fp", "pc", "a.c")
         assert entry is not None and entry.text == "int b;\n"
-        assert fresh.disk_hits == 1 and fresh.stats() == (1, 0)
+        assert fresh.counters(counts)["disk_hits"] == 1
+        assert _hits_misses(fresh, counts) == (1, 0)
         # promoted into the memory tier: the next lookup skips the disk
-        fresh.lookup("sha", "fp", "pc", "a.c")
-        assert fresh.disk_hits == 1 and fresh.hits == 2
+        with counts:
+            fresh.lookup("sha", "fp", "pc", "a.c")
+        assert fresh.counters(counts)["disk_hits"] == 1
+        assert fresh.counters(counts)["hits"] == 2
 
     def test_entries_are_sharded_content_addressed_files(self, tmp_path):
         memo = TransformMemo(path=tmp_path / "memo")
@@ -171,8 +196,10 @@ class TestDiskTier:
         entry_file.write_bytes(b"not a pickle at all")
 
         fresh = TransformMemo(path=tmp_path / "memo")
-        assert fresh.lookup("sha", "fp", "pc", "a.c") is None
-        assert fresh.disk_errors == 1 and fresh.disk_misses == 1
+        with Capture() as counts:
+            assert fresh.lookup("sha", "fp", "pc", "a.c") is None
+        counters = fresh.counters(counts)
+        assert counters["disk_errors"] == 1 and counters["disk_misses"] == 1
         assert not entry_file.exists()  # dropped so the next store heals it
         # ...and a store after the miss does heal it
         fresh.store("sha", "fp", "pc", _entry())
@@ -196,8 +223,9 @@ class TestDiskTier:
         payload["key"] = ("other", "fp", "pc")
         entry_file.write_bytes(pickle.dumps(payload))
         again = TransformMemo(path=tmp_path / "memo")
-        assert again.lookup("sha", "fp", "pc", "a.c") is None
-        assert again.disk_errors == 1
+        with Capture() as counts:
+            assert again.lookup("sha", "fp", "pc", "a.c") is None
+        assert again.counters(counts)["disk_errors"] == 1
 
     def test_write_failure_degrades_to_memory_only(self, tmp_path,
                                                    monkeypatch):
@@ -213,8 +241,10 @@ class TestDiskTier:
             raise OSError("disk full")
 
         monkeypatch.setattr(memo_module.tempfile, "mkstemp", failing_mkstemp)
-        memo.store("sha", "fp", "pc", _entry())
-        assert memo.disk_errors == 1 and memo.disk_stores == 0
+        with Capture() as counts:
+            memo.store("sha", "fp", "pc", _entry())
+        counters = memo.counters(counts)
+        assert counters["disk_errors"] == 1 and counters["disk_stores"] == 0
         # the memory tier still answers
         assert memo.lookup("sha", "fp", "pc", "a.c") is not None
 
@@ -256,11 +286,12 @@ class TestPipelineIntegration:
                                 memo=TransformMemo(path=tmp_path / "m"))
 
         fresh = TransformMemo(path=tmp_path / "m")  # simulates a new process
-        warm = PatchSet(patches).apply(CodeBase.from_files(files),
-                                       memo=fresh)
+        with Capture() as counts:
+            warm = PatchSet(patches).apply(CodeBase.from_files(files),
+                                           memo=fresh)
         assert _texts(warm) == _texts(cold)
         assert warm.stats.memo_hits == 2 and warm.stats.memo_misses == 0
-        assert fresh.disk_hits == 2
+        assert fresh.counters(counts)["disk_hits"] == 2
 
     def test_parallel_apply_uses_and_fills_the_memo(self, tmp_path):
         files = {f"f{i}.c": HIT_TEXT.replace("f(", f"f{i}(")
@@ -291,9 +322,12 @@ class TestPipelineIntegration:
         patches = [SemanticPatch.from_string(scripted, name="scripted")]
         memo = TransformMemo()
         files = {"a.c": "void t(void) { marked(x); }\n"}
-        for _ in range(2):
-            PatchSet(patches).apply(CodeBase.from_files(files), memo=memo)
-        assert memo.stats() == (0, 0)  # never consulted, never stored
+        with Capture() as counts:
+            for _ in range(2):
+                PatchSet(patches).apply(CodeBase.from_files(files),
+                                        memo=memo)
+        # never consulted, never stored
+        assert _hits_misses(memo, counts) == (0, 0)
         assert len(memo) == 0
 
     def test_prefilter_toggle_does_not_cross_contaminate(self):
@@ -338,10 +372,10 @@ class TestServiceSharing:
             service.sync_files(name, files=dict(files))
 
         service.apply("w1", [spec])
-        assert service.memo.stats() == (0, 1)
+        assert _service_hits_misses(service) == (0, 1)
         # the second workspace holds identical content: pure memo hit
         payload = service.apply("w2", [spec], profile=True)
-        assert service.memo.stats() == (1, 1)
+        assert _service_hits_misses(service) == (1, 1)
         assert payload["files"]["dup.c"]["changed"]
         assert payload["profile"]["memo"]["hits"] == 1
 
@@ -362,14 +396,14 @@ class TestServiceSharing:
         first.open_workspace(name)
         first.sync_files(name, files={"a.c": HIT_TEXT})
         first.apply(name, [{"kind": "smpl", "name": "r", "text": RENAME_A}])
-        assert first.memo.counters()["disk_stores"] >= 1
+        assert first.stats()["memo"]["disk_stores"] >= 1
 
         restarted = PatchService(memo_dir=str(tmp_path / "memo"))
         restarted.open_workspace(name)
         restarted.sync_files(name, files={"a.c": HIT_TEXT})
         restarted.apply(name, [{"kind": "smpl", "name": "r",
                                 "text": RENAME_A}])
-        counters = restarted.memo.counters()
+        counters = restarted.stats()["memo"]
         assert counters["disk_hits"] >= 1 and counters["misses"] == 0
 
 
@@ -387,11 +421,12 @@ class TestBlobTier:
 
     def test_store_and_recall_in_memory(self):
         memo = TransformMemo()
-        sha = memo.store_text(HIT_TEXT)
-        assert sha == content_sha1(HIT_TEXT)
-        assert memo.recall_text(sha) == HIT_TEXT
-        assert memo.recall_text(content_sha1("absent")) is None
-        counters = memo.counters()
+        with Capture() as counts:
+            sha = memo.store_text(HIT_TEXT)
+            assert sha == content_sha1(HIT_TEXT)
+            assert memo.recall_text(sha) == HIT_TEXT
+            assert memo.recall_text(content_sha1("absent")) is None
+        counters = memo.counters(counts)
         assert counters["blob_stores"] == 1
         assert counters["blob_hits"] == 1 and counters["blob_misses"] == 1
 
@@ -400,8 +435,9 @@ class TestBlobTier:
         sha = first.store_text(HIT_TEXT)
         # a fresh memo over the same directory: memory is cold, disk answers
         second = TransformMemo(path=tmp_path)
-        assert second.recall_text(sha) == HIT_TEXT
-        assert second.counters()["blob_hits"] == 1
+        with Capture() as counts:
+            assert second.recall_text(sha) == HIT_TEXT
+        assert second.counters(counts)["blob_hits"] == 1
 
     def test_surrogateescape_texts_round_trip(self, tmp_path):
         tricky = "int x; /* \udce9 bad byte */\n"
@@ -416,15 +452,16 @@ class TestBlobTier:
         with open(blob, "w") as handle:
             handle.write("tampered")
         cold = TransformMemo(path=tmp_path)
-        assert cold.recall_text(sha) is None
+        with Capture() as counts:
+            assert cold.recall_text(sha) is None
         assert not pathlib.Path(blob).exists()
-        assert cold.counters()["blob_misses"] == 1
-        assert cold.counters()["disk_errors"] == 1
+        assert cold.counters(counts)["blob_misses"] == 1
+        assert cold.counters(counts)["disk_errors"] == 1
 
     def test_memory_lru_is_bounded(self):
         memo = TransformMemo(max_blob_entries=2)
         shas = [memo.store_text(f"int x{i};\n") for i in range(4)]
-        assert memo.counters()["blob_entries"] == 2
+        assert memo.counters(Capture())["blob_entries"] == 2
         assert memo.recall_text(shas[0]) is None  # evicted, no disk tier
 
 
@@ -466,16 +503,18 @@ class TestPrune:
     def test_prune_covers_entry_files_too(self, tmp_path):
         memo = TransformMemo(path=tmp_path)
         patches = _patches(RENAME_A)
-        PatchSet(patches).apply(CodeBase.from_files({"a.c": HIT_TEXT}),
-                                memo=memo)
-        assert memo.counters()["disk_stores"] >= 1
+        with Capture() as counts:
+            PatchSet(patches).apply(CodeBase.from_files({"a.c": HIT_TEXT}),
+                                    memo=memo)
+        assert memo.counters(counts)["disk_stores"] >= 1
         summary = memo.prune(max_age=0)
         assert summary["removed"] >= 1
         # a cold memo over the pruned directory re-computes from scratch
         cold = TransformMemo(path=tmp_path)
-        PatchSet(_patches(RENAME_A)).apply(
-            CodeBase.from_files({"a.c": HIT_TEXT}), memo=cold)
-        assert cold.counters()["disk_hits"] == 0
+        with Capture() as counts:
+            PatchSet(_patches(RENAME_A)).apply(
+                CodeBase.from_files({"a.c": HIT_TEXT}), memo=cold)
+        assert cold.counters(counts)["disk_hits"] == 0
 
     def test_prune_without_a_path_is_a_no_op(self):
         summary = TransformMemo().prune(max_age=0)

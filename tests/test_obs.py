@@ -1,12 +1,12 @@
 """The observability layer: metrics registry, tracer, journal, sinks.
 
-Covers the tentpole's three pillars — the registry primitives
-(counter/gauge/histogram families, collectors, Prometheus rendering),
-the contextvar span tracer (including Chrome trace-event export and
-fork-delta grafting), and the sinks (JSONL journal with rotation, the
-stdlib HTTP ``/metrics`` endpoint, the daemon's ``metrics`` verb) — plus
-the soundness property everything hangs on: telemetry on vs. off is
-byte-identical on every deterministic output.
+Covers the registry primitives (counter/gauge/histogram families,
+scoped captures, Prometheus rendering), the contextvar span tracer
+(including Chrome trace-event export and fork grafting), the sinks (JSONL
+journal with rotation, the stdlib HTTP ``/metrics`` endpoint, the daemon's
+``metrics`` verb), the per-request numbers every view reads from one
+capture, and the soundness property everything hangs on: a run under an
+active trace and capture is byte-identical to a run under neither.
 """
 
 import json
@@ -19,8 +19,8 @@ from repro.obs import registry as registry_mod
 from repro.obs import trace as trace_mod
 from repro.obs.journal import Journal
 from repro.obs.metrics_http import MetricsServer
-from repro.obs.registry import (DEFAULT_BUCKETS, Histogram, MetricsRegistry,
-                                merge_telemetry, telemetry_capture)
+from repro.obs.registry import (DEFAULT_BUCKETS, Capture, Histogram,
+                                MetricsRegistry, merge_telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -73,30 +73,6 @@ class TestRegistry:
         state = first.state()
         assert state["count"] == 3 and state["counts"] == [1, 1, 1]
 
-    def test_collector_rows_fold_into_snapshot(self):
-        registry = MetricsRegistry()
-        registry.register_collector(
-            lambda: [("legacy_total", "counter", "bridged", {"k": "v"}, 7.0)])
-        snapshot = registry.snapshot()
-        assert snapshot["legacy_total"]["samples"]['{k="v"}'] == 7.0
-
-    def test_broken_collector_does_not_kill_the_scrape(self):
-        registry = MetricsRegistry()
-
-        def broken():
-            raise RuntimeError("boom")
-
-        registry.register_collector(broken)
-        registry.counter("ok_total").inc()
-        assert "ok_total 1" in registry.render_prometheus()
-
-    def test_unregister_collector(self):
-        registry = MetricsRegistry()
-        collector = registry.register_collector(
-            lambda: [("gone_total", "counter", "", {}, 1.0)])
-        registry.unregister_collector(collector)
-        assert "gone_total" not in registry.render_prometheus()
-
 
 class TestPrometheusRendering:
     """The text exposition must be valid Prometheus 0.0.4: TYPE lines,
@@ -135,29 +111,6 @@ class TestPrometheusRendering:
             name_part, value = line.rsplit(" ", 1)
             float(value)  # must be a plain number
             assert name_part[0].isalpha()
-
-
-# ---------------------------------------------------------------------------
-# the kill switch
-# ---------------------------------------------------------------------------
-
-class TestKillSwitch:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert registry_mod.enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "no", "false", " OFF "])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_OBS", value)
-        assert not registry_mod.enabled()
-
-    def test_phase_is_shared_noop_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
-        assert registry_mod.phase("parse") is registry_mod.phase("match")
-
-    def test_capture_delta_is_empty_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
-        assert telemetry_capture().delta() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +184,70 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# fork-boundary deltas
+# scoped captures and fork-boundary merges
 # ---------------------------------------------------------------------------
 
 class TestTelemetryDeltas:
     def test_capture_sees_only_what_moved(self):
         counter = registry_mod.REGISTRY.counter("test_delta_total", "t")
         counter.inc(5)
-        capture = telemetry_capture()
-        counter.inc(3)
-        delta = capture.delta()
-        assert delta["counters"]["test_delta_total"] == 3
+        with Capture() as capture:
+            counter.inc(3)
+        assert capture.payload()["counters"]["test_delta_total"] == 3
+        assert capture.total(counter) == 3
+
+    def test_nested_capture_folds_into_the_enclosing_one(self):
+        counter = registry_mod.REGISTRY.counter("test_nested_total", "t")
+        with Capture() as outer:
+            counter.inc()
+            with Capture() as inner:
+                counter.inc(2)
+            counter.inc(4)
+        assert inner.total(counter) == 2
+        assert outer.total(counter) == 7
+
+    def test_other_threads_stay_out(self):
+        import threading
+
+        counter = registry_mod.REGISTRY.counter("test_thread_total", "t")
+        with Capture() as capture:
+            counter.inc()
+            thread = threading.Thread(target=counter.inc, args=(10,))
+            thread.start()
+            thread.join()
+        assert capture.total(counter) == 1
+
+    def test_total_sums_over_origins(self):
+        counter = registry_mod.REGISTRY.counter("test_origin_total", "t",
+                                                kind="x")
+        before = registry_mod.REGISTRY.total(counter)
+        with Capture() as capture:
+            counter.inc(2)
+            merge_telemetry({"counters": {'test_origin_total{kind="x"}': 5}},
+                            origin="workers")
+        assert capture.total(counter) == 7
+        assert registry_mod.REGISTRY.total(counter) - before == 7
+        assert capture.payload()["counters"] == {
+            'test_origin_total{kind="x"}': 2,
+            'test_origin_total{kind="x",origin="workers"}': 5}
+
+    def test_accumulator_adds_finished_captures(self):
+        counter = registry_mod.REGISTRY.counter("test_sum_total", "t")
+        totals = Capture()
+        for amount in (1, 2, 3):
+            with Capture() as capture:
+                counter.inc(amount)
+            totals.add(capture)
+        assert totals.total(counter) == 6
+
+    def test_phases_summarize_only_this_capture(self):
+        with registry_mod.phase("parse"):
+            pass
+        with Capture() as capture:
+            with registry_mod.phase("parse"):
+                pass
+        assert capture.phases()["parse"]["count"] == 1
+        assert set(capture.phases()) == {"parse"}
 
     def test_merge_lands_under_the_origin_label(self):
         merge_telemetry({"counters": {"test_merge_total": 4}},
@@ -253,9 +259,9 @@ class TestTelemetryDeltas:
     def test_histogram_deltas_merge(self):
         histogram = registry_mod.REGISTRY.histogram(
             "test_hist_seconds", "t", buckets=(0.1, 1.0), phase="x")
-        capture = telemetry_capture()
-        histogram.observe(0.05)
-        delta = capture.delta()
+        with Capture() as capture:
+            histogram.observe(0.05)
+        delta = capture.payload()
         assert delta["histograms"]['test_hist_seconds{phase="x"}'][
             "count"] == 1
         merge_telemetry(delta, origin="workers")
@@ -263,6 +269,23 @@ class TestTelemetryDeltas:
             "test_hist_seconds", buckets=(0.1, 1.0),
             phase="x", origin="workers")
         assert merged.state()["count"] == 1
+
+    def test_forked_child_gets_free_locks(self):
+        """A counter lock held by another thread at fork time must not
+        deadlock the child's first increment (fork pools and respawned
+        fleet workers fork while handler threads count)."""
+        import os
+        import signal
+
+        counter = registry_mod.REGISTRY.counter("test_fork_total", "t")
+        with counter._lock:
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                signal.alarm(5)  # a deadlocked child dies instead of hanging
+                counter.inc()
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_split_key_round_trip(self):
         name, labels = registry_mod._split_key('a_total{x="1",y="z"}')
@@ -369,7 +392,7 @@ class TestDaemonTelemetry:
             client.apply("w", [{"kind": "smpl",
                                 "text": "@r@ @@\n- f();\n+ g();\n"}])
             verb_payload = client.request("metrics")
-        assert verb_payload["enabled"]
+        assert set(verb_payload) == {"snapshot", "phases", "prometheus"}
         assert "repro_service_workspaces" in verb_payload["prometheus"]
         url = f"http://{daemon.metrics_server.address}/metrics"
         scraped = urllib.request.urlopen(url).read().decode()
@@ -404,13 +427,122 @@ class TestDaemonTelemetry:
 
 
 # ---------------------------------------------------------------------------
+# per-request numbers: every view of one request reads one capture
+# ---------------------------------------------------------------------------
+
+RENAME = {"kind": "smpl", "name": "rename",
+          "text": "@r@ @@\n- old_api();\n+ new_api();\n"}
+
+
+def _metric_total(service, family: str, **labels) -> int:
+    """``family`` summed over every sample of the service's metrics
+    snapshot (the ``/metrics`` surface) carrying ``labels`` — i.e. over
+    every ``origin``."""
+    samples = service.metrics()["snapshot"].get(family, {}).get("samples", {})
+    wanted = [f'{key}="{value}"' for key, value in labels.items()]
+    return int(sum(value for suffix, value in samples.items()
+                   if all(label in suffix for label in wanted)))
+
+
+@pytest.fixture(params=[1, 2], ids=["in-process", "fleet"])
+def service(request, tmp_path):
+    from repro.server.service import PatchService
+
+    service = PatchService(workers=request.param,
+                           state_root=str(tmp_path / "state"))
+    yield service
+    service.close()
+
+
+def _three_applies(service) -> list[tuple[str, dict]]:
+    """Three profiled applies over two workspaces, one parse each:
+    ``(workspace, profile)`` pairs."""
+    for name, body in (("w1", "old_api();"), ("w2", "old_api(); x();")):
+        service.open_workspace(name)
+        service.sync_files(name, files={
+            "a.c": f"void f(void) {{ {body} }}\n"})
+    runs = [(name, service.apply(name, [RENAME], profile=True)["profile"])
+            for name in ("w1", "w2")]
+    service.sync_files("w1", files={
+        "a.c": "void f(void) { y(); old_api(); }\n"})
+    runs.append(("w1", service.apply("w1", [RENAME], profile=True)["profile"]))
+    return runs
+
+
+class TestPerRequestNumbers:
+    def test_profiles_count_only_their_own_request(self, service):
+        """Every response's phase count, parse-cache misses and stats agree
+        on exactly that request's one parse (not a running total)."""
+        for _name, profile in _three_applies(service):
+            assert profile["phases"]["parse"]["count"] == \
+                profile["parse_cache"]["misses"] == \
+                profile["stats"]["cache_misses"] == 1
+
+    def test_stats_are_the_sum_of_the_requests(self, service):
+        """The ``stats`` verb's service sections sum every request's
+        capture, and a workspace's parse cache sums that workspace's."""
+        runs = _three_applies(service)
+        stats = service.stats()
+        for section, key in (("memo", "misses"), ("matcher", "match_calls")):
+            assert stats[section][key] == \
+                sum(profile[section][key] for _name, profile in runs) > 0
+        if service.workers == 1:
+            caches = {row["name"]: row["parse_cache"]
+                      for row in stats["per_workspace"]}
+        else:
+            caches = {name: counters
+                      for row in stats["fleet"]["per_worker"]
+                      for name, counters in row["parse_caches"].items()}
+        assert caches["w1"]["misses"] == 2 and caches["w2"]["misses"] == 1
+
+    def test_fork_pool_phases_reach_the_run_profile(self, tmp_path, capsys):
+        """A ``--jobs 2`` run's profile counts the parses its forked
+        workers made, in the phases as in the stats."""
+        from repro.cli.spatch import main as spatch_main
+
+        for index in range(4):
+            (tmp_path / f"f{index}.c").write_text(
+                f"void f{index}(void) {{ old_api(); }}\n")
+        cocci = tmp_path / "rename.cocci"
+        cocci.write_text(RENAME["text"])
+        spatch_main(["--json", "--profile", "--jobs", "2", "--no-prefilter",
+                     "--sp-file", str(cocci), str(tmp_path)])
+        profile = json.loads(capsys.readouterr().out)["profile"]
+        assert profile["stats"]["jobs_used"] == 2
+        assert profile["phases"]["parse"]["count"] == \
+            profile["stats"]["cache_misses"] == 4
+
+    def test_views_agree_with_the_metrics_endpoint(self, service):
+        """For one apply: the profile's parse-cache misses and memo hits,
+        the run's stats, and the movement of the registry series (summed
+        over ``origin``) are the same numbers."""
+        service.open_workspace("w")
+        # two identical files: one real session and parse, one memo hit
+        text = "void f(void) { old_api(); }\n"
+        service.sync_files("w", files={"a.c": text, "b.c": text})
+        misses0 = _metric_total(service, "repro_parse_cache_misses_total",
+                                cache="tree")
+        hits0 = _metric_total(service, "repro_memo_lookups_total",
+                              result="hit")
+        profile = service.apply("w", [RENAME], profile=True)["profile"]
+        misses = _metric_total(service, "repro_parse_cache_misses_total",
+                               cache="tree") - misses0
+        hits = _metric_total(service, "repro_memo_lookups_total",
+                             result="hit") - hits0
+        assert profile["parse_cache"]["misses"] == \
+            profile["stats"]["cache_misses"] == misses == 1
+        assert profile["memo"]["hits"] == \
+            profile["stats"]["memo_hits"] == hits == 1
+
+
+# ---------------------------------------------------------------------------
 # soundness: telemetry on vs. off is byte-identical
 # ---------------------------------------------------------------------------
 
 class TestTelemetryInertness:
-    """The tentpole's acceptance property: diffs, result payloads and exit
-    codes are byte-identical with telemetry on (default, plus an active
-    trace) and off (``REPRO_OBS=0``), over real cookbook workloads."""
+    """The acceptance property: diffs, result payloads and exit codes are
+    byte-identical between a run under an active trace and capture and a
+    run under neither, over real cookbook workloads, serial and forked."""
 
     NAMES = ("cuda_to_hip", "kokkos_lambda", "acc_to_omp")
 
@@ -422,21 +554,20 @@ class TestTelemetryInertness:
         result = patch.apply(COOKBOOK_WORKLOADS[name](), jobs=jobs)
         return dumps(result_payload(result, [patch], include_texts=True))
 
-    @pytest.mark.parametrize("name", NAMES)
-    def test_cookbook_payloads_match(self, monkeypatch, name):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
+    def _observed_bytes(self, name: str, jobs: int = 1) -> str:
         tracer = trace_mod.start_trace("differential")
         try:
-            with_telemetry = self._payload_bytes(name)
+            with Capture() as capture:
+                observed = self._payload_bytes(name, jobs)
         finally:
             tracer.finish()
-        monkeypatch.setenv("REPRO_OBS", "0")
-        without = self._payload_bytes(name)
-        assert with_telemetry == without
+        assert capture.counters  # the capture really recorded the run
+        return observed
 
-    def test_fork_pool_payloads_match(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        with_telemetry = self._payload_bytes("cuda_to_hip", jobs=2)
-        monkeypatch.setenv("REPRO_OBS", "0")
-        without = self._payload_bytes("cuda_to_hip", jobs=2)
-        assert with_telemetry == without
+    @pytest.mark.parametrize("name", NAMES)
+    def test_cookbook_payloads_match(self, name):
+        assert self._observed_bytes(name) == self._payload_bytes(name)
+
+    def test_fork_pool_payloads_match(self):
+        assert self._observed_bytes("cuda_to_hip", jobs=2) == \
+            self._payload_bytes("cuda_to_hip", jobs=2)

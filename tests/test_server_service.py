@@ -14,6 +14,7 @@ import pytest
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cookbook import instrumentation
 from repro.engine.cache import content_sha1
+from repro.obs import Capture
 from repro.server.protocol import result_payload
 from repro.server.service import PatchService, ServiceError
 
@@ -313,7 +314,7 @@ class TestCompileCacheRefcounting:
                 f"@f@ @@\n- flood_{revision}();\n", name=f"f{revision}")])
 
     def test_flooding_one_workspace_does_not_force_a_recompile(self):
-        from repro.engine.compile import MATCHER_STATS, backend_enabled
+        from repro.engine.compile import backend_enabled, matcher_counters
         from repro.server.service import _COMPILE_REFS
 
         if not backend_enabled(None):
@@ -340,17 +341,17 @@ class TestCompileCacheRefcounting:
         # memo cannot answer without a session): zero new compile misses
         service.sync_files("w2", files={
             "w2.c": "void h(void) { int z; old(); }\n"})
-        misses_before = MATCHER_STATS.compile_cache_misses
-        payload = service.apply("w2", [shared])
+        with Capture() as counts:
+            payload = service.apply("w2", [shared])
         assert payload["files"]["w2.c"]["changed"]
-        assert MATCHER_STATS.compile_cache_misses == misses_before
+        assert matcher_counters(counts)["compile_cache_misses"] == 0
         service.close()
 
     def test_flooding_one_service_keeps_another_services_form(self):
         """Two services in one process share the compile cache, so they
         must share the pins too: service A's spec-LRU eviction must not
         evict a compiled form service B still holds."""
-        from repro.engine.compile import MATCHER_STATS, backend_enabled
+        from repro.engine.compile import backend_enabled, matcher_counters
         from repro.server.service import _COMPILE_REFS
 
         if not backend_enabled(None):
@@ -372,10 +373,10 @@ class TestCompileCacheRefcounting:
 
         second.sync_files("w", files={
             "w.c": "void w(void) { int fresh; old(); }\n"})
-        misses_before = MATCHER_STATS.compile_cache_misses
-        payload = second.apply("w", [shared])
+        with Capture() as counts:
+            payload = second.apply("w", [shared])
         assert payload["files"]["w.c"]["changed"]
-        assert MATCHER_STATS.compile_cache_misses == misses_before
+        assert matcher_counters(counts)["compile_cache_misses"] == 0
         first.close()
         second.close()
 

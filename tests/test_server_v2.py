@@ -31,6 +31,7 @@ import pytest
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import SharedTreeStore, TreeCache, content_sha1
+from repro.obs import Capture
 from repro.server.client import ConnectionLost, RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
 from repro.server.fleet import ApplyFleet, shard_of, state_path
@@ -247,15 +248,18 @@ class TestSharedTreeStore:
         first = TreeCache(shared=store)
         second = TreeCache(shared=store)
         text = "void f(void) { old(); }\n"
-        tree_a = first.get_or_parse(text, "vendor/a.c", options)
-        tree_b = second.get_or_parse(text, "other/b.c", options)
-        assert first.counters()["misses"] == 1   # the one real parse
-        assert second.counters()["misses"] == 0
-        assert second.counters()["shared_hits"] == 1
+        with Capture() as first_counts:
+            tree_a = first.get_or_parse(text, "vendor/a.c", options)
+        with Capture() as second_counts:
+            tree_b = second.get_or_parse(text, "other/b.c", options)
+        # the one real parse
+        assert first.counters(first_counts)["misses"] == 1
+        assert second.counters(second_counts)["misses"] == 0
+        assert second.counters(second_counts)["shared_hits"] == 1
         # the rebind is real: each tree names its own file
         assert tree_a.source.name == "vendor/a.c"
         assert tree_b.source.name == "other/b.c"
-        assert store.counters()["rebinds"] == 1
+        assert store.counters(second_counts)["rebinds"] == 1
 
     def test_service_shares_trees_across_workspaces(self):
         """w2 applies a *different* patch to the same contents: the
@@ -528,6 +532,57 @@ class TestKillDashNine:
             if process.poll() is None:  # pragma: no cover - failure path
                 process.kill()
                 process.wait()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie waiting for its reaper
+    has exited, so it counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestFleetOrphans:
+    """Fleet workers must not outlive a SIGKILLed owner: each one exits
+    when its pipe to the parent reports EOF."""
+
+    HOLDER = ("import time\n"
+              "from repro.server.fleet import ApplyFleet\n"
+              "fleet = ApplyFleet(2)\n"
+              "print(*(h.process.pid for h in fleet._handles), flush=True)\n"
+              "time.sleep(60)\n")
+
+    def test_workers_exit_when_the_owner_is_killed(self):
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), env.get("PYTHONPATH", "")]).rstrip(
+                os.pathsep)
+        holder = subprocess.Popen([sys.executable, "-c", self.HOLDER],
+                                  env=env, stdout=subprocess.PIPE, text=True)
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in holder.stdout.readline().split()]
+            assert len(pids) == 2
+            os.kill(holder.pid, signal.SIGKILL)
+            holder.wait(timeout=15.0)
+            deadline = time.time() + 5.0
+            while any(map(_running, pids)) and time.time() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            if holder.poll() is None:  # pragma: no cover - failure path
+                holder.kill()
+                holder.wait()
+            for pid in filter(_running, pids):  # pragma: no cover
+                os.kill(pid, signal.SIGKILL)
+            holder.stdout.close()
 
 
 # ---------------------------------------------------------------------------
