@@ -410,8 +410,8 @@ Q3G_APPENDED_SMPL = ("@q3g_probe@ @@\n"
 class PatchDeltaRow:
     path: str
     patches: int
-    patches_spliced: int
-    files_reused: int
+    patches_from_memo: int
+    memo_hits: int
     matches: int
     seconds: float
     speedup_vs_cold: float
@@ -419,12 +419,13 @@ class PatchDeltaRow:
 
 def test_q3g_append_patch_to_warm_cookbook(benchmark):
     """Acceptance: appending 1 patch to the 12-patch full_modernization
-    cookbook with warm state splices every file's cached prefix results and
-    re-runs only the new patch — >= 3x faster than a cold 13-patch pass,
-    byte-identical texts, reports and records (the cookbook-authoring loop
-    the paper's workflow implies: iterate on the patch list against a fixed
-    tree)."""
+    cookbook with a warm transform memo answers every base patch's sessions
+    from the memo and runs only the new patch — >= 3x faster than a cold
+    13-patch pass, byte-identical texts, reports and records (the
+    cookbook-authoring loop the paper's workflow implies: iterate on the
+    patch list against a fixed tree)."""
     from repro.cookbook import full_modernization_pipeline
+    from repro.engine.memo import TransformMemo
 
     codebase = mixed_workload(scale=1)
     base = full_modernization_pipeline(mdspan_arrays={"rho": 3, "phi": 3})
@@ -434,36 +435,39 @@ def test_q3g_append_patch_to_warm_cookbook(benchmark):
     extended = PatchSet(base_patches + [appended])
 
     def compare():
-        # the warm state: the cookbook was applied before the append
+        # the warm state: the cookbook was applied, into the memo, before
+        # the append
+        memo = TransformMemo()
         DEFAULT_TREE_CACHE.clear()
-        prior = warm_set.apply(codebase, jobs=1, prefilter=True)
+        prior = warm_set.apply(codebase, jobs=1, prefilter=True, memo=memo)
         # cold 13-patch pass over its own CodeBase (fresh token index)
         DEFAULT_TREE_CACHE.clear()
         started = time.perf_counter()
         cold = extended.apply(CodeBase.from_files(dict(codebase.files)),
                               jobs=1, prefilter=True)
         cold_seconds = time.perf_counter() - started
-        # warm append: splice the 12-patch prefix, run only the new patch
+        # warm append: the memo answers the 12 base patches, only the new
+        # patch runs
         DEFAULT_TREE_CACHE.clear()
         started = time.perf_counter()
         warm = extended.apply(CodeBase.from_files(dict(codebase.files)),
-                              jobs=1, prefilter=True, since=prior)
+                              jobs=1, prefilter=True, since=prior, memo=memo)
         warm_seconds = time.perf_counter() - started
-        return cold, cold_seconds, warm, warm_seconds
+        return prior, cold, cold_seconds, warm, warm_seconds
 
-    cold, cold_seconds, warm, warm_seconds = \
+    prior, cold, cold_seconds, warm, warm_seconds = \
         benchmark.pedantic(compare, rounds=1, iterations=1)
 
-    # byte-identical, and the reuse really was patch-prefix-shaped
+    # byte-identical, and the reuse really covered every base session
     assert _texts(warm) == _texts(cold)
     assert warm.total_matches == cold.total_matches > 0
     assert warm.records == cold.records
-    stats = warm.incremental
-    assert stats.fallback is None
-    assert stats.patches_reused == len(base_patches)
-    assert stats.patches_total == len(base_patches) + 1
-    assert stats.files_reused == len(codebase)
-    assert stats.files_rerun == 0
+    assert warm.incremental.patches_total == len(base_patches) + 1
+    base_sessions = prior.stats.sessions_run
+    new_sessions = cold.stats.sessions_run - base_sessions
+    assert warm.stats.memo_hits == base_sessions
+    assert warm.stats.memo_misses == new_sessions > 0
+    assert warm.impure_patches == []
     # the appended patch did real work (it matches the OpenMP regions)
     assert cold.per_patch[-1].total_matches > 0
 
@@ -475,15 +479,15 @@ def test_q3g_append_patch_to_warm_cookbook(benchmark):
     rows = [
         PatchDeltaRow(f"cold {n}-patch pass", n, 0, 0,
                       cold.total_matches, cold_seconds, 1.0),
-        PatchDeltaRow("append-1 warm re-apply", n, stats.patches_reused,
-                      stats.files_reused, warm.total_matches, warm_seconds,
+        PatchDeltaRow("append-1 warm re-apply", n, len(base_patches),
+                      warm.stats.memo_hits, warm.total_matches, warm_seconds,
                       speedup),
     ]
     emit("Q3g patch-set delta (append 1 patch to the warm cookbook)",
-         "splicing the unchanged 12-patch prefix and re-running only the "
-         "appended patch beats a cold 13-patch pass >= 3x, byte-identical "
-         "output",
-         rows, columns=["path", "patches", "patches_spliced", "files_reused",
+         "answering the unchanged 12 patches from the transform memo and "
+         "running only the appended patch beats a cold 13-patch pass >= 3x, "
+         "byte-identical output",
+         rows, columns=["path", "patches", "patches_from_memo", "memo_hits",
                         "matches", "seconds", "speedup_vs_cold"])
 
 

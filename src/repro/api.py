@@ -413,13 +413,9 @@ class PatchSet:
         incremental re-application: only files whose content hash changed
         since that result are re-run, the rest splice their cached results
         (byte-identical to a cold run; see
-        :class:`~repro.engine.incremental.IncrementalPipeline`).  The patch
-        *list* is diffed too: when this set shares an unchanged leading
-        prefix with the prior result's (per-patch fingerprints over SMPL
-        source + options), unchanged files splice the prefix results and
-        replay only the suffix patches — so appending a patch to an
-        N-patch cookbook costs one patch, not N+1.  A diverged first patch,
-        changed options, toggled prefilter or stale/corrupt state all
+        :class:`~repro.engine.incremental.IncrementalPipeline`).  A changed
+        patch list or options, a toggled prefilter, a prior result whose
+        script rules mutated their namespace, or stale/corrupt state all
         degrade to a cold run, never to wrong output.  The returned result
         carries the reuse breakdown in ``.incremental`` and can seed the
         next ``since=`` in an edit-apply loop.
@@ -427,8 +423,10 @@ class PatchSet:
         ``memo`` — a :class:`~repro.engine.memo.TransformMemo` — adds
         content-addressed reuse on top: every (file state, patch) session is
         keyed on content hash + patch fingerprint, so repeated applies,
-        duplicated files and (with a disk-backed memo) fresh processes skip
-        transforms whose outcome is already known, byte-identically.
+        duplicated files, the unchanged patches of an edited patch list
+        (appending a patch to an N-patch cookbook costs about one patch)
+        and (with a disk-backed memo) fresh processes skip transforms whose
+        outcome is already known, byte-identically.
         """
         from .engine.incremental import PipelineState
 

@@ -17,15 +17,14 @@ Usage examples::
 ``--incremental STATE_FILE`` persists the run's result (plus the parse-tree
 cache) and, on the next invocation with the *same* patches and options,
 re-runs only the files whose content hash changed — the rest splice their
-cached results, byte-identical to a cold run.  The patch list is diffed
-too: an invocation whose ``--sp-file``/``--cookbook`` list shares a leading
-prefix with the persisted run's (say, one appended patch) splices the
-prefix results and re-runs only the suffix patches.  A state file with no
-shared patch prefix or changed options degrades to a cold run, never to a
-wrong one.  ``--watch`` keeps the process alive, polling the targets *and*
-the ``--sp-file`` patches (mtime+size, then content) and re-applying
-incrementally on every change — editing a patch file mid-session re-runs
-only the patches from the edit onward.
+cached results, byte-identical to a cold run.  A state file from another
+patch list or other options degrades to a cold run, never to a wrong one;
+add ``--memo-dir`` to reuse the unchanged patches' work across a changed
+patch list (say, one appended patch).  ``--watch`` keeps the process alive,
+polling the targets *and* the ``--sp-file`` patches (mtime+size, then
+content) and re-applying incrementally on every change; it keeps an
+in-memory transform memo for the session (unless ``--memo-dir`` names a
+disk one), so editing one patch file re-runs only that patch's sessions.
 
 Mirrors the spatch options the paper's listings mention (``--c++[=N]``,
 ``--jobs``) plus a few conveniences (``--report``, ``--in-place``,
@@ -280,8 +279,8 @@ def _print_counter_lines(codebase: CodeBase, counts, memo=None) -> None:
     """The cache/prefilter counters ``--profile`` surfaces beyond the run's
     own stats: process-wide parse-cache traffic (hits/misses/dedup waits/
     evictions) and compiled-matcher counters from the registry, plus the
-    run's token-index scan reuse and — with ``--memo-dir`` — the transform
-    memo's two-tier traffic from its capture ``counts``."""
+    run's token-index scan reuse and — with ``--memo-dir`` or ``--watch`` —
+    the transform memo's two-tier traffic from its capture ``counts``."""
     from ..engine.cache import DEFAULT_TREE_CACHE
     from ..engine.compile import matcher_counters
 
@@ -511,9 +510,11 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
     codebase, paths = _load_codebase(args.targets)
 
     # --memo-dir: a disk-backed transform memo; its persistent tier is what
-    # lets a fresh process warm-start from a previous invocation's sessions
+    # lets a fresh process warm-start from a previous invocation's sessions.
+    # --watch keeps an in-memory one otherwise, so a patch-file edit re-runs
+    # only the edited patch's sessions
     memo = None
-    if args.memo_dir:
+    if args.memo_dir or args.watch:
         from ..engine.memo import TransformMemo
 
         memo = TransformMemo(path=args.memo_dir)
@@ -800,10 +801,11 @@ def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
     gates the re-read, and the engine's content hashes decide which files
     actually re-run — a ``touch`` without a content change re-runs nothing.
     An edited sp-file rebuilds the patch list and re-applies with the prior
-    result as ``since=``: the engine splices the unchanged patch-list
-    prefix and re-runs only the suffix patches; only files whose *output*
-    changed are emitted (or rewritten), so a patch edit never rewrites
-    files it did not affect.  An sp-file that fails to parse mid-edit is
+    result as ``since=``: the changed list runs cold, and the session's
+    transform memo answers every unchanged patch, so only the edited
+    patch's sessions re-run; only files whose *output* changed are emitted
+    (or rewritten), so a patch edit never rewrites files it did not
+    affect.  An sp-file that fails to parse mid-edit is
     reported and the round skipped (the old patches stay active until the
     next successful save).  With ``--watch-polls N`` the loop exits after N
     consecutive quiet polls (the testing/scripting hook); by default it
@@ -840,7 +842,7 @@ def _journal_watch_round(journal, result, round_seconds: float) -> None:
         "watch_round", trace=_trace.current_trace_id(),
         files_changed=inc.files_changed, files_added=inc.files_added,
         files_reused=inc.files_reused, files_dropped=inc.files_dropped,
-        patches_reused=inc.patches_reused, patches_total=inc.patches_total,
+        patches_total=inc.patches_total,
         fallback=inc.fallback, matches=result.total_matches,
         memo_hits=getattr(stats, "memo_hits", None),
         wall_seconds=round(round_seconds, 6))
@@ -891,10 +893,7 @@ def _watch_rounds(args, options: SpatchOptions,
         line = (f"# watch: {inc.files_changed} changed + {inc.files_added} "
                 f"added re-run, {inc.files_reused} reused, "
                 f"{inc.files_dropped} dropped")
-        if inc.fallback is None and inc.patches_reused < inc.patches_total:
-            line += (f", patch prefix {inc.patches_reused}/"
-                     f"{inc.patches_total} spliced")
-        elif inc.fallback is not None:
+        if inc.fallback is not None:
             line += " (cold: " + inc.fallback + ")"
         print(f"{line} -> {result.total_matches} match(es)", file=sys.stderr)
         matched = matched or any(nonguard_matches(patch, patch_result) > 0

@@ -20,8 +20,8 @@ from .session import FileSession
 from .prefilter import PatchPrefilter, TokenIndex, required_tokens, scan_token_set
 from .engine import Engine
 from .pipeline import (FileRecord, PatchPipeline, PipelinePrefilter,
-                       PipelineResult, PipelineStats, boundary_hashes,
-                       patch_fingerprint, patchset_fingerprint, resolve_jobs)
+                       PipelineResult, PipelineStats, patch_fingerprint,
+                       patchset_fingerprint, resolve_jobs)
 from .incremental import (IncrementalPipeline, IncrementalStats,
                           PipelineState)
 
@@ -38,7 +38,7 @@ __all__ = [
     "PatchPrefilter", "TokenIndex", "required_tokens", "scan_token_set",
     "Engine",
     "FileRecord", "PatchPipeline", "PipelinePrefilter", "PipelineResult",
-    "PipelineStats", "boundary_hashes", "patch_fingerprint",
+    "PipelineStats", "patch_fingerprint",
     "patchset_fingerprint", "resolve_jobs",
     "IncrementalPipeline", "IncrementalStats", "PipelineState",
 ]

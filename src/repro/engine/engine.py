@@ -42,6 +42,11 @@ class Engine:
         self.tree_cache = tree_cache
         self.compile_enabled = backend_enabled(compile)
         self._initialize_done = False
+        #: per-file ``script:python`` rules that will run: the sessions the
+        #: pipeline must check for purity (see :mod:`~repro.engine.scripting`)
+        self.scripted = self.options.python_scripting and any(
+            isinstance(rule, ScriptRule) and rule.when == "script"
+            for rule in patch.rules)
 
     # -- public API -----------------------------------------------------------
 

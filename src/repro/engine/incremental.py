@@ -8,10 +8,13 @@ tree) almost all of that work reproduces results that are already known.
 
 :class:`IncrementalPipeline` exploits the one fact that makes reuse sound:
 per file, the pipeline is a *pure function of that file's input text* (given
-a fixed patch list and options).  Sessions never read other files, per-patch
-engines are rebuilt identically each run, and prefilter decisions are
-deterministic functions of the file's token set.  So given a prior
-:class:`~repro.engine.pipeline.PipelineResult` and the current files:
+a fixed patch list and options) as long as every script session is pure —
+leaves its patch's script namespace as it found it, which the pipeline
+checks for every session (see :mod:`~repro.engine.pipeline`).  Sessions
+never read other files, per-patch engines are rebuilt identically each run,
+and prefilter decisions are deterministic functions of the file's token
+set.  So given a prior :class:`~repro.engine.pipeline.PipelineResult` and
+the current files:
 
 * files whose content hash equals the hash recorded in the prior result's
   :class:`~repro.engine.pipeline.FileRecord` **splice**: their cached
@@ -25,14 +28,11 @@ deterministic functions of the file's token set.  So given a prior
 
 The output is byte-identical to a cold ``PatchPipeline.run`` over the
 current files: same texts, same per-rule reports, same per-patch stats
-modulo timing.  Two caveats gate the fast path (both fall back to a cold
-run rather than silently changing meaning):
-
-* the prior result must carry reuse records and at least a shared
-  patch-list *prefix* (see below) — otherwise everything re-runs;
-* a patch combining per-file ``script:python`` rules with a ``finalize``
-  rule may aggregate state across *all* files; replaying only the changed
-  ones would feed its finalize a partial view.
+modulo timing.  Splicing needs a prior result with reuse records, the same
+patch-set fingerprint, the same prefilter setting and no
+``impure_patches``; anything else is a cold run, and a run whose re-run
+files turn out to hold an impure session is discarded and re-run serially
+from fresh engines — reuse degrades, never lies.
 
 ``initialize``/``finalize`` script rules still run exactly once per patch
 per invocation, mirroring the cold pipeline (their diagnostics are fresh,
@@ -40,26 +40,12 @@ not spliced).
 
 Patch-set deltas
 ----------------
-The patch list is diffed as well as the tree.  Every patch carries its own
-fingerprint (SMPL source + name + options, see
-:func:`~repro.engine.pipeline.patch_fingerprint`); when the prior result's
-per-patch fingerprints share a position-wise **prefix** with the current
-list, each hash-unchanged file splices its cached per-patch results up to
-the divergence point and replays only the *suffix* patches, starting from
-the cached per-patch-boundary text.  This is sound because the pipeline is
-file-major over an ordered patch chain: the text entering patch ``k``
-depends only on the file's input text and patches ``0..k-1`` — all
-fingerprint-identical to the prior run — so the cached boundary state *is*
-the state a cold run would reach.  Before splicing, the boundary text is
-re-verified against the content hash recorded at the divergence boundary
-(:attr:`~repro.engine.pipeline.FileRecord.boundaries`); any mismatch —
-stale or corrupt state — demotes that file to a full re-run.  Appending a
-patch to an N-patch cookbook therefore costs one patch, not N+1; a
-reordered prefix shortens the shared prefix to the divergence point (to a
-cold run when the *first* patch moved), and an option change alters every
-fingerprint, so reuse degrades, never lies.  Whole-file skip decisions are
-re-planned against the union prefilter of the *new* patch list, keeping the
-coverage counters identical to a cold run's.
+A changed patch list — a patch appended, dropped, reordered or edited — is
+a cold :meth:`~repro.engine.pipeline.PatchPipeline.run` with the caller's
+:class:`~repro.engine.memo.TransformMemo`: the memo answers every unchanged
+patch's sessions by content, wherever the patch now sits in the list, so
+appending one patch to a warm cookbook costs about one patch.  Across CLI
+invocations that needs a disk-backed memo (``--memo-dir``).
 """
 
 from __future__ import annotations
@@ -68,31 +54,23 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..obs import registry as _obs
 from ..options import SpatchOptions
 from ..smpl.ast import SemanticPatchAST
 from .cache import TreeCache, content_sha1
-from .pipeline import (FileRecord, PatchPipeline, PipelineResult,
-                       PipelineStats, _FileOutcome, boundary_hashes,
-                       parallel_preserves_semantics)
-from .prefilter import TokenIndex, scan_token_set
-from .report import FileResult
+from .pipeline import FileRecord, PatchPipeline, PipelineResult
+from .prefilter import TokenIndex
 
 #: format tag for persisted pipeline states; bump on incompatible changes
-#: (v2: per-patch fingerprints + per-boundary hashes; v1 states degrade to
-#: cold runs, never to wrong output)
-_STATE_VERSION = 2
+#: (older states degrade to cold runs, never to wrong output)
+_STATE_VERSION = 3
 
 #: default bound on the parse-cache entries a persisted state embeds; the
 #: LRU-coldest overflow is dropped so long-lived watch/state files stay flat
 DEFAULT_STATE_CACHE_ENTRIES = 256
-
-#: what an empty suffix replay "produced": read-only stand-in so spliced
-#: files with nothing left to run skip the apply fan-out entirely
-_EMPTY_OUTCOME = _FileOutcome(filename="", results=[], ran=[], rules_gated=[])
 
 
 @dataclass
@@ -100,8 +78,7 @@ class IncrementalStats:
     """How much of the prior result an incremental run could reuse."""
 
     files_total: int = 0
-    #: hash-unchanged files whose cached results were spliced in (up to the
-    #: shared patch-list prefix when the patch set changed)
+    #: hash-unchanged files whose cached results were spliced in
     files_reused: int = 0
     #: files re-run through the whole chain because their content hash changed
     files_changed: int = 0
@@ -111,9 +88,6 @@ class IncrementalStats:
     files_dropped: int = 0
     #: patches in the current list
     patches_total: int = 0
-    #: leading patches whose cached per-file results could be spliced
-    #: (== ``patches_total`` when the whole patch set matched the prior run)
-    patches_reused: int = 0
     #: why the run degraded to a cold pipeline pass (``None`` = incremental)
     fallback: Optional[str] = None
     hash_seconds: float = 0.0
@@ -122,10 +96,6 @@ class IncrementalStats:
     @property
     def files_rerun(self) -> int:
         return self.files_changed + self.files_added
-
-    @property
-    def patches_rerun(self) -> int:
-        return self.patches_total - self.patches_reused
 
     @property
     def reuse_rate(self) -> float:
@@ -137,7 +107,6 @@ class IncrementalStats:
 
         payload = asdict(self)
         payload["files_rerun"] = self.files_rerun
-        payload["patches_rerun"] = self.patches_rerun
         payload["reuse_rate"] = self.reuse_rate
         return payload
 
@@ -145,14 +114,9 @@ class IncrementalStats:
         if self.fallback is not None:
             return (f"incremental: fell back to a cold run ({self.fallback}); "
                     f"{self.files_total} file(s) processed")
-        prefix = ""
-        if self.patches_reused < self.patches_total:
-            prefix = (f"patch prefix: {self.patches_reused}/"
-                      f"{self.patches_total} spliced, {self.patches_rerun} "
-                      f"suffix patch(es) re-run  ")
         return (f"incremental: {self.files_reused} reused ({self.reuse_rate:.0%}), "
                 f"{self.files_changed} changed + {self.files_added} added "
-                f"re-run, {self.files_dropped} dropped  {prefix}"
+                f"re-run, {self.files_dropped} dropped  "
                 f"hash: {self.hash_seconds:.3f}s  total: {self.total_seconds:.3f}s")
 
 
@@ -177,19 +141,14 @@ class IncrementalPipeline:
                                       tree_cache=tree_cache,
                                       compile=compile, memo=memo)
 
-    @property
-    def fingerprint(self) -> str:
-        return self.pipeline.fingerprint
-
     # -- public API -----------------------------------------------------------
 
     def run(self, files: dict[str, str],
             since: Optional[PipelineResult] = None,
             token_index: Optional[TokenIndex] = None) -> PipelineResult:
         """Apply every patch to ``{filename: text}``, splicing ``since``'s
-        cached per-file results wherever the content hash is unchanged —
-        whole-chain results when the patch set is identical, prefix results
-        (with a suffix replay) when it shares a leading subsequence."""
+        cached per-file results wherever the content hash is unchanged (a
+        changed patch list runs cold, answered by the memo where it can)."""
         with _obs.Capture() as counts:
             result = self._run(files, since, token_index)
         result.stats.take_counts(counts)
@@ -201,81 +160,57 @@ class IncrementalPipeline:
         pipeline = self.pipeline
         incremental = IncrementalStats(files_total=len(files),
                                        patches_total=len(pipeline.patches))
-
-        reason, prefix_len, whole = self._reuse_plan(since)
+        reason = self._refusal(since)
         if reason is not None:
-            incremental.fallback = reason
-            incremental.files_changed = len(files)
-            result = pipeline.run(files, token_index=token_index)
-            incremental.total_seconds = time.perf_counter() - started
-            result.incremental = incremental
-            return result
-        incremental.patches_reused = prefix_len
-        if whole:
-            return self._run_full(files, since, token_index, incremental,
-                                  started)
-        return self._run_prefix(files, since, prefix_len, token_index,
-                                incremental, started)
+            result = pipeline._run(files, token_index)
+        else:
+            result = pipeline._run(files, token_index, since=since,
+                                   reused=self._reusable(files, since,
+                                                         incremental))
+            if result is None:  # discarded: the engines are fresh again
+                reason = ("a script rule mutated its namespace in a re-run "
+                          "file, so spliced results would skew it")
+                result = pipeline._run(files, token_index, serial=True)
+        if reason is not None:
+            incremental = IncrementalStats(
+                files_total=len(files), files_changed=len(files),
+                patches_total=len(pipeline.patches), fallback=reason)
+        incremental.total_seconds = time.perf_counter() - started
+        result.incremental = incremental
+        return result
 
     # -- internals ------------------------------------------------------------
 
-    def _reuse_plan(self, since: Optional[PipelineResult],
-                    ) -> tuple[Optional[str], int, bool]:
-        """``(fallback_reason, shared_prefix_length, whole)``: how much of
-        ``since`` may seed this run.  ``whole`` selects the wholesale path
-        (identical patch set, intact per-patch results); a shorter prefix
-        means splice-then-replay; any ``reason`` means a cold run."""
+    def _refusal(self, since: Optional[PipelineResult]) -> Optional[str]:
+        """Why ``since`` may not seed this run by splicing (``None``: it may)."""
         pipeline = self.pipeline
         if since is None:
-            return "no prior result", 0, False
+            return "no prior result"
         if not isinstance(since, PipelineResult):
-            return "prior result is not a pipeline result", 0, False
+            return "prior result is not a pipeline result"
         if not since.records:
-            return "prior result carries no reuse records", 0, False
+            return "prior result carries no reuse records"
         # texts and reports are prefilter-independent, but the coverage
         # counters (files_skipped / rules_gated) a spliced record would
         # reconstruct are not; a toggled prefilter must re-run cold so the
         # stats match what this mode's cold run reports
-        prior_prefilter = getattr(since.stats, "prefilter", None)
-        if prior_prefilter != pipeline.prefilter_enabled:
-            return "prefilter setting changed since the prior result", 0, False
-        for patch, options in zip(pipeline.patches, pipeline.options):
-            if not parallel_preserves_semantics(patch, options):
-                return ("a patch aggregates per-file script state into a "
-                        "finalize rule; partial replay would skew it"), 0, \
-                    False
-        if since.fingerprint == pipeline.fingerprint \
-                and len(since.per_patch) == len(pipeline.patches):
-            return None, len(pipeline.patches), True
-        # diverged (or truncated/tampered) patch set: find the longest
-        # position-wise fingerprint prefix, never indexing past the
-        # per-patch results that are actually there to splice from
-        prior_fingerprints = getattr(since, "patch_fingerprints", None) or []
-        usable = min(len(prior_fingerprints), len(since.per_patch))
-        prefix_len = 0
-        for ours, theirs in zip(pipeline.patch_fingerprints,
-                                prior_fingerprints[:usable]):
-            if ours != theirs:
-                break
-            prefix_len += 1
-        if prefix_len == 0:
-            return ("patch set or options changed since the prior result "
-                    "with no shared patch prefix"), 0, False
-        return None, prefix_len, False
+        if getattr(since.stats, "prefilter", None) != pipeline.prefilter_enabled:
+            return "prefilter setting changed since the prior result"
+        if since.fingerprint != pipeline.fingerprint \
+                or len(since.per_patch) != len(pipeline.patches):
+            return "patch set or options changed since the prior result"
+        if since.impure_patches:
+            return ("prior result has impure script patches ("
+                    + ", ".join(since.impure_patches) + ")")
+        return None
 
-    def _run_full(self, files: dict[str, str], since: PipelineResult,
-                  token_index: Optional[TokenIndex],
-                  incremental: IncrementalStats,
-                  started: float) -> PipelineResult:
-        """The identical-patch-set path: splice whole cached per-file
-        results, re-run only content-changed/added files."""
-        pipeline = self.pipeline
-
-        # ---- diff: which files does the prior result still answer
-        n_patches = len(pipeline.patches)
+    def _reusable(self, files: dict[str, str], since: PipelineResult,
+                  incremental: IncrementalStats) -> dict[str, FileRecord]:
+        """The files whose prior results still answer (hash-unchanged, with
+        a well-formed record), counting the reuse breakdown."""
+        n_patches = len(self.pipeline.patches)
         hash_started = time.perf_counter()
         reused: dict[str, FileRecord] = {}
-        rerun: dict[str, str] = {}
         for name, text in files.items():
             record = since.records.get(name)
             if (record is not None and record.sha1 == content_sha1(text)
@@ -288,222 +223,14 @@ class IncrementalPipeline:
                             for prior in since.per_patch)):
                 reused[name] = record
                 incremental.files_reused += 1
+            elif record is None:
+                incremental.files_added += 1
             else:
-                rerun[name] = text
-                if record is None:
-                    incremental.files_added += 1
-                else:
-                    incremental.files_changed += 1
+                incremental.files_changed += 1
         incremental.files_dropped = sum(1 for name in since.records
                                         if name not in files)
         incremental.hash_seconds = time.perf_counter() - hash_started
-
-        # ---- re-run the delta through the pipeline's own machinery
-        stats = pipeline.stats = PipelineStats(
-            patches=len(pipeline.patches), files_total=len(files),
-            prefilter=pipeline.prefilter_enabled,
-            jobs_requested=pipeline.jobs_requested)
-        outcomes, skipped = pipeline._plan_and_apply(rerun, token_index, stats)
-        if files and not rerun:
-            # a cold run over a non-empty code base runs initialize rules
-            # even when the prefilter skips everything; keep the state the
-            # finalize rules observe identical
-            for engine in pipeline.engines:
-                engine._run_initialize_rules()
-
-        # ---- assemble in input order: splice or take the fresh outcome
-        result, per_patch_stats = pipeline._fresh_result(len(files),
-                                                         stats.jobs_used)
-        with _obs.phase("splice"):
-            for name, text in files.items():
-                if name in reused:
-                    self._assemble_reused(result, per_patch_stats, stats,
-                                          name, reused[name], since)
-                elif name in skipped:
-                    pipeline._assemble_skipped(result, per_patch_stats, stats,
-                                               name, text)
-                else:
-                    pipeline._assemble_outcome(result, per_patch_stats, stats,
-                                               name, text, outcomes[name])
-
-        pipeline._run_finalize(result, per_patch_stats)
-        return self._seal(result, stats, incremental, started)
-
-    def _run_prefix(self, files: dict[str, str], since: PipelineResult,
-                    prefix_len: int, token_index: Optional[TokenIndex],
-                    incremental: IncrementalStats,
-                    started: float) -> PipelineResult:
-        """The shared-prefix path: for each hash-unchanged file splice the
-        cached results of patches ``0..prefix_len-1`` and replay only the
-        suffix patches from the cached boundary text; changed/added files
-        (and files whose boundary verification fails) re-run the whole
-        chain.  Whole-file skips are re-planned against the *new* patch
-        list's union prefilter, so the coverage counters match a cold run."""
-        pipeline = self.pipeline
-        stats = pipeline.stats = PipelineStats(
-            patches=len(pipeline.patches), files_total=len(files),
-            prefilter=pipeline.prefilter_enabled,
-            jobs_requested=pipeline.jobs_requested)
-        prior_boundary = since.per_patch[prefix_len - 1].files
-
-        # ---- plan: hash-diff the tree and union-scan against the new list
-        plan_started = time.perf_counter()
-        spliced: dict[str, FileRecord] = {}
-        work: list[tuple[str, str, Optional[frozenset[str]], int]] = []
-        skipped: set[str] = set()
-        for name, text in files.items():
-            record = since.records.get(name)
-            if record is None:
-                incremental.files_added += 1
-            elif (record.sha1 == content_sha1(text)
-                    and len(record.boundaries) >= prefix_len
-                    and len(record.ran) >= prefix_len
-                    and len(record.rules_gated) >= prefix_len
-                    and name in prior_boundary
-                    and content_sha1(prior_boundary[name].text)
-                    == record.boundaries[prefix_len - 1]
-                    and all(name in prior.files
-                            for prior in since.per_patch[:prefix_len])):
-                # splice-verified: the cached boundary text really is the
-                # state the shared prefix produced for this input
-                incremental.files_reused += 1
-            else:
-                record = None  # changed, or stale/corrupt: full re-run
-                incremental.files_changed += 1
-            tokens: Optional[frozenset[str]] = None
-            if pipeline.prefilter is not None:
-                tokens = token_index.tokens_of(name, text) \
-                    if token_index is not None else scan_token_set(text)
-                if not pipeline.prefilter.needs_any_session(tokens):
-                    skipped.add(name)
-                    stats.files_skipped += 1
-                    continue
-            if record is not None:
-                spliced[name] = record
-                if prefix_len == len(pipeline.patches):
-                    continue  # empty suffix (truncated list): nothing to run
-                # when the prefix never edited the file, the boundary text
-                # *is* the input text and the tokens just scanned still
-                # apply; otherwise the suffix re-scans the evolved text
-                # lazily, exactly as a cold run would after an edit
-                boundary_tokens = tokens \
-                    if record.boundaries[prefix_len - 1] == record.sha1 \
-                    else None
-                work.append((name, prior_boundary[name].text,
-                             boundary_tokens, prefix_len))
-            else:
-                work.append((name, text, tokens, 0))
-        incremental.files_dropped = sum(1 for name in since.records
-                                        if name not in files)
-        incremental.hash_seconds = time.perf_counter() - plan_started
-        stats.scan_seconds = incremental.hash_seconds
-
-        # ---- apply: suffix replays and full re-runs share one fan-out
-        jobs_used = pipeline._effective_jobs(len(work))
-        stats.jobs_used = jobs_used
-        pipeline._run_initialize(bool(files), jobs_used)
-        apply_started = time.perf_counter()
-        outcomes = pipeline._apply_work(work, jobs_used)
-        stats.apply_seconds = time.perf_counter() - apply_started
-
-        # ---- assemble in input order
-        result, per_patch_stats = pipeline._fresh_result(len(files), jobs_used)
-        with _obs.phase("splice"):
-            for name, text in files.items():
-                if name in skipped:
-                    pipeline._assemble_skipped(result, per_patch_stats, stats,
-                                               name, text)
-                elif name in spliced:
-                    self._assemble_prefix(result, per_patch_stats, stats,
-                                          name, text, spliced[name], since,
-                                          prefix_len, outcomes.get(name))
-                else:
-                    pipeline._assemble_outcome(result, per_patch_stats, stats,
-                                               name, text, outcomes[name])
-
-        pipeline._run_finalize(result, per_patch_stats)
-        return self._seal(result, stats, incremental, started)
-
-    @staticmethod
-    def _seal(result: PipelineResult, stats: PipelineStats,
-              incremental: IncrementalStats,
-              started: float) -> PipelineResult:
-        """Shared run epilogue: timings and stat attachment."""
-        stats.total_seconds = time.perf_counter() - started
-        incremental.total_seconds = time.perf_counter() - started
-        result.stats = stats
-        result.incremental = incremental
-        return result
-
-    def _assemble_reused(self, result: PipelineResult,
-                         per_patch_stats, stats: PipelineStats,
-                         name: str, record: FileRecord,
-                         since: PipelineResult) -> None:
-        """Splice one hash-unchanged file's cached results into ``result``,
-        reconstructing its exact contribution to the coverage counters."""
-        for index, patch_result in enumerate(result.per_patch):
-            patch_result.files[name] = since.per_patch[index].files[name].copy()
-            if not record.ran[index]:
-                per_patch_stats[index].files_skipped += 1
-            per_patch_stats[index].rules_gated += record.rules_gated[index]
-        result.files[name] = since.files[name].copy()
-        result.records[name] = record
-        if record.skipped:
-            stats.files_skipped += 1
-        stats.sessions_run += sum(record.ran)
-        stats.sessions_gated += len(record.ran) - sum(record.ran)
-        stats.rules_gated += sum(record.rules_gated)
-
-    def _assemble_prefix(self, result: PipelineResult,
-                         per_patch_stats, stats: PipelineStats,
-                         name: str, text: str, record: FileRecord,
-                         since: PipelineResult, prefix_len: int,
-                         outcome) -> None:
-        """Splice one hash-unchanged file's cached results for the shared
-        patch-list prefix and take the freshly replayed suffix outcomes,
-        rebuilding the combined view — reports concatenated in application
-        order, final text from the last suffix patch — exactly as a cold
-        run's assembler would.  ``outcome`` is ``None`` when the suffix is
-        empty (the new list is a strict prefix of the prior one): the
-        spliced file then never entered the apply fan-out at all."""
-        if outcome is None:
-            outcome = _EMPTY_OUTCOME
-        prefix_results = []
-        for index in range(prefix_len):
-            cached = since.per_patch[index].files[name]
-            prefix_results.append(cached)
-            result.per_patch[index].files[name] = cached.copy()
-            if not record.ran[index]:
-                per_patch_stats[index].files_skipped += 1
-            per_patch_stats[index].rules_gated += record.rules_gated[index]
-        for offset, file_result in enumerate(outcome.results):
-            index = prefix_len + offset
-            result.per_patch[index].files[name] = file_result
-            if not outcome.ran[offset]:
-                per_patch_stats[index].files_skipped += 1
-            per_patch_stats[index].rules_gated += outcome.rules_gated[offset]
-
-        ran = tuple(record.ran[:prefix_len]) + tuple(outcome.ran)
-        rules_gated = (tuple(record.rules_gated[:prefix_len])
-                       + tuple(outcome.rules_gated))
-        all_results = prefix_results + outcome.results
-        final_text = all_results[-1].text if all_results else text
-        result.files[name] = FileResult(
-            filename=name, original_text=text, text=final_text,
-            rule_reports=[replace(report) for cached in prefix_results
-                          for report in cached.rule_reports]
-                         + [report for fresh in outcome.results
-                            for report in fresh.rule_reports],
-            diagnostics=[d for fr in all_results for d in fr.diagnostics])
-        boundary_text = prefix_results[-1].text
-        result.records[name] = FileRecord(
-            sha1=record.sha1, skipped=False, ran=ran, rules_gated=rules_gated,
-            boundaries=tuple(record.boundaries[:prefix_len])
-            + boundary_hashes(outcome.results, boundary_text,
-                              record.boundaries[prefix_len - 1]))
-        stats.sessions_run += sum(ran)
-        stats.sessions_gated += len(ran) - sum(ran)
-        stats.rules_gated += sum(rules_gated)
+        return reused
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Global content-addressed transform memoization.
 
-PR 4's incremental splicing is *positional*: a file's cached results are
-reused only inside that file's own prior result, in one process.  Yet the
-batch workload re-transforms identical inputs constantly — vendored
-duplicate files, shared patch suffixes after a reorder, separate workspaces
-holding the same tree, fresh daemons re-doing work a previous process
-already finished.  :class:`TransformMemo` replaces position with *content*,
-like a ccache/bazel action cache: every (file state, patch) transform is
-keyed on
+Incremental splicing is *positional*: a file's cached results are reused
+only inside that file's own prior result, for the same patch list, in one
+process.  Yet the batch workload re-transforms identical inputs
+constantly — vendored duplicate files, unchanged patches in an edited or
+reordered patch list, separate workspaces holding the same tree, fresh
+daemons re-doing work a previous process already finished.
+:class:`TransformMemo` replaces position with *content*, like a
+ccache/bazel action cache: every (file state, patch) transform is keyed
+on
 
     ``(sha1 of the text entering the patch, patch fingerprint, mode flags)``
 
@@ -31,16 +32,18 @@ A memo hit must be provably equivalent to running the session cold:
   byte-identical, but entries never cross backends, so the proof is never
   load-bearing);
 * per-file **skip and gating decisions are never memoized** — the pipeline
-  re-plans them against the *current* union prefilter exactly as
-  ``_reuse_plan`` does, so coverage counters always match a cold run;
-* patches with per-file ``script:python`` rules are **excluded** (their
-  sessions may read state mutated across files, so they are not pure
-  functions of the file text; the pipeline passes ``None`` fingerprints for
-  them and they always run cold).
+  re-plans them against the *current* union prefilter, so coverage
+  counters always match a cold run;
+* for patches with per-file ``script:python`` rules the pipeline extends
+  the fingerprint with a **digest of the script namespace** the session
+  starts from (:func:`~repro.engine.scripting.namespace_digest`, free of
+  addresses, so it is equal across processes) and **never stores an
+  impure session** — one that changed the namespace.  A hit therefore only
+  replays a pure session run from the same state.
 
-Sessions of the remaining patches are pure functions of
-``(text, patch, options, allowed_rules)`` — the fact incremental reuse
-already relies on — with one filename-shaped exception: diagnostics embed
+Sessions are then pure functions of ``(text, patch, options,
+allowed_rules, namespace state)`` — the fact incremental reuse also relies
+on — with one filename-shaped exception: diagnostics embed
 the filename they were produced under.  Entries therefore record their
 source filename and an entry *with* diagnostics only answers that same
 filename; diagnostic-free entries (the overwhelmingly common case) are

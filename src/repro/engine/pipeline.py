@@ -38,16 +38,20 @@ read their translation tables cannot tell the difference.
 
 Script-rule semantics
 ---------------------
-``initialize:python`` rules run once before any file and
-``finalize:python`` rules run once after all files.  With ``jobs > 1``
-each worker process runs the initialize rules of script-bearing patches
-itself, so that ``script:python`` rules see the dictionaries they set up;
-this is identical to serial application as long as script rules do not
-*mutate* state shared across files (true of every cookbook patch — their
-scripts only read the translation tables).  Because a finalize rule may
-legitimately read state accumulated by per-file scripts, the pipeline falls
-back to serial application when *any* patch contains both kinds of rule,
-rather than silently changing their meaning.
+``initialize:python`` rules run once per patch before any file and
+``finalize:python`` rules once after all files.  With ``jobs > 1`` each
+worker process also runs the initialize rules of script-bearing patches,
+so that ``script:python`` rules see the dictionaries they set up.  That
+equals serial application exactly when every per-file session is *pure*:
+it leaves the patch's script namespace as it found it (true of every
+cookbook patch — their scripts only read the translation tables).  The
+pipeline checks this for every session of a script-bearing patch by
+digesting the namespace before and after it (see
+:mod:`~repro.engine.scripting`).  A patch with an impure session is named
+in ``PipelineResult.impure_patches`` and gets one warning diagnostic, and
+a forked run that found one is discarded and re-run serially from fresh
+engines, so a counting or aggregating script (and the finalize rule that
+reads its state) sees the files in input order, as a serial run does.
 """
 
 from __future__ import annotations
@@ -58,19 +62,22 @@ import math
 import multiprocessing
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..errors import Diagnostic
 from ..obs import registry as _obs
 from ..obs import trace as _trace
 from ..options import SpatchOptions
-from ..smpl.ast import ScriptRule, SemanticPatchAST
+from ..smpl.ast import SemanticPatchAST
 from .cache import (DEFAULT_TREE_CACHE, TreeCache, content_sha1,
                     parse_cache_counts)
 from .compile import backend_enabled
 from .memo import TransformMemo, memo_counts, memo_flags
 from .prefilter import PatchPrefilter, TokenIndex, scan_token_set
 from .report import FileResult, PatchResult
+from .scripting import namespace_digest
 
 
 def resolve_jobs(jobs) -> int:
@@ -82,25 +89,6 @@ def resolve_jobs(jobs) -> int:
     if count < 1:
         raise ValueError(f"jobs must be >= 1 or 'auto', got {jobs!r}")
     return count
-
-
-def has_per_file_scripts(patch: SemanticPatchAST) -> bool:
-    """True when the patch has ``script:python`` rules that run per file."""
-    return any(isinstance(r, ScriptRule) and r.when == "script"
-               for r in patch.rules)
-
-
-def parallel_preserves_semantics(patch: SemanticPatchAST,
-                                 options: SpatchOptions) -> bool:
-    """Parallel workers re-run initialize themselves but the parent runs
-    finalize; a patch combining per-file scripts with a finalize rule may
-    aggregate across files, which only serial application preserves."""
-    if not options.python_scripting:
-        return True
-    script_rules = [r for r in patch.rules if isinstance(r, ScriptRule)]
-    has_per_file = any(r.when == "script" for r in script_rules)
-    has_finalize = any(r.when == "finalize" for r in script_rules)
-    return not (has_per_file and has_finalize)
 
 
 def patch_payload(patch: SemanticPatchAST):
@@ -285,22 +273,15 @@ class FileRecord:
     ran: tuple[bool, ...]
     #: per patch: rule applications the prefilter gated for this file
     rules_gated: tuple[int, ...]
-    #: per patch: content hash of the file's text *after* that patch ran
-    #: (the per-patch-boundary states).  ``boundaries[k-1]`` is what a later
-    #: run verifies before splicing this file's cached prefix results and
-    #: replaying only the suffix patches from that text; empty on records
-    #: from before this field existed (such records never seed prefix reuse)
-    boundaries: tuple[str, ...] = ()
 
 
 def patch_fingerprint(patch: SemanticPatchAST, options: SpatchOptions,
                       name: str) -> str:
     """Identity of *one* patch: its SMPL source text (its AST repr when it
     was built programmatically), its name and its options — anything that can
-    change what the patch does to a file.  Position-wise equality of these
-    per-patch fingerprints is what lets an incremental run reuse a prior
-    result's unchanged patch-list *prefix* when the overall patch set
-    diverges (see :class:`~repro.engine.incremental.IncrementalPipeline`)."""
+    change what the patch does to a file.  The transform memo keys each
+    session on it, so an unchanged patch is answered by content wherever it
+    sits in a changed patch list."""
     digest = hashlib.sha1()
     source = patch.source_text or repr(patch)
     for part in (name, source, repr(options)):
@@ -347,11 +328,10 @@ class PipelineResult(PatchResult):
     #: fingerprint of the patch list + options that produced this result
     #: (see :func:`patchset_fingerprint`); ``None`` on legacy results
     fingerprint: Optional[str] = field(default=None, compare=False, repr=False)
-    #: per-patch fingerprints in application order (see
-    #: :func:`patch_fingerprint`): the position-wise comparison a later run
-    #: uses to find the longest unchanged patch-list prefix it can splice
-    patch_fingerprints: list[str] = field(default_factory=list,
-                                          compare=False, repr=False)
+    #: names of the patches whose script rules mutated their namespace in
+    #: some session (see the module docstring); a result naming any is
+    #: never spliced into a later run
+    impure_patches: list[str] = field(default_factory=list, compare=False)
     #: how an incremental run reused this result's predecessor (an
     #: ``IncrementalStats``); ``None`` on cold runs
     incremental: object = field(default=None, compare=False, repr=False)
@@ -388,23 +368,16 @@ class _FileOutcome:
     #: per patch: whether a session actually ran
     ran: list[bool]
     #: per patch: rules the prefilter gated for this file
-    rules_gated: list[int]
+    rules_gated: list[int] = field(default_factory=list)
+    #: indices of the patches whose session here mutated their namespace
+    impure: list[int] = field(default_factory=list)
+    #: per patch: the memo key its session outcome may be stored under
+    #: (``None`` when gated, unmemoized or impure)
+    keys: list = field(default_factory=list)
 
 
-def boundary_hashes(results, input_text: str, input_sha: str,
-                    ) -> tuple[str, ...]:
-    """Per-patch-boundary content hashes of one file's evolving text: entry
-    ``i`` hashes the text *after* patch ``i``.  Unedited boundaries reuse
-    the previous hash (the common case — most patches touch few files), so
-    a file is typically hashed once however long the patch chain."""
-    boundaries = []
-    prev_text, prev_sha = input_text, input_sha
-    for file_result in results:
-        if file_result.text is not prev_text and file_result.text != prev_text:
-            prev_text = file_result.text
-            prev_sha = content_sha1(prev_text)
-        boundaries.append(prev_sha)
-    return tuple(boundaries)
+def _impure_patches(outcomes) -> set[int]:
+    return {index for outcome in outcomes for index in outcome.impure}
 
 
 class PipelinePrefilter:
@@ -447,20 +420,27 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
     prefilter's ``allowed_rules`` or is answered with an untouched result.
     Shared between the serial path and the worker processes.
 
+    Every session of a script-bearing patch is checked for purity: the
+    patch's script namespace is digested before and after it, and a session
+    that changed it (or whose namespace cannot be digested) is recorded in
+    ``impure`` and never memoized.
+
     With a ``memo``, each surviving session is first looked up by content
-    hash; ``memo_keys`` carries one ``(fingerprint, flags)`` per patch
-    (``None`` for unmemoizable script-bearing patches).  Note what is and is
-    not memoized: the *skip/gating* decision is always re-planned above from
-    the current text — only the session outcome itself is served from the
-    memo, so a hit changes no counter a cold run would report.  With
-    ``resolve_only`` the chain must resolve entirely without running a
-    session (memo hits and gated patches only); the first would-be session
-    returns ``None`` instead, letting a parent process answer warm files
-    before fanning the rest out to workers.
+    hash; ``memo_keys`` carries one ``(fingerprint, flags)`` per patch, and
+    a script-bearing patch's fingerprint is extended with the namespace
+    digest the session starts from, so a hit only replays a pure session
+    run from the same state.  Note what is and is not memoized: the
+    *skip/gating* decision is always re-planned above from the current
+    text — only the session outcome itself is served from the memo, so a
+    hit changes no counter a cold run would report.  With ``resolve_only``
+    the chain must resolve entirely without running a session (memo hits
+    and gated patches only); the first would-be session returns ``None``
+    instead, letting a parent process answer warm files before fanning the
+    rest out to workers.
     """
-    results: list[FileResult] = []
-    ran: list[bool] = []
-    rules_gated: list[int] = []
+    outcome = _FileOutcome(filename=filename, results=[], ran=[])
+    results, ran, rules_gated = outcome.results, outcome.ran, \
+        outcome.rules_gated
     text_sha: Optional[str] = None  # hash of ``text``, computed lazily
     for index, (engine, prefilter) in enumerate(zip(engines, prefilters)):
         allowed = None
@@ -482,6 +462,7 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
                                           original_text=text, text=text))
                 ran.append(False)
                 rules_gated.append(n_rules)
+                outcome.keys.append(None)
                 continue
             allowed = plan.allowed_rules
             rules_gated.append(n_rules - len(plan.allowed_rules))
@@ -489,6 +470,13 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
             rules_gated.append(0)
         key = memo_keys[index] if memo is not None and memo_keys is not None \
             else None
+        # a script-bearing patch's session reads, and may change, its
+        # namespace: the memo key carries its digest, checked again below
+        before = namespace_digest(engine.runner.globals) \
+            if engine.scripted else None
+        if key is not None and engine.scripted:
+            key = (f"{key[0]}+{before}", key[1]) if before is not None \
+                else None
         if key is not None:
             if text_sha is None:
                 text_sha = content_sha1(text)
@@ -498,6 +486,7 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
                 file_result = entry.to_file_result(filename, text)
                 results.append(file_result)
                 ran.append(True)  # a hit is a logical session (see PipelineStats)
+                outcome.keys.append(key)
                 if entry.changed:
                     text = file_result.text
                     tokens = None
@@ -507,16 +496,21 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
             return None
         file_result = engine.session_for(filename, text,
                                          allowed_rules=allowed).run()
+        if engine.scripted and (
+                before is None
+                or namespace_digest(engine.runner.globals) != before):
+            outcome.impure.append(index)
+            key = None
         output_sha = memo.store_result(text_sha, key[0], key[1], file_result) \
             if key is not None else None
         results.append(file_result)
         ran.append(True)
+        outcome.keys.append(key)
         if file_result.text != text:
             text = file_result.text
             tokens = None  # force a re-scan for the next patch
             text_sha = output_sha  # None when unmemoized: rehash lazily
-    return _FileOutcome(filename=filename, results=results, ran=ran,
-                        rules_gated=rules_gated)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +534,7 @@ def _pipeline_worker_init(payloads, options_list, prefilter_enabled: bool,
         ast = ast_from_payload(payload, options)
         engine = Engine(ast, options=options, tree_cache=cache,
                         compile=compile_flag)
-        if has_per_file_scripts(ast):
+        if engine.scripted:
             # per-file scripts read the globals initialize rules set up
             engine._run_initialize_rules()
         engines.append(engine)
@@ -562,15 +556,9 @@ def _pipeline_worker_apply(batch) -> list[_FileOutcome]:
     prefilters = _PIPELINE_WORKER["prefilters"]
     memo = _PIPELINE_WORKER.get("memo")
     memo_keys = _PIPELINE_WORKER.get("memo_keys")
-    # ``start`` slices the patch chain: an incremental run replaying only
-    # the suffix patches of a shared patch-list prefix ships items whose
-    # text is the cached prefix-boundary state and whose start is the
-    # divergence index (0 for whole-chain runs)
-    return [_apply_patches_to_file(
-                engines[start:], prefilters[start:], filename, text, tokens,
-                memo=memo,
-                memo_keys=memo_keys[start:] if memo_keys is not None else None)
-            for filename, text, tokens, start in batch]
+    return [_apply_patches_to_file(engines, prefilters, filename, text, tokens,
+                                   memo=memo, memo_keys=memo_keys)
+            for filename, text, tokens in batch]
 
 
 class PatchPipeline:
@@ -584,8 +572,6 @@ class PatchPipeline:
                  tree_cache: Optional[TreeCache] = None,
                  compile: Optional[bool] = None,
                  memo: Optional[TransformMemo] = None):
-        from .engine import Engine
-
         self.patches = list(patches)
         if options is None:
             options = [None] * len(self.patches)
@@ -601,35 +587,37 @@ class PatchPipeline:
         self.prefilter_enabled = prefilter
         self.compile_flag = compile
         self.tree_cache = tree_cache if tree_cache is not None else DEFAULT_TREE_CACHE
-        self.engines = [Engine(patch, options=opts, tree_cache=self.tree_cache,
-                               compile=compile)
-                        for patch, opts in zip(self.patches, self.options)]
+        self.engines = self._new_engines()
+        #: a finished run left impure script namespaces behind: the next
+        #: run starts from fresh engines, as a cold run would
+        self._stale = False
         self.prefilter = PipelinePrefilter(self.patches) if prefilter else None
-        self.patch_fingerprints = [
-            patch_fingerprint(patch, opts, name)
-            for patch, opts, name in zip(self.patches, self.options,
-                                         self.names)]
+        self._prefilters = self.prefilter.prefilters if prefilter \
+            else [None] * len(self.patches)
         self.fingerprint = patchset_fingerprint(self.patches, self.options,
                                                 self.names)
         # fixed after construction; the assemble path reads it per file
         self._n_rules_per_patch = [len(patch.patch_rules())
                                    for patch in self.patches]
         self.memo = memo
+        self._memo_keys: Optional[list] = None
         if memo is not None:
-            # one (fingerprint, flags) per patch; None marks the patches a
-            # memo hit could not soundly answer: per-file script rules may
-            # read state mutated across files, so their sessions are not
-            # pure functions of the file text
+            # one (fingerprint, flags) per patch; script-bearing patches
+            # extend it per session with their namespace digest
             flags = memo_flags(prefilter, backend_enabled(compile))
-            self._memo_keys: Optional[list] = [
-                (fingerprint, flags)
-                if not (has_per_file_scripts(patch) and opts.python_scripting)
-                else None
-                for fingerprint, patch, opts in zip(self.patch_fingerprints,
-                                                    self.patches, self.options)]
-        else:
-            self._memo_keys = None
+            self._memo_keys = [
+                (patch_fingerprint(patch, opts, name), flags)
+                for patch, opts, name in zip(self.patches, self.options,
+                                             self.names)]
         self.stats = PipelineStats()
+
+    def _new_engines(self) -> list:
+        """One engine per patch, with fresh script namespaces."""
+        from .engine import Engine
+
+        return [Engine(patch, options=opts, tree_cache=self.tree_cache,
+                       compile=self.compile_flag)
+                for patch, opts in zip(self.patches, self.options)]
 
     # -- public API -----------------------------------------------------------
 
@@ -641,139 +629,136 @@ class PatchPipeline:
         result.stats.take_counts(counts)
         return result
 
-    def _run(self, files: dict[str, str],
-             token_index: Optional[TokenIndex]) -> PipelineResult:
+    def _run(self, files: dict[str, str], token_index: Optional[TokenIndex],
+             serial: bool = False, since: Optional[PipelineResult] = None,
+             reused: Optional[dict] = None) -> Optional[PipelineResult]:
+        """One pass over ``files``.  ``reused`` maps the names whose results
+        splice from ``since`` to their records (see
+        :class:`~repro.engine.incremental.IncrementalPipeline`); the rest run.
+        A session that turns out impure after files were forked or spliced
+        discards the pass: it re-runs serially from fresh engines, or with
+        files spliced returns ``None`` so the caller re-runs without them."""
         started = time.perf_counter()
+        if self._stale:
+            self.engines, self._stale = self._new_engines(), False
         stats = self.stats = PipelineStats(
             patches=len(self.patches), files_total=len(files),
             prefilter=self.prefilter_enabled,
             jobs_requested=self.jobs_requested)
+        self._run_initialize(files)
+        rerun = {name: text for name, text in files.items()
+                 if name not in reused} if reused else files
+        outcomes, skipped = self._plan_and_apply(rerun, token_index, stats,
+                                                 serial)
+        impure = _impure_patches(outcomes.values())
+        if impure and (reused or stats.jobs_used > 1):
+            # each worker (or the prior run) mutated its own copy of the
+            # namespace: only a serial run from fresh engines gives the
+            # scripts their meaning
+            self.engines = self._new_engines()
+            return None if reused else self._run(files, token_index,
+                                                 serial=True)
 
-        outcomes, skipped = self._plan_and_apply(files, token_index, stats)
-
-        # ---- assemble in input order
+        # ---- assemble in input order: splice or take the fresh outcome
         result, per_patch_stats = self._fresh_result(len(files), stats.jobs_used)
-        for name, text in files.items():
-            if name in skipped:
-                self._assemble_skipped(result, per_patch_stats, stats,
-                                       name, text)
-            else:
-                self._assemble_outcome(result, per_patch_stats, stats,
-                                       name, text, outcomes[name])
+        with _obs.phase("splice") if reused is not None else nullcontext():
+            for name, text in files.items():
+                if reused and name in reused:
+                    self._assemble_reused(result, per_patch_stats, stats,
+                                          name, reused[name], since)
+                elif name in skipped:
+                    self._assemble_skipped(result, per_patch_stats, stats,
+                                           name, text)
+                else:
+                    self._assemble_outcome(result, per_patch_stats, stats,
+                                           name, text, outcomes[name])
 
-        self._run_finalize(result, per_patch_stats)
+        self._run_finalize(result, per_patch_stats, impure)
+        self._stale = bool(impure)
         stats.total_seconds = time.perf_counter() - started
         result.stats = stats
         return result
 
-    # -- run() building blocks (shared with IncrementalPipeline) --------------
+    # -- run() building blocks ------------------------------------------------
 
     def _plan_and_apply(self, files: dict[str, str],
                         token_index: Optional[TokenIndex],
-                        stats: PipelineStats,
+                                        stats: PipelineStats, serial: bool,
                         ) -> tuple[dict[str, _FileOutcome], set[str]]:
         """Token-scan ``files``, run the surviving sessions (serial or over
         worker processes) and return ``(outcomes, whole-skipped names)``.
         Updates the scan/apply timing, skip and jobs fields of ``stats``."""
         # ---- plan: which files could any patch possibly touch
-        work: list[tuple[str, str, Optional[frozenset[str]], int]] = []
+        work: list[tuple[str, str, Optional[frozenset[str]]]] = []
         skipped: set[str] = set()
         scan_started = time.perf_counter()
         for name, text in files.items():
             if self.prefilter is None:
-                work.append((name, text, None, 0))
+                work.append((name, text, None))
                 continue
             tokens = token_index.tokens_of(name, text) if token_index is not None \
                 else scan_token_set(text)
             if self.prefilter.needs_any_session(tokens):
-                work.append((name, text, tokens, 0))
+                work.append((name, text, tokens))
             else:
                 skipped.add(name)
                 stats.files_skipped += 1
         stats.scan_seconds = time.perf_counter() - scan_started
 
-        jobs_used = self._effective_jobs(len(work))
-        stats.jobs_used = jobs_used
-        self._run_initialize(bool(files), jobs_used)
+        stats.jobs_used = 1 if serial else self._effective_jobs(len(work))
 
         # ---- apply
         apply_started = time.perf_counter()
-        outcomes = self._apply_work(work, jobs_used)
+        outcomes = self._apply_work(work, stats.jobs_used)
         stats.apply_seconds = time.perf_counter() - apply_started
         return outcomes, skipped
 
-    def _run_initialize(self, any_files: bool, jobs_used: int) -> None:
+    def _run_initialize(self, files: dict[str, str]) -> None:
         """Initialize rules: once per patch, as soon as any file is processed
-        (the workers run them instead for script-bearing patches, so their
+        (forked workers also run them for script-bearing patches, so their
         per-file scripts see the initialized globals)."""
-        if not any_files:
-            return
-        for engine in self.engines:
-            if jobs_used == 1 or not has_per_file_scripts(engine.patch):
+        if files:
+            for engine in self.engines:
                 engine._run_initialize_rules()
 
     def _apply_work(self, work, jobs_used: int) -> dict[str, _FileOutcome]:
-        """Run the planned ``(name, text, tokens, start)`` items, serial or
-        over worker processes; ``start`` is the index of the first patch to
-        apply (non-zero only for incremental suffix replays)."""
-        if jobs_used > 1:
-            if self.memo is None:
-                return self._run_parallel(work, jobs_used)
-            # answer fully-warm files in this process (no fork round-trip),
-            # fan out the rest, then publish what the workers computed: the
-            # workers are forked children, so their memory-tier stores die
-            # with them and only the shared disk tier (if any) persists
-            resolved: dict[str, _FileOutcome] = {}
-            remaining = self._resolve_from_memo(work, resolved)
-            outcomes = self._run_parallel(remaining, jobs_used) \
-                if remaining else {}
-            inputs = {name: (text, start)
-                      for name, text, tokens, start in remaining}
-            for name, outcome in outcomes.items():
-                text, start = inputs[name]
-                self._memo_store_outcome(text, outcome, start)
-            outcomes.update(resolved)
-            return outcomes
-        prefilters = self.prefilter.prefilters if self.prefilter is not None \
-            else [None] * len(self.patches)
-        memo_keys = self._memo_keys
-        return {name: _apply_patches_to_file(
-                    self.engines[start:], prefilters[start:],
-                    name, text, tokens, memo=self.memo,
-                    memo_keys=memo_keys[start:] if memo_keys is not None
-                    else None)
-                for name, text, tokens, start in work}
-
-    def _resolve_from_memo(self, work, resolved: dict) -> list:
-        """Try to answer each work item entirely from the memo (hits and
-        prefilter-gated patches only — no sessions); fully-resolved outcomes
-        land in ``resolved``, the rest come back for the workers."""
-        prefilters = self.prefilter.prefilters if self.prefilter is not None \
-            else [None] * len(self.patches)
+        """Run the planned ``(name, text, tokens)`` items, serial or over
+        worker processes."""
+        if jobs_used == 1:
+            return {name: _apply_patches_to_file(
+                        self.engines, self._prefilters, name, text, tokens,
+                        memo=self.memo, memo_keys=self._memo_keys)
+                    for name, text, tokens in work}
+        if self.memo is None:
+            return self._run_parallel(work, jobs_used)
+        # answer fully-warm files in this process (no fork round-trip), fan
+        # out the rest, then publish what the workers computed: the workers
+        # are forked children, so their memory-tier stores die with them
+        # and only the shared disk tier (if any) persists
+        resolved: dict[str, _FileOutcome] = {}
         remaining = []
-        for name, text, tokens, start in work:
+        for name, text, tokens in work:
             outcome = _apply_patches_to_file(
-                self.engines[start:], prefilters[start:], name, text, tokens,
-                memo=self.memo, memo_keys=self._memo_keys[start:],
-                resolve_only=True)
+                self.engines, self._prefilters, name, text, tokens,
+                memo=self.memo, memo_keys=self._memo_keys, resolve_only=True)
             if outcome is None:
-                remaining.append((name, text, tokens, start))
+                remaining.append((name, text, tokens))
             else:
                 resolved[name] = outcome
-        return remaining
+        outcomes = self._run_parallel(remaining, jobs_used) if remaining else {}
+        for name, text, _tokens in remaining:
+            self._memo_store_outcome(text, outcomes[name])
+        outcomes.update(resolved)
+        return outcomes
 
-    def _memo_store_outcome(self, text: str, outcome: _FileOutcome,
-                            start: int = 0) -> None:
-        """Memoize the sessions of one worker-computed outcome, threading
-        boundary hashes exactly as the in-loop store does."""
-        keys = self._memo_keys
-        if keys is None:
-            return
+    def _memo_store_outcome(self, text: str, outcome: _FileOutcome) -> None:
+        """Memoize the sessions of one worker-computed outcome under the keys
+        the worker looked them up with, threading boundary hashes exactly as
+        the in-loop store does."""
         text_sha: Optional[str] = None
-        for index, file_result in enumerate(outcome.results):
-            key = keys[start + index]
+        for file_result, key in zip(outcome.results, outcome.keys):
             output_sha = None
-            if outcome.ran[index] and key is not None:
+            if key is not None:
                 if text_sha is None:
                     text_sha = content_sha1(text)
                 output_sha = self.memo.store_result(text_sha, key[0], key[1],
@@ -790,8 +775,7 @@ class PatchPipeline:
         result = PipelineResult(
             patch_names=list(self.names),
             per_patch=[PatchResult() for _ in self.patches],
-            fingerprint=self.fingerprint,
-            patch_fingerprints=list(self.patch_fingerprints))
+            fingerprint=self.fingerprint)
         per_patch_stats = [
             PipelineStats(patches=1, files_total=n_files,
                           prefilter=self.prefilter_enabled,
@@ -814,26 +798,42 @@ class PatchPipeline:
             per_patch_stats[index].rules_gated += n_rules_per_patch[index]
         result.files[name] = FileResult(filename=name,
                                         original_text=text, text=text)
-        input_sha = content_sha1(text)
         result.records[name] = FileRecord(
-            sha1=input_sha, skipped=True,
+            sha1=content_sha1(text), skipped=True,
             ran=(False,) * len(self.patches),
-            rules_gated=tuple(n_rules_per_patch),
-            boundaries=(input_sha,) * len(self.patches))
+            rules_gated=tuple(n_rules_per_patch))
         stats.sessions_gated += len(self.patches)
         stats.rules_gated += sum(n_rules_per_patch)
+
+    @staticmethod
+    def _assemble_reused(result: PipelineResult,
+                         per_patch_stats: list[PipelineStats],
+                         stats: PipelineStats, name: str, record: FileRecord,
+                         since: PipelineResult) -> None:
+        """Splice one hash-unchanged file's cached results into ``result``,
+        reconstructing its exact contribution to the coverage counters."""
+        for index, patch_result in enumerate(result.per_patch):
+            patch_result.files[name] = since.per_patch[index].files[name].copy()
+            if not record.ran[index]:
+                per_patch_stats[index].files_skipped += 1
+            per_patch_stats[index].rules_gated += record.rules_gated[index]
+        result.files[name] = since.files[name].copy()
+        result.records[name] = record
+        if record.skipped:
+            stats.files_skipped += 1
+        stats.sessions_run += sum(record.ran)
+        stats.sessions_gated += len(record.ran) - sum(record.ran)
+        stats.rules_gated += sum(record.rules_gated)
 
     def _assemble_outcome(self, result: PipelineResult,
                           per_patch_stats: list[PipelineStats],
                           stats: PipelineStats, name: str, text: str,
                           outcome: _FileOutcome) -> None:
         """Splice one file's freshly computed session outcomes into ``result``."""
-        input_sha = content_sha1(text)
         result.records[name] = FileRecord(
-            sha1=input_sha, skipped=False,
+            sha1=content_sha1(text), skipped=False,
             ran=tuple(outcome.ran),
-            rules_gated=tuple(outcome.rules_gated),
-            boundaries=boundary_hashes(outcome.results, text, input_sha))
+            rules_gated=tuple(outcome.rules_gated))
         for index, file_result in enumerate(outcome.results):
             result.per_patch[index].files[name] = file_result
             if not outcome.ran[index]:
@@ -851,21 +851,29 @@ class PatchPipeline:
                          for d in fr.diagnostics])
 
     def _run_finalize(self, result: PipelineResult,
-                      per_patch_stats: list[PipelineStats]) -> None:
-        """Finalize rules run once per patch, in patch order, at the end."""
+                      per_patch_stats: list[PipelineStats],
+                      impure: set[int]) -> None:
+        """Finalize rules run once per patch, in patch order, at the end,
+        after one warning for each patch whose scripts were impure."""
         for index, (engine, patch_result) in enumerate(
                 zip(self.engines, result.per_patch)):
+            if index in impure:
+                patch_result.diagnostics.append(Diagnostic(
+                    severity="warning",
+                    message=f"patch {self.names[index]!r}: a script:python "
+                            f"rule changed the patch's script namespace (or "
+                            f"it holds a value the purity check cannot "
+                            f"describe), so its output may depend on file "
+                            f"order; it ran serially and is not reused"))
             engine._run_finalize_rules(patch_result)
             result.diagnostics.extend(patch_result.diagnostics)
             patch_result.stats = per_patch_stats[index]
+        result.impure_patches = [self.names[index] for index in sorted(impure)]
 
     # -- parallel execution ---------------------------------------------------
 
     def _effective_jobs(self, n_files: int) -> int:
         if self.jobs <= 1 or n_files <= 1:
-            return 1
-        if not all(parallel_preserves_semantics(patch, opts)
-                   for patch, opts in zip(self.patches, self.options)):
             return 1
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1  # spawn would not inherit sys.path in source checkouts

@@ -17,10 +17,20 @@ A script that raises (for example a ``KeyError`` when looking up a function
 that is not in its translation dictionary) simply drops the environment, with
 a diagnostic; this is what makes the CUDA→HIP toy patch of the paper only
 rename the functions present in its dictionary.
+
+Per-file scripts share the patch's namespace, so a script that mutates it
+(a counter, a list of seen names) makes a file's outcome depend on the files
+before it.  The pipeline digests the namespace (:func:`namespace_digest`)
+before and after every session of a script-bearing patch; a session that
+changed it is *impure*, and every reuse path trusts only pure sessions.
 """
 
 from __future__ import annotations
 
+import hashlib
+import re
+import sys
+import types
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
@@ -28,6 +38,129 @@ from typing import Optional
 from ..errors import Diagnostic, ScriptRuleError
 from ..smpl.ast import ScriptRule
 from .bindings import BoundValue, Env
+
+
+class _Opaque(Exception):
+    """A namespace value that :func:`namespace_digest` cannot describe."""
+
+
+#: immutable scalars, rendered without ``repr`` (hex for numbers)
+_SCALARS = {type(None): str, bool: str, int: hex, float: float.hex,
+            str: str, bytes: bytes.hex}
+
+
+def _import_path(value) -> Optional[str]:
+    """``module.qualname`` when that name imports back to ``value`` itself
+    (builtins, library functions and classes), else ``None``."""
+    module, qualname = getattr(value, "__module__", None), \
+        getattr(value, "__qualname__", None)
+    if not isinstance(module, str) or not isinstance(qualname, str):
+        return None
+    target = sys.modules.get(module)
+    for part in qualname.split("."):
+        target = getattr(target, part, None)
+    return f"{module}.{qualname}" if target is value else None
+
+
+class _Describer:
+    """Renders a namespace by content.  Mutable objects are numbered in
+    visit order, so aliasing and cycles are described without ``id()``."""
+
+    def __init__(self, root: dict):
+        self.root = root
+        self.parts: list[str] = []
+        self.seen: dict[int, int] = {}
+        self.alive: list = []  # keeps visited ids from being reused
+
+    def put(self, tag: str, text: str = "") -> None:
+        self.parts.append(f"{tag}:{len(text)}:{text}")
+
+    def hexdigest(self) -> str:
+        return hashlib.sha1("\x00".join(self.parts).encode(
+            "utf-8", "surrogatepass")).hexdigest()
+
+    def describe(self, value) -> None:
+        kind = type(value)
+        if kind in _SCALARS:
+            self.put(kind.__name__, _SCALARS[kind](value))
+        elif kind is tuple:
+            self.put("tuple", str(len(value)))
+            for item in value:
+                self.describe(item)
+        elif kind is frozenset:
+            self.unordered(value)
+        elif kind is types.CodeType:
+            self.put("code", "/".join(map(str, (
+                value.co_name, value.co_argcount, value.co_posonlyargcount,
+                value.co_kwonlyargcount, value.co_flags, value.co_code.hex(),
+                value.co_names, value.co_varnames, value.co_freevars,
+                value.co_cellvars))))
+            self.describe(value.co_consts)
+        elif kind is types.ModuleType:
+            self.put("module", value.__name__)
+        elif kind is re.Pattern:
+            self.put("pattern", str(value.flags))
+            self.describe(value.pattern)
+        elif kind in (type, types.FunctionType, types.BuiltinFunctionType) \
+                and (path := _import_path(value)):
+            self.put("ref", path)
+        elif id(value) in self.seen:
+            self.put("alias", str(self.seen[id(value)]))
+        else:
+            self.seen[id(value)] = len(self.seen)
+            self.alive.append(value)
+            self.mutable(kind, value)
+
+    def mutable(self, kind, value) -> None:
+        if kind is list:
+            self.put("list", str(len(value)))
+            for item in value:
+                self.describe(item)
+        elif kind is set:
+            self.unordered(value)
+        elif kind is dict:
+            self.put("dict", str(len(value)))
+            for key, item in value.items():
+                self.describe(key)
+                self.describe(item)
+        elif kind is types.FunctionType and value.__globals__ is self.root:
+            self.put("function", value.__qualname__)
+            for part in (value.__code__, value.__defaults__,
+                         value.__kwdefaults__, value.__dict__):
+                self.describe(part)
+            for cell in value.__closure__ or ():
+                try:
+                    self.describe(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    self.put("empty")
+        else:
+            raise _Opaque(kind.__name__)
+
+    def unordered(self, values) -> None:
+        """Set order follows string hashing, which differs between
+        processes: describe each element on its own and sort."""
+        digests = []
+        for item in values:
+            walker = _Describer(self.root)
+            walker.describe(item)
+            digests.append(walker.hexdigest())
+        self.put("set", ",".join(sorted(digests)))
+
+
+def namespace_digest(namespace: dict) -> Optional[str]:
+    """A digest of a script namespace's contents, ``__builtins__`` excluded,
+    equal across engines and processes for equal contents.  Functions are
+    described by their code, defaults and closure cells; modules, library
+    functions and classes by their import path.  ``None`` when some value
+    cannot be described by content (an instance of a script-defined class,
+    a bound method, ...): the caller must then treat the state as changed."""
+    walker = _Describer(namespace)
+    try:
+        walker.describe({name: value for name, value in namespace.items()
+                         if name != "__builtins__"})
+    except (_Opaque, RecursionError):
+        return None
+    return walker.hexdigest()
 
 
 @dataclass

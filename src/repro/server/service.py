@@ -14,10 +14,11 @@ state PRs 3–4 built but which previously died with every CLI process:
 * the last :class:`~repro.engine.pipeline.PipelineResult`, seeding every
   subsequent ``apply`` through
   :class:`~repro.engine.incremental.IncrementalPipeline` — repeated
-  requests against a workspace automatically splice per-file and
-  patch-prefix results, and a changed patch list or toggled prefilter
-  degrades to a cold run, never to wrong output (the engine's existing
-  ``since=`` guarantees; the service adds no new reuse logic of its own).
+  requests against a workspace automatically splice per-file results,
+  and a changed patch list or toggled prefilter degrades to a cold run
+  that the service's shared memo answers for every unchanged patch, never
+  to wrong output (the engine's existing ``since=`` guarantees; the
+  service adds no new reuse logic of its own).
 
 :meth:`Workspace.run` is the one run path: in-process applies, lock-free
 queries and the fleet workers' applies all build their
@@ -410,8 +411,9 @@ class Workspace:
         The run goes through
         :class:`~repro.engine.incremental.IncrementalPipeline` over this
         workspace's parse cache, seeded with ``since`` — the engine splices
-        unchanged files and patch prefixes, or degrades to a cold run when
-        nothing is reusable.  With ``store`` the result becomes
+        unchanged files when the patch list is the same, and otherwise runs
+        cold with the shared ``memo`` answering every unchanged patch.  With
+        ``store`` the result becomes
         :attr:`last` and is snapshotted (caller holds the lock); without
         it the workspace is left exactly as it was."""
         pipeline = IncrementalPipeline(
@@ -787,8 +789,9 @@ class PatchService:
         "name": ...}`` or ``{"kind": "smpl", "text": ..., "name": ...}``,
         applied in order as one pipeline).  The run is a
         :meth:`Workspace.run` seeded with the workspace's last result — the
-        engine splices unchanged files and patch prefixes, or degrades to a
-        cold run when nothing is reusable.  The response is the shared
+        engine splices unchanged files when the patch list is the same, and
+        otherwise runs cold with the service's memo answering every
+        unchanged patch.  The response is the shared
         :mod:`result payload <repro.server.protocol>` (diffs and changed
         texts on request, volatile profile section under ``"profile"``).
 

@@ -99,8 +99,9 @@ class TestParallelJobs:
         assert parallel.total_matches == serial.total_matches
 
     def test_parallel_falls_back_when_finalize_aggregates_scripts(self):
-        """A patch combining per-file scripts with a finalize rule may carry
-        state across files; the pipeline must refuse to parallelise it."""
+        """A per-file script that mutates its namespace carries state across
+        files; the pipeline must discard the forked run and apply it
+        serially."""
         text = ("@initialize:python@ @@\nseen = []\n\n"
                 "@a@\nidentifier f;\n@@\nmarked(f);\n\n"
                 "@script:python s@\nf << a.f;\n@@\nseen.append(f)\n\n"
@@ -110,6 +111,7 @@ class TestParallelJobs:
                               "b.c": "void u(void) { marked(y); }\n"},
                              jobs=4)
         assert result.stats.jobs_used == 1
+        assert result.impure_patches == [patch.name]
 
     def test_initialize_runs_exactly_once_for_script_free_parallel_patch(self, tmp_path):
         """Side-effecting initialize rules must not be duplicated across

@@ -26,7 +26,13 @@ smoke/nightly jobs do; default: a per-test temporary directory).
 
 The patch pool is a rename lattice — ``{token}_{g}() -> {token}_{g+1}()``
 — so patches compose into order-sensitive chains (a reorder or a dropped
-middle patch genuinely changes the output, not just the bookkeeping).
+middle patch genuinely changes the output, not just the bookkeeping).  Two
+tokens are rewritten by ``script:python`` rules: ``table`` through a
+translation table its initialize rule sets up (a pure script, which the
+memo and the splice reuse), ``count`` by numbering every match in visit
+order (an impure script, which every reuse path must detect).  Every
+result is compared with a cold *serial* run, so a forked or spliced run
+that let a counting script see the files out of order shows up here.
 
 Seed control:
 
@@ -53,8 +59,8 @@ from repro import CodeBase, PatchSet, SemanticPatch
 
 from test_incremental import assert_results_identical
 
-#: the rename lattice the random patch lists draw from
-TOKENS = ("alpha", "beta", "gamma", "delta")
+#: the rename lattice the random patch lists draw from (see SCRIPTED)
+TOKENS = ("alpha", "beta", "gamma", "delta", "table", "count")
 #: generations per token (a patch rewrites generation g to g+1)
 GENERATIONS = 3
 
@@ -80,10 +86,35 @@ CONFIG_IDS = [f"prefilter_{'on' if p else 'off'}-jobs{j}" for p, j in CONFIGS]
 # generators
 # ---------------------------------------------------------------------------
 
+#: identifier regex, initialize rule and renaming script of the
+#: script-driven tokens: a pure translation-table lookup of one generation,
+#: and an impure counter of every lattice call that renames the ``count``
+#: ones by their number (its outputs leave the lattice, so no later patch
+#: matches them)
+SCRIPTED = {
+    "table": ("^table_{gen}$", 'TABLE = {{"table_{gen}": "table_{next}"}}',
+              "coccinelle.nf = cocci.make_ident(TABLE[fn])"),
+    "count": ("^[a-z]+_[0-9]+$", "SEEN = [0]",
+              "SEEN[0] += 1\n"
+              "cocci.include_match(fn.startswith('count_'))\n"
+              'coccinelle.nf = cocci.make_ident("%s_n%d" % (fn, SEEN[0]))'),
+}
+
+
 def _patch_text(token: str, gen: int) -> str:
-    return (f"@r_{token}_{gen}@ @@\n"
-            f"- {token}_{gen}();\n"
-            f"+ {token}_{gen + 1}();\n")
+    if token not in SCRIPTED:
+        return (f"@r_{token}_{gen}@ @@\n"
+                f"- {token}_{gen}();\n"
+                f"+ {token}_{gen + 1}();\n")
+    regex, setup, script = SCRIPTED[token]
+    return (f"@initialize:python@ @@\n"
+            f"{setup.format(gen=gen, next=gen + 1)}\n\n"
+            f"@m@\nidentifier fn =~ \"{regex.format(gen=gen)}\";\n"
+            f"position p;\n@@\n"
+            f"fn@p(...)\n\n"
+            f"@script:python s@\nfn << m.fn;\nnf;\n@@\n{script}\n\n"
+            f"@e@\nidentifier m.fn;\nidentifier s.nf;\nposition m.p;\n@@\n"
+            f"- fn@p\n+ nf\n")
 
 
 def _build_patchset(descs: list[tuple[str, int]]) -> PatchSet:
@@ -162,7 +193,7 @@ def _run_fuzz_case(seed: int, prefilter: bool, jobs: int,
         history.append(_mutate(rng, files, descs, step))
         patchset = _build_patchset(descs)
         cold = patchset.apply(CodeBase.from_files(dict(files)),
-                              jobs=jobs, prefilter=prefilter)
+                              jobs=1, prefilter=prefilter)
         incremental = patchset.apply(CodeBase.from_files(dict(files)),
                                      jobs=jobs, prefilter=prefilter,
                                      since=result)
@@ -177,6 +208,9 @@ def _run_fuzz_case(seed: int, prefilter: bool, jobs: int,
             context = f"seed={seed} step={step} ops={history} descs={descs}"
             assert_results_identical(incremental, cold, context)
             assert_results_identical(memoized, cold, "memo " + context)
+            for run in (incremental, memoized):
+                assert run.diagnostics == cold.diagnostics, context
+                assert run.impure_patches == cold.impure_patches, context
             patches = list(patchset)
             assert exit_status(memoized, patches) \
                 == exit_status(incremental, patches) \

@@ -23,6 +23,7 @@ from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import content_sha1
 from repro.engine.incremental import (IncrementalPipeline, IncrementalStats,
                                       PipelineState)
+from repro.engine.memo import TransformMemo
 from repro.obs import Capture
 
 from test_prefilter import _cookbook_patch
@@ -200,22 +201,26 @@ class TestFallbacks:
         result = patchset.apply(codebase, since=None)
         assert result.incremental is None  # plain cold run, no wrapper
 
-    def test_shared_prefix_no_longer_falls_back(self):
-        """Dropping the tail of the patch list keeps the shared prefix
-        reusable: the truncated set splices the cached prefix results
-        instead of degrading to a cold run (PR 3 behaviour)."""
-        _patchset, codebase, prior = self._prior()
+    def test_truncated_patch_list_runs_cold_through_the_memo(self):
+        """Dropping the tail of the patch list is a cold run; the memo
+        answers the patch that stayed."""
+        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
+        codebase = CodeBase.from_files({"a.c": "void f(void) { old_api(); }\n"})
+        memo = TransformMemo()
+        prior = patchset.apply(codebase, memo=memo)
         other = PatchSet(_patches(RENAME_A))  # prefix of the prior list
-        result = other.apply(codebase, since=prior)
-        assert result.incremental.fallback is None
-        assert result.incremental.patches_reused == 1
+        cold = other.apply(CodeBase.from_files(dict(codebase.files)))
+        result = other.apply(codebase, since=prior, memo=memo)
+        assert "patch set" in result.incremental.fallback
+        assert (result.stats.memo_hits, result.stats.memo_misses) == (1, 0)
         assert result["a.c"].text == "void f(void) { mid_api(); }\n"
+        assert_results_identical(result, cold, "truncated")
 
     def test_diverged_first_patch_falls_back(self):
         _patchset, codebase, prior = self._prior()
         other = PatchSet(_patches(RENAME_B, RENAME_A))  # reordered prefix
         result = other.apply(codebase, since=prior)
-        assert "no shared patch prefix" in result.incremental.fallback
+        assert "patch set" in result.incremental.fallback
         # RENAME_B then RENAME_A: old_api -> mid_api (B first finds nothing)
         assert result["a.c"].text == "void f(void) { mid_api(); }\n"
 
@@ -237,7 +242,27 @@ class TestFallbacks:
         back_on = patchset.apply(codebase, prefilter=True, since=result)
         assert "prefilter" in back_on.incremental.fallback
 
-    def test_script_finalize_aggregation_falls_back(self):
+    def test_pure_script_finalize_patch_splices(self):
+        """Per-file scripts that only read their namespace leave nothing
+        for a finalize rule to aggregate: the prior result splices."""
+        table = ("@initialize:python@ @@\nNEW = {'x': 'x2', 'y': 'y2'}\n\n"
+                 "@a@\nidentifier f;\n@@\nmarked(f);\n\n"
+                 "@script:python s@\nf << a.f;\nn;\n@@\n"
+                 "coccinelle.n = cocci.make_ident(NEW[f])\n\n"
+                 "@b@\nidentifier a.f;\nidentifier s.n;\n@@\n"
+                 "- marked(f);\n+ marked(n);\n\n"
+                 "@finalize:python@ @@\nprint('done', len(NEW))\n")
+        patchset = PatchSet([SemanticPatch.from_string(table, name="table")])
+        codebase = CodeBase.from_files({"a.c": "void t(void) { marked(x); }\n",
+                                        "b.c": "void u(void) { marked(y); }\n"})
+        prior = patchset.apply(codebase)
+        assert prior["a.c"].text == "void t(void) { marked(x2); }\n"
+        result = patchset.apply(codebase, since=prior)
+        assert result.incremental.fallback is None
+        assert result.incremental.files_reused == 2
+        assert_results_identical(result, prior, "pure-script")
+
+    def test_impure_prior_result_is_refused(self):
         aggregating = ("@initialize:python@ @@\nseen = []\n\n"
                        "@a@\nidentifier f;\n@@\nmarked(f);\n\n"
                        "@script:python s@\nf << a.f;\n@@\nseen.append(f)\n\n"
@@ -246,8 +271,12 @@ class TestFallbacks:
         codebase = CodeBase.from_files({"a.c": "void t(void) { marked(x); }\n",
                                         "b.c": "void u(void) { marked(y); }\n"})
         prior = patchset.apply(codebase)
+        assert prior.impure_patches == ["agg"]
         result = patchset.apply(codebase, since=prior)
-        assert "finalize" in result.incremental.fallback
+        assert "impure" in result.incremental.fallback
+        assert "agg" in result.incremental.fallback
+        assert result.incremental.files_reused == 0
+        assert_results_identical(result, prior, "impure-prior")
 
     def test_fallback_result_still_seeds_the_next_incremental_run(self):
         patchset, codebase, prior = self._prior()
@@ -260,71 +289,100 @@ class TestFallbacks:
 
 
 # ---------------------------------------------------------------------------
-# patch-set deltas: prefix splicing + suffix replay
+# patch-set deltas: a cold run the transform memo answers
 # ---------------------------------------------------------------------------
 
-#: appended third patch for the prefix differentials (matches the raw part)
+#: appended third patch for the patch-list differentials (matches the raw part)
 APPEND_NAME = "raw_loop_to_find"
 
 
-class TestPatchPrefixReuse:
-    def _prior(self, prefilter=True, jobs=1):
+def _sessions(result, patches=None) -> int:
+    """Sessions the given patch positions (default: all) ran in ``result``."""
+    indices = range(len(result.per_patch)) if patches is None else patches
+    return sum(result.per_patch[index].stats.files_total
+               - result.per_patch[index].stats.files_skipped
+               for index in indices)
+
+
+def _probe_hits(cold, n_unchanged: int, jobs: int) -> int:
+    """Memo hits a forked run's parent adds while probing: every file whose
+    appended patch needs a session resolves the unchanged patches in the
+    parent first, then again in a worker."""
+    if jobs == 1:
+        return 0
+    return sum(sum(record.ran[:n_unchanged])
+               for record in cold.records.values()
+               if len(record.ran) > n_unchanged and record.ran[n_unchanged])
+
+
+class TestPatchListChanges:
+    def _prior(self, memo, prefilter=True, jobs=1):
         patches = [_cookbook_patch(name) for name in COOKBOOK_NAMES]
         codebase = _mini(*WORKLOAD_PARTS)
         prior = PatchSet(patches).apply(codebase, jobs=jobs,
-                                        prefilter=prefilter)
+                                        prefilter=prefilter, memo=memo)
         assert prior.total_matches > 0
         return patches, codebase, prior
 
     @pytest.mark.parametrize("prefilter,jobs", CONFIGS,
                              ids=[f"prefilter_{'on' if p else 'off'}-jobs{j}"
                                   for p, j in CONFIGS])
-    def test_appended_patch_runs_suffix_only(self, prefilter, jobs):
+    def test_appended_patch_runs_only_the_new_sessions(self, prefilter, jobs,
+                                                      tmp_path):
         """The headline workflow: appending one patch to a warm patch set
-        splices every unchanged file's prefix results and replays only the
-        new patch — byte-identical to a cold run of the full list."""
-        patches, codebase, prior = self._prior(prefilter, jobs)
+        is answered from the memo for every unchanged patch, and only the
+        new patch's sessions run — byte-identical to a cold run of the
+        full list."""
+        memo = TransformMemo(path=tmp_path / "memo")  # workers share it
+        patches, codebase, prior = self._prior(memo, prefilter, jobs)
         extended = PatchSet(patches + [_cookbook_patch(APPEND_NAME)])
         cold = extended.apply(CodeBase.from_files(dict(codebase.files)),
                               jobs=jobs, prefilter=prefilter)
         incremental = extended.apply(codebase, jobs=jobs, prefilter=prefilter,
-                                     since=prior)
+                                     since=prior, memo=memo)
         stats = incremental.incremental
-        assert stats.fallback is None
-        assert stats.patches_reused == len(patches)
+        assert "patch set" in stats.fallback
         assert stats.patches_total == len(patches) + 1
-        assert stats.files_reused == len(codebase)
-        assert stats.files_rerun == 0
-        assert cold.per_patch[-1].total_matches > 0  # the suffix patch bites
+        probes = _probe_hits(cold, len(patches), jobs)
+        new_sessions = _sessions(cold, [len(patches)])
+        assert incremental.stats.memo_hits == _sessions(prior) + probes
+        assert incremental.stats.memo_misses == \
+            new_sessions * (2 if jobs > 1 else 1)
+        assert cold.per_patch[-1].total_matches > 0  # the new patch bites
         assert_results_identical(incremental, cold,
                                  ("append", prefilter, jobs))
 
-    def test_modified_tail_patch_replays_from_divergence(self):
+    def test_modified_tail_patch_reruns_only_its_sessions(self):
         patchset = PatchSet(_patches(RENAME_A, RENAME_B))
         files = {"a.c": "void f(void) { old_api(); }\n", "b.c": "int z;\n"}
-        prior = patchset.apply(files)
+        memo = TransformMemo()
+        prior = patchset.apply(files, memo=memo)
         modified = PatchSet(_patches(
             RENAME_A, "@r@ @@\n- mid_api();\n+ other_api();\n"))
         cold = modified.apply(dict(files))
-        incremental = modified.apply(dict(files), since=prior)
-        assert incremental.incremental.patches_reused == 1
+        incremental = modified.apply(dict(files), since=prior, memo=memo)
+        assert (incremental.stats.memo_hits,
+                incremental.stats.memo_misses) == (1, 1)
         assert incremental["a.c"].text == "void f(void) { other_api(); }\n"
         assert_results_identical(incremental, cold, "modified-tail")
 
-    def test_reordered_tail_keeps_the_prefix(self):
-        """Reordering patches *after* the shared prefix replays from the
-        divergence point; only reordering the first patch costs a cold run
-        (see TestFallbacks.test_diverged_first_patch_falls_back)."""
-        texts = [RENAME_A, RENAME_B, "@r@ @@\n- new_api();\n+ last_api();\n"]
+    def test_reordered_patches_hit_wherever_they_moved(self):
+        """The memo answers by content, not position: a patch that moved
+        still hits wherever it sees the text it saw before."""
+        named = [SemanticPatch.from_string(text, name=name) for name, text in
+                 (("a", RENAME_A), ("b", RENAME_B),
+                  ("c", "@r@ @@\n- new_api();\n+ last_api();\n"))]
         files = {"a.c": "void f(void) { old_api(); }\n"}
-        prior = PatchSet(_patches(*texts)).apply(files)
-        swapped = [texts[0], texts[2], texts[1]]
-        reordered = PatchSet(_patches(*swapped))
+        memo = TransformMemo()
+        prior = PatchSet(named).apply(files, memo=memo)
+        reordered = PatchSet([named[0], named[2], named[1]])
         cold = reordered.apply(dict(files))
-        incremental = reordered.apply(dict(files), since=prior)
-        assert incremental.incremental.fallback is None
-        assert incremental.incremental.patches_reused == 1
-        assert_results_identical(incremental, cold, "reordered-tail")
+        incremental = reordered.apply(dict(files), since=prior, memo=memo)
+        # a (old -> mid) and the moved b (mid -> new) hit; the moved c
+        # (new -> last) sees no new_api and is gated, as in the cold run
+        assert (incremental.stats.memo_hits,
+                incremental.stats.memo_misses) == (2, 0)
+        assert_results_identical(incremental, cold, "reordered")
 
     def test_option_change_falls_back_cold(self):
         from repro.options import SpatchOptions
@@ -338,28 +396,30 @@ class TestPatchPrefixReuse:
                 RENAME_B, name="p1",
                 options=SpatchOptions(apply_isomorphisms=False))])
         result = other.apply(codebase, since=prior)
-        assert "no shared patch prefix" in result.incremental.fallback
+        assert "patch set" in result.incremental.fallback
         assert result["a.c"].text == "void f(void) { new_api(); }\n"
 
     def test_combined_tree_and_patch_delta(self):
-        """An edited file re-runs the whole new chain while untouched files
-        splice the prefix and replay only the suffix — in the same pass."""
-        patches, codebase, prior = self._prior()
+        """An edited file misses for every patch while untouched files hit
+        for the unchanged ones — in the same pass."""
+        memo = TransformMemo()
+        patches, codebase, prior = self._prior(memo)
         mutated = _mutated(codebase, "change")
+        edited = sorted(codebase.files)[0]
         extended = PatchSet(patches + [_cookbook_patch(APPEND_NAME)])
         cold = extended.apply(CodeBase.from_files(dict(mutated.files)))
-        incremental = extended.apply(mutated, since=prior)
-        stats = incremental.incremental
-        assert stats.fallback is None
-        assert stats.patches_reused == len(patches)
-        assert stats.files_changed == 1
-        assert stats.files_reused == len(mutated) - 1
+        incremental = extended.apply(mutated, since=prior, memo=memo)
+        assert "patch set" in incremental.incremental.fallback
+        assert incremental.stats.memo_hits == sum(
+            sum(record.ran) for name, record in prior.records.items()
+            if name != edited)
+        assert incremental.stats.memo_hits + incremental.stats.memo_misses \
+            == cold.stats.sessions_run
         assert_results_identical(incremental, cold, "tree+patch")
 
-    def test_corrupt_boundary_text_demotes_file_to_full_rerun(self):
-        """Splice verification: a cached boundary text that no longer hashes
-        to the recorded boundary (tampered/corrupt state) must re-run that
-        file through the whole chain — wrong state never becomes output."""
+    def test_tampered_prior_result_never_reaches_a_changed_patch_list(self):
+        """A prior result whose cached texts were tampered with is never
+        read when the patch list changed: the output is the cold one."""
         patchset = PatchSet(_patches(RENAME_A, RENAME_B))
         files = {"a.c": "void f(void) { old_api(); }\n", "b.c": "int z;\n"}
         prior = patchset.apply(files)
@@ -368,44 +428,39 @@ class TestPatchPrefixReuse:
             RENAME_A, RENAME_B, "@r@ @@\n- new_api();\n+ last_api();\n"))
         cold = extended.apply(dict(files))
         incremental = extended.apply(dict(files), since=prior)
-        stats = incremental.incremental
-        assert stats.fallback is None
-        assert stats.files_changed == 1  # the tampered file, demoted
-        assert stats.files_reused == 1
+        assert "patch set" in incremental.incremental.fallback
         assert incremental["a.c"].text == "void f(void) { last_api(); }\n"
-        assert_results_identical(incremental, cold, "corrupt-boundary")
+        assert_results_identical(incremental, cold, "tampered")
 
     def test_truncated_prior_result_degrades_not_crashes(self):
-        """A prior result claiming more patch fingerprints than it carries
-        per-patch results (tampered or half-rebuilt state) must degrade —
-        splice what is actually there, cold-run otherwise — never raise."""
+        """A prior result with fewer per-patch results than patches
+        (tampered or half-rebuilt state) must degrade to a cold run, never
+        raise."""
         files = {"a.c": "void f(void) { old_api(); }\n"}
         third = "@r@ @@\n- new_api();\n+ last_api();\n"
         extended = PatchSet(_patches(RENAME_A, RENAME_B, third))
         cold = extended.apply(dict(files))
 
         prior = PatchSet(_patches(RENAME_A, RENAME_B)).apply(dict(files))
-        prior.per_patch = prior.per_patch[:1]  # fingerprints still claim 2
+        prior.per_patch = prior.per_patch[:1]
         partial = extended.apply(dict(files), since=prior)
-        assert partial.incremental.fallback is None
-        assert partial.incremental.patches_reused == 1  # capped at what exists
+        assert "patch set" in partial.incremental.fallback
         assert_results_identical(partial, cold, "truncated-partial")
 
         prior = PatchSet(_patches(RENAME_A, RENAME_B)).apply(dict(files))
         prior.per_patch = []  # nothing left to splice from
         empty = extended.apply(dict(files), since=prior)
-        assert "no shared patch prefix" in empty.incremental.fallback
+        assert "patch set" in empty.incremental.fallback
         assert empty["a.c"].text == cold["a.c"].text
 
         # identical patch set (equal whole-set fingerprint) but truncated
-        # per-patch results: the wholesale path must not be taken blindly
+        # per-patch results: the splice path must not be taken blindly
         same_set = PatchSet(_patches(RENAME_A, RENAME_B))
         cold_same = same_set.apply(dict(files))
         prior = same_set.apply(dict(files))
         prior.per_patch = prior.per_patch[:1]
         degraded = same_set.apply(dict(files), since=prior)
-        assert degraded.incremental.fallback is None
-        assert degraded.incremental.patches_reused == 1
+        assert "patch set" in degraded.incremental.fallback
         assert_results_identical(degraded, cold_same, "truncated-same-set")
 
         # a malformed record (wrong arity) re-runs its file, never crashes
@@ -417,42 +472,29 @@ class TestPatchPrefixReuse:
         assert short.incremental.files_changed == 1
         assert_results_identical(short, cold_same, "short-record")
 
-    def test_prior_without_patch_fingerprints_falls_back(self):
-        """A result predating per-patch fingerprints (or a stripped one)
-        cannot prove any shared prefix: cold run."""
+    def test_prior_without_fingerprint_falls_back(self):
+        """A result with no patch-set fingerprint (stripped or legacy)
+        cannot prove it came from this patch list: cold run."""
         patchset, codebase, prior = TestFallbacks()._prior()
-        prior.patch_fingerprints = []
-        extended = PatchSet(_patches(RENAME_A, RENAME_B,
-                                     "@r@ @@\n- new_api();\n+ last_api();\n"))
-        result = extended.apply(codebase, since=prior)
-        assert "no shared patch prefix" in result.incremental.fallback
+        prior.fingerprint = None
+        result = patchset.apply(codebase, since=prior)
+        assert "patch set" in result.incremental.fallback
 
-    def test_records_carry_per_boundary_hashes(self):
-        from repro.engine.cache import content_sha1
-
-        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
-        files = {"a.c": "void f(void) { old_api(); }\n", "b.c": "int z;\n"}
-        result = patchset.apply(files)
-        for name, record in result.records.items():
-            assert len(record.boundaries) == 2
-            for index, boundary in enumerate(record.boundaries):
-                assert boundary == content_sha1(
-                    result.per_patch[index].files[name].text)
-
-    def test_prefix_results_chain_into_further_increments(self):
-        """A prefix-spliced result seeds the next edit-apply round like any
-        other (its records are rebuilt for the new patch list)."""
-        patches, codebase, prior = self._prior()
+    def test_memo_answered_result_seeds_further_increments(self):
+        """A result the memo answered after a patch-list change seeds the
+        next edit-apply round's splice like any other."""
+        memo = TransformMemo()
+        patches, codebase, prior = self._prior(memo)
         extended = PatchSet(patches + [_cookbook_patch(APPEND_NAME)])
-        first = extended.apply(codebase, since=prior)
-        assert first.incremental.patches_reused == len(patches)
+        first = extended.apply(codebase, since=prior, memo=memo)
+        assert first.stats.memo_hits == _sessions(prior)
         mutated = _mutated(codebase, "add")
         cold = extended.apply(CodeBase.from_files(dict(mutated.files)))
         second = extended.apply(mutated, since=first)
         assert second.incremental.fallback is None
-        assert second.incremental.patches_reused == len(patches) + 1
+        assert second.incremental.files_reused == len(codebase)
         assert second.incremental.files_added == 1
-        assert_results_identical(second, cold, "chained-prefix")
+        assert_results_identical(second, cold, "chained")
 
 
 class TestIncrementalStats:
@@ -762,23 +804,28 @@ class TestCliIncremental:
         assert rc == 1  # RENAME_B matches nothing in the pristine tree
         assert "fell back to a cold run" in captured.err
 
-    def test_appended_patch_between_invocations_splices_prefix(self, tmp_path,
-                                                               capsys):
-        """A second invocation with one more --sp-file reuses the persisted
-        prefix: only the appended patch re-runs."""
+    def test_appended_patch_between_invocations_hits_the_memo(self, tmp_path,
+                                                             capsys):
+        """A second invocation with one more --sp-file runs cold, and the
+        --memo-dir answers the unchanged patch: only the appended one runs."""
         cocci, src, state = self._setup(tmp_path)
-        spatch_main(["--sp-file", cocci, "--incremental", state, src])
+        memo_dir = str(tmp_path / "memo")
+        spatch_main(["--sp-file", cocci, "--incremental", state,
+                     "--memo-dir", memo_dir, src])
         capsys.readouterr()
         extra = tmp_path / "extra.cocci"
         extra.write_text(RENAME_B)
         rc = spatch_main(["--sp-file", cocci, "--sp-file", str(extra),
-                          "--incremental", state, "--profile", src])
+                          "--incremental", state, "--memo-dir", memo_dir,
+                          "--profile", src])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "patch prefix: 1/2 spliced, 1 suffix patch(es) re-run" \
+        assert "fell back to a cold run (patch set" in captured.err
+        # hit.c's first-patch session from disk; the appended patch's one
+        # session on hit.c misses (miss.c is skipped by the prefilter)
+        assert "# transform memo: 1 hit(s) (1 from disk), 1 miss(es)" \
             in captured.err
-        assert "2 reused (100%)" in captured.err
-        # mid_api (written by the prefix patch) became new_api via the suffix
+        # mid_api (written by the first patch) became new_api via the second
         assert "+void f(void) { new_api(); }" in captured.out
 
     def test_single_patch_incremental_uses_pipeline_result(self, tmp_path):
@@ -856,11 +903,14 @@ class TestCliWatch:
         # one application from the initial run, none from the watch round
         assert (src / "stable.c").read_text().count("grown();") == 1
 
-    def test_watch_spfile_edit_reruns_only_suffix_patches(self, tmp_path,
-                                                          capsys):
-        """Editing an sp-file mid-watch re-applies with the prior result:
-        the unchanged leading patch splices, only the edited suffix patch
-        re-runs, and only output-changed files are emitted."""
+    def test_watch_spfile_edit_reruns_only_the_edited_patch(self, tmp_path,
+                                                            capsys):
+        """Editing an sp-file mid-watch re-applies the changed patch list
+        cold: the session's in-memory memo answers the unchanged leading
+        patch, only the edited patch's sessions run, and only
+        output-changed files are emitted."""
+        import json
+
         first = tmp_path / "first.cocci"
         first.write_text(RENAME_A)
         second = tmp_path / "second.cocci"
@@ -869,6 +919,7 @@ class TestCliWatch:
         src.mkdir()
         (src / "hit.c").write_text("void f(void) { old_api(); }\n")
         (src / "quiet.c").write_text("int zero;\n")
+        journal = tmp_path / "journal.jsonl"
 
         def edit_later():
             time.sleep(0.6)
@@ -878,8 +929,8 @@ class TestCliWatch:
         editor.start()
         try:
             rc = spatch_main(["--sp-file", str(first), "--sp-file",
-                              str(second), "--watch",
-                              "--watch-interval", "0.05",
+                              str(second), "--watch", "--journal",
+                              str(journal), "--watch-interval", "0.05",
                               "--watch-polls", "40", str(src)])
         finally:
             editor.join()
@@ -887,14 +938,19 @@ class TestCliWatch:
         assert rc == 0
         watch_lines = [line for line in captured.err.splitlines()
                        if line.startswith("# watch:")]
-        assert watch_lines == ["# watch: 0 changed + 0 added re-run, "
-                               "2 reused, 0 dropped, patch prefix 1/2 "
-                               "spliced -> 2 match(es)"]
-        # the patch-edit round emitted only the file the new suffix affects
-        rounds = captured.out.split("--- a/")
-        assert len(rounds) == 3  # initial: hit.c; patch round: hit.c again
-        assert "changed_api" in rounds[-1]
-        assert "quiet.c" not in rounds[-1]
+        assert watch_lines == ["# watch: 2 changed + 0 added re-run, "
+                               "0 reused, 0 dropped (cold: patch set or "
+                               "options changed since the prior result) "
+                               "-> 2 match(es)"]
+        rounds = [json.loads(line) for line in journal.read_text().splitlines()
+                  if '"watch_round"' in line]
+        # the first patch's one session (on hit.c) came from the memo
+        assert [event["memo_hits"] for event in rounds] == [1]
+        # the patch-edit round emitted only the file the new patch affects
+        outputs = captured.out.split("--- a/")
+        assert len(outputs) == 3  # initial: hit.c; patch round: hit.c again
+        assert "changed_api" in outputs[-1]
+        assert "quiet.c" not in outputs[-1]
 
     def test_watch_spfile_edit_never_rewrites_unaffected_files(self, tmp_path,
                                                                capsys):

@@ -8,9 +8,12 @@ serial/parallel apply paths.  Corrupt or stale persisted entries degrade
 to a miss, never to wrong output or an error.
 """
 
+import json
 import os
 import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -316,19 +319,37 @@ class TestPipelineIntegration:
         assert _texts(rewarm) == _texts(cold)
         assert rewarm.stats.memo_misses == 0
 
-    def test_per_file_script_patches_are_never_memoized(self):
+    def test_pure_script_patches_are_memoized(self):
         scripted = ("@a@\nidentifier f;\n@@\nmarked(f);\n\n"
                     "@script:python s@\nf << a.f;\n@@\nprint(f)\n")
         patches = [SemanticPatch.from_string(scripted, name="scripted")]
         memo = TransformMemo()
         files = {"a.c": "void t(void) { marked(x); }\n"}
         with Capture() as counts:
-            for _ in range(2):
-                PatchSet(patches).apply(CodeBase.from_files(files),
-                                        memo=memo)
-        # never consulted, never stored
-        assert _hits_misses(memo, counts) == (0, 0)
+            results = [PatchSet(patches).apply(CodeBase.from_files(files),
+                                               memo=memo)
+                       for _ in range(2)]
+        # the script only reads its namespace: one store, then one hit
+        assert _hits_misses(memo, counts) == (1, 1)
+        assert len(memo) == 1
+        assert results[0].impure_patches == results[1].impure_patches == []
+
+    def test_impure_script_sessions_are_never_stored(self):
+        counting = ("@initialize:python@ @@\nSEEN = [0]\n\n"
+                    "@a@\nidentifier f;\n@@\nmarked(f);\n\n"
+                    "@script:python s@\nf << a.f;\n@@\nSEEN[0] += 1\n")
+        patches = [SemanticPatch.from_string(counting, name="counting")]
+        memo = TransformMemo()
+        files = {"a.c": "void t(void) { marked(x); }\n"}
+        with Capture() as counts:
+            results = [PatchSet(patches).apply(CodeBase.from_files(files),
+                                               memo=memo)
+                       for _ in range(2)]
+        # looked up both times (the namespace digest is part of the key),
+        # never stored, so never answered
+        assert _hits_misses(memo, counts) == (0, 2)
         assert len(memo) == 0
+        assert [r.impure_patches for r in results] == [["counting"]] * 2
 
     def test_prefilter_toggle_does_not_cross_contaminate(self):
         files = {"hit.c": HIT_TEXT}
@@ -358,6 +379,107 @@ class TestPipelineIntegration:
         assert warm.files["hit.c"].text == cold.files["hit.c"].text
         assert warm.incremental.files_reused == 1  # splice path won
         assert warm.stats.memo_misses == 0  # edited miss.c is still gated
+
+
+def _mixed_workload() -> dict[str, str]:
+    """The Q3 benchmarks' ``mixed_workload`` tree at scale 1 (44 files): CUDA
+    drivers, OpenMP kernels, GADGET grids, raw loops and OpenACC sources."""
+    from repro.workloads import (cuda_app, gadget, openacc_app,
+                                 openmp_kernels, rawloops)
+
+    parts = [
+        ("cuda", cuda_app.generate(n_files=6, seed=1)),
+        ("omp", openmp_kernels.generate(n_files=12, kernels_per_file=4,
+                                        regions_per_file=3, seed=2)),
+        ("gadget", gadget.generate(n_files=10, loops_per_file=4,
+                                   grid_kernels_per_file=2, seed=3)),
+        ("raw", rawloops.generate(n_files=8, seed=4)),
+        ("acc", openacc_app.generate(n_files=6, seed=5)),
+    ]
+    return {f"{prefix}/{name}": text for prefix, codebase in parts
+            for name, text in codebase.items()}
+
+
+#: a fresh interpreter (own addresses, own string hashing) re-running the
+#: cookbook over the same tree with a fresh memo on the same directory
+_CHILD_RUN = """
+import json, sys
+from repro.cookbook import full_modernization_pipeline
+from repro.engine.cache import TreeCache
+from repro.engine.memo import TransformMemo
+from repro.engine.pipeline import PatchPipeline
+from repro.obs import Capture
+
+files = json.load(open(sys.argv[1]))
+patches = list(full_modernization_pipeline())
+memo = TransformMemo(path=sys.argv[2])
+with Capture() as counts:
+    result = PatchPipeline([p.ast for p in patches],
+                           [p.options for p in patches],
+                           names=[p.name for p in patches],
+                           tree_cache=TreeCache(), memo=memo).run(files)
+print(json.dumps({"sessions": result.stats.sessions_run,
+                  "hits": result.stats.memo_hits,
+                  "misses": result.stats.memo_misses,
+                  "disk_hits": memo.counters(counts)["disk_hits"]}))
+"""
+
+
+class TestMemoDeterminism:
+    """Memo keys of script-bearing patches carry a digest of the script
+    namespace; that digest must not depend on the engine or the process,
+    or every fresh pipeline would miss (and never share) those entries."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, tmp_path_factory):
+        from repro.cookbook import full_modernization_pipeline
+        from repro.engine.pipeline import PatchPipeline
+
+        files = _mixed_workload()
+        patches = list(full_modernization_pipeline())
+        assert len(patches) == 12
+        directory = tmp_path_factory.mktemp("memo")
+        memo = TransformMemo(path=directory)
+        runs = [PatchPipeline([p.ast for p in patches],
+                              [p.options for p in patches],
+                              names=[p.name for p in patches],
+                              tree_cache=TreeCache(), memo=memo).run(files)
+                for _ in range(2)]
+        return files, patches, directory, runs
+
+    def test_second_fresh_pipeline_hits_every_session(self, warm):
+        files, patches, _directory, (first, second) = warm
+        assert second.stats.memo_misses == 0
+        assert second.stats.memo_hits == second.stats.sessions_run \
+            == first.stats.sessions_run
+        assert _texts(second) == _texts(first)
+        scripted = [index for index, patch in enumerate(patches)
+                    if "@script:python" in patch.ast.source_text]
+        assert len(scripted) == 3
+        # the script patches really ran sessions (and so hit) on this tree
+        for index in scripted:
+            stats = second.per_patch[index].stats
+            assert stats.files_total - stats.files_skipped > 0, \
+                patches[index].name
+        assert first.impure_patches == second.impure_patches == []
+
+    def test_fresh_process_gets_disk_hits(self, warm, tmp_path):
+        files, _patches, directory, (first, _second) = warm
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(files))
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(pathlib.Path(__file__).parents[1] / "src")]
+                       + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD_RUN, str(tree), str(directory)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        counts = json.loads(child.stdout.strip().splitlines()[-1])
+        assert counts["sessions"] == first.stats.sessions_run
+        assert counts["misses"] == 0
+        assert counts["hits"] == counts["sessions"]
+        assert counts["disk_hits"] > 0
 
 
 class TestServiceSharing:

@@ -183,10 +183,16 @@ class TestPipelineSemantics:
                        "@finalize:python@ @@\nprint('seen', len(seen))\n")
         asts = [SemanticPatch.from_string(RENAME_A).ast,
                 SemanticPatch.from_string(aggregating).ast]
-        pipeline = PatchPipeline(asts, jobs=4)
+        pipeline = PatchPipeline(asts, names=["rename", "agg"], jobs=4)
         result = pipeline.run({"a.c": "void t(void) { marked(x); }\n",
                                "b.c": "void u(void) { marked(y); }\n"})
+        # the forked run saw the appending script mutate its namespace and
+        # was re-run serially; the finalize rule read both files' names
         assert result.stats.jobs_used == 1
+        assert result.impure_patches == ["agg"]
+        warnings = [d for d in result.diagnostics if d.severity == "warning"]
+        assert len(warnings) == 1 and "'agg'" in warnings[0].message
+        assert pipeline.engines[1].runner.globals["seen"] == ["x", "y"]
 
     def test_parallel_initialize_runs_once_per_patch(self, tmp_path):
         markers = [tmp_path / "init_0.log", tmp_path / "init_1.log"]

@@ -167,16 +167,19 @@ class TestApply:
         assert incremental["files_rerun"] == 1
         assert incremental["files_reused"] == len(FILES) - 1
 
-    def test_appending_a_patch_splices_the_prefix(self):
+    def test_appending_a_patch_hits_the_shared_memo(self):
         service = make_service()
         name = opened(service)
         service.apply(name, [smpl_spec(RENAME_SMPL)])
         payload = service.apply(name, [smpl_spec(RENAME_SMPL),
                                        smpl_spec(OTHER_SMPL, name="second")],
                                 profile=True)
-        incremental = payload["profile"]["incremental"]
-        assert incremental["patches_total"] == 2
-        assert incremental["patches_reused"] == 1
+        profile = payload["profile"]
+        assert profile["incremental"]["patches_total"] == 2
+        assert "patch set" in profile["incremental"]["fallback"]
+        # the first patch's one session (a.c) from the memo; the appended
+        # patch's one session (b.c) ran
+        assert (profile["memo"]["hits"], profile["memo"]["misses"]) == (1, 1)
         assert payload["files"]["b.c"]["changed"]  # the appended patch ran
 
     def test_cookbook_by_name_and_exit_codes(self, tiny_codebase):
