@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from ..lang.lexer import ANNOT_PLUS, TokenKind, scan_word_tokens
+from ..lang.lexer import ANNOT_PLUS, TokenKind, after_number, scan_word_tokens
 from ..obs import registry as _obs
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
 
@@ -90,14 +90,17 @@ class TokenQuery:
     fine when the full set is cached and reused, wasteful when a caller only
     needs to know which of a patch's few dozen required tokens are present
     (the per-patch re-scan at pipeline patch boundaries).  A ``TokenQuery``
-    answers exactly that question in a single ``finditer`` pass that exits
-    early once every queried word has been seen.
+    answers exactly that question with at most two ``finditer`` passes.
+    Each exits early once every queried word has been seen, and is skipped
+    when no word still missing occurs in the text even as a substring.
 
     Membership is equivalent to ``word in scan_token_set(text)``: the word
     lexer (``[A-Za-z_$][A-Za-z0-9_$]*``) starts a token at the first letter
     after any non-token character *or digit run* (``12foo`` scans as ``foo``,
     ``a1foo`` scans as ``a1foo``), which the alternation mirrors with a
-    one-character lookbehind plus an optional leading digit run.  Chevron
+    one-character lookbehind plus an optional leading digit run; a second
+    pass finds the words glued to a numeric literal (``100us`` scans as
+    ``us`` and ``s``) with the same :func:`after_number` regex.  Chevron
     punctuators are plain substring tests, exactly as in
     ``scan_token_set``.  Queried words that are neither identifier-shaped
     nor safe punctuators cannot be compiled into the alternation; they are
@@ -118,8 +121,10 @@ class TokenQuery:
         if self.words:
             alt = "|".join(re.escape(w) for w in self.words)
             self._re: Optional[re.Pattern[str]] = re.compile(
-                r"(?:^|(?<=[^A-Za-z0-9_$]))[0-9]*(" + alt
+                r"(?:^|(?<=[^A-Za-z0-9_$]))[0-9]*(?P<word>" + alt
                 + r")(?![A-Za-z0-9_$])")
+            self._glued_re = re.compile(
+                after_number(f"(?:{alt})(?![A-Za-z0-9_$])"))
         else:
             self._re = None
 
@@ -127,14 +132,15 @@ class TokenQuery:
         """The subset of the queried universe present in ``text``."""
         found: set[str] = set(self.unfilterable)
         if self._re is not None:
-            remaining = len(self.words)
-            for match in self._re.finditer(text):
-                word = match.group(1)
-                if word not in found:
-                    found.add(word)
-                    remaining -= 1
-                    if not remaining:
+            missing = set(self.words)
+            for regex in (self._re, self._glued_re):
+                if not any(word in text for word in missing):
+                    break
+                for match in regex.finditer(text):
+                    missing.discard(match["word"])
+                    if not missing:
                         break
+            found.update(word for word in self.words if word not in missing)
         for punct in self.puncts:
             if punct in text:
                 found.add(punct)

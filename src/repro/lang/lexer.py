@@ -104,13 +104,58 @@ _SMPL_ESCAPES = {
     "\\)": TokenKind.DISJ_CLOSE,
 }
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+#: an identifier or keyword; also the word shape of :func:`scan_word_tokens`
+_IDENT_PATTERN = r"[A-Za-z_$][A-Za-z0-9_$]*"
+
+_DEC_RUN = r"[0-9]+(?:'[0-9]+)*"
+_HEX_RUN = r"[0-9a-fA-F]+(?:'[0-9a-fA-F]+)*"
+
+#: a numeric literal after its first character, which a lookbehind
+#: inspects: hex, or decimal with at most one dot before an optional signed
+#: exponent (``e`` only counts when a digit or sign follows), then
+#: ``uUlLfF`` suffixes.  A ``'`` digit separator (C++14, C23) belongs to the
+#: number only between two digits of its base.  Matching the first
+#: character outside the tail lets :func:`after_number` start with a plain
+#: character class, which ``re`` searches for quickly.
+_NUMBER_TAIL = (
+    rf"(?:(?<=0)[xX](?:{_HEX_RUN})?"
+    rf"|(?:(?<=[0-9])[0-9]*(?:'[0-9]+)*(?:\.(?:{_DEC_RUN})?)?|(?<=\.){_DEC_RUN})"
+    rf"(?:[eE](?=[0-9+-])[+-]?(?:{_DEC_RUN})?)?)"
+    r"[uUlLfF]*"
+)
+_NUMBER_PATTERN = "[0-9.]" + _NUMBER_TAIL
+
+# Whitespace (form feed and vertical tab included) and stray line
+# continuations, then at most one comment.  ``open`` is a block comment with
+# no end.
+_TRIVIA_RE = re.compile(
+    r"(?:[ \t\r\n\f\v]+|\\\n)*"
+    r"(?:(?P<comment>//[^\n]*|/\*.*?\*/)|(?P<open>/\*))?", re.S)
+
+# One token.  The groups are tried in order and named after the token kind
+# (``HASH`` is the ``#``/``##`` punctuator, which may start a directive).  The
+# ``...`` group precedes the punctuators, among which only ``.`` also starts
+# with a dot.  No group matches ``\`` (SmPL escapes, handled in Python) or an
+# unterminated string or character literal.
+_TOKEN_RE = re.compile(
+    rf"(?P<IDENT>{_IDENT_PATTERN})"
+    rf"|(?P<NUMBER>{_NUMBER_PATTERN})"
+    r'|(?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")'
+    r"|(?P<CHAR>'[^'\\]*(?:\\.[^'\\]*)*')"
+    r"|(?P<DOTS>\.\.\.)"
+    r"|(?P<HASH>##|#)"
+    r"|(?P<PUNCT>" + "|".join(map(re.escape, _PUNCTUATORS)) + ")",
+    re.S)
+
+_GROUP_KINDS = {
+    "IDENT": TokenKind.IDENT, "NUMBER": TokenKind.NUMBER,
+    "STRING": TokenKind.STRING, "CHAR": TokenKind.CHAR,
+    "DOTS": TokenKind.DOTS, "HASH": TokenKind.PUNCT, "PUNCT": TokenKind.PUNCT,
+}
 
 
 class Lexer:
-    """Streaming tokenizer over a :class:`SourceFile`.
+    """Tokenizer over a :class:`SourceFile`.
 
     Parameters
     ----------
@@ -125,6 +170,8 @@ class Lexer:
         Lex ``#``-lines as single DIRECTIVE tokens (the default).  When
         disabled, ``#`` is an ordinary punctuator (used when tokenizing the
         *interior* of a pragma line).
+
+    ``comments`` lists the ``(start, end)`` offsets of every comment skipped.
     """
 
     def __init__(self, source: SourceFile, smpl_mode: bool = False,
@@ -133,182 +180,87 @@ class Lexer:
         self.text = source.text
         self.smpl_mode = smpl_mode
         self.directives_as_tokens = directives_as_tokens
-        self.pos = 0
         self.comments: list[tuple[int, int]] = []
 
-    # -- helpers -----------------------------------------------------------
-
-    def _loc(self, offset: int) -> tuple[int, int]:
-        loc = self.source.location(offset)
-        return loc.line, loc.col
-
     def _error(self, message: str, offset: int) -> LexError:
-        line, col = self._loc(offset)
-        return LexError(message, self.source.name, line, col)
-
-    def _make(self, kind: TokenKind, value: str, start: int, end: int) -> Token:
-        line, col = self._loc(start)
-        return Token(kind=kind, value=value, offset=start, end=end, line=line, col=col)
-
-    # -- scanning ----------------------------------------------------------
+        loc = self.source.location(offset)
+        return LexError(message, self.source.name, loc.line, loc.col)
 
     def tokenize(self) -> list[Token]:
-        """Tokenize the whole file, appending a final EOF token."""
+        """Tokenize the whole file, appending a final EOF token.
+
+        Each step skips trivia with one regex match, then matches one token
+        with another.  Lines and columns are carried forward by counting the
+        newlines between consecutive token starts."""
+        text = self.text
+        n = len(text)
+        trivia = _TRIVIA_RE.match
+        token = _TOKEN_RE.match
+        count = text.count
+        kinds = _GROUP_KINDS
+        comments = self.comments
+        directives = self.directives_as_tokens
         tokens: list[Token] = []
+        append = tokens.append
+        pos = line_start = last = 0
+        line = 1
         while True:
-            tok = self._next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                break
-        return tokens
+            m = trivia(text, pos)
+            while m.lastgroup is not None:
+                if m.lastgroup == "open":
+                    raise self._error("unterminated block comment", m.start("open"))
+                comments.append(m.span("comment"))
+                m = trivia(text, m.end())
+            pos = m.end()
+            newlines = count("\n", last, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", last, pos) + 1
+            last = pos
+            if pos >= n:
+                append(Token(TokenKind.EOF, "", n, n, line, n - line_start))
+                return tokens
+            m = token(text, pos)
+            if m is not None:
+                group = m.lastgroup
+                end = m.end()
+                if group == "HASH" and directives and not text[line_start:pos].strip(" \t"):
+                    value, end = self._lex_directive(pos)
+                    append(Token(TokenKind.DIRECTIVE, value, pos, end, line, pos - line_start))
+                else:
+                    append(Token(kinds[group], m.group(), pos, end, line, pos - line_start))
+                pos = end
+                continue
+            two = text[pos:pos + 2]
+            if self.smpl_mode and two in _SMPL_ESCAPES:
+                append(Token(_SMPL_ESCAPES[two], two, pos, pos + 2, line, pos - line_start))
+                pos += 2
+                continue
+            if two[0] in "\"'":
+                raise self._error("unterminated literal", pos)
+            raise self._error(f"unexpected character {two[0]!r}", pos)
 
-    def _skip_trivia(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self.pos + 1 < n and text[self.pos + 1] == "/":
-                start = self.pos
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-                self.comments.append((start, self.pos))
-            elif ch == "/" and self.pos + 1 < n and text[self.pos + 1] == "*":
-                start = self.pos
-                self.pos += 2
-                while self.pos < n and not text.startswith("*/", self.pos):
-                    self.pos += 1
-                if self.pos >= n:
-                    raise self._error("unterminated block comment", start)
-                self.pos += 2
-                self.comments.append((start, self.pos))
-            elif ch == "\\" and self.pos + 1 < n and text[self.pos + 1] == "\n":
-                # stray line continuation outside a directive
-                self.pos += 2
-            else:
-                break
-
-    def _at_line_start(self, offset: int) -> bool:
-        i = offset - 1
-        while i >= 0 and self.text[i] in " \t":
-            i -= 1
-        return i < 0 or self.text[i] == "\n"
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        text, n = self.text, len(self.text)
-        if self.pos >= n:
-            return self._make(TokenKind.EOF, "", n, n)
-        start = self.pos
-        ch = text[start]
-
-        # --- preprocessor directives -----------------------------------
-        if ch == "#" and self.directives_as_tokens and self._at_line_start(start):
-            return self._lex_directive(start)
-
-        # --- SmPL escaped disjunction markers ---------------------------
-        if self.smpl_mode and ch == "\\" and start + 1 < n:
-            two = text[start:start + 2]
-            if two in _SMPL_ESCAPES:
-                self.pos = start + 2
-                return self._make(_SMPL_ESCAPES[two], two, start, self.pos)
-
-        # --- identifiers and keywords ------------------------------------
-        if ch in _IDENT_START:
-            end = start + 1
-            while end < n and text[end] in _IDENT_CONT:
-                end += 1
-            self.pos = end
-            return self._make(TokenKind.IDENT, text[start:end], start, end)
-
-        # --- numbers ------------------------------------------------------
-        if ch in _DIGITS or (ch == "." and start + 1 < n and text[start + 1] in _DIGITS):
-            return self._lex_number(start)
-
-        # --- string / char literals --------------------------------------
-        if ch == '"':
-            return self._lex_quoted(start, '"', TokenKind.STRING)
-        if ch == "'":
-            return self._lex_quoted(start, "'", TokenKind.CHAR)
-
-        # --- punctuation ---------------------------------------------------
-        for punct in _PUNCTUATORS:
-            if text.startswith(punct, start):
-                # '>>>' only closes a CUDA kernel launch; inside nested
-                # templates it would be wrong, but the supported subset never
-                # nests templates three deep.
-                end = start + len(punct)
-                self.pos = end
-                kind = TokenKind.DOTS if punct == "..." else TokenKind.PUNCT
-                return self._make(kind, punct, start, end)
-
-        raise self._error(f"unexpected character {ch!r}", start)
-
-    def _lex_directive(self, start: int) -> Token:
-        """Lex a whole ``#...`` logical line (merging ``\\`` continuations)."""
-        text, n = self.text, len(self.text)
+    def _lex_directive(self, start: int) -> tuple[str, int]:
+        """Lex a whole ``#...`` logical line (merging ``\\`` continuations):
+        its normalised value and its end offset."""
+        text = self.text
         end = start
-        while end < n:
-            if text[end] == "\n":
-                # merged continuation?
-                back = end - 1
-                while back > start and text[back] in " \t\r":
-                    back -= 1
-                if text[back] == "\\":
-                    end += 1
-                    continue
+        while True:
+            end = text.find("\n", end)
+            if end < 0:
+                end = len(text)
+                break
+            # merged continuation?
+            back = end - 1
+            while back > start and text[back] in " \t\r":
+                back -= 1
+            if text[back] != "\\":
                 break
             end += 1
-        self.pos = end
         raw = text[start:end]
         # normalise continuations and collapse whitespace runs in the value;
         # the raw extent is still [start, end) for edit purposes.
-        value = " ".join(raw.replace("\\\n", " ").replace("\\\r\n", " ").split())
-        return self._make(TokenKind.DIRECTIVE, value, start, end)
-
-    def _lex_number(self, start: int) -> Token:
-        text, n = self.text, len(self.text)
-        end = start
-        if text.startswith(("0x", "0X"), start):
-            end = start + 2
-            while end < n and (text[end] in "0123456789abcdefABCDEF"):
-                end += 1
-        else:
-            seen_dot = seen_exp = False
-            while end < n:
-                c = text[end]
-                if c in _DIGITS:
-                    end += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    end += 1
-                elif c in "eE" and not seen_exp and end + 1 < n and (
-                        text[end + 1] in _DIGITS or text[end + 1] in "+-"):
-                    seen_exp = True
-                    end += 1
-                    if text[end] in "+-":
-                        end += 1
-                else:
-                    break
-        # suffixes
-        while end < n and text[end] in "uUlLfF":
-            end += 1
-        self.pos = end
-        return self._make(TokenKind.NUMBER, text[start:end], start, end)
-
-    def _lex_quoted(self, start: int, quote: str, kind: TokenKind) -> Token:
-        text, n = self.text, len(self.text)
-        end = start + 1
-        while end < n and text[end] != quote:
-            if text[end] == "\\" and end + 1 < n:
-                end += 2
-            else:
-                end += 1
-        if end >= n:
-            raise self._error("unterminated literal", start)
-        end += 1
-        self.pos = end
-        return self._make(kind, text[start:end], start, end)
+        return " ".join(raw.replace("\\\n", " ").replace("\\\r\n", " ").split()), end
 
 
 def tokenize(text: str, name: str = "<string>", smpl_mode: bool = False,
@@ -339,9 +291,24 @@ def significant_tokens(tokens: Iterable[Token]) -> list[Token]:
     return [t for t in tokens if t.kind is not TokenKind.EOF]
 
 
-#: the identifier shape accepted by the full lexer (see ``_IDENT_START`` /
-#: ``_IDENT_CONT`` above) as a regular expression, for the fast word scan
-_WORD_SCAN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_WORD_SCAN_RE = re.compile(_IDENT_PATTERN)
+
+
+def after_number(word: str) -> str:
+    """Regex source matching, at every offset, a numeric literal immediately
+    followed by ``word`` (captured as group ``word``).  Only the literal's
+    first character is consumed, so matches may overlap.
+
+    The lexer ends a number before any letter the number pattern rejects, so
+    an identifier can start inside a run of identifier characters:
+    ``100us`` lexes as ``100u`` ``s`` and ``0x1g`` as ``0x1`` ``g``.  The
+    inner lookahead and back-reference make the number atomic, so it ends
+    exactly where the lexer's would."""
+    return (rf"[0-9.](?=(?=(?P<number>{_NUMBER_TAIL}))(?P=number)"
+            rf"(?P<word>{word}))")
+
+
+_GLUED_WORD_RE = re.compile(after_number(_IDENT_PATTERN))
 
 
 def scan_word_tokens(text: str) -> set[str]:
@@ -350,8 +317,13 @@ def scan_word_tokens(text: str) -> set[str]:
     This is the prefilter's view of a file: a superset of the IDENT token
     values the full lexer would produce (words inside comments, strings and
     directives are included, which only makes the scan more conservative).
-    It never raises — unterminated literals or stray characters that would
-    make :class:`Lexer` error are simply skipped over — and runs an order of
-    magnitude faster than full tokenization, which is what makes it usable
-    as a per-code-base index."""
-    return set(_WORD_SCAN_RE.findall(text))
+    An IDENT token either follows a character that cannot continue an
+    identifier, so the plain word scan starts there too, or follows a
+    numeric literal (see :func:`after_number`), which the second scan
+    covers.  It never raises — unterminated literals or stray characters
+    that would make :class:`Lexer` error are simply skipped over — and runs
+    an order of magnitude faster than full tokenization, which is what makes
+    it usable as a per-code-base index."""
+    words = set(_WORD_SCAN_RE.findall(text))
+    words.update(match["word"] for match in _GLUED_WORD_RE.finditer(text))
+    return words

@@ -76,7 +76,13 @@ _BINARY_LEVELS: list[tuple[str, ...]] = [
     ("*", "/", "%"),
 ]
 
+#: ``{operator: level}`` for precedence climbing (higher binds tighter)
+_BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 UNARY_OPS = {"!", "~", "-", "+", "*", "&", "++", "--"}
+
+#: punctuators that continue a postfix expression
+_POSTFIX_OPS = {"(", "[", ".", "->", "++", "--", "<<<"}
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +172,8 @@ class CParser:
                  metavars: dict[str, str] | None = None,
                  tolerant: bool = True):
         self.tokens = list(tokens)
+        #: index of the last token (EOF): reads past the end return it
+        self._last = len(self.tokens) - 1
         self.source = source
         self.options = options
         self.metavars = metavars or {}
@@ -181,8 +189,8 @@ class CParser:
     # -- token helpers ------------------------------------------------------
 
     def _tok(self, offset: int = 0) -> Token:
-        idx = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        idx = self.i + offset
+        return self.tokens[idx if idx < self._last else self._last]
 
     def _at_end(self) -> bool:
         return self._tok().kind is TokenKind.EOF
@@ -194,7 +202,8 @@ class CParser:
         return tok
 
     def _check_punct(self, *values: str) -> bool:
-        return self._tok().is_punct(*values)
+        tok = self._tok()
+        return tok.kind is TokenKind.PUNCT and tok.value in values
 
     def _check_ident(self, *names: str) -> bool:
         return self._tok().is_ident(*names)
@@ -1107,23 +1116,23 @@ class CParser:
         return cond
 
     def _parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
+        """Precedence climbing over ``_BINARY_LEVELS``: the operators at
+        ``level`` or tighter, left-associative, every node's extent starting
+        at its leftmost operand."""
         start = self.i
-        left = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+        left = self._parse_unary()
         while True:
             tok = self._tok()
-            if tok.kind is TokenKind.PUNCT and tok.value in ops:
-                # don't steal '>' that closes a kernel-launch chevron or '&'
-                # that introduces an SmPL conjunction marker (those are
-                # different token kinds, so no special case needed).
-                op = self._advance().value
-                right = self._parse_binary(level + 1)
-                left = BinaryOp(op=op, left=left, right=right).with_extent(start, self.i)
-            else:
-                break
-        return left
+            if tok.kind is not TokenKind.PUNCT:
+                return left
+            # a kernel launch's closing '>>>' is no binary operator, and an
+            # SmPL '\&' conjunction marker is not a PUNCT token
+            prec = _BINARY_PREC.get(tok.value, -1)
+            if prec < level:
+                return left
+            self.i += 1
+            right = self._parse_binary(prec + 1)
+            left = BinaryOp(op=tok.value, left=left, right=right).with_extent(start, self.i)
 
     def _parse_unary(self) -> Expr:
         start = self.i
@@ -1171,6 +1180,8 @@ class CParser:
         expr = self._parse_primary()
         while True:
             tok = self._tok()
+            if tok.kind is not TokenKind.PUNCT or tok.value not in _POSTFIX_OPS:
+                return expr
             if tok.is_punct("("):
                 self._advance()
                 args = self._parse_call_args()
@@ -1206,9 +1217,6 @@ class CParser:
                 self._expect_punct(")")
                 expr = KernelLaunch(func=expr, config=config, args=args) \
                     .with_extent(start, self.i)
-            else:
-                break
-        return expr
 
     def _parse_call_args(self) -> list[Expr]:
         args: list[Expr] = []

@@ -9,8 +9,11 @@ between byte offsets and line/column coordinates goes through
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
+
+_NEWLINE_RE = re.compile("\n")
 
 
 @dataclass(frozen=True, order=True)
@@ -35,10 +38,7 @@ class SourceFile:
     _line_starts: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._line_starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        self._line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(self.text)]
 
     # -- basic queries ----------------------------------------------------
 

@@ -236,6 +236,8 @@ class TestTokenQuery:
         "foofoo barbar_2 xomp",          # superstrings only
         "#pragma omp parallel for",
         "foo\nbar_2\r\nomp\tcudaMalloc",
+        "1ufoo 0xAUbar_2 2.fomp 3e5cudaMalloc",  # glued to a number
+        "1ufoo ufoo",                    # both the glued and the plain word
     ])
     def test_matches_full_scan(self, text):
         query = TokenQuery(self.UNIVERSE)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cli.spatch import main as spatch_main
 from repro.errors import LexError
 from repro.lang.lexer import Lexer, TokenKind, tokenize, tokenize_pragma_text
+from repro.lang.parser import parse_source
 from repro.lang.source import SourceFile
 
 
@@ -39,6 +41,25 @@ class TestBasicTokens:
         with pytest.raises(LexError):
             tokenize("int a; ` b;")
 
+    def test_digit_separators(self):
+        assert values("1'000'000 0xFF'FF 1'0.2'5e1'0f") == \
+            ["1'000'000", "0xFF'FF", "1'0.2'5e1'0f"]
+
+    def test_separator_only_between_digits_of_the_base(self):
+        assert values("0x'1' 1'e' 1.'2'") == ["0x", "'1'", "1", "'e'", "1.", "'2'"]
+        assert values("09'a'") == ["09", "'a'"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("int a; ` b;", (1, 7, "unexpected character '`'")),
+        ("int a;\n  /* oops", (2, 2, "unterminated block comment")),
+        ("x = 1;\ny = 'a", (2, 4, "unterminated literal")),
+        ("x = \"abc\\", (1, 4, "unterminated literal")),
+    ])
+    def test_error_positions(self, text, expected):
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.col, info.value.message) == expected
+
 
 class TestOperators:
     def test_multichar_operators(self):
@@ -66,6 +87,11 @@ class TestCommentsAndTrivia:
 
     def test_block_comment_skipped(self):
         assert values("int /* hi */ a;") == ["int", "a", ";"]
+
+    def test_form_feed_and_vertical_tab_are_whitespace(self):
+        toks = tokenize("int a;\f\n\vint b;\f")
+        assert [t.value for t in toks[:-1]] == ["int", "a", ";", "int", "b", ";"]
+        assert (toks[3].line, toks[3].col) == (2, 1)
 
     def test_unterminated_block_comment(self):
         with pytest.raises(LexError):
@@ -107,6 +133,14 @@ class TestDirectives:
         b_tok = [t for t in toks if t.value == "b"][0]
         assert (b_tok.line, b_tok.col) == (2, 9)
 
+    def test_positions_after_multiline_tokens(self):
+        text = '#define X \\\n 1\ns = "a\\\nb"; /* c\n */ t;'
+        toks = tokenize(text)
+        assert [(t.value, t.line, t.col) for t in toks] == [
+            ("#define X 1", 1, 0), ("s", 3, 0), ("=", 3, 2),
+            ('"a\\\nb"', 3, 4), (";", 4, 2), ("t", 5, 4), (";", 5, 5),
+            ("", 5, 6)]
+
 
 class TestSmplMode:
     def test_escaped_disjunction_tokens(self):
@@ -138,3 +172,30 @@ class TestPragmaTextTokenizer:
 
     def test_empty(self):
         assert tokenize_pragma_text("") == []
+
+
+class TestRealWorldInputs:
+    """Inputs found in real HPC sources; a lexer error on one file would
+    abort the whole run."""
+
+    def test_separator_literal_parses_as_int(self):
+        tree = parse_source("int x = 1'000'000;", "sep.c")
+        literal = tree.unit.decls[0].declarators[0].init
+        assert (literal.value, literal.category) == ("1'000'000", "int")
+
+    def test_tree_with_form_feed_and_separators_is_patched(self, tmp_path, capsys):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        # ^L page break between two functions, as in older GNU sources
+        (tree / "paged.c").write_text(
+            "void f(void) { old(); }\n\f\nvoid g(void) { old(); }\n")
+        (tree / "sep.c").write_text(
+            "int big = 1'000'000;\nvoid h(void) { old(); }\n")
+        patch = tmp_path / "p.cocci"
+        patch.write_text("@r@ @@\n- old();\n+ new_call();\n")
+        rc = spatch_main(["--sp-file", str(patch), "--in-place", str(tree)])
+        assert rc == 0, capsys.readouterr().err
+        assert (tree / "paged.c").read_text().count("new_call();") == 2
+        assert "\f" in (tree / "paged.c").read_text()
+        assert (tree / "sep.c").read_text() == \
+            "int big = 1'000'000;\nvoid h(void) { new_call(); }\n"

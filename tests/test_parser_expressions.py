@@ -53,6 +53,92 @@ class TestPrecedence:
         assert isinstance(expr, A.Ternary)
 
 
+#: C binary operators, loosest first; each line binds tighter than the one
+#: before it and every level is left-associative
+C_LEVELS = [
+    ("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+    ("<", ">", "<=", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
+]
+C_LEVEL = {op: level for level, ops in enumerate(C_LEVELS) for op in ops}
+
+
+def shape(expr) -> str:
+    """The tree as an s-expression, each node tagged ``@start:end`` with its
+    token extent."""
+    at = f"@{expr.start}:{expr.end}"
+    if isinstance(expr, A.Ident):
+        return expr.name + at
+    if isinstance(expr, A.Literal):
+        return expr.value + at
+    if isinstance(expr, (A.BinaryOp, A.Assignment)):
+        left, right = (expr.left, expr.right) if isinstance(expr, A.BinaryOp) \
+            else (expr.target, expr.value)
+        return f"({expr.op} {shape(left)} {shape(right)}){at}"
+    if isinstance(expr, A.Ternary):
+        return f"(? {shape(expr.cond)} {shape(expr.then)} {shape(expr.orelse)}){at}"
+    if isinstance(expr, A.UnaryOp):
+        op = expr.op if expr.prefix else "post" + expr.op
+        return f"({op} {shape(expr.operand)}){at}"
+    if isinstance(expr, A.Cast):
+        return f"(cast {shape(expr.expr)}){at}"
+    if isinstance(expr, A.SizeofExpr):
+        return f"(sizeof {shape(expr.arg)}){at}"
+    if isinstance(expr, A.Paren):
+        return f"(paren {shape(expr.expr)}){at}"
+    raise AssertionError(f"no shape for {type(expr).__name__}")
+
+
+class TestPrecedenceTable:
+    @pytest.mark.parametrize("op1", sorted(C_LEVEL))
+    @pytest.mark.parametrize("op2", sorted(C_LEVEL))
+    def test_operator_pair(self, op1, op2):
+        # tokens: a=0 op1=1 b=2 op2=3 c=4
+        expr, _ = parse_expr(f"a {op1} b {op2} c")
+        if C_LEVEL[op1] >= C_LEVEL[op2]:
+            expected = f"({op2} ({op1} a@0:1 b@2:3)@0:3 c@4:5)@0:5"
+        else:
+            expected = f"({op1} a@0:1 ({op2} b@2:3 c@4:5)@2:5)@0:5"
+        assert shape(expr) == expected
+
+    def test_long_left_associative_chain(self):
+        expr, _ = parse_expr("a - b + c - d")
+        assert shape(expr) == \
+            "(- (+ (- a@0:1 b@2:3)@0:3 c@4:5)@0:5 d@6:7)@0:7"
+
+    def test_every_level_in_one_expression(self):
+        expr, _ = parse_expr("a || b && c | d ^ e & f == g < h << i + j * k")
+        assert shape(expr) == (
+            "(|| a@0:1 (&& b@2:3 (| c@4:5 (^ d@6:7 (& e@8:9 (== f@10:11 "
+            "(< g@12:13 (<< h@14:15 (+ i@16:17 (* j@18:19 k@20:21)@18:21)"
+            "@16:21)@14:21)@12:21)@10:21)@8:21)@6:21)@4:21)@2:21)@0:21")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a = b + c * d",
+         "(= a@0:1 (+ b@2:3 (* c@4:5 d@6:7)@4:7)@2:7)@0:7"),
+        ("a += b = c", "(+= a@0:1 (= b@2:3 c@4:5)@2:5)@0:5"),
+        ("a = b ? c : d", "(= a@0:1 (? b@2:3 c@4:5 d@6:7)@2:7)@0:7"),
+        ("a || b ? c : d", "(? (|| a@0:1 b@2:3)@0:3 c@4:5 d@6:7)@0:7"),
+        ("a ? b : c ? d : e",
+         "(? a@0:1 b@2:3 (? c@4:5 d@6:7 e@8:9)@4:9)@0:9"),
+        ("a ? b = c : d", "(? a@0:1 (= b@2:3 c@4:5)@2:5 d@6:7)@0:7"),
+        ("-a * b", "(* (- a@1:2)@0:2 b@3:4)@0:4"),
+        ("!a && b", "(&& (! a@1:2)@0:2 b@3:4)@0:4"),
+        ("a - -b", "(- a@0:1 (- b@3:4)@2:4)@0:4"),
+        ("~a & b", "(& (~ a@1:2)@0:2 b@3:4)@0:4"),
+        ("*p++ + 1", "(+ (* (post++ p@1:2)@1:3)@0:3 1@4:5)@0:5"),
+        ("&a == b", "(== (& a@1:2)@0:2 b@3:4)@0:4"),
+        ("(int)a + b", "(+ (cast a@3:4)@0:4 b@5:6)@0:6"),
+        ("(double)-a * b", "(* (cast (- a@4:5)@3:5)@0:5 b@6:7)@0:7"),
+        ("sizeof a + b", "(+ (sizeof a@1:2)@0:2 b@3:4)@0:4"),
+        ("a * (b + c)", "(* a@0:1 (paren (+ b@3:4 c@5:6)@3:6)@2:7)@0:7"),
+        ("x = a < b == c > d",
+         "(= x@0:1 (== (< a@2:3 b@4:5)@2:5 (> c@6:7 d@8:9)@6:9)@2:9)@0:9"),
+    ])
+    def test_mixed_with_assignment_ternary_unary_cast(self, text, expected):
+        expr, _ = parse_expr(text)
+        assert shape(expr) == expected
+
+
 class TestPostfix:
     def test_call_with_args(self):
         expr, _ = parse_expr("f(a, b + 1, g(c))")

@@ -12,6 +12,7 @@ import pytest
 from repro import CodeBase, SemanticPatch
 from repro.engine.prefilter import (PatchPrefilter, required_tokens,
                                     scan_token_set)
+from repro.lang.lexer import TokenKind, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,13 @@ class TestScanTokenSet:
         # an unterminated literal would make the full lexer error out
         tokens = scan_token_set('const char *s = "unterminated\nint next_sym;\n')
         assert "next_sym" in tokens
+
+    def test_identifiers_glued_to_numbers(self):
+        # the lexer ends a number before a letter it rejects: ``100us`` is
+        # ``100u`` ``s``, ``0x1g`` is ``0x1`` ``g``, ``1.fx`` is ``1.f`` ``x``
+        text = "sleep_for(100us); y = 0x1g + 1.fx + 1e5z;"
+        idents = {t.value for t in tokenize(text) if t.kind is TokenKind.IDENT}
+        assert {"s", "g", "x", "z"} <= idents <= scan_token_set(text)
 
 
 # ---------------------------------------------------------------------------
