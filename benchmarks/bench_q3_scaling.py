@@ -945,9 +945,9 @@ def test_q3k_fleet_saturation(benchmark, tmp_path):
     import json as json_mod
     import threading
 
+    from repro.engine.report import result_payload
     from repro.server.client import RemoteClient
     from repro.server.daemon import PatchDaemon
-    from repro.server.protocol import result_payload
     from repro.server.service import PatchService
 
     n_clients = 8 if QUICK else 64

@@ -25,7 +25,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     # stdlib-only by design; `watchdog` is feature-detected at runtime and
-    # never required (see repro/server/watch.py)
+    # never required (see repro/watch.py)
     install_requires=[],
     extras_require={"watch": ["watchdog"]},
     entry_points={

@@ -67,15 +67,13 @@ import time
 
 from .. import __version__
 from ..api import C_SUFFIXES, CodeBase, PatchSet, SemanticPatch
+from ..engine.report import dumps, profile_payload, result_payload
 from ..errors import PatchFileError, ReproError, patch_error_line
 from ..obs import registry as _obs
 from ..obs import trace as _trace
 from ..obs.journal import open_journal
 from ..options import SpatchOptions
-from ..server.protocol import (dumps as json_line, nonguard_matches,
-                               options_payload, profile_payload,
-                               result_payload)
-from ..server.watch import BACKENDS
+from ..watch import BACKENDS
 
 #: pseudo cookbook name expanding to the whole-cookbook pipeline preset
 FULL_PIPELINE = "full_modernization"
@@ -275,58 +273,95 @@ def _build_patches(patch_args: list[tuple[str, str]],
     return patches
 
 
-def _print_counter_lines(codebase: CodeBase, counts, memo=None) -> None:
-    """The cache/prefilter counters ``--profile`` surfaces beyond the run's
-    own stats: process-wide parse-cache traffic (hits/misses/dedup waits/
-    evictions) and compiled-matcher counters from the registry, plus the
-    run's token-index scan reuse and — with ``--memo-dir`` or ``--watch`` —
-    the transform memo's two-tier traffic from its capture ``counts``."""
+def _profile_lines(result, codebase: CodeBase, counts,
+                   memo=None) -> list[str]:
+    """The local ``--profile`` stderr block: the run's stats and reuse
+    breakdown, then the counters beyond them — process-wide parse-cache
+    traffic (hits/misses/dedup waits/evictions) and compiled-matcher
+    counters from the registry, plus the run's token-index scan reuse and —
+    with ``--memo-dir`` or ``--watch`` — the transform memo's two-tier
+    traffic from its capture ``counts``."""
     from ..engine.cache import DEFAULT_TREE_CACHE
     from ..engine.compile import matcher_counters
 
+    lines = ["# --- profile ---"]
+    lines += [f"# {line}" for line in result.stats.describe().splitlines()]
+    if getattr(result, "incremental", None) is not None:
+        lines.append(f"# {result.incremental.describe()}")
     cache = DEFAULT_TREE_CACHE.counters(_obs.REGISTRY)
-    print(f"# parse cache (process): {cache['entries']}/"
-          f"{cache['max_entries']} entries, {cache['hits']} hit(s), "
-          f"{cache['misses']} miss(es), {cache['dedup_waits']} dedup "
-          f"wait(s), {cache['evictions']} eviction(s)", file=sys.stderr)
+    lines.append(f"# parse cache (process): {cache['entries']}/"
+                 f"{cache['max_entries']} entries, {cache['hits']} hit(s), "
+                 f"{cache['misses']} miss(es), {cache['dedup_waits']} dedup "
+                 f"wait(s), {cache['evictions']} eviction(s)")
     token_index = codebase._token_index
     if token_index is not None:
         counters = token_index.counters(counts)
-        print(f"# token index: {counters['scan_hits']} cached scan(s) "
-              f"reused, {counters['scan_misses']} fresh scan(s)",
-              file=sys.stderr)
+        lines.append(f"# token index: {counters['scan_hits']} cached scan(s) "
+                     f"reused, {counters['scan_misses']} fresh scan(s)")
     matcher = matcher_counters()
-    print(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
-          f"compiled, {matcher['rules_fallback']} interpreted fallback(s), "
-          f"{matcher['compile_cache_hits']} compile-cache hit(s), "
-          f"{matcher['match_calls']} match call(s)", file=sys.stderr)
-    print(f"# matcher candidates: {matcher['candidates_filtered']} of "
-          f"{matcher['candidates_filtered'] + matcher['candidates_visited']} "
-          f"pruned ({100.0 * matcher['filter_rate']:.1f}%), "
-          f"{matcher['trees_indexed']} tree(s) indexed, "
-          f"{matcher['index_reuses']} index reuse(s)", file=sys.stderr)
+    lines.append(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
+                 f"compiled, {matcher['rules_fallback']} interpreted "
+                 f"fallback(s), {matcher['compile_cache_hits']} "
+                 f"compile-cache hit(s), {matcher['match_calls']} match "
+                 f"call(s)")
+    lines.append(f"# matcher candidates: {matcher['candidates_filtered']} of "
+                 f"{matcher['candidates_filtered'] + matcher['candidates_visited']} "
+                 f"pruned ({100.0 * matcher['filter_rate']:.1f}%), "
+                 f"{matcher['trees_indexed']} tree(s) indexed, "
+                 f"{matcher['index_reuses']} index reuse(s)")
     if memo is not None:
         counters = memo.counters(counts)
-        print(f"# transform memo: {counters['hits']} hit(s) "
-              f"({counters['disk_hits']} from disk), {counters['misses']} "
-              f"miss(es), {counters['stores']} store(s), "
-              f"{counters['entries']} entr(ies) in memory", file=sys.stderr)
+        lines.append(f"# transform memo: {counters['hits']} hit(s) "
+                     f"({counters['disk_hits']} from disk), "
+                     f"{counters['misses']} miss(es), {counters['stores']} "
+                     f"store(s), {counters['entries']} entr(ies) in memory")
+    return lines
 
 
-def _print_json(result, patches: list[SemanticPatch], codebase: CodeBase,
-                counts, *, profile: bool, memo=None) -> None:
-    """Emit the machine-readable payload — the exact serialization the
-    server's ``apply`` response uses, so local and remote runs compare
-    byte-for-byte on the deterministic sections."""
-    from ..engine.cache import DEFAULT_TREE_CACHE
+def _payload_flags(args) -> dict:
+    """The payload sections this run prints or writes — diffs for plain and
+    ``--json`` runs, changed texts for ``--in-place`` — asked alike of the
+    local engine and of a ``--server`` daemon."""
+    return {"include_diff": args.json or not args.in_place,
+            "include_texts": args.in_place}
 
-    payload = result_payload(result, patches)
-    if profile:
-        payload["profile"] = profile_payload(result, counts,
-                                             cache=DEFAULT_TREE_CACHE,
-                                             token_index=codebase._token_index,
-                                             memo=memo)
-    sys.stdout.write(json_line(payload) + "\n")
+
+def _render(payload: dict, names, paths: dict[str, pathlib.Path], args,
+            profile_lines=(), report: bool = True) -> int:
+    """Print one result payload, local and ``--server`` runs alike: the
+    ``--report``/``--verbose`` lines, the profile lines, the ``--json``
+    line, then the ``--in-place`` rewrites or the diff.  Every per-file walk
+    follows the local load order ``names`` (a JSON round trip sorts the
+    payload's files; a watch round passes only the files it touched).
+    Returns the payload's exit status."""
+    files = payload["files"]
+    names = [name for name in names if name in files]
+    if report and (args.report or args.verbose):
+        summary = payload["summary"]
+        print(f"# files: {summary['files']}  changed: {summary['changed_files']}  "
+              f"matches: {summary['matches']}  +{summary['lines_added']} "
+              f"-{summary['lines_removed']}", file=sys.stderr)
+        for name in names:
+            for rule in files[name]["rules"]:
+                print(f"#   {name}: rule {rule['rule']} -> "
+                      f"{rule['matches']} match(es)", file=sys.stderr)
+    for line in profile_lines:
+        print(line, file=sys.stderr)
+    if args.json:
+        sys.stdout.write(dumps(payload) + "\n")
+    if args.in_place:
+        for name in names:
+            if "text" in files[name] and name in paths:
+                paths[name].write_text(files[name]["text"], encoding="utf-8",
+                                       errors="surrogateescape")
+                print(f"rewrote {name}", file=sys.stderr)
+    elif not args.json:
+        diff = "".join(files[name].get("diff", "") for name in names)
+        if diff:
+            # escaped bytes from surrogateescape reads are not printable;
+            # show them as replacement characters without touching the files
+            sys.stdout.write(diff.encode("utf-8", "replace").decode("utf-8"))
+    return payload["exit_status"]
 
 
 def _load_codebase(targets: list[str], missing_ok: bool = False,
@@ -532,44 +567,26 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
             DEFAULT_TREE_CACHE.restore(state.cache_entries)
 
     with _obs.Capture() as counts:
-        result, per_patch = _apply(patches, codebase, args, since, memo=memo)
+        result = _apply(patches, codebase, args, since, memo=memo)
     _save_state(args, result)
 
-    if args.report or args.verbose:
-        summary = result.summary()
-        print(f"# files: {summary['files']}  changed: {summary['changed_files']}  "
-              f"matches: {summary['matches']}  +{summary['lines_added']} "
-              f"-{summary['lines_removed']}", file=sys.stderr)
-        for file_result in result:
-            for rule_report in file_result.rule_reports:
-                print(f"#   {file_result.filename}: rule {rule_report.rule} -> "
-                      f"{rule_report.matches} match(es)", file=sys.stderr)
-
+    payload = result_payload(result, patches, **_payload_flags(args))
+    profile_lines = []
     if args.profile and result.stats is not None:
-        print("# --- profile ---", file=sys.stderr)
-        for line in result.stats.describe().splitlines():
-            print(f"# {line}", file=sys.stderr)
-        if getattr(result, "incremental", None) is not None:
-            print(f"# {result.incremental.describe()}", file=sys.stderr)
-        _print_counter_lines(codebase, counts, memo=memo)
+        profile_lines = _profile_lines(result, codebase, counts, memo=memo)
+    if args.profile and args.json:
+        from ..engine.cache import DEFAULT_TREE_CACHE
 
-    # guard-rule matches mean "already modernized, stood down", not "the
-    # patch applied": they must not turn a no-op re-run into exit 0
-    matched = any(nonguard_matches(patch, patch_result) > 0
-                  for patch, patch_result in per_patch)
-
-    if args.json:
-        _print_json(result, [patch for patch, _ in per_patch], codebase,
-                    counts, profile=args.profile, memo=memo)
-        rewritten = _emit_output(result, result.files, paths, args) \
-            if args.in_place else []
-    else:
-        rewritten = _emit_output(result, result.files, paths, args)
+        payload["profile"] = profile_payload(
+            result, counts, cache=DEFAULT_TREE_CACHE,
+            token_index=codebase._token_index, memo=memo)
+    names = codebase.names()
+    code = _render(payload, names, paths, args, profile_lines)
     if not args.watch:
-        return 0 if matched else 1
-    _fold_rewrites(codebase, result, rewritten)
+        return code
+    _fold_rewrites(codebase, payload, names, paths)
     return _watch_loop(args, options, patches, codebase, paths, result,
-                       matched, memo, journal=journal)
+                       code == 0, memo, journal=journal)
 
 
 def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
@@ -578,10 +595,9 @@ def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
     number of patches: the result carries the reuse records --incremental
     and --watch seed the next run with, and the memo lives at the
     pipeline's patch boundaries."""
-    result = PatchSet(patches).apply(codebase, jobs=args.jobs,
-                                     prefilter=not args.no_prefilter,
-                                     since=since, memo=memo)
-    return result, list(zip(patches, result.per_patch))
+    return PatchSet(patches).apply(codebase, jobs=args.jobs,
+                                   prefilter=not args.no_prefilter,
+                                   since=since, memo=memo)
 
 
 def _save_state(args, result) -> None:
@@ -640,8 +656,6 @@ def _remote_main(args, options: SpatchOptions) -> int:
     """The --server flow: sync the local tree by content-hash delta, apply
     on the daemon's warm workspace, and emit the same diffs / reports /
     exit codes a local run would."""
-    from ..server.client import ConnectionLost, RemoteClient, RemoteError
-
     try:
         specs = _remote_specs(args.patch_args)
     except (ReproError, OSError) as exc:
@@ -667,7 +681,9 @@ def _remote_main(args, options: SpatchOptions) -> int:
 def _remote_run(args, options: SpatchOptions, codebase, paths,
                 workspace: str, specs) -> int:
     from ..server.client import ConnectionLost, RemoteClient, RemoteError
+    from ..server.protocol import options_payload
 
+    flags = _payload_flags(args)
     trace_tag = (f" [trace {_trace.current_trace_id()}]"
                  if _trace.current_trace_id() else "")
 
@@ -680,9 +696,9 @@ def _remote_run(args, options: SpatchOptions, codebase, paths,
             return client.request(
                 "apply", workspace=workspace, patches=specs,
                 options=options_payload(options), jobs=args.jobs,
-                prefilter=not args.no_prefilter,
-                diff=args.json or not args.in_place,
-                texts=args.in_place or None, profile=args.profile or None)
+                prefilter=not args.no_prefilter, diff=flags["include_diff"],
+                texts=flags["include_texts"] or None,
+                profile=args.profile or None)
 
     payload = None
     for attempt in range(2):
@@ -713,67 +729,16 @@ def _remote_run(args, options: SpatchOptions, codebase, paths,
                 print(f"repro-spatch: server: {exc}{tag}", file=sys.stderr)
             return 2
 
-    if args.report or args.verbose:
-        summary = payload["summary"]
-        print(f"# files: {summary['files']}  "
-              f"changed: {summary['changed_files']}  "
-              f"matches: {summary['matches']}  +{summary['lines_added']} "
-              f"-{summary['lines_removed']}", file=sys.stderr)
-        for name, entry in payload["files"].items():
-            for report in entry["rules"]:
-                print(f"#   {name}: rule {report['rule']} -> "
-                      f"{report['matches']} match(es)", file=sys.stderr)
+    profile_lines = []
     if args.profile and "profile" in payload:
-        print("# --- profile (server) ---", file=sys.stderr)
-        for line in json.dumps(payload["profile"], indent=1,
-                               sort_keys=True).splitlines():
-            print(f"# {line}", file=sys.stderr)
-
-    if args.json:
-        sys.stdout.write(json_line(payload) + "\n")
-    if args.in_place:
-        for name in codebase.names():
-            entry = payload["files"].get(name)
-            if entry and entry.get("changed") and "text" in entry \
-                    and name in paths:
-                paths[name].write_text(entry["text"], encoding="utf-8",
-                                       errors="surrogateescape")
-                print(f"rewrote {name}", file=sys.stderr)
-    elif not args.json:
-        # diffs in the *local* load order, exactly as a local run prints
-        diff = "".join(payload["files"][name].get("diff", "")
-                       for name in codebase.names()
-                       if name in payload["files"])
-        if diff:
-            sys.stdout.write(diff.encode("utf-8", "replace").decode("utf-8"))
-    return payload["exit_status"]
+        profile_lines = ["# --- profile (server) ---"] + [
+            f"# {line}" for line in json.dumps(
+                payload["profile"], indent=1, sort_keys=True).splitlines()]
+    return _render(payload, codebase.names(), paths, args, profile_lines)
 
 
-def _emit_output(result, names, paths, args) -> list[str]:
-    """Write the per-file outcomes: rewrite in place (returning the names
-    rewritten), or print the unified diff of ``names`` (a watch round only
-    shows the files it touched)."""
-    rewritten: list[str] = []
-    if args.in_place:
-        for name in names:
-            file_result = result.files.get(name)
-            if file_result is not None and file_result.changed \
-                    and name in paths:
-                paths[name].write_text(file_result.text, encoding="utf-8",
-                                       errors="surrogateescape")
-                print(f"rewrote {name}", file=sys.stderr)
-                rewritten.append(name)
-        return rewritten
-    diff = "".join(result.files[name].diff() for name in names
-                   if name in result.files)
-    if diff:
-        # escaped bytes from surrogateescape reads are not printable; show
-        # them as replacement characters without touching the real files
-        sys.stdout.write(diff.encode("utf-8", "replace").decode("utf-8"))
-    return rewritten
-
-
-def _fold_rewrites(codebase: CodeBase, result, rewritten: list[str]) -> None:
+def _fold_rewrites(codebase: CodeBase, payload: dict, names,
+                   paths: dict[str, pathlib.Path]) -> None:
     """Fold our own in-place rewrites into the watch baseline *from memory*
     (we know exactly what we wrote): the next poll then sees our output as
     unchanged, while an external edit racing in — even to the same file —
@@ -786,9 +751,13 @@ def _fold_rewrites(codebase: CodeBase, result, rewritten: list[str]) -> None:
     idempotent patches (all of the cookbook), a re-application for
     non-idempotent ones, though only files in that round's delta are ever
     written back.  From then on the records hold the rewritten hashes and
-    the files splice."""
-    for name in rewritten:
-        codebase[name] = result.files[name].text
+    the files splice.  The rewrites are the ``names`` whose payload entry
+    carries a text (only ``--in-place`` asks for texts) and that
+    :func:`_render` therefore wrote."""
+    files = payload["files"]
+    for name in names:
+        if name in files and "text" in files[name] and name in paths:
+            codebase[name] = files[name]["text"]
 
 
 def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
@@ -818,7 +787,7 @@ def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
     runs either way — a backend can only improve latency, never
     correctness.
     """
-    from ..server.watch import create_watcher
+    from ..watch import create_watcher
 
     watched = args.targets + [value for kind, value in args.patch_args
                               if kind in ("sp_file", "patch_file")]
@@ -884,8 +853,7 @@ def _watch_rounds(args, options: SpatchOptions,
             continue  # e.g. a touch that left the contents identical
         previous = result
         round_started = time.monotonic()
-        result, per_patch = _apply(patches, codebase, args, since=result,
-                                   memo=memo)
+        result = _apply(patches, codebase, args, since=result, memo=memo)
         _save_state(args, result)
         _journal_watch_round(journal, result,
                              time.monotonic() - round_started)
@@ -896,9 +864,7 @@ def _watch_rounds(args, options: SpatchOptions,
         if inc.fallback is not None:
             line += " (cold: " + inc.fallback + ")"
         print(f"{line} -> {result.total_matches} match(es)", file=sys.stderr)
-        matched = matched or any(nonguard_matches(patch, patch_result) > 0
-                                 for patch, patch_result in per_patch)
-        emit = [name for name in delta if name in result.files]
+        emit = list(delta)
         if patches_stale:
             # a patch edit can change any file's outcome: emit exactly the
             # files whose *output* differs from the previous round's
@@ -906,8 +872,10 @@ def _watch_rounds(args, options: SpatchOptions,
                      and (previous.files.get(name) is None
                           or previous.files[name].text
                           != result.files[name].text)]
-        rewritten = _emit_output(result, emit, paths, args)
-        _fold_rewrites(codebase, result, rewritten)
+        payload = result_payload(result, patches, **_payload_flags(args))
+        code = _render(payload, emit, paths, args, report=False)
+        matched = matched or code == 0
+        _fold_rewrites(codebase, payload, emit, paths)
     return 0 if matched else 1
 
 

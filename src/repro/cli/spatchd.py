@@ -23,7 +23,7 @@ from .. import __version__
 from ..engine.memo import DEFAULT_MEMO_ENTRIES
 from ..server.daemon import serve
 from ..server.service import PatchService
-from ..server.watch import BACKENDS
+from ..watch import BACKENDS
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -95,7 +95,7 @@ def backend_enabled(compile_flag: Optional[bool] = None) -> bool:
 _MATCHER = {field: _obs.REGISTRY.counter(f"repro_matcher_{field}_total",
                                          help_text)
             for field, help_text in (
-    ("match_calls", "Compiled match_all invocations"),
+    ("match_calls", "match_all invocations, compiled or interpreted"),
     ("candidates_visited", "Candidate nodes or sequence starts attempted"),
     ("candidates_filtered", "Candidates skipped by the root-type filters"),
     ("dispatch_fallbacks", "Pattern nodes answered by the interpreter"),

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from ..lang import ast_nodes as A
 from ..lang.lexer import TokenKind
 from ..lang.parser import ParseTree
+from ..obs import registry as _obs
 from ..options import SpatchOptions, DEFAULT_OPTIONS
 from ..smpl.ast import PatchRule, KIND_EXPRESSION, KIND_STATEMENTS, KIND_TOPLEVEL
 from ..smpl.isomorphisms import (
@@ -31,6 +32,11 @@ from ..smpl.isomorphisms import (
 from ..smpl.metavars import MetavarDecl
 from .bindings import BoundValue, Env, Position, EMPTY_ENV
 
+#: top-level match_all calls on either backend (the compiled matcher
+#: counts its own in the same registry child)
+M_MATCH_CALLS = _obs.REGISTRY.counter(
+    "repro_matcher_match_calls_total",
+    "match_all invocations, compiled or interpreted")
 
 # ---------------------------------------------------------------------------
 # match state
@@ -147,6 +153,7 @@ class Matcher:
     # -- entry point ------------------------------------------------------------
 
     def match_all(self, inherited_env: Env = EMPTY_ENV) -> list[MatchInstance]:
+        M_MATCH_CALLS.inc()
         base = MState(env=inherited_env)
         results: list[MState] = []
         kind = self.rule.pattern_kind

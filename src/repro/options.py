@@ -42,8 +42,6 @@ class SpatchOptions:
     python_scripting:
         Allow ``script:python`` rules to execute.  Disabled engines treat
         script rules as matching nothing (useful for sandboxed runs).
-    diff_context_lines:
-        Context lines for generated unified diffs.
     verbose:
         Emit informational diagnostics about rule application.
     """
@@ -54,7 +52,6 @@ class SpatchOptions:
     apply_isomorphisms: bool = True
     max_dots_statements: int = 2000
     python_scripting: bool = True
-    diff_context_lines: int = 3
     verbose: bool = False
 
     def __post_init__(self) -> None:

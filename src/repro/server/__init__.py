@@ -12,32 +12,29 @@ language server warm rather than re-running a batch compiler:
 * :mod:`~repro.server.service` — the framework-free, thread-safe core:
   named **workspaces** (code base + parse cache + token index + last
   result) with per-workspace locking and LRU eviction;
-* :mod:`~repro.server.protocol` — newline-delimited JSON framing and the
-  result serialization shared with ``repro-spatch --json``;
+* :mod:`~repro.server.protocol` — newline-delimited JSON framing (the
+  result schema it carries lives in :mod:`repro.engine.report`, shared
+  with ``repro-spatch``);
 * :mod:`~repro.server.daemon` — the ``socketserver``-based listener
   (``repro-spatchd``; unix-domain or TCP);
 * :mod:`~repro.server.client` — :class:`RemoteClient`, backing
-  ``repro-spatch --server ADDR``;
-* :mod:`~repro.server.watch` — filesystem-watching backends (Linux inotify
-  via ``ctypes``/``selectors``, portable polling fallback) used by
-  ``--watch`` and workspace auto-refresh.
+  ``repro-spatch --server ADDR``.
+
+Workspace auto-refresh rides on the filesystem-watching backends of
+:mod:`repro.watch`, which ``repro-spatch --watch`` uses too.
 
 Everything imports only the Python standard library.
 """
 
 from .client import ConnectionLost, RemoteClient, RemoteError
 from .daemon import PatchDaemon, serve
-from .protocol import (PROTOCOL_VERSION, RESULT_SCHEMA, ProtocolError,
-                       exit_status, parse_address, patch_specs,
-                       profile_payload, result_payload)
+from .protocol import (PROTOCOL_VERSION, ProtocolError, parse_address,
+                       patch_specs)
 from .service import PatchService, ServiceError, Workspace
-from .watch import BACKENDS, create_watcher
 
 __all__ = [
     "ConnectionLost", "RemoteClient", "RemoteError",
     "PatchDaemon", "serve",
-    "PROTOCOL_VERSION", "RESULT_SCHEMA", "ProtocolError", "exit_status",
-    "parse_address", "patch_specs", "profile_payload", "result_payload",
+    "PROTOCOL_VERSION", "ProtocolError", "parse_address", "patch_specs",
     "PatchService", "ServiceError", "Workspace",
-    "BACKENDS", "create_watcher",
 ]

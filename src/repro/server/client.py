@@ -297,7 +297,7 @@ class RemoteClient:
               profile: bool = False) -> dict:
         """Mirror of ``PatchSet.apply`` against the server's warm workspace;
         returns the shared result payload (see
-        :func:`~repro.server.protocol.result_payload`)."""
+        :func:`~repro.engine.report.result_payload`)."""
         return self.request(
             "apply", workspace=workspace, patches=self._specs(patches),
             options=options_payload(options) if options else None,

@@ -39,24 +39,20 @@ successful hello) and ``auth-failed`` (wrong/missing token in a hello).
 
 Result payloads
 ---------------
-:func:`result_payload` renders an application result (a
-:class:`~repro.engine.report.PatchResult` or
-:class:`~repro.engine.pipeline.PipelineResult`) into the one JSON schema
-shared by ``repro-spatch --json`` and the server's ``apply``/``query``
-responses, so local and remote runs are comparable byte-for-byte.  The
-payload is split into a **deterministic core** — texts, diffs, per-rule
-reports, summaries, exit status, everything two byte-identical runs agree
-on — and a volatile ``"profile"`` section (timings, cache counters,
-reuse breakdowns) that is only attached on request and never part of
-parity comparisons.
+``apply``/``query`` responses carry the one result schema of
+:mod:`repro.engine.report` (:func:`~repro.engine.report.result_payload`),
+the same payload ``repro-spatch`` renders locally; this module re-exports
+it next to the canonical :func:`~repro.engine.report.dumps` the framing
+writes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import BinaryIO, Iterable, Optional, Sequence
+from typing import BinaryIO, Iterable, Optional
 
 from ..api import SemanticPatch
+from ..engine.report import dumps, result_payload  # noqa: F401
 from ..options import SpatchOptions
 
 #: bump on incompatible wire changes; ``open_workspace`` echoes it so a
@@ -65,9 +61,6 @@ from ..options import SpatchOptions
 #: every v1 message remains valid v2, so un-negotiated connections are
 #: served exactly as before
 PROTOCOL_VERSION = 2
-
-#: schema tag of the result payload (shared by ``--json`` and the server)
-RESULT_SCHEMA = "repro-spatch-result/1"
 
 #: hard cap on one message line (64 MiB): a runaway or malicious client
 #: must not balloon the daemon's memory with an unbounded line
@@ -81,13 +74,6 @@ class ProtocolError(ValueError):
 # ---------------------------------------------------------------------------
 # framing
 # ---------------------------------------------------------------------------
-
-def dumps(payload: dict) -> str:
-    """One canonical JSON line (sorted keys, compact separators, ASCII-only
-    so surrogates survive the socket): byte-for-byte comparable output."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
-
 
 def write_message(stream: BinaryIO, payload: dict) -> None:
     stream.write(dumps(payload).encode("ascii") + b"\n")
@@ -165,8 +151,7 @@ def options_from_payload(payload: Optional[dict]) -> Optional[SpatchOptions]:
     if not payload:
         return None
     known = {"cxx", "extra_types", "attribute_names", "apply_isomorphisms",
-             "max_dots_statements", "python_scripting",
-             "diff_context_lines", "verbose"}
+             "max_dots_statements", "python_scripting", "verbose"}
     unknown = set(payload) - known
     if unknown:
         raise ProtocolError(f"unknown option field(s): {sorted(unknown)}")
@@ -178,107 +163,3 @@ def options_from_payload(payload: Optional[dict]) -> Optional[SpatchOptions]:
         return SpatchOptions(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"bad options: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# result payloads
-# ---------------------------------------------------------------------------
-
-def nonguard_matches(patch: SemanticPatch, patch_result) -> int:
-    """Match count excluding the patch's idempotence-guard rules (guard
-    matches mean "already modernized, stood down", not "applied")."""
-    guards = patch.ast.guard_rule_names()
-    return sum(report.matches
-               for file_result in patch_result
-               for report in file_result.rule_reports
-               if report.rule not in guards)
-
-
-def per_patch_pairs(result, patches: Sequence[SemanticPatch]):
-    """``(patch, its PatchResult)`` pairs of a pipeline result, which carries
-    one per-patch view per applied patch."""
-    return list(zip(patches, result.per_patch))
-
-
-def exit_status(result, patches: Sequence[SemanticPatch]) -> int:
-    """The spatch-convention exit code for an application result: 0 when any
-    patch matched at a non-guard rule, 1 otherwise (usage errors never get
-    this far).  Identical to the local CLI's computation by construction."""
-    matched = any(nonguard_matches(patch, patch_result) > 0
-                  for patch, patch_result in per_patch_pairs(result, patches))
-    return 0 if matched else 1
-
-
-def _file_payload(file_result, include_diff: bool,
-                  include_texts: bool) -> dict:
-    payload: dict = {
-        "changed": file_result.changed,
-        "matches": file_result.total_matches,
-        "rules": [{"rule": r.rule, "matches": r.matches,
-                   "deletions": r.deletions, "insertions": r.insertions}
-                  for r in file_result.rule_reports],
-    }
-    if include_diff and file_result.changed:
-        payload["diff"] = file_result.diff()
-    if include_texts and file_result.changed:
-        payload["text"] = file_result.text
-    return payload
-
-
-def result_payload(result, patches: Sequence[SemanticPatch], *,
-                   include_diff: bool = True,
-                   include_texts: bool = False) -> dict:
-    """The shared ``--json``/server serialization of one application result.
-
-    Deterministic by construction: no timings, no cache traffic, no reuse
-    breakdown — a warm incremental server run and a cold local run over the
-    same inputs produce byte-identical payloads (attach the volatile bits
-    via :func:`profile_payload` under the separate ``"profile"`` key)."""
-    code = exit_status(result, patches)
-    payload = {
-        "schema": RESULT_SCHEMA,
-        "exit_status": code,
-        "matched": code == 0,
-        "patches": [patch.name for patch in patches],
-        "summary": result.summary(),
-        "files": {name: _file_payload(file_result, include_diff,
-                                      include_texts)
-                  for name, file_result in result.files.items()},
-        "per_patch": [dict(patch=patch.name, **patch_result.summary())
-                      for patch, patch_result
-                      in per_patch_pairs(result, patches)],
-    }
-    return payload
-
-
-def profile_payload(result, counts, *, cache=None, token_index=None,
-                    memo=None) -> dict:
-    """The volatile companion of :func:`result_payload`: timings and
-    coverage from the run's stats, the incremental reuse breakdown, and —
-    from ``counts``, the run's :class:`~repro.obs.registry.Capture` — the
-    cache/prefilter/memo/matcher traffic and per-phase wall times of that
-    run alone (pass the :class:`~repro.engine.cache.TreeCache` / token
-    index / :class:`~repro.engine.memo.TransformMemo` actually used; their
-    sizes ride along)."""
-    from ..engine.compile import matcher_counters
-
-    payload: dict = {}
-    stats = getattr(result, "stats", None)
-    if stats is not None:
-        payload["stats"] = stats.as_dict()
-    incremental = getattr(result, "incremental", None)
-    if incremental is not None:
-        payload["incremental"] = incremental.as_dict()
-    if cache is not None:
-        payload["parse_cache"] = cache.counters(counts)
-    if token_index is not None:
-        payload["token_index"] = token_index.counters(counts)
-    if memo is not None:
-        payload["memo"] = memo.counters(counts)
-    payload["matcher"] = matcher_counters(counts)
-    # per-phase wall-time histograms (parse, prefilter, match, transform,
-    # memo, splice, sync) — only phases that observed something appear
-    phases = counts.phases()
-    if phases:
-        payload["phases"] = phases
-    return payload

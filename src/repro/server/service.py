@@ -80,12 +80,12 @@ from ..engine.compile import compile_key, evict_compiled
 from ..engine.incremental import IncrementalPipeline, PipelineState
 from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo
 from ..engine.pipeline import PipelineResult
+from ..engine.report import profile_payload, result_payload
 from ..errors import patch_error_line
 from ..frontends import WIRE_KINDS as FRONTEND_WIRE_KINDS
 from ..obs import registry as _obs
 from ..options import SpatchOptions
-from .protocol import (PROTOCOL_VERSION, options_from_payload,
-                       profile_payload, result_payload)
+from .protocol import PROTOCOL_VERSION, options_from_payload
 
 #: pseudo cookbook name expanding to the whole-cookbook pipeline preset
 #: (mirrors the CLI's ``--cookbook full_modernization``)
@@ -306,7 +306,7 @@ class Workspace:
         thread folds the on-disk delta in whenever the backend reports
         change (the next ``apply`` then re-runs exactly the changed
         files)."""
-        from .watch import create_watcher
+        from ..watch import create_watcher
 
         if self._watch_thread is not None or self.root is None:
             return
@@ -405,7 +405,7 @@ class Workspace:
             memo: Optional[TransformMemo], jobs: "int | str",
             prefilter: bool) -> dict:
         """Apply ``built`` to ``files`` and return the response payload:
-        the shared :mod:`result payload <repro.server.protocol>` plus, with
+        the shared :mod:`result payload <repro.engine.report>` plus, with
         ``profile``, the volatile profile section.
 
         The run goes through
@@ -792,7 +792,7 @@ class PatchService:
         engine splices unchanged files when the patch list is the same, and
         otherwise runs cold with the service's memo answering every
         unchanged patch.  The response is the shared
-        :mod:`result payload <repro.server.protocol>` (diffs and changed
+        :mod:`result payload <repro.engine.report>` (diffs and changed
         texts on request, volatile profile section under ``"profile"``).
 
         With a fleet (``workers >= 2``), stored applies execute in the

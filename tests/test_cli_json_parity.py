@@ -1,7 +1,7 @@
 """Single-patch CLI parity: ``repro-spatch --sp-file X --json`` is a
 one-patch pipeline run, so its stdout is byte-identical to
 ``PatchSet([X])`` rendered through
-:func:`~repro.server.protocol.result_payload` — for every cookbook patch
+:func:`~repro.engine.report.result_payload` — for every cookbook patch
 over its workload, with the prefilter on and off and with one and four
 jobs.  (``--profile`` is left out: its section is volatile by design.)
 """
@@ -11,7 +11,7 @@ import pytest
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
 from repro.options import SpatchOptions
-from repro.server.protocol import dumps, result_payload
+from repro.engine.report import dumps, result_payload
 
 from test_prefilter import COOKBOOK_WORKLOADS, _cookbook_patch
 

@@ -29,6 +29,7 @@ from repro import (CodeBase, FrontendParseError, PatchSet, SemanticPatch)
 from repro.baselines.textual import ReferencePatcher
 from repro.cli.spatch import main as spatch_main
 from repro.engine.memo import TransformMemo
+from repro.engine.report import result_payload
 from repro.errors import patch_error_line
 from repro.frontends import (WIRE_KINDS, detect_format, parse_patch_text,
                              sha256_hex)
@@ -36,7 +37,6 @@ from repro.frontends.core import interior_words
 from repro.obs import Capture
 from repro.server.client import RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
-from repro.server.protocol import result_payload
 from repro.server.service import PatchService
 
 FORMATS = list(WIRE_KINDS)

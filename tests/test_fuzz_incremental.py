@@ -183,7 +183,7 @@ def _mutate(rng: random.Random, files: dict[str, str],
 def _run_fuzz_case(seed: int, prefilter: bool, jobs: int,
                    memo_dir: str) -> None:
     from repro.engine.memo import TransformMemo
-    from repro.server.protocol import exit_status
+    from repro.engine.report import exit_status
 
     rng = random.Random(seed)
     files, descs = _init_case(rng)

@@ -2,19 +2,22 @@
 
 The ``--json`` payload *is* the server protocol's apply response (minus
 the workspace echo): one schema, produced by
-:func:`repro.server.protocol.result_payload`, so most parity coverage
-lives in ``test_server_daemon.py`` — here we pin the local semantics:
-schema shape, exit-status agreement, determinism across prefilter on/off
-and incremental warm runs, and the ``--profile`` counter surfacing.
+:func:`repro.engine.report.result_payload`, so most parity coverage
+lives in ``test_server_daemon.py`` and ``test_cli_server_parity.py`` —
+here we pin the local semantics: schema shape, exit-status agreement,
+determinism across prefilter on/off and incremental warm runs, the
+``--profile`` counter surfacing, and that each file result is diffed once.
 """
 
+import difflib
 import json
 
 import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
-from repro.server.protocol import RESULT_SCHEMA, result_payload
+from repro.engine.report import RESULT_SCHEMA, result_payload
+from repro.server.service import PatchService
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"
 
@@ -130,6 +133,9 @@ class TestJsonFlag:
         assert rc == 0
         assert "new_call" in (tmp_path / "hit.c").read_text()
         assert payload["summary"]["changed_files"] == 1
+        # the printed payload is the one the rewrite consumed: texts included
+        assert payload["files"][str(tmp_path / "hit.c")]["text"] \
+            == (tmp_path / "hit.c").read_text()
 
 
 class TestResultPayloadApi:
@@ -153,3 +159,53 @@ class TestResultPayloadApi:
         assert restored["files"]["a.c"]["text"] \
             == result.files["a.c"].text
         assert "\udce9" in restored["files"]["a.c"]["text"]
+
+
+@pytest.fixture
+def diff_calls(monkeypatch):
+    """Counts every difflib unified diff made while the test runs."""
+    calls = []
+    unified_diff = difflib.unified_diff
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return unified_diff(*args, **kwargs)
+
+    monkeypatch.setattr(difflib, "unified_diff", counting)
+    return calls
+
+
+SECOND_SMPL = "@s@ @@\n- new_call();\n+ newest_call();\n"
+TREE = {"a.c": "void f(void) { old(); }\n",
+        "b.c": "void g(void) { old(); old(); }\n",
+        "idle.c": "int idle;\n"}
+
+
+class TestDiffOnce:
+    def test_cold_payload_diffs_each_file_result_at_most_once(
+            self, diff_calls):
+        patches = [SemanticPatch.from_string(RENAME_SMPL, name="first"),
+                   SemanticPatch.from_string(SECOND_SMPL, name="second")]
+        result = PatchSet(patches).apply(CodeBase.from_files(TREE))
+        file_results = list(result) + [file_result
+                                       for view in result.per_patch
+                                       for file_result in view]
+        changed = sum(file_result.changed for file_result in file_results)
+        first = result_payload(result, patches, include_texts=True)
+        assert 0 < len(diff_calls) <= changed
+        diff_calls.clear()
+        assert result_payload(result, patches, include_texts=True) == first
+        assert diff_calls == []
+
+    def test_query_after_apply_makes_no_diffs(self, diff_calls):
+        service = PatchService()
+        service.open_workspace("w")
+        service.sync_files("w", files=TREE)
+        specs = [{"kind": "smpl", "name": "first", "text": RENAME_SMPL},
+                 {"kind": "smpl", "name": "second", "text": SECOND_SMPL}]
+        applied = service.apply("w", specs)
+        assert applied["summary"]["changed_files"] == 2 and diff_calls
+        diff_calls.clear()
+        queried = service.query("w", specs)
+        assert queried["summary"] == applied["summary"]
+        assert diff_calls == []

@@ -547,7 +547,7 @@ class TestTelemetryInertness:
     NAMES = ("cuda_to_hip", "kokkos_lambda", "acc_to_omp")
 
     def _payload_bytes(self, name: str, jobs: int = 1) -> str:
-        from repro.server.protocol import dumps, result_payload
+        from repro.engine.report import dumps, result_payload
         from test_prefilter import COOKBOOK_WORKLOADS, _cookbook_patch
 
         patch = _cookbook_patch(name)

@@ -19,9 +19,10 @@ import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
+from repro.engine.report import result_payload
 from repro.server.client import ConnectionLost, RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
-from repro.server.protocol import PROTOCOL_VERSION, result_payload
+from repro.server.protocol import PROTOCOL_VERSION
 from repro.server.service import PatchService
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"

@@ -14,8 +14,8 @@ import pytest
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cookbook import instrumentation
 from repro.engine.cache import content_sha1
+from repro.engine.report import result_payload
 from repro.obs import Capture
-from repro.server.protocol import result_payload
 from repro.server.service import PatchService, ServiceError
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"

@@ -31,12 +31,13 @@ import pytest
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import SharedTreeStore, TreeCache, content_sha1
+from repro.engine.report import result_payload
 from repro.obs import Capture
 from repro.server.client import ConnectionLost, RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
 from repro.server.fleet import ApplyFleet, shard_of, state_path
 from repro.server.protocol import (PROTOCOL_VERSION, read_message,
-                                   result_payload, write_message)
+                                   write_message)
 from repro.server.service import PatchService, ServiceError
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"

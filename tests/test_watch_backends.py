@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from repro.server import watch
+from repro import watch
 from repro.server.service import PatchService
-from repro.server.watch import (BACKEND_ENV, InotifyWatcher, PollWatcher,
-                                create_watcher)
+from repro.watch import (BACKEND_ENV, InotifyWatcher, PollWatcher,
+                         create_watcher)
 
 
 def _inotify_available(tmp_path) -> bool:
