@@ -73,7 +73,6 @@ from ..obs import registry as _obs
 from ..obs import trace as _trace
 from ..obs.journal import open_journal
 from ..options import SpatchOptions
-from ..watch import BACKENDS
 
 #: pseudo cookbook name expanding to the whole-cookbook pipeline preset
 FULL_PIPELINE = "full_modernization"
@@ -208,12 +207,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="with --watch: exit once the targets have been "
                              "quiet for N consecutive polls (default: run "
                              "until interrupted)")
-    parser.add_argument("--watch-backend", choices=BACKENDS, default="auto",
-                        metavar="NAME",
-                        help="change-detection backend for --watch: auto "
-                             "(inotify where available, else poll), "
-                             "inotify or poll; the REPRO_WATCH_BACKEND "
-                             "environment variable overrides 'auto'")
     parser.add_argument("--profile", action="store_true",
                         help="print a timing/skip-rate breakdown to stderr")
     parser.add_argument("--trace", metavar="FILE", default=None,
@@ -601,14 +594,22 @@ def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
 
 
 def _save_state(args, result) -> None:
+    """Persist ``--incremental`` state.  A state file that cannot be
+    written costs the next run its warm start, never this run its output:
+    one warning line on stderr, and stdout and the exit status stay as
+    they are."""
     if not args.incremental:
         return
     from ..engine.cache import DEFAULT_TREE_CACHE
     from ..engine.incremental import PipelineState
 
-    PipelineState(result=result,
-                  cache_entries=DEFAULT_TREE_CACHE.snapshot()) \
-        .save(args.incremental)
+    try:
+        PipelineState(result=result,
+                      cache_entries=DEFAULT_TREE_CACHE.snapshot()) \
+            .save(args.incremental)
+    except OSError as exc:
+        print(f"repro-spatch: warning: cannot write state file "
+              f"{args.incremental}: {exc.strerror or exc}", file=sys.stderr)
 
 
 def _remote_specs(patch_args: list[tuple[str, str]]) -> list[dict]:
@@ -780,18 +781,17 @@ def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
     consecutive quiet polls (the testing/scripting hook); by default it
     runs until interrupted.
 
-    The wait between sweeps goes through a pluggable backend
-    (``--watch-backend``): inotify blocks on real filesystem events, so a
-    change is noticed in milliseconds instead of at the next poll tick,
-    while the portable fallback just sleeps the interval.  The sweep still
-    runs either way — a backend can only improve latency, never
-    correctness.
+    The wait between sweeps goes through a watcher: inotify where it
+    starts blocks on real filesystem events, so a change is noticed in
+    milliseconds instead of at the next poll tick, while the portable
+    fallback just sleeps the interval.  The sweep still runs either way —
+    the watcher can only improve latency, never correctness.
     """
     from ..watch import create_watcher
 
     watched = args.targets + [value for kind, value in args.patch_args
                               if kind in ("sp_file", "patch_file")]
-    watcher = create_watcher(watched, backend=args.watch_backend)
+    watcher = create_watcher(watched)
     try:
         return _watch_rounds(args, options, patches, codebase, paths,
                              result, matched, watcher, memo, journal)

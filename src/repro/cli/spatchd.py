@@ -22,8 +22,7 @@ import sys
 from .. import __version__
 from ..engine.memo import DEFAULT_MEMO_ENTRIES
 from ..server.daemon import serve
-from ..server.service import PatchService
-from ..watch import BACKENDS
+from ..server.service import DEFAULT_SERVICE_CACHE_ENTRIES, PatchService
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -38,9 +37,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-workspaces", type=int, default=8, metavar="N",
                         help="LRU bound on concurrently warm workspaces "
                              "(default 8)")
-    parser.add_argument("--cache-entries", type=int, default=512, metavar="N",
-                        help="parse-tree cache entries per workspace "
-                             "(default 512)")
+    parser.add_argument("--cache-entries", type=int,
+                        default=DEFAULT_SERVICE_CACHE_ENTRIES, metavar="N",
+                        help="entries in the daemon's one parse-tree cache, "
+                             "shared by every workspace (default "
+                             f"{DEFAULT_SERVICE_CACHE_ENTRIES})")
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="persistent tier for the fleet-wide transform "
                              "memo: content-addressed entry files that let a "
@@ -85,10 +86,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--watch-roots", action="store_true",
                         help="auto-refresh pre-opened workspace roots via a "
                              "filesystem watcher")
-    parser.add_argument("--watch-backend", choices=BACKENDS, default="auto",
-                        help="watcher backend for --watch-roots (default "
-                             "auto: inotify where available, else "
-                             "polling)")
     parser.add_argument("--metrics", default=None, metavar="ADDR",
                         help="serve a stdlib-only Prometheus endpoint at "
                              "ADDR (HOST:PORT; PORT 0 picks a free port): "
@@ -142,8 +139,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if not sep or not name or not root:
             parser.error(f"--workspace-root expects NAME=DIR, got {entry!r}")
             return 2
-        service.open_workspace(name, root=root, watch=args.watch_roots,
-                               watch_backend=args.watch_backend)
+        service.open_workspace(name, root=root, watch=args.watch_roots)
         print(f"spatchd: opened workspace {name!r} from {root}",
               file=sys.stderr, flush=True)
 

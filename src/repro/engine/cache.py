@@ -1,32 +1,40 @@
-"""Content-hash-keyed :class:`~repro.lang.parser.ParseTree` cache.
+"""Content-addressed :class:`~repro.lang.parser.ParseTree` cache.
 
 Parsing dominates the cost of applying a semantic patch to a code base, and
 the same file contents are parsed over and over across benchmark sweeps,
-differential runs (prefilter on/off) and repeated ``apply`` calls.  Trees are
-immutable once built — matching and transformation only read them, and edits
-always produce *new* text which re-parses under a new key — so they can be
-shared safely between sessions and between patches that use the same parser
-options.
+differential runs (prefilter on/off), repeated ``apply`` calls and — in the
+daemon — every workspace holding a vendored copy of the same file.  Trees
+are immutable once built — matching and transformation only read them, and
+edits always produce *new* text which re-parses under a new key — so they
+can be shared safely between sessions, workspaces and patches that use the
+same parser options.
 
-The cache key is ``(filename, sha1(text), options)``: the filename matters
-because diagnostics embedded in the tree carry it, and the (frozen, hashable)
-options matter because they change how the front end disambiguates.
+The cache key is ``(sha1(text), options)``: the (frozen, hashable) options
+matter because they change how the front end disambiguates; the filename
+does not.  A tree's one filename carrier is its ``source``
+(:class:`~repro.lang.source.SourceFile`): tokens hold offsets into the
+text, the tolerant parser's recovery nodes hold token ranges, and the
+matcher (``Position.filename``) and transform diagnostics read
+``tree.source.name`` at *use* time.  So a hit whose stored tree was parsed
+under another filename is *rebound*: the caller gets a shallow copy with a
+fresh ``SourceFile`` carrying its own name (one O(n) line-start scan,
+versus a full re-parse), and the stored entry stays as it is.
 
 Two callers racing on the same key are deduplicated: the first one parses
 while the others wait on a per-key in-flight marker, so a tree is never built
 twice and the hit/miss counts stay exact (one miss per unique parse, one
-hit per answered caller).  The counts live in the metrics registry, so a
-capture around any stretch of work reads exactly its traffic.  The cache can
-also be persisted (:meth:`save` / :meth:`load`): content-hash keys stay
-valid across processes, which lets repeated CLI invocations skip parsing
-files they have seen before.
+hit per answered caller, one ``rebinds`` event per hit answered under
+another filename).  The counts live in the metrics registry, so a capture
+around any stretch of work reads exactly its traffic.  Entries persist only
+inside a :class:`~repro.engine.incremental.PipelineState` (``--incremental``
+and the daemon's ``--state-root``), through :meth:`TreeCache.snapshot` and
+:meth:`TreeCache.restore`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import pickle
 import threading
 from collections import OrderedDict
 from typing import Optional
@@ -36,40 +44,25 @@ from ..lang.source import SourceFile
 from ..obs import registry as _obs
 from ..options import SpatchOptions
 
-#: format tag for persisted caches; bump on incompatible layout changes
-_PERSIST_VERSION = 1
-
-def _children(cache: str, *events: tuple[str, str]) -> dict:
-    return {event: _obs.REGISTRY.counter(f"repro_parse_cache_{event}_total",
-                                         help_text, cache=cache)
-            for event, help_text in events}
-
 
 # every cache event increments exactly one of these registry children; the
-# caches keep only their sizes, and a capture around a run or request reads
+# cache keeps only its size, and a capture around a run or request reads
 # what that run counted (fork-pool and fleet workers ship theirs home)
-_TREE = _children(
-    "tree", ("hits", "Parse-cache hits"),
-    ("misses", "Parse-cache misses (real parses)"),
-    ("dedup_waits", "Hits answered by waiting on another caller's parse"),
-    ("evictions", "Parse-cache LRU evictions"))
-_SHARED = _children(
-    "shared", ("hits", "Parse-cache hits"),
-    ("misses", "Parse-cache misses (real parses)"),
-    ("stores", "Shared-store new entries"),
-    ("rebinds", "Shared-store hits rebound to another filename"),
-    ("evictions", "Parse-cache LRU evictions"))
+_TREE = {event: _obs.REGISTRY.counter(f"repro_parse_cache_{event}_total",
+                                      help_text, cache="tree")
+         for event, help_text in (
+             ("hits", "Parse-cache hits"),
+             ("misses", "Parse-cache misses (real parses)"),
+             ("dedup_waits",
+              "Hits answered by waiting on another caller's parse"),
+             ("rebinds", "Hits rebound to another filename"),
+             ("evictions", "Parse-cache LRU evictions"))}
 
 
 def parse_cache_counts(counts) -> dict:
     """The parse-cache traffic ``counts`` (a capture, or the registry for
-    process-wide totals) recorded: ``shared_hits`` are local misses the
-    shared content-addressed store answered."""
-    return {"hits": counts.total(_TREE["hits"]),
-            "misses": counts.total(_TREE["misses"]),
-            "dedup_waits": counts.total(_TREE["dedup_waits"]),
-            "shared_hits": counts.total(_SHARED["hits"]),
-            "evictions": counts.total(_TREE["evictions"])}
+    process-wide totals) recorded."""
+    return {event: counts.total(child) for event, child in _TREE.items()}
 
 
 def content_sha1(text: str) -> str:
@@ -93,114 +86,51 @@ class _InFlight:
         self.error: Optional[BaseException] = None
 
 
-class SharedTreeStore:
-    """A content-addressed parse-tree layer shared *across* caches.
-
-    Per-workspace :class:`TreeCache` keys include the filename (diagnostics
-    derive it from ``tree.source.name``), so two workspaces holding the same
-    vendored file under different paths each parse it.  This store drops the
-    filename from the key — ``(sha1(text), options) → tree`` — and repairs
-    the one filename capture on the way out: a hit whose stored tree was
-    parsed under a different name is *rebound* by replacing ``tree.source``
-    with a fresh :class:`~repro.lang.source.SourceFile` carrying the
-    caller's name.  That is sound because the source object is the tree's
-    only filename carrier: tokens hold offsets into the text, and the
-    tolerant parser's recovery nodes hold token ranges, never paths — the
-    matcher (``Position.filename``) and transform diagnostics both read
-    ``tree.source.name`` at *use* time.  Rebinding costs one O(n)
-    line-start scan, versus a full re-parse.
-
-    Thread-safe; shared across workspaces (and per worker process in the
-    apply fleet), wired in via ``TreeCache(shared=...)``.
-    """
-
-    def __init__(self, max_entries: int = 2048):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, ParseTree]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, text_sha: str, options: SpatchOptions, name: str,
-            text: str) -> Optional[ParseTree]:
-        """The stored tree for this exact content (rebound to ``name`` if it
-        was parsed under another path), or ``None``."""
-        key = (text_sha, options)
-        with self._lock:
-            tree = self._entries.get(key)
-            if tree is None:
-                _SHARED["misses"].inc()
-                return None
-            self._entries.move_to_end(key)
-            _SHARED["hits"].inc()
-            if tree.source.name == name:
-                return tree
-            _SHARED["rebinds"].inc()
-        # rebind outside the lock: SourceFile.__post_init__ rescans line
-        # starts, which is O(len(text)) work other callers need not wait on
-        return dataclasses.replace(
-            tree, source=SourceFile(name=name, text=text))
-
-    def put(self, text_sha: str, options: SpatchOptions,
-            tree: ParseTree) -> None:
-        key = (text_sha, options)
-        with self._lock:
-            if key not in self._entries:
-                _SHARED["stores"].inc()
-            self._entries[key] = tree
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                _SHARED["evictions"].inc()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def counters(self, counts) -> dict:
-        """This store's size plus the traffic ``counts`` recorded."""
-        return {"entries": len(self._entries),
-                "max_entries": self.max_entries,
-                **{event: counts.total(child)
-                   for event, child in _SHARED.items()}}
+def _named(tree: ParseTree, name: str, text: str) -> ParseTree:
+    """``tree`` as seen by a caller naming the text ``name``: the stored
+    tree itself, or a copy rebound to ``name`` (counted as a rebind)."""
+    if tree.source.name == name:
+        return tree
+    _TREE["rebinds"].inc()
+    return dataclasses.replace(tree, source=SourceFile(name=name, text=text))
 
 
 class TreeCache:
-    """A bounded, thread-safe LRU cache of parse trees.
+    """A bounded, thread-safe LRU cache of parse trees, keyed on content.
 
-    ``shared`` optionally names a :class:`SharedTreeStore` consulted on a
-    local miss (content-addressed, so identical files in *other* caches
-    answer) and published to after every successful parse.  ``None`` — the
-    default — keeps this cache fully self-contained."""
+    One instance serves every caller that may share trees: the process
+    (:data:`DEFAULT_TREE_CACHE`), a daemon service across all its
+    workspaces, or one apply-fleet worker across the workspaces pinned to
+    it."""
 
-    def __init__(self, max_entries: int = 512,
-                 shared: Optional[SharedTreeStore] = None):
+    def __init__(self, max_entries: int = 512):
         self.max_entries = max_entries
-        self.shared = shared
         self._entries: "OrderedDict[tuple, ParseTree]" = OrderedDict()
         self._inflight: dict[tuple, _InFlight] = {}
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _key(text: str, name: str, options: SpatchOptions) -> tuple:
-        return (name, content_sha1(text), options)
-
     def get_or_parse(self, text: str, name: str,
                      options: SpatchOptions) -> ParseTree:
-        """Return the cached tree for ``text`` or parse (tolerantly) and cache it."""
-        key = self._key(text, name, options)
+        """Return the cached tree for ``text`` (named ``name``) or parse
+        (tolerantly) and cache it."""
+        key = (content_sha1(text), options)
         with self._lock:
             tree = self._entries.get(key)
             if tree is not None:
                 self._entries.move_to_end(key)
                 _TREE["hits"].inc()
-                return tree
-            inflight = self._inflight.get(key)
-            if inflight is None:
-                inflight = self._inflight[key] = _InFlight()
-                owner = True
             else:
-                owner = False
+                inflight = self._inflight.get(key)
+                owner = inflight is None
+                if owner:
+                    inflight = self._inflight[key] = _InFlight()
+        if tree is not None:
+            # rebind outside the lock: a fresh SourceFile rescans line
+            # starts, O(len(text)) work other callers need not wait on
+            return _named(tree, name, text)
         if not owner:
-            # someone else is parsing this exact key right now: wait for
-            # their tree instead of building a duplicate
+            # someone else is parsing this exact content right now: wait
+            # for their tree instead of building a duplicate
             inflight.event.wait()
             if inflight.error is not None:
                 raise inflight.error
@@ -212,21 +142,7 @@ class TreeCache:
                 # LRU bound see the true access order
                 if key in self._entries:
                     self._entries.move_to_end(key)
-            return inflight.tree
-        tree = None
-        if self.shared is not None:
-            try:
-                tree = self.shared.get(key[1], options, name, text)
-            except Exception:
-                tree = None  # a broken share degrades to a parse, never a failure
-        if tree is not None:
-            _TREE["hits"].inc()
-            with self._lock:
-                self._store(key, tree)
-                del self._inflight[key]
-            inflight.tree = tree
-            inflight.event.set()
-            return tree
+            return _named(inflight.tree, name, text)
         try:
             with _obs.phase("parse"):
                 tree = parse_source(text, name=name, options=options,
@@ -243,11 +159,6 @@ class TreeCache:
             del self._inflight[key]
         inflight.tree = tree
         inflight.event.set()
-        if self.shared is not None:
-            try:
-                self.shared.put(key[1], options, tree)
-            except Exception:
-                pass
         return tree
 
     def _store(self, key: tuple, tree: ParseTree) -> None:
@@ -295,32 +206,6 @@ class TreeCache:
                 self._store(key, tree)
                 merged += 1
         return merged
-
-    def save(self, path) -> int:
-        """Pickle the ``(name, sha1, options) → tree`` entries to ``path``
-        (LRU order preserved); returns the number of entries written."""
-        entries = self.snapshot()
-        payload = {"version": _PERSIST_VERSION, "entries": entries}
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        return len(entries)
-
-    def load(self, path) -> int:
-        """Merge entries persisted by :meth:`save` into this cache; returns
-        how many were loaded.  Unreadable or version-mismatched files load
-        nothing (a stale cache must never break an application run)."""
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("version") != _PERSIST_VERSION:
-                return 0
-            entries = payload["entries"]
-        except Exception:
-            # pickle failures surface as UnpicklingError, ValueError,
-            # EOFError, AttributeError/ImportError (renamed classes), ... —
-            # a stale cache must degrade to re-parsing, never break the run
-            return 0
-        return self.restore(entries)
 
 
 #: process-wide cache shared by pipelines unless a caller supplies its own

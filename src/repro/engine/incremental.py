@@ -65,8 +65,9 @@ from .pipeline import FileRecord, PatchPipeline, PipelineResult
 from .prefilter import TokenIndex
 
 #: format tag for persisted pipeline states; bump on incompatible changes
-#: (older states degrade to cold runs, never to wrong output)
-_STATE_VERSION = 3
+#: (older states degrade to cold runs, never to wrong output); 4 = parse
+#: cache entries keyed ``(sha1, options)``
+_STATE_VERSION = 4
 
 #: default bound on the parse-cache entries a persisted state embeds; the
 #: LRU-coldest overflow is dropped so long-lived watch/state files stay flat

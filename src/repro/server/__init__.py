@@ -10,8 +10,8 @@ This package keeps it alive instead, the way editor tooling keeps a
 language server warm rather than re-running a batch compiler:
 
 * :mod:`~repro.server.service` — the framework-free, thread-safe core:
-  named **workspaces** (code base + parse cache + token index + last
-  result) with per-workspace locking and LRU eviction;
+  named **workspaces** (code base + token index + last result, over one
+  shared parse cache) with per-workspace locking and LRU eviction;
 * :mod:`~repro.server.protocol` — newline-delimited JSON framing (the
   result schema it carries lives in :mod:`repro.engine.report`, shared
   with ``repro-spatch``);

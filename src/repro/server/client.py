@@ -226,11 +226,9 @@ class RemoteClient:
         return self.request("ping")
 
     def open_workspace(self, workspace: str, *, root: Optional[str] = None,
-                       watch: bool = False,
-                       watch_backend: Optional[str] = None) -> dict:
+                       watch: bool = False) -> dict:
         return self.request("open_workspace", workspace=workspace, root=root,
-                            watch=watch or None,
-                            watch_backend=watch_backend)
+                            watch=watch or None)
 
     def sync_files(self, workspace: str, *, files: Optional[dict] = None,
                    remove: Optional[Sequence[str]] = None,

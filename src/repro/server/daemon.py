@@ -55,8 +55,7 @@ _ENVELOPE_FIELDS = {"verb", "id", "trace"}
 #: verb -> (service method, parameter names allowed on the wire)
 _VERBS = {
     "open_workspace": ("open_workspace",
-                       {"workspace", "root", "watch", "watch_backend",
-                        "watch_interval"}),
+                       {"workspace", "root", "watch", "watch_interval"}),
     "sync_files": ("sync_files", {"workspace", "files", "remove", "hashes"}),
     "apply": ("apply", {"workspace", "patches", "options", "jobs",
                         "prefilter", "diff", "texts", "profile"}),

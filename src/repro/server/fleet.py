@@ -15,9 +15,8 @@ Delta protocol
 The parent keeps the authoritative file tree (it answers ``sync_files``
 manifests); each worker keeps its own warm
 :class:`~repro.server.service.Workspace` per pinned workspace — code base,
-a parse cache backed by a per-worker
-:class:`~repro.engine.cache.SharedTreeStore`, the last result seeding
-incremental splicing, and the bounded built-patch cache — and applies
+the last result seeding incremental splicing, and the bounded built-patch
+cache, all sharing the worker's one parse cache — and applies
 through the same :meth:`~repro.server.service.Workspace.run` the parent
 uses in-process.  Every apply job carries the delta since the parent last
 spoke to that worker *plus* the full ``{name: sha1}`` manifest the tree
@@ -49,6 +48,7 @@ import traceback
 from typing import Optional
 
 from ..obs import registry as _obs
+from .service import DEFAULT_SERVICE_CACHE_ENTRIES
 
 
 def shard_of(name: str, workers: int) -> int:
@@ -78,25 +78,24 @@ class _FleetWorker:
     """The worker loop: receive a job, answer it, forever."""
 
     def __init__(self, conn, config: dict):
-        from ..engine.cache import SharedTreeStore
+        from ..engine.cache import TreeCache
         from ..engine.memo import TransformMemo
 
         self.conn = conn
         self.config = config
         self.state_root = config.get("state_root")
-        self.cache_entries = config.get("cache_entries", 512)
         #: this worker's copy of every workspace pinned to it
         self.workspaces: dict = {}
-        #: per-worker shared parse-tree layer: vendored-identical files
-        #: across this worker's workspaces parse once
-        self.tree_store = SharedTreeStore()
+        #: this worker's one parse cache, shared by all those workspaces:
+        #: identical files across them parse once
+        self.cache = TreeCache(max_entries=config["cache_entries"])
         #: per-worker memo sharing the fleet's disk directory, so entries
         #: cross worker processes through the content-addressed disk tier
         self.memo = TransformMemo(
             max_entries=config.get("memo_entries", 4096),
             path=config.get("memo_dir"))
         #: what every job counted (the sum of the jobs' captures): this
-        #: worker's memo and tree-store traffic for the ``stats`` op
+        #: worker's memo traffic for the ``stats`` op
         self.counts = _obs.Capture()
 
     def run(self) -> None:
@@ -148,9 +147,8 @@ class _FleetWorker:
 
         workspace = self.workspaces.get(name)
         if workspace is None:
-            workspace = self.workspaces[name] = Workspace(
-                name, cache_entries=self.cache_entries,
-                shared=self.tree_store)
+            workspace = self.workspaces[name] = Workspace(name,
+                                                          cache=self.cache)
             workspace.restore(self.state_root)
         return workspace
 
@@ -207,7 +205,6 @@ class _FleetWorker:
                                in self.workspaces.items()
                                if workspace.restored),
             "memo": self.memo.counters(self.counts),
-            "tree_store": self.tree_store.counters(self.counts),
             "parse_caches": {name: workspace.cache.counters(workspace.counts)
                              for name, workspace in self.workspaces.items()},
         }
@@ -239,7 +236,8 @@ class _WorkerHandle:
 class ApplyFleet:
     """The parent-side pool: spawn, route, heal, stop."""
 
-    def __init__(self, workers: int, *, cache_entries: int = 512,
+    def __init__(self, workers: int, *,
+                 cache_entries: int = DEFAULT_SERVICE_CACHE_ENTRIES,
                  memo_entries: int = 4096, memo_dir=None,
                  state_root: Optional[str] = None):
         if workers < 2:

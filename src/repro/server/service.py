@@ -7,9 +7,10 @@ state PRs 3–4 built but which previously died with every CLI process:
 
 * an in-memory :class:`~repro.api.CodeBase` (synced from clients by
   content-hash delta, or loaded from a server-side directory),
-* a per-workspace :class:`~repro.engine.cache.TreeCache` (so evicting a
-  cold workspace frees its parse trees, and cache counters are
-  attributable per workspace),
+* the service's one content-addressed
+  :class:`~repro.engine.cache.TreeCache`, shared with every other
+  workspace (identical files parse once service-wide; each workspace's
+  cache counters come from its own capture),
 * the lazily built prefilter token index (owned by the code base), and
 * the last :class:`~repro.engine.pipeline.PipelineResult`, seeding every
   subsequent ``apply`` through
@@ -75,7 +76,7 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from ..api import CodeBase, SemanticPatch
-from ..engine.cache import SharedTreeStore, TreeCache, content_sha1
+from ..engine.cache import TreeCache, content_sha1
 from ..engine.compile import compile_key, evict_compiled
 from ..engine.incremental import IncrementalPipeline, PipelineState
 from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo
@@ -97,6 +98,9 @@ _M_REQUESTS = _obs.REGISTRY.counter(
     "repro_service_requests_total", "Requests the service has handled")
 _M_EVICTIONS = _obs.REGISTRY.counter(
     "repro_service_evictions_total", "Workspaces evicted LRU")
+
+#: default bound on the service's one parse cache (every workspace shares it)
+DEFAULT_SERVICE_CACHE_ENTRIES = 2048
 
 #: LRU bound on built-patch specs cached per workspace: an authoring loop
 #: ships a fresh SMPL revision per request (new content hash, new key), so
@@ -196,10 +200,16 @@ def parse_spec(spec: dict, options: Optional[SpatchOptions],
     return [table[name]()]
 
 
+#: the parse-cache counter fields that describe the (shared) cache itself,
+#: not one workspace's traffic through it
+_CACHE_SIZE_KEYS = ("entries", "max_entries")
+
+
 def _aggregate_worker_stats(per_worker: Sequence[dict]) -> dict:
     """Fold the fleet's per-worker stat rows into one fleet-wide view:
-    counter dicts (memo, tree_store, every worker workspace's parse cache)
-    sum key-wise, workspace lists just count.  This is the satellite fix for
+    counter dicts (memo, every worker workspace's parse-cache traffic) sum
+    key-wise, each worker's one parse cache counts its size once, and
+    workspace lists just count.  This is the satellite fix for
     the fleet-mode profile gap — per-worker counters previously appeared
     only as N disjoint rows a human had to add up."""
     def fold(total: dict, counters: Optional[dict]) -> None:
@@ -208,19 +218,22 @@ def _aggregate_worker_stats(per_worker: Sequence[dict]) -> dict:
                 total[key] = total.get(key, 0) + value
 
     memo: dict = {}
-    tree_store: dict = {}
     parse_cache: dict = {}
     workspaces = 0
     for row in per_worker:
         if not isinstance(row, dict) or "error" in row:
             continue
         fold(memo, row.get("memo"))
-        fold(tree_store, row.get("tree_store"))
         workspaces += len(row.get("workspaces") or ())
-        for counters in (row.get("parse_caches") or {}).values():
-            fold(parse_cache, counters)
+        caches = list((row.get("parse_caches") or {}).values())
+        for counters in caches:
+            fold(parse_cache, {key: value for key, value in counters.items()
+                               if key not in _CACHE_SIZE_KEYS})
+        if caches:
+            fold(parse_cache, {key: caches[0].get(key)
+                               for key in _CACHE_SIZE_KEYS})
     return {"workspaces": workspaces, "memo": memo,
-            "tree_store": tree_store, "parse_cache": parse_cache}
+            "parse_cache": parse_cache}
 
 
 class Workspace:
@@ -230,12 +243,13 @@ class Workspace:
     holds its own copy of every workspace pinned to it, kept in step by
     the parent's delta jobs."""
 
-    def __init__(self, name: str, *, cache_entries: int = 512,
-                 root: Optional[str] = None,
-                 shared: Optional[SharedTreeStore] = None):
+    def __init__(self, name: str, *, cache: TreeCache,
+                 root: Optional[str] = None):
         self.name = name
         self.codebase = CodeBase()
-        self.cache = TreeCache(max_entries=cache_entries, shared=shared)
+        #: the owner's parse cache (the service's, or the fleet worker's),
+        #: shared with every other workspace it holds
+        self.cache = cache
         self.lock = threading.RLock()
         #: the last successful apply's result: the ``since=`` seed
         self.last: Optional[PipelineResult] = None
@@ -300,17 +314,16 @@ class Workspace:
         holds the lock (the copy is shallow — texts are shared)."""
         self._files_view = dict(self.codebase.files)
 
-    def start_auto_refresh(self, backend: str, interval: float,
-                           log) -> None:
+    def start_auto_refresh(self, interval: float, log) -> None:
         """Keep a rooted workspace in sync with its directory: a watcher
-        thread folds the on-disk delta in whenever the backend reports
+        thread folds the on-disk delta in whenever the watcher reports
         change (the next ``apply`` then re-runs exactly the changed
         files)."""
         from ..watch import create_watcher
 
         if self._watch_thread is not None or self.root is None:
             return
-        self._watcher = create_watcher([self.root], backend=backend, log=log)
+        self._watcher = create_watcher([self.root], log=log)
 
         def refresh_loop() -> None:
             while not self._watch_stop.is_set():
@@ -339,7 +352,7 @@ class Workspace:
         if self._watcher is not None:
             self._watcher.close()
         # the thread is a daemon and checks the stop flag after every wait;
-        # don't join (a poll backend may be mid-sleep)
+        # don't join (a poll watcher may be mid-sleep)
 
     # -- patch building ------------------------------------------------------
 
@@ -409,13 +422,13 @@ class Workspace:
         ``profile``, the volatile profile section.
 
         The run goes through
-        :class:`~repro.engine.incremental.IncrementalPipeline` over this
-        workspace's parse cache, seeded with ``since`` — the engine splices
+        :class:`~repro.engine.incremental.IncrementalPipeline` over the
+        shared parse cache, seeded with ``since`` — the engine splices
         unchanged files when the patch list is the same, and otherwise runs
         cold with the shared ``memo`` answering every unchanged patch.  With
-        ``store`` the result becomes
-        :attr:`last` and is snapshotted (caller holds the lock); without
-        it the workspace is left exactly as it was."""
+        ``store`` the result becomes :attr:`last` and is snapshotted
+        (caller holds the lock); without it the workspace is left exactly
+        as it was."""
         pipeline = IncrementalPipeline(
             [patch.ast for patch in built],
             options=[patch.options for patch in built],
@@ -436,9 +449,6 @@ class Workspace:
             payload["profile"] = profile_payload(
                 result, counts, cache=self.cache, token_index=token_index,
                 memo=memo)
-            if self.cache.shared is not None:
-                payload["profile"]["tree_store"] = \
-                    self.cache.shared.counters(counts)
             payload["profile"]["restored"] = self.restored
         return payload
 
@@ -467,9 +477,10 @@ class Workspace:
         return True
 
     def save(self, state_root: Optional[str]) -> None:
-        """Snapshot files, last result and parse cache under
-        ``state_root``; caller holds the lock.  An unwritable state
-        directory never fails the run that triggered the save."""
+        """Snapshot files, last result and the shared parse cache's
+        hottest entries under ``state_root``; caller holds the lock.  An
+        unwritable state directory never fails the run that triggered the
+        save."""
         if state_root is None:
             return
         from .fleet import state_path
@@ -526,27 +537,27 @@ class PatchService:
     """Thread-safe implementation of every daemon verb (the daemon layer
     only adds sockets and JSON framing on top)."""
 
-    def __init__(self, *, max_workspaces: int = 8, cache_entries: int = 512,
+    def __init__(self, *, max_workspaces: int = 8,
+                 cache_entries: int = DEFAULT_SERVICE_CACHE_ENTRIES,
                  default_jobs: "int | str" = 1, log=None,
                  memo_entries: int = DEFAULT_MEMO_ENTRIES,
                  memo_dir=None, workers: int = 1,
                  state_root=None, memo_max_bytes: Optional[int] = None,
                  memo_max_age: Optional[float] = None):
         self.max_workspaces = max_workspaces
-        self.cache_entries = cache_entries
         self.default_jobs = default_jobs
         self.log = log or (lambda message: None)
         self._workspaces: "OrderedDict[str, Workspace]" = OrderedDict()
         self._lock = threading.Lock()
         #: ONE transform memo shared by every workspace: identical vendored
-        #: files across workspaces transform once, fleet-wide (parse trees
-        #: stay per-workspace; memo entries are plain text + counters, so
-        #: sharing them crosses no thread-affinity boundary).  ``memo_dir``
-        #: adds the persistent tier, so a restarted daemon warm-starts.
+        #: files across workspaces transform once, fleet-wide (memo entries
+        #: are plain text + counters, so sharing them crosses no
+        #: thread-affinity boundary).  ``memo_dir`` adds the persistent
+        #: tier, so a restarted daemon warm-starts.
         self.memo = TransformMemo(max_entries=memo_entries, path=memo_dir)
-        #: content-addressed parse-tree layer behind every workspace's
-        #: TreeCache: vendored-identical files parse once service-wide
-        self.tree_store = SharedTreeStore()
+        #: ONE content-addressed parse cache shared by every workspace the
+        #: same way: identical files parse once service-wide
+        self.cache = TreeCache(max_entries=cache_entries)
         #: where workspace snapshots live (``None`` = state dies with the
         #: process, the pre-v2 behavior)
         self.state_root = os.fspath(state_root) \
@@ -612,7 +623,7 @@ class PatchService:
 
     @_counted
     def open_workspace(self, name: str, *, root: Optional[str] = None,
-                       watch: bool = False, watch_backend: str = "auto",
+                       watch: bool = False,
                        watch_interval: float = 0.5) -> dict:
         """Create (or re-open) a named workspace.
 
@@ -628,8 +639,7 @@ class PatchService:
             workspace = self._workspaces.get(name)
             created = workspace is None
             if created:
-                workspace = Workspace(name, cache_entries=self.cache_entries,
-                                      root=root, shared=self.tree_store)
+                workspace = Workspace(name, cache=self.cache, root=root)
                 self._workspaces[name] = workspace
                 _M_WORKSPACES.inc()
                 evicted = self._evict_cold_locked()
@@ -653,8 +663,7 @@ class PatchService:
                 # (any divergence is caught by the job's manifest check)
                 workspace.fleet_seen = workspace.codebase.content_hashes()
             if watch and root is not None:
-                workspace.start_auto_refresh(watch_backend, watch_interval,
-                                             self.log)
+                workspace.start_auto_refresh(watch_interval, self.log)
             return {"workspace": name, "created": created,
                     "files": len(workspace.codebase),
                     "restored": workspace.restored,
@@ -915,7 +924,6 @@ class PatchService:
         payload["matcher"] = matcher_counters(self.counts)
         payload["compile_cache"] = compile_cache_info()
         payload["memo"] = self.memo.counters(self.counts)
-        payload["tree_store"] = self.tree_store.counters(self.counts)
         # stats never takes a workspace lock (the running totals lock only
         # themselves), so a monitoring poll never queues behind a long
         # apply

@@ -13,11 +13,10 @@ once per timeout).  That contract lets two implementations coexist:
 * :class:`PollWatcher` — the portable fallback: ``wait`` simply sleeps the
   interval and reports "sweep now", reproducing the original polling loop.
 
-:func:`create_watcher` picks the best available backend (or an explicitly
-requested one — the ``REPRO_WATCH_BACKEND`` environment variable and the
-CLI's ``--watch-backend`` both force a choice, which is how tests pin the
-fallback path), logs the decision, and degrades to polling whenever a
-fancier backend cannot start.
+:func:`create_watcher` picks the backend from what can start — inotify if
+it starts, polling otherwise — and logs the decision.  There is no knob to
+force polling: the sweep runs at least once per interval either way, so a
+forced choice could only cost latency, never buy correctness.
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ import selectors
 import sys
 import time
 from typing import Callable, Iterable, Optional
-
-#: recognised ``--watch-backend`` / ``REPRO_WATCH_BACKEND`` values
-BACKENDS = ("auto", "inotify", "poll")
-
-#: environment override consulted when the caller asks for ``auto``
-BACKEND_ENV = "REPRO_WATCH_BACKEND"
 
 
 class PollWatcher:
@@ -130,39 +123,17 @@ class InotifyWatcher:
         os.close(self._fd)
 
 
-_BACKEND_CLASSES = {"inotify": InotifyWatcher, "poll": PollWatcher}
-
-
-def create_watcher(roots: Iterable[str], backend: str = "auto",
+def create_watcher(roots: Iterable[str],
                    log: Optional[Callable[[str], None]] = None):
-    """The best available watcher over ``roots``.
-
-    ``backend`` pins a choice (``auto`` consults ``REPRO_WATCH_BACKEND``
-    first, then tries inotify → poll); a pinned backend that cannot start
-    falls back to polling rather than failing the watch loop.  The
-    decision — and any fallback — is reported through ``log``."""
+    """The best watcher over ``roots`` that starts: inotify, else polling.
+    The decision — and why inotify could not start — is reported through
+    ``log``."""
     log = log or (lambda message: print(f"# {message}", file=sys.stderr))
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown watch backend {backend!r}; "
-                         f"expected one of {', '.join(BACKENDS)}")
-    if backend == "auto":
-        backend = os.environ.get(BACKEND_ENV, "auto")
-        if backend not in BACKENDS:
-            backend = "auto"
-    candidates = ["inotify", "poll"] if backend == "auto" \
-        else [backend, "poll"]
     roots = list(roots)
-    last_error: Optional[BaseException] = None
-    for name in candidates:
-        try:
-            watcher = _BACKEND_CLASSES[name](roots)
-        except Exception as exc:
-            last_error = exc
-            continue
-        if name != candidates[0] and last_error is not None:
-            log(f"watch backend: {name} "
-                f"(fell back: {candidates[0]}: {last_error})")
-        else:
-            log(f"watch backend: {name}")
-        return watcher
-    raise RuntimeError("no watch backend could start")  # pragma: no cover
+    try:
+        watcher = InotifyWatcher(roots)
+    except Exception as exc:
+        log(f"watch backend: poll (fell back: inotify: {exc})")
+        return PollWatcher(roots)
+    log("watch backend: inotify")
+    return watcher

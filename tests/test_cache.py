@@ -1,9 +1,11 @@
-"""TreeCache: concurrent in-flight deduplication and persistence.
+"""TreeCache: content keys, filename rebinding, concurrent in-flight
+deduplication and snapshots.
 
 The dedup contract: when N threads race ``get_or_parse`` on the same
-``(name, sha1, options)`` key, exactly one of them parses; the others wait
-for its tree.  The counts stay *exact* — one miss per unique parse, one
-hit per caller answered without parsing — which the pipeline's ``--profile``
+``(sha1, options)`` key, exactly one of them parses; the others wait for
+its tree, each seeing it under the filename it asked with.  The counts
+stay *exact* — one miss per unique parse, one hit per caller answered
+without parsing — which the pipeline's ``--profile``
 output and the incremental benchmarks rely on.  Counts live in the metrics
 registry; each test reads them from a capture around the work it drives
 (one per thread for the racing tests: a capture sees only its own
@@ -19,6 +21,19 @@ from repro.engine.cache import TreeCache, content_sha1, parse_cache_counts
 from repro.obs import Capture
 from repro.obs import registry as _obs
 from repro.options import DEFAULT_OPTIONS, SpatchOptions
+
+
+#: a rule binding each call's position plus a script printing its file;
+#: positions reach scripts rendered ``file:line:col``
+POSITION_SMPL = ("@r@\nidentifier f;\nposition p;\n@@\nf@p(...);\n\n"
+                 "@script:python s@\np << r.p;\n@@\n"
+                 "print('position file:', p.rsplit(':', 2)[0])\n")
+TWIN_TEXT = "void t(void) { twin(); }\n"
+
+
+def printed_files(out: str) -> list[str]:
+    return sorted(line.split(": ", 1)[1] for line in out.splitlines()
+                  if line.startswith("position file: "))
 
 
 def _hits_misses(counts) -> tuple[int, int]:
@@ -208,34 +223,93 @@ class TestInFlightDeduplication:
         assert tree is not None
 
 
+class TestContentKeys:
+    """One key per content: the filename rides on the returned tree."""
+
+    def test_racing_threads_under_two_filenames_parse_once(self,
+                                                           monkeypatch):
+        calls = _install_counting_parser(monkeypatch, delay=0.05)
+        cache = TreeCache()
+        names = ["left.c", "right.c"] * 4
+        barrier = threading.Barrier(len(names))
+        trees = [None] * len(names)
+        totals = Capture()
+
+        def worker(slot):
+            barrier.wait()
+            trees[slot] = cache.get_or_parse("int shared;\n", names[slot],
+                                             DEFAULT_OPTIONS)
+
+        threads = [threading.Thread(target=_captured(totals, worker),
+                                    args=(i,))
+                   for i in range(len(names))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert len(calls) == 1  # one parse for both filenames
+        assert [tree.source.name for tree in trees] == names
+        assert len(cache) == 1
+        parsed_as = calls[0][0]
+        counters = parse_cache_counts(totals)
+        assert (counters["hits"], counters["misses"]) == (len(names) - 1, 1)
+        # every caller that asked under the other name got a rebound copy
+        assert counters["rebinds"] == names.count(
+            "right.c" if parsed_as == "left.c" else "left.c")
+
+    def test_hit_under_another_filename_is_rebound(self):
+        cache = TreeCache()
+        first = cache.get_or_parse("int twin;\n", "vendor/a.c",
+                                   DEFAULT_OPTIONS)
+        with Capture() as counts:
+            second = cache.get_or_parse("int twin;\n", "other/b.c",
+                                        DEFAULT_OPTIONS)
+            again = cache.get_or_parse("int twin;\n", "vendor/a.c",
+                                       DEFAULT_OPTIONS)
+        assert second.source.name == "other/b.c"
+        assert second.unit is first.unit  # the parse itself is shared
+        assert again is first  # same name: the stored tree itself
+        counters = cache.counters(counts)
+        assert (counters["hits"], counters["misses"]) == (2, 0)
+        assert counters["rebinds"] == 1
+        # the stored entry keeps the name it was parsed under
+        assert [tree.source.name for _, tree in cache.snapshot()] \
+            == ["vendor/a.c"]
+
+    def test_script_positions_name_their_own_file(self, capsys):
+        """Two byte-identical files, one parse: a script rule printing each
+        match position's file still sees each file's own name."""
+        from repro import SemanticPatch
+        from repro.engine.pipeline import PatchPipeline
+
+        patch = SemanticPatch.from_string(POSITION_SMPL, name="where")
+        files = {"a.c": TWIN_TEXT, "b.c": TWIN_TEXT}
+        cache = TreeCache()
+        with Capture() as counts:
+            PatchPipeline([patch.ast], tree_cache=cache).run(files)
+        assert printed_files(capsys.readouterr().out) == ["a.c", "b.c"]
+        assert parse_cache_counts(counts)["rebinds"] >= 1
+
+
 class TestPersistence:
-    def test_save_load_round_trip_skips_parsing(self, tmp_path, monkeypatch):
+    def test_snapshot_restore_round_trip_skips_parsing(self, monkeypatch):
+        """Snapshots survive a pickle round trip (the embedded form in a
+        ``PipelineState``) and answer without parsing."""
         cache = TreeCache()
         cache.get_or_parse("int persisted;\n", "p.c", DEFAULT_OPTIONS)
         cache.get_or_parse("int other;\n", "q.c", DEFAULT_OPTIONS)
-        target = tmp_path / "trees.cache"
-        assert cache.save(target) == 2
+        entries = pickle.loads(pickle.dumps(cache.snapshot()))
 
         calls = _install_counting_parser(monkeypatch)
         fresh = TreeCache()
-        assert fresh.load(target) == 2
+        assert fresh.restore(entries) == 2
         with Capture() as counts:
             tree = fresh.get_or_parse("int persisted;\n", "p.c",
                                       DEFAULT_OPTIONS)
         assert tree.source.text == "int persisted;\n"
-        assert calls == []  # answered from the persisted entry
+        assert calls == []  # answered from the restored entry
         assert _hits_misses(counts) == (1, 0)
-
-    def test_load_missing_or_corrupt_is_a_no_op(self, tmp_path):
-        cache = TreeCache()
-        assert cache.load(tmp_path / "nope.cache") == 0
-        garbage = tmp_path / "garbage.cache"
-        garbage.write_bytes(b"not a pickle at all")
-        assert cache.load(garbage) == 0
-        versioned = tmp_path / "versioned.cache"
-        versioned.write_bytes(pickle.dumps({"version": 999, "entries": []}))
-        assert cache.load(versioned) == 0
-        assert len(cache) == 0
 
     def test_restore_respects_the_lru_bound(self):
         source = TreeCache()
@@ -245,15 +319,13 @@ class TestPersistence:
         assert bounded.restore(source.snapshot()) == 6
         assert len(bounded) == 3
 
-    def test_keys_distinguish_options(self, tmp_path):
-        """Persisted entries only answer the exact (name, hash, options)
-        triple they were parsed under."""
+    def test_keys_distinguish_options(self):
+        """Restored entries only answer the exact (hash, options) pair
+        they were parsed under."""
         cache = TreeCache()
         cache.get_or_parse("int opt;\n", "o.c", DEFAULT_OPTIONS)
-        target = tmp_path / "trees.cache"
-        cache.save(target)
         fresh = TreeCache()
-        fresh.load(target)
+        fresh.restore(cache.snapshot())
         with Capture() as counts:
             fresh.get_or_parse("int opt;\n", "o.c", SpatchOptions(cxx=17))
         assert _hits_misses(counts) == (0, 1)  # different options: a parse
@@ -368,7 +440,7 @@ class TestRecencyExactness:
             thread.join()
         assert len(calls) == 2
         # snapshot is coldest-first: b (dedup-wait hit), then a (last touch)
-        names = [key[0] for key, _ in cache.snapshot()]
+        names = [tree.source.name for _, tree in cache.snapshot()]
         assert names == ["b.c", "a.c"]
 
     def test_restore_does_not_steal_recency_from_live_entries(self):
@@ -382,7 +454,7 @@ class TestRecencyExactness:
         cache.get_or_parse("int a;\n", "a.c", DEFAULT_OPTIONS)  # a is hottest
         merged = cache.restore(stale)
         assert merged == 0  # every key was already live
-        names = [key[0] for key, _ in cache.snapshot()]
+        names = [tree.source.name for _, tree in cache.snapshot()]
         assert names == ["b.c", "a.c"]  # a kept its post-snapshot recency
 
     def test_restore_merges_only_unknown_keys(self):

@@ -103,12 +103,15 @@ def test_local_and_server_runs_print_the_same(flags, layout, daemon,
 
 
 def test_cli_import_loads_no_server_module():
+    """Importing the CLI loads no server, frontend or watch module: each
+    is imported only by the flag that needs it."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, repro.cli.spatch; "
          "print(sorted(name for name in sys.modules "
-         "if name.startswith('repro.server')))"],
+         "if name.startswith(('repro.server', 'repro.frontends')) "
+         "or name == 'repro.watch'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"

@@ -674,12 +674,10 @@ class TestPipelineState:
         corrupt.write_bytes(b"\x80\x04 garbage")
         assert PipelineState.load(corrupt) is None
         # a bad protocol marker raises ValueError, not UnpicklingError —
-        # it must degrade just the same (and for TreeCache.load too)
+        # it must degrade just the same
         bad_protocol = tmp_path / "proto.bin"
         bad_protocol.write_bytes(b"\x80\x63spam")
         assert PipelineState.load(bad_protocol) is None
-        from repro.engine.cache import TreeCache
-        assert TreeCache().load(bad_protocol) == 0
 
     def test_save_caps_embedded_cache_entries(self, tmp_path):
         """State-file hygiene: the embedded parse-cache snapshot is bounded
@@ -717,6 +715,13 @@ class TestPipelineState:
 
         target = tmp_path / "old.bin"
         target.write_bytes(pickle.dumps({"version": -1, "result": None}))
+        assert PipelineState.load(target) is None
+        # version 3 embedded parse-cache keys as (name, sha1, options): a
+        # well-formed v3 file loads as nothing, not as foreign keys
+        result = PatchSet(_patches(RENAME_A)).apply(
+            {"a.c": "void f(void) { old_api(); }\n"})
+        target.write_bytes(pickle.dumps({"version": 3, "result": result,
+                                         "cache_entries": []}))
         assert PipelineState.load(target) is None
 
     def test_save_cap_keeps_most_recently_used_not_newest_inserted(
@@ -778,6 +783,44 @@ class TestCliIncremental:
         second = capsys.readouterr()
         assert "2 reused (100%)" in second.err
         assert second.out == first.out  # identical diff
+
+    def test_version_3_state_file_runs_cold_once_then_warm(self, tmp_path,
+                                                           capsys):
+        import pickle
+
+        cocci, src, state = self._setup(tmp_path)
+        argv = ["--sp-file", cocci, "--incremental", state, "--profile", src]
+        assert spatch_main(argv) == 0
+        cold = capsys.readouterr()
+        with open(state, "rb") as handle:
+            payload = pickle.load(handle)
+        payload["version"] = 3
+        with open(state, "wb") as handle:
+            pickle.dump(payload, handle)
+
+        assert spatch_main(argv) == 0
+        stale = capsys.readouterr()
+        assert "incremental" not in stale.err  # the v3 file seeded nothing
+        assert stale.out == cold.out
+        assert spatch_main(argv) == 0
+        warm = capsys.readouterr()
+        assert "2 reused (100%)" in warm.err
+        assert warm.out == cold.out
+
+    def test_unwritable_state_file_warns_and_keeps_the_run(self, tmp_path,
+                                                           capsys):
+        cocci, src, _ = self._setup(tmp_path)
+        assert spatch_main(["--sp-file", cocci, src]) == 0
+        plain = capsys.readouterr()
+        unwritable = str(tmp_path / "missing" / "dir" / "state.bin")
+        assert spatch_main(["--sp-file", cocci, "--incremental", unwritable,
+                            src]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out and captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro-spatch: warning: cannot write "
+                                   f"state file {unwritable}")
 
     def test_edited_file_reruns_alone(self, tmp_path, capsys):
         cocci, src, state = self._setup(tmp_path)

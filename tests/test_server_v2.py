@@ -30,9 +30,8 @@ import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
-from repro.engine.cache import SharedTreeStore, TreeCache, content_sha1
+from repro.engine.cache import content_sha1
 from repro.engine.report import result_payload
-from repro.obs import Capture
 from repro.server.client import ConnectionLost, RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
 from repro.server.fleet import ApplyFleet, shard_of, state_path
@@ -237,35 +236,14 @@ class TestAuth:
 
 
 # ---------------------------------------------------------------------------
-# shared parse-tree store
+# one parse cache per service
 # ---------------------------------------------------------------------------
 
-class TestSharedTreeStore:
-    def test_identical_content_parses_once_across_caches(self):
-        from repro.options import SpatchOptions
-
-        options = SpatchOptions()
-        store = SharedTreeStore()
-        first = TreeCache(shared=store)
-        second = TreeCache(shared=store)
-        text = "void f(void) { old(); }\n"
-        with Capture() as first_counts:
-            tree_a = first.get_or_parse(text, "vendor/a.c", options)
-        with Capture() as second_counts:
-            tree_b = second.get_or_parse(text, "other/b.c", options)
-        # the one real parse
-        assert first.counters(first_counts)["misses"] == 1
-        assert second.counters(second_counts)["misses"] == 0
-        assert second.counters(second_counts)["shared_hits"] == 1
-        # the rebind is real: each tree names its own file
-        assert tree_a.source.name == "vendor/a.c"
-        assert tree_b.source.name == "other/b.c"
-        assert store.counters(second_counts)["rebinds"] == 1
-
-    def test_service_shares_trees_across_workspaces(self):
+class TestOneParseCache:
+    def test_workspaces_with_the_same_contents_parse_each_text_once(self):
         """w2 applies a *different* patch to the same contents: the
         transform memo misses (new patch fingerprint), so the files must
-        parse — and the shared store answers with w1's trees."""
+        parse — and the service's one cache answers with w1's trees."""
         other = "@r@ @@\n- old();\n+ other_call();\n"
         service = PatchService()
         try:
@@ -275,10 +253,57 @@ class TestSharedTreeStore:
                 payload = service.apply(name, [smpl_spec(smpl)])
                 assert payload["exit_status"] == 0
             stats = service.stats()
-            assert stats["tree_store"]["stores"] >= 1
-            assert stats["tree_store"]["hits"] >= 1
+            caches = {row["name"]: row["parse_cache"]
+                      for row in stats["per_workspace"]}
+            assert caches["w1"]["misses"] >= 1
+            assert caches["w2"]["misses"] == 0  # every tree came from w1
+            assert caches["w2"]["hits"] >= 1
+            # one cache: both rows report its size
+            assert caches["w1"]["entries"] == caches["w2"]["entries"] \
+                == len(service.cache)
+            assert "tree_store" not in stats
         finally:
             service.close()
+
+    def test_script_positions_name_each_workspaces_file(self, capsys):
+        """The same text under two names in two workspaces parses once,
+        and a script printing each match position's file sees its own
+        workspace's name.  The patches differ by name, so the memo cannot
+        answer w2 and its session really runs over the shared tree."""
+        from test_cache import POSITION_SMPL, TWIN_TEXT, printed_files
+
+        service = PatchService()
+        try:
+            for name, filename in (("w1", "a.c"), ("w2", "vendor/b.c")):
+                service.open_workspace(name)
+                service.sync_files(name, files={filename: TWIN_TEXT})
+                service.apply(name, [smpl_spec(POSITION_SMPL, name=name)])
+            assert printed_files(capsys.readouterr().out) \
+                == ["a.c", "vendor/b.c"]
+            caches = {row["name"]: row["parse_cache"]
+                      for row in service.stats()["per_workspace"]}
+            assert caches["w2"]["misses"] == 0
+            assert caches["w2"]["rebinds"] >= 1
+        finally:
+            service.close()
+
+    def test_fleet_aggregate_counts_each_workers_cache_once(self):
+        """A worker's workspaces all report its one cache's size: the
+        fleet aggregate sums their traffic but that size once per worker."""
+        from repro.server.service import _aggregate_worker_stats
+
+        def row(*hits):
+            return {"workspaces": [f"w{i}" for i in range(len(hits))],
+                    "parse_caches": {
+                        f"w{i}": {"entries": 10, "max_entries": 2048,
+                                  "hits": count, "misses": 1}
+                        for i, count in enumerate(hits)}}
+
+        aggregate = _aggregate_worker_stats([row(3, 4), row(5)])
+        assert aggregate["workspaces"] == 3
+        assert aggregate["parse_cache"] == {"hits": 12, "misses": 3,
+                                            "entries": 20,
+                                            "max_entries": 4096}
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import pytest
 
 from repro import watch
 from repro.server.service import PatchService
-from repro.watch import (BACKEND_ENV, InotifyWatcher, PollWatcher,
-                         create_watcher)
+from repro.watch import InotifyWatcher, PollWatcher, create_watcher
 
 
 def _inotify_available(tmp_path) -> bool:
@@ -27,64 +26,54 @@ def _inotify_available(tmp_path) -> bool:
         return False
 
 
+@pytest.fixture()
+def no_inotify(monkeypatch):
+    """Simulate a platform where inotify cannot start: the real fallback
+    path, not a pinned choice."""
+    def missing():
+        raise OSError("libc lacks inotify_init1")
+
+    monkeypatch.setattr(watch, "_libc", missing)
+
+
 class TestSelection:
-    def test_poll_is_always_available(self, tmp_path):
+    def test_poll_is_always_available(self, tmp_path, no_inotify):
         logs = []
-        watcher = create_watcher([str(tmp_path)], backend="poll",
-                                 log=logs.append)
+        watcher = create_watcher([str(tmp_path)], log=logs.append)
         assert isinstance(watcher, PollWatcher)
         assert watcher.wait(0.01) is True  # poll semantics: always sweep
-        assert logs == ["watch backend: poll"]
         watcher.close()
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            create_watcher([str(tmp_path)], backend="frobnicate")
-
-    def test_auto_never_picks_an_unavailable_watchdog(self, tmp_path,
-                                                      monkeypatch):
-        # auto tries inotify, then poll — never a third-party backend
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_auto_never_picks_an_unavailable_watchdog(self, tmp_path):
+        # inotify, then poll — never a third-party backend
         logs = []
-        watcher = create_watcher([str(tmp_path)], backend="auto",
-                                 log=logs.append)
+        watcher = create_watcher([str(tmp_path)], log=logs.append)
         assert watcher.name in ("inotify", "poll")
-        assert any("watch backend:" in line for line in logs)
+        assert len(logs) == 1 and logs[0].startswith("watch backend:")
         watcher.close()
 
-    def test_pinned_backend_falls_back_to_poll_with_a_log_line(
-            self, tmp_path, monkeypatch):
-        def no_inotify():
-            raise OSError("libc lacks inotify_init1")
-
-        # simulate a platform without inotify
-        monkeypatch.setattr(watch, "_libc", no_inotify)
+    def test_inotify_is_chosen_when_it_starts(self, tmp_path):
+        if not _inotify_available(tmp_path):
+            pytest.skip("inotify unavailable in this environment")
         logs = []
-        watcher = create_watcher([str(tmp_path)], backend="inotify",
-                                 log=logs.append)
-        assert isinstance(watcher, PollWatcher)
-        assert any("fell back" in line for line in logs)
+        watcher = create_watcher([str(tmp_path)], log=logs.append)
+        assert isinstance(watcher, InotifyWatcher)
+        assert logs == ["watch backend: inotify"]
         watcher.close()
 
-    def test_watchdog_is_no_longer_a_backend(self, tmp_path):
-        assert "watchdog" not in watch.BACKENDS
-        with pytest.raises(ValueError):
-            create_watcher([str(tmp_path)], backend="watchdog")
-
-    def test_env_override_pins_the_choice(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "poll")
+    def test_falls_back_to_poll_with_a_log_line(self, tmp_path, no_inotify):
         logs = []
-        watcher = create_watcher([str(tmp_path)], backend="auto",
-                                 log=logs.append)
+        watcher = create_watcher([str(tmp_path)], log=logs.append)
         assert isinstance(watcher, PollWatcher)
+        assert logs == ["watch backend: poll (fell back: inotify: "
+                        "libc lacks inotify_init1)"]
         watcher.close()
 
-    def test_bogus_env_override_is_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
-        watcher = create_watcher([str(tmp_path)], backend="auto",
-                                 log=lambda line: None)
-        assert watcher.name in ("inotify", "poll")
-        watcher.close()
+    def test_there_is_no_backend_knob(self):
+        from repro.cli.spatch import build_arg_parser
+
+        with pytest.raises(SystemExit):
+            build_arg_parser().parse_args(["--watch-backend", "poll", "x"])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -132,11 +121,11 @@ class TestInotify:
 
 
 class TestServiceAutoRefresh:
-    def test_rooted_workspace_follows_disk(self, tmp_path):
+    def test_rooted_workspace_follows_disk(self, tmp_path, no_inotify):
         (tmp_path / "x.c").write_text("void f(void) { old(); }\n")
         service = PatchService()
         service.open_workspace("auto", root=str(tmp_path), watch=True,
-                               watch_backend="poll", watch_interval=0.05)
+                               watch_interval=0.05)
         try:
             workspace = service._workspaces["auto"]
             (tmp_path / "x.c").write_text("void f(void) { old(); edit(); }\n")
@@ -158,9 +147,9 @@ class TestServiceAutoRefresh:
             service.close()
 
 
-class TestCliWatchBackend:
-    def test_watch_loop_runs_with_pinned_poll_backend(self, tmp_path,
-                                                      capsys):
+class TestCliWatchFallback:
+    def test_watch_loop_runs_on_the_poll_fallback(self, tmp_path, capsys,
+                                                  no_inotify):
         from repro.cli.spatch import main as spatch_main
 
         target = tmp_path / "code.c"
@@ -168,9 +157,8 @@ class TestCliWatchBackend:
         cocci = tmp_path / "r.cocci"
         cocci.write_text("@r@ @@\n- old();\n+ new_call();\n")
         rc = spatch_main(["--sp-file", str(cocci), str(target), "--watch",
-                          "--watch-backend", "poll", "--watch-interval",
-                          "0.05", "--watch-polls", "2"])
+                          "--watch-interval", "0.05", "--watch-polls", "2"])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "watch backend: poll" in captured.err
+        assert "watch backend: poll (fell back" in captured.err
         assert "new_call();" in captured.out
