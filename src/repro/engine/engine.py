@@ -21,12 +21,23 @@ from __future__ import annotations
 from typing import Optional
 
 from ..options import SpatchOptions
-from ..smpl.ast import ScriptRule, SemanticPatchAST
+from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
 from .cache import TreeCache
 from .compile import CompiledPatch, backend_enabled, compiled_patch_for
 from .report import FileResult, PatchResult
 from .scripting import ScriptRunner
 from .session import FileSession
+
+
+def _imports_position(patch: SemanticPatchAST, rule: ScriptRule) -> bool:
+    """Whether script ``rule`` imports a ``position`` metavariable."""
+    for _local, source_rule, source_name in rule.imports:
+        source = patch.rule_named(source_rule)
+        decl = source.metavars.get(source_name) \
+            if isinstance(source, PatchRule) else None
+        if decl is not None and decl.kind == "position":
+            return True
+    return False
 
 
 class Engine:
@@ -47,6 +58,11 @@ class Engine:
         self.scripted = self.options.python_scripting and any(
             isinstance(rule, ScriptRule) and rule.when == "script"
             for rule in patch.rules)
+        #: whether such a rule imports a position, which renders as
+        #: ``file:line:col``: its sessions then depend on the filename
+        self.reads_positions = self.scripted and any(
+            _imports_position(patch, rule) for rule in patch.rules
+            if isinstance(rule, ScriptRule) and rule.when == "script")
 
     # -- public API -----------------------------------------------------------
 

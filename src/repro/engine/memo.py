@@ -43,11 +43,14 @@ A memo hit must be provably equivalent to running the session cold:
 
 Sessions are then pure functions of ``(text, patch, options,
 allowed_rules, namespace state)`` — the fact incremental reuse also relies
-on — with one filename-shaped exception: diagnostics embed
-the filename they were produced under.  Entries therefore record their
-source filename and an entry *with* diagnostics only answers that same
-filename; diagnostic-free entries (the overwhelmingly common case) are
-shared freely across identically-hashed files.
+on — with two filename-shaped exceptions.  Diagnostics embed the filename
+they were produced under: entries therefore record their source filename
+and an entry *with* diagnostics only answers that same filename.  And a
+``script:python`` rule importing a ``position`` reads the filename (a
+position renders as ``file:line:col``): for such patches the pipeline
+extends the fingerprint with a hash of the filename.  Every other entry
+(the overwhelmingly common case) is shared freely across
+identically-hashed files.
 
 On-disk tier
 ------------

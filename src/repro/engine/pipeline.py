@@ -429,7 +429,8 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
     hash; ``memo_keys`` carries one ``(fingerprint, flags)`` per patch, and
     a script-bearing patch's fingerprint is extended with the namespace
     digest the session starts from, so a hit only replays a pure session
-    run from the same state.  Note what is and is not memoized: the
+    run from the same state; a patch whose script rules read a position
+    also keys on the filename.  Note what is and is not memoized: the
     *skip/gating* decision is always re-planned above from the current
     text — only the session outcome itself is served from the memo, so a
     hit changes no counter a cold run would report.  With ``resolve_only``
@@ -477,6 +478,10 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
         if key is not None and engine.scripted:
             key = (f"{key[0]}+{before}", key[1]) if before is not None \
                 else None
+        if key is not None and engine.reads_positions:
+            # a script reading a position sees the filename: the session
+            # only answers this file
+            key = (f"{key[0]}@{content_sha1(filename)}", key[1])
         if key is not None:
             if text_sha is None:
                 text_sha = content_sha1(text)

@@ -12,25 +12,34 @@ workspaces on N CPUs.
 
 Delta protocol
 --------------
-The parent keeps the authoritative file tree (it answers ``sync_files``
-manifests); each worker keeps its own warm
-:class:`~repro.server.service.Workspace` per pinned workspace — code base,
-the last result seeding incremental splicing, and the bounded built-patch
-cache, all sharing the worker's one parse cache — and applies
-through the same :meth:`~repro.server.service.Workspace.run` the parent
-uses in-process.  Every apply job carries the delta since the parent last
-spoke to that worker *plus* the full ``{name: sha1}`` manifest the tree
-must hash to afterwards; the worker applies the delta, verifies the
-manifest, and answers ``{"resync": true}`` on any mismatch — the parent
-then resends the job with the full tree.  That one self-healing rule
-covers every divergence at once: a respawned worker, a corrupt restored
-snapshot, a parent restart with stale ``fleet_seen`` bookkeeping.
+Each worker process holds one in-process
+:class:`~repro.server.service.PatchService` and serves every job through
+its public verbs; the worker keeps no workspace table, cache, memo or
+counters of its own.  The parent keeps the authoritative file tree (it
+answers clients' ``sync_files`` manifests), and every apply job carries
+the files changed since the parent last spoke to that worker, the full
+``{name: sha1}`` manifest, and the apply request.  The worker calls
+``open_workspace`` (idempotent), then ``sync_files(files=..., hashes=...)``
+— the same manifest sync clients use, so files missing from the manifest
+are removed and content the worker cannot produce is listed under
+``need`` — and then ``apply``.  A non-empty ``need`` makes the worker
+answer ``{"resync": true}``, and the parent resends the job with every
+file.  That one self-healing rule covers every divergence at once: a
+respawned worker, a workspace the worker's own LRU evicted, a corrupt
+restored snapshot, a parent restart with stale ``fleet_seen`` bookkeeping.
 
-Restart survival: with a ``state_root``, a worker restores a workspace
-from its :class:`~repro.engine.incremental.PipelineState` snapshot on
-first touch (:meth:`~repro.server.service.Workspace.restore`) and re-saves
-it after every stored apply, so a daemon killed ``-9`` comes back warm
-(files, last result *and* parse-cache entries) instead of cold.
+Telemetry: the reply carries what the worker's ``apply`` counted (its
+request counter removed — the parent counts its own requests); the parent
+merges it under ``origin="fleet"`` into the request's capture and the
+workspace's running counts, so ``stats`` rows read the same in both
+modes.  ``stats`` itself never crosses the pipe: the fleet section is
+built from the parent's handles and shards.
+
+Restart survival: with a ``state_root``, the worker's service restores a
+workspace from its :class:`~repro.engine.incremental.PipelineState`
+snapshot on first touch and re-saves it after every stored apply, so a
+daemon killed ``-9`` comes back warm (files, last result *and* parse-cache
+entries) instead of cold.
 
 Workers are forked at service construction time — before the daemon's
 accept threads exist — so no lock can be mid-acquire in the child, and
@@ -45,10 +54,8 @@ import multiprocessing
 import os
 import threading
 import traceback
-from typing import Optional
 
 from ..obs import registry as _obs
-from .service import DEFAULT_SERVICE_CACHE_ENTRIES
 
 
 def shard_of(name: str, workers: int) -> int:
@@ -75,28 +82,14 @@ def state_path(state_root: str, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _FleetWorker:
-    """The worker loop: receive a job, answer it, forever."""
+    """The worker loop: receive a job, answer it, forever.  All warm state
+    lives in one in-process :class:`~repro.server.service.PatchService`."""
 
     def __init__(self, conn, config: dict):
-        from ..engine.cache import TreeCache
-        from ..engine.memo import TransformMemo
+        from .service import PatchService
 
         self.conn = conn
-        self.config = config
-        self.state_root = config.get("state_root")
-        #: this worker's copy of every workspace pinned to it
-        self.workspaces: dict = {}
-        #: this worker's one parse cache, shared by all those workspaces:
-        #: identical files across them parse once
-        self.cache = TreeCache(max_entries=config["cache_entries"])
-        #: per-worker memo sharing the fleet's disk directory, so entries
-        #: cross worker processes through the content-addressed disk tier
-        self.memo = TransformMemo(
-            max_entries=config.get("memo_entries", 4096),
-            path=config.get("memo_dir"))
-        #: what every job counted (the sum of the jobs' captures): this
-        #: worker's memo traffic for the ``stats`` op
-        self.counts = _obs.Capture()
+        self.service = PatchService(workers=1, **config)
 
     def run(self) -> None:
         while True:
@@ -110,20 +103,7 @@ class _FleetWorker:
                     self.conn.send({"ok": True})
                     return
                 if op == "apply":
-                    # what the job counted rides the reply, so the parent's
-                    # request capture and /metrics stay exact even though
-                    # all the matching happened in this process
-                    with _obs.Capture() as counts:
-                        reply = self._apply(job)
-                    self.counts.add(counts)
-                    if reply.get("ok"):
-                        reply["telemetry"] = counts.payload()
-                    self.conn.send(reply)
-                elif op == "drop":
-                    self._drop(job.get("workspace"))
-                    self.conn.send({"ok": True})
-                elif op == "stats":
-                    self.conn.send({"ok": True, "stats": self._stats()})
+                    self.conn.send(self._apply(job))
                 else:
                     self.conn.send({"ok": False, "error": {
                         "kind": "internal",
@@ -137,77 +117,33 @@ class _FleetWorker:
                 except (OSError, ValueError):
                     return
 
-    # -- workspace table -----------------------------------------------------
-
-    def _workspace(self, name: str):
-        """The worker's copy of ``name``, warm-started from its snapshot on
-        first touch (corrupt or missing snapshots load nothing; the
-        manifest check heals the rest)."""
-        from .service import Workspace
-
-        workspace = self.workspaces.get(name)
-        if workspace is None:
-            workspace = self.workspaces[name] = Workspace(name,
-                                                          cache=self.cache)
-            workspace.restore(self.state_root)
-        return workspace
-
-    def _drop(self, name: str) -> None:
-        workspace = self.workspaces.pop(name, None)
-        if workspace is not None:
-            workspace.release_specs()
-
-    # -- jobs ----------------------------------------------------------------
-
     def _apply(self, job: dict) -> dict:
-        from .protocol import options_from_payload
-        from .service import ServiceError
+        """Bring the worker's copy of the workspace up to the job's
+        manifest, then apply.  What the apply counted rides the reply, so
+        the parent's request capture, workspace row and ``/metrics`` stay
+        exact even though all the matching happened in this process."""
+        from .service import _M_REQUESTS, ServiceError
 
         name = job["workspace"]
-        workspace = self._workspace(name)
-        codebase = workspace.codebase
-        if job.get("full"):
-            for filename in codebase.names():
-                del codebase[filename]
-        for filename in job.get("removals") or ():
-            if filename in codebase:
-                del codebase[filename]
-        for filename, text in (job.get("upserts") or {}).items():
-            if filename not in codebase or codebase[filename] != text:
-                codebase[filename] = text
-        manifest = job.get("manifest")
-        if manifest is not None and not job.get("full"):
-            if codebase.content_hashes() != manifest:
-                # divergence (respawned worker, stale snapshot, lost delta):
-                # ask the parent for the full tree instead of guessing
-                self._drop(name)
-                return {"ok": False, "resync": True}
+        service = self.service
         try:
-            built = workspace.build_patches(
-                job["patches"], options_from_payload(job.get("options")))
+            # restores from the state root on first touch
+            service.open_workspace(name)
+            synced = service.sync_files(name, files=job["files"],
+                                        hashes=job["hashes"])
+            if synced["need"]:
+                # divergence (respawned worker, evicted or stale copy):
+                # ask the parent for every file instead of guessing
+                return {"ok": False, "resync": True}
+            with _obs.Capture() as counts:
+                payload = service.apply(name, **job["request"])
         except ServiceError as exc:
             return {"ok": False,
                     "error": {"kind": exc.kind, "message": str(exc)}}
-        prefilter = job.get("prefilter", True)
-        payload = workspace.run(
-            built, files=codebase.files, since=workspace.last,
-            token_index=codebase.token_index() if prefilter else None,
-            store=job.get("store", True), diff=job.get("diff", True),
-            texts=job.get("texts", False), profile=bool(job.get("profile")),
-            memo=self.memo, jobs=job.get("jobs", 1), prefilter=prefilter)
-        return {"ok": True, "payload": payload, "pid": os.getpid()}
-
-    def _stats(self) -> dict:
-        return {
-            "pid": os.getpid(),
-            "workspaces": sorted(self.workspaces),
-            "restored": sorted(name for name, workspace
-                               in self.workspaces.items()
-                               if workspace.restored),
-            "memo": self.memo.counters(self.counts),
-            "parse_caches": {name: workspace.cache.counters(workspace.counts)
-                             for name, workspace in self.workspaces.items()},
-        }
+        # the parent counts its own requests; this call is not one of them
+        counts.counters.pop(_M_REQUESTS, None)
+        return {"ok": True, "payload": payload, "pid": os.getpid(),
+                "telemetry": counts.payload()}
 
 
 def _fleet_worker_main(conn, config: dict, inherited) -> None:
@@ -236,20 +172,14 @@ class _WorkerHandle:
 class ApplyFleet:
     """The parent-side pool: spawn, route, heal, stop."""
 
-    def __init__(self, workers: int, *,
-                 cache_entries: int = DEFAULT_SERVICE_CACHE_ENTRIES,
-                 memo_entries: int = 4096, memo_dir=None,
-                 state_root: Optional[str] = None):
+    def __init__(self, workers: int, **config):
+        """``config`` holds the keyword arguments every worker builds its
+        :class:`~repro.server.service.PatchService` with."""
         if workers < 2:
             raise ValueError("ApplyFleet needs at least 2 workers; "
                              "run in-process below that")
         self.workers = workers
-        self._config = {"cache_entries": cache_entries,
-                        "memo_entries": memo_entries,
-                        "memo_dir": os.fspath(memo_dir)
-                        if memo_dir is not None else None,
-                        "state_root": os.fspath(state_root)
-                        if state_root is not None else None}
+        self._config = config
         self._ctx = multiprocessing.get_context("fork")
         self._handles: list[_WorkerHandle] = []
         for index in range(workers):
@@ -271,10 +201,15 @@ class ApplyFleet:
     def shard(self, name: str) -> int:
         return shard_of(name, self.workers)
 
+    def pids(self) -> list[int]:
+        """Each worker's process id, by index (read without the pipe
+        locks, so it never waits on an in-flight job)."""
+        return [handle.process.pid for handle in list(self._handles)]
+
     def call(self, name: str, job: dict) -> dict:
         """One job round trip to the pinned worker.  A dead worker is
         respawned and reported as ``{"resync": true}`` — the caller's
-        full-tree retry then rebuilds the fresh worker's workspace."""
+        every-file retry then rebuilds the fresh worker's workspace."""
         handle = self._handles[self.shard(name)]
         with handle.lock:
             try:
@@ -294,30 +229,6 @@ class ApplyFleet:
             return {"ok": False, "error": {
                 "kind": "internal", "message": "malformed fleet reply"}}
         return reply
-
-    def drop(self, name: str) -> None:
-        """Forget a worker's copy of a workspace (parent-side eviction);
-        best-effort."""
-        try:
-            self.call(name, {"op": "drop", "workspace": name})
-        except (EOFError, OSError):
-            pass
-
-    def stats(self) -> list[dict]:
-        rows = []
-        for handle in list(self._handles):
-            reply = self.call_handle(handle, {"op": "stats"})
-            rows.append(reply.get("stats", {"error": reply.get("error")}))
-        return rows
-
-    def call_handle(self, handle: _WorkerHandle, job: dict) -> dict:
-        with handle.lock:
-            try:
-                handle.conn.send(job)
-                return handle.conn.recv()
-            except (EOFError, OSError):
-                return {"ok": False, "error": {
-                    "kind": "internal", "message": "fleet worker died"}}
 
     def close(self) -> None:
         self._closed = True

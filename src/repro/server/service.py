@@ -44,7 +44,8 @@ the workspace exactly as the previous successful request did.
 Read-only verbs never queue behind applies: ``query`` runs against an
 atomically published snapshot of the file dict (``Workspace._files_view``,
 replaced — never mutated — at the end of each mutation while the lock is
-held), and ``stats`` reads counters without the workspace lock.  A query
+held), and ``stats`` reads counters without the workspace lock (and, with
+a fleet, without a worker round trip).  A query
 racing a sync sees either the whole pre-sync tree or the whole post-sync
 tree; the incremental engine's content-hash verification makes any
 ``since=`` seed safe regardless of which one it sees.
@@ -54,8 +55,12 @@ With ``workers >= 2`` the service routes stored applies to an
 workspace is pinned to one worker by a stable name shard (so per-workspace
 ordering is preserved — one worker, one pipe, FIFO), and N workers give N
 truly concurrent applies across workspaces where the GIL previously
-allowed one.  ``workers=1`` (the default) keeps the exact in-process
-behavior.  With a ``state_root``, workspace snapshots
+allowed one.  Each worker is itself a ``workers=1`` service: a fleet apply
+is that service's ``open_workspace``, ``sync_files`` (the parent's delta
+plus its authoritative manifest) and ``apply``, and what the apply
+counted is folded into this service's request and workspace counts.
+``workers=1`` (the default) keeps the exact in-process behavior.  With a
+``state_root``, workspace snapshots
 (:class:`~repro.engine.incremental.PipelineState` with the file tree
 embedded) survive daemon restarts: saved after every stored apply,
 restored lazily on first touch.
@@ -200,55 +205,20 @@ def parse_spec(spec: dict, options: Optional[SpatchOptions],
     return [table[name]()]
 
 
-#: the parse-cache counter fields that describe the (shared) cache itself,
-#: not one workspace's traffic through it
-_CACHE_SIZE_KEYS = ("entries", "max_entries")
-
-
-def _aggregate_worker_stats(per_worker: Sequence[dict]) -> dict:
-    """Fold the fleet's per-worker stat rows into one fleet-wide view:
-    counter dicts (memo, every worker workspace's parse-cache traffic) sum
-    key-wise, each worker's one parse cache counts its size once, and
-    workspace lists just count.  This is the satellite fix for
-    the fleet-mode profile gap — per-worker counters previously appeared
-    only as N disjoint rows a human had to add up."""
-    def fold(total: dict, counters: Optional[dict]) -> None:
-        for key, value in (counters or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                total[key] = total.get(key, 0) + value
-
-    memo: dict = {}
-    parse_cache: dict = {}
-    workspaces = 0
-    for row in per_worker:
-        if not isinstance(row, dict) or "error" in row:
-            continue
-        fold(memo, row.get("memo"))
-        workspaces += len(row.get("workspaces") or ())
-        caches = list((row.get("parse_caches") or {}).values())
-        for counters in caches:
-            fold(parse_cache, {key: value for key, value in counters.items()
-                               if key not in _CACHE_SIZE_KEYS})
-        if caches:
-            fold(parse_cache, {key: caches[0].get(key)
-                               for key in _CACHE_SIZE_KEYS})
-    return {"workspaces": workspaces, "memo": memo,
-            "parse_cache": parse_cache}
-
-
 class Workspace:
     """One named unit of warm server state (see the module docstring).
 
-    The daemon process holds one per open workspace; each fleet worker
-    holds its own copy of every workspace pinned to it, kept in step by
-    the parent's delta jobs."""
+    The daemon process holds one per open workspace; with a fleet, each
+    worker's own service holds a copy of every workspace pinned to it,
+    kept in step through its ``sync_files`` manifest (see
+    :mod:`~repro.server.fleet`)."""
 
     def __init__(self, name: str, *, cache: TreeCache,
                  root: Optional[str] = None):
         self.name = name
         self.codebase = CodeBase()
-        #: the owner's parse cache (the service's, or the fleet worker's),
-        #: shared with every other workspace it holds
+        #: the owning service's parse cache, shared with every other
+        #: workspace it holds
         self.cache = cache
         self.lock = threading.RLock()
         #: the last successful apply's result: the ``since=`` seed
@@ -516,6 +486,13 @@ class Workspace:
         }
 
 
+def _maps_strings(value) -> bool:
+    """Whether ``value`` is a dict mapping strings to strings."""
+    return isinstance(value, dict) and all(
+        isinstance(key, str) and isinstance(item, str)
+        for key, item in value.items())
+
+
 def _counted(verb):
     """Count one request of a :class:`PatchService` verb and add what it
     counted (its capture) to the service's running totals, failed
@@ -577,6 +554,7 @@ class PatchService:
             from .fleet import ApplyFleet
 
             self._fleet = ApplyFleet(self.workers,
+                                     max_workspaces=max_workspaces,
                                      cache_entries=cache_entries,
                                      memo_entries=memo_entries,
                                      memo_dir=memo_dir,
@@ -642,11 +620,8 @@ class PatchService:
                 workspace = Workspace(name, cache=self.cache, root=root)
                 self._workspaces[name] = workspace
                 _M_WORKSPACES.inc()
-                evicted = self._evict_cold_locked()
-            else:
-                evicted = []
+                self._evict_cold_locked()
             self._workspaces.move_to_end(name)
-        self._drop_evicted(evicted)
         if not created and root is not None and workspace.root != root:
             raise ServiceError("bad-request",
                                f"workspace {name!r} is already open with "
@@ -669,31 +644,14 @@ class PatchService:
                     "restored": workspace.restored,
                     "protocol": PROTOCOL_VERSION}
 
-    def _drop_evicted(self, names) -> None:
-        """Tell the fleet to forget evicted workspaces' worker copies —
-        purely memory hygiene (a reopened workspace self-heals via the
-        manifest check), so it happens off-thread and best-effort."""
-        if not names or self._fleet is None:
-            return
-        fleet = self._fleet
-
-        def drop() -> None:
-            for name in names:
-                fleet.drop(name)
-
-        threading.Thread(target=drop, name="fleet-drop", daemon=True).start()
-
-    def _evict_cold_locked(self) -> list[str]:
+    def _evict_cold_locked(self) -> None:
         """Drop LRU-coldest workspaces past the bound; busy ones — a
         request in flight (checked out but possibly not yet holding the
         workspace lock) or the lock held — are skipped for the
         next-coldest, so eviction never interrupts a client mid-request.
-        Returns the evicted names (the caller notifies the fleet *after*
-        releasing the service lock — a worker mid-apply must not stall
-        every other request)."""
-        names = list(self._workspaces)
-        evicted: list[str] = []
-        for name in names:
+        A fleet worker's copy is bounded by the worker service's own LRU,
+        and a re-opened workspace self-heals through the manifest."""
+        for name in list(self._workspaces):
             if len(self._workspaces) <= self.max_workspaces:
                 break
             workspace = self._workspaces[name]
@@ -705,12 +663,10 @@ class PatchService:
                 del self._workspaces[name]
                 _M_EVICTIONS.inc()
                 _M_WORKSPACES.dec()
-                evicted.append(name)
                 workspace.close()
                 workspace.release_specs()
             finally:
                 workspace.lock.release()
-        return evicted
 
     # -- verbs ---------------------------------------------------------------
 
@@ -738,12 +694,22 @@ class PatchService:
         contents any client ever uploaded (or, with ``--memo-dir``, any
         process sharing the directory ever saw) never cross the wire
         again.  Recalled names are reported under ``"recalled"`` and
-        excluded from ``"need"``."""
-        if files is not None and not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in files.items()):
+        excluded from ``"need"``.
+
+        The whole payload is validated before anything changes: a
+        malformed request raises ``bad-request`` and leaves the workspace
+        as it was."""
+        if files is not None and not _maps_strings(files):
             raise ServiceError("bad-request",
                                "sync_files files must map names to text")
+        if remove is not None and not (
+                isinstance(remove, (list, tuple))
+                and all(isinstance(filename, str) for filename in remove)):
+            raise ServiceError("bad-request",
+                               "sync_files remove must be a list of names")
+        if hashes is not None and not _maps_strings(hashes):
+            raise ServiceError("bad-request",
+                               "sync_files hashes must map names to digests")
         with self._checkout(name) as workspace, workspace.lock, \
                 _obs.phase("sync"):
             workspace.syncs += 1
@@ -752,7 +718,7 @@ class PatchService:
             changed: list[str] = []
             removed: list[str] = []
             recalled: list[str] = []
-            for filename in list(remove or ()):
+            for filename in remove or ():
                 if filename in codebase:
                     del codebase[filename]
                     removed.append(filename)
@@ -771,12 +737,11 @@ class PatchService:
                     if filename in codebase \
                             and content_sha1(codebase[filename]) == digest:
                         continue
-                    if isinstance(digest, str):
-                        text = self.memo.recall_text(digest)
-                        if text is not None:
-                            codebase[filename] = text
-                            recalled.append(filename)
-                            continue
+                    text = self.memo.recall_text(digest)
+                    if text is not None:
+                        codebase[filename] = text
+                        recalled.append(filename)
+                        continue
                     need.append(filename)
                 for filename in [n for n in codebase.names()
                                  if n not in hashes]:
@@ -805,8 +770,8 @@ class PatchService:
         texts on request, volatile profile section under ``"profile"``).
 
         With a fleet (``workers >= 2``), stored applies execute in the
-        workspace's pinned worker process, through the worker's copy of
-        the workspace; the workspace lock is held for the round trip, so
+        workspace's pinned worker process, through that worker's own
+        service; the workspace lock is held for the round trip, so
         per-workspace serialization is identical to the in-process path."""
         if self._fleet is not None and store:
             return self._apply_fleet(name, patches, options=options,
@@ -833,41 +798,40 @@ class PatchService:
                      prefilter: bool, diff: bool, texts: bool,
                      profile: bool) -> dict:
         """Route one stored apply to the pinned fleet worker: ship the
-        delta since the worker's last known tree plus the target manifest,
-        resend the full tree once if the worker reports divergence."""
+        files changed since the worker's last known tree plus the
+        manifest, and resend every file once if the worker reports
+        divergence."""
         options_from_payload(options)  # validate before any state changes
-        with self._checkout(name) as workspace, workspace.lock:
-            workspace.applies += 1
-            codebase = workspace.codebase
-            manifest = codebase.content_hashes()
-            seen = workspace.fleet_seen or {}
-            job = {"op": "apply", "workspace": name,
-                   "upserts": {filename: codebase[filename]
-                               for filename, digest in manifest.items()
-                               if seen.get(filename) != digest},
-                   "removals": [filename for filename in seen
-                                if filename not in manifest],
-                   "manifest": manifest, "patches": list(patches),
-                   "options": options,
+        request = {"patches": list(patches), "options": options,
                    "jobs": self.default_jobs if jobs is None else jobs,
                    "prefilter": prefilter, "diff": diff, "texts": texts,
-                   "profile": profile, "store": True}
+                   "profile": profile}
+        with self._checkout(name) as workspace, workspace.lock:
+            workspace.applies += 1
+            files = workspace.codebase.files
+            hashes = workspace.codebase.content_hashes()
+            seen = workspace.fleet_seen or {}
+            job = {"op": "apply", "workspace": name, "hashes": hashes,
+                   "request": request,
+                   "files": {filename: files[filename]
+                             for filename, digest in hashes.items()
+                             if seen.get(filename) != digest}}
             reply = self._fleet.call(name, job)
             if reply.get("resync"):
-                job = {**job, "full": True, "removals": [],
-                       "upserts": {filename: codebase[filename]
-                                   for filename in manifest}}
-                reply = self._fleet.call(name, job)
+                reply = self._fleet.call(name, {**job, "files": dict(files)})
             if not reply.get("ok"):
                 workspace.fleet_seen = None  # trust nothing after a failure
                 error = reply.get("error") or {}
                 raise ServiceError(error.get("kind", "internal"),
                                    error.get("message", "fleet apply failed"))
-            workspace.fleet_seen = manifest
-        # fold the worker's capture into this request's under
-        # origin="fleet": the daemon's /metrics and the service totals then
-        # cover matching that happened in worker processes, exactly
-        _obs.merge_telemetry(reply.get("telemetry"), origin="fleet")
+            workspace.fleet_seen = hashes
+        # fold what the worker counted into this request's capture and the
+        # workspace's running counts under origin="fleet": /metrics, the
+        # service totals and the workspace's stats row then cover matching
+        # that happened in the worker process, exactly
+        with _obs.Capture() as counts:
+            _obs.merge_telemetry(reply.get("telemetry"), origin="fleet")
+        workspace.counts.add(counts)
         self._maybe_prune_memo()
         payload = reply["payload"]
         if profile and "profile" in payload:
@@ -934,12 +898,19 @@ class PatchService:
             payload["per_workspace"] = [workspace.stats_payload()
                                         for workspace in workspaces]
         if self._fleet is not None:
-            per_worker = self._fleet.stats()
+            # from the parent's own handles and shards: no worker round
+            # trip, so a fleet-mode poll never queues behind an apply
+            rows = [{"index": index, "pid": pid, "workspaces": [],
+                     "restored": []}
+                    for index, pid in enumerate(self._fleet.pids())]
+            for workspace in sorted(workspaces, key=lambda w: w.name):
+                row = rows[self._fleet.shard(workspace.name)]
+                row["workspaces"].append(workspace.name)
+                if workspace.restored:
+                    row["restored"].append(workspace.name)
             payload["fleet"] = {"workers": self.workers,
                                 "respawns": self._fleet.respawns,
-                                "per_worker": per_worker,
-                                "aggregate": _aggregate_worker_stats(
-                                    per_worker)}
+                                "per_worker": rows}
         return payload
 
     def metrics(self) -> dict:

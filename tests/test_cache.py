@@ -574,10 +574,9 @@ class TestForkPoolCounterExactness:
 
 
 class TestFleetCounterExactness:
-    """``--workers 4`` fleet: worker-process counters surface through the
-    ``stats`` verb both per worker (with pid) and as a key-wise aggregate,
-    and they partition exactly — every parse happened in precisely one
-    worker's mirror."""
+    """``--workers 4`` fleet: what the worker processes counted lands in the
+    parent's per-workspace ``stats`` row, exactly — every parse happened
+    in precisely the one worker the workspace is pinned to."""
 
     FILES = {"hit.c": "void f(void) { old_api(); }\n",
              "also.c": "void g(void) { old_api(); }\n"}
@@ -592,36 +591,33 @@ class TestFleetCounterExactness:
         yield service
         service.close()
 
-    def test_aggregate_is_the_key_wise_sum_of_workers(self, service):
+    def test_workspace_row_counts_the_worker_parses(self, service):
         service.open_workspace("w")
         service.sync_files("w", files=dict(self.FILES))
         service.apply("w", [self.SPEC])
-        fleet = service.stats()["fleet"]
-        per_worker = fleet["per_worker"]
+        stats = service.stats()
+        per_worker = stats["fleet"]["per_worker"]
         assert len(per_worker) == 4
         assert all(row["pid"] > 0 for row in per_worker)
-        aggregate = fleet["aggregate"]
-        # the workspace lives in exactly one worker's mirror
-        assert aggregate["workspaces"] == 1
-        for field in ("hits", "misses"):
-            summed = sum(counters.get(field, 0)
-                         for row in per_worker
-                         for counters in row["parse_caches"].values())
-            assert aggregate["parse_cache"][field] == summed
-        # a cold apply parsed every file exactly once, in one worker
-        assert aggregate["parse_cache"]["misses"] == len(self.FILES)
-        memo_summed = sum(row["memo"].get("misses", 0) for row in per_worker)
-        assert aggregate["memo"]["misses"] == memo_summed
+        # the workspace is pinned to exactly one worker
+        assert [row["workspaces"] for row in per_worker
+                if row["workspaces"]] == [["w"]]
+        # a cold apply parsed every file exactly once, in that worker
+        (row,) = stats["per_workspace"]
+        assert row["parse_cache"]["misses"] == len(self.FILES)
+        assert row["parse_cache"]["hits"] == 0
+        assert stats["memo"]["misses"] == len(self.FILES)
 
     def test_warm_reapply_moves_hits_not_misses(self, service):
         service.open_workspace("w")
         service.sync_files("w", files=dict(self.FILES))
         service.apply("w", [self.SPEC])
-        cold = service.stats()["fleet"]["aggregate"]
+        cold = service.stats()
         payload = service.apply("w", [self.SPEC], profile=True)
-        warm = service.stats()["fleet"]["aggregate"]
+        warm = service.stats()
         # the replay was answered from warm state: not one new parse miss
-        assert warm["parse_cache"]["misses"] == cold["parse_cache"]["misses"]
+        assert warm["per_workspace"][0]["parse_cache"]["misses"] \
+            == cold["per_workspace"][0]["parse_cache"]["misses"]
         assert warm["memo"]["misses"] == cold["memo"]["misses"]
         # and the profile names the worker that served it
         worker = payload["profile"]["fleet_worker"]

@@ -381,6 +381,54 @@ class TestPipelineIntegration:
         assert warm.stats.memo_misses == 0  # edited miss.c is still gated
 
 
+#: a script rule that reads a position and builds code from its filename:
+#: byte-identical ``a.c`` and ``b.c`` get different outputs
+FROM_FILE_SMPL = (
+    "@r@\nidentifier f;\nposition p;\n@@\nf@p();\n\n"
+    "@script:python s@\np << r.p;\nn;\n@@\n"
+    "coccinelle.n = cocci.make_ident('from_' + p.rsplit(':', 2)[0][:-2])\n\n"
+    "@b@\nidentifier r.f;\nidentifier s.n;\nposition r.p;\n@@\n"
+    "- f@p();\n+ n();\n")
+
+
+class TestFilenameDependentScripts:
+    """A ``script:python`` rule importing a position sees the filename (a
+    position renders as ``file:line:col``), so byte-identical files must
+    not share its sessions: cold, in-memory memo and on-disk memo runs
+    are byte-identical, and each file is still memoized on its own."""
+
+    @pytest.mark.parametrize("smpl", ["position", "from_file"])
+    def test_memo_runs_match_the_cold_run(self, tmp_path, capsys, smpl):
+        from test_cache import POSITION_SMPL, TWIN_TEXT, printed_files
+
+        text = {"position": POSITION_SMPL, "from_file": FROM_FILE_SMPL}[smpl]
+        patches = [SemanticPatch.from_string(text, name=smpl)]
+        files = {"a.c": TWIN_TEXT, "b.c": TWIN_TEXT}
+
+        def run(memo):
+            result = PatchSet(patches).apply(CodeBase.from_files(files),
+                                             memo=memo)
+            return (_texts(result), _reports(result), result.stats.memo_hits,
+                    printed_files(capsys.readouterr().out))
+
+        cold = run(None)
+        memory = TransformMemo()
+        disk = tmp_path / "memo"
+        firsts = [run(memory), run(TransformMemo(path=disk))]
+        warms = [run(memory), run(TransformMemo(path=disk))]
+        for first in firsts:
+            # every file ran its own session, as cold
+            assert first == cold and cold[2] == 0
+        for texts, reports, hits, _printed in warms:
+            # and a warm memo answers each file from its own entry
+            assert (texts, reports, hits) == (cold[0], cold[1], len(files))
+        if smpl == "position":
+            assert cold[3] == ["a.c", "b.c"]
+        else:
+            assert cold[0] == {"a.c": "void t(void) { from_a(); }\n",
+                               "b.c": "void t(void) { from_b(); }\n"}
+
+
 def _mixed_workload() -> dict[str, str]:
     """The Q3 benchmarks' ``mixed_workload`` tree at scale 1 (44 files): CUDA
     drivers, OpenMP kernels, GADGET grids, raw loops and OpenACC sources."""

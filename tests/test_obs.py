@@ -454,18 +454,20 @@ def service(request, tmp_path):
     service.close()
 
 
-def _three_applies(service) -> list[tuple[str, dict]]:
+def _three_applies(service, names=("w1", "w2")) -> list[tuple[str, dict]]:
     """Three profiled applies over two workspaces, one parse each:
     ``(workspace, profile)`` pairs."""
-    for name, body in (("w1", "old_api();"), ("w2", "old_api(); x();")):
+    first, second = names
+    for name, body in ((first, "old_api();"), (second, "old_api(); x();")):
         service.open_workspace(name)
         service.sync_files(name, files={
             "a.c": f"void f(void) {{ {body} }}\n"})
     runs = [(name, service.apply(name, [RENAME], profile=True)["profile"])
-            for name in ("w1", "w2")]
-    service.sync_files("w1", files={
+            for name in names]
+    service.sync_files(first, files={
         "a.c": "void f(void) { y(); old_api(); }\n"})
-    runs.append(("w1", service.apply("w1", [RENAME], profile=True)["profile"]))
+    runs.append((first,
+                 service.apply(first, [RENAME], profile=True)["profile"]))
     return runs
 
 
@@ -486,14 +488,47 @@ class TestPerRequestNumbers:
         for section, key in (("memo", "misses"), ("matcher", "match_calls")):
             assert stats[section][key] == \
                 sum(profile[section][key] for _name, profile in runs) > 0
-        if service.workers == 1:
-            caches = {row["name"]: row["parse_cache"]
-                      for row in stats["per_workspace"]}
-        else:
-            caches = {name: counters
-                      for row in stats["fleet"]["per_worker"]
-                      for name, counters in row["parse_caches"].items()}
+        caches = {row["name"]: row["parse_cache"]
+                  for row in stats["per_workspace"]}
         assert caches["w1"]["misses"] == 2 and caches["w2"]["misses"] == 1
+
+    def test_both_modes_count_the_same_numbers(self):
+        """One request sequence, in-process and on a 2-worker fleet, gives
+        the same counts: each workspace row's parse-cache traffic, the
+        memo and matcher traffic, and the request total (a worker's own
+        verb calls are not requests).  Sizes are left out: cache
+        ``entries`` and the matcher's trie gauges describe objects of the
+        process that holds them.  Both workspaces are pinned to one
+        worker, so the process-wide compile cache is shared between them
+        in both modes, as it is in-process."""
+        from repro.server.fleet import shard_of
+        from repro.server.service import PatchService
+
+        names = tuple(name for name in (f"w{index}" for index in range(64))
+                      if shard_of(name, 2) == shard_of("w0", 2))[:2]
+
+        def without(section: dict, *sizes: str) -> dict:
+            return {key: value for key, value in section.items()
+                    if key not in sizes}
+
+        numbers = []
+        for workers in (1, 2):
+            service = PatchService(workers=workers)
+            try:
+                _three_applies(service, names)
+                stats = service.stats()
+            finally:
+                service.close()
+            numbers.append({
+                "requests_total": stats["requests_total"],
+                "parse_cache": {row["name"]: without(row["parse_cache"],
+                                                     "entries")
+                                for row in stats["per_workspace"]},
+                "memo": without(stats["memo"], "entries"),
+                "matcher": without(stats["matcher"], "trie_rules",
+                                   "trie_roots")})
+        assert numbers[0] == numbers[1]
+        assert numbers[0]["parse_cache"][names[0]]["misses"] == 2
 
     def test_fork_pool_phases_reach_the_run_profile(self, tmp_path, capsys):
         """A ``--jobs 2`` run's profile counts the parses its forked

@@ -260,6 +260,23 @@ class TestFailureIsolation:
             assert payload["exit_status"] == 0
 
 
+    @pytest.mark.parametrize("payload", [{"remove": "abc"},
+                                         {"hashes": ["a.c"]}],
+                             ids=["remove-str", "hashes-list"])
+    def test_malformed_sync_is_a_bad_request_and_changes_nothing(
+            self, daemon, payload):
+        files = dict(FILES, a="int a;\n")
+        with RemoteClient(daemon.address) as client:
+            client.open_workspace("w")
+            client.sync_files("w", files=dict(files))
+            with pytest.raises(RemoteError) as err:
+                # raw request: the client helper would list() the string
+                client.request("sync_files", workspace="w",
+                               files={"d.c": "int d;\n"}, **payload)
+            assert err.value.kind == "bad-request"
+        assert daemon.service.workspace("w").codebase.files == files
+
+
 class TestConcurrentClients:
     def test_hammering_one_workspace_matches_serialized_results(self, daemon):
         """N threaded clients interleaving sync_files/apply against one

@@ -132,6 +132,24 @@ class TestSyncFiles:
         payload = service.apply(name, [smpl_spec(RENAME_SMPL)])
         assert payload["files"]["a.c"]["changed"]
 
+    @pytest.mark.parametrize("payload", [
+        {"remove": "a.c"},                      # a string, not a list
+        {"remove": ["c.c", 7]},
+        {"hashes": ["a.c"]},                    # a list, not a map
+        {"hashes": {"a.c": None}},
+        {"files": ["a.c"]},
+        {"files": {"d.c": "int d;\n"}, "remove": ["c.c"],
+         "hashes": ["d.c"]},                    # valid parts, bad manifest
+    ], ids=["remove-str", "remove-int", "hashes-list", "hashes-none",
+            "files-list", "mixed"])
+    def test_malformed_payload_changes_nothing(self, payload):
+        service = make_service()
+        name = opened(service)
+        with pytest.raises(ServiceError) as err:
+            service.sync_files(name, **payload)
+        assert err.value.kind == "bad-request"
+        assert service.workspace(name).codebase.files == FILES
+
 
 class TestApply:
     def test_matches_local_patchset_byte_for_byte(self):

@@ -287,24 +287,6 @@ class TestOneParseCache:
         finally:
             service.close()
 
-    def test_fleet_aggregate_counts_each_workers_cache_once(self):
-        """A worker's workspaces all report its one cache's size: the
-        fleet aggregate sums their traffic but that size once per worker."""
-        from repro.server.service import _aggregate_worker_stats
-
-        def row(*hits):
-            return {"workspaces": [f"w{i}" for i in range(len(hits))],
-                    "parse_caches": {
-                        f"w{i}": {"entries": 10, "max_entries": 2048,
-                                  "hits": count, "misses": 1}
-                        for i, count in enumerate(hits)}}
-
-        aggregate = _aggregate_worker_stats([row(3, 4), row(5)])
-        assert aggregate["workspaces"] == 3
-        assert aggregate["parse_cache"] == {"hits": 12, "misses": 3,
-                                            "entries": 20,
-                                            "max_entries": 4096}
-
 
 # ---------------------------------------------------------------------------
 # memo-aware delta sync
@@ -443,6 +425,77 @@ class TestFleetApply:
         per_worker = fleet_service.stats()["fleet"]["per_worker"]
         assert "ws-0" in per_worker[shard_of("ws-0", 2)]["workspaces"]
         assert names[1] in per_worker[shard_of(names[1], 2)]["workspaces"]
+
+    def test_stats_answers_while_the_worker_is_busy(self, fleet_service,
+                                                    tmp_path):
+        """``stats`` never crosses a worker pipe: it answers while an apply
+        is blocked in the pinned worker (a script rule waiting on a
+        file)."""
+        started, release = tmp_path / "started", tmp_path / "release"
+        blocking = ("@r@\nidentifier f;\n@@\nf(...);\n\n"
+                    "@script:python s@\nf << r.f;\n@@\n"
+                    "import os, time\n"
+                    f"open({str(started)!r}, 'w').close()\n"
+                    "for _ in range(3000):\n"
+                    f"    if os.path.exists({str(release)!r}):\n"
+                    "        break\n"
+                    "    time.sleep(0.01)\n")
+        fleet_service.open_workspace("w")
+        fleet_service.sync_files("w", files=dict(FILES))
+        applied, answered = [], []
+        apply_thread = threading.Thread(target=lambda: applied.append(
+            fleet_service.apply("w", [smpl_spec(blocking, name="block")])))
+        apply_thread.start()
+        queued = True
+        try:
+            deadline = time.monotonic() + 30.0
+            while not started.exists():
+                assert time.monotonic() < deadline, "the script never ran"
+                time.sleep(0.01)
+            poll = threading.Thread(
+                target=lambda: answered.append(fleet_service.stats()),
+                daemon=True)
+            poll.start()
+            poll.join(timeout=5.0)
+            queued = poll.is_alive()
+        finally:
+            release.touch()
+            apply_thread.join(timeout=30.0)
+        assert not queued, "stats queued behind the busy worker"
+        pinned = answered[0]["fleet"]["per_worker"][shard_of("w", 2)]
+        assert pinned["workspaces"] == ["w"]
+        assert applied and applied[0]["workspace"] == "w"
+
+    @pytest.mark.parametrize("same_worker", [True, False],
+                             ids=["same-worker", "other-worker"])
+    def test_evicted_workspace_reopens_byte_identically(self, same_worker):
+        """A workspace the parent evicted and re-opened (with an edited,
+        smaller tree) applies exactly as in-process — whether its worker
+        still holds the stale copy (the other workspace lives on the other
+        worker) or its own LRU evicted it too (same worker).  Worker-side
+        evictions do not count as the service's."""
+        first = "w"
+        second = next(name for name in (f"v{index}" for index in range(64))
+                      if (shard_of(name, 2) == shard_of(first, 2))
+                      == same_worker)
+        edited = {"a.c": "void f(void) { old(); old(); }\n",
+                  "c.c": "void g(void) { old(); }\n"}
+        runs = []
+        for workers in (1, 2):
+            service = PatchService(workers=workers, max_workspaces=1)
+            try:
+                outputs = []
+                for name, files in ((first, FILES), (second, FILES),
+                                    (first, edited)):
+                    service.open_workspace(name)
+                    service.sync_files(name, files=dict(files))
+                    outputs.append(canonical(
+                        service.apply(name, [smpl_spec()], texts=True)))
+                runs.append((outputs, service.stats()["evictions"]))
+            finally:
+                service.close()
+        assert runs[0] == runs[1]
+        assert runs[1][1] == 2
 
 
 # ---------------------------------------------------------------------------
