@@ -408,8 +408,7 @@ class PatchSet:
         :class:`~repro.engine.report.PatchResult` for the combined
         transformation, with the per-patch results in ``per_patch``.
 
-        ``since`` — a prior ``PipelineResult`` (or a persisted
-        ``PipelineState``, unwrapped transparently) — switches to
+        ``since`` — a prior ``PipelineResult`` — switches to
         incremental re-application: only files whose content hash changed
         since that result are re-run, the rest splice their cached results
         (byte-identical to a cold run; see
@@ -428,10 +427,6 @@ class PatchSet:
         and (with a disk-backed memo) fresh processes skip transforms whose
         outcome is already known, byte-identically.
         """
-        from .engine.incremental import PipelineState
-
-        if isinstance(since, PipelineState):
-            since = since.result
         if isinstance(codebase, CodeBase):
             files = codebase.files
             index = codebase.token_index() if prefilter else None

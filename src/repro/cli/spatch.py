@@ -8,19 +8,21 @@ Usage examples::
     repro-spatch --cookbook cuda_to_hip --jobs 4 src/cuda/    # built-in patch
     repro-spatch --sp-file a.cocci --sp-file b.cocci src/     # batch pipeline
     repro-spatch --cookbook full_modernization src/           # whole cookbook
-    repro-spatch --cookbook cuda_to_hip --incremental .state src/   # reuse
+    repro-spatch --cookbook cuda_to_hip --memo-dir .memo src/    # reuse
     repro-spatch --sp-file a.cocci --watch --in-place src/    # edit-apply loop
     repro-spatch --patch-file ops.json src/                   # machine patch
     repro-spatch --patch-file edit.ap --patch-file fix.diff src/
     repro-spatch --list-cookbook
 
-``--incremental STATE_FILE`` persists the run's result (plus the parse-tree
-cache) and, on the next invocation with the *same* patches and options,
-re-runs only the files whose content hash changed — the rest splice their
-cached results, byte-identical to a cold run.  A state file from another
-patch list or other options degrades to a cold run, never to a wrong one;
-add ``--memo-dir`` to reuse the unchanged patches' work across a changed
-patch list (say, one appended patch).  ``--watch`` keeps the process alive,
+``--memo-dir DIR`` (or its other spelling, ``--incremental DIR``) keeps a
+content-addressed transform memo in DIR: every (file state, patch) session
+outcome is stored as plain JSON data keyed on content hash and patch
+fingerprint, so the next invocation answers every unchanged session from
+disk — without parsing — and re-runs only what changed, byte-identical to
+a cold run, even across an edited patch list (say, one appended patch).
+Nothing else is persisted, and a path that cannot hold the directory (an
+existing regular file, say) costs one warning line and the warm start,
+never the run.  ``--watch`` keeps the process alive,
 polling the targets *and* the ``--sp-file`` patches (mtime+size, then
 content) and re-applying incrementally on every change; it keeps an
 in-memory transform memo for the session (unless ``--memo-dir`` names a
@@ -61,6 +63,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import pathlib
 import sys
 import time
@@ -167,11 +170,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-prefilter", action="store_true",
                         help="disable the required-token prefilter and parse "
                              "every file")
-    parser.add_argument("--incremental", metavar="STATE_FILE", default=None,
-                        help="persist this run's result (and parse cache) to "
-                             "STATE_FILE and, when it already holds a prior "
-                             "run of the same patches and options, re-run "
-                             "only content-changed files")
+    parser.add_argument("--incremental", metavar="STATE_DIR", default=None,
+                        help="another spelling of --memo-dir STATE_DIR: a "
+                             "repeated invocation re-runs only the sessions "
+                             "whose file content or patch changed")
     parser.add_argument("--memo-dir", metavar="DIR", default=None,
                         help="content-addressed transform memo directory: "
                              "every (file state, patch) session outcome is "
@@ -440,6 +442,13 @@ def _refresh_codebase(codebase: CodeBase, paths: dict[str, pathlib.Path],
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if args.incremental is not None:
+        if args.memo_dir is not None and os.path.abspath(args.memo_dir) \
+                != os.path.abspath(args.incremental):
+            parser.error("--incremental and --memo-dir name different "
+                         "directories (they are one option)")
+            return 2
+        args.memo_dir = args.incremental
 
     if args.list_cookbook:
         for name in sorted([*_cookbook_builders(), FULL_PIPELINE]):
@@ -454,11 +463,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--memo-prune needs --memo-max-mb and/or "
                          "--memo-max-age")
             return 2
-        from ..engine.memo import TransformMemo
-
         max_bytes = int(args.memo_max_mb * 1024 * 1024) \
             if args.memo_max_mb is not None else None
-        summary = TransformMemo(path=args.memo_dir).prune(
+        summary = _open_memo(args.memo_dir).prune(
             max_bytes=max_bytes, max_age=args.memo_max_age)
         print(f"memo-prune: scanned {summary['scanned']} entries "
               f"({summary['scanned_bytes']} bytes), removed "
@@ -505,7 +512,7 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
         parser.error("--json cannot be combined with --watch")
         return 2
     if args.server:
-        if args.watch or args.incremental:
+        if args.watch or args.incremental is not None:
             parser.error("--server cannot be combined with --watch or "
                          "--incremental (the daemon owns the warm state)")
         if not args.patch_args:
@@ -543,25 +550,10 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
     # only the edited patch's sessions
     memo = None
     if args.memo_dir or args.watch:
-        from ..engine.memo import TransformMemo
-
-        memo = TransformMemo(path=args.memo_dir)
-
-    # --incremental: a prior state seeds the run; a stale/foreign one is
-    # detected by the engine's fingerprint check and degrades to a cold run
-    since = None
-    if args.incremental:
-        from ..engine.cache import DEFAULT_TREE_CACHE
-        from ..engine.incremental import PipelineState
-
-        state = PipelineState.load(args.incremental)
-        if state is not None:
-            since = state.result
-            DEFAULT_TREE_CACHE.restore(state.cache_entries)
+        memo = _open_memo(args.memo_dir)
 
     with _obs.Capture() as counts:
-        result = _apply(patches, codebase, args, since, memo=memo)
-    _save_state(args, result)
+        result = _apply(patches, codebase, args, memo=memo)
 
     payload = result_payload(result, patches, **_payload_flags(args))
     profile_lines = []
@@ -585,31 +577,28 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
 def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
            since=None, memo=None):
     """One application pass through the PatchSet pipeline, whatever the
-    number of patches: the result carries the reuse records --incremental
-    and --watch seed the next run with, and the memo lives at the
-    pipeline's patch boundaries."""
+    number of patches: the result carries the reuse records --watch seeds
+    the next round with, and the memo lives at the pipeline's patch
+    boundaries."""
     return PatchSet(patches).apply(codebase, jobs=args.jobs,
                                    prefilter=not args.no_prefilter,
                                    since=since, memo=memo)
 
 
-def _save_state(args, result) -> None:
-    """Persist ``--incremental`` state.  A state file that cannot be
-    written costs the next run its warm start, never this run its output:
-    one warning line on stderr, and stdout and the exit status stay as
-    they are."""
-    if not args.incremental:
-        return
-    from ..engine.cache import DEFAULT_TREE_CACHE
-    from ..engine.incremental import PipelineState
+def _open_memo(path):
+    """The transform memo, disk-backed at ``path`` when one is given.  A
+    path that cannot hold the memo directory (an existing regular file, an
+    unwritable parent) costs the warm start, never this run its output:
+    one warning line on stderr, and the memory tier alone serves the run."""
+    from ..engine.memo import TransformMemo
 
     try:
-        PipelineState(result=result,
-                      cache_entries=DEFAULT_TREE_CACHE.snapshot()) \
-            .save(args.incremental)
+        return TransformMemo(path=path)
     except OSError as exc:
-        print(f"repro-spatch: warning: cannot write state file "
-              f"{args.incremental}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"repro-spatch: warning: cannot use memo directory {path}: "
+              f"{exc.strerror or exc}; continuing without it",
+              file=sys.stderr)
+        return TransformMemo()
 
 
 def _remote_specs(patch_args: list[tuple[str, str]]) -> list[dict]:
@@ -854,7 +843,6 @@ def _watch_rounds(args, options: SpatchOptions,
         previous = result
         round_started = time.monotonic()
         result = _apply(patches, codebase, args, since=result, memo=memo)
-        _save_state(args, result)
         _journal_watch_round(journal, result,
                              time.monotonic() - round_started)
         inc = result.incremental

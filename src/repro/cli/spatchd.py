@@ -62,10 +62,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "concurrent applies across workspaces (default "
                              "1: in-process execution)")
     parser.add_argument("--state-root", default=None, metavar="DIR",
-                        help="snapshot workspaces (files, last result, parse "
-                             "cache) to DIR after every apply and restore "
-                             "them lazily after a restart (default: state "
-                             "dies with the process)")
+                        help="write each workspace's file manifest (JSON "
+                             "name -> content hash) to DIR after every "
+                             "apply and restore it lazily after a restart; "
+                             "the texts and transform results live in the "
+                             "memo directory, DIR/memo unless --memo-dir "
+                             "names another (default: state dies with the "
+                             "process)")
     parser.add_argument("--auth-token", default=None, metavar="TOKEN",
                         help="shared-secret token TCP clients must present "
                              "in their hello before any other verb "

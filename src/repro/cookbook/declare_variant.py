@@ -96,32 +96,3 @@ def declare_variant_patch(function_regex: str = "kernel",
     """The paper's declare-variant cloning patch, parameterised."""
     return SemanticPatch.from_string(patch_text(function_regex, variants),
                                      name="declare-variant")
-
-
-def specialization_patch(clone_prefix: str, pragma: str) -> SemanticPatch:
-    """A follow-up patch of the kind the paper alludes to ("a few extra rules
-    that enact specific transformations on them"): here, prepend an
-    architecture-specific pragma to the loops of every clone created with the
-    given prefix, exploiting the clone naming convention to target only the
-    clones."""
-    text = f"""\
-@specialize@
-type T;
-identifier g =~ "^{clone_prefix}";
-@@
-T g(...)
-{{
-...
-}}
-
-@loops depends on specialize@
-identifier i;
-expression n;
-@@
-+ #pragma {pragma}
-for (...; i < n; ...)
-{{
-...
-}}
-"""
-    return SemanticPatch.from_string(text, name=f"specialize-{clone_prefix}")

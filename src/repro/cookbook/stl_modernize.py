@@ -86,31 +86,3 @@ identifier elem,result,arrid;
 """
     return SemanticPatch.from_string(text, name="raw-loop-to-find",
                                      options=SpatchOptions(cxx=17))
-
-
-def accumulate_patch() -> SemanticPatch:
-    """A companion modernisation in the same spirit (the paper notes the
-    technique generalises to "specific recurring code portions ... replaced by
-    function calls", which is "exactly what HPC-oriented C++ APIs usually
-    require"): a raw summation loop over a container becomes
-    ``std::accumulate``."""
-    text = r"""
-#spatch --c++=17
-@acc@
-type T;
-identifier elem,total,arrid;
-@@
-- T total = 0;
-- for ( T &elem : arrid )
-- {
--   total += elem;
-- }
-+ const T total = accumulate(begin(arrid), end(arrid), (T)0);
-
-@hdr depends on acc@
-@@
-#include <iostream>
-+ #include <numeric>
-"""
-    return SemanticPatch.from_string(text, name="raw-loop-to-accumulate",
-                                     options=SpatchOptions(cxx=17))

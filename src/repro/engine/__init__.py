@@ -22,8 +22,7 @@ from .engine import Engine
 from .pipeline import (FileRecord, PatchPipeline, PipelinePrefilter,
                        PipelineResult, PipelineStats, patch_fingerprint,
                        patchset_fingerprint, resolve_jobs)
-from .incremental import (IncrementalPipeline, IncrementalStats,
-                          PipelineState)
+from .incremental import IncrementalPipeline, IncrementalStats
 
 __all__ = [
     "BoundValue", "Env", "Position", "EMPTY_ENV",
@@ -40,5 +39,5 @@ __all__ = [
     "FileRecord", "PatchPipeline", "PipelinePrefilter", "PipelineResult",
     "PipelineStats", "patch_fingerprint",
     "patchset_fingerprint", "resolve_jobs",
-    "IncrementalPipeline", "IncrementalStats", "PipelineState",
+    "IncrementalPipeline", "IncrementalStats",
 ]

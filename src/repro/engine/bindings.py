@@ -124,9 +124,6 @@ class Env:
         new.update(other._values)
         return Env(new)
 
-    def without_locals(self, local_names: set[str]) -> "Env":
-        return Env({k: v for k, v in self._values.items() if k not in local_names})
-
     def exported(self, rule_name: str, local_names: list[str]) -> "Env":
         """Environment to hand to later rules: everything already present plus
         this rule's local bindings re-keyed as ``rule.name``."""

@@ -25,10 +25,9 @@ while the others wait on a per-key in-flight marker, so a tree is never built
 twice and the hit/miss counts stay exact (one miss per unique parse, one
 hit per answered caller, one ``rebinds`` event per hit answered under
 another filename).  The counts live in the metrics registry, so a capture
-around any stretch of work reads exactly its traffic.  Entries persist only
-inside a :class:`~repro.engine.incremental.PipelineState` (``--incremental``
-and the daemon's ``--state-root``), through :meth:`TreeCache.snapshot` and
-:meth:`TreeCache.restore`.
+around any stretch of work reads exactly its traffic.  Trees never
+persist: they live and die with the process, and a fresh process's warm
+start comes from the transform memo's directory, whose hits parse nothing.
 """
 
 from __future__ import annotations
@@ -138,8 +137,8 @@ class TreeCache:
             _TREE["dedup_waits"].inc()
             with self._lock:
                 # a dedup-answered caller is a *use* of the entry like any
-                # other hit: refresh its recency so the snapshot cap and the
-                # LRU bound see the true access order
+                # other hit: refresh its recency so the LRU bound sees the
+                # true access order
                 if key in self._entries:
                     self._entries.move_to_end(key)
             return _named(inflight.tree, name, text)
@@ -181,31 +180,6 @@ class TreeCache:
         ``--profile`` and the server's ``stats`` verb report."""
         return {"entries": len(self._entries),
                 "max_entries": self.max_entries, **parse_cache_counts(counts)}
-
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot(self) -> list[tuple[tuple, ParseTree]]:
-        """The ``(key, tree)`` entries in LRU order (oldest first), for
-        embedding in a larger persisted state (``--incremental``'s file);
-        the embedder bounds the size (``PipelineState.max_cache_entries``
-        keeps the hottest tail) — one capping mechanism, owned there."""
-        with self._lock:
-            return list(self._entries.items())
-
-    def restore(self, entries) -> int:
-        """Merge ``snapshot()``-shaped entries into this cache; returns how
-        many were merged (the LRU bound still applies).  Keys already live
-        in this cache keep their current recency — a stale snapshot must
-        never promote its copy over entries the running process has been
-        using more recently."""
-        merged = 0
-        with self._lock:
-            for key, tree in entries:
-                if key in self._entries:
-                    continue
-                self._store(key, tree)
-                merged += 1
-        return merged
 
 
 #: process-wide cache shared by pipelines unless a caller supplies its own

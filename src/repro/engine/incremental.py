@@ -44,17 +44,19 @@ A changed patch list — a patch appended, dropped, reordered or edited — is
 a cold :meth:`~repro.engine.pipeline.PatchPipeline.run` with the caller's
 :class:`~repro.engine.memo.TransformMemo`: the memo answers every unchanged
 patch's sessions by content, wherever the patch now sits in the list, so
-appending one patch to a warm cookbook costs about one patch.  Across CLI
-invocations that needs a disk-backed memo (``--memo-dir``).
+appending one patch to a warm cookbook costs about one patch.
+
+Splicing never crosses a process boundary: a prior result lives only in
+the process that computed it (``--watch`` rounds, a server workspace).
+Across processes the one persistent store is the memo's directory
+(``--memo-dir``, or its ``--incremental`` spelling), which answers every
+unchanged session of a fresh process by content.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..obs import registry as _obs
@@ -63,15 +65,6 @@ from ..smpl.ast import SemanticPatchAST
 from .cache import TreeCache, content_sha1
 from .pipeline import FileRecord, PatchPipeline, PipelineResult
 from .prefilter import TokenIndex
-
-#: format tag for persisted pipeline states; bump on incompatible changes
-#: (older states degrade to cold runs, never to wrong output); 4 = parse
-#: cache entries keyed ``(sha1, options)``
-_STATE_VERSION = 4
-
-#: default bound on the parse-cache entries a persisted state embeds; the
-#: LRU-coldest overflow is dropped so long-lived watch/state files stay flat
-DEFAULT_STATE_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -233,85 +226,3 @@ class IncrementalPipeline:
         incremental.hash_seconds = time.perf_counter() - hash_started
         return reused
 
-
-# ---------------------------------------------------------------------------
-# persistence: the CLI's --incremental STATE_FILE
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PipelineState:
-    """What ``--incremental STATE_FILE`` persists between CLI invocations:
-    the prior result (with its reuse records and patch-set fingerprint) and,
-    optionally, the parse-tree cache entries, so a repeated invocation skips
-    both re-application *and* re-parsing."""
-
-    result: PipelineResult
-    #: ``TreeCache.snapshot()`` entries; content-hash keys stay valid across
-    #: processes
-    cache_entries: list = field(default_factory=list)
-    #: bound on the cache entries :meth:`save` embeds; the LRU-coldest
-    #: overflow is dropped (``None`` = unbounded) so a long-lived watch
-    #: session's state file cannot grow with every file it ever saw
-    max_cache_entries: Optional[int] = DEFAULT_STATE_CACHE_ENTRIES
-    #: optional ``{filename: text}`` snapshot of the code base itself —
-    #: what the daemon's ``--state-root`` workspace snapshots carry so a
-    #: restarted process can restore the files alongside the result (the
-    #: CLI's ``--incremental`` flow leaves this ``None``: the files live on
-    #: the user's disk).  Absent from pre-existing payloads, which load as
-    #: ``None`` — no version bump needed.
-    files: Optional[dict] = None
-
-    @property
-    def fingerprint(self) -> Optional[str]:
-        return self.result.fingerprint
-
-    def save(self, path) -> None:
-        entries = self.cache_entries
-        if self.max_cache_entries is not None \
-                and len(entries) > self.max_cache_entries:
-            # snapshot() order is LRU oldest-first: keep the hottest tail
-            entries = entries[-self.max_cache_entries:]
-        payload = {"version": _STATE_VERSION, "result": self.result,
-                   "cache_entries": entries}
-        if self.files is not None:
-            payload["files"] = self.files
-        # atomic publish: a process killed mid-save (the daemon's kill -9
-        # restart path) must never leave a torn file over a good snapshot
-        directory = os.path.dirname(os.path.abspath(os.fspath(path)))
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-
-    @classmethod
-    def load(cls, path) -> "Optional[PipelineState]":
-        """The persisted state, or ``None`` when the file is missing,
-        unreadable or from an incompatible version — a stale state file must
-        degrade to a cold run, never break the invocation."""
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("version") != _STATE_VERSION:
-                return None
-            result = payload["result"]
-            if not isinstance(result, PipelineResult):
-                return None
-            files = payload.get("files")
-            if files is not None and not isinstance(files, dict):
-                files = None
-            return cls(result=result,
-                       cache_entries=list(payload.get("cache_entries", [])),
-                       files=files)
-        except Exception:
-            # pickle failures surface as UnpicklingError, ValueError,
-            # EOFError, AttributeError/ImportError (renamed classes), ... —
-            # the contract is "degrade, never break", so catch them all
-            return None

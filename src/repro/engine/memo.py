@@ -56,21 +56,25 @@ On-disk tier
 ------------
 ``TransformMemo(path=...)`` adds a persistent tier: each entry is one
 content-addressed file ``<dir>/<kk>/<key-sha1>.memo`` (two-hex-char shard
-directories) holding a pickled ``{"version", "key", "entry"}`` record,
-written atomically (temp file + ``os.replace``) so concurrent writers —
-including forked pipeline workers sharing the directory — can never
-interleave a torn entry.  Reads verify the version tag *and* the full key
-before trusting an entry; corrupt, stale-versioned or key-mismatched files
-degrade to a miss (and are unlinked opportunistically), never to an error —
-the same "degrade, never break" contract the parse cache and state files
-follow.
+directories) holding a JSON ``{"version", "key", "entry"}`` record — plain
+data, so loading an entry never runs code — written atomically (temp file +
+``os.replace``) so concurrent writers — including forked pipeline workers
+sharing the directory — can never interleave a torn entry.  Reads check the
+version tag, the full key and every entry field's type and shape before
+trusting an entry; corrupt, stale-versioned, key-mismatched or malformed
+files (an old pickled entry included) degrade to a miss (and are unlinked
+opportunistically), never to an error — the same "degrade, never break"
+contract the parse cache and the server's workspace manifests follow.
+This directory is the one persistent reuse store: ``--incremental`` is
+another spelling of ``--memo-dir``, and the server's ``--state-root``
+keeps its files' texts in the blob tier below.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 import tempfile
 import threading
 import time
@@ -78,13 +82,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import Diagnostic
 from ..obs import registry as _obs
 from .cache import content_sha1
 from .report import FileResult, RuleReport
 
 #: format tag for on-disk entries; bump on incompatible layout changes
-#: (stale-versioned entries degrade to a miss, never to wrong output)
-_DISK_VERSION = 1
+#: (stale-versioned entries degrade to a miss, never to wrong output);
+#: 2 = JSON records (1 was pickled)
+_DISK_VERSION = 2
 
 #: every memo event's registry child, keyed like :meth:`TransformMemo.counters`
 _COUNTS = {key: _obs.REGISTRY.counter(f"repro_memo_{family}_total", help_text,
@@ -160,6 +166,85 @@ class MemoEntry:
                            report.insertions)
                           for report in file_result.rule_reports),
             diagnostics=tuple(file_result.diagnostics))
+
+    def to_json(self) -> dict:
+        """The entry as plain JSON data (the on-disk record's ``entry``)."""
+        return {"filename": self.filename, "text": self.text,
+                "output_sha": self.output_sha,
+                "reports": [list(report) for report in self.reports],
+                "diagnostics": [{"severity": diagnostic.severity,
+                                 "message": diagnostic.message,
+                                 "filename": diagnostic.filename,
+                                 "line": diagnostic.line}
+                                for diagnostic in self.diagnostics]}
+
+    @classmethod
+    def from_json(cls, data) -> "MemoEntry":
+        """The entry :meth:`to_json` wrote; raises ``ValueError`` on any
+        field of the wrong type or shape, or an output hash that does not
+        match the output text."""
+        if not isinstance(data, dict):
+            raise ValueError("memo entry is not an object")
+        filename, text, output_sha = (data.get("filename"), data.get("text"),
+                                      data.get("output_sha"))
+        if not isinstance(filename, str):
+            raise ValueError("memo entry filename is not a string")
+        if (text is not None or output_sha is not None) and not (
+                isinstance(text, str) and output_sha == content_sha1(text)):
+            raise ValueError("memo entry output does not match its hash")
+        reports = data.get("reports")
+        if not (isinstance(reports, list) and all(
+                isinstance(report, list) and len(report) == 4
+                and isinstance(report[0], str)
+                and all(_is_int(count) for count in report[1:])
+                for report in reports)):
+            raise ValueError("malformed memo entry reports")
+        diagnostics = data.get("diagnostics")
+        if not (isinstance(diagnostics, list) and all(
+                isinstance(diagnostic, dict)
+                and set(diagnostic) == {"severity", "message", "filename",
+                                        "line"}
+                and isinstance(diagnostic["severity"], str)
+                and isinstance(diagnostic["message"], str)
+                and isinstance(diagnostic["filename"], str)
+                and _is_int(diagnostic["line"])
+                for diagnostic in diagnostics)):
+            raise ValueError("malformed memo entry diagnostics")
+        return cls(filename=filename, text=text, output_sha=output_sha,
+                   reports=tuple(tuple(report) for report in reports),
+                   diagnostics=tuple(Diagnostic(**diagnostic)
+                                     for diagnostic in diagnostics))
+
+
+def atomic_write(target: str, data: bytes) -> None:
+    """Publish ``data`` at ``target`` (creating its directory) through a
+    temp file and ``os.replace``: concurrent writers each replace it with a
+    complete file, so a reader never sees a torn one, and a process killed
+    mid-write leaves the previous file intact."""
+    directory = os.path.dirname(target)
+    os.makedirs(directory, exist_ok=True)
+    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp_path, target)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+
+
+def _is_sha1(value) -> bool:
+    """Whether ``value`` is a lowercase sha1 hex digest."""
+    return (isinstance(value, str) and len(value) == 40
+            and all(ch in "0123456789abcdef" for ch in value))
+
+
+def _is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def memo_flags(prefilter: bool, compiled: bool) -> str:
@@ -258,14 +343,12 @@ class TransformMemo:
         target = self._entry_path(key)
         try:
             with open(target, "rb") as handle:
-                payload = pickle.load(handle)
+                payload = json.loads(handle.read().decode("ascii"))
             if (not isinstance(payload, dict)
                     or payload.get("version") != _DISK_VERSION
-                    or payload.get("key") != key):
+                    or payload.get("key") != list(key)):
                 raise ValueError("stale or mismatched memo entry")
-            entry = payload["entry"]
-            if not isinstance(entry, MemoEntry):
-                raise ValueError("not a memo entry")
+            entry = MemoEntry.from_json(payload.get("entry"))
         except FileNotFoundError:
             _COUNTS["disk_misses"].inc()
             return None
@@ -285,25 +368,14 @@ class TransformMemo:
         if self.path is None:
             return
         target = self._entry_path(key)
-        payload = {"version": _DISK_VERSION, "key": key, "entry": entry}
         try:
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            # atomic publish: concurrent writers (forked pipeline workers
-            # share the directory) each replace with a complete file, so a
-            # reader can never observe a torn entry
-            fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(target),
-                                             suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(temp_path, target)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            # ensure_ascii escapes the lone surrogates of undecodable file
+            # bytes, so they round-trip exactly
+            data = json.dumps({"version": _DISK_VERSION, "key": list(key),
+                               "entry": entry.to_json()}).encode("ascii")
+            # forked pipeline workers share the directory: each replaces
+            # the entry with a complete file
+            atomic_write(target, data)
         except Exception:
             # a read-only or full disk must never break the apply; the
             # memory tier already holds the entry
@@ -336,23 +408,11 @@ class TransformMemo:
         if not known and self.path is not None:
             target = self._blob_path(text_sha)
             try:
-                os.makedirs(os.path.dirname(target), exist_ok=True)
-                fd, temp_path = tempfile.mkstemp(
-                    dir=os.path.dirname(target), suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        # surrogateescape, matching the read side: escaped
-                        # bad bytes in file texts round-trip to the same
-                        # bytes the client's file held, so the re-hash
-                        # check on recall sees the original content hash
-                        handle.write(text.encode("utf-8", "surrogateescape"))
-                    os.replace(temp_path, target)
-                except BaseException:
-                    try:
-                        os.unlink(temp_path)
-                    except OSError:
-                        pass
-                    raise
+                # surrogateescape, matching the read side: escaped bad
+                # bytes in file texts round-trip to the same bytes the
+                # client's file held, so the re-hash check on recall sees
+                # the original content hash
+                atomic_write(target, text.encode("utf-8", "surrogateescape"))
             except Exception:
                 _COUNTS["disk_errors"].inc()
         return text_sha
@@ -360,7 +420,11 @@ class TransformMemo:
     def recall_text(self, text_sha: str) -> Optional[str]:
         """The raw text previously stored under ``text_sha``, or ``None``.
         Disk reads are re-hashed before they are trusted — a corrupt blob
-        degrades to a miss and is unlinked."""
+        degrades to a miss and is unlinked — and a ``text_sha`` that is not
+        a sha1 hex digest never reaches the file system."""
+        if not _is_sha1(text_sha):
+            _COUNTS["blob_misses"].inc()
+            return None
         with self._lock:
             text = self._blobs.get(text_sha)
             if text is not None:

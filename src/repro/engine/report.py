@@ -32,10 +32,6 @@ class RuleReport:
     deletions: int = 0
     insertions: int = 0
 
-    @property
-    def changed_anything(self) -> bool:
-        return self.deletions > 0 or self.insertions > 0
-
 
 @dataclass
 class FileResult:

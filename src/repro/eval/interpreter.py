@@ -209,14 +209,8 @@ class Interpreter:
 
     # ------------------------------------------------------------------ public --
 
-    def has_function(self, name: str) -> bool:
-        return name in self.functions
-
     def function_names(self) -> list[str]:
         return sorted(self.functions)
-
-    def set_global(self, name: str, value: Any) -> None:
-        self.globals.declare(name, value)
 
     def get_global(self, name: str) -> Any:
         return self.globals.lookup(name)

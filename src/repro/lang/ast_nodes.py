@@ -544,17 +544,6 @@ COMMUTATIVE_OPS = {"==", "!=", "+", "*", "&", "|", "^", "&&", "||"}
 LOOP_STMTS = (ForStmt, WhileStmt, DoWhileStmt, RangeForStmt)
 
 
-def is_statement(node: Node) -> bool:
-    """True for statement nodes, including pragma directives used as
-    statements (which is how ``#pragma omp`` lines appear in function
-    bodies)."""
-    return isinstance(node, (Stmt, PragmaDirective))
-
-
-def is_expression(node: Node) -> bool:
-    return isinstance(node, Expr)
-
-
 def expressions_of(node: Node) -> Iterator[Expr]:
     """Yield every expression node in the subtree rooted at ``node``."""
     for n in walk(node):
@@ -562,22 +551,8 @@ def expressions_of(node: Node) -> Iterator[Expr]:
             yield n
 
 
-def statements_of(node: Node) -> Iterator[Node]:
-    """Yield every statement node in the subtree rooted at ``node``."""
-    for n in walk(node):
-        if is_statement(n):
-            yield n
-
-
 def compound_blocks_of(node: Node) -> Iterator[CompoundStmt]:
     """Yield every compound statement in the subtree rooted at ``node``."""
     for n in walk(node):
         if isinstance(n, CompoundStmt):
-            yield n
-
-
-def functions_of(unit: TranslationUnit) -> Iterator[FunctionDef]:
-    """Yield every function definition (with a body) in a translation unit."""
-    for n in walk(unit):
-        if isinstance(n, FunctionDef) and n.body is not None:
             yield n

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..errors import LexError
 from .source import SourceFile
@@ -69,10 +69,6 @@ class Token:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.value}, {self.value!r}, @{self.line}:{self.col})"
-
-    @property
-    def length(self) -> int:
-        return self.end - self.offset
 
     def is_punct(self, *values: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value in values
@@ -284,11 +280,6 @@ def tokenize_pragma_text(text: str) -> list[str]:
     except LexError:
         toks = text.split()
     return toks
-
-
-def significant_tokens(tokens: Iterable[Token]) -> list[Token]:
-    """Drop the trailing EOF token (and nothing else)."""
-    return [t for t in tokens if t.kind is not TokenKind.EOF]
 
 
 _WORD_SCAN_RE = re.compile(_IDENT_PATTERN)

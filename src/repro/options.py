@@ -69,10 +69,6 @@ class SpatchOptions:
         """Return a copy of the options with the C++ level set."""
         return replace(self, cxx=level)
 
-    def with_extra_types(self, *names: str) -> "SpatchOptions":
-        """Return a copy with additional type-name hints for the parser."""
-        return replace(self, extra_types=tuple(self.extra_types) + tuple(names))
-
     @classmethod
     def from_spatch_line(cls, line: str, base: "SpatchOptions | None" = None) -> "SpatchOptions":
         """Parse a ``# spatch --c++=23`` style pseudo-option line.

@@ -25,8 +25,9 @@ are removed and content the worker cannot produce is listed under
 ``need`` — and then ``apply``.  A non-empty ``need`` makes the worker
 answer ``{"resync": true}``, and the parent resends the job with every
 file.  That one self-healing rule covers every divergence at once: a
-respawned worker, a workspace the worker's own LRU evicted, a corrupt
-restored snapshot, a parent restart with stale ``fleet_seen`` bookkeeping.
+respawned worker, a workspace the worker's own LRU evicted, a manifest
+the worker could not restore, a parent restart with stale ``fleet_seen``
+bookkeeping.
 
 Telemetry: the reply carries what the worker's ``apply`` counted (its
 request counter removed — the parent counts its own requests); the parent
@@ -35,11 +36,12 @@ workspace's running counts, so ``stats`` rows read the same in both
 modes.  ``stats`` itself never crosses the pipe: the fleet section is
 built from the parent's handles and shards.
 
-Restart survival: with a ``state_root``, the worker's service restores a
-workspace from its :class:`~repro.engine.incremental.PipelineState`
-snapshot on first touch and re-saves it after every stored apply, so a
-daemon killed ``-9`` comes back warm (files, last result *and* parse-cache
-entries) instead of cold.
+Restart survival: with a ``state_root``, the worker's service writes a
+workspace's JSON file manifest after every stored apply and restores the
+files from it on first touch, recalling each text from the memo directory
+(``<state_root>/memo`` unless ``memo_dir`` names another) that every
+worker and the parent share.  A daemon killed ``-9`` therefore comes back
+warm: its first apply is answered by that memo, parsing nothing.
 
 Workers are forked at service construction time — before the daemon's
 accept threads exist — so no lock can be mid-acquire in the child, and
@@ -65,16 +67,6 @@ def shard_of(name: str, workers: int) -> int:
     worker's restored workspace meet at the same worker)."""
     digest = hashlib.sha1(name.encode("utf-8", "surrogatepass")).hexdigest()
     return int(digest[:8], 16) % workers
-
-
-def state_path(state_root: str, name: str) -> str:
-    """The snapshot file for workspace ``name``: a sanitized prefix for
-    humans plus a name digest for uniqueness (two names may sanitize
-    alike, and names are not valid filenames in general)."""
-    safe = "".join(ch if ch.isalnum() or ch in "-_" else "_"
-                   for ch in name)[:48]
-    digest = hashlib.sha1(name.encode("utf-8", "surrogatepass")).hexdigest()
-    return os.path.join(state_root, f"{safe}-{digest[:12]}.state")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ state PRs 3–4 built but which previously died with every CLI process:
 :meth:`Workspace.run` is the one run path: in-process applies, lock-free
 queries and the fleet workers' applies all build their
 :class:`~repro.engine.incremental.IncrementalPipeline` there, store the
-result (and its snapshot) there, and render the result and profile
+result (and save its manifest) there, and render the result and profile
 payloads there.  The verbs differ only in what they hand it: the files
 (the live code base or the published snapshot), the ``since=`` seed, the
 token index, and whether the result is stored.
@@ -60,10 +60,12 @@ is that service's ``open_workspace``, ``sync_files`` (the parent's delta
 plus its authoritative manifest) and ``apply``, and what the apply
 counted is folded into this service's request and workspace counts.
 ``workers=1`` (the default) keeps the exact in-process behavior.  With a
-``state_root``, workspace snapshots
-(:class:`~repro.engine.incremental.PipelineState` with the file tree
-embedded) survive daemon restarts: saved after every stored apply,
-restored lazily on first touch.
+``state_root``, workspaces survive daemon restarts as plain data: a JSON
+``{name: sha1}`` manifest per workspace, saved atomically after every
+stored apply, whose texts live in the memo directory's blob tier (the
+memo directory defaults to ``<state_root>/memo``).  A workspace is
+restored lazily on first touch, and its first apply is answered by the
+memo; nothing a restart reads is pickled.
 
 Cold workspaces are evicted LRU once ``max_workspaces`` is exceeded
 (busy ones — lock currently held — are skipped in favour of the next
@@ -73,6 +75,8 @@ coldest).
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import os
 import threading
 import time
@@ -83,8 +87,8 @@ from typing import Optional, Sequence
 from ..api import CodeBase, SemanticPatch
 from ..engine.cache import TreeCache, content_sha1
 from ..engine.compile import compile_key, evict_compiled
-from ..engine.incremental import IncrementalPipeline, PipelineState
-from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo
+from ..engine.incremental import IncrementalPipeline
+from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo, atomic_write
 from ..engine.pipeline import PipelineResult
 from ..engine.report import profile_payload, result_payload
 from ..errors import patch_error_line
@@ -106,6 +110,9 @@ _M_EVICTIONS = _obs.REGISTRY.counter(
 
 #: default bound on the service's one parse cache (every workspace shares it)
 DEFAULT_SERVICE_CACHE_ENTRIES = 2048
+
+#: format tag for workspace manifests; any other version restores nothing
+_MANIFEST_VERSION = 1
 
 #: LRU bound on built-patch specs cached per workspace: an authoring loop
 #: ships a fresh SMPL revision per request (new content hash, new key), so
@@ -241,11 +248,11 @@ class Workspace:
         #: ``{name: sha1}`` the pinned fleet worker was last brought up to
         #: (``None`` = never spoken to); the delta base for fleet applies
         self.fleet_seen: Optional[dict] = None
-        #: whether this workspace was warm-started from a state snapshot
+        #: whether this workspace was warm-started from a state manifest
         self.restored = False
-        #: where stored runs snapshot to (bound by :meth:`restore`; ``None``
-        #: = the state dies with the process, and rooted workspaces, which
-        #: re-read their directory instead, never bind one)
+        #: where stored runs write their manifest (bound by :meth:`restore`;
+        #: ``None`` = the state dies with the process, and rooted
+        #: workspaces, which re-read their directory instead, never bind one)
         self.state_root: Optional[str] = None
         #: requests currently executing against this workspace (guarded by
         #: the service lock); eviction skips any workspace with one in
@@ -396,9 +403,9 @@ class Workspace:
         shared parse cache, seeded with ``since`` — the engine splices
         unchanged files when the patch list is the same, and otherwise runs
         cold with the shared ``memo`` answering every unchanged patch.  With
-        ``store`` the result becomes :attr:`last` and is snapshotted
-        (caller holds the lock); without it the workspace is left exactly
-        as it was."""
+        ``store`` the result becomes :attr:`last` and the file manifest is
+        saved (caller holds the lock); without it the workspace is left
+        exactly as it was."""
         pipeline = IncrementalPipeline(
             [patch.ast for patch in built],
             options=[patch.options for patch in built],
@@ -409,7 +416,7 @@ class Workspace:
         self.counts.add(counts)
         if store:
             self.last = result
-            self.save(self.state_root)
+            self.save()
         # ``result_payload`` is read from the module globals at call time,
         # so a wrapper installed on this module sees every run
         payload = result_payload(result, built, include_diff=diff,
@@ -424,44 +431,55 @@ class Workspace:
 
     # -- restart survival ----------------------------------------------------
 
-    def restore(self, state_root: Optional[str]) -> bool:
-        """Bind this workspace to its snapshot under ``state_root`` (every
-        later stored run re-saves there) and warm-start from it: files,
-        last result and parse-cache entries.  Returns whether anything was
-        restored; corrupt or absent snapshots restore nothing — the next
-        run is cold, never wrong.  Caller holds the lock."""
+    def restore(self, state_root: Optional[str],
+                memo: TransformMemo) -> bool:
+        """Bind this workspace to its manifest under ``state_root`` (every
+        later stored run re-saves there) and warm-start from it: each
+        manifest entry's text is recalled, hash-checked, from ``memo``'s
+        blob tier.  The last result is not persisted, so the first apply
+        runs cold and the memo answers it.  Returns whether anything was
+        restored; a malformed manifest, or any missing or mismatched blob,
+        restores nothing — the client's next manifest sync then lists the
+        files under ``need``.  Caller holds the lock."""
         self.state_root = state_root
         if state_root is None:
             return False
-        from .fleet import state_path
-
-        state = PipelineState.load(state_path(state_root, self.name))
-        if state is None or state.files is None:
+        try:
+            with open(state_path(state_root, self.name), "rb") as handle:
+                manifest = json.loads(handle.read().decode("ascii"))
+        except (OSError, ValueError):
             return False
-        for filename, text in state.files.items():
+        if not (isinstance(manifest, dict)
+                and manifest.get("version") == _MANIFEST_VERSION
+                and _maps_strings(manifest.get("files"))):
+            return False
+        texts = {}
+        for filename, digest in manifest["files"].items():
+            text = memo.recall_text(digest)
+            if text is None:
+                return False
+            texts[filename] = text
+        for filename, text in texts.items():
             self.codebase[filename] = text
-        self.last = state.result
-        self.cache.restore(state.cache_entries)
         self.publish_files()
         self.restored = True
         return True
 
-    def save(self, state_root: Optional[str]) -> None:
-        """Snapshot files, last result and the shared parse cache's
-        hottest entries under ``state_root``; caller holds the lock.  An
-        unwritable state directory never fails the run that triggered the
-        save."""
-        if state_root is None:
+    def save(self) -> None:
+        """Write the ``{name: sha1}`` manifest of the current files under
+        the bound state root, atomically; caller holds the lock.  The texts are
+        already in the memo's blob tier (``sync_files`` stores every
+        upload there).  An unwritable state directory never fails the run
+        that triggered the save."""
+        if self.state_root is None:
             return
-        from .fleet import state_path
-
+        data = json.dumps({"version": _MANIFEST_VERSION,
+                           "files": self.codebase.content_hashes()},
+                          sort_keys=True).encode("ascii")
         try:
-            os.makedirs(state_root, exist_ok=True)
-            PipelineState(result=self.last,
-                          cache_entries=self.cache.snapshot(),
-                          files=dict(self.codebase.files),
-                          ).save(state_path(state_root, self.name))
-        except Exception:
+            # a process killed mid-save (kill -9) keeps the last manifest
+            atomic_write(state_path(self.state_root, self.name), data)
+        except OSError:
             pass
 
     # -- stats --------------------------------------------------------------
@@ -484,6 +502,16 @@ class Workspace:
             "token_index": token_index.counters(self.counts)
             if token_index is not None else None,
         }
+
+
+def state_path(state_root: str, name: str) -> str:
+    """The manifest file for workspace ``name``: a sanitized prefix for
+    humans plus a name digest for uniqueness (two names may sanitize
+    alike, and names are not valid filenames in general)."""
+    safe = "".join(ch if ch.isalnum() or ch in "-_" else "_"
+                   for ch in name)[:48]
+    digest = hashlib.sha1(name.encode("utf-8", "surrogatepass")).hexdigest()
+    return os.path.join(state_root, f"{safe}-{digest[:12]}.json")
 
 
 def _maps_strings(value) -> bool:
@@ -526,6 +554,14 @@ class PatchService:
         self.log = log or (lambda message: None)
         self._workspaces: "OrderedDict[str, Workspace]" = OrderedDict()
         self._lock = threading.Lock()
+        #: where workspace manifests live (``None`` = state dies with the
+        #: process, the pre-v2 behavior)
+        self.state_root = os.fspath(state_root) \
+            if state_root is not None else None
+        if memo_dir is None and self.state_root is not None:
+            # the manifests' texts and the restart's warm answers live in
+            # the memo directory: a state root always has one
+            memo_dir = os.path.join(self.state_root, "memo")
         #: ONE transform memo shared by every workspace: identical vendored
         #: files across workspaces transform once, fleet-wide (memo entries
         #: are plain text + counters, so sharing them crosses no
@@ -535,10 +571,6 @@ class PatchService:
         #: ONE content-addressed parse cache shared by every workspace the
         #: same way: identical files parse once service-wide
         self.cache = TreeCache(max_entries=cache_entries)
-        #: where workspace snapshots live (``None`` = state dies with the
-        #: process, the pre-v2 behavior)
-        self.state_root = os.fspath(state_root) \
-            if state_root is not None else None
         #: disk-tier GC policy, enforced opportunistically after applies
         self.memo_max_bytes = memo_max_bytes
         self.memo_max_age = memo_max_age
@@ -630,10 +662,10 @@ class PatchService:
             workspace.last_used = time.time()
             if created and root is not None:
                 workspace.load_root()
-            elif created and workspace.restore(self.state_root) \
+            elif created and workspace.restore(self.state_root, self.memo) \
                     and self._fleet is not None:
-                # the pinned worker restores from the same snapshot on first
-                # touch: seeding the delta base with the snapshot manifest
+                # the pinned worker restores from the same manifest on first
+                # touch: seeding the delta base with the manifest
                 # means the first post-restart apply ships only real edits
                 # (any divergence is caught by the job's manifest check)
                 workspace.fleet_seen = workspace.codebase.content_hashes()

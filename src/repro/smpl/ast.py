@@ -40,14 +40,6 @@ class PatternLine:
         return self.annot == "+"
 
     @property
-    def is_minus(self) -> bool:
-        return self.annot == "-"
-
-    @property
-    def is_context(self) -> bool:
-        return self.annot == " "
-
-    @property
     def is_dots_only(self) -> bool:
         return self.text.strip() == "..."
 
@@ -71,9 +63,6 @@ class PlusBlock:
     anchor: str
     anchor_slice_line: int
     patch_lineno: int = 0
-
-    def rendered(self) -> str:  # pragma: no cover - debugging aid
-        return "\n".join("+ " + ln for ln in self.lines)
 
 
 @dataclass
@@ -171,9 +160,6 @@ class SemanticPatchAST:
 
     def patch_rules(self) -> list[PatchRule]:
         return [r for r in self.rules if isinstance(r, PatchRule)]
-
-    def script_rules(self) -> list[ScriptRule]:
-        return [r for r in self.rules if isinstance(r, ScriptRule)]
 
     def guard_rule_names(self) -> frozenset[str]:
         """Pure-match rules that exist to *suppress* other rules via

@@ -46,9 +46,6 @@ KINDS = (
     "iterator",
 )
 
-#: Kinds that bind names rather than full subtrees.
-NAME_KINDS = {"identifier", "function", "declarer", "iterator", "attribute name"}
-
 
 @dataclass
 class FreshPart:
@@ -82,10 +79,6 @@ class MetavarDecl:
     @property
     def is_fresh(self) -> bool:
         return self.kind == "fresh identifier"
-
-    @property
-    def binds_name(self) -> bool:
-        return self.kind in NAME_KINDS
 
     def check_name_constraint(self, name: str) -> bool:
         """Check the regex / value-set constraints against a candidate name."""

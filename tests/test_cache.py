@@ -1,5 +1,5 @@
 """TreeCache: content keys, filename rebinding, concurrent in-flight
-deduplication and snapshots.
+deduplication and LRU recency.
 
 The dedup contract: when N threads race ``get_or_parse`` on the same
 ``(sha1, options)`` key, exactly one of them parses; the others wait for
@@ -12,7 +12,6 @@ registry; each test reads them from a capture around the work it drives
 context).
 """
 
-import pickle
 import threading
 
 import pytest
@@ -274,7 +273,7 @@ class TestContentKeys:
         assert (counters["hits"], counters["misses"]) == (2, 0)
         assert counters["rebinds"] == 1
         # the stored entry keeps the name it was parsed under
-        assert [tree.source.name for _, tree in cache.snapshot()] \
+        assert [tree.source.name for tree in cache._entries.values()] \
             == ["vendor/a.c"]
 
     def test_script_positions_name_their_own_file(self, capsys):
@@ -291,43 +290,13 @@ class TestContentKeys:
         assert printed_files(capsys.readouterr().out) == ["a.c", "b.c"]
         assert parse_cache_counts(counts)["rebinds"] >= 1
 
-
-class TestPersistence:
-    def test_snapshot_restore_round_trip_skips_parsing(self, monkeypatch):
-        """Snapshots survive a pickle round trip (the embedded form in a
-        ``PipelineState``) and answer without parsing."""
-        cache = TreeCache()
-        cache.get_or_parse("int persisted;\n", "p.c", DEFAULT_OPTIONS)
-        cache.get_or_parse("int other;\n", "q.c", DEFAULT_OPTIONS)
-        entries = pickle.loads(pickle.dumps(cache.snapshot()))
-
-        calls = _install_counting_parser(monkeypatch)
-        fresh = TreeCache()
-        assert fresh.restore(entries) == 2
-        with Capture() as counts:
-            tree = fresh.get_or_parse("int persisted;\n", "p.c",
-                                      DEFAULT_OPTIONS)
-        assert tree.source.text == "int persisted;\n"
-        assert calls == []  # answered from the restored entry
-        assert _hits_misses(counts) == (1, 0)
-
-    def test_restore_respects_the_lru_bound(self):
-        source = TreeCache()
-        for i in range(6):
-            source.get_or_parse(f"int bound_{i};\n", "b.c", DEFAULT_OPTIONS)
-        bounded = TreeCache(max_entries=3)
-        assert bounded.restore(source.snapshot()) == 6
-        assert len(bounded) == 3
-
     def test_keys_distinguish_options(self):
-        """Restored entries only answer the exact (hash, options) pair
-        they were parsed under."""
+        """An entry only answers the exact (hash, options) pair it was
+        parsed under."""
         cache = TreeCache()
         cache.get_or_parse("int opt;\n", "o.c", DEFAULT_OPTIONS)
-        fresh = TreeCache()
-        fresh.restore(cache.snapshot())
         with Capture() as counts:
-            fresh.get_or_parse("int opt;\n", "o.c", SpatchOptions(cxx=17))
+            cache.get_or_parse("int opt;\n", "o.c", SpatchOptions(cxx=17))
         assert _hits_misses(counts) == (0, 1)  # different options: a parse
 
 
@@ -408,7 +377,7 @@ class TestTokenIndexCounters:
 
 
 class TestRecencyExactness:
-    """The LRU order the cache reports (and persists) is true recency."""
+    """The LRU order the cache evicts by is true recency."""
 
     def test_dedup_wait_hit_refreshes_recency(self, monkeypatch):
         """A hit answered by waiting on an in-flight parse is still a use:
@@ -428,7 +397,7 @@ class TestRecencyExactness:
             started.wait()
             time.sleep(0.01)  # land inside b's in-flight window
             cache.get_or_parse("int b;\n", "b.c", DEFAULT_OPTIONS)
-            # now touch a so the snapshot order is decided by recency
+            # now touch a so the LRU order is decided by recency
             cache.get_or_parse("int a;\n", "a.c", DEFAULT_OPTIONS)
 
         threads = [threading.Thread(target=slow_parse_b),
@@ -439,34 +408,13 @@ class TestRecencyExactness:
         for thread in threads:
             thread.join()
         assert len(calls) == 2
-        # snapshot is coldest-first: b (dedup-wait hit), then a (last touch)
-        names = [tree.source.name for _, tree in cache.snapshot()]
-        assert names == ["b.c", "a.c"]
-
-    def test_restore_does_not_steal_recency_from_live_entries(self):
-        """Restoring a stale snapshot must not re-order keys the cache has
-        used since the snapshot was taken."""
-        cache = TreeCache()
+        # coldest-first: b (dedup-wait hit), then a (last touch), so a
+        # third text evicts b and keeps a
+        cache.get_or_parse("int c;\n", "c.c", DEFAULT_OPTIONS)
         cache.get_or_parse("int a;\n", "a.c", DEFAULT_OPTIONS)
+        assert len(calls) == 3
         cache.get_or_parse("int b;\n", "b.c", DEFAULT_OPTIONS)
-        stale = cache.snapshot()  # order: a, b
-
-        cache.get_or_parse("int a;\n", "a.c", DEFAULT_OPTIONS)  # a is hottest
-        merged = cache.restore(stale)
-        assert merged == 0  # every key was already live
-        names = [tree.source.name for _, tree in cache.snapshot()]
-        assert names == ["b.c", "a.c"]  # a kept its post-snapshot recency
-
-    def test_restore_merges_only_unknown_keys(self):
-        donor = TreeCache()
-        donor.get_or_parse("int a;\n", "a.c", DEFAULT_OPTIONS)
-        donor.get_or_parse("int b;\n", "b.c", DEFAULT_OPTIONS)
-
-        cache = TreeCache()
-        cache.get_or_parse("int a;\n", "a.c", DEFAULT_OPTIONS)
-        merged = cache.restore(donor.snapshot())
-        assert merged == 1  # only b was new
-        assert len(cache) == 2
+        assert len(calls) == 4
 
 
 class TestMemoCounterExactness:

@@ -145,6 +145,44 @@ class TestExitStatusMatrix:
         assert "--sp-file, --patch-file or --cookbook" in err
 
 
+class TestMemoDirectoryErrors:
+    @pytest.mark.parametrize("flag", ["--memo-dir", "--incremental"])
+    @pytest.mark.parametrize("patch_text, code", [(SMPL_MATCH, 0),
+                                                  (SMPL_NO_MATCH, 1)],
+                             ids=["match", "no-match"])
+    def test_unusable_memo_dir_warns_once_and_runs(self, flag, patch_text,
+                                                   code, tmp_path, target,
+                                                   capsys):
+        """A regular file where the memo directory should be is not a
+        crash: one warning line, then the plain run's stdout and exit
+        status from the memory tier."""
+        patch = tmp_path / "p.cocci"
+        patch.write_text(patch_text)
+        plain_rc, plain = run(["--sp-file", str(patch), str(target)], capsys)
+        in_the_way = tmp_path / "not_a_dir"
+        in_the_way.write_text("a regular file\n")
+        rc, captured = run(["--sp-file", str(patch), flag, str(in_the_way),
+                            str(target)], capsys)
+        assert rc == plain_rc == code
+        assert captured.out == plain.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro-spatch: warning: ")
+
+    def test_incremental_and_memo_dir_must_agree(self, tmp_path, target,
+                                                 capsys):
+        patch = tmp_path / "p.cocci"
+        patch.write_text(SMPL_MATCH)
+        with pytest.raises(SystemExit) as exc:
+            spatch_main(["--sp-file", str(patch), "--incremental",
+                         str(tmp_path / "a"), "--memo-dir",
+                         str(tmp_path / "b"), str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--incremental and --memo-dir" in err
+
+
 class TestServerExitParity:
     @pytest.mark.parametrize("flag, name, match, no_match, bad", PATCH_KINDS,
                              ids=IDS)

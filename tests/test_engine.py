@@ -111,6 +111,8 @@ class TestScripting:
         helpers = CocciHelpers()
         assert helpers.make_ident("x").kind == "identifier"
         assert helpers.make_type("t").kind == "type"
+        assert helpers.make_expr("a + 1").kind == "expression"
+        assert helpers.make_stmt("return;").kind == "statement"
         assert helpers.make_pragmainfo("omp").text == "omp"
         helpers.include_match(False)
         assert helpers._include_match is False

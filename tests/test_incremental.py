@@ -9,10 +9,11 @@ while actually re-running only the files whose content hash changed.
 Also covered here: the satellite fixes this mode depends on —
 ``CodeBase.__delitem__``/``refresh_from_dir`` token-index maintenance,
 ``run_fork_pool`` degenerate inputs, ``PipelineResult.result_for``'s
-``KeyError`` — plus the persisted-state round-trip and the CLI's
-``--incremental``/``--watch``.
+``KeyError`` — plus the CLI's ``--incremental`` (the memo directory's
+other spelling) and ``--watch``.
 """
 
+import pathlib
 import threading
 import time
 
@@ -21,10 +22,8 @@ import pytest
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import content_sha1
-from repro.engine.incremental import (IncrementalPipeline, IncrementalStats,
-                                      PipelineState)
+from repro.engine.incremental import IncrementalPipeline, IncrementalStats
 from repro.engine.memo import TransformMemo
-from repro.obs import Capture
 
 from test_prefilter import _cookbook_patch
 from test_pipeline_differential import _mini
@@ -37,12 +36,6 @@ RENAME_B = "@r@ @@\n- mid_api();\n+ new_api();\n"
 def _patches(*texts):
     return [SemanticPatch.from_string(text, name=f"p{i}")
             for i, text in enumerate(texts)]
-
-
-def _hits_misses(cache, counts):
-    """The ``(hits, misses)`` pair ``counts`` recorded for the cache."""
-    counters = cache.counters(counts)
-    return counters["hits"], counters["misses"]
 
 
 def assert_results_identical(incremental, cold, context=""):
@@ -226,7 +219,7 @@ class TestFallbacks:
 
     def test_recordless_prior_falls_back(self):
         patchset, codebase, prior = self._prior()
-        prior.records.clear()  # e.g. a result from a pre-records pickle
+        prior.records.clear()  # e.g. a result built without records
         result = patchset.apply(codebase, since=prior)
         assert "records" in result.incremental.fallback
         assert result.total_matches == 2
@@ -632,137 +625,14 @@ class TestResultForKeyError:
 
 
 # ---------------------------------------------------------------------------
-# persisted state round-trips
-# ---------------------------------------------------------------------------
-
-class TestPipelineState:
-    def test_round_trip_preserves_result_and_cache(self, tmp_path):
-        from repro.engine.cache import TreeCache
-
-        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
-        cache = TreeCache()
-        cache.get_or_parse("int cached;\n", "c.c",
-                           patchset[0].options)
-        result = patchset.apply({"a.c": "void f(void) { old_api(); }\n"})
-        target = tmp_path / "state.bin"
-        PipelineState(result=result, cache_entries=cache.snapshot()) \
-            .save(target)
-
-        loaded = PipelineState.load(target)
-        assert loaded is not None
-        assert loaded.fingerprint == result.fingerprint
-        assert loaded.result == result
-        assert loaded.result.records == result.records
-        restored = TreeCache()
-        assert restored.restore(loaded.cache_entries) == 1
-
-    def test_loaded_state_seeds_an_incremental_run(self, tmp_path):
-        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
-        files = {"a.c": "void f(void) { old_api(); }\n", "b.c": "int z;\n"}
-        result = patchset.apply(files)
-        target = tmp_path / "state.bin"
-        PipelineState(result=result).save(target)
-
-        loaded = PipelineState.load(target)
-        again = patchset.apply(files, since=loaded.result)
-        assert again.incremental.files_reused == 2
-        assert_results_identical(again, result, "persisted")
-
-    def test_load_of_missing_or_corrupt_returns_none(self, tmp_path):
-        assert PipelineState.load(tmp_path / "absent.bin") is None
-        corrupt = tmp_path / "corrupt.bin"
-        corrupt.write_bytes(b"\x80\x04 garbage")
-        assert PipelineState.load(corrupt) is None
-        # a bad protocol marker raises ValueError, not UnpicklingError —
-        # it must degrade just the same
-        bad_protocol = tmp_path / "proto.bin"
-        bad_protocol.write_bytes(b"\x80\x63spam")
-        assert PipelineState.load(bad_protocol) is None
-
-    def test_save_caps_embedded_cache_entries(self, tmp_path):
-        """State-file hygiene: the embedded parse-cache snapshot is bounded
-        (LRU-coldest entries dropped past the cap) and a capped state still
-        loads, restores and seeds reuse."""
-        from repro.engine.cache import TreeCache
-
-        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
-        cache = TreeCache()
-        for index in range(6):
-            cache.get_or_parse(f"int cached_{index};\n", f"f{index}.c",
-                               patchset[0].options)
-        hottest = f"int cached_5;\n"
-        result = patchset.apply({"a.c": "void f(void) { old_api(); }\n"})
-        target = tmp_path / "state.bin"
-        PipelineState(result=result, cache_entries=cache.snapshot(),
-                      max_cache_entries=2).save(target)
-
-        loaded = PipelineState.load(target)
-        assert loaded is not None
-        assert len(loaded.cache_entries) == 2
-        restored = TreeCache()
-        assert restored.restore(loaded.cache_entries) == 2
-        # the kept entries are the LRU-hottest: the last text parsed hits
-        with Capture() as counts:
-            restored.get_or_parse(hottest, "f5.c", patchset[0].options)
-        assert restored.counters(counts)["hits"] == 1
-        # and the result still seeds an incremental run
-        again = patchset.apply({"a.c": "void f(void) { old_api(); }\n"},
-                               since=loaded.result)
-        assert again.incremental.files_reused == 1
-
-    def test_load_of_wrong_version_returns_none(self, tmp_path):
-        import pickle
-
-        target = tmp_path / "old.bin"
-        target.write_bytes(pickle.dumps({"version": -1, "result": None}))
-        assert PipelineState.load(target) is None
-        # version 3 embedded parse-cache keys as (name, sha1, options): a
-        # well-formed v3 file loads as nothing, not as foreign keys
-        result = PatchSet(_patches(RENAME_A)).apply(
-            {"a.c": "void f(void) { old_api(); }\n"})
-        target.write_bytes(pickle.dumps({"version": 3, "result": result,
-                                         "cache_entries": []}))
-        assert PipelineState.load(target) is None
-
-    def test_save_cap_keeps_most_recently_used_not_newest_inserted(
-            self, tmp_path):
-        """The capped snapshot is *recency* order: an old entry touched just
-        before saving must survive the cap, and the true-coldest entry —
-        not the oldest-inserted — is what gets dropped."""
-        from repro.engine.cache import TreeCache
-
-        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
-        cache = TreeCache()
-        for index in range(4):
-            cache.get_or_parse(f"int cached_{index};\n", f"f{index}.c",
-                               patchset[0].options)
-        # touch the oldest-inserted entry: it is now the hottest
-        cache.get_or_parse("int cached_0;\n", "f0.c", patchset[0].options)
-
-        result = patchset.apply({"a.c": "void f(void) { old_api(); }\n"})
-        target = tmp_path / "state.bin"
-        PipelineState(result=result, cache_entries=cache.snapshot(),
-                      max_cache_entries=2).save(target)
-
-        loaded = PipelineState.load(target)
-        kept = TreeCache()
-        kept.restore(loaded.cache_entries)
-        with Capture() as counts:
-            kept.get_or_parse("int cached_0;\n", "f0.c", patchset[0].options)
-            kept.get_or_parse("int cached_3;\n", "f3.c", patchset[0].options)
-        # the touched-old + last-inserted hit
-        assert _hits_misses(kept, counts) == (2, 0)
-        # cached_1 was the true LRU-coldest: it fell past the cap
-        with counts:
-            kept.get_or_parse("int cached_1;\n", "f1.c", patchset[0].options)
-        assert _hits_misses(kept, counts) == (2, 1)
-
-
-# ---------------------------------------------------------------------------
 # CLI: --incremental and --watch
 # ---------------------------------------------------------------------------
 
 class TestCliIncremental:
+    """``--incremental DIR`` is the other spelling of ``--memo-dir DIR``: a
+    repeated invocation is answered by the memo directory, and nothing but
+    memo entries persists."""
+
     def _setup(self, tmp_path):
         cocci = tmp_path / "r.cocci"
         cocci.write_text(RENAME_A)
@@ -770,60 +640,69 @@ class TestCliIncremental:
         src.mkdir()
         (src / "hit.c").write_text("void f(void) { old_api(); }\n")
         (src / "miss.c").write_text("int zero;\n")
-        return str(cocci), str(src), str(tmp_path / "state.bin")
+        return str(cocci), str(src), str(tmp_path / "state")
 
-    def test_second_invocation_reuses_everything(self, tmp_path, capsys):
+    def test_second_invocation_is_answered_by_the_memo(self, tmp_path,
+                                                       capsys):
         cocci, src, state = self._setup(tmp_path)
         argv = ["--sp-file", cocci, "--incremental", state, "--profile", src]
         assert spatch_main(argv) == 0
         first = capsys.readouterr()
-        assert "incremental" not in first.err  # cold: no prior state
+        # cold: hit.c's one session misses (miss.c is skipped by the
+        # prefilter)
+        assert "# transform memo: 0 hit(s) (0 from disk), 1 miss(es)" \
+            in first.err
 
         assert spatch_main(argv) == 0
         second = capsys.readouterr()
-        assert "2 reused (100%)" in second.err
+        assert "# transform memo: 1 hit(s) (1 from disk), 0 miss(es)" \
+            in second.err
         assert second.out == first.out  # identical diff
 
-    def test_version_3_state_file_runs_cold_once_then_warm(self, tmp_path,
-                                                           capsys):
+    def test_pre_change_state_file_is_never_opened(self, tmp_path, capsys):
+        """A state file from before the memo became the one store holds the
+        path: the run warns once, runs on the memory tier, and leaves the
+        file as it was."""
         import pickle
 
         cocci, src, state = self._setup(tmp_path)
-        argv = ["--sp-file", cocci, "--incremental", state, "--profile", src]
-        assert spatch_main(argv) == 0
-        cold = capsys.readouterr()
-        with open(state, "rb") as handle:
-            payload = pickle.load(handle)
-        payload["version"] = 3
-        with open(state, "wb") as handle:
-            pickle.dump(payload, handle)
+        assert spatch_main(["--sp-file", cocci, src]) == 0
+        plain = capsys.readouterr()
+        old_state = pickle.dumps({"version": 4, "result": None,
+                                  "cache_entries": []})
+        pathlib.Path(state).write_bytes(old_state)
 
-        assert spatch_main(argv) == 0
-        stale = capsys.readouterr()
-        assert "incremental" not in stale.err  # the v3 file seeded nothing
-        assert stale.out == cold.out
-        assert spatch_main(argv) == 0
-        warm = capsys.readouterr()
-        assert "2 reused (100%)" in warm.err
-        assert warm.out == cold.out
+        assert spatch_main(["--sp-file", cocci, "--incremental", state,
+                            src]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro-spatch: warning: cannot use memo "
+                                   f"directory {state}")
+        assert pathlib.Path(state).read_bytes() == old_state
 
-    def test_unwritable_state_file_warns_and_keeps_the_run(self, tmp_path,
-                                                           capsys):
+    def test_unusable_state_dir_warns_and_keeps_the_run(self, tmp_path,
+                                                        capsys):
         cocci, src, _ = self._setup(tmp_path)
         assert spatch_main(["--sp-file", cocci, src]) == 0
         plain = capsys.readouterr()
-        unwritable = str(tmp_path / "missing" / "dir" / "state.bin")
-        assert spatch_main(["--sp-file", cocci, "--incremental", unwritable,
+        blocker = tmp_path / "a_file"
+        blocker.write_text("in the way\n")
+        unusable = str(blocker / "state")
+        assert spatch_main(["--sp-file", cocci, "--incremental", unusable,
                             src]) == 0
         captured = capsys.readouterr()
         assert captured.out == plain.out and captured.out
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("repro-spatch: warning: cannot write "
-                                   f"state file {unwritable}")
+        assert lines[0].startswith("repro-spatch: warning: cannot use memo "
+                                   f"directory {unusable}")
 
     def test_edited_file_reruns_alone(self, tmp_path, capsys):
         cocci, src, state = self._setup(tmp_path)
+        (tmp_path / "src" / "twin.c").write_text(
+            "void g(void) { old_api(); }\n")
         argv = ["--sp-file", cocci, "--incremental", state, "--profile", src]
         spatch_main(argv)
         capsys.readouterr()
@@ -831,11 +710,12 @@ class TestCliIncremental:
             "void f(void) { old_api(); other(); }\n")
         assert spatch_main(argv) == 0
         captured = capsys.readouterr()
-        assert "1 reused (50%)" in captured.err
-        assert "1 changed + 0 added re-run" in captured.err
+        # twin.c is answered from disk; only the edited hit.c runs
+        assert "# transform memo: 1 hit(s) (1 from disk), 1 miss(es)" \
+            in captured.err
 
-    def test_stale_state_from_other_patch_degrades_to_cold(self, tmp_path,
-                                                           capsys):
+    def test_other_patch_shares_the_directory_without_crosstalk(
+            self, tmp_path, capsys):
         cocci, src, state = self._setup(tmp_path)
         spatch_main(["--sp-file", cocci, "--incremental", state, src])
         capsys.readouterr()
@@ -845,25 +725,22 @@ class TestCliIncremental:
                           "--profile", src])
         captured = capsys.readouterr()
         assert rc == 1  # RENAME_B matches nothing in the pristine tree
-        assert "fell back to a cold run" in captured.err
+        assert "# transform memo: 0 hit(s) (0 from disk)" in captured.err
 
     def test_appended_patch_between_invocations_hits_the_memo(self, tmp_path,
                                                              capsys):
         """A second invocation with one more --sp-file runs cold, and the
-        --memo-dir answers the unchanged patch: only the appended one runs."""
+        memo directory answers the unchanged patch: only the appended one
+        runs."""
         cocci, src, state = self._setup(tmp_path)
-        memo_dir = str(tmp_path / "memo")
-        spatch_main(["--sp-file", cocci, "--incremental", state,
-                     "--memo-dir", memo_dir, src])
+        spatch_main(["--sp-file", cocci, "--incremental", state, src])
         capsys.readouterr()
         extra = tmp_path / "extra.cocci"
         extra.write_text(RENAME_B)
         rc = spatch_main(["--sp-file", cocci, "--sp-file", str(extra),
-                          "--incremental", state, "--memo-dir", memo_dir,
-                          "--profile", src])
+                          "--incremental", state, "--profile", src])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "fell back to a cold run (patch set" in captured.err
         # hit.c's first-patch session from disk; the appended patch's one
         # session on hit.c misses (miss.c is skipped by the prefilter)
         assert "# transform memo: 1 hit(s) (1 from disk), 1 miss(es)" \
@@ -871,14 +748,28 @@ class TestCliIncremental:
         # mid_api (written by the first patch) became new_api via the second
         assert "+void f(void) { new_api(); }" in captured.out
 
-    def test_single_patch_incremental_uses_pipeline_result(self, tmp_path):
-        """--incremental with one --sp-file must still persist a seedable
-        state (the single-patch fast path bypasses the pipeline otherwise)."""
+    def test_both_spellings_may_name_the_same_directory(self, tmp_path,
+                                                        capsys):
+        cocci, src, state = self._setup(tmp_path)
+        spatch_main(["--sp-file", cocci, "--memo-dir", state, src])
+        capsys.readouterr()
+        assert spatch_main(["--sp-file", cocci, "--incremental", state,
+                            "--memo-dir", state + "/", "--profile",
+                            src]) == 0
+        assert "1 hit(s) (1 from disk)" in capsys.readouterr().err
+
+    def test_only_plain_data_persists(self, tmp_path):
+        """The directory holds JSON memo entries, nothing else: no result,
+        no parse tree and no pickle."""
+        import json
+
         cocci, src, state = self._setup(tmp_path)
         spatch_main(["--sp-file", cocci, "--incremental", state, src])
-        loaded = PipelineState.load(state)
-        assert loaded is not None
-        assert loaded.result.records
+        stored = [path for path in pathlib.Path(state).rglob("*")
+                  if path.is_file()]
+        assert stored and all(path.suffix == ".memo" for path in stored)
+        for path in stored:
+            assert json.loads(path.read_bytes())["version"] == 2
 
 
 class TestCliWatch:

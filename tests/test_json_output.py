@@ -83,7 +83,7 @@ class TestJsonFlag:
         argv = ["--json", "--sp-file", str(cocci), "--incremental",
                 str(state), str(tmp_path)]
         _, cold = run_json(capsys, argv)
-        _, warm = run_json(capsys, argv)  # splices everything
+        _, warm = run_json(capsys, argv)  # answered by the memo directory
         assert json.dumps(cold, sort_keys=True) == json.dumps(warm,
                                                               sort_keys=True)
 

@@ -22,6 +22,7 @@ from repro.engine.cache import TreeCache, content_sha1
 from repro.engine.memo import (DEFAULT_MEMO_ENTRIES, MemoEntry,
                                TransformMemo, memo_flags)
 from repro.engine.report import FileResult, RuleReport
+from repro.errors import Diagnostic
 from repro.obs import Capture
 
 RENAME_A = "@r@ @@\n- old_api();\n+ mid_api();\n"
@@ -196,7 +197,7 @@ class TestDiskTier:
         memo = TransformMemo(path=tmp_path / "memo")
         memo.store("sha", "fp", "pc", _entry())
         entry_file = next((tmp_path / "memo").rglob("*.memo"))
-        entry_file.write_bytes(b"not a pickle at all")
+        entry_file.write_bytes(b"not json at all")
 
         fresh = TransformMemo(path=tmp_path / "memo")
         with Capture() as counts:
@@ -214,21 +215,62 @@ class TestDiskTier:
         memo.store("sha", "fp", "pc", _entry())
         entry_file = next((tmp_path / "memo").rglob("*.memo"))
 
-        payload = pickle.loads(entry_file.read_bytes())
+        payload = json.loads(entry_file.read_bytes())
         payload["version"] = 999
-        entry_file.write_bytes(pickle.dumps(payload))
+        entry_file.write_text(json.dumps(payload))
         fresh = TransformMemo(path=tmp_path / "memo")
         assert fresh.lookup("sha", "fp", "pc", "a.c") is None
 
         fresh.store("sha", "fp", "pc", _entry())  # re-publish, corrupt the key
         entry_file = next((tmp_path / "memo").rglob("*.memo"))
-        payload = pickle.loads(entry_file.read_bytes())
-        payload["key"] = ("other", "fp", "pc")
-        entry_file.write_bytes(pickle.dumps(payload))
+        payload = json.loads(entry_file.read_bytes())
+        payload["key"] = ["other", "fp", "pc"]
+        entry_file.write_text(json.dumps(payload))
         again = TransformMemo(path=tmp_path / "memo")
         with Capture() as counts:
             assert again.lookup("sha", "fp", "pc", "a.c") is None
         assert again.counters(counts)["disk_errors"] == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("filename", 7),
+        ("text", "int tampered;\n"),  # no longer matches output_sha
+        ("output_sha", None),
+        ("reports", [["r", 1, 1]]),
+        ("reports", [["r", True, 1, 1]]),
+        ("diagnostics", ["a.c: warn"]),
+        ("diagnostics", [{"severity": "error", "message": "m",
+                          "filename": "a.c", "line": "7"}]),
+    ])
+    def test_malformed_entry_field_is_a_miss_and_unlinked(self, tmp_path,
+                                                          field, value):
+        memo = TransformMemo(path=tmp_path / "memo")
+        memo.store("sha", "fp", "pc", _entry(text="int b;\n"))
+        entry_file = next((tmp_path / "memo").rglob("*.memo"))
+        payload = json.loads(entry_file.read_bytes())
+        payload["entry"][field] = value
+        entry_file.write_text(json.dumps(payload))
+
+        fresh = TransformMemo(path=tmp_path / "memo")
+        with Capture() as counts:
+            assert fresh.lookup("sha", "fp", "pc", "a.c") is None
+        assert fresh.counters(counts)["disk_errors"] == 1
+        assert not entry_file.exists()
+
+    def test_entries_are_json_and_diagnostics_round_trip(self, tmp_path):
+        diagnostic = Diagnostic(severity="warning", message="odd \udcff",
+                                filename="a.c", line=3)
+        memo = TransformMemo(path=tmp_path / "memo")
+        memo.store("sha", "fp", "pc",
+                   _entry(text="int \udcfe;\n", diagnostics=(diagnostic,)))
+        entry_file = next((tmp_path / "memo").rglob("*.memo"))
+        payload = json.loads(entry_file.read_bytes())
+        assert payload["version"] == 2
+        assert payload["key"] == ["sha", "fp", "pc"]
+
+        entry = TransformMemo(path=tmp_path / "memo").lookup(
+            "sha", "fp", "pc", "a.c")
+        assert entry.text == "int \udcfe;\n"
+        assert entry.diagnostics == (diagnostic,)
 
     def test_write_failure_degrades_to_memory_only(self, tmp_path,
                                                    monkeypatch):
@@ -628,6 +670,20 @@ class TestBlobTier:
         assert cold.counters(counts)["blob_misses"] == 1
         assert cold.counters(counts)["disk_errors"] == 1
 
+    def test_a_digest_that_is_not_a_sha1_never_touches_the_disk(
+            self, tmp_path):
+        """A manifest or client hash is outside input: ``../victim`` would
+        name ``<dir>/../victim.blob``, and a failed re-hash would unlink
+        it."""
+        victim = tmp_path / "victim.blob"
+        victim.write_text("someone else's file\n")
+        memo = TransformMemo(path=tmp_path / "memo")
+        memo.store_text(HIT_TEXT)  # <dir>/blobs exists, so ".." resolves
+        with Capture() as counts:
+            assert memo.recall_text("../victim") is None
+        assert victim.exists()
+        assert memo.counters(counts)["disk_errors"] == 0
+
     def test_memory_lru_is_bounded(self):
         memo = TransformMemo(max_blob_entries=2)
         shas = [memo.store_text(f"int x{i};\n") for i in range(4)]
@@ -696,3 +752,108 @@ class TestPrune:
         victim = memo._blob_path(memo.store_text("void gone(void) {}\n"))
         os.unlink(victim)
         assert memo.prune(max_age=0)["scanned"] == 4
+
+
+class _Touch:
+    """Pickles to a call that creates ``marker`` when the pickle is loaded:
+    the shape of a tampered state file that runs code."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def hostile_pickle(marker) -> bytes:
+    return pickle.dumps({"version": 2, "entry": _Touch(marker)})
+
+
+class TestHostileState:
+    """No persisted file is ever unpickled: a pickle that would run code
+    on load is a cold run (or a miss) and never creates its marker."""
+
+    def _tree(self, tmp_path):
+        cocci = tmp_path / "r.cocci"
+        cocci.write_text(RENAME_A)
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "hit.c").write_text(HIT_TEXT)
+        (src / "miss.c").write_text(MISS_TEXT)
+        return str(cocci), str(src)
+
+    def _cold(self, cocci, src, capsys):
+        from repro.cli.spatch import main as spatch_main
+
+        assert spatch_main(["--sp-file", cocci, src]) == 0
+        return capsys.readouterr().out
+
+    def test_pickle_as_the_incremental_path(self, tmp_path, capsys):
+        from repro.cli.spatch import main as spatch_main
+
+        cocci, src = self._tree(tmp_path)
+        cold = self._cold(cocci, src, capsys)
+        marker = tmp_path / "marker"
+        state = tmp_path / "state"
+        state.write_bytes(hostile_pickle(marker))
+
+        assert spatch_main(["--sp-file", cocci, "--incremental", str(state),
+                            src]) == 0
+        captured = capsys.readouterr()
+        assert not marker.exists()
+        assert captured.out == cold
+        assert len(captured.err.splitlines()) <= 1
+
+    def test_pickle_as_a_memo_entry(self, tmp_path, capsys):
+        from repro.cli.spatch import main as spatch_main
+
+        cocci, src = self._tree(tmp_path)
+        memo_dir = tmp_path / "memo"
+        argv = ["--sp-file", cocci, "--memo-dir", str(memo_dir), src]
+        assert spatch_main(argv) == 0
+        cold = capsys.readouterr().out
+        marker = tmp_path / "marker"
+        entries = list(memo_dir.rglob("*.memo"))
+        assert entries
+        for entry_file in entries:
+            entry_file.write_bytes(hostile_pickle(marker))
+
+        assert spatch_main(argv) == 0
+        captured = capsys.readouterr()
+        assert not marker.exists()
+        assert captured.out == cold
+        assert len(captured.err.splitlines()) <= 1
+        # the misses re-stored every entry as JSON
+        for entry_file in entries:
+            assert json.loads(entry_file.read_bytes())["version"] == 2
+
+    def test_pickle_as_an_old_workspace_state_file(self, tmp_path):
+        import hashlib
+
+        from repro.server.service import PatchService
+
+        spec = [{"kind": "smpl", "name": "r", "text": RENAME_A}]
+        files = {"hit.c": HIT_TEXT, "miss.c": MISS_TEXT}
+        cold = PatchService()
+        try:
+            cold.open_workspace("w")
+            cold.sync_files("w", files=dict(files))
+            reference = cold.apply("w", spec)
+        finally:
+            cold.close()
+
+        state_root = tmp_path / "state"
+        state_root.mkdir()
+        marker = tmp_path / "marker"
+        digest = hashlib.sha1(b"w").hexdigest()[:12]
+        (state_root / f"w-{digest}.state").write_bytes(
+            hostile_pickle(marker))
+        service = PatchService(state_root=str(state_root))
+        try:
+            assert not service.open_workspace("w")["restored"]
+            service.sync_files("w", files=dict(files))
+            payload = service.apply("w", spec)
+        finally:
+            service.close()
+        assert not marker.exists()
+        assert payload == reference

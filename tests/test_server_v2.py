@@ -19,6 +19,7 @@ The v2 acceptance criteria under test:
 
 import json
 import os
+import pathlib
 import signal
 import socket
 import subprocess
@@ -34,10 +35,10 @@ from repro.engine.cache import content_sha1
 from repro.engine.report import result_payload
 from repro.server.client import ConnectionLost, RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
-from repro.server.fleet import ApplyFleet, shard_of, state_path
+from repro.server.fleet import ApplyFleet, shard_of
 from repro.server.protocol import (PROTOCOL_VERSION, read_message,
                                    write_message)
-from repro.server.service import PatchService, ServiceError
+from repro.server.service import PatchService, ServiceError, state_path
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"
 
@@ -336,7 +337,7 @@ class TestFleetSharding:
         first = state_path(str(tmp_path), "a/b")
         second = state_path(str(tmp_path), "a:b")
         assert first != second
-        assert first.endswith(".state")
+        assert first.endswith(".json")
 
     def test_fleet_needs_two_workers(self):
         with pytest.raises(ValueError):
@@ -502,6 +503,16 @@ class TestFleetApply:
 # restart survival
 # ---------------------------------------------------------------------------
 
+def assert_memo_warm(profile: dict) -> None:
+    """The first apply after a restart: the workspace came back from its
+    manifest, and the memo directory answered every session, so nothing
+    was parsed or matched."""
+    assert profile["restored"]
+    assert profile["memo"]["hits"] > 0
+    assert profile["memo"]["misses"] == 0
+    assert profile["parse_cache"]["misses"] == 0
+
+
 class TestRestartSurvival:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_service_restart_is_byte_identical_and_warm(self, tmp_path,
@@ -526,9 +537,46 @@ class TestRestartSurvival:
             assert not delta["need"]
             after = reborn.apply("w", [smpl_spec()], profile=True)
             assert canonical(after) == reference
-            assert after["profile"]["restored"]
-            assert after["profile"]["incremental"]["files_reused"] \
-                == len(FILES)
+            assert_memo_warm(after["profile"])
+        finally:
+            reborn.close()
+
+    @pytest.mark.parametrize("damage", ["missing", "mismatched"])
+    def test_manifest_with_a_bad_blob_restores_nothing(self, tmp_path,
+                                                       damage):
+        """A manifest naming a blob that is gone, or whose bytes fail their
+        hash, restores no file at all; the next manifest sync asks for
+        exactly the damaged file, and the result is still byte-identical."""
+        state_root = tmp_path / "state"
+        service = PatchService(state_root=str(state_root))
+        try:
+            service.open_workspace("w")
+            service.sync_files("w", files=dict(FILES))
+            reference = canonical(service.apply("w", [smpl_spec()]))
+        finally:
+            service.close()
+        assert json.loads(pathlib.Path(state_path(str(state_root), "w"))
+                          .read_bytes()) == {
+            "version": 1,
+            "files": {name: content_sha1(text)
+                      for name, text in FILES.items()}}
+        digest = content_sha1(FILES["a.c"])
+        blob = state_root / "memo" / "blobs" / digest[:2] / f"{digest}.blob"
+        if damage == "missing":
+            blob.unlink()
+        else:
+            blob.write_text("void f(void) { tampered(); }\n")
+
+        reborn = PatchService(state_root=str(state_root))
+        try:
+            opened = reborn.open_workspace("w")
+            assert not opened["restored"] and opened["files"] == 0
+            delta = reborn.sync_files("w", hashes={
+                name: content_sha1(text) for name, text in FILES.items()})
+            assert delta["need"] == ["a.c"]
+            assert delta["recalled"] == ["b.c"]
+            reborn.sync_files("w", files={"a.c": FILES["a.c"]})
+            assert canonical(reborn.apply("w", [smpl_spec()])) == reference
         finally:
             reborn.close()
 
@@ -603,8 +651,7 @@ class TestKillDashNine:
                 after = client.apply("w", [smpl_spec()], profile=True)
                 assert canonical(after) == canonical(reference)
                 assert after["exit_status"] == reference["exit_status"]
-                assert after["profile"]["restored"]
-                assert after["profile"]["incremental"]["files_reused"] > 0
+                assert_memo_warm(after["profile"])
                 client.shutdown()
             assert process.wait(timeout=15.0) == 0
         finally:
