@@ -350,8 +350,7 @@ def test_q3f_incremental_one_file_edit(benchmark):
     def compare():
         DEFAULT_TREE_CACHE.clear()
         prior = patchset.apply(codebase, jobs=1, prefilter=True)
-        # cold re-run over the edited tree (its own CodeBase: no shared
-        # token-index warm-up between the contenders)
+        # cold re-run over the edited tree (its own CodeBase)
         DEFAULT_TREE_CACHE.clear()
         started = time.perf_counter()
         cold = patchset.apply(CodeBase.from_files(edited_files),
@@ -440,7 +439,7 @@ def test_q3g_append_patch_to_warm_cookbook(benchmark):
         memo = TransformMemo()
         DEFAULT_TREE_CACHE.clear()
         prior = warm_set.apply(codebase, jobs=1, prefilter=True, memo=memo)
-        # cold 13-patch pass over its own CodeBase (fresh token index)
+        # cold 13-patch pass over its own CodeBase
         DEFAULT_TREE_CACHE.clear()
         started = time.perf_counter()
         cold = extended.apply(CodeBase.from_files(dict(codebase.files)),

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .engine.engine import Engine
-from .engine.prefilter import TokenIndex
 from .engine.report import FileResult, PatchResult
 from .lang.parser import ParseTree, parse_source
 from .lang.source import SourceFile
@@ -47,9 +46,6 @@ class CodeBase:
     """An in-memory collection of source files."""
 
     files: dict[str, str] = field(default_factory=dict)
-    #: lazily built prefilter token index (see :meth:`token_index`)
-    _token_index: Optional[TokenIndex] = field(default=None, init=False,
-                                               repr=False, compare=False)
 
     # -- construction ------------------------------------------------------------
 
@@ -83,9 +79,7 @@ class CodeBase:
                          ) -> dict[str, list[str]]:
         """Re-read a directory this code base was loaded from, applying only
         the on-disk delta: new files are added, files whose contents differ
-        are updated, files gone from disk are removed (all through the
-        index-maintaining accessors, so the lazily built token index stays
-        exact and unchanged files keep their cached scans).  Returns the
+        are updated, files gone from disk are removed.  Returns the
         delta as ``{"added": [...], "changed": [...], "removed": [...]}`` —
         the edit-apply loop feeds it straight into an incremental run."""
         root = pathlib.Path(path)
@@ -116,17 +110,9 @@ class CodeBase:
 
     def __setitem__(self, name: str, text: str) -> None:
         self.files[name] = text
-        if self._token_index is not None:
-            self._token_index.add(name, text)  # per-file update, keep the rest
 
     def __delitem__(self, name: str) -> None:
-        """Remove a file, keeping the token index exact: a deletion through
-        ``files`` directly would leave the lazily built index answering
-        prefilter queries for a file that no longer exists (incremental mode
-        deletes through here when the tree shrinks)."""
         del self.files[name]
-        if self._token_index is not None:
-            self._token_index.remove(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self.files
@@ -166,14 +152,6 @@ class CodeBase:
         """Parse every file (error tolerant); useful for analyses and tests."""
         return {name: parse_source(text, name=name, options=options)
                 for name, text in self.files.items()}
-
-    def token_index(self) -> TokenIndex:
-        """The per-file token index the prefilter consults, built lazily and
-        cached until the code base is mutated.  Repeated ``apply`` calls over
-        the same code base then share one scan."""
-        if self._token_index is None:
-            self._token_index = TokenIndex(self.files)
-        return self._token_index
 
     def with_file(self, name: str, text: str) -> "CodeBase":
         files = dict(self.files)
@@ -427,19 +405,14 @@ class PatchSet:
         and (with a disk-backed memo) fresh processes skip transforms whose
         outcome is already known, byte-identically.
         """
-        if isinstance(codebase, CodeBase):
-            files = codebase.files
-            index = codebase.token_index() if prefilter else None
-        else:
-            files = dict(codebase)
-            index = None
+        files = codebase.files if isinstance(codebase, CodeBase) \
+            else dict(codebase)
         if since is None:
             return self.pipeline(jobs=jobs, prefilter=prefilter,
-                                 compile=compile, memo=memo) \
-                .run(files, token_index=index)
+                                 compile=compile, memo=memo).run(files)
         return self.incremental(jobs=jobs, prefilter=prefilter,
                                 compile=compile, memo=memo) \
-            .run(files, since=since, token_index=index)
+            .run(files, since=since)
 
     def transform(self, codebase: "CodeBase", *,
                   jobs: "int | str" = 1, prefilter: bool = True,

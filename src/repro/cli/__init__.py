@@ -1,5 +1,2 @@
-"""Command-line interface (an ``spatch``-like driver)."""
-
-from .spatch import main
-
-__all__ = ["main"]
+"""Command-line interface (an ``spatch``-like driver): ``repro.cli.spatch``
+and ``repro.cli.spatchd``, each run as a module or a console script."""

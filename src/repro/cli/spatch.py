@@ -74,7 +74,6 @@ from ..engine.report import dumps, profile_payload, result_payload
 from ..errors import PatchFileError, ReproError, patch_error_line
 from ..obs import registry as _obs
 from ..obs import trace as _trace
-from ..obs.journal import open_journal
 from ..options import SpatchOptions
 
 #: pseudo cookbook name expanding to the whole-cookbook pipeline preset
@@ -86,6 +85,19 @@ def _cookbook_builders():
     from ..cookbook import builders
 
     return builders()
+
+
+def _prune_bound(text: str) -> float:
+    """argparse type of the ``--memo-prune`` bounds: a negative (or NaN)
+    bound would delete every entry, so it is a usage error."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+# argparse names the type in its "invalid float value: 'x'" message
+_prune_bound.__name__ = "float"
 
 
 class _PatchArg(argparse.Action):
@@ -185,12 +197,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="one-shot GC of --memo-dir: delete entries past "
                              "--memo-max-mb/--memo-max-age (oldest first), "
                              "print a summary, and exit")
-    parser.add_argument("--memo-max-mb", type=float, default=None,
-                        metavar="MB",
+    parser.add_argument("--memo-max-mb", type=_prune_bound,
+                        default=None, metavar="MB",
                         help="with --memo-prune: keep the memo directory "
                              "under MB megabytes (oldest entries go first)")
-    parser.add_argument("--memo-max-age", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--memo-max-age", type=_prune_bound,
+                        default=None, metavar="SECONDS",
                         help="with --memo-prune: delete memo entries older "
                              "than SECONDS")
     parser.add_argument("--auth-token", metavar="TOKEN", default=None,
@@ -268,14 +280,12 @@ def _build_patches(patch_args: list[tuple[str, str]],
     return patches
 
 
-def _profile_lines(result, codebase: CodeBase, counts,
-                   memo=None) -> list[str]:
+def _profile_lines(result, counts, memo=None) -> list[str]:
     """The local ``--profile`` stderr block: the run's stats and reuse
     breakdown, then the counters beyond them — process-wide parse-cache
     traffic (hits/misses/dedup waits/evictions) and compiled-matcher
-    counters from the registry, plus the run's token-index scan reuse and —
-    with ``--memo-dir`` or ``--watch`` — the transform memo's two-tier
-    traffic from its capture ``counts``."""
+    counters from the registry, plus — with ``--memo-dir`` or ``--watch`` —
+    the transform memo's two-tier traffic from its capture ``counts``."""
     from ..engine.cache import DEFAULT_TREE_CACHE
     from ..engine.compile import matcher_counters
 
@@ -288,11 +298,6 @@ def _profile_lines(result, codebase: CodeBase, counts,
                  f"{cache['max_entries']} entries, {cache['hits']} hit(s), "
                  f"{cache['misses']} miss(es), {cache['dedup_waits']} dedup "
                  f"wait(s), {cache['evictions']} eviction(s)")
-    token_index = codebase._token_index
-    if token_index is not None:
-        counters = token_index.counters(counts)
-        lines.append(f"# token index: {counters['scan_hits']} cached scan(s) "
-                     f"reused, {counters['scan_misses']} fresh scan(s)")
     matcher = matcher_counters()
     lines.append(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
                  f"compiled, {matcher['rules_fallback']} interpreted "
@@ -422,9 +427,8 @@ def _stat_patch_files(patch_args: list[tuple[str, str]],
 
 def _refresh_codebase(codebase: CodeBase, paths: dict[str, pathlib.Path],
                       targets: list[str]) -> list[str]:
-    """Fold the targets' on-disk state into ``codebase`` (through the
-    index-maintaining accessors) and return the names that actually changed
-    content — added, updated or removed."""
+    """Fold the targets' on-disk state into ``codebase`` and return the
+    names that actually changed content — added, updated or removed."""
     fresh, fresh_paths = _load_codebase(targets, missing_ok=True)
     delta: list[str] = []
     for name, text in fresh.items():
@@ -480,7 +484,11 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     tracer = _trace.start_trace("repro-spatch") if args.trace else None
-    journal = open_journal(args.journal)
+    journal = None
+    if args.journal:
+        from ..obs.journal import Journal
+
+        journal = Journal(args.journal)
     try:
         return _run(parser, args, options, journal)
     finally:
@@ -558,13 +566,12 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
     payload = result_payload(result, patches, **_payload_flags(args))
     profile_lines = []
     if args.profile and result.stats is not None:
-        profile_lines = _profile_lines(result, codebase, counts, memo=memo)
+        profile_lines = _profile_lines(result, counts, memo=memo)
     if args.profile and args.json:
         from ..engine.cache import DEFAULT_TREE_CACHE
 
         payload["profile"] = profile_payload(
-            result, counts, cache=DEFAULT_TREE_CACHE,
-            token_index=codebase._token_index, memo=memo)
+            result, counts, cache=DEFAULT_TREE_CACHE, memo=memo)
     names = codebase.names()
     code = _render(payload, names, paths, args, profile_lines)
     if not args.watch:

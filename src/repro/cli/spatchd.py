@@ -120,23 +120,24 @@ def main(argv: "list[str] | None" = None) -> int:
 
     log = (lambda message: print(f"spatchd: {message}", file=sys.stderr,
                                  flush=True)) if args.verbose else None
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-        return 2
     if (args.memo_max_mb is not None or args.memo_max_age is not None) \
             and args.memo_dir is None:
         parser.error("--memo-max-mb/--memo-max-age need --memo-dir")
         return 2
-    service = PatchService(max_workspaces=args.max_workspaces,
-                           cache_entries=args.cache_entries,
-                           default_jobs=jobs, log=log,
-                           memo_entries=args.memo_entries,
-                           memo_dir=args.memo_dir,
-                           workers=args.workers,
-                           state_root=args.state_root,
-                           memo_max_bytes=int(args.memo_max_mb * 1024 * 1024)
-                           if args.memo_max_mb is not None else None,
-                           memo_max_age=args.memo_max_age)
+    try:
+        service = PatchService(
+            max_workspaces=args.max_workspaces,
+            cache_entries=args.cache_entries, default_jobs=jobs, log=log,
+            memo_entries=args.memo_entries, memo_dir=args.memo_dir,
+            workers=args.workers, state_root=args.state_root,
+            memo_max_bytes=int(args.memo_max_mb * 1024 * 1024)
+            if args.memo_max_mb is not None else None,
+            memo_max_age=args.memo_max_age)
+    except (ValueError, OverflowError) as exc:
+        # the service owns the sizing minimums; a size it refuses (or an
+        # --memo-max-mb that is no byte count) is a usage error
+        parser.error(str(exc))
+        return 2
     for entry in args.workspace_root:
         name, sep, root = entry.partition("=")
         if not sep or not name or not root:

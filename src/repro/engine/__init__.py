@@ -17,7 +17,7 @@ from .report import FileResult, PatchResult, RuleReport
 from .cache import DEFAULT_TREE_CACHE, TreeCache, content_sha1
 from .memo import MemoEntry, TransformMemo
 from .session import FileSession
-from .prefilter import PatchPrefilter, TokenIndex, required_tokens, scan_token_set
+from .prefilter import PatchPrefilter, required_tokens, scan_token_set
 from .engine import Engine
 from .pipeline import (FileRecord, PatchPipeline, PipelinePrefilter,
                        PipelineResult, PipelineStats, patch_fingerprint,
@@ -34,7 +34,7 @@ __all__ = [
     "DEFAULT_TREE_CACHE", "TreeCache", "content_sha1",
     "MemoEntry", "TransformMemo",
     "FileSession",
-    "PatchPrefilter", "TokenIndex", "required_tokens", "scan_token_set",
+    "PatchPrefilter", "required_tokens", "scan_token_set",
     "Engine",
     "FileRecord", "PatchPipeline", "PipelinePrefilter", "PipelineResult",
     "PipelineStats", "patch_fingerprint",

@@ -1402,14 +1402,6 @@ def _compile_key(patch: SemanticPatchAST, options: SpatchOptions) -> str:
     return patch_fingerprint(patch, options, "<compiled>")
 
 
-def compile_key(patch: SemanticPatchAST, options: SpatchOptions) -> str:
-    """The cache identity of ``patch``'s compiled form — what
-    :func:`evict_compiled` would drop.  Holders that share the global cache
-    (the server's workspaces refcount these keys) use it to agree on when an
-    eviction is actually safe."""
-    return _compile_key(patch, options)
-
-
 def compiled_patch_for(patch: SemanticPatchAST,
                        options: SpatchOptions) -> CompiledPatch:
     """The (globally cached) compiled form of ``patch`` under ``options``,
@@ -1432,19 +1424,6 @@ def compiled_patch_for(patch: SemanticPatchAST,
             _MATCHER["compile_cache_evictions"].inc()
         _M_COMPILE_ENTRIES.set(len(_COMPILE_CACHE))
     return compiled
-
-
-def evict_compiled(patch: SemanticPatchAST, options: SpatchOptions) -> bool:
-    """Drop a patch's compiled form (the server calls this when its
-    per-workspace patch-spec LRU evicts the spec that produced it)."""
-    key = _compile_key(patch, options)
-    with _COMPILE_LOCK:
-        if key in _COMPILE_CACHE:
-            del _COMPILE_CACHE[key]
-            _MATCHER["compile_cache_evictions"].inc()
-            _M_COMPILE_ENTRIES.set(len(_COMPILE_CACHE))
-            return True
-    return False
 
 
 def compile_cache_info() -> dict:

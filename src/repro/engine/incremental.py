@@ -64,7 +64,6 @@ from ..options import SpatchOptions
 from ..smpl.ast import SemanticPatchAST
 from .cache import TreeCache, content_sha1
 from .pipeline import FileRecord, PatchPipeline, PipelineResult
-from .prefilter import TokenIndex
 
 
 @dataclass
@@ -138,33 +137,32 @@ class IncrementalPipeline:
     # -- public API -----------------------------------------------------------
 
     def run(self, files: dict[str, str],
-            since: Optional[PipelineResult] = None,
-            token_index: Optional[TokenIndex] = None) -> PipelineResult:
+            since: Optional[PipelineResult] = None) -> PipelineResult:
         """Apply every patch to ``{filename: text}``, splicing ``since``'s
         cached per-file results wherever the content hash is unchanged (a
         changed patch list runs cold, answered by the memo where it can)."""
         with _obs.Capture() as counts:
-            result = self._run(files, since, token_index)
+            result = self._run(files, since)
         result.stats.take_counts(counts)
         return result
 
-    def _run(self, files: dict[str, str], since: Optional[PipelineResult],
-             token_index: Optional[TokenIndex]) -> PipelineResult:
+    def _run(self, files: dict[str, str],
+             since: Optional[PipelineResult]) -> PipelineResult:
         started = time.perf_counter()
         pipeline = self.pipeline
         incremental = IncrementalStats(files_total=len(files),
                                        patches_total=len(pipeline.patches))
         reason = self._refusal(since)
         if reason is not None:
-            result = pipeline._run(files, token_index)
+            result = pipeline._run(files)
         else:
-            result = pipeline._run(files, token_index, since=since,
+            result = pipeline._run(files, since=since,
                                    reused=self._reusable(files, since,
                                                          incremental))
             if result is None:  # discarded: the engines are fresh again
                 reason = ("a script rule mutated its namespace in a re-run "
                           "file, so spliced results would skew it")
-                result = pipeline._run(files, token_index, serial=True)
+                result = pipeline._run(files, serial=True)
         if reason is not None:
             incremental = IncrementalStats(
                 files_total=len(files), files_changed=len(files),

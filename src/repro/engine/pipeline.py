@@ -75,7 +75,7 @@ from .cache import (DEFAULT_TREE_CACHE, TreeCache, content_sha1,
                     parse_cache_counts)
 from .compile import backend_enabled
 from .memo import TransformMemo, memo_counts, memo_flags
-from .prefilter import PatchPrefilter, TokenIndex, scan_token_set
+from .prefilter import PatchPrefilter, token_set
 from .report import FileResult, PatchResult
 from .scripting import namespace_digest
 
@@ -626,16 +626,15 @@ class PatchPipeline:
 
     # -- public API -----------------------------------------------------------
 
-    def run(self, files: dict[str, str],
-            token_index: Optional[TokenIndex] = None) -> PipelineResult:
+    def run(self, files: dict[str, str]) -> PipelineResult:
         """Apply every patch, in order, to ``{filename: text}``."""
         with _obs.Capture() as counts:
-            result = self._run(files, token_index)
+            result = self._run(files)
         result.stats.take_counts(counts)
         return result
 
-    def _run(self, files: dict[str, str], token_index: Optional[TokenIndex],
-             serial: bool = False, since: Optional[PipelineResult] = None,
+    def _run(self, files: dict[str, str], serial: bool = False,
+             since: Optional[PipelineResult] = None,
              reused: Optional[dict] = None) -> Optional[PipelineResult]:
         """One pass over ``files``.  ``reused`` maps the names whose results
         splice from ``since`` to their records (see
@@ -653,16 +652,14 @@ class PatchPipeline:
         self._run_initialize(files)
         rerun = {name: text for name, text in files.items()
                  if name not in reused} if reused else files
-        outcomes, skipped = self._plan_and_apply(rerun, token_index, stats,
-                                                 serial)
+        outcomes, skipped = self._plan_and_apply(rerun, stats, serial)
         impure = _impure_patches(outcomes.values())
         if impure and (reused or stats.jobs_used > 1):
             # each worker (or the prior run) mutated its own copy of the
             # namespace: only a serial run from fresh engines gives the
             # scripts their meaning
             self.engines = self._new_engines()
-            return None if reused else self._run(files, token_index,
-                                                 serial=True)
+            return None if reused else self._run(files, serial=True)
 
         # ---- assemble in input order: splice or take the fresh outcome
         result, per_patch_stats = self._fresh_result(len(files), stats.jobs_used)
@@ -686,9 +683,8 @@ class PatchPipeline:
 
     # -- run() building blocks ------------------------------------------------
 
-    def _plan_and_apply(self, files: dict[str, str],
-                        token_index: Optional[TokenIndex],
-                                        stats: PipelineStats, serial: bool,
+    def _plan_and_apply(self, files: dict[str, str], stats: PipelineStats,
+                        serial: bool,
                         ) -> tuple[dict[str, _FileOutcome], set[str]]:
         """Token-scan ``files``, run the surviving sessions (serial or over
         worker processes) and return ``(outcomes, whole-skipped names)``.
@@ -701,8 +697,8 @@ class PatchPipeline:
             if self.prefilter is None:
                 work.append((name, text, None))
                 continue
-            tokens = token_index.tokens_of(name, text) if token_index is not None \
-                else scan_token_set(text)
+            with _obs.phase("prefilter"):
+                tokens = token_set(text)
             if self.prefilter.needs_any_session(tokens):
                 work.append((name, text, tokens))
             else:

@@ -50,20 +50,13 @@ unconditionally in every file, so its presence keeps sessions alive).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from ..lang.lexer import ANNOT_PLUS, TokenKind, after_number, scan_word_tokens
-from ..obs import registry as _obs
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
-
-_M_SCAN_HITS = _obs.REGISTRY.counter(
-    "repro_prefilter_scans_total", "Prefilter token-scan lookups",
-    result="hit")
-_M_SCAN_MISSES = _obs.REGISTRY.counter(
-    "repro_prefilter_scans_total", "Prefilter token-scan lookups",
-    result="miss")
 
 #: punctuators that are selective enough to gate on and that no isomorphism
 #: can rewrite into another spelling
@@ -80,6 +73,21 @@ def scan_token_set(text: str) -> frozenset[str]:
         if punct in text:
             tokens.add(punct)
     return frozenset(tokens)
+
+
+#: texts whose token sets :func:`token_set` keeps, process-wide (the
+#: default parse cache's bound: a tree that stays parsed stays scanned)
+MAX_CACHED_SCANS = 512
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_SCANS)
+def token_set(text: str) -> frozenset[str]:
+    """``scan_token_set(text)``, keyed on the text itself, so a hit is never
+    stale.  The pipeline plans every file through it: when the patch list
+    changes over an unchanged tree (an edited sp-file under ``--watch``, a
+    new SMPL revision per service request) every file re-plans, and the
+    unchanged ones answer without a fresh scan."""
+    return scan_token_set(text)
 
 
 class TokenQuery:
@@ -315,55 +323,3 @@ class PatchPrefilter:
             elif rule.name in allowed:
                 may_apply.add(rule.name)
         return bool(may_apply)
-
-
-class TokenIndex:
-    """Lazy per-file token sets for a collection of sources (the
-    per-code-base index the pipeline consults; cached by
-    :meth:`repro.api.CodeBase.token_index`)."""
-
-    def __init__(self, files: Optional[Mapping[str, str]] = None):
-        self._files: dict[str, str] = dict(files) if files else {}
-        #: name -> (text the scan was made from, its token set); the text is
-        #: kept so a stale entry is detected when a caller hands us newer
-        #: contents for the same name (files dicts are mutated in place)
-        self._scanned: dict[str, tuple[str, frozenset[str]]] = {}
-
-    def add(self, name: str, text: str) -> None:
-        self._files[name] = text
-        self._scanned.pop(name, None)
-
-    def remove(self, name: str) -> None:
-        """Forget a file entirely — a deleted file must never answer a later
-        prefilter query with stale tokens."""
-        self._files.pop(name, None)
-        self._scanned.pop(name, None)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._files
-
-    def tokens_of(self, name: str, text: Optional[str] = None) -> frozenset[str]:
-        if text is None:
-            text = self._files.get(name, "")
-        cached = self._scanned.get(name)
-        if cached is not None:
-            cached_text, tokens = cached
-            if cached_text is text or cached_text == text:
-                _M_SCAN_HITS.inc()
-                return tokens
-        with _obs.phase("prefilter"):
-            tokens = scan_token_set(text)
-        self._scanned[name] = (text, tokens)
-        _M_SCAN_MISSES.inc()
-        return tokens
-
-    def counters(self, counts) -> dict:
-        """The index's sizes plus the scan reuse ``counts`` recorded —
-        queries answered from a cached scan vs. fresh regex scans run
-        (consumed by ``--profile`` and the server's ``stats`` verb)."""
-        return {"files": len(self._files), "scanned": len(self._scanned),
-                "scan_hits": counts.total(_M_SCAN_HITS),
-                "scan_misses": counts.total(_M_SCAN_MISSES)}
-
-    def __len__(self) -> int:
-        return len(self._files)

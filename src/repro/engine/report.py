@@ -218,15 +218,14 @@ def result_payload(result, patches: Sequence, *, include_diff: bool = True,
     }
 
 
-def profile_payload(result, counts, *, cache=None, token_index=None,
-                    memo=None) -> dict:
+def profile_payload(result, counts, *, cache=None, memo=None) -> dict:
     """The volatile companion of :func:`result_payload`: timings and
     coverage from the run's stats, the incremental reuse breakdown, and —
     from ``counts``, the run's :class:`~repro.obs.registry.Capture` — the
-    cache/prefilter/memo/matcher traffic and per-phase wall times of that
-    run alone (pass the :class:`~repro.engine.cache.TreeCache` / token
-    index / :class:`~repro.engine.memo.TransformMemo` actually used; their
-    sizes ride along)."""
+    cache/memo/matcher traffic and per-phase wall times of that run alone
+    (pass the :class:`~repro.engine.cache.TreeCache` /
+    :class:`~repro.engine.memo.TransformMemo` actually used; their sizes
+    ride along)."""
     from .compile import matcher_counters
 
     payload: dict = {}
@@ -238,8 +237,6 @@ def profile_payload(result, counts, *, cache=None, token_index=None,
         payload["incremental"] = incremental.as_dict()
     if cache is not None:
         payload["parse_cache"] = cache.counters(counts)
-    if token_index is not None:
-        payload["token_index"] = token_index.counters(counts)
     if memo is not None:
         payload["memo"] = memo.counters(counts)
     payload["matcher"] = matcher_counters(counts)

@@ -1,7 +1,7 @@
 """``spatchd``: a persistent patch-application service.
 
 A cold ``repro-spatch`` invocation pays full start-up on every run —
-re-parsing SMPL, rebuilding token indexes, re-parsing every source file —
+re-parsing SMPL and every source file —
 and the warm state the incremental layers build
 (:class:`~repro.engine.cache.TreeCache`,
 :class:`~repro.engine.incremental.IncrementalPipeline` splicing) dies
@@ -10,10 +10,10 @@ This package keeps it alive instead, the way editor tooling keeps a
 language server warm rather than re-running a batch compiler:
 
 * :mod:`~repro.server.service` — the framework-free, thread-safe core:
-  named **workspaces** (code base + token index + last result, over one
-  shared parse cache and one transform memo) with per-workspace locking,
-  LRU eviction and, with a state root, restart survival through JSON
-  file manifests over the memo directory;
+  named **workspaces** (code base + last result, over one shared parse
+  cache, one patch-spec cache and one transform memo) with per-workspace
+  locking, LRU eviction and, with a state root, restart survival through
+  JSON file manifests over the memo directory;
 * :mod:`~repro.server.protocol` — newline-delimited JSON framing (the
   result schema it carries lives in :mod:`repro.engine.report`, shared
   with ``repro-spatch``);

@@ -10,8 +10,7 @@ state PRs 3–4 built but which previously died with every CLI process:
 * the service's one content-addressed
   :class:`~repro.engine.cache.TreeCache`, shared with every other
   workspace (identical files parse once service-wide; each workspace's
-  cache counters come from its own capture),
-* the lazily built prefilter token index (owned by the code base), and
+  cache counters come from its own capture), and
 * the last :class:`~repro.engine.pipeline.PipelineResult`, seeding every
   subsequent ``apply`` through
   :class:`~repro.engine.incremental.IncrementalPipeline` — repeated
@@ -26,8 +25,10 @@ queries and the fleet workers' applies all build their
 :class:`~repro.engine.incremental.IncrementalPipeline` there, store the
 result (and save its manifest) there, and render the result and profile
 payloads there.  The verbs differ only in what they hand it: the files
-(the live code base or the published snapshot), the ``since=`` seed, the
-token index, and whether the result is stored.
+(the live code base or the published snapshot), the ``since=`` seed and
+whether the result is stored.  The patches they hand it come from the
+service's one spec cache (:meth:`PatchService.build_patches`), shared by
+every workspace: the same SMPL text parses once service-wide.
 
 Concurrency model
 -----------------
@@ -86,7 +87,6 @@ from typing import Optional, Sequence
 
 from ..api import CodeBase, SemanticPatch
 from ..engine.cache import TreeCache, content_sha1
-from ..engine.compile import compile_key, evict_compiled
 from ..engine.incremental import IncrementalPipeline
 from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo, atomic_write
 from ..engine.pipeline import PipelineResult
@@ -114,7 +114,7 @@ DEFAULT_SERVICE_CACHE_ENTRIES = 2048
 #: format tag for workspace manifests; any other version restores nothing
 _MANIFEST_VERSION = 1
 
-#: LRU bound on built-patch specs cached per workspace: an authoring loop
+#: LRU bound on the service's built-patch spec cache: an authoring loop
 #: ships a fresh SMPL revision per request (new content hash, new key), so
 #: without a bound the cache would grow with every edit ever made
 MAX_CACHED_PATCH_SPECS = 64
@@ -131,43 +131,9 @@ class ServiceError(Exception):
         self.kind = kind
 
 
-#: how many live spec-cache entries pin each compiled-patch cache key.  The
-#: compile cache is process-wide, so the pins are too: every workspace of
-#: every service in this process (or of one fleet worker) counts here, and a
-#: compiled form is only evicted from the cache when its last holder lets go
-_COMPILE_REFS: dict[str, int] = {}
-_COMPILE_LOCK = threading.Lock()
-
-
-def _retain_compiled(patches: Sequence[SemanticPatch]) -> None:
-    """Pin the compiled-cache keys of one freshly cached spec's patches
-    (one reference per live spec-cache entry holding them)."""
-    with _COMPILE_LOCK:
-        for patch in patches:
-            key = compile_key(patch.ast, patch.options)
-            _COMPILE_REFS[key] = _COMPILE_REFS.get(key, 0) + 1
-
-
-def _release_compiled(patches: Sequence[SemanticPatch]) -> None:
-    """Unpin one evicted spec's patches; a compiled form is only evicted
-    from the global cache when no spec cache in the process holds its
-    fingerprint any more."""
-    for patch in patches:
-        key = compile_key(patch.ast, patch.options)
-        with _COMPILE_LOCK:
-            remaining = _COMPILE_REFS.get(key, 0) - 1
-            if remaining > 0:
-                _COMPILE_REFS[key] = remaining
-                continue
-            _COMPILE_REFS.pop(key, None)
-            last_holder = remaining == 0
-        if last_holder:
-            evict_compiled(patch.ast, patch.options)
-
-
 def spec_key(spec: dict, options_key: str) -> tuple:
     """The cache identity of one wire patch spec (kind, name, content
-    hash, options) in a workspace's spec cache."""
+    hash, options) in the service's spec cache."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ServiceError("bad-patch", "patch specs must be objects with "
                                         "a 'kind' field")
@@ -213,7 +179,10 @@ def parse_spec(spec: dict, options: Optional[SpatchOptions],
 
 
 class Workspace:
-    """One named unit of warm server state (see the module docstring).
+    """One named unit of warm server state (see the module docstring):
+    a code base and its last result.  It owns no cache: parse trees,
+    built patches and transform results live in the owning service and
+    are shared by every workspace.
 
     The daemon process holds one per open workspace; with a fleet, each
     worker's own service holds a copy of every workspace pinned to it,
@@ -259,18 +228,6 @@ class Workspace:
         #: flight, so a dispatched request can never lose its workspace
         #: between lookup and lock acquisition
         self.in_flight = 0
-        #: per-workspace LRU cache of built patches keyed by spec identity,
-        #: so repeated requests do not re-parse the same SMPL; never shared
-        #: across workspaces (patch ASTs then never cross workspace
-        #: threads), and bounded so an authoring loop saving a new SMPL
-        #: revision per request cannot grow it forever.  Entries pin their
-        #: compiled forms in the process-wide compile cache
-        self._patches: "OrderedDict[tuple, tuple[SemanticPatch, ...]]" = \
-            OrderedDict()
-        #: guards ``_patches`` alone, so the lock-free query path can build
-        #: patches without taking the workspace lock (mutating verbs hold
-        #: the workspace lock first, then this — one consistent order)
-        self._patches_lock = threading.Lock()
         self._watcher = None
         self._watch_thread: Optional[threading.Thread] = None
         self._watch_stop = threading.Event()
@@ -331,66 +288,10 @@ class Workspace:
         # the thread is a daemon and checks the stop flag after every wait;
         # don't join (a poll watcher may be mid-sleep)
 
-    # -- patch building ------------------------------------------------------
-
-    def build_patches(self, specs: Sequence[dict],
-                      options: Optional[SpatchOptions],
-                      ) -> list[SemanticPatch]:
-        """The ordered patch list a request's wire specs name, cached by
-        spec identity (kind, name, content hash, options) so steady-state
-        requests skip SMPL re-parsing.  Guarded by the dedicated spec-cache
-        lock, not the workspace lock — the lock-free query path builds
-        patches too."""
-        if not specs:
-            raise ServiceError("bad-request", "no patches given")
-        built: list[SemanticPatch] = []
-        options_key = repr(options)
-        for spec in specs:
-            key = spec_key(spec, options_key)
-            with self._patches_lock:
-                cached = self._patches.get(key)
-                if cached is not None:
-                    self._patches.move_to_end(key)
-            if cached is None:
-                # parse outside the lock (SMPL parsing is the slow part);
-                # two racing queries may both parse — last writer wins and
-                # the loser's pins are released, so the books balance
-                cached = tuple(parse_spec(spec, options))
-                _retain_compiled(cached)
-                overflow = []
-                with self._patches_lock:
-                    previous = self._patches.get(key)
-                    if previous is not None:
-                        overflow.append(cached)
-                        cached = previous
-                    else:
-                        self._patches[key] = cached
-                        while len(self._patches) > MAX_CACHED_PATCH_SPECS:
-                            # an evicted spec's compiled matchers would only
-                            # be rebuilt on a cache miss anyway; the drop is
-                            # refcounted process-wide, so another workspace
-                            # whose cached spec shares the fingerprint keeps
-                            # the compiled form hot
-                            overflow.append(
-                                self._patches.popitem(last=False)[1])
-                for evicted in overflow:
-                    _release_compiled(evicted)
-            built.extend(cached)
-        return built
-
-    def release_specs(self) -> None:
-        """Unpin everything the spec cache holds (eviction and shutdown),
-        letting now-orphaned compiled forms go."""
-        with self._patches_lock:
-            cached_specs = list(self._patches.values())
-            self._patches.clear()
-        for cached in cached_specs:
-            _release_compiled(cached)
-
     # -- runs ----------------------------------------------------------------
 
     def run(self, built: Sequence[SemanticPatch], *, files: dict,
-            since: Optional[PipelineResult], token_index, store: bool,
+            since: Optional[PipelineResult], store: bool,
             diff: bool, texts: bool, profile: bool,
             memo: Optional[TransformMemo], jobs: "int | str",
             prefilter: bool) -> dict:
@@ -412,7 +313,7 @@ class Workspace:
             names=[patch.name for patch in built],
             jobs=jobs, prefilter=prefilter, tree_cache=self.cache, memo=memo)
         with _obs.Capture() as counts:
-            result = pipeline.run(files, since=since, token_index=token_index)
+            result = pipeline.run(files, since=since)
         self.counts.add(counts)
         if store:
             self.last = result
@@ -423,9 +324,8 @@ class Workspace:
                                  include_texts=texts)
         payload["workspace"] = self.name
         if profile:
-            payload["profile"] = profile_payload(
-                result, counts, cache=self.cache, token_index=token_index,
-                memo=memo)
+            payload["profile"] = profile_payload(result, counts,
+                                                 cache=self.cache, memo=memo)
             payload["profile"]["restored"] = self.restored
         return payload
 
@@ -485,7 +385,6 @@ class Workspace:
     # -- stats --------------------------------------------------------------
 
     def stats_payload(self) -> dict:
-        token_index = self.codebase._token_index
         return {
             "name": self.name,
             "files": len(self.codebase),
@@ -497,10 +396,7 @@ class Workspace:
             "last_used": self.last_used,
             "has_result": self.last is not None,
             "restored": self.restored,
-            "patches_cached": len(self._patches),
             "parse_cache": self.cache.counters(self.counts),
-            "token_index": token_index.counters(self.counts)
-            if token_index is not None else None,
         }
 
 
@@ -549,6 +445,17 @@ class PatchService:
                  memo_dir=None, workers: int = 1,
                  state_root=None, memo_max_bytes: Optional[int] = None,
                  memo_max_age: Optional[float] = None):
+        # refuse sizes that would break every request (an empty workspace
+        # table, a negative bound) rather than fail on first use
+        for label, value, minimum in (
+                ("max_workspaces", max_workspaces, 1), ("workers", workers, 1),
+                ("cache_entries", cache_entries, 0),
+                ("memo_entries", memo_entries, 0),
+                ("memo_max_bytes", memo_max_bytes, 0),
+                ("memo_max_age", memo_max_age, 0)):
+            if value is not None and not value >= minimum:
+                raise ValueError(f"{label} must be >= {minimum}, "
+                                 f"got {value!r}")
         self.max_workspaces = max_workspaces
         self.default_jobs = default_jobs
         self.log = log or (lambda message: None)
@@ -571,6 +478,16 @@ class PatchService:
         #: ONE content-addressed parse cache shared by every workspace the
         #: same way: identical files parse once service-wide
         self.cache = TreeCache(max_entries=cache_entries)
+        #: ONE LRU of built patches keyed by spec identity (bounded by
+        #: ``MAX_CACHED_PATCH_SPECS``), shared by every workspace, so the
+        #: same SMPL text parses once service-wide (a run never mutates a
+        #: built patch, and compiled forms are shared process-wide anyway)
+        self._patches: "OrderedDict[tuple, tuple[SemanticPatch, ...]]" = \
+            OrderedDict()
+        #: guards ``_patches`` alone, so the lock-free query path can build
+        #: patches without taking a workspace lock (mutating verbs hold the
+        #: workspace lock first, then this — one consistent order)
+        self._patches_lock = threading.Lock()
         #: disk-tier GC policy, enforced opportunistically after applies
         self.memo_max_bytes = memo_max_bytes
         self.memo_max_age = memo_max_age
@@ -580,7 +497,7 @@ class PatchService:
         #: in-process execution is the exact pre-v2 path).  Forked *now*,
         #: before any daemon accept thread exists, so children never
         #: inherit a mid-acquire lock.
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self._fleet = None
         if self.workers >= 2:
             from .fleet import ApplyFleet
@@ -696,9 +613,39 @@ class PatchService:
                 _M_EVICTIONS.inc()
                 _M_WORKSPACES.dec()
                 workspace.close()
-                workspace.release_specs()
             finally:
                 workspace.lock.release()
+
+    # -- patch building ------------------------------------------------------
+
+    def build_patches(self, specs: Sequence[dict],
+                      options: Optional[SpatchOptions],
+                      ) -> list[SemanticPatch]:
+        """The ordered patch list a request's wire specs name, cached by
+        spec identity (kind, name, content hash, options) so steady-state
+        requests skip SMPL re-parsing.  Guarded by the dedicated spec-cache
+        lock, not a workspace lock — the lock-free query path builds
+        patches too."""
+        if not specs:
+            raise ServiceError("bad-request", "no patches given")
+        built: list[SemanticPatch] = []
+        options_key = repr(options)
+        for spec in specs:
+            key = spec_key(spec, options_key)
+            with self._patches_lock:
+                cached = self._patches.get(key)
+                if cached is not None:
+                    self._patches.move_to_end(key)
+            if cached is None:
+                # parse outside the lock (SMPL parsing is the slow part);
+                # two racing requests may both parse — the first stored wins
+                cached = tuple(parse_spec(spec, options))
+                with self._patches_lock:
+                    cached = self._patches.setdefault(key, cached)
+                    while len(self._patches) > MAX_CACHED_PATCH_SPECS:
+                        self._patches.popitem(last=False)
+            built.extend(cached)
+        return built
 
     # -- verbs ---------------------------------------------------------------
 
@@ -810,13 +757,10 @@ class PatchService:
                                      jobs=jobs, prefilter=prefilter,
                                      diff=diff, texts=texts, profile=profile)
         with self._checkout(name) as workspace, workspace.lock:
-            built = workspace.build_patches(patches,
-                                            options_from_payload(options))
+            built = self.build_patches(patches, options_from_payload(options))
             workspace.applies += 1
             payload = workspace.run(
                 built, files=workspace.codebase.files, since=workspace.last,
-                token_index=workspace.codebase.token_index()
-                if prefilter else None,
                 store=store, diff=diff, texts=texts, profile=profile,
                 memo=self.memo,
                 jobs=self.default_jobs if jobs is None else jobs,
@@ -886,15 +830,12 @@ class PatchService:
         incremental engine re-verifies every content hash before reusing
         anything."""
         with self._checkout(name) as workspace:
-            built = workspace.build_patches(patches,
-                                            options_from_payload(options))
+            built = self.build_patches(patches, options_from_payload(options))
             # the atomically published file snapshot and the immutable last
-            # result; no token index: it is owned (and lazily built) by the
-            # code base under the workspace lock this path must not take, so
-            # the prefilter falls back to direct token scans
+            # result
             return workspace.run(
                 built, files=workspace._files_view, since=workspace.last,
-                token_index=None, store=False, diff=False, texts=False,
+                store=False, diff=False, texts=False,
                 profile=profile, memo=self.memo,
                 jobs=self.default_jobs if jobs is None else jobs,
                 prefilter=prefilter)
@@ -903,9 +844,11 @@ class PatchService:
     def stats(self, name: Optional[str] = None) -> dict:
         """Service- and per-workspace counters: sizes, plus the traffic the
         service's requests (and each workspace's runs) counted — cache
-        hit/miss/dedup and prefilter scan reuse included."""
+        hit/miss/dedup included."""
         with self._lock:
             workspaces = list(self._workspaces.values())
+        with self._patches_lock:  # the LRU overshoots by one inside it
+            patches_cached = len(self._patches)
         payload = {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
@@ -914,6 +857,7 @@ class PatchService:
             "workers": self.workers,
             "requests_total": self.counts.total(_M_REQUESTS),
             "evictions": self.counts.total(_M_EVICTIONS),
+            "patches_cached": patches_cached,
         }
         from ..engine.compile import compile_cache_info, matcher_counters
 
@@ -966,7 +910,6 @@ class PatchService:
             _M_WORKSPACES.dec(len(workspaces))
         for workspace in workspaces:
             workspace.close()
-            workspace.release_specs()
         if self._fleet is not None:
             self._fleet.close()
 

@@ -358,24 +358,6 @@ class TestCounters:
         assert fresh["hits"] == fresh["misses"] == 0
 
 
-class TestTokenIndexCounters:
-    def test_scan_reuse_counted(self):
-        from repro.engine.prefilter import TokenIndex
-
-        index = TokenIndex({"a.c": "int alpha;\n"})
-        with Capture() as counts:
-            index.tokens_of("a.c")
-            index.tokens_of("a.c")
-        counters = index.counters(counts)
-        assert counters["scan_misses"] == 1
-        assert counters["scan_hits"] == 1
-        # new content for the same name forces a fresh scan
-        index.add("a.c", "int beta;\n")
-        with counts:
-            assert "beta" in index.tokens_of("a.c")
-        assert index.counters(counts)["scan_misses"] == 2
-
-
 class TestRecencyExactness:
     """The LRU order the cache evicts by is true recency."""
 

@@ -183,6 +183,69 @@ class TestMemoDirectoryErrors:
         assert "--incremental and --memo-dir" in err
 
 
+class TestSizingFlags:
+    """A sizing flag that would break the daemon or wipe the memo is a
+    usage error: exit 2 with one ``error:`` line, before anything runs."""
+
+    def _usage_error(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines()
+                    if "error:" in line]) == 1
+        return err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-workspaces", "0", "max_workspaces must be >= 1"),
+        ("--workers", "0", "workers must be >= 1"),
+        ("--cache-entries", "-1", "cache_entries must be >= 0"),
+        ("--memo-entries", "-1", "memo_entries must be >= 0"),
+        ("--memo-max-mb", "-5", "memo_max_bytes must be >= 0"),
+        ("--memo-max-mb", "nan", "cannot convert float NaN"),
+        ("--memo-max-mb", "inf", "cannot convert float infinity"),
+        ("--memo-max-age", "-5", "memo_max_age must be >= 0"),
+        ("--memo-max-age", "nan", "memo_max_age must be >= 0"),
+    ])
+    def test_daemon_refuses_breaking_sizes(self, flag, value, message,
+                                           tmp_path, capsys):
+        """The service owns the minimums; the daemon reports its refusal."""
+        from repro.cli.spatchd import main as spatchd_main
+
+        err = self._usage_error(spatchd_main, [
+            "--listen", f"unix:{tmp_path}/x.sock", "--memo-dir",
+            str(tmp_path / "memo"), flag, value], capsys)
+        assert f"error: {message}" in err
+        assert not (tmp_path / "x.sock").exists()
+        assert not (tmp_path / "memo").exists()
+
+    @pytest.fixture
+    def memo_dir(self, tmp_path, target, capsys):
+        patch = tmp_path / "p.cocci"
+        patch.write_text(SMPL_MATCH)
+        memo = tmp_path / "memo"
+        run(["--sp-file", str(patch), "--memo-dir", str(memo), str(target)],
+            capsys)
+        assert any(memo.rglob("*.memo"))
+        return memo
+
+    @pytest.mark.parametrize("flag", ["--memo-max-mb", "--memo-max-age"])
+    def test_negative_prune_bound_keeps_the_memo(self, flag, memo_dir,
+                                                 capsys):
+        before = sorted(memo_dir.rglob("*"))
+        err = self._usage_error(spatch_main, [
+            "--memo-prune", "--memo-dir", str(memo_dir), flag, "-5"], capsys)
+        assert f"argument {flag}: must be >= 0, got -5" in err
+        assert sorted(memo_dir.rglob("*")) == before
+
+    def test_zero_size_bound_still_prunes_everything(self, memo_dir, capsys):
+        rc, _captured = run(["--memo-prune", "--memo-dir", str(memo_dir),
+                             "--memo-max-mb", "0"], capsys)
+        assert rc == 0
+        assert not any(memo_dir.rglob("*.memo"))
+
+
 class TestServerExitParity:
     @pytest.mark.parametrize("flag, name, match, no_match, bad", PATCH_KINDS,
                              ids=IDS)

@@ -103,8 +103,8 @@ def test_local_and_server_runs_print_the_same(flags, layout, daemon,
 
 
 def test_cli_import_loads_no_server_module():
-    """Importing the CLI loads no server, frontend or watch module: each
-    is imported only by the flag that needs it."""
+    """Importing the CLI loads no server, frontend, watch or journal
+    module: each is imported only by the flag that needs it."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     loaded = subprocess.run(
@@ -112,6 +112,19 @@ def test_cli_import_loads_no_server_module():
          "import sys, repro.cli.spatch; "
          "print(sorted(name for name in sys.modules "
          "if name.startswith(('repro.server', 'repro.frontends')) "
-         "or name == 'repro.watch'))"],
+         "or name in ('repro.watch', 'repro.obs.journal')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["repro.cli.spatch", "repro.cli.spatchd"])
+def test_module_entry_point_writes_nothing_to_stderr(module):
+    """``python -m`` runs the module without a runpy warning: the package
+    does not import its entry-point modules ahead of them."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    ran = subprocess.run([sys.executable, "-m", module, "--version"],
+                         env=env, capture_output=True, text=True)
+    assert ran.returncode == 0
+    assert ran.stdout.startswith(f"repro-{module.rsplit('.', 1)[1]} ")
+    assert ran.stderr == ""

@@ -19,8 +19,7 @@ from repro import CodeBase, PatchSet
 from repro.engine.bindings import EMPTY_ENV
 from repro.engine.compile import (CompiledPatch, CompiledRule, backend_enabled,
                                   clear_compile_cache, compile_cache_info,
-                                  compiled_patch_for, evict_compiled,
-                                  matcher_counters)
+                                  compiled_patch_for, matcher_counters)
 from repro.engine.matcher import Matcher
 from repro.engine.prefilter import PatchPrefilter, TokenQuery, scan_token_set
 from repro.lang.parser import parse_source
@@ -287,17 +286,26 @@ class TestCompileCache:
         crule = compiled_a.rule_for(twin_rule)
         assert crule is not None and crule.rule.name == twin_rule.name
 
-    def test_evict_compiled_drops_the_entry(self):
+    def test_lru_bound_ages_out_the_coldest_form(self, monkeypatch):
+        from repro.engine import compile as compile_module
+
+        monkeypatch.setattr(compile_module, "MAX_COMPILED_PATCHES", 2)
         clear_compile_cache()
-        patch = parse_semantic_patch(TRIE_PATCH)
-        compiled_patch_for(patch, patch.options)
-        assert compile_cache_info()["entries"] == 1
-        entries = REGISTRY.gauge("repro_compile_cache_entries")
-        assert entries.value == 1
-        assert evict_compiled(patch, patch.options) is True
-        assert compile_cache_info()["entries"] == 0
-        assert entries.value == 0
-        assert evict_compiled(patch, patch.options) is False
+        patches = [parse_semantic_patch(f"@r@ @@\n- lru_{index}();\n")
+                   for index in range(3)]
+        with Capture() as counts:
+            for patch in patches:
+                compiled_patch_for(patch, patch.options)
+            compiled_patch_for(patches[2], patches[2].options)  # still hot
+            compiled_patch_for(patches[0], patches[0].options)  # aged out
+        counters = matcher_counters(counts)
+        assert counters["compile_cache_misses"] == 4
+        assert counters["compile_cache_hits"] == 1
+        assert counters["compile_cache_evictions"] == 2
+        assert compile_cache_info()["entries"] == 2
+        assert REGISTRY.gauge("repro_compile_cache_entries").value == 2
+        clear_compile_cache()
+        assert REGISTRY.gauge("repro_compile_cache_entries").value == 0
 
     def test_engine_compile_kwarg_beats_environment(self, monkeypatch):
         from repro.engine.engine import Engine

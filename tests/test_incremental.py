@@ -511,25 +511,16 @@ class TestIncrementalStats:
 # ---------------------------------------------------------------------------
 
 class TestCodeBaseMutation:
-    def test_delitem_removes_file_and_index_entry(self):
-        codebase = CodeBase.from_files(
-            {"a.c": "void f(void) { unique_marker(); }\n", "b.c": "int x;\n"})
-        index = codebase.token_index()
-        assert "unique_marker" in index.tokens_of("a.c")
-        del codebase["a.c"]
-        assert "a.c" not in codebase
-        assert "a.c" not in index
-        assert index.tokens_of("a.c") == frozenset()  # no stale tokens
-
     def test_delitem_keeps_prefilter_exact(self):
-        """The regression the fix targets: after a deletion, an apply over
-        the same CodeBase must not consult stale index entries."""
+        """After a deletion, an apply over the same CodeBase sees neither
+        the file nor anything scanned from it."""
         codebase = CodeBase.from_files(
             {"hit.c": "void f(void) { old_api(); }\n", "miss.c": "int x;\n"})
         patch = SemanticPatch.from_string(RENAME_A)
         first = patch.apply(codebase)
         assert first["hit.c"].changed
         del codebase["hit.c"]
+        assert "hit.c" not in codebase
         second = patch.apply(codebase)
         assert list(second.files) == ["miss.c"]
         assert second.total_matches == 0
@@ -543,8 +534,9 @@ class TestCodeBaseMutation:
         (tmp_path / "edit.c").write_text("int before;\n")
         (tmp_path / "gone.c").write_text("int gone;\n")
         codebase = CodeBase.from_dir(tmp_path)
-        index = codebase.token_index()
-        assert "gone" in index.tokens_of("gone.c")
+        patch = SemanticPatch.from_string(
+            "@r@ @@\n- int gone;\n+ int kept;\n")
+        assert patch.apply(codebase)["gone.c"].changed
 
         (tmp_path / "edit.c").write_text("int after;\n")
         (tmp_path / "fresh.c").write_text("int fresh;\n")
@@ -555,9 +547,13 @@ class TestCodeBaseMutation:
                          "removed": ["gone.c"]}
         assert codebase["edit.c"] == "int after;\n"
         assert "gone.c" not in codebase
-        assert "after" in index.tokens_of("edit.c")
-        assert "fresh" in index.tokens_of("fresh.c")
-        assert "gone.c" not in index
+        assert codebase["fresh.c"] == "int fresh;\n"
+        # an apply over the refreshed code base sees exactly the new tree
+        result = PatchSet([SemanticPatch.from_string(
+            "@r@ @@\n- int after;\n+ int later;\n")]).apply(codebase)
+        assert sorted(result.files) == ["edit.c", "fresh.c", "keep.c"]
+        assert result["edit.c"].text == "int later;\n"
+        assert patch.apply(codebase).total_matches == 0
 
     def test_refresh_from_dir_noop_reports_empty_delta(self, tmp_path):
         (tmp_path / "same.c").write_text("int same;\n")

@@ -9,9 +9,11 @@ cookbook patch × its matching workload.
 
 import pytest
 
-from repro import CodeBase, SemanticPatch
-from repro.engine.prefilter import (PatchPrefilter, required_tokens,
-                                    scan_token_set)
+from repro import CodeBase, PatchSet, SemanticPatch
+from repro.engine import prefilter as prefilter_module
+from repro.engine.prefilter import (MAX_CACHED_SCANS, PatchPrefilter,
+                                    required_tokens, scan_token_set,
+                                    token_set)
 from repro.lang.lexer import TokenKind, tokenize
 
 
@@ -200,8 +202,8 @@ class TestScanTokenSet:
 
 class TestTokenIndexStaleness:
     def test_direct_files_mutation_is_picked_up(self):
-        # `files` is a public dict and was always mutable in place; the lazy
-        # token index must revalidate against the text it is handed
+        # `files` is a public dict and was always mutable in place; the
+        # prefilter must scan the text it is handed, never an older copy
         codebase = CodeBase.from_files({"a.c": "int main(void) { return 0; }\n"})
         patch = SemanticPatch.from_string("@r@ @@\n- old_fn();\n+ new_fn();\n")
         assert patch.apply(codebase).total_matches == 0
@@ -220,6 +222,63 @@ class TestTokenIndexStaleness:
         filtered = patch.apply(dict(code), prefilter=True)
         assert filtered["a.c"].text == baseline["a.c"].text
         assert filtered.total_matches == baseline.total_matches
+
+
+class TestScanCache:
+    """The planning scan goes through one process-wide, content-keyed LRU:
+    a text scanned once is not scanned again, whatever patch list, code
+    base or service plans it next."""
+
+    TREE = {"a.c": "void f(void) { old_fn(); }\n",
+            "b.c": "void g(void) { other(); }\n"}
+
+    @staticmethod
+    def rename(new):
+        return SemanticPatch.from_string(
+            f"@r@ @@\n- old_fn();\n+ {new}();\n")
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        token_set.cache_clear()
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return scan_token_set(text)
+
+        monkeypatch.setattr(prefilter_module, "scan_token_set", counted)
+        yield calls
+        token_set.cache_clear()
+
+    def test_new_patch_over_an_unchanged_tree_scans_nothing_again(self,
+                                                                  scans):
+        # the authoring loop: the patch list changes, the tree does not
+        codebase = CodeBase.from_files(dict(self.TREE))
+        result = PatchSet([self.rename("first")]).apply(codebase)
+        assert len(scans) == 2
+        for new in ("second", "third"):
+            result = PatchSet([self.rename(new)]).apply(codebase,
+                                                        since=result)
+            assert result["a.c"].text == f"void f(void) {{ {new}(); }}\n"
+        assert len(scans) == 2
+
+    def test_an_edited_text_is_scanned_and_answers_fresh(self, scans):
+        codebase = CodeBase.from_files(dict(self.TREE))
+        patch = self.rename("new_fn")
+        assert patch.apply(codebase).total_matches == 1
+        codebase["a.c"] = "void f(void) { nothing(); }\n"
+        assert patch.apply(codebase).total_matches == 0
+        assert scans[-1] == "void f(void) { nothing(); }\n"
+        assert len(scans) == 3
+
+    def test_another_code_base_with_the_same_texts_reuses_the_scans(
+            self, scans):
+        self.rename("x").apply(CodeBase.from_files(dict(self.TREE)))
+        self.rename("y").apply(CodeBase.from_files(dict(self.TREE)))
+        assert len(scans) == 2
+
+    def test_the_cache_is_bounded(self):
+        assert token_set.cache_info().maxsize == MAX_CACHED_SCANS
 
 
 class TestRuleChains:

@@ -13,7 +13,9 @@ import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cookbook import instrumentation
+from repro.engine import prefilter as prefilter_module
 from repro.engine.cache import content_sha1
+from repro.engine.prefilter import scan_token_set, token_set
 from repro.engine.report import result_payload
 from repro.obs import Capture
 from repro.server.service import PatchService, ServiceError
@@ -40,6 +42,25 @@ def opened(service, name="w", files=FILES):
 
 def smpl_spec(text, name="inline"):
     return {"kind": "smpl", "name": name, "text": text}
+
+
+class TestSizing:
+    @pytest.mark.parametrize("sizes", [
+        {"max_workspaces": 0}, {"workers": 0}, {"cache_entries": -1},
+        {"memo_entries": -1}, {"memo_max_bytes": -5},
+        {"memo_max_age": -5.0}, {"memo_max_age": float("nan")},
+    ], ids=lambda sizes: "-".join(f"{k}={v}" for k, v in sizes.items()))
+    def test_sizes_that_break_the_service_are_refused(self, sizes):
+        with pytest.raises(ValueError, match=next(iter(sizes))):
+            PatchService(**sizes)
+
+    def test_zero_means_none_and_still_serves(self, tmp_path):
+        service = PatchService(cache_entries=0, memo_entries=0,
+                               memo_dir=str(tmp_path), memo_max_bytes=0)
+        name = opened(service)
+        payload = service.apply(name, [smpl_spec(RENAME_SMPL)])
+        assert payload["files"]["a.c"]["changed"]
+        service.close()
 
 
 class TestWorkspaceLifecycle:
@@ -236,8 +257,49 @@ class TestApply:
         spec = [smpl_spec(RENAME_SMPL)]
         service.apply(name, spec)
         service.apply(name, spec)
-        stats = service.stats(name)["workspace"]
-        assert stats["patches_cached"] == 1
+        assert service.stats(name)["patches_cached"] == 1
+
+    def test_two_workspaces_parse_the_same_smpl_once(self, monkeypatch):
+        """The spec cache is the service's, not a workspace's: a second
+        workspace applying the same SMPL text reuses the built patch."""
+        parses = []
+        from_text = SemanticPatch.from_text
+
+        def counting(cls, *args, **kwargs):
+            parses.append(args[0])
+            return from_text(*args, **kwargs)
+
+        monkeypatch.setattr(SemanticPatch, "from_text", classmethod(counting))
+        service = make_service()
+        for name in ("w1", "w2"):
+            opened(service, name)
+            payload = service.apply(name, [smpl_spec(RENAME_SMPL)])
+            assert payload["files"]["a.c"]["changed"]
+        service.query("w1", [smpl_spec(RENAME_SMPL)])
+        assert parses == [RENAME_SMPL]
+        assert service.stats()["patches_cached"] == 1
+
+    def test_a_new_smpl_revision_rescans_no_file(self, monkeypatch):
+        """A new patch text per request re-plans every file; the unchanged
+        files answer from the prefilter's scan cache, not a fresh scan."""
+        token_set.cache_clear()
+        scans = []
+
+        def counted(text):
+            scans.append(text)
+            return scan_token_set(text)
+
+        monkeypatch.setattr(prefilter_module, "scan_token_set", counted)
+        service = make_service()
+        name = opened(service)
+        service.apply(name, [smpl_spec(RENAME_SMPL)])
+        assert len(scans) == len(FILES)
+        for k in range(3):
+            revision = f"@r@ @@\n- old();\n+ call_{k}();\n"
+            payload = service.apply(name, [smpl_spec(revision)])
+            assert f"call_{k}();" in payload["files"]["a.c"]["diff"]
+        assert len(scans) == len(FILES)
+        token_set.cache_clear()
 
 
 class TestQuery:
@@ -264,7 +326,7 @@ class TestStats:
         workspace = stats["workspace"]
         assert workspace["applies"] == 2
         assert workspace["parse_cache"]["misses"] > 0
-        assert workspace["token_index"]["scan_misses"] > 0
+        assert "patches_cached" not in workspace
         assert {"hits", "misses", "dedup_waits", "evictions"} \
             <= set(workspace["parse_cache"])
         assert stats["requests_total"] >= 4
@@ -298,34 +360,77 @@ class TestConcurrency:
             assert json.dumps(payload, sort_keys=True) \
                 == json.dumps(reference, sort_keys=True)
 
+    def test_workspaces_share_the_spec_cache_under_contention(self):
+        """Threads on different workspaces build, hit and evict entries of
+        the one spec LRU at once: every request runs the patch it named,
+        and the LRU never outgrows its bound."""
+        import sys
 
-class TestPatchCacheBound:
-    def test_authoring_loop_cannot_grow_the_cache_forever(self):
         from repro.server.service import MAX_CACHED_PATCH_SPECS
 
         service = make_service()
-        name = opened(service)
+        names = [opened(service, f"w{index}",
+                        files={"a.c": "void f(void) { old(); }\n"})
+                 for index in range(4)]
+        errors, done = [], []
+
+        def hammer(name):
+            try:
+                for revision in range(40):
+                    # even revisions are shared by every thread, odd ones
+                    # unique to this one: 100 specs overflow the LRU
+                    call = f"call_{revision}" if revision % 2 == 0 \
+                        else f"call_{name}_{revision}"
+                    spec = [smpl_spec(f"@r@ @@\n- old();\n+ {call}();\n")]
+                    if revision % 4 < 2:
+                        payload = service.apply(name, spec, texts=True)
+                        assert f"{call}();" in payload["files"]["a.c"]["text"]
+                    else:
+                        payload = service.query(name, spec)
+                    assert payload["files"]["a.c"]["matches"] == 1
+                    done.append(call)
+                    assert service.stats()["patches_cached"] \
+                        <= MAX_CACHED_PATCH_SPECS
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(name,))
+                       for name in names]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(done) == 4 * 40
+        assert service.stats()["patches_cached"] == MAX_CACHED_PATCH_SPECS
+
+
+class TestPatchCacheBound:
+    def test_authoring_loop_cannot_grow_the_cache_forever(self):
+        """One bound for the whole service, however many workspaces the
+        revisions arrive through."""
+        from repro.server.service import MAX_CACHED_PATCH_SPECS
+
+        service = make_service()
+        for name in ("w1", "w2"):
+            opened(service, name)
         for revision in range(MAX_CACHED_PATCH_SPECS + 10):
             smpl = f"@r@ @@\n- old();\n+ new_call_{revision}();\n"
-            service.apply(name, [smpl_spec(smpl)])
-        stats = service.stats(name)["workspace"]
-        assert stats["patches_cached"] <= MAX_CACHED_PATCH_SPECS
+            service.apply(("w1", "w2")[revision % 2], [smpl_spec(smpl)])
+        assert service.stats()["patches_cached"] == MAX_CACHED_PATCH_SPECS
 
 
-class TestCompileCacheRefcounting:
-    """One spec-LRU eviction must not evict a compiled patch another cached
-    spec still holds (the compile cache is process-wide and
-    fingerprint-keyed, so the pins live in one module-level table shared by
-    every workspace of every service, and only the last holder drops the
-    compiled form).  Each test uses its own SMPL text, so pins left behind
-    by other tests' services cannot skew the counts."""
-
-    def _shared_key(self, spec):
-        from repro.engine.compile import compile_key
-        from repro.server.service import parse_spec
-
-        patch = parse_spec(spec, None)[0]
-        return compile_key(patch.ast, patch.options)
+class TestCompileCacheSharing:
+    """A spec falling out of the service's spec LRU must not cost a
+    recompile: the compile cache is process-wide, keyed by the patch's
+    content fingerprint, and bounded by its own LRU alone, so a re-parsed
+    spec finds its compiled form still there."""
 
     def _flood(self, service, name):
         from repro.server.service import MAX_CACHED_PATCH_SPECS
@@ -334,98 +439,57 @@ class TestCompileCacheRefcounting:
             service.apply(name, [smpl_spec(
                 f"@f@ @@\n- flood_{revision}();\n", name=f"f{revision}")])
 
+    def _reapply_misses(self, service, name, filename, spec):
+        """Compile-cache misses of one apply over fresh content (new
+        content, so the transform memo cannot answer without a session)."""
+        from repro.engine.compile import matcher_counters
+
+        service.sync_files(name, files={
+            filename: "void h(void) { int fresh; old(); }\n"})
+        with Capture() as counts:
+            payload = service.apply(name, [spec])
+        assert payload["files"][filename]["changed"]
+        return matcher_counters(counts)["compile_cache_misses"]
+
     def test_flooding_one_workspace_does_not_force_a_recompile(self):
-        from repro.engine.compile import backend_enabled, matcher_counters
-        from repro.server.service import _COMPILE_REFS
+        from repro.engine.compile import backend_enabled
 
         if not backend_enabled(None):
             pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
 
         service = make_service()
-        shared = smpl_spec("@r@ @@\n- old();\n+ pinned_by_two();\n",
+        shared = smpl_spec("@r@ @@\n- old();\n+ shared_by_two();\n",
                            name="shared")
         for name in ("w1", "w2"):
             service.open_workspace(name)
             service.sync_files(name, files={
                 f"{name}.c": f"void {name}(void) {{ old(); }}\n"})
             service.apply(name, [shared])
-        key = self._shared_key(shared)
-        assert _COMPILE_REFS[key] == 2
 
-        # flood w1's spec LRU until the shared spec falls out of it; w2's
-        # cached spec must keep the compiled form pinned in the global cache
+        # flood the spec LRU from w1 until the shared spec falls out of it
         self._flood(service, "w1")
-        assert key not in service.workspace("w1")._patches
-        assert _COMPILE_REFS[key] == 1
-
-        # w2 re-applies over fresh content (new content so the transform
-        # memo cannot answer without a session): zero new compile misses
-        service.sync_files("w2", files={
-            "w2.c": "void h(void) { int z; old(); }\n"})
-        with Capture() as counts:
-            payload = service.apply("w2", [shared])
-        assert payload["files"]["w2.c"]["changed"]
-        assert matcher_counters(counts)["compile_cache_misses"] == 0
+        digest = content_sha1(shared["text"])
+        assert all(key[2] != digest for key in service._patches)
+        assert self._reapply_misses(service, "w2", "w2.c", shared) == 0
         service.close()
 
     def test_flooding_one_service_keeps_another_services_form(self):
-        """Two services in one process share the compile cache, so they
-        must share the pins too: service A's spec-LRU eviction must not
-        evict a compiled form service B still holds."""
-        from repro.engine.compile import backend_enabled, matcher_counters
-        from repro.server.service import _COMPILE_REFS
+        """Two services in one process share the compile cache: service
+        A's spec-LRU eviction leaves the compiled form service B uses."""
+        from repro.engine.compile import backend_enabled
 
         if not backend_enabled(None):
             pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
 
         first, second = make_service(), make_service()
-        shared = smpl_spec("@r@ @@\n- old();\n+ pinned_across();\n",
+        shared = smpl_spec("@r@ @@\n- old();\n+ shared_across();\n",
                            name="shared")
         for service in (first, second):
             service.open_workspace("w")
             service.sync_files("w", files={"w.c": "void w(void) { old(); }\n"})
             service.apply("w", [shared])
-        key = self._shared_key(shared)
-        assert _COMPILE_REFS[key] == 2
 
         self._flood(first, "w")
-        assert key not in first.workspace("w")._patches
-        assert _COMPILE_REFS[key] == 1
-
-        second.sync_files("w", files={
-            "w.c": "void w(void) { int fresh; old(); }\n"})
-        with Capture() as counts:
-            payload = second.apply("w", [shared])
-        assert payload["files"]["w.c"]["changed"]
-        assert matcher_counters(counts)["compile_cache_misses"] == 0
+        assert self._reapply_misses(second, "w", "w.c", shared) == 0
         first.close()
         second.close()
-
-    def test_last_holder_eviction_drops_the_compiled_form(self):
-        from repro.engine import compile as compile_module
-        from repro.engine.compile import backend_enabled
-        from repro.server.service import _COMPILE_REFS
-
-        if not backend_enabled(None):
-            pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
-
-        service = make_service(max_workspaces=2)
-        shared = smpl_spec("@s@ @@\n- gone();\n+ last_holder();\n",
-                           name="shared")
-        for name in ("w1", "w2"):
-            service.open_workspace(name)
-            service.sync_files(name, files={
-                f"{name}.c": f"void {name}(void) {{ gone(); }}\n"})
-            service.apply(name, [shared])
-        key = self._shared_key(shared)
-        assert key in compile_module._COMPILE_CACHE
-
-        # evicting w1 releases one reference; the compiled form survives
-        service.open_workspace("w3")  # LRU pushes w1 out
-        assert _COMPILE_REFS[key] == 1
-        assert key in compile_module._COMPILE_CACHE
-
-        # closing the service releases the last one; the form is dropped
-        service.close()
-        assert key not in _COMPILE_REFS
-        assert key not in compile_module._COMPILE_CACHE
