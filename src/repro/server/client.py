@@ -1,19 +1,12 @@
 """``RemoteClient``: the in-process mirror of the daemon's verbs.
 
 The client speaks the newline-delimited JSON protocol over one socket
-(unix-domain or TCP).  On connect it sends a ``hello`` negotiating
-**protocol v2** — request-id pipelining plus the optional shared-secret
-``token`` for TCP daemons — and transparently degrades to v1 (strictly
-serial, id-less) when the server answers ``bad-verb`` (an old daemon) or
-when constructed with ``protocol=1``.
-
-Under v2, :meth:`submit` sends a request without waiting and returns a
-:class:`Reply` handle; responses are read on demand and parked by id, so
-any number of requests can be in flight and the daemon may answer them
-out of order.  The blocking verb methods (``apply``, ``sync_files``, ...)
-are ``submit().wait()`` — same surface, same semantics, now pipelinable.
-A lock serializes callers sharing one client; open several clients for
-multi-threaded concurrency.
+(unix-domain or TCP), one request at a time: every verb is one
+:meth:`~RemoteClient.request` — a write, then the read of its response —
+under a lock, so threads sharing one client take turns.  Open one client
+per thread for concurrency; the daemon serves each connection on its own
+thread.  A ``token`` makes the constructor send the ``hello`` a TCP
+daemon started with a shared secret requires before any other verb.
 
 Its surface mirrors :class:`~repro.api.PatchSet` where that makes sense —
 ``apply(workspace, patches)`` accepts parsed :class:`~repro.api.SemanticPatch`
@@ -33,9 +26,8 @@ from ..api import CodeBase, SemanticPatch
 from ..errors import ReproError
 from ..obs import trace as _trace
 from ..options import SpatchOptions
-from .protocol import (PROTOCOL_VERSION, ProtocolError, options_payload,
-                       parse_address, patch_specs, read_message,
-                       write_message)
+from .protocol import (ProtocolError, options_payload, parse_address,
+                       patch_specs, read_message, write_message)
 
 
 class RemoteError(ReproError):
@@ -58,71 +50,40 @@ class ConnectionLost(ReproError):
     """The transport died (daemon gone, socket reset, framing violated)."""
 
 
-class Reply:
-    """A pipelined request's pending response (v2 only)."""
-
-    __slots__ = ("_client", "_id")
-
-    def __init__(self, client: "RemoteClient", request_id: int):
-        self._client = client
-        self._id = request_id
-
-    def wait(self) -> dict:
-        """Block until this request's response arrives (reading and
-        parking other responses on the way); returns the ``result`` or
-        raises :class:`RemoteError` / :class:`ConnectionLost`."""
-        return self._client._wait(self._id)
-
-
 class RemoteClient:
     """One connection to a patch daemon."""
 
     def __init__(self, address: str, *, timeout: Optional[float] = 60.0,
-                 token: Optional[str] = None,
-                 protocol: int = PROTOCOL_VERSION):
+                 token: Optional[str] = None):
         self.address = address
         family, target = parse_address(address)
         if family == "unix":
             self._sock = socket.socket(socket.AF_UNIX)
-            self._sock.settimeout(timeout)
-            self._sock.connect(target)
+            try:
+                self._sock.settimeout(timeout)
+                self._sock.connect(target)
+            except BaseException:
+                self._sock.close()
+                raise
         else:
             self._sock = socket.create_connection(target, timeout=timeout)
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
-        self._next_id = 0
-        self._parked: dict[int, dict] = {}
-        self._inflight: set[int] = set()
-        #: the negotiated protocol: 2 after a successful hello, else 1
-        self.protocol = 1
-        if protocol >= 2:
-            self._negotiate(token)
-        elif token is not None:
-            # auth rides the hello even when pipelining is not wanted
-            self._hello(protocol=1, token=token)
-
-    # -- negotiation ---------------------------------------------------------
-
-    def _negotiate(self, token: Optional[str]) -> None:
-        try:
-            result = self._hello(protocol=PROTOCOL_VERSION, token=token)
-        except RemoteError as exc:
-            if exc.kind == "bad-verb" and token is None:
-                return  # pre-v2 daemon: stay on the v1 contract
-            raise  # auth failures (or a tokened old daemon) surface loudly
-        if result.get("pipelined"):
-            self.protocol = 2
-
-    def _hello(self, *, protocol: int, token: Optional[str]) -> dict:
-        message: dict = {"verb": "hello", "protocol": protocol}
         if token is not None:
-            message["token"] = token
-        return self._round_trip(message)
+            try:
+                self.request("hello", token=token)
+            except BaseException:
+                self.close()
+                raise
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _round_trip(self, message: dict) -> dict:
-        """One strictly serial request/response exchange (v1, hello)."""
+    def request(self, verb: str, **params) -> dict:
+        """One request/response exchange.  The message carries the active
+        trace id (one CLI invocation = one trace spanning all its
+        requests) or a fresh one."""
+        message = {"verb": verb}
+        message.update({key: value for key, value in params.items()
+                        if value is not None})
+        message["trace"] = _trace.current_trace_id() or _trace.new_trace_id()
         with self._lock:
             try:
                 write_message(self._file, message)
@@ -133,10 +94,6 @@ class RemoteClient:
             except OSError as exc:
                 raise ConnectionLost(f"server connection failed: {exc}") \
                     from None
-        return self._unwrap(response)
-
-    @staticmethod
-    def _unwrap(response: Optional[dict]) -> dict:
         if response is None:
             raise ConnectionLost("server closed the connection")
         if not response.get("ok"):
@@ -145,67 +102,6 @@ class RemoteClient:
                               error.get("message", "unspecified error"),
                               trace=response.get("trace"))
         return response.get("result", {})
-
-    @staticmethod
-    def _stamp_trace(message: dict) -> None:
-        """Attach the request's trace id: the active trace's (one CLI
-        invocation = one trace spanning all its requests) or a fresh one."""
-        message["trace"] = _trace.current_trace_id() or _trace.new_trace_id()
-
-    def request(self, verb: str, **params) -> dict:
-        """One request/response; under v2 this is ``submit().wait()``, so
-        interleaved submitters on other call sites keep their pipelining."""
-        if self.protocol >= 2:
-            return self.submit(verb, **params).wait()
-        message = {"verb": verb}
-        message.update({key: value for key, value in params.items()
-                        if value is not None})
-        self._stamp_trace(message)
-        return self._round_trip(message)
-
-    def submit(self, verb: str, **params) -> Reply:
-        """Send one id-tagged request without waiting (v2 only) and return
-        its :class:`Reply`.  Any number may be outstanding; the daemon may
-        answer them out of order."""
-        if self.protocol < 2:
-            raise ConnectionLost("pipelining requires a v2 server "
-                                 "(hello was not negotiated)")
-        message: dict = {"verb": verb}
-        message.update({key: value for key, value in params.items()
-                        if value is not None})
-        self._stamp_trace(message)
-        with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            message["id"] = request_id
-            try:
-                write_message(self._file, message)
-            except OSError as exc:
-                raise ConnectionLost(f"server connection failed: {exc}") \
-                    from None
-            self._inflight.add(request_id)
-        return Reply(self, request_id)
-
-    def _wait(self, request_id: int) -> dict:
-        with self._lock:
-            while request_id not in self._parked:
-                try:
-                    response = read_message(self._file)
-                except ProtocolError as exc:
-                    raise ConnectionLost(
-                        f"bad response from server: {exc}") from None
-                except OSError as exc:
-                    raise ConnectionLost(
-                        f"server connection failed: {exc}") from None
-                if response is None:
-                    raise ConnectionLost("server closed the connection")
-                answered = response.get("id")
-                if answered not in self._inflight:
-                    raise ConnectionLost(
-                        f"response for unknown request id {answered!r}")
-                self._inflight.discard(answered)
-                self._parked[answered] = response
-            return self._unwrap(self._parked.pop(request_id))
 
     def close(self) -> None:
         try:
@@ -297,19 +193,6 @@ class RemoteClient:
         returns the shared result payload (see
         :func:`~repro.engine.report.result_payload`)."""
         return self.request(
-            "apply", workspace=workspace, patches=self._specs(patches),
-            options=options_payload(options) if options else None,
-            jobs=jobs, prefilter=prefilter, diff=diff,
-            texts=texts or None, profile=profile or None)
-
-    def submit_apply(self, workspace: str, patches, *,
-                     options: Optional[SpatchOptions] = None,
-                     jobs: "int | str | None" = None, prefilter: bool = True,
-                     diff: bool = True, texts: bool = False,
-                     profile: bool = False) -> Reply:
-        """Pipelined :meth:`apply`: returns immediately with the
-        :class:`Reply` (v2 connections only)."""
-        return self.submit(
             "apply", workspace=workspace, patches=self._specs(patches),
             options=options_payload(options) if options else None,
             jobs=jobs, prefilter=prefilter, diff=diff,

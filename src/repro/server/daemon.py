@@ -5,21 +5,16 @@ socket (``socketserver.ThreadingMixIn``: one thread per connection —
 per-workspace consistency is the service's job, not the socket layer's).
 Framing is newline-delimited JSON (see :mod:`repro.server.protocol`).
 
-A bare connection speaks **protocol v1**: requests handled strictly in
-order, one response each.  A ``hello`` negotiates **v2** per connection,
-switching it to *pipelined* dispatch: requests are read continuously and
-executed on a shared thread pool, responses (correlated by request ``id``)
-are written as they finish — out of order.  Two ordering rules make that
-safe: mutating verbs (``open_workspace``/``sync_files``/``apply``) are
-chained FIFO per ``(connection, workspace)`` — a pipelined sync-then-apply
-always executes in that order — and read-only verbs dispatch immediately,
-so a stats poll or query never queues behind a slow apply.
+Every connection is served the same way: read one request, run it, write
+its one response, repeat.  A client that wants two requests in flight
+opens two connections; each gets its own handler thread, so a ``stats``
+or ``query`` on one is answered while an ``apply`` on another runs.
 
-``hello`` also carries the shared-secret **auth** handshake: a daemon
-started with a token refuses every other verb on TCP connections until a
-hello presents the right token (``auth-required``/``auth-failed`` error
-types).  Unix-domain sockets stay auth-free — filesystem permissions
-already gate them — so local v1 clients interoperate unmodified.
+``hello`` is the shared-secret **auth** handshake and nothing else: a
+daemon started with a token refuses every other verb on TCP connections
+until a hello presents the right token (``auth-required``/``auth-failed``
+error types).  Unix-domain sockets stay auth-free — filesystem
+permissions already gate them — so local clients never need a hello.
 
 Failure isolation: a request that cannot be parsed, names an unknown verb,
 or raises inside the service is answered with an ``ok: false`` envelope
@@ -39,7 +34,6 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from ..obs.journal import Journal, open_journal
@@ -67,14 +61,6 @@ _VERBS = {
     "shutdown": (None, set()),
 }
 
-#: verbs whose pipelined execution must stay FIFO per (connection,
-#: workspace): each mutates workspace state a later request may depend on.
-#: Everything else dispatches immediately (reads never queue behind applies)
-_ORDERED_VERBS = {"open_workspace", "sync_files", "apply"}
-
-#: pipelined requests executing concurrently across all v2 connections
-_EXECUTOR_THREADS = 32
-
 
 def _envelope(request: dict) -> dict:
     """The ``id``/``trace`` fields a response echoes back verbatim —
@@ -84,19 +70,13 @@ def _envelope(request: dict) -> dict:
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One client connection: v1 serial until a hello upgrades it."""
+    """One client connection: one request, one response, in order."""
 
     def setup(self) -> None:
         super().setup()
-        #: negotiated protocol level (1 until a successful hello)
-        self.protocol = 1
         #: whether this connection may use non-hello verbs (TCP + token
         #: daemons start locked; unix and token-less daemons start open)
         self.authed = not self.server.requires_auth
-        #: serializes response writes once dispatch goes out-of-order
-        self.write_lock = threading.Lock()
-        #: tail of the FIFO chain per workspace name (pipelined mode)
-        self.chains: dict = {}
 
     def handle(self) -> None:
         while True:
@@ -109,87 +89,34 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if request is None:
                 return  # clean EOF
-            verb = request.get("verb")
-            if verb == "hello":
-                # the write lock matters on a re-negotiation: pipelined
-                # responses may be in flight on this connection already
-                with self.write_lock:
-                    answered = self._respond(self._hello(request))
-                if not answered:
-                    return
-                continue
-            if not self.authed:
-                envelope = _envelope(request)
-                with self.write_lock:
-                    answered = self._respond(
-                        {**envelope, "ok": False, "error": {
-                            "type": "auth-required",
-                            "message": "this daemon requires a hello with "
-                                       "the shared-secret token first"}})
-                if not answered:
-                    return
-                continue
-            if verb == "shutdown":
-                # always inline: pipelining a shutdown behind queued work
-                # would just race the executor; respond, stop, hang up
-                response, _shutdown = self.server.dispatch(request)
-                with self.write_lock:
-                    self._respond(response)
+            shutdown = False
+            if request.get("verb") == "hello":
+                response = self._hello(request)
+            elif not self.authed:
+                response = {**_envelope(request), "ok": False, "error": {
+                    "type": "auth-required",
+                    "message": "this daemon requires a hello with "
+                               "the shared-secret token first"}}
+            else:
+                response, shutdown = self.server.dispatch(request)
+            if not self._respond(response) or shutdown:
                 return
-            if self.protocol >= 2:
-                self._dispatch_pipelined(request)
-                continue
-            response, shutdown = self.server.dispatch(request)
-            if not self._respond(response):
-                return
-            if shutdown:
-                return
-
-    # -- v2: hello and pipelined dispatch ------------------------------------
 
     def _hello(self, request: dict) -> dict:
+        """Check the shared-secret token (TCP daemons started with one);
+        on any other connection a hello is a no-op that always succeeds."""
         envelope = _envelope(request)
-        token = request.get("token")
         if self.server.requires_auth:
-            expected = self.server.auth_token
+            token = request.get("token")
             if not (isinstance(token, str)
-                    and hmac.compare_digest(token, expected)):
+                    and hmac.compare_digest(token, self.server.auth_token)):
                 return {**envelope, "ok": False, "error": {
                     "type": "auth-failed",
                     "message": "bad or missing auth token"}}
             self.authed = True
-        requested = request.get("protocol", 1)
-        negotiated = min(PROTOCOL_VERSION, requested) \
-            if isinstance(requested, int) and requested >= 2 else 1
-        self.protocol = max(self.protocol, negotiated)
         return {**envelope, "ok": True, "result": {
-            "protocol": negotiated, "server": PROTOCOL_VERSION,
-            "pipelined": negotiated >= 2,
+            "protocol": PROTOCOL_VERSION,
             "auth": "ok" if self.server.requires_auth else "open"}}
-
-    def _dispatch_pipelined(self, request: dict) -> None:
-        """Hand one request to the executor.  Mutating verbs join their
-        workspace's FIFO chain (each task waits for the previous mutating
-        task on the same connection+workspace); reads run immediately."""
-        previous = done = None
-        if request.get("verb") in _ORDERED_VERBS:
-            workspace = request.get("workspace")
-            done = threading.Event()
-            previous = self.chains.get(workspace)
-            self.chains[workspace] = done
-
-        def task() -> None:
-            if previous is not None:
-                previous.wait()
-            try:
-                response, _shutdown = self.server.dispatch(request)
-            finally:
-                if done is not None:
-                    done.set()  # never stall the chain, even on a bug
-            with self.write_lock:
-                self._respond(response)
-
-        self.server.executor.submit(task)
 
     def _respond(self, response: dict) -> bool:
         try:
@@ -211,7 +138,6 @@ class _DaemonMixin:
     #: shared-secret for TCP clients (``None`` = open); unix is always open
     auth_token: Optional[str] = None
     requires_auth: bool = False
-    executor: ThreadPoolExecutor
     #: structured JSONL request journal (``--journal``); ``None`` = off
     journal: Optional[Journal] = None
     #: slow-request threshold in milliseconds (``--slow-ms``); ``None`` = off
@@ -354,8 +280,6 @@ class PatchDaemon:
         self.server.auth_token = auth_token
         self.server.requires_auth = (auth_token is not None
                                      and self.family == "tcp")
-        self.server.executor = ThreadPoolExecutor(
-            max_workers=_EXECUTOR_THREADS, thread_name_prefix="spatchd-v2")
 
     @property
     def address(self) -> str:
@@ -384,7 +308,6 @@ class PatchDaemon:
 
     def close(self) -> None:
         self.server.server_close()
-        self.server.executor.shutdown(wait=False)
         if self.metrics_server is not None:
             self.metrics_server.close()
         if self.server.journal is not None:

@@ -7,35 +7,29 @@ escaping guarantees no literal newline can appear inside a message, and
 loading transportable as ``\\udXXX`` escapes, so non-UTF-8 sources
 round-trip byte-identically).
 
-Requests are ``{"verb": ..., ...params}`` with an optional ``"id"`` echoed
-back; responses are ``{"ok": true, "result": {...}}`` or
+Requests are ``{"verb": ..., ...params}`` with an optional ``"id"`` and
+``"trace"`` echoed back; responses are ``{"ok": true, "result": {...}}`` or
 ``{"ok": false, "error": {"type": ..., "message": ...}}``.  The verbs —
 ``open_workspace``, ``sync_files``, ``apply``, ``query``, ``stats``,
-``ping``, ``shutdown`` — are documented on
+``metrics``, ``ping``, ``shutdown`` — are documented on
 :class:`~repro.server.service.PatchService`, which implements them.
 
-Protocol versions
------------------
-**v1** (the default a bare connection starts in) is strictly serial per
-connection: one request, one response, in order — ``id`` is optional and
-merely echoed.  **v2** is negotiated by a ``hello`` verb
-(``{"verb": "hello", "protocol": 2, "token": ...}``) and unlocks
-*pipelining*: the client may send any number of id-tagged requests without
-waiting, and responses come back **out of order**, correlated by ``id``.
-Ordering guarantee under v2: requests that *mutate* a workspace
-(``open_workspace``/``sync_files``/``apply``) execute FIFO per
-``(connection, workspace)`` — a pipelined sync-then-apply is always seen
-in that order — while read-only verbs (``query``/``stats``/``ping``)
-dispatch immediately and never queue behind a slow apply.  A v1 client
-(no ``hello``) gets the exact v1 contract from a v2 daemon; a v2 client
-probing an old daemon gets a ``bad-verb`` error for the ``hello`` and
-falls back to v1.
+One wire mode
+-------------
+A connection is strictly serial: one request, one response, in order.
+The daemon reads the next request only after it has written the previous
+response, so a client never needs an ``id`` to match them up.  Clients
+wanting concurrency open more connections.
 
-``hello`` also carries auth: daemons started with a shared-secret token
-require it from **TCP** clients before any other verb (unix-domain
-sockets stay auth-free — filesystem permissions already gate them).
-Failures use the stable error types ``auth-required`` (verb before a
-successful hello) and ``auth-failed`` (wrong/missing token in a hello).
+``hello`` carries auth and nothing else: daemons started with a
+shared-secret token require ``{"verb": "hello", "token": ...}`` from
+**TCP** clients before any other verb (unix-domain sockets stay auth-free
+— filesystem permissions already gate them).  Failures use the stable
+error types ``auth-required`` (verb before a successful hello) and
+``auth-failed`` (wrong/missing token in a hello).  Its result is
+``{"protocol": PROTOCOL_VERSION, "auth": "ok" | "open"}``; a hello that
+asks for a protocol level is answered the same way, and its connection
+stays serial.
 
 Result payloads
 ---------------
@@ -56,10 +50,9 @@ from ..engine.report import dumps, result_payload  # noqa: F401
 from ..options import SpatchOptions
 
 #: bump on incompatible wire changes; ``open_workspace`` echoes it so a
-#: version-skewed client fails loudly instead of misparsing.  v2 adds the
-#: negotiated ``hello`` verb, request-id pipelining and TCP token auth;
-#: every v1 message remains valid v2, so un-negotiated connections are
-#: served exactly as before
+#: version-skewed client fails loudly instead of misparsing.  v2 added the
+#: ``hello`` verb and TCP token auth; every v1 message remains valid, and
+#: every connection is served serially whatever its hello asked for
 PROTOCOL_VERSION = 2
 
 #: hard cap on one message line (64 MiB): a runaway or malicious client

@@ -25,6 +25,8 @@ from repro.server.daemon import PatchDaemon
 from repro.server.protocol import PROTOCOL_VERSION
 from repro.server.service import PatchService
 
+from daemon_wait import wait_until_serving
+
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"
 
 FILES = {
@@ -365,11 +367,7 @@ class TestDaemonSubprocess:
              "--listen", f"unix:{sock}"],
             env=env, stderr=subprocess.PIPE, text=True)
         try:
-            deadline = time.time() + 30.0
-            while not sock.exists():
-                assert process.poll() is None, process.stderr.read()
-                assert time.time() < deadline, "daemon never bound its socket"
-                time.sleep(0.05)
+            wait_until_serving(f"unix:{sock}", process)
             (tmp_path / "code.c").write_text("void f(void) { old(); }\n")
             cocci = tmp_path / "r.cocci"
             cocci.write_text(RENAME_SMPL)
@@ -405,10 +403,7 @@ class TestSpatchdCli:
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
-        deadline = time.time() + 15.0
-        while not sock.exists():
-            assert time.time() < deadline, "daemon never bound"
-            time.sleep(0.02)
+        wait_until_serving(f"unix:{sock}", thread, timeout=15.0)
         with RemoteClient(f"unix:{sock}") as client:
             # the pre-opened workspace is queryable straight away
             payload = client.apply("pre", [smpl_spec()])

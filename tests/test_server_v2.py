@@ -1,13 +1,12 @@
-"""Protocol v2, the apply fleet and restart-surviving workspaces.
+"""The wire contract, the apply fleet and restart-surviving workspaces.
 
-The v2 acceptance criteria under test:
+The acceptance criteria under test:
 
-* **Pipelining** — a v2 client tags requests with ids, any number may be
-  in flight, and the daemon may answer out of order; mutating verbs still
-  execute FIFO per (connection, workspace).
-* **Compat** — an unmodified v1 client (id-less, strictly serial) works
-  against a v2 daemon; a v2 client degrades to v1 against a server that
-  rejects ``hello``.
+* **One wire mode** — every connection is served one request at a time,
+  in order; a second connection is answered while an apply runs on the
+  first.
+* **Compat** — an id-less raw client, and one that opens with a
+  ``hello`` asking for protocol 2, are both served in order.
 * **Auth** — TCP daemons armed with a shared secret refuse verbs until a
   tokened hello; unix sockets stay auth-free.
 * **Fleet** — ``workers=N`` moves applies into worker processes with
@@ -17,6 +16,7 @@ The v2 acceptance criteria under test:
   over zero), at the service level and through a real daemon subprocess.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -26,19 +26,21 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro import CodeBase, PatchSet, SemanticPatch
+from repro import CodeBase
 from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import content_sha1
-from repro.engine.report import result_payload
-from repro.server.client import ConnectionLost, RemoteClient, RemoteError
+from repro.server.client import RemoteClient, RemoteError
 from repro.server.daemon import PatchDaemon
 from repro.server.fleet import ApplyFleet, shard_of
 from repro.server.protocol import (PROTOCOL_VERSION, read_message,
                                    write_message)
 from repro.server.service import PatchService, ServiceError, state_path
+
+from daemon_wait import wait_until_serving
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"
 
@@ -67,31 +69,21 @@ def daemon(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# negotiation, pipelining, ordering
+# one request at a time per connection
 # ---------------------------------------------------------------------------
 
-class TestNegotiation:
-    def test_v2_client_negotiates_protocol_2(self, daemon):
-        with RemoteClient(daemon.address) as client:
-            assert client.protocol == 2
-            assert client.ping()["protocol"] == PROTOCOL_VERSION
+def _raw_connection(daemon):
+    sock = socket.socket(socket.AF_UNIX)
+    sock.connect(daemon.address[len("unix:"):])
+    return sock, sock.makefile("rwb")
 
-    def test_protocol_1_client_stays_serial(self, daemon):
-        with RemoteClient(daemon.address, protocol=1) as client:
-            assert client.protocol == 1
-            assert client.open_workspace("w")["created"]
-            client.sync_files("w", files=dict(FILES))
-            assert client.apply("w", [smpl_spec()])["exit_status"] == 0
-            with pytest.raises(ConnectionLost):
-                client.submit("ping")
 
+class TestWireContract:
     def test_raw_v1_wire_requests_still_work(self, daemon):
         """The compat contract at the byte level: id-less requests with no
         hello — exactly what an old client sends — are answered id-less
         and in order."""
-        sock = socket.socket(socket.AF_UNIX)
-        sock.connect(daemon.address[len("unix:"):])
-        stream = sock.makefile("rwb")
+        sock, stream = _raw_connection(daemon)
         try:
             write_message(stream, {"verb": "open_workspace",
                                    "workspace": "w"})
@@ -109,80 +101,116 @@ class TestNegotiation:
             sock.close()
 
     def test_hello_result_shape(self, daemon):
-        sock = socket.socket(socket.AF_UNIX)
-        sock.connect(daemon.address[len("unix:"):])
-        stream = sock.makefile("rwb")
+        sock, stream = _raw_connection(daemon)
         try:
             write_message(stream, {"verb": "hello",
                                    "protocol": PROTOCOL_VERSION})
             result = read_message(stream)["result"]
             assert result["protocol"] == PROTOCOL_VERSION
-            assert result["pipelined"] is True
             assert result["auth"] == "open"
+            assert "pipelined" not in result
         finally:
             sock.close()
 
+    def test_hello_asking_for_protocol_2_is_served_in_order(self, daemon):
+        """What a client built for the old pipelined contract sends: a
+        hello asking for protocol 2, then id-tagged requests.  Each one
+        is answered, in order, before the next is read."""
+        sock, stream = _raw_connection(daemon)
+        try:
+            write_message(stream, {"verb": "hello", "id": 1, "protocol": 2})
+            assert read_message(stream) == {
+                "id": 1, "ok": True,
+                "result": {"protocol": PROTOCOL_VERSION, "auth": "open"}}
+            requests = [
+                {"verb": "open_workspace", "workspace": "w"},
+                {"verb": "sync_files", "workspace": "w",
+                 "files": dict(FILES)},
+                {"verb": "apply", "workspace": "w",
+                 "patches": [smpl_spec()]},
+            ]
+            for request_id, request in enumerate(requests, start=2):
+                write_message(stream, {**request, "id": request_id})
+            responses = [read_message(stream) for _ in requests]
+            assert [r["id"] for r in responses] == [2, 3, 4]
+            assert all(r["ok"] for r in responses)
+            assert responses[0]["result"]["created"]
+            assert responses[2]["result"]["exit_status"] == 0
+            assert responses[2]["result"]["files"]["a.c"]["changed"]
+        finally:
+            sock.close()
 
-class TestPipelining:
-    def test_out_of_order_completion(self, daemon):
-        """Reads never queue behind applies: a stats submitted *after* an
-        apply is answered while the apply is still running."""
-        big = {f"f{i}.c": f"void f{i}(void) {{ old(); }}\n"
-               for i in range(80)}
+    def test_second_connection_answers_while_an_apply_runs(self, daemon,
+                                                           tmp_path):
+        """The reader/writer split the service loop relies on: ``stats``
+        and ``query`` on a second connection are answered while an apply
+        on the first is still running (a script rule waiting on a
+        file)."""
+        started, release = tmp_path / "started", tmp_path / "release"
+        blocking = ("@r@\nidentifier f;\n@@\nf(...);\n\n"
+                    "@script:python s@\nf << r.f;\n@@\n"
+                    "import os, time\n"
+                    f"open({str(started)!r}, 'w').close()\n"
+                    "for _ in range(3000):\n"
+                    f"    if os.path.exists({str(release)!r}):\n"
+                    "        break\n"
+                    "    time.sleep(0.01)\n")
+        with RemoteClient(daemon.address) as writer, \
+                RemoteClient(daemon.address) as reader:
+            writer.open_workspace("w")
+            writer.sync_files("w", files=dict(FILES))
+            applied = []
+            apply_thread = threading.Thread(target=lambda: applied.append(
+                writer.apply("w", [smpl_spec(blocking, name="block")])))
+            apply_thread.start()
+            try:
+                deadline = time.monotonic() + 30.0
+                while not started.exists():
+                    assert time.monotonic() < deadline, "the script never ran"
+                    time.sleep(0.01)
+                assert reader.stats()["workspaces"] == 1
+                queried = reader.query("w", [smpl_spec()])
+                assert queried["summary"]["changed_files"] == 1
+                assert not release.exists()  # the apply is still blocked
+                assert apply_thread.is_alive()
+            finally:
+                release.touch()
+                apply_thread.join(timeout=30.0)
+        assert applied and applied[0]["exit_status"] == 0
+
+    def test_threads_sharing_a_client_take_turns(self, daemon):
+        """One client, four threads: every response reaches the thread
+        whose request it answers."""
+        names = [f"ws-{index}" for index in range(4)]
+        errors = []
         with RemoteClient(daemon.address) as client:
-            client.open_workspace("w")
-            client.sync_files("w", files=big)
-            pending = client.submit_apply("w", [smpl_spec()], profile=True)
-            stats = client.submit("stats").wait()  # waited before the apply
-            assert stats["workspaces"] == 1
-            payload = pending.wait()
-            assert payload["exit_status"] == 0
-            assert payload["summary"]["changed_files"] == len(big)
+            for name in names:
+                client.open_workspace(name)
 
-    def test_waiting_in_any_order_parks_responses(self, daemon):
-        with RemoteClient(daemon.address) as client:
-            client.open_workspace("w")
-            client.sync_files("w", files=dict(FILES))
-            first = client.submit("ping")
-            second = client.submit("stats")
-            third = client.submit("ping")
-            assert third.wait()["protocol"] == PROTOCOL_VERSION
-            assert second.wait()["workspaces"] == 1
-            assert first.wait()["protocol"] == PROTOCOL_VERSION
+            def poll(name):
+                try:
+                    for _ in range(25):
+                        assert client.stats(name)["workspace"]["name"] \
+                            == name
+                except BaseException as exc:  # pragma: no cover
+                    errors.append(exc)
 
-    def test_mutating_verbs_keep_fifo_order_per_workspace(self, daemon):
-        """sync(A); apply; sync(B); apply — all pipelined at once — must
-        see state A then state B: the per-(connection, workspace) chain
-        is what makes a pipelined client's script mean what it says."""
-        state_a = dict(FILES)
-        state_b = {"a.c": "void f(void) { old(); old(); }\n",
-                   "b.c": "int idle;\n"}
-        patch = SemanticPatch.from_string(RENAME_SMPL, name="inline")
-        expect_a = canonical(result_payload(
-            PatchSet([patch]).apply(CodeBase.from_files(state_a)), [patch]))
-        expect_b = canonical(result_payload(
-            PatchSet([patch]).apply(CodeBase.from_files(state_b)), [patch]))
-
-        with RemoteClient(daemon.address) as client:
-            client.open_workspace("w")
-            replies = []
-            for state in (state_a, state_b):
-                client.submit("sync_files", workspace="w", files=state)
-                replies.append(client.submit_apply("w", [smpl_spec()]))
-            got_a, got_b = [reply.wait() for reply in replies]
-        assert canonical(got_a) == expect_a
-        assert canonical(got_b) == expect_b
+            threads = [threading.Thread(target=poll, args=(name,))
+                       for name in names]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert not errors
 
     def test_errors_are_per_request_not_per_connection(self, daemon):
         with RemoteClient(daemon.address) as client:
             client.open_workspace("w")
             client.sync_files("w", files=dict(FILES))
-            bad = client.submit_apply(
-                "w", [{"kind": "cookbook", "name": "no_such"}])
-            good = client.submit_apply("w", [smpl_spec()])
-            with pytest.raises(RemoteError):
-                bad.wait()
-            assert good.wait()["exit_status"] == 0
+            with pytest.raises(RemoteError) as err:
+                client.apply("w", [{"kind": "cookbook", "name": "no_such"}])
+            assert err.value.kind == "bad-patch"
+            assert client.apply("w", [smpl_spec()])["exit_status"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +228,6 @@ class TestAuth:
 
     def test_tokened_client_works(self, tcp_daemon):
         with RemoteClient(tcp_daemon.address, token="sesame") as client:
-            assert client.protocol == 2
             client.open_workspace("w")
             client.sync_files("w", files=dict(FILES))
             assert client.apply("w", [smpl_spec()])["exit_status"] == 0
@@ -211,9 +238,30 @@ class TestAuth:
         assert err.value.kind == "auth-failed"
 
     def test_verb_before_hello_is_refused(self, tcp_daemon):
-        with pytest.raises(RemoteError) as err:
-            RemoteClient(tcp_daemon.address, protocol=1).ping()
+        with RemoteClient(tcp_daemon.address) as client:  # no token
+            with pytest.raises(RemoteError) as err:
+                client.ping()
         assert err.value.kind == "auth-required"
+
+    def test_failed_hello_closes_the_socket(self, tcp_daemon):
+        """A constructor whose hello fails leaves no socket behind: none
+        is reported unclosed when the garbage collector runs."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(RemoteError):
+                RemoteClient(tcp_daemon.address, token="wrong")
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_failed_unix_connect_closes_the_socket(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                RemoteClient(f"unix:{tmp_path}/nothing.sock")
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_unix_socket_ignores_the_token(self, tmp_path):
         daemon = PatchDaemon(f"unix:{tmp_path}/open.sock", PatchService(),
@@ -611,11 +659,7 @@ def _spawn_daemon(tmp_path, sock, *extra):
         [sys.executable, "-m", "repro.cli.spatchd",
          "--listen", f"unix:{sock}", *extra],
         env=env, stderr=subprocess.PIPE, text=True)
-    deadline = time.time() + 30.0
-    while not os.path.exists(sock):
-        assert process.poll() is None, process.stderr.read()
-        assert time.time() < deadline, "daemon never bound its socket"
-        time.sleep(0.05)
+    wait_until_serving(f"unix:{sock}", process)
     return process
 
 
