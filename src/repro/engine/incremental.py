@@ -46,11 +46,13 @@ a cold :meth:`~repro.engine.pipeline.PatchPipeline.run` with the caller's
 patch's sessions by content, wherever the patch now sits in the list, so
 appending one patch to a warm cookbook costs about one patch.
 
-Splicing never crosses a process boundary: a prior result lives only in
-the process that computed it (``--watch`` rounds, a server workspace).
-Across processes the one persistent store is the memo's directory
-(``--memo-dir``, or its ``--incremental`` spelling), which answers every
-unchanged session of a fresh process by content.
+A prior result lives in memory only: in the process that computed it
+(``--watch`` rounds, a server workspace), or, for a daemon's apply fleet,
+shipped over the daemon's own worker pipe to the parent, which splices
+from it.  It is never written to disk.  Across process lifetimes the one
+persistent store is the memo's directory (``--memo-dir``, or its
+``--incremental`` spelling), which answers every unchanged session of a
+fresh process by content.
 """
 
 from __future__ import annotations

@@ -29,12 +29,23 @@ respawned worker, a workspace the worker's own LRU evicted, a manifest
 the worker could not restore, a parent restart with stale ``fleet_seen``
 bookkeeping.
 
+The reply carries the apply's payload, the worker's pid, its telemetry
+and the :class:`~repro.engine.pipeline.PipelineResult` the worker stored.
+The parent keeps that result as the workspace's ``last`` on success, the
+way an in-process apply stores its own, so the parent's lock-free
+``query`` and unstored ``apply`` splice every hash-unchanged file from it
+and re-diff nothing (each file's diff is pickled with it).  Shipping the
+whole result costs O(workspace) pipe bytes per apply: 165 KB, with about
+0.6 ms to pickle and 0.6 ms to unpickle, for the 14-file benchmark tree
+on a 2-CPU Xeon host.
+
 Telemetry: the reply carries what the worker's ``apply`` counted (its
 request counter removed — the parent counts its own requests); the parent
 merges it under ``origin="fleet"`` into the request's capture and the
 workspace's running counts, so ``stats`` rows read the same in both
-modes.  ``stats`` itself never crosses the pipe: the fleet section is
-built from the parent's handles and shards.
+modes.  No read-only verb crosses the pipe: ``query`` runs in the parent,
+and the fleet section of ``stats`` is built from the parent's handles and
+shards.
 
 Restart survival: with a ``state_root``, the worker's service writes a
 workspace's JSON file manifest after every stored apply and restores the
@@ -101,11 +112,14 @@ class _FleetWorker:
                         "kind": "internal",
                         "message": f"unknown fleet op {op!r}"}})
             except Exception as exc:  # the loop must outlive any one job
+                # the traceback goes to the daemon's stderr, which the
+                # worker inherits; the client gets the same one-line
+                # message the in-process daemon answers for this failure
+                traceback.print_exc()
                 try:
                     self.conn.send({"ok": False, "error": {
                         "kind": "internal",
-                        "message": f"{type(exc).__name__}: {exc}\n"
-                                   f"{traceback.format_exc()}"}})
+                        "message": f"{type(exc).__name__}: {exc}"}})
                 except (OSError, ValueError):
                     return
 
@@ -113,7 +127,8 @@ class _FleetWorker:
         """Bring the worker's copy of the workspace up to the job's
         manifest, then apply.  What the apply counted rides the reply, so
         the parent's request capture, workspace row and ``/metrics`` stay
-        exact even though all the matching happened in this process."""
+        exact even though all the matching happened in this process; so
+        does the stored result, which becomes the parent's ``last``."""
         from .service import _M_REQUESTS, ServiceError
 
         name = job["workspace"]
@@ -129,13 +144,14 @@ class _FleetWorker:
                 return {"ok": False, "resync": True}
             with _obs.Capture() as counts:
                 payload = service.apply(name, **job["request"])
+            result = service.workspace(name).last
         except ServiceError as exc:
             return {"ok": False,
                     "error": {"kind": exc.kind, "message": str(exc)}}
         # the parent counts its own requests; this call is not one of them
         counts.counters.pop(_M_REQUESTS, None)
-        return {"ok": True, "payload": payload, "pid": os.getpid(),
-                "telemetry": counts.payload()}
+        return {"ok": True, "payload": payload, "result": result,
+                "pid": os.getpid(), "telemetry": counts.payload()}
 
 
 def _fleet_worker_main(conn, config: dict, inherited) -> None:

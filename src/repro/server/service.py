@@ -45,8 +45,10 @@ the workspace exactly as the previous successful request did.
 Read-only verbs never queue behind applies: ``query`` runs against an
 atomically published snapshot of the file dict (``Workspace._files_view``,
 replaced — never mutated — at the end of each mutation while the lock is
-held), and ``stats`` reads counters without the workspace lock (and, with
-a fleet, without a worker round trip).  A query
+held) and the last result (also replaced, never mutated), and ``stats``
+reads counters without the workspace lock.  With a fleet neither crosses
+a worker pipe, so neither waits for an apply running in the pinned
+worker.  A query
 racing a sync sees either the whole pre-sync tree or the whole post-sync
 tree; the incremental engine's content-hash verification makes any
 ``since=`` seed safe regardless of which one it sees.
@@ -58,8 +60,12 @@ ordering is preserved — one worker, one pipe, FIFO), and N workers give N
 truly concurrent applies across workspaces where the GIL previously
 allowed one.  Each worker is itself a ``workers=1`` service: a fleet apply
 is that service's ``open_workspace``, ``sync_files`` (the parent's delta
-plus its authoritative manifest) and ``apply``, and what the apply
-counted is folded into this service's request and workspace counts.
+plus its authoritative manifest) and ``apply``.  What the apply counted
+is folded into this service's request and workspace counts, and the
+result it stored comes home in the reply and becomes the parent
+workspace's ``last`` (on success only, under the workspace lock, as an
+in-process apply stores its own).  Queries and unstored applies run in
+the parent, so they splice from that result exactly as in-process.
 ``workers=1`` (the default) keeps the exact in-process behavior.  With a
 ``state_root``, workspaces survive daemon restarts as plain data: a JSON
 ``{name: sha1}`` manifest per workspace, saved atomically after every
@@ -751,7 +757,9 @@ class PatchService:
         With a fleet (``workers >= 2``), stored applies execute in the
         workspace's pinned worker process, through that worker's own
         service; the workspace lock is held for the round trip, so
-        per-workspace serialization is identical to the in-process path."""
+        per-workspace serialization is identical to the in-process path,
+        and the worker's result becomes this workspace's seed.  Unstored
+        applies run here, seeded with it, like queries."""
         if self._fleet is not None and store:
             return self._apply_fleet(name, patches, options=options,
                                      jobs=jobs, prefilter=prefilter,
@@ -776,7 +784,8 @@ class PatchService:
         """Route one stored apply to the pinned fleet worker: ship the
         files changed since the worker's last known tree plus the
         manifest, and resend every file once if the worker reports
-        divergence."""
+        divergence.  On success the worker's result becomes this
+        workspace's ``last``; a failure leaves it as it was."""
         options_from_payload(options)  # validate before any state changes
         request = {"patches": list(patches), "options": options,
                    "jobs": self.default_jobs if jobs is None else jobs,
@@ -801,6 +810,10 @@ class PatchService:
                 raise ServiceError(error.get("kind", "internal"),
                                    error.get("message", "fleet apply failed"))
             workspace.fleet_seen = hashes
+            # the worker's stored result, shipped home: the same seed an
+            # in-process apply stores, so queries and unstored applies here
+            # splice exactly as they would in-process
+            workspace.last = reply["result"]
         # fold what the worker counted into this request's capture and the
         # workspace's running counts under origin="fleet": /metrics, the
         # service totals and the workspace's stats row then cover matching

@@ -399,17 +399,32 @@ def fleet_service(tmp_path):
     service.close()
 
 
+@pytest.fixture
+def in_process_service():
+    service = PatchService()
+    yield service
+    service.close()
+
+
+def open_both(*services) -> None:
+    for service in services:
+        service.open_workspace("w")
+        service.sync_files("w", files=dict(FILES))
+
+
+def assert_spliced(payload: dict) -> None:
+    """The run reused every file of the workspace's last result."""
+    incremental = payload["profile"]["incremental"]
+    assert incremental["fallback"] is None
+    assert incremental["files_reused"] == len(FILES)
+
+
 class TestFleetApply:
-    def test_byte_identity_with_in_process_apply(self, fleet_service):
-        reference_service = PatchService()
-        try:
-            for service in (reference_service, fleet_service):
-                service.open_workspace("w")
-                service.sync_files("w", files=dict(FILES))
-            reference = reference_service.apply("w", [smpl_spec()])
-            fleet = fleet_service.apply("w", [smpl_spec()])
-        finally:
-            reference_service.close()
+    def test_byte_identity_with_in_process_apply(self, fleet_service,
+                                                 in_process_service):
+        open_both(in_process_service, fleet_service)
+        reference = in_process_service.apply("w", [smpl_spec()])
+        fleet = fleet_service.apply("w", [smpl_spec()])
         assert canonical(fleet) == canonical(reference)
 
     def test_warm_reapply_reuses_everything(self, fleet_service):
@@ -419,11 +434,79 @@ class TestFleetApply:
         warm = fleet_service.apply("w", [smpl_spec()], profile=True)
         assert warm["profile"]["incremental"]["files_reused"] == len(FILES)
 
-    def test_query_does_not_go_through_the_fleet(self, fleet_service):
-        fleet_service.open_workspace("w")
-        fleet_service.sync_files("w", files=dict(FILES))
+    def test_query_after_a_fleet_apply_splices(self, fleet_service,
+                                               in_process_service):
+        """The fleet apply ships its result home: the parent's query splices
+        from it exactly as an in-process query splices from its own."""
+        open_both(in_process_service, fleet_service)
         payload = fleet_service.query("w", [smpl_spec()])
         assert payload["summary"]["changed_files"] == 1
+        for service in (in_process_service, fleet_service):
+            service.apply("w", [smpl_spec()])
+        warm = fleet_service.query("w", [smpl_spec()], profile=True)
+        assert_spliced(warm)
+        assert canonical(warm) == canonical(
+            in_process_service.query("w", [smpl_spec()]))
+
+        edit = {"a.c": "void f(void) { old(); old(); }\n"}
+        for service in (in_process_service, fleet_service):
+            service.sync_files("w", files=edit)
+        edited = fleet_service.query("w", [smpl_spec()], profile=True)
+        incremental = edited["profile"]["incremental"]
+        assert incremental["fallback"] is None
+        assert incremental["files_changed"] == 1
+        assert incremental["files_reused"] == len(FILES) - 1
+        assert canonical(edited) == canonical(
+            in_process_service.query("w", [smpl_spec()]))
+        (row,) = fleet_service.stats()["per_workspace"]
+        assert row["has_result"] is True
+
+    def test_failed_fleet_apply_keeps_the_seed(self, fleet_service):
+        open_both(fleet_service)
+        fleet_service.apply("w", [smpl_spec()])
+        seed = fleet_service.workspace("w").last
+        assert seed is not None
+        with pytest.raises(ServiceError):
+            fleet_service.apply("w", [{"kind": "cookbook",
+                                       "name": "no_such"}])
+        assert fleet_service.workspace("w").last is seed
+        assert_spliced(fleet_service.query("w", [smpl_spec()], profile=True))
+
+    def test_healed_apply_replaces_the_seed(self, fleet_service,
+                                            in_process_service):
+        open_both(in_process_service, fleet_service)
+        fleet_service.apply("w", [smpl_spec()])
+        seed = fleet_service.workspace("w").last
+
+        handle = fleet_service._fleet._handles[shard_of("w", 2)]
+        os.kill(handle.process.pid, signal.SIGKILL)
+        handle.process.join(timeout=5.0)
+
+        edit = {"c.c": "void g(void) { old(); }\n"}
+        for service in (in_process_service, fleet_service):
+            service.sync_files("w", files=edit)
+            service.apply("w", [smpl_spec()])
+        assert fleet_service.stats()["fleet"]["respawns"] >= 1
+        assert fleet_service.workspace("w").last is not seed
+        warm = fleet_service.query("w", [smpl_spec()], profile=True)
+        assert warm["profile"]["incremental"]["fallback"] is None
+        assert warm["profile"]["incremental"]["files_reused"] \
+            == len(FILES) + 1
+        assert canonical(warm) == canonical(
+            in_process_service.query("w", [smpl_spec()]))
+
+    def test_unstored_apply_splices_from_the_shipped_seed(
+            self, fleet_service, in_process_service):
+        open_both(in_process_service, fleet_service)
+        for service in (in_process_service, fleet_service):
+            service.apply("w", [smpl_spec()])
+        seed = fleet_service.workspace("w").last
+        unstored = fleet_service.apply("w", [smpl_spec()], store=False,
+                                       texts=True, profile=True)
+        assert_spliced(unstored)
+        assert fleet_service.workspace("w").last is seed
+        assert canonical(unstored) == canonical(in_process_service.apply(
+            "w", [smpl_spec()], store=False, texts=True))
 
     def test_stats_reports_the_fleet(self, fleet_service):
         fleet_service.open_workspace("w")
@@ -477,9 +560,10 @@ class TestFleetApply:
 
     def test_stats_answers_while_the_worker_is_busy(self, fleet_service,
                                                     tmp_path):
-        """``stats`` never crosses a worker pipe: it answers while an apply
-        is blocked in the pinned worker (a script rule waiting on a
-        file)."""
+        """Read-only verbs never cross a worker pipe: ``stats`` and a warm
+        ``query`` of the same workspace answer while an apply is blocked in
+        the pinned worker (a script rule waiting on a file), and the query
+        splices from the result the previous fleet apply shipped home."""
         started, release = tmp_path / "started", tmp_path / "release"
         blocking = ("@r@\nidentifier f;\n@@\nf(...);\n\n"
                     "@script:python s@\nf << r.f;\n@@\n"
@@ -491,7 +575,8 @@ class TestFleetApply:
                     "    time.sleep(0.01)\n")
         fleet_service.open_workspace("w")
         fleet_service.sync_files("w", files=dict(FILES))
-        applied, answered = [], []
+        fleet_service.apply("w", [smpl_spec()])
+        applied, answered, queried = [], [], []
         apply_thread = threading.Thread(target=lambda: applied.append(
             fleet_service.apply("w", [smpl_spec(blocking, name="block")])))
         apply_thread.start()
@@ -501,18 +586,28 @@ class TestFleetApply:
             while not started.exists():
                 assert time.monotonic() < deadline, "the script never ran"
                 time.sleep(0.01)
-            poll = threading.Thread(
-                target=lambda: answered.append(fleet_service.stats()),
-                daemon=True)
-            poll.start()
-            poll.join(timeout=5.0)
-            queued = poll.is_alive()
+            polls = [
+                threading.Thread(
+                    target=lambda: answered.append(fleet_service.stats()),
+                    daemon=True),
+                threading.Thread(
+                    target=lambda: queried.append(fleet_service.query(
+                        "w", [smpl_spec()], profile=True)),
+                    daemon=True)]
+            for poll in polls:
+                poll.start()
+            for poll in polls:
+                poll.join(timeout=5.0)
+            queued = [poll.is_alive() for poll in polls]
         finally:
             release.touch()
             apply_thread.join(timeout=30.0)
-        assert not queued, "stats queued behind the busy worker"
+        assert queued == [False, False], \
+            "stats or query queued behind the busy worker"
         pinned = answered[0]["fleet"]["per_worker"][shard_of("w", 2)]
         assert pinned["workspaces"] == ["w"]
+        assert_spliced(queried[0])
+        assert queried[0]["summary"]["changed_files"] == 1
         assert applied and applied[0]["workspace"] == "w"
 
     @pytest.mark.parametrize("same_worker", [True, False],
@@ -825,6 +920,30 @@ class TestDaemonCliFlags:
 
 
 class TestFleetDaemonEndToEnd:
+    def test_internal_error_reads_the_same_in_both_modes(self, tmp_path):
+        """A failure inside the engine answers one line, with no worker
+        traceback, whether the apply ran in-process or in a worker."""
+        broken = {"a.c": "void f(void) { old(); }\n/* never closed\n",
+                  "b.c": "int idle;\n"}
+        errors = []
+        for workers in (1, 2):
+            daemon = PatchDaemon(f"unix:{tmp_path}/err{workers}.sock",
+                                 PatchService(workers=workers))
+            daemon.serve_in_thread()
+            try:
+                with RemoteClient(daemon.address) as client:
+                    client.open_workspace("w")
+                    client.sync_codebase("w", CodeBase.from_files(broken))
+                    with pytest.raises(RemoteError) as err:
+                        client.apply("w", [smpl_spec()])
+                errors.append((err.value.kind, err.value.message))
+            finally:
+                daemon.shutdown()
+        assert errors[0] == errors[1]
+        assert errors[0] == ("internal",
+                             "LexError: a.c:2:0: unterminated block comment")
+        assert "Traceback" not in errors[1][1]
+
     def test_daemon_with_workers_serves_clients(self, tmp_path):
         daemon = PatchDaemon(
             f"unix:{tmp_path}/fleet.sock",
