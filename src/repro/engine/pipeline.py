@@ -75,7 +75,8 @@ from .cache import (DEFAULT_TREE_CACHE, TreeCache, content_sha1,
                     parse_cache_counts)
 from .compile import backend_enabled
 from .memo import TransformMemo, memo_counts, memo_flags
-from .prefilter import PatchPrefilter, token_set
+from .derived import derived
+from .prefilter import patch_prefilter, token_set
 from .report import FileResult, PatchResult
 from .scripting import namespace_digest
 
@@ -281,13 +282,17 @@ def patch_fingerprint(patch: SemanticPatchAST, options: SpatchOptions,
     was built programmatically), its name and its options — anything that can
     change what the patch does to a file.  The transform memo keys each
     session on it, so an unchanged patch is answered by content wherever it
-    sits in a changed patch list."""
-    digest = hashlib.sha1()
-    source = patch.source_text or repr(patch)
-    for part in (name, source, repr(options)):
-        digest.update(part.encode("utf-8", "surrogatepass"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    sits in a changed patch list.  Computed once per (patch object,
+    options, name)."""
+    def build() -> str:
+        digest = hashlib.sha1()
+        source = patch.source_text or repr(patch)
+        for part in (name, source, repr(options)):
+            digest.update(part.encode("utf-8", "surrogatepass"))
+            digest.update(b"\x00")
+        return digest.hexdigest()
+
+    return derived(patch, ("fingerprint", options, name), build)
 
 
 def patchset_fingerprint(patches: Sequence[SemanticPatchAST],
@@ -398,7 +403,7 @@ class PipelinePrefilter:
     """
 
     def __init__(self, patches: Sequence[SemanticPatchAST]):
-        self.prefilters = [PatchPrefilter(patch) for patch in patches]
+        self.prefilters = [patch_prefilter(patch) for patch in patches]
         self.n_patches = len(self.prefilters)
 
     def needs_any_session(self, file_tokens: frozenset[str]) -> bool:
@@ -543,7 +548,7 @@ def _pipeline_worker_init(payloads, options_list, prefilter_enabled: bool,
             # per-file scripts read the globals initialize rules set up
             engine._run_initialize_rules()
         engines.append(engine)
-        prefilters.append(PatchPrefilter(ast) if prefilter_enabled else None)
+        prefilters.append(patch_prefilter(ast) if prefilter_enabled else None)
     _PIPELINE_WORKER["engines"] = engines
     _PIPELINE_WORKER["prefilters"] = prefilters
     # the parent's TransformMemo holds a lock and must not cross the fork

@@ -57,6 +57,7 @@ from typing import Iterable, Optional
 
 from ..lang.lexer import ANNOT_PLUS, TokenKind, after_number, scan_word_tokens
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
+from .derived import derived
 
 #: punctuators that are selective enough to gate on and that no isomorphism
 #: can rewrite into another spelling
@@ -260,7 +261,9 @@ class PatchPrefilter:
     """
 
     def __init__(self, patch: SemanticPatchAST):
-        self.patch = patch
+        #: the patch's rules, not the patch: :func:`patch_prefilter` keeps
+        #: one prefilter per live patch, which must not keep it alive
+        self.rules = tuple(patch.rules)
         self.requirements: dict[str, frozenset[str]] = {}
         addable_so_far: frozenset[str] = frozenset()
         unbounded = False
@@ -310,7 +313,7 @@ class PatchPrefilter:
         dependencies are ignored (assuming a rule may run is the conservative
         direction)."""
         may_apply: set[str] = set()
-        for rule in self.patch.rules:
+        for rule in self.rules:
             if any(dep not in may_apply for dep in rule.dependencies.required):
                 continue
             if isinstance(rule, ScriptRule):
@@ -323,3 +326,9 @@ class PatchPrefilter:
             elif rule.name in allowed:
                 may_apply.add(rule.name)
         return bool(may_apply)
+
+
+def patch_prefilter(patch: SemanticPatchAST) -> PatchPrefilter:
+    """The one :class:`PatchPrefilter` of ``patch``, built on first use (a
+    pure function of the patch, so every later request reuses it)."""
+    return derived(patch, "prefilter", lambda: PatchPrefilter(patch))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from ..errors import Diagnostic
@@ -47,6 +47,10 @@ class FileResult:
     #: racing on a first call compute and store the same string)
     _diff: Optional[str] = field(default=None, init=False, repr=False,
                                  compare=False)
+    #: ``(added, removed)`` line counts of that diff, computed by the first
+    #: :meth:`line_counts` call and carried by :meth:`copy` and pickling
+    _counts: Optional[tuple[int, int]] = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     @property
     def changed(self) -> bool:
@@ -55,13 +59,17 @@ class FileResult:
     def copy(self) -> "FileResult":
         """An independent, equal snapshot: incremental re-application splices
         cached results into fresh :class:`PatchResult`\\ s, and mutating one
-        view must not leak into the other (reports included).  The diff
-        rides along, so a spliced file is never diffed again."""
+        view must not leak into the other (reports included).  The diff and
+        its line counts ride along, so a spliced file is never diffed or
+        counted again."""
         clone = FileResult(filename=self.filename,
                            original_text=self.original_text, text=self.text,
-                           rule_reports=[replace(r) for r in self.rule_reports],
+                           rule_reports=[RuleReport(r.rule, r.matches,
+                                                    r.deletions, r.insertions)
+                                         for r in self.rule_reports],
                            diagnostics=list(self.diagnostics))
         clone._diff = self._diff
+        clone._counts = self._counts
         return clone
 
     @property
@@ -77,8 +85,9 @@ class FileResult:
 
     def diff(self) -> str:
         """Unified diff between the original and the patched text, computed
-        on the first call; :meth:`added_lines`, :meth:`removed_lines` and
-        every summary count read this one diff."""
+        on the first call; :meth:`line_counts` (which every summary count
+        reads), :meth:`added_lines` and :meth:`removed_lines` read this one
+        diff."""
         if self._diff is None:
             self._diff = "".join(difflib.unified_diff(
                 self.original_text.splitlines(keepends=True),
@@ -87,13 +96,28 @@ class FileResult:
                 tofile=f"b/{self.filename}")) if self.changed else ""
         return self._diff
 
+    def _body(self) -> list[str]:
+        """The diff's lines below its ``---``/``+++`` file header, so an
+        added ``++i;`` or a removed ``--i;`` is a line like any other."""
+        return self.diff().splitlines()[2:]
+
+    def line_counts(self) -> tuple[int, int]:
+        """``(added, removed)`` lines of :meth:`diff`, counted once."""
+        if self._counts is None:
+            added = removed = 0
+            for line in self._body() if self.changed else ():
+                if line.startswith("+"):
+                    added += 1
+                elif line.startswith("-"):
+                    removed += 1
+            self._counts = (added, removed)
+        return self._counts
+
     def added_lines(self) -> list[str]:
-        return [line[1:] for line in self.diff().splitlines()
-                if line.startswith("+") and not line.startswith("+++")]
+        return [line[1:] for line in self._body() if line.startswith("+")]
 
     def removed_lines(self) -> list[str]:
-        return [line[1:] for line in self.diff().splitlines()
-                if line.startswith("-") and not line.startswith("---")]
+        return [line[1:] for line in self._body() if line.startswith("-")]
 
 
 @dataclass
@@ -131,10 +155,10 @@ class PatchResult:
         return "".join(f.diff() for f in self.files.values() if f.changed)
 
     def lines_added(self) -> int:
-        return sum(len(f.added_lines()) for f in self.files.values())
+        return sum(f.line_counts()[0] for f in self.files.values())
 
     def lines_removed(self) -> int:
-        return sum(len(f.removed_lines()) for f in self.files.values())
+        return sum(f.line_counts()[1] for f in self.files.values())
 
     def summary(self) -> dict[str, int]:
         return {

@@ -128,3 +128,32 @@ def test_module_entry_point_writes_nothing_to_stderr(module):
     assert ran.returncode == 0
     assert ran.stdout.startswith(f"repro-{module.rsplit('.', 1)[1]} ")
     assert ran.stderr == ""
+
+
+@pytest.mark.parametrize("flags", [["--json"], ["--report"]],
+                         ids=["json", "report"])
+def test_increment_lines_count_alike_local_and_server(flags, daemon,
+                                                      tmp_path, capsys):
+    """An added ``++i;`` and a removed ``--i;`` at column 0 count as one
+    line each, not as file headers, in the local and the served summary."""
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.c").write_text("void f(int i) {\n--i;\n}\n")
+    cocci = tmp_path / "inc.cocci"
+    cocci.write_text("@r@\nidentifier x;\n@@\n- --x;\n+ ++x;\n")
+    argv = ["--sp-file", str(cocci), *flags, str(root / "a.c")]
+
+    outputs = []
+    for prefix in ([], ["--server", daemon.address]):
+        assert spatch_main([*prefix, *argv]) == 0
+        captured = capsys.readouterr()
+        out = without_workspace(captured.out) if prefix and "--json" in flags \
+            else captured.out
+        outputs.append((out, captured.err))
+    assert outputs[0] == outputs[1]
+    out, err = outputs[0]
+    if "--json" in flags:
+        summary = json.loads(out)["summary"]
+        assert (summary["lines_added"], summary["lines_removed"]) == (1, 1)
+    else:
+        assert "matches: 1  +1 -1" in err
