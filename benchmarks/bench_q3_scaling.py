@@ -14,6 +14,8 @@ depending on the runner's timing behaviour.
 
 import gc
 import os
+import pathlib
+import sys
 import time
 from dataclasses import dataclass
 
@@ -673,7 +675,7 @@ def test_q3h_server_vs_cold_cli(benchmark, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Q3i — compiled matcher backend vs the interpreted reference
+# Q3i — compiled matcher vs the reference interpreter (tests/reference_matcher.py)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -691,18 +693,25 @@ def test_q3i_compiled_matcher_vs_interpreter(benchmark):
     """Acceptance: a cold matching pass of the whole cookbook's rules over
     the 44-file mixed tree — every (rule, file) pair, compilation and the
     candidate-index walks included in the compiled timing — is >= 5x
-    faster with the compiled backend, with identical match signatures pair
-    by pair and byte-identical end-to-end pipeline output.
+    faster with the compiled matcher than with the tree-walking reference
+    interpreter of ``tests/reference_matcher.py``, with identical match
+    signatures pair by pair and byte-identical end-to-end pipeline output
+    (the reference side substitutes the interpreter for every
+    ``CompiledRule.match_all`` call).
 
-    The grid isolates the matcher: both backends consume the same parsed
-    trees, so parse time (which re-parse-after-edit makes the bulk of a
-    full pipeline pass and which is byte-for-byte the same work in both
-    backends) cannot dilute the comparison.
+    The grid isolates the matcher: both consume the same parsed trees, so
+    parse time (which re-parse-after-edit makes the bulk of a full pipeline
+    pass and which is byte-for-byte the same work on both sides) cannot
+    dilute the comparison.
     """
     from repro.cookbook import full_modernization_pipeline
     from repro.engine.compile import CompiledRule
-    from repro.engine.matcher import Matcher
     from repro.lang.parser import parse_source
+
+    tests_dir = str(pathlib.Path(__file__).resolve().parents[1] / "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    from reference_matcher import Matcher, reference_backend
 
     codebase = mixed_workload(scale=1)
     patches = list(full_modernization_pipeline())
@@ -754,21 +763,20 @@ def test_q3i_compiled_matcher_vs_interpreter(benchmark):
     interp_runs, compiled_runs = benchmark.pedantic(compare, rounds=1,
                                                     iterations=1)
 
-    # signature-identical, pair by pair, on every run of both backends
+    # signature-identical, pair by pair, on every run of both sides
     reference = interp_runs[0][0]
     for signatures, _seconds in interp_runs + compiled_runs:
         assert signatures == reference
     matches = sum(len(sigs) for _rule, _file, sigs in reference)
 
-    # byte-identical end-to-end output (the full pipeline, both backends)
-    interp_result = PatchSet(patches).apply(mixed_workload(scale=1),
-                                            compile=False)
-    compiled_result = PatchSet(patches).apply(mixed_workload(scale=1),
-                                              compile=True)
+    # byte-identical end-to-end output (the full pipeline, both matchers)
+    with reference_backend():
+        interp_result = PatchSet(patches).apply(mixed_workload(scale=1))
+    compiled_result = PatchSet(patches).apply(mixed_workload(scale=1))
     assert _texts(compiled_result) == _texts(interp_result)
 
-    # min-of-rounds: the noise-robust per-backend estimate (a slow outlier
-    # round says something about the machine, not the backend)
+    # min-of-rounds: the noise-robust per-side estimate (a slow outlier
+    # round says something about the machine, not the matcher)
     interp_seconds = min(seconds for _s, seconds in interp_runs)
     compiled_seconds = min(seconds for _s, seconds in compiled_runs)
     speedup = interp_seconds / compiled_seconds
@@ -782,7 +790,8 @@ def test_q3i_compiled_matcher_vs_interpreter(benchmark):
                    len(trees), len(rules) * len(trees), matches,
                    compiled_seconds, speedup),
     ]
-    emit("Q3i compiled matcher backend (cookbook rules x mixed tree)",
+    emit("Q3i compiled matcher vs reference interpreter "
+         "(cookbook rules x mixed tree)",
          "per-rule specialized matchers over shared candidate indexes beat "
          "the interpreted reference >= 5x on a cold matching pass, with "
          "identical match signatures and byte-identical pipeline output",

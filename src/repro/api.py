@@ -244,30 +244,24 @@ class SemanticPatch:
         return self.engine().apply_to_file(filename, text)
 
     def apply(self, codebase: "CodeBase | dict[str, str]", *,
-              jobs: "int | str" = 1, prefilter: bool = True,
-              compile: Optional[bool] = None) -> PatchResult:
+              jobs: "int | str" = 1, prefilter: bool = True) -> PatchResult:
         """Apply the patch to a whole code base; returns per-file results.
 
         ``jobs`` applies files in that many worker processes (``"auto"`` =
         one per CPU); ``prefilter`` skips files the required-token analysis
-        proves cannot match (behaviour-preserving, on by default);
-        ``compile`` selects the compiled matcher backend (``None`` defers to
-        ``REPRO_MATCHER``, which defaults to compiled).  The run is a
-        one-patch :class:`~repro.engine.pipeline.PatchPipeline`, so the
+        proves cannot match (behaviour-preserving, on by default).  The run
+        is a one-patch :class:`~repro.engine.pipeline.PatchPipeline`, so the
         result is a :class:`~repro.engine.pipeline.PipelineResult` carrying
         the timing breakdown in ``.stats``.
         """
-        return PatchSet([self]).apply(codebase, jobs=jobs,
-                                      prefilter=prefilter, compile=compile)
+        return PatchSet([self]).apply(codebase, jobs=jobs, prefilter=prefilter)
 
     def transform(self, codebase: "CodeBase", *,
-                  jobs: "int | str" = 1, prefilter: bool = True,
-                  compile: Optional[bool] = None) -> "CodeBase":
+                  jobs: "int | str" = 1, prefilter: bool = True) -> "CodeBase":
         """Apply the patch and return the transformed code base (the
         'replayable refactoring' workflow of the paper: the original tree is
         the maintained source of truth, the refactored copy is regenerated)."""
-        result = self.apply(codebase, jobs=jobs, prefilter=prefilter,
-                            compile=compile)
+        result = self.apply(codebase, jobs=jobs, prefilter=prefilter)
         return CodeBase(files={name: fr.text for name, fr in result.files.items()})
 
 
@@ -353,18 +347,17 @@ class PatchSet:
     # -- application -------------------------------------------------------------
 
     def pipeline(self, *, jobs: "int | str" = 1, prefilter: bool = True,
-                 compile: Optional[bool] = None, memo=None):
+                 memo=None):
         """A fresh :class:`~repro.engine.pipeline.PatchPipeline` (one per run)."""
         from .engine.pipeline import PatchPipeline
 
         return PatchPipeline([patch.ast for patch in self.patches],
                              options=[patch.options for patch in self.patches],
                              names=self.patch_names,
-                             jobs=jobs, prefilter=prefilter, compile=compile,
-                             memo=memo)
+                             jobs=jobs, prefilter=prefilter, memo=memo)
 
     def incremental(self, *, jobs: "int | str" = 1, prefilter: bool = True,
-                    compile: Optional[bool] = None, memo=None):
+                    memo=None):
         """A fresh :class:`~repro.engine.incremental.IncrementalPipeline`
         (one per run), for callers that drive ``run(files, since=...)``
         themselves."""
@@ -375,11 +368,11 @@ class PatchSet:
                                             for patch in self.patches],
                                    names=self.patch_names,
                                    jobs=jobs, prefilter=prefilter,
-                                   compile=compile, memo=memo)
+                                   memo=memo)
 
     def apply(self, codebase: "CodeBase | dict[str, str]", *,
               jobs: "int | str" = 1, prefilter: bool = True, since=None,
-              compile: Optional[bool] = None, memo=None):
+              memo=None):
         """Apply every patch, in order, to a whole code base in one pass.
 
         Returns a :class:`~repro.engine.pipeline.PipelineResult`: a
@@ -409,17 +402,16 @@ class PatchSet:
             else dict(codebase)
         if since is None:
             return self.pipeline(jobs=jobs, prefilter=prefilter,
-                                 compile=compile, memo=memo).run(files)
+                                 memo=memo).run(files)
         return self.incremental(jobs=jobs, prefilter=prefilter,
-                                compile=compile, memo=memo) \
-            .run(files, since=since)
+                                memo=memo).run(files, since=since)
 
     def transform(self, codebase: "CodeBase", *,
                   jobs: "int | str" = 1, prefilter: bool = True,
-                  since=None, compile: Optional[bool] = None) -> "CodeBase":
+                  since=None) -> "CodeBase":
         """Apply the whole set and return the transformed code base."""
         result = self.apply(codebase, jobs=jobs, prefilter=prefilter,
-                            since=since, compile=compile)
+                            since=since)
         return CodeBase(files={name: fr.text for name, fr in result.files.items()})
 
 

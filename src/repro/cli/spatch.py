@@ -283,7 +283,7 @@ def _build_patches(patch_args: list[tuple[str, str]],
 def _profile_lines(result, counts, memo=None) -> list[str]:
     """The local ``--profile`` stderr block: the run's stats and reuse
     breakdown, then the counters beyond them — process-wide parse-cache
-    traffic (hits/misses/dedup waits/evictions) and compiled-matcher
+    traffic (hits/misses/dedup waits/evictions) and matcher
     counters from the registry, plus — with ``--memo-dir`` or ``--watch`` —
     the transform memo's two-tier traffic from its capture ``counts``."""
     from ..engine.cache import DEFAULT_TREE_CACHE
@@ -300,10 +300,8 @@ def _profile_lines(result, counts, memo=None) -> list[str]:
                  f"wait(s), {cache['evictions']} eviction(s)")
     matcher = matcher_counters()
     lines.append(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
-                 f"compiled, {matcher['rules_fallback']} interpreted "
-                 f"fallback(s), {matcher['compile_cache_hits']} "
-                 f"compile-cache hit(s), {matcher['match_calls']} match "
-                 f"call(s)")
+                 f"compiled, {matcher['compile_cache_hits']} compile-cache "
+                 f"hit(s), {matcher['match_calls']} match call(s)")
     lines.append(f"# matcher candidates: {matcher['candidates_filtered']} of "
                  f"{matcher['candidates_filtered'] + matcher['candidates_visited']} "
                  f"pruned ({100.0 * matcher['filter_rate']:.1f}%), "

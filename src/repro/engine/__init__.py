@@ -10,7 +10,7 @@ matchers) a pipeline holds for each of its patches.
 
 from .bindings import BoundValue, Env, Position, EMPTY_ENV
 from .edits import Deletion, EditSet, Insertion
-from .matcher import Correspondence, Matcher, MatchInstance, MState
+from .matcher import Correspondence, MatchInstance, MState
 from .transform import Transformer, FreshNameRegistry
 from .scripting import CocciHelpers, ScriptRunner, TaggedValue
 from .report import FileResult, PatchResult, RuleReport
@@ -27,7 +27,7 @@ from .incremental import IncrementalPipeline, IncrementalStats
 __all__ = [
     "BoundValue", "Env", "Position", "EMPTY_ENV",
     "Deletion", "EditSet", "Insertion",
-    "Correspondence", "Matcher", "MatchInstance", "MState",
+    "Correspondence", "MatchInstance", "MState",
     "Transformer", "FreshNameRegistry",
     "CocciHelpers", "ScriptRunner", "TaggedValue",
     "FileResult", "PatchResult", "RuleReport",

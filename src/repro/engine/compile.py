@@ -1,19 +1,19 @@
-"""Compiled matching: per-rule specialized matchers over a fused node index.
+"""The matcher: per-rule closures over a fused node index.
 
-The interpreted :class:`~repro.engine.matcher.Matcher` re-discovers the same
-facts for every candidate node: which metavariable declaration a pattern
-identifier refers to, which isomorphisms are live for a pattern shape, which
-handler a pattern node kind dispatches to — and it enumerates *every*
-expression (or statement-sequence start) of a file as a candidate for every
-rule.  This module performs that work **once per rule** instead:
+Matching a rule means asking the same questions for every candidate node:
+which metavariable declaration a pattern identifier refers to, which
+isomorphisms are live for a pattern shape, how a pattern node kind is
+matched.  This module answers them **once per rule**:
 
 * :class:`CompiledRule` lowers a rule's pattern into a chain of closures —
   one specialized match function per pattern node, with the metavariable
   declaration, isomorphism flags, ``E + 0`` base pattern and position
-  metavariables resolved at compile time.  Pattern kinds without a
-  specialized lowering fall back to the interpreted matcher *for that node
-  only*, so the compiled path is byte-identical by construction.
-* :class:`NodeIndex` replaces the per-rule tree walks with **one** pre-order
+  metavariables resolved at compile time.  Every pattern node kind has its
+  own lowering; kinds without a dedicated one (``Lambda``, struct
+  definitions, raw declarations ...) get a field-by-field structural
+  closure.  The match state types and the two helpers closures call at
+  run time live in :mod:`~repro.engine.matcher`.
+* :class:`NodeIndex` replaces per-rule tree walks with **one** pre-order
   walk per parse tree, bucketing candidates by root node type (plus callee
   name for calls).  The index is cached on the tree object, and because the
   :class:`~repro.engine.cache.TreeCache` shares parse trees across the patch
@@ -26,14 +26,14 @@ rule.  This module performs that work **once per rule** instead:
 
 Soundness of candidate filtering
 --------------------------------
-A bucket filter must never drop a candidate the interpreter would match.
+A bucket filter must never drop a candidate the pattern could match.
 The filters are therefore isomorphism-aware: a ``++``/``--`` unary pattern
 also admits :class:`~repro.lang.ast_nodes.Assignment` candidates (the
 ``E += 1`` isomorphism), a ``+=``/``-=`` assignment pattern admits
 :class:`~repro.lang.ast_nodes.UnaryOp` candidates, an ``E + 0`` pattern
 admits everything its base pattern admits, and disjunctions take the union
 (conjunctions the intersection) of their branches.  Parenthesized
-candidates may be skipped even though the interpreter matches them after
+candidates may be skipped even though the pattern matches them after
 stripping: the stripped expression is itself the next candidate in
 pre-order and produces the same correspondences and bindings, so the
 signature-level de-duplication of ``match_all`` makes the omission
@@ -41,16 +41,18 @@ invisible.  Identifier buckets keyed by *name* (call callees) are consulted
 only when the inherited environment cannot rebind that name, because an
 undeclared identifier pattern matches whatever an inherited binding says.
 
+The test suite keeps a tree-walking reference matcher
+(``tests/reference_matcher.py``) that enumerates every expression and every
+statement-sequence start; the differential tests require both to return the
+same match signatures, in order, for every call.
+
 Compiled patches are cached globally by
 :func:`~repro.engine.pipeline.patch_fingerprint`, so warm spatchd
-workspaces and ``--watch`` loops never recompile an unchanged rule.  The
-interpreted matcher remains the reference implementation behind
-``REPRO_MATCHER=interp`` (or ``compile=False``).
+workspaces and ``--watch`` loops never recompile an unchanged rule.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from itertools import chain
 from operator import itemgetter
@@ -66,21 +68,7 @@ from ..smpl.ast import (KIND_EXPRESSION, KIND_STATEMENTS, KIND_TOPLEVEL,
 from ..smpl.isomorphisms import (DEFAULT_ISOS, IsoConfig, increment_variants,
                                  plus_zero_operand)
 from .bindings import BoundValue, Env, EMPTY_ENV
-from .matcher import Matcher, MatchInstance, MState
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def backend_enabled(compile_flag: Optional[bool] = None) -> bool:
-    """Resolve the matching backend: an explicit ``compile=`` argument wins,
-    otherwise the ``REPRO_MATCHER`` environment variable (``interp`` selects
-    the reference interpreter; anything else — including unset — selects the
-    compiled matcher)."""
-    if compile_flag is not None:
-        return bool(compile_flag)
-    return os.environ.get("REPRO_MATCHER", "compiled").strip().lower() != "interp"
+from .matcher import MatchInstance, MState, bind_positions, code_value
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +83,10 @@ def backend_enabled(compile_flag: Optional[bool] = None) -> bool:
 _MATCHER = {field: _obs.REGISTRY.counter(f"repro_matcher_{field}_total",
                                          help_text)
             for field, help_text in (
-    ("match_calls", "match_all invocations, compiled or interpreted"),
+    ("match_calls", "match_all invocations"),
     ("candidates_visited", "Candidate nodes or sequence starts attempted"),
     ("candidates_filtered", "Candidates skipped by the root-type filters"),
-    ("dispatch_fallbacks", "Pattern nodes answered by the interpreter"),
     ("rules_compiled", "Rules lowered to closure chains"),
-    ("rules_fallback", "Rules whose whole pattern fell back"),
     ("compile_cache_hits", "Compiled-patch cache hits"),
     ("compile_cache_misses", "Compiled-patch cache misses"),
     ("compile_cache_evictions", "Compiled-patch cache evictions"),
@@ -146,9 +132,8 @@ class NodeIndex:
     ``ast_nodes.expressions_of`` yields them; ``exprs_by_type`` buckets the
     same entries by concrete node type and ``by_callee`` additionally keys
     calls by their (paren-stripped) callee identifier.  ``stmt_seqs`` are
-    the statement candidate sequences in the interpreter's
-    ``_candidate_sequences`` order: the top-level declarations first, then
-    every compound block in pre-order.
+    the statement candidate sequences: the top-level declarations first,
+    then every compound block in pre-order.
     """
 
     __slots__ = ("exprs", "exprs_by_type", "by_callee", "stmt_seqs",
@@ -297,7 +282,7 @@ def _expr_filter_base(pat: A.Node, mvs, isos: IsoConfig):
         return out
     if isinstance(pat, A.BinaryOp):
         return {A.BinaryOp}
-    # dedicated handlers and the generic structural fallback both require
+    # dedicated lowerings and the generic structural closure both require
     # the exact code type (the hierarchy is flat: every concrete node class
     # is a leaf)
     return {type(pat)}
@@ -370,18 +355,31 @@ def _stmt_first_pred(pat: A.Node, mvs) -> Optional[Callable]:
 # the rule compiler
 # ---------------------------------------------------------------------------
 
-def _match_none(m: Matcher, code, st: MState) -> list[MState]:
-    """Compiled form of ``match_expr(None, code, st)``."""
+def _match_none(tree, code, st: MState) -> list[MState]:
+    """Compiled form of a missing sub-pattern: it matches only a missing
+    code node."""
     return [st] if code is None else []
+
+
+def _never(tree, code, st: MState) -> list[MState]:
+    return []
+
+
+def _same_name(code_name: str, st: MState) -> MState:
+    return st
 
 
 class CompiledRule:
     """One rule lowered to specialized closures plus a candidate plan.
 
-    Every closure takes ``(m, code, st)`` where ``m`` is a per-(rule, tree)
-    interpreted :class:`~repro.engine.matcher.Matcher` — the runtime context
-    providing ``_code_value``/``_bind_positions`` and the reference
-    implementation for pattern kinds without a specialized lowering.
+    Every closure takes ``(tree, code, st)``: the
+    :class:`~repro.lang.parser.ParseTree` being matched (the runtime
+    context of :func:`~repro.engine.matcher.code_value` and
+    :func:`~repro.engine.matcher.bind_positions`), a code node and a match
+    state, and returns the extended states under which its pattern node
+    matches.  Name matchers (function, declarator, parameter, member and
+    attribute names are plain strings) take ``(code_name, st)`` and return
+    one state or ``None``.
     """
 
     def __init__(self, rule: PatchRule, options: SpatchOptions):
@@ -394,26 +392,17 @@ class CompiledRule:
         self._full_cache: dict[int, Callable] = {}
         self._dispatch_cache: dict[int, Callable] = {}
         self._stmt_cache: dict[int, Callable] = {}
-        self._fallback = False
         self.expr_filter: Optional[frozenset] = None
         self.first_filter: Optional[frozenset] = None
         self.first_pred: Optional[Callable] = None
         self.callee_key: Optional[tuple[str, str]] = None
         self.min_len = 0
-        try:
-            self._lower()
-            _MATCHER["rules_compiled"].inc()
-        except Exception:
-            # a pattern shape the compiler does not understand: keep the
-            # rule correct by running it through the reference interpreter
-            self._fallback = True
-            _MATCHER["rules_fallback"].inc()
+        self._lower()
+        _MATCHER["rules_compiled"].inc()
 
     def _lower(self) -> None:
         rule = self.rule
         if self.kind == KIND_EXPRESSION:
-            if not rule.pattern_nodes:
-                raise ValueError("empty expression pattern")
             pat = rule.pattern_nodes[0]
             self._expr_f = self._expr_full(pat)
             self.expr_filter = _expr_filter(pat, self.mvs, self.isos)
@@ -425,8 +414,6 @@ class CompiledRule:
                 elif decl.kind == "symbol":
                     self.callee_key = ("always", pat.func.name)
         elif self.kind in (KIND_STATEMENTS, KIND_TOPLEVEL):
-            if not rule.pattern_nodes:
-                raise ValueError("empty statement pattern")
             self._seq_f = self._compile_seq(rule.pattern_nodes)
             first = rule.pattern_nodes[0]
             self.first_filter = _stmt_filter(first, self.mvs)
@@ -439,9 +426,6 @@ class CompiledRule:
 
     def match_all(self, tree: ParseTree,
                   inherited_env: Env = EMPTY_ENV) -> list[MatchInstance]:
-        m = Matcher(self.rule, tree, options=self.options)
-        if self._fallback:
-            return m.match_all(inherited_env)
         _MATCHER["match_calls"].inc()
         base = MState(env=inherited_env)
         results: list[MState] = []
@@ -449,11 +433,11 @@ class CompiledRule:
             index = index_for(tree)
             expr_f = self._expr_f
             for _rank, node in self._expr_candidates(index, inherited_env):
-                results.extend(expr_f(m, node, base))
+                results.extend(expr_f(tree, node, base))
         elif self.kind == KIND_STATEMENTS:
-            self._seq_results(m, index_for(tree), base, results)
+            self._seq_results(tree, index_for(tree), base, results)
         elif self.kind == KIND_TOPLEVEL:
-            self._seq_results(m, index_for(tree), base, results,
+            self._seq_results(tree, index_for(tree), base, results,
                               toplevel=True)
 
         instances = [MatchInstance(rule=self.rule, env=st.env,
@@ -498,7 +482,7 @@ class CompiledRule:
         filtered.inc(len(index.exprs) - len(merged))
         return merged
 
-    def _seq_results(self, m: Matcher, index: NodeIndex, base: MState,
+    def _seq_results(self, tree: ParseTree, index: NodeIndex, base: MState,
                      results: list[MState], toplevel: bool = False) -> None:
         filt, pred, min_len = self.first_filter, self.first_pred, self.min_len
         seq_f = self._seq_f
@@ -508,12 +492,11 @@ class CompiledRule:
         if filt is None:
             for seq in (seqs[:1] if toplevel else seqs):
                 n = len(seq)
-                # the interpreter attempts starts 0..n-min_len (every start
-                # when min_len is 0): later ones cannot fit the pattern's
-                # concrete elements
+                # starts past n-min_len (every start when min_len is 0)
+                # cannot fit the pattern's concrete elements
                 limit = n - min_len if min_len else n - 1
                 for start in range(limit + 1):
-                    for st, _end in seq_f(m, seq, start, base, False, 0):
+                    for st, _end in seq_f(tree, seq, start, base, False, 0):
                         results.append(st)
                 if limit >= 0:
                     visited += limit + 1
@@ -530,7 +513,7 @@ class CompiledRule:
                     if pred is not None and not pred(seq[start]):
                         continue
                     visited += 1
-                    for st, _end in seq_f(m, seq, start, base, False, 0):
+                    for st, _end in seq_f(tree, seq, start, base, False, 0):
                         results.append(st)
         _MATCHER["candidates_visited"].inc(visited)
         _MATCHER["candidates_filtered"].inc(total - visited)
@@ -545,34 +528,13 @@ class CompiledRule:
             self._stmt_cache[key] = cached
         return cached
 
-    def _with_stmt_envelope(self, pat: A.Node, handler: Callable) -> Callable:
-        if not pat.pos_metavars:
-            return handler
-
-        def full(m, code, st):
-            out = []
-            for s in handler(m, code, st):
-                s2 = m._bind_positions(pat, code, s)
-                if s2 is not None:
-                    out.append(s2)
-            return out
-
-        return full
-
-    def _stmt_interp(self, pat: A.Node) -> Callable:
-        def fallback(m, code, st):
-            _MATCHER["dispatch_fallbacks"].inc()
-            return m.match_stmt(pat, code, st)
-
-        return fallback
-
     def _compile_stmt(self, pat: A.Node) -> Callable:
         if isinstance(pat, A.Disjunction):
             branches = [self._compile_stmt_branch(b) for b in pat.branches]
 
-            def disj(m, code, st):
+            def disj(tree, code, st):
                 for branch_f in branches:
-                    results = branch_f(m, code, st)
+                    results = branch_f(tree, code, st)
                     if results:
                         return results
                 return []
@@ -582,10 +544,11 @@ class CompiledRule:
         if isinstance(pat, A.Conjunction):
             branches = [self._compile_stmt_branch(b) for b in pat.branches]
 
-            def conj(m, code, st):
+            def conj(tree, code, st):
                 states = [st]
                 for branch_f in branches:
-                    states = [s2 for s in states for s2 in branch_f(m, code, s)]
+                    states = [s2 for s in states
+                              for s2 in branch_f(tree, code, s)]
                     if not states:
                         return []
                 return states
@@ -595,11 +558,11 @@ class CompiledRule:
         if isinstance(pat, A.MetaStmt):
             name = pat.name
 
-            def meta_stmt(m, code, st):
-                st2 = st.bind(name, m._code_value("statement", code))
+            def meta_stmt(tree, code, st):
+                st2 = st.bind(name, code_value(tree, "statement", code))
                 if st2 is None:
                     return []
-                st2 = m._bind_positions(pat, code, st2)
+                st2 = bind_positions(tree, pat, code, st2)
                 if st2 is None:
                     return []
                 return [st2.add("binding", pat, code)]
@@ -609,41 +572,92 @@ class CompiledRule:
         if isinstance(pat, A.MetaStmtList):
             name = pat.name
 
-            def meta_list(m, code, st):
-                st2 = st.bind(name, m._code_value("statement list", [code]))
+            def meta_list(tree, code, st):
+                st2 = st.bind(name, code_value(tree, "statement list", [code]))
                 return [st2.add("binding", pat, [code])] if st2 is not None else []
 
             return meta_list
 
-        if isinstance(pat, A.ExprStmt) and pat.expr is not None:
+        handler = self._compile_stmt_kind(pat)
+        if not pat.pos_metavars:
+            return handler
+
+        def with_positions(tree, code, st):
+            out = []
+            for s in handler(tree, code, st):
+                s2 = bind_positions(tree, pat, code, s)
+                if s2 is not None:
+                    out.append(s2)
+            return out
+
+        return with_positions
+
+    def _compile_stmt_kind(self, pat: A.Node) -> Callable:
+        """The closure of one statement (or top-level) pattern node, before
+        its position metavariables are bound."""
+        if isinstance(pat, A.ExprStmt):
             expr_f = self._expr_full(pat.expr)
 
-            def expr_stmt(m, code, st):
+            def expr_stmt(tree, code, st):
                 if not isinstance(code, A.ExprStmt):
                     return []
                 return [s.add("node", pat, code)
-                        for s in expr_f(m, code.expr, st)]
+                        for s in expr_f(tree, code.expr, st)]
 
-            return self._with_stmt_envelope(pat, expr_stmt)
+            return expr_stmt
+
+        if isinstance(pat, A.DeclStmt):
+            decl_f = self._compile_declaration(pat.decl)
+
+            def decl_stmt(tree, code, st):
+                # file-scope declarations are bare Declaration nodes;
+                # statement-level ones are wrapped in DeclStmt — the pattern
+                # matches both
+                if isinstance(code, A.DeclStmt):
+                    code_decl = code.decl
+                elif isinstance(code, A.Declaration):
+                    code_decl = code
+                else:
+                    return []
+                return [s.add("node", pat, code)
+                        for s in decl_f(tree, code_decl, st)]
+
+            return decl_stmt
+
+        if isinstance(pat, A.Declaration):
+            decl_f = self._compile_declaration(pat)
+
+            def declaration(tree, code, st):
+                if isinstance(code, A.Declaration):
+                    return decl_f(tree, code, st)
+                if isinstance(code, A.DeclStmt):
+                    return [s.add("node", pat, code)
+                            for s in decl_f(tree, code.decl, st)]
+                return []
+
+            return declaration
+
+        if isinstance(pat, A.FunctionDef):
+            return self._compile_function(pat)
 
         if isinstance(pat, A.PragmaDirective):
-            return self._with_stmt_envelope(pat, self._compile_pragma(pat))
+            return self._compile_pragma(pat)
 
         if isinstance(pat, A.IncludeDirective):
             target, system = pat.target, pat.system
 
-            def include(m, code, st):
+            def include(tree, code, st):
                 if isinstance(code, A.IncludeDirective) and \
                         code.target == target and code.system == system:
                     return [st.add("node", pat, code)]
                 return []
 
-            return self._with_stmt_envelope(pat, include)
+            return include
 
         if isinstance(pat, A.ReturnStmt):
             value_f = self._expr_full(pat.value) if pat.value is not None else None
 
-            def return_stmt(m, code, st):
+            def return_stmt(tree, code, st):
                 if not isinstance(code, A.ReturnStmt):
                     return []
                 if value_f is None:
@@ -651,102 +665,102 @@ class CompiledRule:
                 if code.value is None:
                     return []
                 return [s.add("node", pat, code)
-                        for s in value_f(m, code.value, st)]
+                        for s in value_f(tree, code.value, st)]
 
-            return self._with_stmt_envelope(pat, return_stmt)
+            return return_stmt
 
         if isinstance(pat, (A.BreakStmt, A.ContinueStmt, A.EmptyStmt)):
             want = type(pat)
 
-            def leaf(m, code, st):
+            def leaf(tree, code, st):
                 return [st.add("node", pat, code)] if type(code) is want else []
 
-            return self._with_stmt_envelope(pat, leaf)
+            return leaf
 
-        if isinstance(pat, A.IfStmt) and pat.cond is not None \
-                and pat.then is not None:
+        if isinstance(pat, A.IfStmt):
             cond_f = self._expr_full(pat.cond)
             then_f = self._stmt_full(pat.then)
             orelse_f = self._stmt_full(pat.orelse) if pat.orelse is not None \
                 else None
 
-            def if_stmt(m, code, st):
+            def if_stmt(tree, code, st):
                 if not isinstance(code, A.IfStmt):
                     return []
                 out = []
-                for s1 in cond_f(m, code.cond, st):
-                    for s2 in then_f(m, code.then, s1):
+                for s1 in cond_f(tree, code.cond, st):
+                    for s2 in then_f(tree, code.then, s1):
                         if orelse_f is None and code.orelse is None:
                             out.append(s2.add("node", pat, code))
                         elif orelse_f is not None and code.orelse is not None:
-                            for s3 in orelse_f(m, code.orelse, s2):
+                            for s3 in orelse_f(tree, code.orelse, s2):
                                 out.append(s3.add("node", pat, code))
                 return out
 
-            return self._with_stmt_envelope(pat, if_stmt)
+            return if_stmt
 
-        if isinstance(pat, A.WhileStmt) and pat.cond is not None \
-                and pat.body is not None:
+        if isinstance(pat, A.WhileStmt):
             cond_f = self._expr_full(pat.cond)
             body_f = self._stmt_full(pat.body)
 
-            def while_stmt(m, code, st):
+            def while_stmt(tree, code, st):
                 if not isinstance(code, A.WhileStmt):
                     return []
                 out = []
-                for s in cond_f(m, code.cond, st):
-                    for s2 in body_f(m, code.body, s):
+                for s in cond_f(tree, code.cond, st):
+                    for s2 in body_f(tree, code.body, s):
                         out.append(s2.add("node", pat, code))
                 return out
 
-            return self._with_stmt_envelope(pat, while_stmt)
+            return while_stmt
 
-        if isinstance(pat, A.DoWhileStmt) and pat.cond is not None \
-                and pat.body is not None:
+        if isinstance(pat, A.DoWhileStmt):
             cond_f = self._expr_full(pat.cond)
             body_f = self._stmt_full(pat.body)
 
-            def do_while(m, code, st):
+            def do_while(tree, code, st):
                 if not isinstance(code, A.DoWhileStmt):
                     return []
                 out = []
-                for s in body_f(m, code.body, st):
-                    for s2 in cond_f(m, code.cond, s):
+                for s in body_f(tree, code.body, st):
+                    for s2 in cond_f(tree, code.cond, s):
                         out.append(s2.add("node", pat, code))
                 return out
 
-            return self._with_stmt_envelope(pat, do_while)
+            return do_while
 
         if isinstance(pat, A.ForStmt):
-            return self._with_stmt_envelope(pat, self._compile_for(pat))
+            return self._compile_for(pat)
+
+        if isinstance(pat, A.RangeForStmt):
+            return self._compile_range_for(pat)
 
         if isinstance(pat, A.CompoundStmt):
             seq_f = self._compile_seq(pat.stmts)
 
-            def compound(m, code, st):
+            def compound(tree, code, st):
                 if not isinstance(code, A.CompoundStmt):
                     return []
                 return [s.add("node", pat, code)
-                        for s, _pos in seq_f(m, code.stmts, 0, st, True, 0)]
+                        for s, _pos in seq_f(tree, code.stmts, 0, st, True, 0)]
 
-            return self._with_stmt_envelope(pat, compound)
+            return compound
 
-        # declarations, function definitions, range-for and anything else:
-        # the interpreter's handlers (which do their own position binding)
-        return self._stmt_interp(pat)
+        return self._compile_generic(pat)
 
     def _compile_stmt_branch(self, branch: A.Node) -> Callable:
-        if isinstance(branch, (A.Disjunction, A.Conjunction)):
-            return self._stmt_full(branch)
+        """A branch of a statement-level disjunction/conjunction.  A bare
+        expression branch (no semicolon) is a *containment* constraint: the
+        expression must occur somewhere inside the statement; every
+        occurrence is matched, threading the environment through them."""
         if isinstance(branch, A.ExprStmt) and not branch.has_semicolon:
             if branch.expr is None:
-                return lambda m, code, st: []
+                return _never
             expr_f = self._expr_full(branch.expr)
 
-            def containment(m, code, st):
+            def containment(tree, code, st):
                 current, matched = st, False
                 for sub in A.expressions_of(code):
-                    results = expr_f(m, sub, current)
+                    results = expr_f(tree, sub, current)
                     if results:
                         current = results[0]
                         matched = True
@@ -760,7 +774,7 @@ class CompiledRule:
         open_ended = False
         for word in pat.text.split():
             if word == "...":
-                plan.append(("dots",))
+                plan.append(("dots",))  # the rest of the pragma is arbitrary
                 open_ended = True
                 break
             decl = self.mvs.get(word)
@@ -771,7 +785,7 @@ class CompiledRule:
             plan.append(("lit", word))
         n_words = len(pat.text.split())
 
-        def pragma(m, code, st):
+        def pragma(tree, code, st):
             if not isinstance(code, A.PragmaDirective):
                 return []
             code_words = code.text.split()
@@ -787,6 +801,7 @@ class CompiledRule:
                     return [st2.add("node", pat, code)] if st2 is not None else []
                 if i >= len(code_words) or code_words[i] != item[1]:
                     return []
+            # pattern exhausted: require the code to be exhausted too
             if not open_ended and len(code_words) != n_words:
                 return []
             return [st.add("node", pat, code)]
@@ -794,21 +809,19 @@ class CompiledRule:
         return pragma
 
     def _compile_for(self, pat: A.ForStmt) -> Callable:
-        def part_plan(part, compile_expr: bool):
+        def part_plan(part, part_f):
             if isinstance(part, A.DotsExpr):
                 return ("dots", part)
             if part is None:
                 return ("none",)
-            if compile_expr:
-                return ("match", self._expr_full(part))
-            return ("init", part)
+            return ("match", part_f(part))
 
-        init_plan = part_plan(pat.init, compile_expr=False)
-        cond_plan = part_plan(pat.cond, compile_expr=True)
-        step_plan = part_plan(pat.step, compile_expr=True)
+        init_plan = part_plan(pat.init, self._compile_for_init)
+        cond_plan = part_plan(pat.cond, self._expr_full)
+        step_plan = part_plan(pat.step, self._expr_full)
         body_f = self._stmt_full(pat.body) if pat.body is not None else None
 
-        def run_part(plan, m, code_part, states):
+        def run_part(plan, tree, code_part, states):
             out = []
             op = plan[0]
             for s in states:
@@ -819,31 +832,67 @@ class CompiledRule:
                     if code_part is None:
                         out.append(s)
                 elif code_part is not None:
-                    if op == "init":
-                        out.extend(m.match_for_init(plan[1], code_part, s))
-                    else:
-                        out.extend(plan[1](m, code_part, s))
+                    out.extend(plan[1](tree, code_part, s))
             return out
 
-        def for_stmt(m, code, st):
+        def for_stmt(tree, code, st):
             if not isinstance(code, A.ForStmt):
                 return []
             states = [st]
-            states = run_part(init_plan, m, code.init, states)
-            states = run_part(cond_plan, m, code.cond, states)
-            states = run_part(step_plan, m, code.step, states)
+            states = run_part(init_plan, tree, code.init, states)
+            states = run_part(cond_plan, tree, code.cond, states)
+            states = run_part(step_plan, tree, code.step, states)
             out = []
             for s in states:
                 if body_f is None and code.body is None:
                     out.append(s.add("node", pat, code))
                 elif body_f is not None and code.body is not None:
-                    for s2 in body_f(m, code.body, s):
+                    for s2 in body_f(tree, code.body, s):
                         out.append(s2.add("node", pat, code))
             return out
 
         return for_stmt
 
+    def _compile_for_init(self, pat: A.Node) -> Callable:
+        """A ``for`` header's init clause: a declaration or an expression
+        statement (the parser never puts a bare declaration there), matched
+        without binding its position metavariables."""
+        if isinstance(pat, (A.DeclStmt, A.ExprStmt)):
+            return self._compile_stmt_kind(pat)
+        return _never
+
+    def _compile_range_for(self, pat: A.RangeForStmt) -> Callable:
+        type_f = self._compile_type(pat.type)
+        reference = pat.reference
+        var_f = self._compile_name(pat.var)
+        iterable_f = self._expr_full_opt(pat.iterable)
+        body_f = self._stmt_full(pat.body) if pat.body is not None else None
+
+        def range_for(tree, code, st):
+            if not isinstance(code, A.RangeForStmt) \
+                    or code.reference != reference:
+                return []
+            out = []
+            for s in type_f(tree, code.type, st):
+                s2 = var_f(code.var, s)
+                if s2 is None:
+                    continue
+                for s3 in iterable_f(tree, code.iterable, s2):
+                    if body_f is None:
+                        out.append(s3.add("node", pat, code))
+                    elif code.body is not None:
+                        for s4 in body_f(tree, code.body, s3):
+                            out.append(s4.add("node", pat, code))
+            return out
+
+        return range_for
+
     def _compile_seq(self, pats: Sequence[A.Node]) -> Callable:
+        """Match a pattern element sequence against ``codes`` starting at
+        ``pos``: the closure returns ``(state, next_position)`` pairs; when
+        ``anchored_end`` the whole remaining code sequence must be covered.
+        ``...`` and statement-list metavariables absorb a variable number of
+        elements."""
         steps: list[tuple] = []
         for p in pats:
             if isinstance(p, A.MetaStmtList):
@@ -855,7 +904,7 @@ class CompiledRule:
         n_steps = len(steps)
         max_dots = self.options.max_dots_statements
 
-        def mseq(m, codes, pos, st, anchored_end, step):
+        def mseq(tree, codes, pos, st, anchored_end, step):
             if step == n_steps:
                 if anchored_end and pos != len(codes):
                     return []
@@ -869,14 +918,14 @@ class CompiledRule:
                 for skip in range(0, max_skip + 1):
                     absorbed = list(codes[pos:pos + skip])
                     if item[0] == "list":
-                        st2 = st.bind(head.name,
-                                      m._code_value("statement list", absorbed))
+                        st2 = st.bind(head.name, code_value(
+                            tree, "statement list", absorbed))
                         if st2 is None:
                             continue
                         st2 = st2.add("binding", head, absorbed)
                     else:
                         st2 = st.add("dots", head, absorbed)
-                    tails = mseq(m, codes, pos + skip, st2, anchored_end,
+                    tails = mseq(tree, codes, pos + skip, st2, anchored_end,
                                  step + 1)
                     out.extend(tails)
                     if tails and not anchored_end and last:
@@ -886,11 +935,300 @@ class CompiledRule:
                 return []
             stmt_f = item[2]
             out = []
-            for st2 in stmt_f(m, codes[pos], st):
-                out.extend(mseq(m, codes, pos + 1, st2, anchored_end, step + 1))
+            for st2 in stmt_f(tree, codes[pos], st):
+                out.extend(mseq(tree, codes, pos + 1, st2, anchored_end,
+                                step + 1))
             return out
 
         return mseq
+
+    # -- declarations, functions, types and names -----------------------------
+
+    def _compile_declaration(self, pat: Optional[A.Declaration]) -> Callable:
+        """A declaration pattern against a code ``Declaration``: specifiers
+        the pattern mentions (extern, static, ...) must be present on the
+        code (extra ones are allowed), then the type and every declarator."""
+        if pat is None:
+            return _never
+        specifiers = frozenset(pat.specifiers)
+        type_f = self._compile_type(pat.type)
+        declarator_fs = [self._compile_declarator(d) for d in pat.declarators]
+        n_declarators = len(declarator_fs)
+
+        def declaration(tree, code, st):
+            if code is None or not specifiers.issubset(code.specifiers) \
+                    or len(code.declarators) != n_declarators:
+                return []
+            states = type_f(tree, code.type, st)
+            for declarator_f, cd in zip(declarator_fs, code.declarators):
+                if not states:
+                    return []
+                states = [s2 for s in states
+                          for s2 in declarator_f(tree, cd, s)]
+            return [s.add("node", pat, code) for s in states]
+
+        return declaration
+
+    def _compile_declarator(self, pat: A.Declarator) -> Callable:
+        pointer, reference = pat.pointer, pat.reference
+        name_f = self._compile_name(pat.name)
+        array_fs = [self._expr_full(a) if a is not None else None
+                    for a in pat.arrays]
+        n_arrays = len(array_fs)
+        init_f = self._expr_full(pat.init) if pat.init is not None else None
+
+        def declarator(tree, code, st):
+            if code.pointer != pointer or code.reference != reference:
+                return []
+            s = name_f(code.name, st)
+            if s is None or len(code.arrays) != n_arrays:
+                return []
+            states = [s]
+            for array_f, ca in zip(array_fs, code.arrays):
+                if array_f is None or ca is None:
+                    if array_f is not None or ca is not None:
+                        return []
+                else:
+                    states = [s3 for s2 in states
+                              for s3 in array_f(tree, ca, s2)]
+            out = []
+            for s2 in states:
+                if init_f is None:
+                    if code.init is None:
+                        out.append(s2.add("node", pat, code))
+                elif code.init is not None:
+                    for s3 in init_f(tree, code.init, s2):
+                        out.append(s3.add("node", pat, code))
+            return out
+
+        return declarator
+
+    def _compile_function(self, pat: A.FunctionDef) -> Callable:
+        """Attributes (every pattern attribute matches a code attribute, in
+        order; extra code attributes are allowed), return type, pointer,
+        name, parameters, then the body."""
+        attr_fs = [self._compile_attribute(a) for a in pat.attributes]
+        n_attrs = len(attr_fs)
+        return_f = self._compile_type(pat.return_type)
+        pointer = pat.pointer
+        name_f = self._compile_name(pat.name)
+        params_f = self._compile_param_list(pat.params)
+        body_f = self._stmt_full(pat.body) if pat.body is not None else None
+
+        def function(tree, code, st):
+            if not isinstance(code, A.FunctionDef) or code.pointer != pointer:
+                return []
+            states = [st]
+            if attr_fs:
+                if len(code.attributes) < n_attrs:
+                    return []
+                for attr_f, code_attr in zip(attr_fs, code.attributes):
+                    states = [s2 for s in states
+                              for s2 in attr_f(tree, code_attr, s)]
+                    if not states:
+                        return []
+            states = [s2 for s in states
+                      for s2 in return_f(tree, code.return_type, s)]
+            states = [s2 for s in states
+                      if (s2 := name_f(code.name, s)) is not None]
+            states = [s2 for s in states
+                      for s2 in params_f(tree, code.params, s)]
+            if body_f is None:
+                return [s.add("node", pat, code) for s in states]
+            if code.body is None:
+                return []
+            return [s2.add("node", pat, code) for s in states
+                    for s2 in body_f(tree, code.body, s)]
+
+        return function
+
+    def _compile_attribute(self, pat: A.AttributeSpec) -> Callable:
+        name_f = self._compile_name(pat.name)
+        has_args = pat.has_args
+        args_f = self._compile_expr_list(pat.args)
+
+        def attribute(tree, code, st):
+            s = name_f(code.name, st)
+            if s is None or has_args != code.has_args:
+                return []
+            if not has_args:
+                return [s.add("node", pat, code)]
+            return [s2.add("node", pat, code)
+                    for s2, _pos in args_f(tree, code.args, 0, s, 0)]
+
+        return attribute
+
+    def _compile_param_list(self, pat: Optional[A.ParamList]) -> Callable:
+        """A parameter list; a lone ``parameter list`` metavariable or
+        ``...`` absorbs every parameter."""
+        if pat is None:
+            return _match_none
+        pats = pat.params
+        if len(pats) == 1 and isinstance(pats[0], A.MetaParamList):
+            head = pats[0]
+
+            def meta_params(tree, code, st):
+                if code is None:
+                    return []
+                codes = code.params
+                st2 = st.bind(head.name,
+                              code_value(tree, "parameter list", codes))
+                if st2 is None:
+                    return []
+                return [st2.add("binding", head, codes).add("node", pat, code)]
+
+            return meta_params
+        if len(pats) == 1 and isinstance(pats[0], A.DotsParam):
+            head = pats[0]
+
+            def dots_params(tree, code, st):
+                if code is None:
+                    return []
+                return [st.add("dots", head, code.params).add("node", pat, code)]
+
+            return dots_params
+        param_fs = [self._compile_param(p) for p in pats]
+        n_params = len(param_fs)
+
+        def params(tree, code, st):
+            if code is None or len(code.params) != n_params:
+                return []
+            states = [st]
+            for param_f, cp in zip(param_fs, code.params):
+                states = [s2 for s in states for s2 in param_f(tree, cp, s)]
+                if not states:
+                    return []
+            return [s.add("node", pat, code) for s in states]
+
+        return params
+
+    def _compile_param(self, pat: A.Node) -> Callable:
+        if isinstance(pat, A.DotsParam):
+            def dots_param(tree, code, st):
+                return [st.add("dots", pat, [code])]
+
+            return dots_param
+        if not isinstance(pat, A.Param):
+            return _never
+        type_f = self._compile_type(pat.type)
+        pointer, reference = pat.pointer, pat.reference
+        name_f = self._compile_name(pat.name)
+
+        def param(tree, code, st):
+            if not isinstance(code, A.Param) or code.pointer != pointer \
+                    or code.reference != reference:
+                return []
+            return [s2.add("node", pat, code)
+                    for s in type_f(tree, code.type, st)
+                    if (s2 := name_f(code.name, s)) is not None]
+
+        return param
+
+    def _compile_type(self, pat: Optional[A.TypeName]) -> Callable:
+        """A type: a lone ``type`` metavariable binds the code type, any
+        other type must be spelled the same."""
+        if pat is None:
+            return _match_none
+        if pat.is_single_identifier:
+            name = pat.parts[0]
+            decl = self.mvs.get(name)
+            if decl is not None and decl.kind == "type":
+                def type_mv(tree, code, st):
+                    if code is None:
+                        return []
+                    st2 = st.bind(name, BoundValue(
+                        kind="type", text=code.text,
+                        source_text=tree.node_text(code) or code.text))
+                    return [st2.add("binding", pat, code)] if st2 is not None \
+                        else []
+
+                return type_mv
+        text = pat.text
+
+        def type_name(tree, code, st):
+            if code is not None and code.text == text:
+                return [st.add("node", pat, code)]
+            return []
+
+        return type_name
+
+    def _compile_name(self, pat_name: str) -> Callable:
+        """An identifier that appears as a plain string field (function,
+        declarator, parameter, member and attribute names)."""
+        if not pat_name:
+            return _same_name
+        decl = self.mvs.get(pat_name)
+        if decl is None:
+            # inherited names arrive pre-seeded in the environment
+            def plain(code_name, st):
+                bound = st.env.get(pat_name)
+                target = bound.text if bound is not None else pat_name
+                return st if code_name == target else None
+
+            return plain
+        kind = decl.kind
+        if kind in ("identifier", "function", "declarer", "iterator",
+                    "attribute name"):
+            check = decl.check_name_constraint
+
+            def bind_name(code_name, st):
+                if not check(code_name):
+                    return None
+                return st.bind(pat_name, BoundValue.for_name(kind, code_name))
+
+            return bind_name
+
+        def fixed(code_name, st):
+            return st if code_name == pat_name else None
+
+        return fixed
+
+    def _compile_generic(self, pat: A.Node) -> Callable:
+        """Field-by-field structural matching for node kinds without a
+        dedicated lowering: the code node has the pattern's exact type,
+        scalar fields compare equal, and child nodes match as statements or
+        expressions according to their pattern type."""
+        want = type(pat)
+        plan: list[tuple] = []
+        for fname, pval in A.child_fields(pat):
+            if isinstance(pval, A.Node):
+                plan.append((fname, "node", self._child_f(pval)))
+            elif isinstance(pval, (list, tuple)) and pval \
+                    and isinstance(pval[0], A.Node):
+                plan.append((fname, "list", [self._child_f(p) for p in pval]))
+            else:
+                plan.append((fname, "value", pval))
+
+        def generic(tree, code, st):
+            if type(code) is not want:
+                return []
+            states = [st]
+            for fname, how, arg in plan:
+                cval = getattr(code, fname)
+                if how == "value":
+                    if isinstance(cval, A.Node) or cval != arg:
+                        return []
+                elif how == "node":
+                    if not isinstance(cval, A.Node):
+                        return []
+                    states = [s2 for s in states for s2 in arg(tree, cval, s)]
+                else:
+                    if not isinstance(cval, (list, tuple)) \
+                            or len(cval) != len(arg):
+                        return []
+                    for item_f, c_item in zip(arg, cval):
+                        states = [s2 for s in states
+                                  for s2 in item_f(tree, c_item, s)]
+                if not states:
+                    return []
+            return [s.add("node", pat, code) for s in states]
+
+        return generic
+
+    def _child_f(self, pat: Optional[A.Node]) -> Callable:
+        if isinstance(pat, A.Stmt):
+            return self._stmt_full(pat)
+        return self._expr_full_opt(pat)
 
     # -- expression lowering --------------------------------------------------
 
@@ -900,6 +1238,9 @@ class CompiledRule:
         return self._expr_full(pat)
 
     def _expr_full(self, pat: A.Node) -> Callable:
+        """``pat`` at an expression position: transparent parentheses on the
+        code side, the ``E + 0`` isomorphism, then its position
+        metavariables."""
         key = id(pat)
         cached = self._full_cache.get(key)
         if cached is not None:
@@ -911,7 +1252,7 @@ class CompiledRule:
         pos_names = pat.pos_metavars
         Paren = A.Paren
 
-        def full(m, code, st):
+        def full(tree, code, st):
             if code is None:
                 return []
             if strip and isinstance(code, Paren):
@@ -919,28 +1260,22 @@ class CompiledRule:
                 while isinstance(stripped, Paren) and stripped.expr is not None:
                     stripped = stripped.expr
                 code = stripped
-            results = dispatch(m, code, st)
+            results = dispatch(tree, code, st)
             if not results and pz_dispatch is not None:
+                # pattern 'E + 0' also matches plain 'E'
                 results = [s.add("binding", pat, code)
-                           for s in pz_dispatch(m, code, st)]
+                           for s in pz_dispatch(tree, code, st)]
             if not pos_names:
                 return results
             out = []
             for s in results:
-                s2 = m._bind_positions(pat, code, s)
+                s2 = bind_positions(tree, pat, code, s)
                 if s2 is not None:
                     out.append(s2)
             return out
 
         self._full_cache[key] = full
         return full
-
-    def _expr_interp(self, pat: A.Node) -> Callable:
-        def fallback(m, code, st):
-            _MATCHER["dispatch_fallbacks"].inc()
-            return m._match_expr_dispatch(pat, code, st)
-
-        return fallback
 
     def _expr_dispatch(self, pat: A.Node) -> Callable:
         key = id(pat)
@@ -954,7 +1289,7 @@ class CompiledRule:
         isos = self.isos
 
         if isinstance(pat, A.DotsExpr):
-            def dots(m, code, st):
+            def dots(tree, code, st):
                 return [st.add("dots", pat, [code])]
 
             return dots
@@ -962,9 +1297,9 @@ class CompiledRule:
         if isinstance(pat, A.Disjunction):
             branches = [self._expr_full(b) for b in pat.branches]
 
-            def disj(m, code, st):
+            def disj(tree, code, st):
                 for branch_f in branches:
-                    results = branch_f(m, code, st)
+                    results = branch_f(tree, code, st)
                     if results:
                         return results
                 return []
@@ -974,10 +1309,11 @@ class CompiledRule:
         if isinstance(pat, A.Conjunction):
             branches = [self._expr_full(b) for b in pat.branches]
 
-            def conj(m, code, st):
+            def conj(tree, code, st):
                 states = [st]
                 for branch_f in branches:
-                    states = [s2 for s in states for s2 in branch_f(m, code, s)]
+                    states = [s2 for s in states
+                              for s2 in branch_f(tree, code, s)]
                     if not states:
                         return []
                 return states
@@ -990,7 +1326,7 @@ class CompiledRule:
         if isinstance(pat, A.Literal):
             value = pat.value
 
-            def literal(m, code, st):
+            def literal(tree, code, st):
                 if isinstance(code, A.Literal) and value == code.value:
                     return [st.add("node", pat, code)]
                 return []
@@ -1000,11 +1336,11 @@ class CompiledRule:
         if isinstance(pat, A.Paren):
             inner_f = self._expr_full_opt(pat.expr)
 
-            def paren(m, code, st):
+            def paren(tree, code, st):
                 if isinstance(code, A.Paren):
                     return [s.add("node", pat, code)
-                            for s in inner_f(m, code.expr, st)]
-                return inner_f(m, code, st)
+                            for s in inner_f(tree, code.expr, st)]
+                return inner_f(tree, code, st)
 
             return paren
 
@@ -1014,17 +1350,17 @@ class CompiledRule:
             right_f = self._expr_full_opt(pat.right)
             commute = isos.commutative and op in A.COMMUTATIVE_OPS
 
-            def binary(m, code, st):
+            def binary(tree, code, st):
                 if not (isinstance(code, A.BinaryOp) and code.op == op):
                     return []
                 out = []
-                for s in left_f(m, code.left, st):
-                    for s2 in right_f(m, code.right, s):
+                for s in left_f(tree, code.left, st):
+                    for s2 in right_f(tree, code.right, s):
                         out.append(s2.add("node", pat, code))
                 if out or not commute:
                     return out
-                for s in left_f(m, code.right, st):
-                    for s2 in right_f(m, code.left, s):
+                for s in left_f(tree, code.right, st):
+                    for s2 in right_f(tree, code.left, s):
                         out.append(s2.add("node", pat, code))
                 return out
 
@@ -1035,15 +1371,15 @@ class CompiledRule:
             operand_f = self._expr_full_opt(pat.operand)
             inc = isos.increment_forms
 
-            def unary(m, code, st):
+            def unary(tree, code, st):
                 out = []
                 if isinstance(code, A.UnaryOp) and code.op == op \
                         and code.prefix == prefix:
                     out = [s.add("node", pat, code)
-                           for s in operand_f(m, code.operand, st)]
+                           for s in operand_f(tree, code.operand, st)]
                 if not out and inc:
                     for alt in increment_variants(code, isos):
-                        inner = unary(m, alt, st)
+                        inner = unary(tree, alt, st)
                         out = [s.add("binding", pat, code) for s in inner]
                         if out:
                             break
@@ -1057,17 +1393,17 @@ class CompiledRule:
             value_f = self._expr_full_opt(pat.value)
             inc = isos.increment_forms
 
-            def assign(m, code, st):
+            def assign(tree, code, st):
                 if isinstance(code, A.Assignment) and code.op == op:
                     out = []
-                    for s in target_f(m, code.target, st):
-                        for s2 in value_f(m, code.value, s):
+                    for s in target_f(tree, code.target, st):
+                        for s2 in value_f(tree, code.value, s):
                             out.append(s2.add("node", pat, code))
                     return out
                 if inc:
                     for alt in increment_variants(code, isos):
                         if isinstance(alt, A.Assignment):
-                            inner = assign(m, alt, st)
+                            inner = assign(tree, alt, st)
                             if inner:
                                 return [s.add("binding", pat, code)
                                         for s in inner]
@@ -1080,13 +1416,13 @@ class CompiledRule:
             then_f = self._expr_full_opt(pat.then)
             orelse_f = self._expr_full_opt(pat.orelse)
 
-            def ternary(m, code, st):
+            def ternary(tree, code, st):
                 if not isinstance(code, A.Ternary):
                     return []
                 out = []
-                for s in cond_f(m, code.cond, st):
-                    for s2 in then_f(m, code.then, s):
-                        for s3 in orelse_f(m, code.orelse, s2):
+                for s in cond_f(tree, code.cond, st):
+                    for s2 in then_f(tree, code.then, s):
+                        for s3 in orelse_f(tree, code.orelse, s2):
                             out.append(s3.add("node", pat, code))
                 return out
 
@@ -1096,12 +1432,12 @@ class CompiledRule:
             func_f = self._expr_full_opt(pat.func)
             args_f = self._compile_expr_list(pat.args)
 
-            def call(m, code, st):
+            def call(tree, code, st):
                 if not isinstance(code, A.Call):
                     return []
                 out = []
-                for s in func_f(m, code.func, st):
-                    for s2, _pos in args_f(m, code.args, 0, s, 0):
+                for s in func_f(tree, code.func, st):
+                    for s2, _pos in args_f(tree, code.args, 0, s, 0):
                         out.append(s2.add("node", pat, code))
                 return out
 
@@ -1112,13 +1448,13 @@ class CompiledRule:
             config_f = self._compile_expr_list(pat.config)
             args_f = self._compile_expr_list(pat.args)
 
-            def launch(m, code, st):
+            def launch(tree, code, st):
                 if not isinstance(code, A.KernelLaunch):
                     return []
                 out = []
-                for s in func_f(m, code.func, st):
-                    for s2, _p in config_f(m, code.config, 0, s, 0):
-                        for s3, _p2 in args_f(m, code.args, 0, s2, 0):
+                for s in func_f(tree, code.func, st):
+                    for s2, _p in config_f(tree, code.config, 0, s, 0):
+                        for s3, _p2 in args_f(tree, code.args, 0, s2, 0):
                             out.append(s3.add("node", pat, code))
                 return out
 
@@ -1128,47 +1464,96 @@ class CompiledRule:
             base_f = self._expr_full_opt(pat.base)
             indices_f = self._compile_expr_list(pat.indices)
 
-            def subscript(m, code, st):
+            def subscript(tree, code, st):
                 if not isinstance(code, A.Subscript):
                     return []
                 out = []
-                for s in base_f(m, code.base, st):
-                    for s2, _pos in indices_f(m, code.indices, 0, s, 0):
+                for s in base_f(tree, code.base, st):
+                    for s2, _pos in indices_f(tree, code.indices, 0, s, 0):
                         out.append(s2.add("node", pat, code))
                 return out
 
             return subscript
 
         if isinstance(pat, A.Member):
-            op, name = pat.op, pat.name
+            op = pat.op
             base_f = self._expr_full_opt(pat.base)
+            name_f = self._compile_name(pat.name)
 
-            def member(m, code, st):
+            def member(tree, code, st):
                 if not isinstance(code, A.Member) or op != code.op:
                     return []
                 out = []
-                for s in base_f(m, code.base, st):
-                    s2 = m._match_name(name, code.name, s)
+                for s in base_f(tree, code.base, st):
+                    s2 = name_f(code.name, s)
                     if s2 is not None:
                         out.append(s2.add("node", pat, code))
                 return out
 
             return member
 
+        if isinstance(pat, A.Cast):
+            type_f = self._compile_type(pat.type)
+            expr_f = self._expr_full_opt(pat.expr)
+
+            def cast(tree, code, st):
+                if not isinstance(code, A.Cast):
+                    return []
+                return [s2.add("node", pat, code)
+                        for s in type_f(tree, code.type, st)
+                        for s2 in expr_f(tree, code.expr, s)]
+
+            return cast
+
+        if isinstance(pat, (A.InitList, A.CommaExpr)):
+            want = type(pat)
+            item_fs = [self._expr_full_opt(p) for p in pat.items]
+            n_items = len(item_fs)
+
+            def items(tree, code, st):
+                if not isinstance(code, want) or len(code.items) != n_items:
+                    return []
+                states = [st]
+                for item_f, ci in zip(item_fs, code.items):
+                    states = [s2 for s in states for s2 in item_f(tree, ci, s)]
+                return [s.add("node", pat, code) for s in states]
+
+            return items
+
+        if isinstance(pat, A.SizeofExpr):
+            if isinstance(pat.arg, A.TypeName):
+                type_f = self._compile_type(pat.arg)
+
+                def sizeof_type(tree, code, st):
+                    if not isinstance(code, A.SizeofExpr) \
+                            or not isinstance(code.arg, A.TypeName):
+                        return []
+                    return [s.add("node", pat, code)
+                            for s in type_f(tree, code.arg, st)]
+
+                return sizeof_type
+            arg_f = self._expr_full_opt(pat.arg)
+
+            def sizeof_expr(tree, code, st):
+                if not isinstance(code, A.SizeofExpr) \
+                        or isinstance(code.arg, A.TypeName):
+                    return []
+                return [s.add("node", pat, code)
+                        for s in arg_f(tree, code.arg, st)]
+
+            return sizeof_expr
+
         if isinstance(pat, A.MetaExprList):
             name = pat.name
 
-            def meta_expr_list(m, code, st):
-                st2 = st.bind(name, m._code_value("expression list", [code]))
+            def meta_expr_list(tree, code, st):
+                st2 = st.bind(name, code_value(tree, "expression list", [code]))
                 return [st2.add("binding", pat, [code])] if st2 is not None \
                     else []
 
             return meta_expr_list
 
-        # Cast / InitList / CommaExpr / SizeofExpr / Lambda and anything the
-        # parser grows later: the interpreter's dispatch ladder is the
-        # reference for these colder shapes
-        return self._expr_interp(pat)
+        return self._compile_generic(pat)
 
     def _compile_ident(self, pat: A.Ident) -> Callable:
         name = pat.name
@@ -1176,7 +1561,9 @@ class CompiledRule:
         kind = decl.kind if decl is not None else None
 
         if decl is None:
-            def plain(m, code, st):
+            # an undeclared identifier matches only itself, or what an
+            # inherited binding seeded in the environment says
+            def plain(tree, code, st):
                 if isinstance(code, A.Ident):
                     bound = st.env.get(name)
                     target = bound.text if bound is not None else name
@@ -1187,7 +1574,7 @@ class CompiledRule:
             return plain
 
         if kind == "symbol":
-            def symbol(m, code, st):
+            def symbol(tree, code, st):
                 if isinstance(code, A.Ident) and code.name == name:
                     return [st.add("node", pat, code)]
                 return []
@@ -1197,7 +1584,7 @@ class CompiledRule:
         if kind in ("identifier", "function", "declarer", "iterator"):
             check = decl.check_name_constraint
 
-            def ident(m, code, st):
+            def ident(tree, code, st):
                 if not isinstance(code, A.Ident):
                     return []
                 if not check(code.name):
@@ -1210,7 +1597,7 @@ class CompiledRule:
         if kind == "constant":
             check = decl.check_constant_constraint
 
-            def constant(m, code, st):
+            def constant(tree, code, st):
                 if not isinstance(code, A.Literal):
                     return []
                 if not check(code.value):
@@ -1222,22 +1609,22 @@ class CompiledRule:
             return constant
 
         if kind in ("expression", "idexpression", "local idexpression"):
-            def expr_mv(m, code, st):
-                st2 = st.bind(name, m._code_value("expression", code))
+            def expr_mv(tree, code, st):
+                st2 = st.bind(name, code_value(tree, "expression", code))
                 return [st2.add("binding", pat, code)] if st2 is not None else []
 
             return expr_mv
 
         if kind == "expression list":
-            def expr_list_mv(m, code, st):
-                st2 = st.bind(name, m._code_value("expression list", [code]))
+            def expr_list_mv(tree, code, st):
+                st2 = st.bind(name, code_value(tree, "expression list", [code]))
                 return [st2.add("binding", pat, [code])] if st2 is not None \
                     else []
 
             return expr_list_mv
 
         if kind == "type":
-            def type_mv(m, code, st):
+            def type_mv(tree, code, st):
                 if isinstance(code, A.Ident):
                     st2 = st.bind(name, BoundValue(kind="type", text=code.name,
                                                    source_text=code.name))
@@ -1247,12 +1634,11 @@ class CompiledRule:
 
             return type_mv
 
-        def never(m, code, st):
-            return []
-
-        return never
+        return _never
 
     def _compile_expr_list(self, pats: Sequence[A.Node]) -> Callable:
+        """Argument-list matching with dots and ``expression list``
+        metavariables; must consume the whole code list."""
         elems: list[tuple] = []
         for p in pats:
             if isinstance(p, A.MetaExprList):
@@ -1263,7 +1649,7 @@ class CompiledRule:
                 elems.append(("expr", p, self._expr_full(p)))
         n_elems = len(elems)
 
-        def mlist(m, codes, pos, st, step):
+        def mlist(tree, codes, pos, st, step):
             if step == n_elems:
                 return [(st, pos)] if pos == len(codes) else []
             item = elems[step]
@@ -1273,20 +1659,20 @@ class CompiledRule:
                 for skip in range(0, len(codes) - pos + 1):
                     absorbed = list(codes[pos:pos + skip])
                     if item[0] == "list":
-                        st2 = st.bind(head.name,
-                                      m._code_value("expression list", absorbed))
+                        st2 = st.bind(head.name, code_value(
+                            tree, "expression list", absorbed))
                         if st2 is None:
                             continue
                         st2 = st2.add("binding", head, absorbed)
                     else:
                         st2 = st.add("dots", head, absorbed)
-                    out.extend(mlist(m, codes, pos + skip, st2, step + 1))
+                    out.extend(mlist(tree, codes, pos + skip, st2, step + 1))
                 return out
             if pos >= len(codes):
                 return []
             out = []
-            for s in item[2](m, codes[pos], st):
-                out.extend(mlist(m, codes, pos + 1, s, step + 1))
+            for s in item[2](tree, codes[pos], st):
+                out.extend(mlist(tree, codes, pos + 1, s, step + 1))
             return out
 
         return mlist
@@ -1360,15 +1746,16 @@ class CompiledPatch:
         self._by_name = {rule.name: rule for rule in patch.patch_rules()}
         self._trie: Optional[PatternTrie] = None
 
-    def rule_for(self, rule: PatchRule) -> Optional[CompiledRule]:
+    def rule_for(self, rule: PatchRule) -> CompiledRule:
         """The compiled form of ``rule`` — matched by identity for the patch
         this compilation came from, by name for a fingerprint-equal twin AST
         (identical SMPL source parses to an identical rule, so the compiled
         twin is interchangeable for matching *and* transforming as long as
-        the caller consistently uses ``compiled.rule``)."""
+        the caller consistently uses ``compiled.rule``).  Raises
+        :class:`KeyError` for a rule this patch does not have."""
         base = self._by_id.get(id(rule)) or self._by_name.get(rule.name)
         if base is None:
-            return None
+            raise KeyError(f"rule {rule.name!r} is not in the compiled patch")
         compiled = self._rules.get(base.name)
         if compiled is None:
             compiled = CompiledRule(base, self.options)

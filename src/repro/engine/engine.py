@@ -23,7 +23,7 @@ from typing import Optional
 from ..options import SpatchOptions
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
 from .cache import TreeCache
-from .compile import CompiledPatch, backend_enabled, compiled_patch_for
+from .compile import CompiledPatch, compiled_patch_for
 from .report import FileResult, PatchResult
 from .scripting import ScriptRunner
 from .session import FileSession
@@ -45,13 +45,11 @@ class Engine:
 
     def __init__(self, patch: SemanticPatchAST,
                  options: Optional[SpatchOptions] = None,
-                 tree_cache: Optional[TreeCache] = None,
-                 compile: Optional[bool] = None):
+                 tree_cache: Optional[TreeCache] = None):
         self.patch = patch
         self.options = options or patch.options
         self.runner = ScriptRunner(enabled=self.options.python_scripting)
         self.tree_cache = tree_cache
-        self.compile_enabled = backend_enabled(compile)
         self._initialize_done = False
         #: per-file ``script:python`` rules that will run: the sessions the
         #: pipeline must check for purity (see :mod:`~repro.engine.scripting`)
@@ -66,11 +64,8 @@ class Engine:
 
     # -- public API -----------------------------------------------------------
 
-    def compiled(self) -> Optional[CompiledPatch]:
-        """The patch's compiled matchers (globally cached by fingerprint), or
-        ``None`` when the interpreted reference backend is selected."""
-        if not self.compile_enabled:
-            return None
+    def compiled(self) -> CompiledPatch:
+        """The patch's compiled matchers (globally cached by fingerprint)."""
         return compiled_patch_for(self.patch, self.options)
 
     def session_for(self, filename: str, text: str,
@@ -78,9 +73,9 @@ class Engine:
         """A session applying this engine's patch to one file (sharing the
         engine's script namespace and parse cache)."""
         return FileSession(self.patch, self.options, self.runner,
-                           filename, text, allowed_rules=allowed_rules,
-                           tree_cache=self.tree_cache,
-                           compiled=self.compiled())
+                           filename, text, self.compiled(),
+                           allowed_rules=allowed_rules,
+                           tree_cache=self.tree_cache)
 
     def apply_to_file(self, filename: str, text: str) -> FileResult:
         """Apply the whole patch to one file's contents."""

@@ -129,12 +129,10 @@ class IncrementalPipeline:
                  names: Optional[Sequence[str]] = None,
                  jobs: "int | str" = 1, prefilter: bool = True,
                  tree_cache: Optional[TreeCache] = None,
-                 compile: Optional[bool] = None,
                  memo=None):
         self.pipeline = PatchPipeline(patches, options, names=names,
                                       jobs=jobs, prefilter=prefilter,
-                                      tree_cache=tree_cache,
-                                      compile=compile, memo=memo)
+                                      tree_cache=tree_cache, memo=memo)
 
     # -- public API -----------------------------------------------------------
 

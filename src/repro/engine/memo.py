@@ -27,10 +27,7 @@ A memo hit must be provably equivalent to running the session cold:
   pins the SMPL source, the patch name and the frozen options — anything
   that can change what the patch does;
 * the **mode flags** pin the prefilter setting (``allowed_rules`` — and so
-  the reports a session emits — depend on whether gating is active) and the
-  matcher backend (compiled and interpreted are differentially proven
-  byte-identical, but entries never cross backends, so the proof is never
-  load-bearing);
+  the reports a session emits — depend on whether gating is active);
 * per-file **skip and gating decisions are never memoized** — the pipeline
   re-plans them against the *current* union prefilter, so coverage
   counters always match a cold run;
@@ -247,10 +244,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def memo_flags(prefilter: bool, compiled: bool) -> str:
+def memo_flags(prefilter: bool) -> str:
     """The mode component of a memo key: entries never cross a prefilter
-    toggle (``allowed_rules`` shape the reports) or a matcher backend."""
-    return ("p" if prefilter else "-") + ("c" if compiled else "i")
+    toggle (``allowed_rules`` shape the reports).  The trailing ``c`` names
+    the matcher and is kept so that memo directories and state roots
+    written with it keep hitting."""
+    return ("p" if prefilter else "-") + "c"
 
 
 class TransformMemo:

@@ -73,7 +73,6 @@ from ..options import SpatchOptions
 from ..smpl.ast import SemanticPatchAST
 from .cache import (DEFAULT_TREE_CACHE, TreeCache, content_sha1,
                     parse_cache_counts)
-from .compile import backend_enabled
 from .memo import TransformMemo, memo_counts, memo_flags
 from .derived import derived
 from .prefilter import patch_prefilter, token_set
@@ -532,7 +531,6 @@ _PIPELINE_WORKER: dict = {}
 
 def _pipeline_worker_init(payloads, options_list, prefilter_enabled: bool,
                           cache_max_entries: int,
-                          compile_flag: Optional[bool] = None,
                           memo_spec=None, memo_keys=None) -> None:
     from .engine import Engine
 
@@ -542,8 +540,7 @@ def _pipeline_worker_init(payloads, options_list, prefilter_enabled: bool,
     prefilters = []
     for payload, options in zip(payloads, options_list):
         ast = ast_from_payload(payload, options)
-        engine = Engine(ast, options=options, tree_cache=cache,
-                        compile=compile_flag)
+        engine = Engine(ast, options=options, tree_cache=cache)
         if engine.scripted:
             # per-file scripts read the globals initialize rules set up
             engine._run_initialize_rules()
@@ -580,7 +577,6 @@ class PatchPipeline:
                  names: Optional[Sequence[str]] = None,
                  jobs: "int | str" = 1, prefilter: bool = True,
                  tree_cache: Optional[TreeCache] = None,
-                 compile: Optional[bool] = None,
                  memo: Optional[TransformMemo] = None):
         self.patches = list(patches)
         if options is None:
@@ -595,7 +591,6 @@ class PatchPipeline:
         self.jobs = resolve_jobs(jobs)
         self.jobs_requested = jobs
         self.prefilter_enabled = prefilter
-        self.compile_flag = compile
         self.tree_cache = tree_cache if tree_cache is not None else DEFAULT_TREE_CACHE
         self.engines = self._new_engines()
         #: a finished run left impure script namespaces behind: the next
@@ -614,7 +609,7 @@ class PatchPipeline:
         if memo is not None:
             # one (fingerprint, flags) per patch; script-bearing patches
             # extend it per session with their namespace digest
-            flags = memo_flags(prefilter, backend_enabled(compile))
+            flags = memo_flags(prefilter)
             self._memo_keys = [
                 (patch_fingerprint(patch, opts, name), flags)
                 for patch, opts, name in zip(self.patches, self.options,
@@ -625,8 +620,7 @@ class PatchPipeline:
         """One engine per patch, with fresh script namespaces."""
         from .engine import Engine
 
-        return [Engine(patch, options=opts, tree_cache=self.tree_cache,
-                       compile=self.compile_flag)
+        return [Engine(patch, options=opts, tree_cache=self.tree_cache)
                 for patch, opts in zip(self.patches, self.options)]
 
     # -- public API -----------------------------------------------------------
@@ -892,7 +886,6 @@ class PatchPipeline:
         outcomes = run_fork_pool(
             work, jobs, _pipeline_worker_init,
             (payloads, self.options, self.prefilter_enabled,
-             self.tree_cache.max_entries, self.compile_flag,
-             memo_spec, self._memo_keys),
+             self.tree_cache.max_entries, memo_spec, self._memo_keys),
             _pipeline_worker_apply)
         return {outcome.filename: outcome for outcome in outcomes}

@@ -28,7 +28,7 @@ from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
 from .bindings import Env, EMPTY_ENV
 from .cache import TreeCache
 from .edits import EditSet
-from .matcher import Matcher, MatchInstance
+from .matcher import MatchInstance
 from .report import FileResult, RuleReport
 from .scripting import ScriptRunner
 from .transform import FreshNameRegistry, Transformer
@@ -42,9 +42,9 @@ class FileSession:
 
     def __init__(self, patch: SemanticPatchAST, options: SpatchOptions,
                  runner: ScriptRunner, filename: str, text: str,
+                 compiled: "CompiledPatch",
                  allowed_rules: Optional[frozenset[str]] = None,
-                 tree_cache: Optional[TreeCache] = None,
-                 compiled: "Optional[CompiledPatch]" = None):
+                 tree_cache: Optional[TreeCache] = None):
         self.patch = patch
         self.options = options
         self.runner = runner
@@ -61,7 +61,7 @@ class FileSession:
         #: matching nothing (no report, no export, no applied-rule entry).
         self.allowed_rules = allowed_rules
         self.tree_cache = tree_cache
-        #: compiled matchers for this patch (None → interpreted reference)
+        #: the compiled matchers of this patch
         self.compiled = compiled
         #: a textual (frontend) rule hit an unsafe condition — stale hash,
         #: ambiguous snippet, scoped snippet missing.  The whole file rolls
@@ -196,8 +196,8 @@ class FileSession:
         # from the same source); everything downstream of matching — the
         # transformer and the exported-metavar names — must consistently use
         # the twin the match instances reference
-        crule = self.compiled.rule_for(rule) if self.compiled is not None else None
-        mrule = crule.rule if crule is not None else rule
+        crule = self.compiled.rule_for(rule)
+        mrule = crule.rule
 
         instances: list[MatchInstance] = []
         seen_signatures: set = set()
@@ -206,12 +206,7 @@ class FileSession:
                 seeded = base_env.locals_from_inherited(inherited)
                 if seeded is None:
                     continue
-                if crule is not None:
-                    found = crule.match_all(tree, seeded)
-                else:
-                    found = Matcher(rule, tree,
-                                    options=self.options).match_all(seeded)
-                for inst in found:
+                for inst in crule.match_all(tree, seeded):
                     sig = inst.signature()
                     if sig in seen_signatures:
                         continue

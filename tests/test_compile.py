@@ -1,32 +1,31 @@
-"""Tests for the compiled matcher backend (:mod:`repro.engine.compile`).
+"""Tests for the matcher (:mod:`repro.engine.compile`).
 
 The contract under test is strict behavioural equality: for every cookbook
-patch over every workload family, the compiled backend must produce the
+patch over every workload family, the compiled matcher must produce the
 same output texts, the same per-rule match reports and the same
-diagnostics as the interpreted reference matcher — the two backends are
-the same function, one of them just runs faster.  On top of the
-differential sweep there are targeted units for the pieces with their own
-invariants: the pattern trie's per-rule demultiplexing, ``match_expr_list``
-dots backtracking, the vectorized :class:`TokenQuery` scan and the
+diagnostics as a run whose every match comes from the tree-walking
+reference matcher in ``tests/reference_matcher.py`` — the two are the same
+function, one of them just runs faster.  On top of the differential sweep
+there are targeted units for the pieces with their own invariants: the
+pattern trie's per-rule demultiplexing, expression-list dots
+backtracking, the vectorized :class:`TokenQuery` scan and the
 fingerprint-keyed compile cache.
 """
-
-import os
 
 import pytest
 
 from repro import CodeBase, PatchSet
 from repro.engine.bindings import EMPTY_ENV
-from repro.engine.compile import (CompiledPatch, CompiledRule, backend_enabled,
+from repro.engine.compile import (CompiledPatch, CompiledRule,
                                   clear_compile_cache, compile_cache_info,
                                   compiled_patch_for, matcher_counters)
-from repro.engine.matcher import Matcher
 from repro.engine.prefilter import PatchPrefilter, TokenQuery, scan_token_set
 from repro.lang.parser import parse_source
 from repro.obs import REGISTRY, Capture
 from repro.options import SpatchOptions
 from repro.smpl.parser import parse_semantic_patch
 
+from reference_matcher import Matcher, reference_backend
 from test_pipeline_differential import ALL_COOKBOOK, _mini
 from test_prefilter import _cookbook_patch
 
@@ -35,7 +34,7 @@ WORKLOAD_PARTS = ("omp", "gadget", "cuda", "acc", "raw", "unroll", "mv",
 
 
 # ---------------------------------------------------------------------------
-# interpreted vs. compiled: the full cookbook over every workload family
+# reference vs. compiled: the full cookbook over every workload family
 # ---------------------------------------------------------------------------
 
 def _assert_identical(interp, compiled, context):
@@ -58,33 +57,24 @@ def _assert_identical(interp, compiled, context):
 @pytest.mark.parametrize("part", WORKLOAD_PARTS)
 def test_differential_full_cookbook(part):
     """Every cookbook patch, in pipeline order, over one workload family:
-    the compiled backend must be byte-identical to the interpreter."""
+    the compiled matcher must be byte-identical to the reference."""
     patches = [_cookbook_patch(name) for name in ALL_COOKBOOK]
     codebase = _mini(part)
-    interp = PatchSet(patches).apply(codebase, compile=False)
-    compiled = PatchSet(patches).apply(codebase, compile=True)
+    with reference_backend():
+        interp = PatchSet(patches).apply(codebase)
+    compiled = PatchSet(patches).apply(codebase)
     _assert_identical(interp, compiled, part)
 
 
 def test_differential_without_prefilter():
-    """The prefilter must not mask a backend divergence: with it disabled
-    every rule runs in every file, compiled and interpreted alike."""
+    """The prefilter must not mask a divergence: with it disabled every
+    rule runs in every file, on either matcher."""
     patches = [_cookbook_patch(name) for name in ALL_COOKBOOK]
     codebase = _mini("gadget", "cuda")
-    interp = PatchSet(patches).apply(codebase, prefilter=False, compile=False)
-    compiled = PatchSet(patches).apply(codebase, prefilter=False, compile=True)
+    with reference_backend():
+        interp = PatchSet(patches).apply(codebase, prefilter=False)
+    compiled = PatchSet(patches).apply(codebase, prefilter=False)
     _assert_identical(interp, compiled, "no-prefilter")
-
-
-def test_compiled_is_the_default_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_MATCHER", raising=False)
-    assert backend_enabled(None) is True
-    monkeypatch.setenv("REPRO_MATCHER", "interp")
-    assert backend_enabled(None) is False
-    # an explicit kwarg beats the environment in both directions
-    assert backend_enabled(True) is True
-    monkeypatch.setenv("REPRO_MATCHER", "compiled")
-    assert backend_enabled(False) is False
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +105,6 @@ def test_expr_list_dots_backtracking():
     patch = "@r@\nexpression E;\n@@\nf(..., E, ...)\n"
     code = "void g(void) { f(a, b, c); f(); f(x); }"
     ref, got, crule = _both_backends(patch, code)
-    assert not crule._fallback
     assert _signatures(got) == _signatures(ref)
     # the dedup the session applies collapses them to one instance per span,
     # but the raw enumeration must agree even before dedup
@@ -127,7 +116,6 @@ def test_expr_list_trailing_dots_and_pairs():
     code = ("void g(void) { memcpy(dst, src, n); memcpy(p, q, n, extra); "
             "memcpy(one); }")
     ref, got, crule = _both_backends(patch, code)
-    assert not crule._fallback
     assert _signatures(got) == _signatures(ref)
 
 
@@ -136,7 +124,6 @@ def test_statement_dots_sequence_parity():
     code = ("void g(void) { lock(m); a(); b(); unlock(m); lock(n); "
             "unlock(q); }")
     ref, got, crule = _both_backends(patch, code)
-    assert not crule._fallback
     assert _signatures(got) == _signatures(ref)
 
 
@@ -153,7 +140,6 @@ def test_isomorphism_parity_under_filters():
          "void f(void) { q = y[i]; r = y[j+0]; s = z[i]; }"),
     ]:
         ref, got, crule = _both_backends(patch_text, code)
-        assert not crule._fallback, patch_text
         assert _signatures(got) == _signatures(ref), patch_text
 
 
@@ -197,12 +183,16 @@ def test_trie_demultiplexes_per_rule_reports():
     code = "void f(void) { old_free(p); if (x == y) g(); }"
     from repro.api import SemanticPatch
 
-    for compile_flag in (False, True):
+    def run():
         patch = SemanticPatch.from_string(TRIE_PATCH, name="trie")
-        result = patch.apply({"t.c": code}, compile=compile_flag)
-        reports = {r.rule: r.matches for r in result.files["t.c"].rule_reports}
-        assert reports == {"a": 1, "c": 1}, compile_flag
-        assert "new_free(p)" in result.files["t.c"].text, compile_flag
+        return patch.apply({"t.c": code}).files["t.c"]
+
+    with reference_backend():
+        reference = run()
+    for backend, result in (("reference", reference), ("compiled", run())):
+        reports = {r.rule: r.matches for r in result.rule_reports}
+        assert reports == {"a": 1, "c": 1}, backend
+        assert "new_free(p)" in result.text, backend
 
 
 def test_unfilterable_rule_lands_on_star_root():
@@ -307,21 +297,22 @@ class TestCompileCache:
         clear_compile_cache()
         assert REGISTRY.gauge("repro_compile_cache_entries").value == 0
 
-    def test_engine_compile_kwarg_beats_environment(self, monkeypatch):
-        from repro.engine.engine import Engine
-
-        patch = parse_semantic_patch(TRIE_PATCH)
-        monkeypatch.setenv("REPRO_MATCHER", "interp")
-        assert Engine(patch).compiled() is None
-        assert Engine(patch, compile=True).compiled() is not None
-        monkeypatch.delenv("REPRO_MATCHER")
-        assert Engine(patch, compile=False).compiled() is None
-        assert Engine(patch).compiled() is not None
-
     def test_matcher_counters_shape(self):
         counters = matcher_counters()
         for key in ("match_calls", "candidates_visited",
                     "candidates_filtered", "filter_rate", "rules_compiled",
-                    "rules_fallback", "compile_cache_hits", "trees_indexed",
+                    "compile_cache_hits", "trees_indexed",
                     "index_reuses", "fusion_factor"):
             assert key in counters
+        # nothing falls back to a second matcher, so nothing counts it
+        assert "dispatch_fallbacks" not in counters
+        assert "rules_fallback" not in counters
+
+
+def test_rule_for_names_a_missing_rule():
+    """Every rule a session applies belongs to the compiled patch; asking
+    for one that does not is a caller bug, reported with the rule's name."""
+    compiled = CompiledPatch(parse_semantic_patch(TRIE_PATCH), SpatchOptions())
+    stranger = parse_semantic_patch("@zz@ @@\n- gone();\n").patch_rules()[0]
+    with pytest.raises(KeyError, match="zz"):
+        compiled.rule_for(stranger)

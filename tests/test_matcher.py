@@ -1,13 +1,19 @@
 """Tests for the matching engine (expression/statement/toplevel patterns,
-metavariable binding, dots, disjunction/conjunction, constraints)."""
+metavariable binding, dots, disjunction/conjunction, constraints).
+
+Every case runs :class:`~repro.engine.compile.CompiledRule`, and the
+tree-walking reference matcher (``tests/reference_matcher.py``) is a second
+oracle: both must return the same match signatures, in order."""
 
 import pytest
 
 from repro.engine.bindings import EMPTY_ENV
-from repro.engine.matcher import Matcher
+from repro.engine.compile import CompiledRule
 from repro.lang.parser import parse_source
 from repro.options import SpatchOptions
 from repro.smpl.parser import parse_semantic_patch
+
+from reference_matcher import Matcher
 
 
 def match_rule(patch_text: str, code: str, rule_index: int = 0, cxx=False, env=EMPTY_ENV):
@@ -15,7 +21,11 @@ def match_rule(patch_text: str, code: str, rule_index: int = 0, cxx=False, env=E
     options = patch.options if patch.options.cxx else (SpatchOptions(cxx=17) if cxx else patch.options)
     rule = patch.patch_rules()[rule_index]
     tree = parse_source(code, "m.c", options=options)
-    return Matcher(rule, tree, options=options).match_all(env), tree
+    found = CompiledRule(rule, options).match_all(tree, env)
+    reference = Matcher(rule, tree, options=options).match_all(env)
+    assert [inst.signature() for inst in found] == \
+        [inst.signature() for inst in reference]
+    return found, tree
 
 
 class TestExpressionPatterns:

@@ -97,10 +97,13 @@ class TestMemoEntry:
 
 class TestMemoFlags:
     def test_every_mode_combination_is_distinct(self):
-        flags = {memo_flags(prefilter, compiled)
-                 for prefilter in (True, False)
-                 for compiled in (True, False)}
-        assert len(flags) == 4
+        assert memo_flags(True) != memo_flags(False)
+
+    def test_flags_keep_their_bytes(self):
+        """The trailing ``c`` once told two matchers apart; it stays, so
+        memo directories and state roots written with it keep hitting."""
+        assert memo_flags(True) == "pc"
+        assert memo_flags(False) == "-c"
 
 
 class TestMemoryTier:

@@ -20,10 +20,10 @@ import repro
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples")
 
-#: reached only through names built at run time: the matcher's and the
-#: printer's per-node-type ``getattr`` dispatch, and the cookbook's
-#: listing-by-listing reproductions of the paper
-ALLOWED_PREFIXES = ("_match_stmt_", "_print_", "paper_listing")
+#: reached only through names built at run time: the printer's
+#: per-node-type ``getattr`` dispatch, and the cookbook's listing-by-listing
+#: reproductions of the paper
+ALLOWED_PREFIXES = ("_print_", "paper_listing")
 #: request-handler hooks ``http.server`` calls by name
 ALLOWED_NAMES = frozenset({"do_GET", "log_message"}) | frozenset(
     repro.__all__)

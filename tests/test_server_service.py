@@ -452,11 +452,6 @@ class TestCompileCacheSharing:
         return matcher_counters(counts)["compile_cache_misses"]
 
     def test_flooding_one_workspace_does_not_force_a_recompile(self):
-        from repro.engine.compile import backend_enabled
-
-        if not backend_enabled(None):
-            pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
-
         service = make_service()
         shared = smpl_spec("@r@ @@\n- old();\n+ shared_by_two();\n",
                            name="shared")
@@ -476,11 +471,6 @@ class TestCompileCacheSharing:
     def test_flooding_one_service_keeps_another_services_form(self):
         """Two services in one process share the compile cache: service
         A's spec-LRU eviction leaves the compiled form service B uses."""
-        from repro.engine.compile import backend_enabled
-
-        if not backend_enabled(None):
-            pytest.skip("compile cache inactive under REPRO_MATCHER=interp")
-
         first, second = make_service(), make_service()
         shared = smpl_spec("@r@ @@\n- old();\n+ shared_across();\n",
                            name="shared")

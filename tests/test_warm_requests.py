@@ -20,6 +20,7 @@ import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.engine import derived, scripting
+from repro.engine.compile import clear_compile_cache
 from repro.engine.pipeline import PatchPipeline, patch_fingerprint
 from repro.engine.prefilter import PatchPrefilter, patch_prefilter
 from repro.engine.report import FileResult, dumps, result_payload
@@ -145,8 +146,11 @@ def test_derived_facts_die_with_their_patch():
     patch = SemanticPatch.from_string(RENAME.format("hipFree")).ast
     patch_prefilter(patch)
     patch_fingerprint(patch, patch.options, "rev")
-    PatchPipeline([patch], compile=False).run(
+    PatchPipeline([patch]).run(
         {"a.cu": "void f(int *p) { cudaFree(p); }\n"})
+    # the compile cache keeps the patches it compiled; empty it so only the
+    # derived facts could keep this one alive
+    clear_compile_cache()
     key, alive = id(patch), weakref.ref(patch)
     assert key in derived._FACTS
     del patch
