@@ -6,33 +6,45 @@ differential runs (prefilter on/off), repeated ``apply`` calls and — in the
 daemon — every workspace holding a vendored copy of the same file.  Trees
 are immutable once built — matching and transformation only read them, and
 edits always produce *new* text which re-parses under a new key — so they
-can be shared safely between sessions, workspaces and patches that use the
-same parser options.
+can be shared safely between sessions, workspaces and patches.
 
-The cache key is ``(sha1(text), options)``: the (frozen, hashable) options
-matter because they change how the front end disambiguates; the filename
-does not.  A tree's one filename carrier is its ``source``
+A tree is keyed only on what the parser reads: ``(sha1(text), is_cxx,
+extra_types, attribute_names)``.  The lexer reads no options, and of the
+C++ level the parser reads only whether there is one, so C++17 and C++23
+callers share a tree, and so do callers differing only in matching options
+(``verbose``, ``max_dots_statements``, ...).  Most HPC sources also parse
+the same as C and as C++: the parser records whether any C++-gated branch
+decided anything (``ParseTree.cxx_decided``), and a tree that never did is
+stored under a *mode-free* key (``is_cxx`` replaced by ``None``) that a
+lookup tries first, so one tree serves the cookbook's C and C++ patches
+alike.  A text either decides in both modes or in neither, so it never has
+both kinds of entry.  The filename is not in the key either.  A tree's one
+filename carrier is its ``source``
 (:class:`~repro.lang.source.SourceFile`): tokens hold offsets into the
 text, the tolerant parser's recovery nodes hold token ranges, and the
 matcher (``Position.filename``) and transform diagnostics read
 ``tree.source.name`` at *use* time.  So a hit whose stored tree was parsed
 under another filename is *rebound*: the caller gets a shallow copy with a
 fresh ``SourceFile`` carrying its own name (one O(n) line-start scan,
-versus a full re-parse), and the stored entry stays as it is.
+versus a full re-parse), and the stored entry stays as it is.  The copy
+shares the nodes, so it also keeps the matcher's candidate index if the
+stored tree has built one.
 
 Two callers racing on the same key are deduplicated: the first one parses
 while the others wait on a per-key in-flight marker, so a tree is never built
 twice and the hit/miss counts stay exact (one miss per unique parse, one
 hit per answered caller, one ``rebinds`` event per hit answered under
-another filename).  The counts live in the metrics registry, so a capture
-around any stretch of work reads exactly its traffic.  Trees never
-persist: they live and die with the process, and a fresh process's warm
-start comes from the transform memo's directory, whose hits parse nothing.
+another filename).  Racing callers dedup on the exact key: a C and a C++
+caller racing on one mode-free text both parse, and count two misses.  The
+counts live in the metrics registry, so a capture around any stretch of
+work reads exactly its traffic.  Trees never persist: they live and die
+with the process, and a fresh process's warm start comes from the
+transform memo's directory, whose hits parse nothing.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import hashlib
 import threading
 from collections import OrderedDict
@@ -91,7 +103,11 @@ def _named(tree: ParseTree, name: str, text: str) -> ParseTree:
     if tree.source.name == name:
         return tree
     _TREE["rebinds"].inc()
-    return dataclasses.replace(tree, source=SourceFile(name=name, text=text))
+    # copy.copy keeps instance attributes such as the matcher's node index,
+    # which holds only nodes and so is as valid for the copy
+    rebound = copy.copy(tree)
+    rebound.source = SourceFile(name=name, text=text)
+    return rebound
 
 
 class TreeCache:
@@ -112,11 +128,15 @@ class TreeCache:
                      options: SpatchOptions) -> ParseTree:
         """Return the cached tree for ``text`` (named ``name``) or parse
         (tolerantly) and cache it."""
-        key = (content_sha1(text), options)
+        sha1 = content_sha1(text)
+        key = (sha1, options.is_cxx, options.extra_types,
+               options.attribute_names)
+        shared = (sha1, None, options.extra_types, options.attribute_names)
         with self._lock:
-            tree = self._entries.get(key)
+            hit_key = shared if shared in self._entries else key
+            tree = self._entries.get(hit_key)
             if tree is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(hit_key)
                 _TREE["hits"].inc()
             else:
                 inflight = self._inflight.get(key)
@@ -135,12 +155,13 @@ class TreeCache:
                 raise inflight.error
             _TREE["hits"].inc()
             _TREE["dedup_waits"].inc()
+            stored = key if inflight.tree.cxx_decided else shared
             with self._lock:
                 # a dedup-answered caller is a *use* of the entry like any
                 # other hit: refresh its recency so the LRU bound sees the
                 # true access order
-                if key in self._entries:
-                    self._entries.move_to_end(key)
+                if stored in self._entries:
+                    self._entries.move_to_end(stored)
             return _named(inflight.tree, name, text)
         try:
             with _obs.phase("parse"):
@@ -154,7 +175,7 @@ class TreeCache:
             raise
         _TREE["misses"].inc()
         with self._lock:
-            self._store(key, tree)
+            self._store(key if tree.cxx_decided else shared, tree)
             del self._inflight[key]
         inflight.tree = tree
         inflight.event.set()

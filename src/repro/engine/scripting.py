@@ -225,8 +225,10 @@ MAX_COMPILED_SCRIPTS = 256
 @functools.lru_cache(maxsize=MAX_COMPILED_SCRIPTS)
 def _code(source: str, label: str) -> types.CodeType:
     """``source`` compiled once: a code object is immutable, so every run,
-    environment and engine executes the same one in its own namespace."""
-    return compile(source, label, "exec")
+    environment and engine executes the same one in its own namespace.
+    ``dont_inherit`` keeps this module's ``__future__`` flags out of user
+    code, so a script means the same whoever compiles it first."""
+    return compile(source, label, "exec", dont_inherit=True)
 
 
 class ScriptRunner:

@@ -96,8 +96,10 @@ class ParseTree:
     source: SourceFile
     tokens: list[Token]
     unit: TranslationUnit
-    options: SpatchOptions = field(default_factory=lambda: DEFAULT_OPTIONS)
     known_types: set[str] = field(default_factory=set)
+    #: whether any C++-gated branch decided something while parsing; when
+    #: not, parsing the same text as C or as C++ builds this same tree
+    cxx_decided: bool = False
 
     # -- extent helpers ----------------------------------------------------
 
@@ -185,6 +187,7 @@ class CParser:
         self.known_types.update(
             name for name, kind in self.metavars.items() if kind == "type")
         self.attribute_names = {"__attribute__", "__declspec"} | set(options.attribute_names)
+        self.cxx_decided = False
 
     # -- token helpers ------------------------------------------------------
 
@@ -230,6 +233,40 @@ class CParser:
     def _mv_kind(self, name: str) -> Optional[str]:
         return self.metavars.get(name)
 
+    # -- language mode -------------------------------------------------------
+
+    def _cxx(self) -> bool:
+        """The language mode, read where it decides the parse.  Each caller
+        checks it last in its condition, so reaching here means C and C++
+        read the text differently; the tree records that (``cxx_decided``),
+        and a tree that never decided serves both modes."""
+        if not self.pattern_mode:
+            self.cxx_decided = True
+        return self.options.is_cxx
+
+    def _cxx_attempt(self, attempt, start: int):
+        """Try a C++-only construct (a range-``for`` header or a lambda).
+
+        Pattern code and C++ keep what the attempt parsed.  Plain C makes the
+        attempt too, only to learn whether C++ would decide here, and then
+        discards it along with any type names it declared."""
+        save = self.i
+        if self.pattern_mode:
+            node = attempt(start)
+            if node is None:
+                self.i = save
+            return node
+        types = set(self.known_types)
+        node = attempt(start)
+        if node is not None or len(self.known_types) != len(types):
+            self.cxx_decided = True
+        if self.options.is_cxx and node is not None:
+            return node
+        self.i = save
+        if not self.options.is_cxx:
+            self.known_types = types
+        return None
+
     # -- entry points --------------------------------------------------------
 
     def parse_translation_unit(self) -> ParseTree:
@@ -250,7 +287,8 @@ class CParser:
         unit = TranslationUnit(decls=decls)
         unit.with_extent(start, self.i)
         return ParseTree(source=self.source, tokens=self.tokens, unit=unit,
-                         options=self.options, known_types=set(self.known_types))
+                         known_types=set(self.known_types),
+                         cxx_decided=self.cxx_decided)
 
     def parse_statement_list(self) -> list[Node]:
         """Parse the token stream as a sequence of statements (pattern use)."""
@@ -464,7 +502,7 @@ class CParser:
         if nxt.kind is TokenKind.IDENT and nxt.value not in STATEMENT_KEYWORDS:
             if nxt2.is_punct(";", "=", "[", ","):
                 return True
-            if nxt2.is_punct("(") and self.options.is_cxx:
+            if nxt2.is_punct("(") and self._cxx():
                 # constructor-style initialisation ``dim3 grid(n);``
                 return True
         return False
@@ -494,13 +532,13 @@ class CParser:
                     has_base = True
                 self._advance()
                 # optional template arguments (C++ subset): fold into the part
-                if self.options.is_cxx and self._check_punct("<") and self._template_args_follow():
+                if self._check_punct("<") and self._template_args_follow() and self._cxx():
                     parts[-1] = parts[-1] + self._consume_template_args()
                 # qualified names: Kokkos::View etc.
                 while self._check_punct("::") and self._tok(1).kind is TokenKind.IDENT:
                     self._advance()
                     parts[-1] = parts[-1] + "::" + self._advance().value
-                    if self.options.is_cxx and self._check_punct("<") and self._template_args_follow():
+                    if self._check_punct("<") and self._template_args_follow() and self._cxx():
                         parts[-1] = parts[-1] + self._consume_template_args()
                 # a qualifier or builtin word may be followed by more type
                 # words (``unsigned long``, ``const struct particle``);
@@ -805,7 +843,7 @@ class CParser:
                 init = self._parse_init_list()
             else:
                 init = self.parse_assignment()
-        elif self._check_punct("(") and self.options.is_cxx and name:
+        elif self._check_punct("(") and name and self._cxx():
             # constructor-style initialisation ``T x(args);``
             self._advance()
             args = self._parse_call_args()
@@ -1001,12 +1039,9 @@ class CParser:
         self._expect_punct("(")
 
         # C++ range-for: ``for (T &x : arr)``
-        if self.options.is_cxx or self.pattern_mode:
-            save = self.i
-            rf = self._try_parse_range_for_header(start)
-            if rf is not None:
-                return rf
-            self.i = save
+        rf = self._cxx_attempt(self._try_parse_range_for_header, start)
+        if rf is not None:
+            return rf
 
         init: Node | None = None
         if self._check_punct(";"):
@@ -1252,8 +1287,8 @@ class CParser:
             inner = self.parse_expression()
             self._expect_punct(")")
             return Paren(expr=inner).with_extent(start, self.i)
-        if tok.is_punct("[") and self.options.is_cxx:
-            lam = self._try_parse_lambda(start)
+        if tok.is_punct("[") and (self.options.is_cxx or not self.pattern_mode):
+            lam = self._cxx_attempt(self._try_parse_lambda, start)
             if lam is not None:
                 return lam
         if tok.is_punct("{"):

@@ -2,7 +2,7 @@
 deduplication and LRU recency.
 
 The dedup contract: when N threads race ``get_or_parse`` on the same
-``(sha1, options)`` key, exactly one of them parses; the others wait for
+key, exactly one of them parses; the others wait for
 its tree, each seeing it under the filename it asked with.  The counts
 stay *exact* — one miss per unique parse, one hit per caller answered
 without parsing — which the pipeline's ``--profile``
@@ -291,13 +291,58 @@ class TestContentKeys:
         assert parse_cache_counts(counts)["rebinds"] >= 1
 
     def test_keys_distinguish_options(self):
-        """An entry only answers the exact (hash, options) pair it was
-        parsed under."""
+        """An entry is keyed on what the parser reads: options it ignores
+        (matching knobs, the C++ level) share one entry, the type and
+        attribute hints separate entries, and a text that parses the same
+        as C and as C++ shares one entry between the two."""
         cache = TreeCache()
-        cache.get_or_parse("int opt;\n", "o.c", DEFAULT_OPTIONS)
+        text = "int opt;\n"
+        first = cache.get_or_parse(text, "o.c", SpatchOptions(cxx=17))
         with Capture() as counts:
-            cache.get_or_parse("int opt;\n", "o.c", SpatchOptions(cxx=17))
-        assert _hits_misses(counts) == (0, 1)  # different options: a parse
+            for options in (SpatchOptions(cxx=23),
+                            SpatchOptions(cxx=17, verbose=True),
+                            SpatchOptions(cxx=17, max_dots_statements=5),
+                            DEFAULT_OPTIONS):
+                assert cache.get_or_parse(text, "o.c", options) is first
+        assert _hits_misses(counts) == (4, 0)
+        assert len(cache) == 1
+        with Capture() as counts:
+            typed = cache.get_or_parse(
+                text, "o.c", SpatchOptions(extra_types=("opt_t",)))
+            attributed = cache.get_or_parse(
+                text, "o.c", SpatchOptions(attribute_names=("__hot",)))
+        assert _hits_misses(counts) == (0, 2)
+        assert typed is not first and attributed is not first
+        assert len(cache) == 3
+
+    def test_mode_sensitive_text_keeps_one_entry_per_mode(self):
+        """A text whose C and C++ trees differ (a range-``for``) is never
+        served across modes."""
+        cache = TreeCache()
+        text = "void f(int *xs) { for (auto &v : xs) v = 0; }\n"
+        with Capture() as counts:
+            c_tree = cache.get_or_parse(text, "r.c", DEFAULT_OPTIONS)
+            cxx_tree = cache.get_or_parse(text, "r.c", SpatchOptions(cxx=17))
+            again = cache.get_or_parse(text, "r.c", SpatchOptions(cxx=23))
+        assert _hits_misses(counts) == (1, 2)
+        assert c_tree.cxx_decided and cxx_tree.cxx_decided
+        assert c_tree is not cxx_tree and again is cxx_tree
+        assert len(cache) == 2
+
+    def test_rebound_copy_keeps_the_node_index(self):
+        """Two byte-identical files under different names: the second file's
+        rebound tree reuses the first one's candidate index."""
+        from repro import SemanticPatch
+        from repro.engine.compile import _MATCHER
+        from repro.engine.pipeline import PatchPipeline
+
+        patch = SemanticPatch.from_string(
+            "@r@\n@@\n- twin();\n+ other();\n", name="twin")
+        files = {"a.c": TWIN_TEXT, "b.c": TWIN_TEXT}
+        with Capture() as counts:
+            PatchPipeline([patch.ast], tree_cache=TreeCache()).run(files)
+        assert counts.total(_MATCHER["trees_indexed"]) == 1
+        assert counts.total(_MATCHER["index_reuses"]) >= 1
 
 
 class TestContentSha1:

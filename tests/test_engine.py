@@ -155,6 +155,17 @@ class TestScripting:
         outcome = runner.run_script(rule, [env])
         assert outcome.environments[0].get("s.y").text == "b"
 
+    def test_annotations_are_objects_not_strings(self):
+        """Script code compiles under its own future flags only, not the
+        engine module's ``from __future__ import annotations``."""
+        runner = ScriptRunner()
+        init = ScriptRule(name="i", when="initialize",
+                          code="def scale(x: int) -> float:\n"
+                               "    return x * 1.5\n")
+        assert runner.run_initialize(init) == []
+        assert runner.globals["scale"].__annotations__ == \
+            {"x": int, "return": float}
+
     def test_disabled_scripting(self):
         runner = ScriptRunner(enabled=False)
         rule = ScriptRule(name="s", imports=[], outputs=[], code="x = 1")

@@ -82,7 +82,10 @@ def hooks(monkeypatch):
     # the module global shadows the builtin for every compile in scripting
     monkeypatch.setattr(scripting, "compile", counting_compile, raising=False)
     monkeypatch.setattr(FileResult, "line_counts", counting_counts)
-    return seen
+    yield seen
+    # code compiled through the wrapper must not outlive the test in the
+    # process-wide code cache
+    scripting._code.cache_clear()
 
 
 @pytest.fixture
