@@ -300,8 +300,7 @@ def _profile_lines(result, counts, memo=None) -> list[str]:
                  f"wait(s), {cache['evictions']} eviction(s)")
     matcher = matcher_counters()
     lines.append(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
-                 f"compiled, {matcher['compile_cache_hits']} compile-cache "
-                 f"hit(s), {matcher['match_calls']} match call(s)")
+                 f"compiled, {matcher['match_calls']} match call(s)")
     lines.append(f"# matcher candidates: {matcher['candidates_filtered']} of "
                  f"{matcher['candidates_filtered'] + matcher['candidates_visited']} "
                  f"pruned ({100.0 * matcher['filter_rate']:.1f}%), "

@@ -19,10 +19,11 @@ matched.  This module answers them **once per rule**:
   :class:`~repro.engine.cache.TreeCache` shares parse trees across the patch
   boundaries of a :class:`~repro.engine.pipeline.PatchPipeline`, a 12-patch
   cookbook pays ~one walk per patch boundary instead of twelve.
-* :class:`PatternTrie` records which rules of a patch share candidate root
-  keys: rules with a common structural prefix probe the same index bucket,
-  and their results demultiplex into the ordinary per-rule reports because
-  every rule still consumes its own match list.
+* :class:`CompiledPatch` holds a patch's compiled rules, each lowered on
+  first use.  It is a derived fact of the patch object
+  (:mod:`~repro.engine.derived`), so compiled forms live as long as their
+  patch: every session, pipeline and warm request that reuses a patch
+  object reuses its matchers, and they die with it.
 
 Soundness of candidate filtering
 --------------------------------
@@ -45,18 +46,12 @@ The test suite keeps a tree-walking reference matcher
 (``tests/reference_matcher.py``) that enumerates every expression and every
 statement-sequence start; the differential tests require both to return the
 same match signatures, in order, for every call.
-
-Compiled patches are cached globally by
-:func:`~repro.engine.pipeline.patch_fingerprint`, so warm spatchd
-workspaces and ``--watch`` loops never recompile an unchanged rule.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import chain
 from operator import itemgetter
-from threading import Lock
 from typing import Callable, Optional, Sequence
 
 from ..lang import ast_nodes as A
@@ -68,6 +63,7 @@ from ..smpl.ast import (KIND_EXPRESSION, KIND_STATEMENTS, KIND_TOPLEVEL,
 from ..smpl.isomorphisms import (DEFAULT_ISOS, IsoConfig, increment_variants,
                                  plus_zero_operand)
 from .bindings import BoundValue, Env, EMPTY_ENV
+from .derived import derived
 from .matcher import MatchInstance, MState, bind_positions, code_value
 
 
@@ -87,27 +83,15 @@ _MATCHER = {field: _obs.REGISTRY.counter(f"repro_matcher_{field}_total",
     ("candidates_visited", "Candidate nodes or sequence starts attempted"),
     ("candidates_filtered", "Candidates skipped by the root-type filters"),
     ("rules_compiled", "Rules lowered to closure chains"),
-    ("compile_cache_hits", "Compiled-patch cache hits"),
-    ("compile_cache_misses", "Compiled-patch cache misses"),
-    ("compile_cache_evictions", "Compiled-patch cache evictions"),
     ("trees_indexed", "Fresh NodeIndex walks"),
     ("index_reuses", "Reuses of a cached NodeIndex"))}
-#: pattern-trie shape of the most recently built compiled patch
-_M_TRIE_RULES = _obs.REGISTRY.gauge(
-    "repro_matcher_trie_rules", "Rules in the latest pattern trie")
-_M_TRIE_ROOTS = _obs.REGISTRY.gauge(
-    "repro_matcher_trie_roots", "Root paths in the latest pattern trie")
-_M_COMPILE_ENTRIES = _obs.REGISTRY.gauge(
-    "repro_compile_cache_entries", "Compiled patches currently cached")
 
 
 def matcher_counters(counts=_obs.REGISTRY) -> dict:
     """The matcher counters ``counts`` recorded (a run's or request's
-    capture; the whole process by default), the latest trie shape, and
-    the derived ``filter_rate`` / ``fusion_factor``."""
+    capture; the whole process by default) and the derived
+    ``filter_rate`` / ``fusion_factor``."""
     payload = {field: counts.total(child) for field, child in _MATCHER.items()}
-    payload["trie_rules"] = int(_M_TRIE_RULES.value)
-    payload["trie_roots"] = int(_M_TRIE_ROOTS.value)
     candidates = payload["candidates_visited"] + payload["candidates_filtered"]
     payload["filter_rate"] = payload["candidates_filtered"] / candidates \
         if candidates else 0.0
@@ -1679,147 +1663,35 @@ class CompiledRule:
 
 
 # ---------------------------------------------------------------------------
-# the per-patch trie + compiled-patch container
+# the per-patch container
 # ---------------------------------------------------------------------------
-
-class PatternTrie:
-    """Which rules of one compiled patch share candidate root keys.
-
-    The first trie level is the candidate root (node type for expression and
-    statement patterns, ``*`` for unfilterable rules); the second level is
-    the secondary key where one exists (call callee name, leading pragma
-    word, include target).  Rules mapped to the same path probe the same
-    :class:`NodeIndex` bucket — one shared walk, per-rule demultiplexed
-    results — which is what makes a multi-rule patch cost ~one traversal
-    per tree state instead of one per rule.
-    """
-
-    def __init__(self, rules: Sequence[CompiledRule]):
-        self.paths: dict[tuple, list[str]] = {}
-        for crule in rules:
-            for path in self._paths_of(crule):
-                self.paths.setdefault(path, []).append(crule.rule.name)
-        self.n_rules = len(rules)
-        _M_TRIE_RULES.set(self.n_rules)
-        _M_TRIE_ROOTS.set(len(self.paths))
-
-    @staticmethod
-    def _paths_of(crule: CompiledRule) -> list[tuple]:
-        kind = crule.kind
-        if kind == KIND_EXPRESSION:
-            if crule.callee_key is not None:
-                return [("expr", A.Call.__name__, crule.callee_key[1])]
-            if crule.expr_filter is None:
-                return [("expr", "*")]
-            return [("expr", t.__name__) for t in sorted(
-                crule.expr_filter, key=lambda t: t.__name__)]
-        if kind in (KIND_STATEMENTS, KIND_TOPLEVEL):
-            if crule.first_filter is None:
-                return [("stmt", "*")]
-            first = crule.rule.pattern_nodes[0]
-            if isinstance(first, A.PragmaDirective) and crule.first_pred:
-                return [("stmt", A.PragmaDirective.__name__,
-                         first.text.split()[0])]
-            if isinstance(first, A.IncludeDirective):
-                return [("stmt", A.IncludeDirective.__name__, first.target)]
-            return [("stmt", t.__name__) for t in sorted(
-                crule.first_filter, key=lambda t: t.__name__)]
-        return [("other", "*")]
-
-    @property
-    def fusion_factor(self) -> float:
-        """Rules served per distinct root path (>1 means prefix sharing)."""
-        return self.n_rules / len(self.paths) if self.paths else 0.0
-
-    def rules_at(self, *path) -> list[str]:
-        return list(self.paths.get(tuple(path), []))
-
 
 class CompiledPatch:
-    """Lazily compiled rules of one semantic patch under one options set."""
+    """The compiled rules of one semantic patch under one options set, each
+    lowered on first use.  Holds the patch's rules, never the patch itself
+    (see :func:`compiled_patch_for`)."""
 
-    def __init__(self, patch: SemanticPatchAST, options: SpatchOptions):
-        self.patch = patch
+    def __init__(self, rules: Sequence[PatchRule], options: SpatchOptions):
         self.options = options
-        self._rules: dict[str, CompiledRule] = {}
-        self._by_id = {id(rule): rule for rule in patch.patch_rules()}
-        self._by_name = {rule.name: rule for rule in patch.patch_rules()}
-        self._trie: Optional[PatternTrie] = None
+        self._rules = {id(rule): rule for rule in rules}
+        self._compiled: dict[int, CompiledRule] = {}
 
     def rule_for(self, rule: PatchRule) -> CompiledRule:
-        """The compiled form of ``rule`` — matched by identity for the patch
-        this compilation came from, by name for a fingerprint-equal twin AST
-        (identical SMPL source parses to an identical rule, so the compiled
-        twin is interchangeable for matching *and* transforming as long as
-        the caller consistently uses ``compiled.rule``).  Raises
-        :class:`KeyError` for a rule this patch does not have."""
-        base = self._by_id.get(id(rule)) or self._by_name.get(rule.name)
-        if base is None:
-            raise KeyError(f"rule {rule.name!r} is not in the compiled patch")
-        compiled = self._rules.get(base.name)
+        """The compiled form of ``rule``, which must be one of this patch's
+        rule objects; raises :class:`KeyError` for any other rule."""
+        compiled = self._compiled.get(id(rule))
         if compiled is None:
-            compiled = CompiledRule(base, self.options)
-            self._rules[base.name] = compiled
+            if self._rules.get(id(rule)) is not rule:
+                raise KeyError(
+                    f"rule {rule.name!r} is not in the compiled patch")
+            compiled = self._compiled[id(rule)] = \
+                CompiledRule(rule, self.options)
         return compiled
-
-    def trie(self) -> PatternTrie:
-        """The patch's pattern trie (compiles every rule on first use)."""
-        if self._trie is None:
-            for rule in self.patch.patch_rules():
-                self.rule_for(rule)
-            self._trie = PatternTrie(list(self._rules.values()))
-        return self._trie
-
-
-# ---------------------------------------------------------------------------
-# the fingerprint-keyed compile cache
-# ---------------------------------------------------------------------------
-
-MAX_COMPILED_PATCHES = 128
-
-_COMPILE_CACHE: "OrderedDict[str, CompiledPatch]" = OrderedDict()
-_COMPILE_LOCK = Lock()
-
-
-def _compile_key(patch: SemanticPatchAST, options: SpatchOptions) -> str:
-    from .pipeline import patch_fingerprint
-
-    # the patch's display name cannot change what compilation produces, so
-    # every alias of one (source, options) pair shares a cache entry
-    return patch_fingerprint(patch, options, "<compiled>")
 
 
 def compiled_patch_for(patch: SemanticPatchAST,
                        options: SpatchOptions) -> CompiledPatch:
-    """The (globally cached) compiled form of ``patch`` under ``options``,
-    keyed by :func:`~repro.engine.pipeline.patch_fingerprint` so warm
-    spatchd workspaces and ``--watch`` loops never recompile an unchanged
-    rule."""
-    key = _compile_key(patch, options)
-    with _COMPILE_LOCK:
-        cached = _COMPILE_CACHE.get(key)
-        if cached is not None:
-            _COMPILE_CACHE.move_to_end(key)
-            _MATCHER["compile_cache_hits"].inc()
-            return cached
-        _MATCHER["compile_cache_misses"].inc()
-    compiled = CompiledPatch(patch, options)
-    with _COMPILE_LOCK:
-        _COMPILE_CACHE[key] = compiled
-        while len(_COMPILE_CACHE) > MAX_COMPILED_PATCHES:
-            _COMPILE_CACHE.popitem(last=False)
-            _MATCHER["compile_cache_evictions"].inc()
-        _M_COMPILE_ENTRIES.set(len(_COMPILE_CACHE))
-    return compiled
-
-
-def compile_cache_info() -> dict:
-    with _COMPILE_LOCK:
-        return {"entries": len(_COMPILE_CACHE),
-                "max_entries": MAX_COMPILED_PATCHES}
-
-
-def clear_compile_cache() -> None:
-    with _COMPILE_LOCK:
-        _COMPILE_CACHE.clear()
-        _M_COMPILE_ENTRIES.set(0)
+    """The compiled form of ``patch`` under ``options``: one per (patch
+    object, options), derived on first use and freed with the patch."""
+    return derived(patch, ("compiled", options),
+                   lambda: CompiledPatch(patch.patch_rules(), options))

@@ -3,11 +3,14 @@
 A warm request re-applies patch objects it has already seen: the service's
 patch-spec LRU hands every request for the same spec the same
 :class:`~repro.smpl.ast.SemanticPatchAST`.  Whatever is a pure function of
-that object (its fingerprint under some options and name, its prefilter)
-is derived on first use and looked up afterwards.
+that object (its fingerprint under some options and name, its prefilter,
+its compiled rules under some options) is derived on first use and looked
+up afterwards, and lives exactly as long as the patch.  Forked pipeline
+workers inherit the table with the patch objects, so they derive nothing
+their parent already did.
 
-The table lives beside the patch, never on it: an AST may be pickled (a
-fork-pool payload), and derived state must not travel with it.  Patch ASTs
+The table lives beside the patch, never on it: a caller may pickle or
+copy an AST, and derived state must not travel with it.  Patch ASTs
 are ``eq=True`` dataclasses and so unhashable, which rules out a
 ``WeakKeyDictionary``; entries are keyed by ``id`` instead, and a weak
 reference's callback drops an entry when its patch dies, before the id can

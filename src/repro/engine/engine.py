@@ -22,7 +22,7 @@ from typing import Optional
 
 from ..options import SpatchOptions
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
-from .cache import TreeCache
+from .cache import DEFAULT_TREE_CACHE, TreeCache
 from .compile import CompiledPatch, compiled_patch_for
 from .report import FileResult, PatchResult
 from .scripting import ScriptRunner
@@ -49,7 +49,8 @@ class Engine:
         self.patch = patch
         self.options = options or patch.options
         self.runner = ScriptRunner(enabled=self.options.python_scripting)
-        self.tree_cache = tree_cache
+        self.tree_cache = tree_cache if tree_cache is not None \
+            else DEFAULT_TREE_CACHE
         self._initialize_done = False
         #: per-file ``script:python`` rules that will run: the sessions the
         #: pipeline must check for purity (see :mod:`~repro.engine.scripting`)
@@ -65,7 +66,7 @@ class Engine:
     # -- public API -----------------------------------------------------------
 
     def compiled(self) -> CompiledPatch:
-        """The patch's compiled matchers (globally cached by fingerprint)."""
+        """The patch's compiled matchers (derived once per patch object)."""
         return compiled_patch_for(self.patch, self.options)
 
     def session_for(self, filename: str, text: str,
@@ -73,9 +74,8 @@ class Engine:
         """A session applying this engine's patch to one file (sharing the
         engine's script namespace and parse cache)."""
         return FileSession(self.patch, self.options, self.runner,
-                           filename, text, self.compiled(),
-                           allowed_rules=allowed_rules,
-                           tree_cache=self.tree_cache)
+                           filename, text, self.compiled(), self.tree_cache,
+                           allowed_rules=allowed_rules)
 
     def apply_to_file(self, filename: str, text: str) -> FileResult:
         """Apply the whole patch to one file's contents."""

@@ -17,9 +17,11 @@ length one.  The work is laid out *file-major*:
   tree to the next patch instead of re-parsing;
 * **one distribution** — files are fanned out over ``jobs`` forked worker
   processes (Coccinelle's ``--jobs``, see :func:`run_fork_pool`), each file
-  crossing the process boundary once for all patches; results are
-  re-assembled in the input file order, so the outcome is deterministic
-  regardless of scheduling.
+  crossing the process boundary once for all patches; the workers inherit
+  the parent's patch objects, with their prefilters and compiled rules,
+  through the fork, so no worker re-parses or recompiles a patch the
+  parent already holds; results are re-assembled in the input file
+  order, so the outcome is deterministic regardless of scheduling.
 
 Equivalence to sequential composition
 -------------------------------------
@@ -91,33 +93,6 @@ def resolve_jobs(jobs) -> int:
     return count
 
 
-def patch_payload(patch: SemanticPatchAST):
-    """What a worker process needs to rebuild ``patch``: its source text when
-    available (cheap to pickle, re-parsed once per worker), the AST otherwise.
-    Frontend patches ship their format tag with the text so workers re-parse
-    with the matching frontend parser, not the SmPL one."""
-    fmt = getattr(patch, "format", None)
-    if fmt:
-        return ("frontend", (fmt, patch.source_text))
-    if patch.source_text:
-        return ("text", patch.source_text)
-    return ("ast", patch)
-
-
-def ast_from_payload(payload, options: Optional[SpatchOptions]) -> SemanticPatchAST:
-    from ..smpl.parser import parse_semantic_patch
-
-    kind, data = payload
-    if kind == "text":
-        return parse_semantic_patch(data, options=options)
-    if kind == "frontend":
-        from ..frontends import parse_patch_text
-
-        fmt, text = data
-        return parse_patch_text(text, format=fmt, options=options)
-    return data
-
-
 def _telemetry_worker(worker, batch):
     """Run one batch in a forked worker under a capture (and the span tree,
     when the parent had tracing active at fork time — the contextvar forks
@@ -137,28 +112,21 @@ def _telemetry_worker(worker, batch):
 
 
 def run_fork_pool(items: list, jobs: int, initializer, initargs, worker) -> list:
-    """Fan ``items`` out over ``jobs`` forked worker processes in batches and
-    return the concatenated per-item results (shared by
-    :class:`PatchPipeline` and
-    :class:`~repro.engine.incremental.IncrementalPipeline`).  A few batches
+    """Fan ``items`` out over ``jobs`` (> 1) forked worker processes in
+    batches and return the concatenated per-item results.  A few batches
     per worker so an expensive item does not serialise the tail, while
     keeping per-task pickling overhead low.
 
-    Degenerate inputs never pay fork cost: an empty ``items`` answers
-    immediately and a single item (or ``jobs <= 1``) runs in-process — the
-    initializer builds the same fresh per-worker state it would in a forked
-    child, just in this process.  The established callers already route
-    such inputs to their serial paths before reaching here (that is how
-    one-file incremental deltas avoid forking), so this is a guarantee for
-    new callers, not a hot path.
+    ``initargs`` reach the workers through the fork, never pickled, so the
+    initializer can hand them the caller's own objects (patch ASTs with
+    their derived facts).  An empty ``items`` answers without forking;
+    :class:`PatchPipeline` sends every other input that would not spread
+    over two workers through its serial path instead.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     if not items:
         return []
-    if len(items) == 1 or jobs <= 1:
-        initializer(*initargs)
-        return list(worker(items))
 
     ctx = multiprocessing.get_context("fork")
     batch_size = max(1, math.ceil(len(items) / (jobs * 4)))
@@ -529,7 +497,7 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
 _PIPELINE_WORKER: dict = {}
 
 
-def _pipeline_worker_init(payloads, options_list, prefilter_enabled: bool,
+def _pipeline_worker_init(patches, options_list, prefilter_enabled: bool,
                           cache_max_entries: int,
                           memo_spec=None, memo_keys=None) -> None:
     from .engine import Engine
@@ -538,14 +506,16 @@ def _pipeline_worker_init(payloads, options_list, prefilter_enabled: bool,
     cache = TreeCache(max_entries=cache_max_entries)
     engines = []
     prefilters = []
-    for payload, options in zip(payloads, options_list):
-        ast = ast_from_payload(payload, options)
-        engine = Engine(ast, options=options, tree_cache=cache)
+    # the parent's own patch objects, inherited through the fork together
+    # with their derived prefilters and compiled rules
+    for patch, options in zip(patches, options_list):
+        engine = Engine(patch, options=options, tree_cache=cache)
         if engine.scripted:
             # per-file scripts read the globals initialize rules set up
             engine._run_initialize_rules()
         engines.append(engine)
-        prefilters.append(patch_prefilter(ast) if prefilter_enabled else None)
+        prefilters.append(patch_prefilter(patch) if prefilter_enabled
+                          else None)
     _PIPELINE_WORKER["engines"] = engines
     _PIPELINE_WORKER["prefilters"] = prefilters
     # the parent's TransformMemo holds a lock and must not cross the fork
@@ -721,14 +691,19 @@ class PatchPipeline:
             for engine in self.engines:
                 engine._run_initialize_rules()
 
+    def _apply_serial(self, work) -> dict[str, _FileOutcome]:
+        """Run the planned ``(name, text, tokens)`` items in this process,
+        on the pipeline's engines, parse cache and memo."""
+        return {name: _apply_patches_to_file(
+                    self.engines, self._prefilters, name, text, tokens,
+                    memo=self.memo, memo_keys=self._memo_keys)
+                for name, text, tokens in work}
+
     def _apply_work(self, work, jobs_used: int) -> dict[str, _FileOutcome]:
         """Run the planned ``(name, text, tokens)`` items, serial or over
         worker processes."""
         if jobs_used == 1:
-            return {name: _apply_patches_to_file(
-                        self.engines, self._prefilters, name, text, tokens,
-                        memo=self.memo, memo_keys=self._memo_keys)
-                    for name, text, tokens in work}
+            return self._apply_serial(work)
         if self.memo is None:
             return self._run_parallel(work, jobs_used)
         # answer fully-warm files in this process (no fork round-trip), fan
@@ -745,9 +720,15 @@ class PatchPipeline:
                 remaining.append((name, text, tokens))
             else:
                 resolved[name] = outcome
-        outcomes = self._run_parallel(remaining, jobs_used) if remaining else {}
-        for name, text, _tokens in remaining:
-            self._memo_store_outcome(text, outcomes[name])
+        jobs = self._effective_jobs(len(remaining))
+        if jobs == 1:
+            # too few cold files to spread: the serial path uses (and
+            # stores into) this process's cache and memo directly
+            outcomes = self._apply_serial(remaining)
+        else:
+            outcomes = self._run_parallel(remaining, jobs)
+            for name, text, _tokens in remaining:
+                self._memo_store_outcome(text, outcomes[name])
         outcomes.update(resolved)
         return outcomes
 
@@ -880,12 +861,11 @@ class PatchPipeline:
         return min(self.jobs, n_files)
 
     def _run_parallel(self, work, jobs: int) -> dict[str, _FileOutcome]:
-        payloads = [patch_payload(patch) for patch in self.patches]
         memo_spec = (self.memo.max_entries, self.memo.path) \
             if self.memo is not None else None
         outcomes = run_fork_pool(
             work, jobs, _pipeline_worker_init,
-            (payloads, self.options, self.prefilter_enabled,
+            (self.patches, self.options, self.prefilter_enabled,
              self.tree_cache.max_entries, memo_spec, self._memo_keys),
             _pipeline_worker_apply)
         return {outcome.filename: outcome for outcome in outcomes}

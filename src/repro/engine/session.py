@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import Diagnostic
-from ..lang.parser import ParseTree, parse_source
+from ..lang.parser import ParseTree
 from ..obs import registry as _obs
 from ..options import SpatchOptions
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
@@ -42,9 +42,8 @@ class FileSession:
 
     def __init__(self, patch: SemanticPatchAST, options: SpatchOptions,
                  runner: ScriptRunner, filename: str, text: str,
-                 compiled: "CompiledPatch",
-                 allowed_rules: Optional[frozenset[str]] = None,
-                 tree_cache: Optional[TreeCache] = None):
+                 compiled: "CompiledPatch", tree_cache: TreeCache,
+                 allowed_rules: Optional[frozenset[str]] = None):
         self.patch = patch
         self.options = options
         self.runner = runner
@@ -170,12 +169,8 @@ class FileSession:
 
     def _current_tree(self) -> ParseTree:
         if self.tree is None:
-            if self.tree_cache is not None:
-                self.tree = self.tree_cache.get_or_parse(
-                    self.text, self.filename, self.options)
-            else:
-                self.tree = parse_source(self.text, name=self.filename,
-                                         options=self.options, tolerant=True)
+            self.tree = self.tree_cache.get_or_parse(
+                self.text, self.filename, self.options)
         return self.tree
 
     def _apply_patch_rule(self, rule: PatchRule) -> None:
@@ -191,13 +186,7 @@ class FileSession:
         inherited = {d.name: (d.source_rule, d.source_name)
                      for d in rule.metavars.inherited()}
 
-        # the compiled patch may come from the global fingerprint-keyed cache
-        # and therefore hold a *twin* of this rule (an identical AST parsed
-        # from the same source); everything downstream of matching — the
-        # transformer and the exported-metavar names — must consistently use
-        # the twin the match instances reference
         crule = self.compiled.rule_for(rule)
-        mrule = crule.rule
 
         instances: list[MatchInstance] = []
         seen_signatures: set = set()
@@ -219,10 +208,10 @@ class FileSession:
         self.applied_rules.add(rule.name)
 
         edit_set = EditSet(source=tree.source)
-        transformer = Transformer(mrule, tree, options=self.options,
+        transformer = Transformer(rule, tree, options=self.options,
                                   fresh_registry=FreshNameRegistry.for_tree(tree))
         exported_envs: list[Env] = []
-        local_names = mrule.exported_metavars
+        local_names = rule.exported_metavars
         with _obs.phase("transform"):
             for inst in instances:
                 fresh = transformer.apply_instance(inst, edit_set)

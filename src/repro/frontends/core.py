@@ -338,8 +338,8 @@ class FrontendPatchAST(SemanticPatchAST):
     """A parsed frontend patch: textual rules behind the SmPL AST interface.
 
     ``source_text`` holds the frontend file verbatim and ``format`` names
-    the frontend kind, so patch fingerprints (memo / incremental /
-    compile-cache identity) and worker/server payloads come for free.
+    the frontend kind, so patch fingerprints (memo / incremental
+    identity) and server payloads come for free.
     """
 
     def __init__(self, rules: list[TextualRule], *, format: str,

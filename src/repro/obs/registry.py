@@ -88,7 +88,7 @@ class Counter(_Child):
 
 
 class Gauge(_Child):
-    """A value that can go up and down (workspace count, trie shape)."""
+    """A value that can go up and down (the workspace count)."""
 
     __slots__ = ()
 

@@ -28,7 +28,8 @@ payloads there.  The verbs differ only in what they hand it: the files
 (the live code base or the published snapshot), the ``since=`` seed and
 whether the result is stored.  The patches they hand it come from the
 service's one spec cache (:meth:`PatchService.build_patches`), shared by
-every workspace: the same SMPL text parses once service-wide.
+every workspace: the same SMPL text parses and compiles once
+service-wide.
 
 Concurrency model
 -----------------
@@ -486,8 +487,10 @@ class PatchService:
         self.cache = TreeCache(max_entries=cache_entries)
         #: ONE LRU of built patches keyed by spec identity (bounded by
         #: ``MAX_CACHED_PATCH_SPECS``), shared by every workspace, so the
-        #: same SMPL text parses once service-wide (a run never mutates a
-        #: built patch, and compiled forms are shared process-wide anyway)
+        #: same SMPL text parses and compiles once service-wide (a run
+        #: never mutates a built patch, and each patch object carries its
+        #: compiled rules: a spec that falls out comes back as a new patch
+        #: that parses and compiles again)
         self._patches: "OrderedDict[tuple, tuple[SemanticPatch, ...]]" = \
             OrderedDict()
         #: guards ``_patches`` alone, so the lock-free query path can build
@@ -629,7 +632,8 @@ class PatchService:
                       ) -> list[SemanticPatch]:
         """The ordered patch list a request's wire specs name, cached by
         spec identity (kind, name, content hash, options) so steady-state
-        requests skip SMPL re-parsing.  Guarded by the dedicated spec-cache
+        requests skip SMPL re-parsing and, since each patch object carries
+        its compiled rules, recompiling.  Guarded by the dedicated spec-cache
         lock, not a workspace lock — the lock-free query path builds
         patches too."""
         if not specs:
@@ -872,10 +876,9 @@ class PatchService:
             "evictions": self.counts.total(_M_EVICTIONS),
             "patches_cached": patches_cached,
         }
-        from ..engine.compile import compile_cache_info, matcher_counters
+        from ..engine.compile import matcher_counters
 
         payload["matcher"] = matcher_counters(self.counts)
-        payload["compile_cache"] = compile_cache_info()
         payload["memo"] = self.memo.counters(self.counts)
         # stats never takes a workspace lock (the running totals lock only
         # themselves), so a monitoring poll never queues behind a long

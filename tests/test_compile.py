@@ -6,10 +6,10 @@ same output texts, the same per-rule match reports and the same
 diagnostics as a run whose every match comes from the tree-walking
 reference matcher in ``tests/reference_matcher.py`` — the two are the same
 function, one of them just runs faster.  On top of the differential sweep
-there are targeted units for the pieces with their own invariants: the
-pattern trie's per-rule demultiplexing, expression-list dots
-backtracking, the vectorized :class:`TokenQuery` scan and the
-fingerprint-keyed compile cache.
+there are targeted units for the pieces with their own invariants: one
+shared tree walk serving several rules, per-rule demultiplexing,
+expression-list dots backtracking, the vectorized :class:`TokenQuery`
+scan and the one compiled form per patch object.
 """
 
 import pytest
@@ -17,11 +17,10 @@ import pytest
 from repro import CodeBase, PatchSet
 from repro.engine.bindings import EMPTY_ENV
 from repro.engine.compile import (CompiledPatch, CompiledRule,
-                                  clear_compile_cache, compile_cache_info,
                                   compiled_patch_for, matcher_counters)
 from repro.engine.prefilter import PatchPrefilter, TokenQuery, scan_token_set
 from repro.lang.parser import parse_source
-from repro.obs import REGISTRY, Capture
+from repro.obs import Capture
 from repro.options import SpatchOptions
 from repro.smpl.parser import parse_semantic_patch
 
@@ -144,7 +143,7 @@ def test_isomorphism_parity_under_filters():
 
 
 # ---------------------------------------------------------------------------
-# the pattern trie: shared roots, demultiplexed results
+# one tree walk shared by rules, demultiplexed results
 # ---------------------------------------------------------------------------
 
 TRIE_PATCH = """\
@@ -166,17 +165,41 @@ expression X,Y;
 """
 
 
-def test_trie_fuses_shared_call_roots():
+def test_rules_on_one_tree_share_one_index_walk():
+    """Rules a and b probe the same (Call, callee) bucket of one
+    :class:`NodeIndex`: the tree is walked once and the index reused."""
     patch = parse_semantic_patch(TRIE_PATCH)
-    compiled = CompiledPatch(patch, patch.options)
-    trie = compiled.trie()
-    # rules a and b probe the same (Call, callee) bucket: one shared walk
-    assert trie.rules_at("expr", "Call", "old_free") == ["a", "b"]
-    assert trie.fusion_factor > 1.0
-    assert trie.rules_at("expr", "BinaryOp") == ["c"]
+    compiled = compiled_patch_for(patch, patch.options)
+    tree = parse_source("void f(void) { old_free(p); if (x == y) g(); }",
+                        "t.c", options=patch.options)
+    rule_a, rule_b = patch.patch_rules()[:2]
+    with Capture() as counts:
+        found = [len(compiled.rule_for(rule).match_all(tree))
+                 for rule in (rule_a, rule_b)]
+    counters = matcher_counters(counts)
+    assert found == [1, 1]
+    assert counters["trees_indexed"] == 1
+    assert counters["index_reuses"] >= 1
 
 
-def test_trie_demultiplexes_per_rule_reports():
+def test_unfilterable_rule_matches_every_candidate_of_its_kind():
+    """A rule with no callee to file it under (``E1 = E2``) is answered
+    from the index's node-type bucket: every assignment is a candidate
+    and a match, and no other expression is visited."""
+    patch = parse_semantic_patch("@r@\nexpression E1,E2;\n@@\n- E1 = E2\n")
+    compiled = compiled_patch_for(patch, patch.options)
+    tree = parse_source("void f(void) { a = 1; g(b = c); x == y; }",
+                        "t.c", options=patch.options)
+    rule = patch.patch_rules()[0]
+    with Capture() as counts:
+        found = compiled.rule_for(rule).match_all(tree)
+    counters = matcher_counters(counts)
+    assert len(found) == 2
+    assert counters["candidates_visited"] == 2
+    assert counters["candidates_filtered"] > 0
+
+
+def test_shared_walk_demultiplexes_per_rule_reports():
     """Fused candidate enumeration must still attribute matches to the
     right rule: rule a rewrites the call, rule b then sees nothing (the
     session re-parses after an edit), rule c matches independently."""
@@ -193,15 +216,6 @@ def test_trie_demultiplexes_per_rule_reports():
         reports = {r.rule: r.matches for r in result.rule_reports}
         assert reports == {"a": 1, "c": 1}, backend
         assert "new_free(p)" in result.text, backend
-
-
-def test_unfilterable_rule_lands_on_star_root():
-    patch = parse_semantic_patch(
-        "@r@\nexpression E1,E2;\n@@\n- E1 = E2\n")
-    compiled = CompiledPatch(patch, patch.options)
-    trie = compiled.trie()
-    assert trie.rules_at("expr", "Assignment") == ["r"] or \
-        trie.rules_at("expr", "*") == ["r"]
 
 
 # ---------------------------------------------------------------------------
@@ -256,63 +270,43 @@ class TestTokenQuery:
 
 
 # ---------------------------------------------------------------------------
-# the fingerprint-keyed compile cache
+# one compiled form per patch object
 # ---------------------------------------------------------------------------
 
-class TestCompileCache:
-    def test_twin_patches_share_a_compilation(self):
-        clear_compile_cache()
-        patch_a = parse_semantic_patch(TRIE_PATCH)
-        patch_b = parse_semantic_patch(TRIE_PATCH)
+class TestCompiledPatch:
+    def test_one_compiled_form_per_patch_object_and_options(self):
+        patch = parse_semantic_patch(TRIE_PATCH)
+        twin = parse_semantic_patch(TRIE_PATCH)
+        options = patch.options
         with Capture() as counts:
-            compiled_a = compiled_patch_for(patch_a, patch_a.options)
-            compiled_b = compiled_patch_for(patch_b, patch_b.options)
-        assert compiled_a is compiled_b
-        counters = matcher_counters(counts)
-        assert counters["compile_cache_misses"] == 1
-        assert counters["compile_cache_hits"] == 1
-        # the twin rule resolves by name to the cached compilation's rule
-        twin_rule = patch_b.patch_rules()[0]
-        crule = compiled_a.rule_for(twin_rule)
-        assert crule is not None and crule.rule.name == twin_rule.name
-
-    def test_lru_bound_ages_out_the_coldest_form(self, monkeypatch):
-        from repro.engine import compile as compile_module
-
-        monkeypatch.setattr(compile_module, "MAX_COMPILED_PATCHES", 2)
-        clear_compile_cache()
-        patches = [parse_semantic_patch(f"@r@ @@\n- lru_{index}();\n")
-                   for index in range(3)]
-        with Capture() as counts:
-            for patch in patches:
-                compiled_patch_for(patch, patch.options)
-            compiled_patch_for(patches[2], patches[2].options)  # still hot
-            compiled_patch_for(patches[0], patches[0].options)  # aged out
-        counters = matcher_counters(counts)
-        assert counters["compile_cache_misses"] == 4
-        assert counters["compile_cache_hits"] == 1
-        assert counters["compile_cache_evictions"] == 2
-        assert compile_cache_info()["entries"] == 2
-        assert REGISTRY.gauge("repro_compile_cache_entries").value == 2
-        clear_compile_cache()
-        assert REGISTRY.gauge("repro_compile_cache_entries").value == 0
+            compiled = compiled_patch_for(patch, options)
+            rules = [compiled.rule_for(rule) for rule in patch.patch_rules()]
+            assert compiled_patch_for(patch, options) is compiled
+            assert all(compiled.rule_for(rule) is crule for rule, crule
+                       in zip(patch.patch_rules(), rules))
+        assert matcher_counters(counts)["rules_compiled"] == 3
+        # an equal patch parsed again, or other options, is another form
+        assert compiled_patch_for(twin, options) is not compiled
+        other = SpatchOptions(apply_isomorphisms=not options.apply_isomorphisms)
+        assert compiled_patch_for(patch, other) is not compiled
 
     def test_matcher_counters_shape(self):
         counters = matcher_counters()
-        for key in ("match_calls", "candidates_visited",
-                    "candidates_filtered", "filter_rate", "rules_compiled",
-                    "compile_cache_hits", "trees_indexed",
-                    "index_reuses", "fusion_factor"):
-            assert key in counters
-        # nothing falls back to a second matcher, so nothing counts it
-        assert "dispatch_fallbacks" not in counters
-        assert "rules_fallback" not in counters
+        assert set(counters) == {
+            "match_calls", "candidates_visited", "candidates_filtered",
+            "rules_compiled", "trees_indexed", "index_reuses",
+            "filter_rate", "fusion_factor"}
 
 
 def test_rule_for_names_a_missing_rule():
     """Every rule a session applies belongs to the compiled patch; asking
-    for one that does not is a caller bug, reported with the rule's name."""
-    compiled = CompiledPatch(parse_semantic_patch(TRIE_PATCH), SpatchOptions())
+    for one that does not is a caller bug, reported with the rule's name.
+    An equal rule of another patch object is such a rule too."""
+    patch = parse_semantic_patch(TRIE_PATCH)
+    compiled = CompiledPatch(patch.patch_rules(), SpatchOptions())
     stranger = parse_semantic_patch("@zz@ @@\n- gone();\n").patch_rules()[0]
-    with pytest.raises(KeyError, match="zz"):
-        compiled.rule_for(stranger)
+    twin = parse_semantic_patch(TRIE_PATCH).patch_rules()[0]
+    assert twin == patch.patch_rules()[0]
+    for rule, name in ((stranger, "zz"), (twin, "a")):
+        with pytest.raises(KeyError, match=name):
+            compiled.rule_for(rule)

@@ -8,9 +8,9 @@ while actually re-running only the files whose content hash changed.
 
 Also covered here: the satellite fixes this mode depends on —
 ``CodeBase.__delitem__``/``refresh_from_dir`` token-index maintenance,
-``run_fork_pool`` degenerate inputs, ``PipelineResult.result_for``'s
-``KeyError`` — plus the CLI's ``--incremental`` (the memo directory's
-other spelling) and ``--watch``.
+``run_fork_pool``'s empty input, result order and unpickled initargs,
+``PipelineResult.result_for``'s ``KeyError`` — plus the CLI's
+``--incremental`` (the memo directory's other spelling) and ``--watch``.
 """
 
 import pathlib
@@ -562,6 +562,21 @@ class TestCodeBaseMutation:
             {"added": [], "changed": [], "removed": []}
 
 
+_FORK_STATE: dict = {}
+
+
+def _set_fork_token(value):
+    _FORK_STATE["token"] = id(value)
+
+
+def _double_batch(batch):
+    return [item * 2 for item in batch]
+
+
+def _tag_batch(batch):
+    return [(item, _FORK_STATE["token"]) for item in batch]
+
+
 class TestRunForkPool:
     def _forbid_pool(self, monkeypatch):
         import concurrent.futures
@@ -580,27 +595,26 @@ class TestRunForkPool:
                              lambda batch: batch) == []
         assert called == []  # not even the initializer runs
 
-    def test_single_item_runs_in_process(self, monkeypatch):
+    def test_result_order_preserved_across_batches(self):
         from repro.engine.pipeline import run_fork_pool
 
-        self._forbid_pool(monkeypatch)
-        state = {}
+        items = list(range(10))
+        assert run_fork_pool(items, 2, _set_fork_token, (None,),
+                             _double_batch) == [item * 2 for item in items]
 
-        def initializer(value):
-            state["ready"] = value
+    def test_initargs_reach_workers_without_pickling(self):
+        """The fork hands the initializer the caller's own objects: an
+        unpicklable one arrives at its parent address."""
+        import pickle
 
-        def worker(batch):
-            assert state["ready"] == 42
-            return [item * 2 for item in batch]
-
-        assert run_fork_pool([21], 4, initializer, (42,), worker) == [42]
-
-    def test_result_order_preserved_in_process(self, monkeypatch):
         from repro.engine.pipeline import run_fork_pool
 
-        self._forbid_pool(monkeypatch)
-        out = run_fork_pool(["a"], 1, lambda: None, (), list)
-        assert out == ["a"]
+        lock = threading.Lock()
+        with pytest.raises(TypeError):
+            pickle.dumps(lock)
+        out = run_fork_pool(["a", "b", "c"], 2, _set_fork_token, (lock,),
+                            _tag_batch)
+        assert out == [("a", id(lock)), ("b", id(lock)), ("c", id(lock))]
 
 
 class TestResultForKeyError:

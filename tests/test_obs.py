@@ -496,11 +496,11 @@ class TestPerRequestNumbers:
         """One request sequence, in-process and on a 2-worker fleet, gives
         the same counts: each workspace row's parse-cache traffic, the
         memo and matcher traffic, and the request total (a worker's own
-        verb calls are not requests).  Sizes are left out: cache
-        ``entries`` and the matcher's trie gauges describe objects of the
-        process that holds them.  Both workspaces are pinned to one
-        worker, so the process-wide compile cache is shared between them
-        in both modes, as it is in-process."""
+        verb calls are not requests).  Cache ``entries`` are left out:
+        sizes describe objects of the process that holds them.  Both
+        workspaces are pinned to one worker, so they share one service's
+        spec cache, and so its patch objects and their compiled rules, in
+        both modes, as they do in-process."""
         from repro.server.fleet import shard_of
         from repro.server.service import PatchService
 
@@ -525,8 +525,7 @@ class TestPerRequestNumbers:
                                                      "entries")
                                 for row in stats["per_workspace"]},
                 "memo": without(stats["memo"], "entries"),
-                "matcher": without(stats["matcher"], "trie_rules",
-                                   "trie_roots")})
+                "matcher": stats["matcher"]})
         assert numbers[0] == numbers[1]
         assert numbers[0]["parse_cache"][names[0]]["misses"] == 2
 

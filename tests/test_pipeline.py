@@ -225,6 +225,88 @@ class TestPipelineSemantics:
             PatchPipeline([ast], options=[None, None])
 
 
+class TestForkPool:
+    """Forked workers run on the parent's own patch objects, and a run
+    that leaves a single cold file never builds worker state in the
+    parent."""
+
+    @staticmethod
+    def _files():
+        return {f"f{i}.c": f"void f{i}(void) {{ old_api(); }}\n"
+                for i in range(4)}
+
+    def test_workers_apply_the_parents_patch_objects(self, monkeypatch,
+                                                     tmp_path):
+        import json
+
+        from repro.engine import pipeline as pipeline_module
+        from repro.engine.compile import compiled_patch_for, matcher_counters
+        from repro.obs import Capture
+        from repro.smpl import parser as smpl_parser
+
+        asts = [SemanticPatch.from_string(t).ast for t in (RENAME_A, RENAME_B)]
+        compiled = [compiled_patch_for(ast, ast.options) for ast in asts]
+        for ast, patch in zip(asts, compiled):
+            for rule in ast.patch_rules():
+                patch.rule_for(rule)
+        parses = []
+        parse = smpl_parser.parse_semantic_patch
+
+        def counting_parse(*args, **kwargs):
+            parses.append(1)
+            return parse(*args, **kwargs)
+
+        log = tmp_path / "workers.jsonl"
+        init = pipeline_module._pipeline_worker_init
+
+        def spying_init(*args):
+            # runs in each forked worker: the closure is never pickled
+            init(*args)
+            engines = pipeline_module._PIPELINE_WORKER["engines"]
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps({
+                    "patches": [id(engine.patch) for engine in engines],
+                    "compiled": [id(engine.compiled()) for engine in engines],
+                    "parses": len(parses)}) + "\n")
+
+        monkeypatch.setattr(smpl_parser, "parse_semantic_patch", counting_parse)
+        monkeypatch.setattr(pipeline_module, "_pipeline_worker_init",
+                            spying_init)
+        with Capture() as counts:
+            result = PatchPipeline(asts, jobs=2, prefilter=False).run(
+                self._files())
+        assert result.stats.jobs_used == 2
+        assert all(file_result.text.count("new_api()") == 1
+                   for file_result in result.files.values())
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert rows and all(row == {
+            "patches": [id(ast) for ast in asts],
+            "compiled": [id(patch) for patch in compiled],
+            "parses": 0} for row in rows)
+        # the workers matched with the rules the parent compiled
+        assert matcher_counters(counts)["rules_compiled"] == 0
+
+    def test_a_lone_cold_file_runs_on_the_parents_serial_path(
+            self, monkeypatch):
+        from repro.engine import pipeline as pipeline_module
+        from repro.engine.memo import TransformMemo
+
+        worker_state: dict = {}
+        monkeypatch.setattr(pipeline_module, "_PIPELINE_WORKER", worker_state)
+        files = self._files()
+        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
+        memo = TransformMemo()
+        assert patchset.apply(files, jobs=2, memo=memo).stats.jobs_used == 2
+        files["f1.c"] = "void f1(void) { old_api(); old_api(); }\n"
+        result = patchset.apply(files, jobs=2, memo=memo)
+        assert result.stats.memo_hits == 6
+        assert worker_state == {}
+        serial = PatchSet(_patches(RENAME_A, RENAME_B)).apply(files)
+        assert {name: r.text for name, r in result.files.items()} == \
+            {name: r.text for name, r in serial.files.items()}
+        assert result.files["f1.c"].text.count("new_api()") == 2
+
+
 class TestFullModernizationPreset:
     def test_preset_is_the_whole_cookbook(self):
         from repro.cookbook import builders, full_modernization_pipeline

@@ -426,11 +426,11 @@ class TestPatchCacheBound:
         assert service.stats()["patches_cached"] == MAX_CACHED_PATCH_SPECS
 
 
-class TestCompileCacheSharing:
-    """A spec falling out of the service's spec LRU must not cost a
-    recompile: the compile cache is process-wide, keyed by the patch's
-    content fingerprint, and bounded by its own LRU alone, so a re-parsed
-    spec finds its compiled form still there."""
+class TestCompiledFormsFollowTheSpecCache:
+    """A built patch carries its compiled rules.  A spec that falls out of
+    the service's spec LRU frees its compiled form, and on its return it
+    parses and compiles once more; another service's patch objects, and
+    so its compiled forms, are untouched by the first one's evictions."""
 
     def _flood(self, service, name):
         from repro.server.service import MAX_CACHED_PATCH_SPECS
@@ -439,9 +439,9 @@ class TestCompileCacheSharing:
             service.apply(name, [smpl_spec(
                 f"@f@ @@\n- flood_{revision}();\n", name=f"f{revision}")])
 
-    def _reapply_misses(self, service, name, filename, spec):
-        """Compile-cache misses of one apply over fresh content (new
-        content, so the transform memo cannot answer without a session)."""
+    def _reapply_compiles(self, service, name, filename, spec):
+        """Rules compiled by one apply over fresh content (new content, so
+        the transform memo cannot answer without a session)."""
         from repro.engine.compile import matcher_counters
 
         service.sync_files(name, files={
@@ -449,9 +449,15 @@ class TestCompileCacheSharing:
         with Capture() as counts:
             payload = service.apply(name, [spec])
         assert payload["files"][filename]["changed"]
-        return matcher_counters(counts)["compile_cache_misses"]
+        return matcher_counters(counts)["rules_compiled"]
 
-    def test_flooding_one_workspace_does_not_force_a_recompile(self):
+    def test_an_evicted_spec_frees_its_form_and_compiles_once_again(self):
+        import gc
+        import weakref
+
+        from repro.engine.compile import compiled_patch_for, matcher_counters
+        from repro.server.protocol import options_from_payload
+
         service = make_service()
         shared = smpl_spec("@r@ @@\n- old();\n+ shared_by_two();\n",
                            name="shared")
@@ -460,17 +466,25 @@ class TestCompileCacheSharing:
             service.sync_files(name, files={
                 f"{name}.c": f"void {name}(void) {{ old(); }}\n"})
             service.apply(name, [shared])
+        (patch,) = service.build_patches([shared], options_from_payload(None))
+        with Capture() as counts:
+            compiled = compiled_patch_for(patch.ast, patch.options)
+            compiled.rule_for(patch.ast.patch_rules()[0])
+        # the form the two applies compiled and matched with
+        assert matcher_counters(counts)["rules_compiled"] == 0
+        form = weakref.ref(compiled)
+        del patch, compiled
 
         # flood the spec LRU from w1 until the shared spec falls out of it
         self._flood(service, "w1")
         digest = content_sha1(shared["text"])
         assert all(key[2] != digest for key in service._patches)
-        assert self._reapply_misses(service, "w2", "w2.c", shared) == 0
+        gc.collect()
+        assert form() is None
+        assert self._reapply_compiles(service, "w2", "w2.c", shared) == 1
         service.close()
 
     def test_flooding_one_service_keeps_another_services_form(self):
-        """Two services in one process share the compile cache: service
-        A's spec-LRU eviction leaves the compiled form service B uses."""
         first, second = make_service(), make_service()
         shared = smpl_spec("@r@ @@\n- old();\n+ shared_across();\n",
                            name="shared")
@@ -480,6 +494,6 @@ class TestCompileCacheSharing:
             service.apply("w", [shared])
 
         self._flood(first, "w")
-        assert self._reapply_misses(second, "w", "w.c", shared) == 0
+        assert self._reapply_compiles(second, "w", "w.c", shared) == 0
         first.close()
         second.close()

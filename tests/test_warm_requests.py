@@ -3,9 +3,10 @@
 The service's patch-spec LRU hands every request for the same spec the same
 patch objects, and a warm query splices the last result's file views.  So
 after the first query, further queries over an unchanged workspace build
-no prefilter, compile no script source and count no diff line: each
-patch's prefilter and fingerprint are derived once per patch object
-(:mod:`repro.engine.derived`), each script source is compiled once, and a
+no prefilter, compile no rule or script source and count no diff line:
+each patch's prefilter, fingerprint and compiled rules are derived once
+per patch object (:mod:`repro.engine.derived`) and freed with it, each
+script source is compiled once, and a
 :class:`~repro.engine.report.FileResult`'s line counts travel with its
 copies and its pickles (the fleet's ship-home path).
 """
@@ -20,10 +21,12 @@ import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.engine import derived, scripting
-from repro.engine.compile import clear_compile_cache
+from repro.engine.compile import (CompiledRule, compiled_patch_for,
+                                  matcher_counters)
 from repro.engine.pipeline import PatchPipeline, patch_fingerprint
 from repro.engine.prefilter import PatchPrefilter, patch_prefilter
 from repro.engine.report import FileResult, dumps, result_payload
+from repro.obs import Capture
 from repro.server.protocol import options_from_payload
 from repro.server.service import PatchService
 from repro.workloads import (cuda_app, gadget, openacc_app, openmp_kernels,
@@ -57,15 +60,22 @@ def mixed_tree() -> dict[str, str]:
 
 @pytest.fixture
 def hooks(monkeypatch):
-    """Counts prefilter builds, script-source compiles and line counts
-    computed (not read from a stored count) while the test runs."""
-    seen = {"prefilters": 0, "compiles": 0, "counts": 0}
+    """Counts prefilter builds, rule compiles, script-source compiles and
+    line counts computed (not read from a stored count) while the test
+    runs."""
+    seen = {"prefilters": 0, "rules": 0, "compiles": 0, "counts": 0}
 
     build = PatchPrefilter.__init__
 
     def counting_build(self, patch):
         seen["prefilters"] += 1
         build(self, patch)
+
+    lower = CompiledRule.__init__
+
+    def counting_lower(self, rule, options):
+        seen["rules"] += 1
+        lower(self, rule, options)
 
     def counting_compile(*args, **kwargs):
         seen["compiles"] += 1
@@ -79,6 +89,7 @@ def hooks(monkeypatch):
         return line_counts(self)
 
     monkeypatch.setattr(PatchPrefilter, "__init__", counting_build)
+    monkeypatch.setattr(CompiledRule, "__init__", counting_lower)
     # the module global shadows the builtin for every compile in scripting
     monkeypatch.setattr(scripting, "compile", counting_compile, raising=False)
     monkeypatch.setattr(FileResult, "line_counts", counting_counts)
@@ -110,7 +121,7 @@ def test_warm_queries_derive_nothing(service, hooks):
         hooks[key] = 0
     for _ in range(10):
         assert service.query("w", COOKBOOK) == first
-    assert hooks == {"prefilters": 0, "compiles": 0, "counts": 0}
+    assert hooks == {"prefilters": 0, "rules": 0, "compiles": 0, "counts": 0}
 
 
 RENAME = "@r@\nexpression E;\n@@\n- cudaFree(E)\n+ {}(E)\n"
@@ -124,9 +135,10 @@ def test_new_revision_is_derived_afresh_and_matches_a_cold_run(service,
                                                                hooks):
     tree = mixed_tree()
     service.query("w", [_revision("hipFree")])
-    hooks["prefilters"] = 0
+    hooks["prefilters"] = hooks["rules"] = 0
     payload = service.query("w", [_revision("hipFreeAsync")])
-    assert hooks["prefilters"] == 1  # the new revision's, and only that
+    # the new revision's prefilter and one rule, and only those
+    assert hooks["prefilters"] == hooks["rules"] == 1
 
     old, new = (service.build_patches([_revision(name)],
                                       options_from_payload(None))[0]
@@ -149,16 +161,22 @@ def test_derived_facts_die_with_their_patch():
     patch = SemanticPatch.from_string(RENAME.format("hipFree")).ast
     patch_prefilter(patch)
     patch_fingerprint(patch, patch.options, "rev")
-    PatchPipeline([patch]).run(
-        {"a.cu": "void f(int *p) { cudaFree(p); }\n"})
-    # the compile cache keeps the patches it compiled; empty it so only the
-    # derived facts could keep this one alive
-    clear_compile_cache()
+    files = {"a.cu": "void f(int *p) { cudaFree(p); }\n"}
+    with Capture() as counts:
+        for _ in range(2):
+            assert PatchPipeline([patch]).run(files).total_matches == 1
+    # two pipelines, two engines, one compile of the patch's one rule
+    assert matcher_counters(counts)["rules_compiled"] == 1
+    compiled = compiled_patch_for(patch, patch.options)
+    forms = [weakref.ref(compiled),
+             weakref.ref(compiled.rule_for(patch.patch_rules()[0]))]
+    del compiled
     key, alive = id(patch), weakref.ref(patch)
     assert key in derived._FACTS
     del patch
     gc.collect()
     assert alive() is None
+    assert [form() for form in forms] == [None, None]
     assert key not in derived._FACTS
 
 
