@@ -48,9 +48,10 @@ machine callers can branch on it:
 * **1** — everything ran and nothing matched;
 * **2** — the run itself failed: usage errors, a missing target, a
   missing or unparsable ``--sp-file``/``--patch-file`` (one-line
-  ``file:line: message`` diagnostic on stderr, never a traceback), or a
-  server-side patch-build error (byte-identical diagnostic to the local
-  one).
+  ``file:line: message`` diagnostic on stderr, never a traceback), a
+  source file the front end cannot read (same one-line form, local and
+  ``--server`` alike), or a server-side patch-build error
+  (byte-identical diagnostic to the local one).
 
 Matches of pure idempotence-guard rules (``depends on !guard``
 suppressors, which fire exactly when a file is already modernized) do not
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import pathlib
 import sys
@@ -73,7 +73,6 @@ from ..api import C_SUFFIXES, CodeBase, PatchSet, SemanticPatch
 from ..engine.report import dumps, profile_payload, result_payload
 from ..errors import PatchFileError, ReproError, patch_error_line
 from ..obs import registry as _obs
-from ..obs import trace as _trace
 from ..options import SpatchOptions
 
 #: pseudo cookbook name expanding to the whole-cookbook pipeline preset
@@ -480,7 +479,11 @@ def main(argv: list[str] | None = None) -> int:
         verbose=args.verbose,
     )
 
-    tracer = _trace.start_trace("repro-spatch") if args.trace else None
+    tracer = None
+    if args.trace:
+        from ..obs import trace as _trace
+
+        tracer = _trace.start_trace("repro-spatch")
     journal = None
     if args.journal:
         from ..obs.journal import Journal
@@ -498,6 +501,10 @@ def main(argv: list[str] | None = None) -> int:
 def _write_trace(path: str, tracer) -> None:
     """Finish the CLI's root span and write the Chrome trace-event JSON
     (``chrome://tracing`` / Perfetto load it directly)."""
+    import json
+
+    from ..obs import trace as _trace
+
     root = tracer.finish()
     events = _trace.chrome_trace_events(root.to_payload())
     try:
@@ -557,8 +564,15 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
     if args.memo_dir or args.watch:
         memo = _open_memo(args.memo_dir)
 
-    with _obs.Capture() as counts:
-        result = _apply(patches, codebase, args, memo=memo)
+    try:
+        with _obs.Capture() as counts:
+            result = _apply(patches, codebase, args, memo=memo)
+    except ReproError as exc:
+        # a source file the front end cannot read (an unterminated comment,
+        # say) fails the run: exit 2 with one line, as --server does, never
+        # a traceback and exit 1 (which means "matched nothing")
+        print(f"repro-spatch: error: {exc}", file=sys.stderr)
+        return 2
 
     payload = result_payload(result, patches, **_payload_flags(args))
     profile_lines = []
@@ -650,6 +664,8 @@ def _remote_main(args, options: SpatchOptions) -> int:
     """The --server flow: sync the local tree by content-hash delta, apply
     on the daemon's warm workspace, and emit the same diffs / reports /
     exit codes a local run would."""
+    from ..obs import trace as _trace
+
     try:
         specs = _remote_specs(args.patch_args)
     except (ReproError, OSError) as exc:
@@ -674,6 +690,9 @@ def _remote_main(args, options: SpatchOptions) -> int:
 
 def _remote_run(args, options: SpatchOptions, codebase, paths,
                 workspace: str, specs) -> int:
+    import json
+
+    from ..obs import trace as _trace
     from ..server.client import ConnectionLost, RemoteClient, RemoteError
     from ..server.protocol import options_payload
 
@@ -798,6 +817,8 @@ def _journal_watch_round(journal, result, round_seconds: float) -> None:
     journal twin of the human-readable ``# watch:`` stderr line."""
     if journal is None:
         return
+    from ..obs import trace as _trace
+
     inc = result.incremental
     stats = getattr(result, "stats", None)
     journal.emit(

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from ..api import CodeBase, SemanticPatch
 from ..lang.parser import parse_source
-from ..lang.symbols import build_symbol_table
 from ..options import SpatchOptions, DEFAULT_OPTIONS
 
 
@@ -130,6 +129,8 @@ def derive_spec(codebase: CodeBase, struct_name: str | None = None,
                 options: SpatchOptions = DEFAULT_OPTIONS) -> AosSpec:
     """Derive the AoS description (struct fields + global array) from the
     declarations found in a code base."""
+    from ..lang.symbols import build_symbol_table
+
     struct_info = None
     chosen_array = None
     for name, text in codebase.items():

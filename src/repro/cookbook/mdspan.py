@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..api import CodeBase, SemanticPatch
 from ..lang.parser import parse_source
-from ..lang.symbols import build_symbol_table
 from ..options import SpatchOptions
 
 
@@ -68,6 +67,8 @@ def arrays_of_rank(codebase: CodeBase, min_rank: int = 2,
     """Find global arrays with at least ``min_rank`` dimensions in a code
     base — the "follow a match in a global declaration" refinement the paper
     recommends before applying the rewrite in production."""
+    from ..lang.symbols import build_symbol_table
+
     options = options or SpatchOptions(cxx=23)
     found: dict[str, int] = {}
     for name, text in codebase.items():

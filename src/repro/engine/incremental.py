@@ -143,7 +143,7 @@ class IncrementalPipeline:
         changed patch list runs cold, answered by the memo where it can)."""
         with _obs.Capture() as counts:
             result = self._run(files, since)
-        result.stats.take_counts(counts)
+        result.stats.take_counts(counts, self.pipeline.memo is not None)
         return result
 
     def _run(self, files: dict[str, str],

@@ -61,25 +61,25 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import multiprocessing
 import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..errors import Diagnostic
 from ..obs import registry as _obs
-from ..obs import trace as _trace
 from ..options import SpatchOptions
 from ..smpl.ast import SemanticPatchAST
 from .cache import (DEFAULT_TREE_CACHE, TreeCache, content_sha1,
                     parse_cache_counts)
-from .memo import TransformMemo, memo_counts, memo_flags
 from .derived import derived
 from .prefilter import patch_prefilter, token_set
 from .report import FileResult, PatchResult
 from .scripting import namespace_digest
+
+if TYPE_CHECKING:
+    from .memo import TransformMemo
 
 
 def resolve_jobs(jobs) -> int:
@@ -98,6 +98,8 @@ def _telemetry_worker(worker, batch):
     when the parent had tracing active at fork time — the contextvar forks
     with the process) so the parent can aggregate worker telemetry instead
     of losing it with the child."""
+    from ..obs import trace as _trace
+
     spans = None
     with _obs.Capture() as counts:
         if _trace.tracing_active():
@@ -123,10 +125,13 @@ def run_fork_pool(items: list, jobs: int, initializer, initargs, worker) -> list
     :class:`PatchPipeline` sends every other input that would not spread
     over two workers through its serial path instead.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     if not items:
         return []
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..obs import trace as _trace
 
     ctx = multiprocessing.get_context("fork")
     batch_size = max(1, math.ceil(len(items) / (jobs * 4)))
@@ -195,11 +200,16 @@ class PipelineStats:
         payload["session_rate"] = self.session_rate
         return payload
 
-    def take_counts(self, counts) -> None:
-        """Fill the cache and memo fields from the run's capture."""
-        parse, memo = parse_cache_counts(counts), memo_counts(counts)
+    def take_counts(self, counts, memoized: bool) -> None:
+        """Fill the cache fields from the run's capture, and the memo fields
+        too when the run had a memo (one without has nothing to count)."""
+        parse = parse_cache_counts(counts)
         self.cache_hits, self.cache_misses = parse["hits"], parse["misses"]
-        self.memo_hits, self.memo_misses = memo["hits"], memo["misses"]
+        if memoized:
+            from .memo import memo_counts
+
+            memo = memo_counts(counts)
+            self.memo_hits, self.memo_misses = memo["hits"], memo["misses"]
 
     def describe(self) -> str:
         lines = [
@@ -522,9 +532,13 @@ def _pipeline_worker_init(patches, options_list, prefilter_enabled: bool,
     # boundary as shared state; each worker builds its own memory tier and —
     # when a disk tier is configured — shares the content-addressed
     # directory, where atomic entry files make concurrent writers safe
-    _PIPELINE_WORKER["memo"] = (
-        TransformMemo(max_entries=memo_spec[0], path=memo_spec[1])
-        if memo_spec is not None else None)
+    if memo_spec is not None:
+        from .memo import TransformMemo
+
+        _PIPELINE_WORKER["memo"] = TransformMemo(max_entries=memo_spec[0],
+                                                 path=memo_spec[1])
+    else:
+        _PIPELINE_WORKER["memo"] = None
     _PIPELINE_WORKER["memo_keys"] = memo_keys
 
 
@@ -577,6 +591,8 @@ class PatchPipeline:
         self.memo = memo
         self._memo_keys: Optional[list] = None
         if memo is not None:
+            from .memo import memo_flags
+
             # one (fingerprint, flags) per patch; script-bearing patches
             # extend it per session with their namespace digest
             flags = memo_flags(prefilter)
@@ -599,7 +615,7 @@ class PatchPipeline:
         """Apply every patch, in order, to ``{filename: text}``."""
         with _obs.Capture() as counts:
             result = self._run(files)
-        result.stats.take_counts(counts)
+        result.stats.take_counts(counts, self.memo is not None)
         return result
 
     def _run(self, files: dict[str, str], serial: bool = False,
@@ -608,9 +624,10 @@ class PatchPipeline:
         """One pass over ``files``.  ``reused`` maps the names whose results
         splice from ``since`` to their records (see
         :class:`~repro.engine.incremental.IncrementalPipeline`); the rest run.
-        A session that turns out impure after files were forked or spliced
-        discards the pass: it re-runs serially from fresh engines, or with
-        files spliced returns ``None`` so the caller re-runs without them."""
+        A session that turns out impure after files were forked, spliced or
+        answered from the memo ahead of it discards the pass: it re-runs
+        serially from fresh engines, or with files spliced returns ``None``
+        so the caller re-runs without them."""
         started = time.perf_counter()
         if self._stale:
             self.engines, self._stale = self._new_engines(), False
@@ -621,11 +638,13 @@ class PatchPipeline:
         self._run_initialize(files)
         rerun = {name: text for name, text in files.items()
                  if name not in reused} if reused else files
-        outcomes, skipped = self._plan_and_apply(rerun, stats, serial)
+        outcomes, skipped, in_order = self._plan_and_apply(rerun, stats,
+                                                           serial)
         impure = _impure_patches(outcomes.values())
-        if impure and (reused or stats.jobs_used > 1):
-            # each worker (or the prior run) mutated its own copy of the
-            # namespace: only a serial run from fresh engines gives the
+        if impure and (reused or not in_order):
+            # each worker (or the prior run, or a memo answer given before
+            # the impure session ran) saw a namespace a serial run would
+            # not have: only a serial run from fresh engines gives the
             # scripts their meaning
             self.engines = self._new_engines()
             return None if reused else self._run(files, serial=True)
@@ -654,10 +673,11 @@ class PatchPipeline:
 
     def _plan_and_apply(self, files: dict[str, str], stats: PipelineStats,
                         serial: bool,
-                        ) -> tuple[dict[str, _FileOutcome], set[str]]:
+                        ) -> tuple[dict[str, _FileOutcome], set[str], bool]:
         """Token-scan ``files``, run the surviving sessions (serial or over
-        worker processes) and return ``(outcomes, whole-skipped names)``.
-        Updates the scan/apply timing, skip and jobs fields of ``stats``."""
+        worker processes) and return ``(outcomes, whole-skipped names,
+        in_order)`` (see :meth:`_apply_work`).  Updates the scan/apply
+        timing, skip and jobs fields of ``stats``."""
         # ---- plan: which files could any patch possibly touch
         work: list[tuple[str, str, Optional[frozenset[str]]]] = []
         skipped: set[str] = set()
@@ -675,13 +695,13 @@ class PatchPipeline:
                 stats.files_skipped += 1
         stats.scan_seconds = time.perf_counter() - scan_started
 
-        stats.jobs_used = 1 if serial else self._effective_jobs(len(work))
+        jobs = 1 if serial else self._effective_jobs(len(work))
 
         # ---- apply
         apply_started = time.perf_counter()
-        outcomes = self._apply_work(work, stats.jobs_used)
+        outcomes, stats.jobs_used, in_order = self._apply_work(work, jobs)
         stats.apply_seconds = time.perf_counter() - apply_started
-        return outcomes, skipped
+        return outcomes, skipped, in_order
 
     def _run_initialize(self, files: dict[str, str]) -> None:
         """Initialize rules: once per patch, as soon as any file is processed
@@ -699,19 +719,24 @@ class PatchPipeline:
                     memo=self.memo, memo_keys=self._memo_keys)
                 for name, text, tokens in work}
 
-    def _apply_work(self, work, jobs_used: int) -> dict[str, _FileOutcome]:
-        """Run the planned ``(name, text, tokens)`` items, serial or over
-        worker processes."""
-        if jobs_used == 1:
-            return self._apply_serial(work)
+    def _apply_work(self, work, jobs: int,
+                    ) -> tuple[dict[str, _FileOutcome], int, bool]:
+        """Run the planned ``(name, text, tokens)`` items, serial or over up
+        to ``jobs`` worker processes.  Returns the outcomes, the number of
+        processes that ran sessions (1 when the memo answered all but one
+        file, whatever ``jobs`` allowed) and whether this process met the
+        files in input order, as a serial run does."""
+        if jobs == 1:
+            return self._apply_serial(work), 1, True
         if self.memo is None:
-            return self._run_parallel(work, jobs_used)
+            return self._run_parallel(work, jobs), jobs, False
         # answer fully-warm files in this process (no fork round-trip), fan
         # out the rest, then publish what the workers computed: the workers
         # are forked children, so their memory-tier stores die with them
         # and only the shared disk tier (if any) persists
         resolved: dict[str, _FileOutcome] = {}
         remaining = []
+        answered_ahead = False  # a warm file answered before a cold one
         for name, text, tokens in work:
             outcome = _apply_patches_to_file(
                 self.engines, self._prefilters, name, text, tokens,
@@ -720,17 +745,21 @@ class PatchPipeline:
                 remaining.append((name, text, tokens))
             else:
                 resolved[name] = outcome
+                answered_ahead = answered_ahead or bool(remaining)
         jobs = self._effective_jobs(len(remaining))
         if jobs == 1:
             # too few cold files to spread: the serial path uses (and
-            # stores into) this process's cache and memo directly
+            # stores into) this process's cache and memo directly.  Its
+            # order holds unless a file answered above follows a cold one
             outcomes = self._apply_serial(remaining)
+            in_order = not answered_ahead
         else:
             outcomes = self._run_parallel(remaining, jobs)
             for name, text, _tokens in remaining:
                 self._memo_store_outcome(text, outcomes[name])
+            in_order = False
         outcomes.update(resolved)
-        return outcomes
+        return outcomes, jobs, in_order
 
     def _memo_store_outcome(self, text: str, outcome: _FileOutcome) -> None:
         """Memoize the sessions of one worker-computed outcome under the keys
@@ -856,6 +885,8 @@ class PatchPipeline:
     def _effective_jobs(self, n_files: int) -> int:
         if self.jobs <= 1 or n_files <= 1:
             return 1
+        import multiprocessing
+
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1  # spawn would not inherit sys.path in source checkouts
         return min(self.jobs, n_files)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -116,6 +117,10 @@ class TokenQuery:
     conservatively reported *present* (over-approximation keeps prefilter
     gating sound — the requirement extractor never produces such words, so
     this is a defensive corner only).
+
+    The two regexes compile on the first :meth:`scan`, under a lock because
+    one prefilter serves every service thread: a patch the planning scan
+    rules out everywhere, or a run over no file, never pays for them.
     """
 
     def __init__(self, words: Iterable[str]):
@@ -127,22 +132,30 @@ class TokenQuery:
         #: queried words the alternation cannot express → always "present"
         self.unfilterable: frozenset[str] = universe.difference(
             self.words, self.puncts)
-        if self.words:
-            alt = "|".join(re.escape(w) for w in self.words)
-            self._re: Optional[re.Pattern[str]] = re.compile(
-                r"(?:^|(?<=[^A-Za-z0-9_$]))[0-9]*(?P<word>" + alt
-                + r")(?![A-Za-z0-9_$])")
-            self._glued_re = re.compile(
-                after_number(f"(?:{alt})(?![A-Za-z0-9_$])"))
-        else:
-            self._re = None
+        #: (word regex, glued-to-a-number regex), compiled by :meth:`_regexes`
+        self._compiled: Optional[tuple[re.Pattern[str], re.Pattern[str]]] = None
+        self._lock = threading.Lock()
+
+    def _regexes(self) -> tuple[re.Pattern[str], re.Pattern[str]]:
+        compiled = self._compiled
+        if compiled is None:
+            with self._lock:
+                if self._compiled is None:
+                    alt = "|".join(re.escape(w) for w in self.words)
+                    self._compiled = (
+                        re.compile(r"(?:^|(?<=[^A-Za-z0-9_$]))[0-9]*(?P<word>"
+                                   + alt + r")(?![A-Za-z0-9_$])"),
+                        re.compile(after_number(
+                            f"(?:{alt})(?![A-Za-z0-9_$])")))
+                compiled = self._compiled
+        return compiled
 
     def scan(self, text: str) -> frozenset[str]:
         """The subset of the queried universe present in ``text``."""
         found: set[str] = set(self.unfilterable)
-        if self._re is not None:
+        if self.words:
             missing = set(self.words)
-            for regex in (self._re, self._glued_re):
+            for regex in self._regexes():
                 if not any(word in text for word in missing):
                     break
                 for match in regex.finditer(text):

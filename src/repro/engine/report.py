@@ -15,8 +15,6 @@ parity comparisons.
 
 from __future__ import annotations
 
-import difflib
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -89,6 +87,8 @@ class FileResult:
         reads), :meth:`added_lines` and :meth:`removed_lines` read this one
         diff."""
         if self._diff is None:
+            import difflib
+
             self._diff = "".join(difflib.unified_diff(
                 self.original_text.splitlines(keepends=True),
                 self.text.splitlines(keepends=True),
@@ -181,6 +181,8 @@ RESULT_SCHEMA = "repro-spatch-result/1"
 def dumps(payload: dict) -> str:
     """One canonical JSON line (sorted keys, compact separators, ASCII-only
     so surrogates survive a socket): byte-for-byte comparable output."""
+    import json
+
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
 

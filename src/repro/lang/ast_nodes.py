@@ -16,7 +16,7 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from operator import attrgetter as _attrgetter
 from typing import Iterator, Optional
 
 
@@ -24,15 +24,65 @@ from typing import Iterator, Optional
 # base node
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Node:
-    """Base class of all AST nodes."""
+class _Factory:
+    """Default of a field that starts as a fresh empty list in every node
+    (``dataclasses``' ``default_factory=list``, spelt like its ``repr``)."""
 
-    #: half-open token index range covered by this node
-    start: int = field(default=-1, kw_only=True)
-    end: int = field(default=-1, kw_only=True)
-    #: names of SmPL position metavariables attached with ``@p`` (patterns only)
-    pos_metavars: tuple[str, ...] = field(default=(), kw_only=True)
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+#: field default: a new ``[]`` per node
+LIST = _Factory()
+
+#: the extent fields every node has, keyword-only and last in ``__init__``:
+#: name -> (declared type, default)
+_EXTENTS = {"start": ("int", -1), "end": ("int", -1),
+            "pos_metavars": ("tuple[str, ...]", ())}
+_EXTENT_FIELDS = tuple(_EXTENTS)
+
+
+class Node:
+    """Base class of all AST nodes.
+
+    A node class declares its semantic fields as annotated class attributes
+    with their defaults, like a dataclass.  Defining a subclass gives it a
+    specialised ``__init__`` (those fields positionally, then the
+    keyword-only extents ``start``/``end``/``pos_metavars``) and its
+    ``_fields`` tuple, which drives equality, ``repr`` and traversal.
+    ``start``/``end`` are the half-open token index range the node covers
+    and ``pos_metavars`` names the SmPL position metavariables attached
+    with ``@p`` (patterns only).
+    Equality compares the extents and every field, so nodes are unhashable.
+    This is what ``@dataclass`` would generate, built without its per-class
+    cost, which was most of the C front end's import time.
+    """
+
+    #: semantic field names in declaration order (the extents excluded)
+    _fields: tuple[str, ...] = ()
+    #: semantic field name -> declared type text, for ``__init__``'s annotations
+    _types: dict[str, str] = {}
+    #: semantic field name -> default (``LIST`` for a fresh list)
+    _defaults: dict[str, object] = {}
+    #: ``_values(node)``: the tuple equality compares, extents first
+    _values = _attrgetter(*_EXTENT_FIELDS)
+    __match_args__: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        types = {**cls._types, **own}
+        defaults = dict(cls._defaults)
+        for name in own:
+            defaults[name] = cls.__dict__.get(name)
+            if defaults[name] is LIST:
+                delattr(cls, name)
+        cls._fields = tuple(types)
+        cls._types, cls._defaults = types, defaults
+        cls._values = _attrgetter(*_EXTENT_FIELDS, *cls._fields)
+        cls.__match_args__ = cls._fields
+        cls.__init__ = _make_init(cls)
 
     @property
     def kind(self) -> str:
@@ -44,25 +94,55 @@ class Node:
         self.end = end
         return self
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
 
-#: semantic field names per node class — ``dataclasses.fields`` re-derives
-#: the tuple on every call, which made generic traversal the hottest part of
-#: tree walking; the field list of a class never changes, so cache it
-_CHILD_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in (*_EXTENT_FIELDS, *self._fields))
+        return f"{type(self).__qualname__}({values})"
+
+
+def _make_init(cls: type):
+    """``cls.__init__`` as one small generated function, so building a node
+    costs the same plain attribute stores a dataclass ``__init__`` makes."""
+    params = []
+    body = [f"    self.{name} = {name}" for name in _EXTENT_FIELDS]
+    for name in cls._fields:
+        default = cls._defaults[name]
+        if default is LIST:
+            params.append(f"{name}=LIST")
+            body.append(f"    self.{name} = [] if {name} is LIST else {name}")
+        else:
+            params.append(f"{name}={default!r}")
+            body.append(f"    self.{name} = {name}")
+    params.append("*")
+    params += [f"{name}={default!r}" for name, (_type, default)
+               in _EXTENTS.items()]
+    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
+    namespace: dict = {}
+    exec(source, {"LIST": LIST}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {
+        **cls._types, **{name: type_ for name, (type_, _default)
+                         in _EXTENTS.items()}, "return": None}
+    return init
+
+
+Node.__init__ = _make_init(Node)
 
 
 def _field_names(cls: type) -> tuple[str, ...]:
-    names = _CHILD_FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in dc_fields(cls)
-                      if f.name not in ("start", "end", "pos_metavars"))
-        _CHILD_FIELD_NAMES[cls] = names
-    return names
+    """The semantic field names of a node class, in declaration order."""
+    return cls._fields
 
 
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield the direct child nodes of ``node`` in field order."""
-    for name in _field_names(type(node)):
+    for name in node._fields:
         value = getattr(node, name)
         if isinstance(value, Node):
             yield value
@@ -80,7 +160,7 @@ def walk(node: Node) -> Iterator[Node]:
         n = pop()
         yield n
         children = []
-        for name in _field_names(type(n)):
+        for name in n._fields:
             value = getattr(n, name)
             if isinstance(value, Node):
                 children.append(value)
@@ -101,7 +181,6 @@ def child_fields(node: Node) -> Iterator[tuple[str, object]]:
 # types
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TypeName(Node):
     """A (possibly qualified) type: ``const double``, ``struct particle``,
     ``std::size_t``, ``__half`` ...
@@ -112,7 +191,7 @@ class TypeName(Node):
     ``T`` covering the base type).
     """
 
-    parts: list[str] = field(default_factory=list)
+    parts: list[str] = LIST
 
     @property
     def text(self) -> str:
@@ -130,19 +209,16 @@ class TypeName(Node):
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Expr(Node):
     """Base class of expressions."""
 
 
-@dataclass
 class Ident(Expr):
     """An identifier (possibly qualified, e.g. ``std::find``)."""
 
     name: str = ""
 
 
-@dataclass
 class Literal(Expr):
     """A literal constant.  ``category`` is one of int/float/string/char/bool."""
 
@@ -150,21 +226,18 @@ class Literal(Expr):
     category: str = "int"
 
 
-@dataclass
 class BinaryOp(Expr):
     op: str = ""
     left: Expr | None = None
     right: Expr | None = None
 
 
-@dataclass
 class UnaryOp(Expr):
     op: str = ""
     operand: Expr | None = None
     prefix: bool = True
 
 
-@dataclass
 class Assignment(Expr):
     """Assignment, including compound assignment (``+=`` etc.)."""
 
@@ -173,39 +246,34 @@ class Assignment(Expr):
     value: Expr | None = None
 
 
-@dataclass
 class Ternary(Expr):
     cond: Expr | None = None
     then: Expr | None = None
     orelse: Expr | None = None
 
 
-@dataclass
 class Call(Expr):
     func: Expr | None = None
-    args: list[Expr] = field(default_factory=list)
+    args: list[Expr] = LIST
 
 
-@dataclass
 class KernelLaunch(Expr):
     """CUDA triple-chevron kernel launch ``k<<<b, t, x, y>>>(args)``."""
 
     func: Expr | None = None
-    config: list[Expr] = field(default_factory=list)
-    args: list[Expr] = field(default_factory=list)
+    config: list[Expr] = LIST
+    args: list[Expr] = LIST
 
 
-@dataclass
 class Subscript(Expr):
     """Array subscript.  ``a[x]`` has one index; the C++23 multi-index
     subscript ``a[x, y, z]`` carries them all (the target of the paper's
     mdspan rule)."""
 
     base: Expr | None = None
-    indices: list[Expr] = field(default_factory=list)
+    indices: list[Expr] = LIST
 
 
-@dataclass
 class Member(Expr):
     """Member access ``a.b`` / ``a->b``."""
 
@@ -214,33 +282,27 @@ class Member(Expr):
     name: str = ""
 
 
-@dataclass
 class Cast(Expr):
     type: TypeName | None = None
     expr: Expr | None = None
 
 
-@dataclass
 class Paren(Expr):
     expr: Expr | None = None
 
 
-@dataclass
 class InitList(Expr):
-    items: list[Expr] = field(default_factory=list)
+    items: list[Expr] = LIST
 
 
-@dataclass
 class CommaExpr(Expr):
-    items: list[Expr] = field(default_factory=list)
+    items: list[Expr] = LIST
 
 
-@dataclass
 class SizeofExpr(Expr):
     arg: Node | None = None  # TypeName or Expr
 
 
-@dataclass
 class Lambda(Expr):
     """A C++ lambda (simplified): capture text, parameters, body."""
 
@@ -249,48 +311,42 @@ class Lambda(Expr):
     body: "CompoundStmt | None" = None
 
 
-@dataclass
 class DotsExpr(Expr):
     """SmPL ``...`` in expression/argument position (matches anything)."""
 
 
-@dataclass
 class MetaExprList(Expr):
     """SmPL ``expression list`` metavariable used in argument position."""
 
     name: str = ""
 
 
-@dataclass
 class Disjunction(Node):
     """SmPL disjunction ``\\( A \\| B \\)`` (expression or statement branches)."""
 
-    branches: list[Node] = field(default_factory=list)
+    branches: list[Node] = LIST
 
 
-@dataclass
 class Conjunction(Node):
     """SmPL conjunction ``\\( A \\& B \\)``; all branches must match the same
     code node."""
 
-    branches: list[Node] = field(default_factory=list)
+    branches: list[Node] = LIST
 
 
 # ---------------------------------------------------------------------------
 # declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AttributeSpec(Node):
     """``__attribute__((name(args...)))`` (one attribute inside the double
     parentheses).  ``args`` may contain :class:`DotsExpr` in patterns."""
 
     name: str = ""
-    args: list[Expr] = field(default_factory=list)
+    args: list[Expr] = LIST
     has_args: bool = True
 
 
-@dataclass
 class Declarator(Node):
     """One declarator of a declaration: pointer stars, the name, array
     dimensions and an optional initializer."""
@@ -298,22 +354,20 @@ class Declarator(Node):
     pointer: str = ""
     reference: bool = False
     name: str = ""
-    arrays: list[Optional[Expr]] = field(default_factory=list)
+    arrays: list[Optional[Expr]] = LIST
     init: Expr | None = None
 
 
-@dataclass
 class Declaration(Node):
     """A variable/typedef declaration (at file scope or as a statement)."""
 
-    specifiers: list[str] = field(default_factory=list)
+    specifiers: list[str] = LIST
     type: TypeName | None = None
-    declarators: list[Declarator] = field(default_factory=list)
-    attributes: list[AttributeSpec] = field(default_factory=list)
+    declarators: list[Declarator] = LIST
+    attributes: list[AttributeSpec] = LIST
     is_typedef: bool = False
 
 
-@dataclass
 class Param(Node):
     """A single function parameter."""
 
@@ -321,45 +375,40 @@ class Param(Node):
     pointer: str = ""
     reference: bool = False
     name: str = ""
-    arrays: list[Optional[Expr]] = field(default_factory=list)
+    arrays: list[Optional[Expr]] = LIST
     default: Expr | None = None
 
 
-@dataclass
 class DotsParam(Node):
     """``...`` in a parameter list: C varargs or an SmPL wildcard."""
 
 
-@dataclass
 class MetaParamList(Node):
     """SmPL ``parameter list`` metavariable (e.g. ``PL``)."""
 
     name: str = ""
 
 
-@dataclass
 class ParamList(Node):
-    params: list[Node] = field(default_factory=list)
+    params: list[Node] = LIST
 
 
-@dataclass
 class StructDef(Node):
     """struct/union/enum definition, possibly wrapped in a typedef."""
 
     keyword: str = "struct"
     name: str = ""
-    members: list[Declaration] = field(default_factory=list)
-    enumerators: list[str] = field(default_factory=list)
+    members: list[Declaration] = LIST
+    enumerators: list[str] = LIST
     is_typedef: bool = False
     typedef_name: str = ""
 
 
-@dataclass
 class FunctionDef(Node):
     """A function definition or prototype."""
 
-    attributes: list[AttributeSpec] = field(default_factory=list)
-    specifiers: list[str] = field(default_factory=list)
+    attributes: list[AttributeSpec] = LIST
+    specifiers: list[str] = LIST
     return_type: TypeName | None = None
     pointer: str = ""
     name: str = ""
@@ -368,7 +417,6 @@ class FunctionDef(Node):
     is_prototype: bool = False
 
 
-@dataclass
 class IncludeDirective(Node):
     """``#include <header>`` or ``#include "header"``."""
 
@@ -381,12 +429,10 @@ class IncludeDirective(Node):
         return f"<{self.target}>" if self.system else f'"{self.target}"'
 
 
-@dataclass
 class DefineDirective(Node):
     raw: str = ""
 
 
-@dataclass
 class PragmaDirective(Node):
     """``#pragma ...`` — usable at file scope and in statement position.
 
@@ -403,58 +449,49 @@ class PragmaDirective(Node):
         return self.text.split()
 
 
-@dataclass
 class OtherDirective(Node):
     """Any other preprocessor directive, preserved verbatim."""
 
     raw: str = ""
 
 
-@dataclass
 class RawDecl(Node):
     """An unparsable top-level construct, preserved verbatim (error tolerance)."""
 
     text: str = ""
 
 
-@dataclass
 class TranslationUnit(Node):
-    decls: list[Node] = field(default_factory=list)
+    decls: list[Node] = LIST
 
 
 # ---------------------------------------------------------------------------
 # statements
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Stmt(Node):
     """Base class of statements."""
 
 
-@dataclass
 class CompoundStmt(Stmt):
-    stmts: list[Node] = field(default_factory=list)
+    stmts: list[Node] = LIST
 
 
-@dataclass
 class ExprStmt(Stmt):
     expr: Expr | None = None
     has_semicolon: bool = True
 
 
-@dataclass
 class DeclStmt(Stmt):
     decl: Declaration | None = None
 
 
-@dataclass
 class IfStmt(Stmt):
     cond: Expr | None = None
     then: Node | None = None
     orelse: Node | None = None
 
 
-@dataclass
 class ForStmt(Stmt):
     init: Node | None = None       # DeclStmt, ExprStmt, DotsExpr or None
     cond: Expr | None = None
@@ -462,7 +499,6 @@ class ForStmt(Stmt):
     body: Node | None = None
 
 
-@dataclass
 class RangeForStmt(Stmt):
     """C++ range-for: ``for (T &elem : arr) body``."""
 
@@ -474,60 +510,50 @@ class RangeForStmt(Stmt):
     body: Node | None = None
 
 
-@dataclass
 class WhileStmt(Stmt):
     cond: Expr | None = None
     body: Node | None = None
 
 
-@dataclass
 class DoWhileStmt(Stmt):
     body: Node | None = None
     cond: Expr | None = None
 
 
-@dataclass
 class ReturnStmt(Stmt):
     value: Expr | None = None
 
 
-@dataclass
 class BreakStmt(Stmt):
     pass
 
 
-@dataclass
 class ContinueStmt(Stmt):
     pass
 
 
-@dataclass
 class EmptyStmt(Stmt):
     pass
 
 
-@dataclass
 class RawStmt(Stmt):
     """An unparsable statement preserved verbatim (error tolerance)."""
 
     text: str = ""
 
 
-@dataclass
 class MetaStmt(Stmt):
     """SmPL ``statement`` metavariable in statement position."""
 
     name: str = ""
 
 
-@dataclass
 class MetaStmtList(Stmt):
     """SmPL ``statement list`` metavariable (e.g. a whole function body)."""
 
     name: str = ""
 
 
-@dataclass
 class DotsStmt(Stmt):
     """SmPL ``...`` in statement position."""
 

@@ -32,12 +32,22 @@ from __future__ import annotations
 from .registry import (REGISTRY, Capture, Counter, Gauge, Histogram,
                        MetricsRegistry, merge_telemetry, phase,
                        phase_summaries)
-from .trace import (current_trace_id, new_trace_id, span, start_trace,
-                    tracing_active)
+
+#: the tracer's exports, loaded on first use: a run that starts no trace
+#: never imports :mod:`~repro.obs.trace`
+_TRACE_EXPORTS = ("current_trace_id", "new_trace_id", "span", "start_trace",
+                  "tracing_active")
 
 __all__ = [
     "REGISTRY", "Capture", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "merge_telemetry", "phase", "phase_summaries",
-    "current_trace_id", "new_trace_id", "span",
-    "start_trace", "tracing_active",
+    *_TRACE_EXPORTS,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _TRACE_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trace
+
+    return getattr(trace, name)

@@ -31,6 +31,7 @@ Instrumentation never touches output bytes: it only counts and times.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from bisect import bisect_left
 from contextvars import ContextVar
@@ -494,12 +495,18 @@ class _Phase:
         return False
 
 
+_TRACE_MODULE = f"{__package__}.trace"
+
+
 def phase(name: str):
     """Time one engine phase (one of :data:`PHASES`): observe the
     ``repro_phase_seconds`` family and, when a trace is active, record a
     span of the same name."""
-    from . import trace as _trace
-    span_cm = _trace.span(name) if _trace.tracing_active() else None
+    # a trace is started through repro.obs.trace: before that module is
+    # loaded no trace can be active, and a plain run never loads it
+    trace = sys.modules.get(_TRACE_MODULE)
+    span_cm = trace.span(name) \
+        if trace is not None and trace.tracing_active() else None
     return _Phase(_PHASE_HISTOGRAMS[name], span_cm)
 
 

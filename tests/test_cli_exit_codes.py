@@ -285,6 +285,28 @@ class TestServerExitParity:
         assert rc == 2
         assert f"repro-spatch: error: {missing}: " in captured.err
 
+    @pytest.mark.parametrize("patch_flags", [
+        ["--cookbook", "full_modernization"], ["--sp-file", "p.cocci"]],
+        ids=["cookbook", "sp-file"])
+    def test_unreadable_source_exits_two_alike(self, patch_flags, daemon,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+        """A source file the lexer rejects fails the run, not the match:
+        exit 2 with one error line naming it, locally and through a
+        daemon, never a traceback and never exit 1."""
+        (tmp_path / "p.cocci").write_text(SMPL_MATCH)
+        (tmp_path / "a.c").write_text(TARGET + "  /* never closed\n")
+        monkeypatch.chdir(tmp_path)
+        message = "a.c:2:2: unterminated block comment"
+        local_rc, local = run([*patch_flags, "a.c"], capsys)
+        remote_rc, remote = run([*patch_flags, "--server", daemon.address,
+                                 "a.c"], capsys)
+        assert local_rc == remote_rc == 2
+        assert local.out == remote.out == ""
+        assert local.err == f"repro-spatch: error: {message}\n"
+        assert len(remote.err.splitlines()) == 1
+        assert message in remote.err
+
     def test_unreachable_server_exits_two(self, tmp_path, target, capsys):
         patch = tmp_path / "p.cocci"
         patch.write_text(SMPL_MATCH)

@@ -9,9 +9,13 @@ comparing.  The ``unsorted`` layout names its targets out of name order
 of a JSON round trip.
 
 A plain run never touches the server layer: importing the CLI loads no
-``repro.server`` module (``--server`` imports its client on demand).
+``repro.server`` module (``--server`` imports its client on demand).  Nor
+does a plain cookbook run load the transform memo, the incremental layer,
+the fork pool's ``multiprocessing`` or the span tracer: each is imported by
+the flag that uses it, and each such flag prints what the plain run does.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -115,6 +119,87 @@ def test_cli_import_loads_no_server_module():
          "or name in ('repro.watch', 'repro.obs.journal')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"
+
+
+#: runs ``repro-spatch`` in a fresh process, then writes the names of the
+#: modules it loaded as the last line of stderr
+_MODULE_PROBE = ("import sys\n"
+                 "from repro.cli.spatch import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "sys.stdout.flush()\n"
+                 "print(sorted(sys.modules), file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+
+#: what a plain cookbook run must not load (the incremental layer serves
+#: ``since=`` re-applies: --watch rounds and the daemon)
+_ON_DEMAND = {"repro.engine.memo", "repro.engine.incremental",
+              "multiprocessing", "repro.obs.trace"}
+
+
+@pytest.fixture(scope="module")
+def cookbook_tree(tmp_path_factory):
+    from repro.workloads import cuda_app, openmp_kernels
+
+    root = tmp_path_factory.mktemp("cookbook") / "tree"
+    codebases = [openmp_kernels.generate(n_files=2, kernels_per_file=2,
+                                         regions_per_file=2, seed=9),
+                 cuda_app.generate(n_files=1, seed=1)]
+    for codebase in codebases:
+        for name, text in codebase.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    return root
+
+
+def probe_cookbook_run(flags, tree):
+    """``repro-spatch --cookbook full_modernization FLAGS TREE`` in a
+    fresh process: exit code, stdout and the set of loaded modules."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    ran = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, "--cookbook",
+         "full_modernization", *flags, str(tree)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    modules = set(ast.literal_eval(ran.stderr.splitlines()[-1]))
+    return ran.returncode, ran.stdout, modules
+
+
+@pytest.fixture(scope="module")
+def plain_cookbook_run(cookbook_tree):
+    return probe_cookbook_run([], cookbook_tree)
+
+
+def test_plain_cookbook_run_loads_only_what_it_uses(plain_cookbook_run):
+    code, out, modules = plain_cookbook_run
+    assert code == 0 and out.startswith("--- a/")
+    assert modules.isdisjoint(_ON_DEMAND)
+    assert "repro.engine.compile" in modules
+
+
+@pytest.mark.parametrize("flag, value, loads", [
+    ("--memo-dir", "MEMO", "repro.engine.memo"),
+    ("--jobs", "2", "multiprocessing"),
+    ("--trace", "TRACE", "repro.obs.trace")], ids=["memo-dir", "jobs", "trace"])
+def test_each_flag_loads_its_layer_and_prints_the_same(
+        flag, value, loads, cookbook_tree, plain_cookbook_run, tmp_path):
+    flags = [flag, str(tmp_path / value) if value.isupper() else value]
+    code, out, modules = probe_cookbook_run(flags, cookbook_tree)
+    assert (code, out) == plain_cookbook_run[:2]
+    assert loads in modules
+    if flag == "--memo-dir":
+        # a second process answers every session from the memo directory
+        assert probe_cookbook_run(flags, cookbook_tree)[:2] == (code, out)
+
+
+def test_json_run_carries_the_plain_diffs(cookbook_tree, plain_cookbook_run):
+    code, out, modules = probe_cookbook_run(["--json"], cookbook_tree)
+    payload = json.loads(out)
+    assert code == payload["exit_status"] == plain_cookbook_run[0]
+    assert "".join(payload["files"][name].get("diff", "")
+                   for name in sorted(payload["files"])) \
+        == plain_cookbook_run[1]
+    assert modules.isdisjoint(_ON_DEMAND)
 
 
 @pytest.mark.parametrize("module", ["repro.cli.spatch", "repro.cli.spatchd"])

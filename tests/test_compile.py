@@ -268,6 +268,52 @@ class TestTokenQuery:
         assert "??!" in query.scan("nothing here")
         assert query.scan("foo") == {"foo", "??!"}
 
+    def test_regexes_compile_on_first_scan_once_across_threads(
+            self, monkeypatch):
+        """Building a query compiles nothing; its first scans, racing on
+        more threads than cores with a short switch interval, compile the
+        alternation once and all answer like a full scan."""
+        import sys
+        import threading
+
+        from repro.engine import prefilter as prefilter_module
+
+        compiles = []
+        after_number = prefilter_module.after_number
+
+        def counting(pattern):
+            compiles.append(pattern)
+            return after_number(pattern)
+
+        monkeypatch.setattr(prefilter_module, "after_number", counting)
+        texts = ["int foo; bar_2();", "k<<<g, n>>>(cudaMalloc)", "omp 1ufoo"]
+        expected = [self._reference(text) for text in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _attempt in range(20):
+                query = TokenQuery(self.UNIVERSE)
+                assert compiles == []
+                results = []
+                start = threading.Barrier(8)
+
+                def scan_all():
+                    start.wait(timeout=10)
+                    results.append([query.scan(text) for text in texts])
+
+                threads = [threading.Thread(target=scan_all)
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 8
+                assert len(compiles) == 1
+                compiles.clear()
+        finally:
+            sys.setswitchinterval(interval)
+
 
 # ---------------------------------------------------------------------------
 # one compiled form per patch object

@@ -306,6 +306,22 @@ class TestForkPool:
             {name: r.text for name, r in serial.files.items()}
         assert result.files["f1.c"].text.count("new_api()") == 2
 
+    def test_a_fully_warm_pass_reports_one_job(self):
+        """``jobs_used`` counts the processes that ran sessions: a pass the
+        memo answers entirely forks nothing."""
+        from repro.engine.memo import TransformMemo
+
+        patchset = PatchSet(_patches(RENAME_A, RENAME_B))
+        memo = TransformMemo()
+        runs = [patchset.apply(self._files(), jobs=2, memo=memo)
+                for _ in range(3)]
+        assert runs[0].stats.jobs_used == 2
+        warm = runs[2].stats
+        assert (warm.memo_hits, warm.memo_misses) == (8, 0)
+        assert warm.jobs_used == 1
+        assert "jobs: 1 (requested 2)" in warm.describe()
+        assert all(patch.stats.jobs_used == 1 for patch in runs[2].per_patch)
+
 
 class TestFullModernizationPreset:
     def test_preset_is_the_whole_cookbook(self):

@@ -177,6 +177,50 @@ class TestSpliceDiscard:
         assert_results_identical(result, cold, "pure splice")
 
 
+class TestMemoAnsweredParallelRuns:
+    """With ``jobs > 1`` and a memo, the parent answers warm files itself
+    and runs a lone cold file serially.  An impure session there re-runs
+    the pass only when a memo answer skipped past it."""
+
+    def _patchset(self, text):
+        return PatchSet([SemanticPatch.from_string(text, name="count_me")])
+
+    def test_an_impure_lone_cold_file_runs_initialize_once(self, tmp_path):
+        log = tmp_path / "initialize.log"
+        text = COUNT_ME.replace(
+            "SEEN = []\n",
+            f"SEEN = []\nopen({str(log)!r}, 'a').write('ran\\n')\n", 1)
+        memo = TransformMemo()
+        self._patchset(text).apply(dict(FILES), jobs=2, memo=memo)
+        log.write_text("")
+        files = dict(FILES, **{"f4.c": "void g4(void) { count_me(1); }\n"})
+        result = self._patchset(text).apply(dict(files), jobs=2, memo=memo)
+        assert log.read_text() == "ran\n"
+        assert result.stats.memo_hits == 4
+        assert result.stats.jobs_used == 1
+        cold = self._patchset(text).apply(dict(files))
+        assert_results_identical(result, cold, "lone cold file")
+        assert result.diagnostics == cold.diagnostics
+        assert result.impure_patches == cold.impure_patches == ["count_me"]
+
+    def test_memo_answers_after_an_impure_session_are_redone(self):
+        """The impure file comes first: the warm files after it were
+        answered for the namespace it then changed, so the pass re-runs
+        serially and they see the count a serial run gives them."""
+        text = COUNT_ME.replace("cocci.make_ident(NEW[fn])",
+                                'cocci.make_ident("%s_%d" % (NEW[fn], '
+                                'len(SEEN)))')
+        memo = TransformMemo()
+        warm = self._patchset(text).apply(dict(FILES), jobs=2, memo=memo)
+        assert warm["f0.c"].text == "void g0(void) { job0_0(1); }\n"
+        files = {"a.c": "void g(void) { count_me(1); }\n", **FILES}
+        result = self._patchset(text).apply(dict(files), jobs=2, memo=memo)
+        assert result["f0.c"].text == "void g0(void) { job0_1(1); }\n"
+        cold = self._patchset(text).apply(dict(files))
+        assert_results_identical(result, cold, "impure file first")
+        assert result.impure_patches == cold.impure_patches == ["count_me"]
+
+
 class TestNamespaceDigest:
     def _namespace(self, code: str) -> dict:
         namespace = {"__builtins__": __builtins__}
