@@ -732,10 +732,10 @@ def _remote_run(args, options: SpatchOptions, codebase, paths,
                   file=sys.stderr)
             return 2
         except RemoteError as exc:
-            if exc.kind == "bad-patch":
-                # a patch-build failure: the envelope's message is the same
-                # one-line file:line diagnostic the in-process path prints,
-                # so local and remote runs fail byte-identically
+            if exc.kind in ("bad-patch", "bad-source"):
+                # a patch-build or unreadable-source failure: the envelope's
+                # message is the same one-line diagnostic the in-process
+                # path prints, so local and remote runs fail byte-identically
                 print(f"repro-spatch: error: {exc.message}", file=sys.stderr)
             else:
                 tag = f" [trace {exc.trace}]" if exc.trace else trace_tag

@@ -18,12 +18,14 @@ after a whole-code-base application.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from ..options import SpatchOptions
 from ..smpl.ast import PatchRule, ScriptRule, SemanticPatchAST
 from .cache import DEFAULT_TREE_CACHE, TreeCache
 from .compile import CompiledPatch, compiled_patch_for
+from .derived import derived
 from .report import FileResult, PatchResult
 from .scripting import ScriptRunner
 from .session import FileSession
@@ -40,6 +42,42 @@ def _imports_position(patch: SemanticPatchAST, rule: ScriptRule) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class RuleFacts:
+    """What an engine reads of its patch's rule list."""
+
+    #: the pattern rules (the prefilter gates each file's share of them)
+    n_rules: int
+    #: the script rules, by when they run
+    initialize: tuple[ScriptRule, ...]
+    script: tuple[ScriptRule, ...]
+    finalize: tuple[ScriptRule, ...]
+    #: whether a per-file ``script`` rule imports a position
+    reads_positions: bool
+
+
+def _scan_rules(patch: SemanticPatchAST) -> RuleFacts:
+    """The one walk of ``patch``'s rule list (see :func:`rule_facts`)."""
+    scripts: dict[str, list[ScriptRule]] = {
+        "initialize": [], "script": [], "finalize": []}
+    for rule in patch.rules:
+        if isinstance(rule, ScriptRule) and rule.when in scripts:
+            scripts[rule.when].append(rule)
+    return RuleFacts(
+        n_rules=len(patch.patch_rules()),
+        initialize=tuple(scripts["initialize"]),
+        script=tuple(scripts["script"]),
+        finalize=tuple(scripts["finalize"]),
+        reads_positions=any(_imports_position(patch, rule)
+                            for rule in scripts["script"]))
+
+
+def rule_facts(patch: SemanticPatchAST) -> RuleFacts:
+    """``patch``'s :class:`RuleFacts`, derived once per patch object: a
+    warm request builds its engines without walking a rule list."""
+    return derived(patch, "rule_facts", lambda: _scan_rules(patch))
+
+
 class Engine:
     """Applies one parsed semantic patch to source files."""
 
@@ -52,16 +90,14 @@ class Engine:
         self.tree_cache = tree_cache if tree_cache is not None \
             else DEFAULT_TREE_CACHE
         self._initialize_done = False
+        self.facts = rule_facts(patch)
         #: per-file ``script:python`` rules that will run: the sessions the
         #: pipeline must check for purity (see :mod:`~repro.engine.scripting`)
-        self.scripted = self.options.python_scripting and any(
-            isinstance(rule, ScriptRule) and rule.when == "script"
-            for rule in patch.rules)
+        self.scripted = self.options.python_scripting \
+            and bool(self.facts.script)
         #: whether such a rule imports a position, which renders as
         #: ``file:line:col``: its sessions then depend on the filename
-        self.reads_positions = self.scripted and any(
-            _imports_position(patch, rule) for rule in patch.rules
-            if isinstance(rule, ScriptRule) and rule.when == "script")
+        self.reads_positions = self.scripted and self.facts.reads_positions
 
     # -- public API -----------------------------------------------------------
 
@@ -88,11 +124,9 @@ class Engine:
         if self._initialize_done:
             return
         self._initialize_done = True
-        for rule in self.patch.rules:
-            if isinstance(rule, ScriptRule) and rule.when == "initialize":
-                self.runner.run_initialize(rule)
+        for rule in self.facts.initialize:
+            self.runner.run_initialize(rule)
 
     def _run_finalize_rules(self, result: PatchResult) -> None:
-        for rule in self.patch.rules:
-            if isinstance(rule, ScriptRule) and rule.when == "finalize":
-                result.diagnostics.extend(self.runner.run_finalize(rule))
+        for rule in self.facts.finalize:
+            result.diagnostics.extend(self.runner.run_finalize(rule))

@@ -19,7 +19,9 @@ the current files:
 * files whose content hash equals the hash recorded in the prior result's
   :class:`~repro.engine.pipeline.FileRecord` **splice**: their cached
   :class:`~repro.engine.report.FileResult`\\ s (combined and per patch) are
-  copied into the fresh result, and their recorded coverage contributions
+  shared with the fresh result — they are immutable, so the prior
+  result's own objects serve, with their cached diffs and counts, and
+  nothing is copied — and their recorded coverage contributions
   reconstruct the skip/gate counters a cold run would report;
 * changed and added files **re-run** through the pipeline's own
   plan/apply machinery (token scan, union prefilter, serial or fork-pool

@@ -145,12 +145,12 @@ class MemoEntry:
         return FileResult(
             filename=filename, original_text=input_text,
             text=self.text if self.text is not None else input_text,
-            rule_reports=[RuleReport(rule=rule, matches=matches,
-                                     deletions=deletions,
-                                     insertions=insertions)
-                          for rule, matches, deletions, insertions
-                          in self.reports],
-            diagnostics=list(self.diagnostics))
+            rule_reports=tuple(RuleReport(rule=rule, matches=matches,
+                                          deletions=deletions,
+                                          insertions=insertions)
+                               for rule, matches, deletions, insertions
+                               in self.reports),
+            diagnostics=self.diagnostics)
 
     @classmethod
     def from_file_result(cls, file_result: FileResult) -> "MemoEntry":
@@ -162,7 +162,7 @@ class MemoEntry:
             reports=tuple((report.rule, report.matches, report.deletions,
                            report.insertions)
                           for report in file_result.rule_reports),
-            diagnostics=tuple(file_result.diagnostics))
+            diagnostics=file_result.diagnostics)
 
     def to_json(self) -> dict:
         """The entry as plain JSON data (the on-disk record's ``entry``)."""

@@ -21,7 +21,12 @@ length one.  The work is laid out *file-major*:
   the parent's patch objects, with their prefilters and compiled rules,
   through the fork, so no worker re-parses or recompiles a patch the
   parent already holds; results are re-assembled in the input file
-  order, so the outcome is deterministic regardless of scheduling.
+  order, so the outcome is deterministic regardless of scheduling;
+* **shared results** — each :class:`~repro.engine.report.FileResult` is
+  an immutable value, so results share rather than copy: the patches
+  gated between two edits of a file share one untouched result, a file
+  no patch could touch has one for all of its views, and an incremental
+  run (``since=``) assembles the prior result's own objects.
 
 Equivalence to sequential composition
 -------------------------------------
@@ -331,13 +336,10 @@ class PipelineResult(PatchResult):
         return self.per_patch[patch]
 
     def per_patch_summary(self) -> list[dict]:
-        """One summary row per patch (name, matches, changed files, ...)."""
-        rows = []
-        for name, result in zip(self.patch_names, self.per_patch):
-            row = {"patch": name}
-            row.update(result.summary())
-            rows.append(row)
-        return rows
+        """One summary row per patch (name, matches, changed files, ...),
+        each summed from that patch's cached per-file counts."""
+        return [{"patch": name, **result.summary()}
+                for name, result in zip(self.patch_names, self.per_patch)]
 
 
 @dataclass
@@ -425,9 +427,12 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
     results, ran, rules_gated = outcome.results, outcome.ran, \
         outcome.rules_gated
     text_sha: Optional[str] = None  # hash of ``text``, computed lazily
+    # the one untouched result of the current text: every patch gated
+    # between two edits shares it
+    untouched: Optional[FileResult] = None
     for index, (engine, prefilter) in enumerate(zip(engines, prefilters)):
         allowed = None
-        n_rules = len(engine.patch.patch_rules())
+        n_rules = engine.facts.n_rules
         if prefilter is not None:
             if tokens is None:
                 # patch-boundary re-scan: an earlier patch edited the text,
@@ -441,8 +446,10 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
             else:
                 plan = prefilter.plan_for(tokens)
             if not plan.needs_session:
-                results.append(FileResult(filename=filename,
-                                          original_text=text, text=text))
+                if untouched is None or untouched.text is not text:
+                    untouched = FileResult(filename=filename,
+                                           original_text=text, text=text)
+                results.append(untouched)
                 ran.append(False)
                 rules_gated.append(n_rules)
                 outcome.keys.append(None)
@@ -577,6 +584,10 @@ class PatchPipeline:
         self.prefilter_enabled = prefilter
         self.tree_cache = tree_cache if tree_cache is not None else DEFAULT_TREE_CACHE
         self.engines = self._new_engines()
+        # the engines' derived rule counts; the assemble path reads them
+        # per file
+        self._n_rules_per_patch = [engine.facts.n_rules
+                                   for engine in self.engines]
         #: a finished run left impure script namespaces behind: the next
         #: run starts from fresh engines, as a cold run would
         self._stale = False
@@ -585,9 +596,6 @@ class PatchPipeline:
             else [None] * len(self.patches)
         self.fingerprint = patchset_fingerprint(self.patches, self.options,
                                                 self.names)
-        # fixed after construction; the assemble path reads it per file
-        self._n_rules_per_patch = [len(patch.patch_rules())
-                                   for patch in self.patches]
         self.memo = memo
         self._memo_keys: Optional[list] = None
         if memo is not None:
@@ -797,17 +805,15 @@ class PatchPipeline:
     def _assemble_skipped(self, result: PipelineResult,
                           per_patch_stats: list[PipelineStats],
                           stats: PipelineStats, name: str, text: str) -> None:
-        """Splice one whole-pipeline-skipped file into ``result``."""
+        """Splice one whole-pipeline-skipped file into ``result``: every
+        view of it is the same untouched, immutable result."""
         n_rules_per_patch = self._n_rules_per_patch
-        # fresh FileResult per view: sequential composition hands out
-        # independent objects, so mutating one must not leak
+        untouched = FileResult(filename=name, original_text=text, text=text)
         for index, patch_result in enumerate(result.per_patch):
-            patch_result.files[name] = FileResult(
-                filename=name, original_text=text, text=text)
+            patch_result.files[name] = untouched
             per_patch_stats[index].files_skipped += 1
             per_patch_stats[index].rules_gated += n_rules_per_patch[index]
-        result.files[name] = FileResult(filename=name,
-                                        original_text=text, text=text)
+        result.files[name] = untouched
         result.records[name] = FileRecord(
             sha1=content_sha1(text), skipped=True,
             ran=(False,) * len(self.patches),
@@ -820,14 +826,15 @@ class PatchPipeline:
                          per_patch_stats: list[PipelineStats],
                          stats: PipelineStats, name: str, record: FileRecord,
                          since: PipelineResult) -> None:
-        """Splice one hash-unchanged file's cached results into ``result``,
+        """Splice one hash-unchanged file's cached results into ``result``
+        (``since``'s own immutable objects, shared, not copied),
         reconstructing its exact contribution to the coverage counters."""
         for index, patch_result in enumerate(result.per_patch):
-            patch_result.files[name] = since.per_patch[index].files[name].copy()
+            patch_result.files[name] = since.per_patch[index].files[name]
             if not record.ran[index]:
                 per_patch_stats[index].files_skipped += 1
             per_patch_stats[index].rules_gated += record.rules_gated[index]
-        result.files[name] = since.files[name].copy()
+        result.files[name] = since.files[name]
         result.records[name] = record
         if record.skipped:
             stats.files_skipped += 1
@@ -855,10 +862,10 @@ class PatchPipeline:
         final_text = outcome.results[-1].text if outcome.results else text
         result.files[name] = FileResult(
             filename=name, original_text=text, text=final_text,
-            rule_reports=[r for fr in outcome.results
-                          for r in fr.rule_reports],
-            diagnostics=[d for fr in outcome.results
-                         for d in fr.diagnostics])
+            rule_reports=tuple(r for fr in outcome.results
+                               for r in fr.rule_reports),
+            diagnostics=tuple(d for fr in outcome.results
+                              for d in fr.diagnostics))
 
     def _run_finalize(self, result: PipelineResult,
                       per_patch_stats: list[PipelineStats],

@@ -11,19 +11,45 @@ status, everything two byte-identical runs agree on — and a volatile
 ``"profile"`` section (:func:`profile_payload`: timings, cache counters,
 reuse breakdowns) that is only attached on request and never part of
 parity comparisons.
+
+:class:`FileResult` and :class:`RuleReport` are immutable values that
+results share instead of copying; each file's derived facts are computed
+once and kept on the object (see :class:`FileResult`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Generic, Iterator, Optional, Sequence, TypeVar
 
 from ..errors import Diagnostic
 
+T = TypeVar("T")
 
-@dataclass
+
+class _fact(Generic[T]):
+    """A fact derived from an immutable result: the first read computes it
+    and stores it in the instance dict, where every later read (and every
+    copy or pickle of the instance) finds it without calling back here.
+    Threads racing on a first read compute and store equal values; no lock
+    is taken, so a process forked mid-computation inherits none."""
+
+    def __init__(self, compute: Callable[..., T]):
+        self.compute = compute
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None) -> T:
+        if instance is None:
+            return self  # type: ignore[return-value]
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+@dataclass(frozen=True)
 class RuleReport:
-    """What one rule did in one file."""
+    """What one rule did in one file (an immutable value)."""
 
     rule: str
     matches: int = 0
@@ -31,48 +57,39 @@ class RuleReport:
     insertions: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileResult:
-    """The outcome of applying a semantic patch to one file."""
+    """The outcome of applying a semantic patch to one file.
+
+    An immutable value: its fields cannot be assigned, and its reports and
+    diagnostics are tuples (lists passed in are frozen into tuples).  Every
+    result that holds it may therefore share it: an incremental run splices
+    a prior result's objects, and a file no patch touched has one object
+    for all of its views.  The facts derived from the fields (the diff, its
+    line counts, the match total and the summary row) are each computed by
+    the first read, set once by :class:`_fact` (the fields never change,
+    so a fact never goes stale), and then travel with the object, its
+    copies and its pickles."""
 
     filename: str
     original_text: str
     text: str
-    rule_reports: list[RuleReport] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: the unified diff, computed by the first :meth:`diff` call (the texts
-    #: never change after construction, so it never goes stale; threads
-    #: racing on a first call compute and store the same string)
-    _diff: Optional[str] = field(default=None, init=False, repr=False,
-                                 compare=False)
-    #: ``(added, removed)`` line counts of that diff, computed by the first
-    #: :meth:`line_counts` call and carried by :meth:`copy` and pickling
-    _counts: Optional[tuple[int, int]] = field(default=None, init=False,
-                                               repr=False, compare=False)
+    rule_reports: tuple[RuleReport, ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.rule_reports) is not tuple:
+            object.__setattr__(self, "rule_reports", tuple(self.rule_reports))
+        if type(self.diagnostics) is not tuple:
+            object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
 
     @property
     def changed(self) -> bool:
         return self.text != self.original_text
 
-    def copy(self) -> "FileResult":
-        """An independent, equal snapshot: incremental re-application splices
-        cached results into fresh :class:`PatchResult`\\ s, and mutating one
-        view must not leak into the other (reports included).  The diff and
-        its line counts ride along, so a spliced file is never diffed or
-        counted again."""
-        clone = FileResult(filename=self.filename,
-                           original_text=self.original_text, text=self.text,
-                           rule_reports=[RuleReport(r.rule, r.matches,
-                                                    r.deletions, r.insertions)
-                                         for r in self.rule_reports],
-                           diagnostics=list(self.diagnostics))
-        clone._diff = self._diff
-        clone._counts = self._counts
-        return clone
-
-    @property
+    @_fact
     def total_matches(self) -> int:
-        return sum(r.matches for r in self.rule_reports)
+        return sum(report.matches for report in self.rule_reports)
 
     def matches_of(self, rule: str) -> int:
         # a name can legitimately appear in several reports (a pipeline's
@@ -81,19 +98,22 @@ class FileResult:
         return sum(report.matches for report in self.rule_reports
                    if report.rule == rule)
 
-    def diff(self) -> str:
-        """Unified diff between the original and the patched text, computed
-        on the first call; :meth:`line_counts` (which every summary count
-        reads), :meth:`added_lines` and :meth:`removed_lines` read this one
-        diff."""
-        if self._diff is None:
-            import difflib
+    @_fact
+    def _diff(self) -> str:
+        if not self.changed:
+            return ""
+        import difflib
 
-            self._diff = "".join(difflib.unified_diff(
-                self.original_text.splitlines(keepends=True),
-                self.text.splitlines(keepends=True),
-                fromfile=f"a/{self.filename}",
-                tofile=f"b/{self.filename}")) if self.changed else ""
+        return "".join(difflib.unified_diff(
+            self.original_text.splitlines(keepends=True),
+            self.text.splitlines(keepends=True),
+            fromfile=f"a/{self.filename}", tofile=f"b/{self.filename}"))
+
+    def diff(self) -> str:
+        """Unified diff between the original and the patched text;
+        :meth:`line_counts` (which every summary count reads),
+        :meth:`added_lines` and :meth:`removed_lines` read this one
+        diff."""
         return self._diff
 
     def _body(self) -> list[str]:
@@ -101,17 +121,28 @@ class FileResult:
         added ``++i;`` or a removed ``--i;`` is a line like any other."""
         return self.diff().splitlines()[2:]
 
+    @_fact
+    def _counts(self) -> tuple[int, int]:
+        added = removed = 0
+        for line in self._body() if self.changed else ():
+            if line.startswith("+"):
+                added += 1
+            elif line.startswith("-"):
+                removed += 1
+        return added, removed
+
     def line_counts(self) -> tuple[int, int]:
-        """``(added, removed)`` lines of :meth:`diff`, counted once."""
-        if self._counts is None:
-            added = removed = 0
-            for line in self._body() if self.changed else ():
-                if line.startswith("+"):
-                    added += 1
-                elif line.startswith("-"):
-                    removed += 1
-            self._counts = (added, removed)
+        """``(added, removed)`` lines of :meth:`diff`."""
         return self._counts
+
+    @_fact
+    def _summary(self) -> tuple[int, int, int, int]:
+        return (int(self.changed), self.total_matches, *self.line_counts())
+
+    def summary_counts(self) -> tuple[int, int, int, int]:
+        """``(changed, matches, added, removed)``: this file's share of
+        :meth:`PatchResult.summary` (``changed`` is 0 or 1)."""
+        return self._summary
 
     def added_lines(self) -> list[str]:
         return [line[1:] for line in self._body() if line.startswith("+")]
@@ -161,12 +192,20 @@ class PatchResult:
         return sum(f.line_counts()[1] for f in self.files.values())
 
     def summary(self) -> dict[str, int]:
+        """Totals over the files' cached :meth:`FileResult.summary_counts`."""
+        changed = matches = added = removed = 0
+        for file_result in self.files.values():
+            row = file_result.summary_counts()
+            changed += row[0]
+            matches += row[1]
+            added += row[2]
+            removed += row[3]
         return {
             "files": len(self.files),
-            "changed_files": len(self.changed_files),
-            "matches": self.total_matches,
-            "lines_added": self.lines_added(),
-            "lines_removed": self.lines_removed(),
+            "changed_files": changed,
+            "matches": matches,
+            "lines_added": added,
+            "lines_removed": removed,
         }
 
 

@@ -86,8 +86,8 @@ class FileSession:
             self.reports = [r for r in self.reports if r.rule not in textual]
             self.applied_rules -= textual
         return FileResult(filename=self.filename, original_text=self.original_text,
-                          text=self.text, rule_reports=self.reports,
-                          diagnostics=self.diagnostics)
+                          text=self.text, rule_reports=tuple(self.reports),
+                          diagnostics=tuple(self.diagnostics))
 
     # -- environment chains ---------------------------------------------------
 

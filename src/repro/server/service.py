@@ -98,7 +98,7 @@ from ..engine.incremental import IncrementalPipeline
 from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo, atomic_write
 from ..engine.pipeline import PipelineResult
 from ..engine.report import profile_payload, result_payload
-from ..errors import patch_error_line
+from ..errors import ReproError, patch_error_line
 from ..frontends import WIRE_KINDS as FRONTEND_WIRE_KINDS
 from ..obs import registry as _obs
 from ..options import SpatchOptions
@@ -313,14 +313,23 @@ class Workspace:
         cold with the shared ``memo`` answering every unchanged patch.  With
         ``store`` the result becomes :attr:`last` and the file manifest is
         saved (caller holds the lock); without it the workspace is left
-        exactly as it was."""
+        exactly as it was.
+
+        A source file the front end cannot read (an unterminated comment,
+        say) fails the run as a ``bad-source`` :class:`ServiceError` whose
+        message is the line a local run prints; the workspace is left as
+        it was.  In-process daemons and fleet workers both answer it
+        here."""
         pipeline = IncrementalPipeline(
             [patch.ast for patch in built],
             options=[patch.options for patch in built],
             names=[patch.name for patch in built],
             jobs=jobs, prefilter=prefilter, tree_cache=self.cache, memo=memo)
         with _obs.Capture() as counts:
-            result = pipeline.run(files, since=since)
+            try:
+                result = pipeline.run(files, since=since)
+            except ReproError as exc:
+                raise ServiceError("bad-source", str(exc)) from None
         self.counts.add(counts)
         if store:
             self.last = result

@@ -285,15 +285,9 @@ class TestServerExitParity:
         assert rc == 2
         assert f"repro-spatch: error: {missing}: " in captured.err
 
-    @pytest.mark.parametrize("patch_flags", [
-        ["--cookbook", "full_modernization"], ["--sp-file", "p.cocci"]],
-        ids=["cookbook", "sp-file"])
-    def test_unreadable_source_exits_two_alike(self, patch_flags, daemon,
-                                               tmp_path, capsys,
-                                               monkeypatch):
-        """A source file the lexer rejects fails the run, not the match:
-        exit 2 with one error line naming it, locally and through a
-        daemon, never a traceback and never exit 1."""
+    @staticmethod
+    def _unreadable_source_alike(patch_flags, daemon, tmp_path, capsys,
+                                 monkeypatch):
         (tmp_path / "p.cocci").write_text(SMPL_MATCH)
         (tmp_path / "a.c").write_text(TARGET + "  /* never closed\n")
         monkeypatch.chdir(tmp_path)
@@ -304,8 +298,34 @@ class TestServerExitParity:
         assert local_rc == remote_rc == 2
         assert local.out == remote.out == ""
         assert local.err == f"repro-spatch: error: {message}\n"
-        assert len(remote.err.splitlines()) == 1
-        assert message in remote.err
+        assert remote.err == local.err
+
+    @pytest.mark.parametrize("patch_flags", [
+        ["--cookbook", "full_modernization"], ["--sp-file", "p.cocci"]],
+        ids=["cookbook", "sp-file"])
+    def test_unreadable_source_exits_two_alike(self, patch_flags, daemon,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+        """A source file the lexer rejects fails the run, not the match:
+        exit 2 with the same one error line naming it, locally and through
+        a daemon, never a traceback and never exit 1."""
+        self._unreadable_source_alike(patch_flags, daemon, tmp_path, capsys,
+                                      monkeypatch)
+
+    @pytest.mark.parametrize("patch_flags", [
+        ["--cookbook", "full_modernization"], ["--sp-file", "p.cocci"]],
+        ids=["cookbook", "sp-file"])
+    def test_unreadable_source_exits_two_alike_through_a_fleet(
+            self, patch_flags, tmp_path, capsys, monkeypatch):
+        """The same line when the apply runs in a fleet worker process."""
+        daemon = PatchDaemon(f"unix:{tmp_path}/fleet.sock",
+                             PatchService(workers=2))
+        daemon.serve_in_thread()
+        try:
+            self._unreadable_source_alike(patch_flags, daemon, tmp_path,
+                                          capsys, monkeypatch)
+        finally:
+            daemon.shutdown()
 
     def test_unreachable_server_exits_two(self, tmp_path, target, capsys):
         patch = tmp_path / "p.cocci"

@@ -383,7 +383,7 @@ class TestAllOrNothing:
         # no surviving rule reports — only the error diagnostic remains
         assert file_result.text == SRC
         assert not file_result.changed
-        assert file_result.rule_reports == []
+        assert file_result.rule_reports == ()
         assert any("stale old_hash" in str(d) for d in file_result.diagnostics)
 
     def test_other_files_still_apply(self):

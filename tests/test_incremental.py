@@ -13,6 +13,7 @@ Also covered here: the satellite fixes this mode depends on —
 ``--incremental`` (the memo directory's other spelling) and ``--watch``.
 """
 
+import dataclasses
 import pathlib
 import threading
 import time
@@ -166,21 +167,28 @@ def test_identity_rerun_reuses_everything():
 
 
 def test_spliced_results_are_independent_objects():
-    """Mutating a view spliced from the prior result must not leak back
-    into it (or into sibling views) — mirrors the cold pipeline's skip-path
-    guarantee."""
+    """No caller can change the prior result through a view spliced from
+    it (or a sibling view): results are immutable, so the splice shares
+    them, and every view stays equal to a cold run's."""
     patchset = PatchSet(_patches(RENAME_A, RENAME_B))
     codebase = CodeBase.from_files(
         {"a.c": "void f(void) { old_api(); }\n", "b.c": "int zero;\n"})
     prior = patchset.apply(codebase)
     again = patchset.apply(codebase, since=prior)
     views = [again["a.c"], again.result_for(0)["a.c"], prior["a.c"]]
-    assert len({id(view) for view in views}) == 3
-    views[0].diagnostics.append("marker")
-    views[0].rule_reports[0].matches = 999
-    assert prior["a.c"].diagnostics == []
+    assert views[0] is views[2]
+    for view in views:
+        with pytest.raises(AttributeError):
+            view.diagnostics.append("marker")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.rule_reports[0].matches = 999
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.text = "void f(void) { EVIL(); }\n"
+    assert prior["a.c"].diagnostics == ()
     assert prior["a.c"].rule_reports[0].matches == 1
     assert again.result_for(0)["a.c"].rule_reports[0].matches == 1
+    cold = patchset.apply(CodeBase.from_files(dict(codebase.files)))
+    assert_results_identical(again, cold, "spliced views")
 
 
 class TestFallbacks:
@@ -416,7 +424,9 @@ class TestPatchListChanges:
         patchset = PatchSet(_patches(RENAME_A, RENAME_B))
         files = {"a.c": "void f(void) { old_api(); }\n", "b.c": "int z;\n"}
         prior = patchset.apply(files)
-        prior.per_patch[1].files["a.c"].text = "void f(void) { EVIL(); }\n"
+        tampered = prior.per_patch[1].files
+        tampered["a.c"] = dataclasses.replace(
+            tampered["a.c"], text="void f(void) { EVIL(); }\n")
         extended = PatchSet(_patches(
             RENAME_A, RENAME_B, "@r@ @@\n- new_api();\n+ last_api();\n"))
         cold = extended.apply(dict(files))

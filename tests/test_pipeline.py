@@ -1,9 +1,11 @@
 """Unit tests for the PatchPipeline subsystem and its surfaces
 (PatchSet, the repeatable --sp-file/--cookbook CLI, the cookbook preset)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from repro import CodeBase, PatchSet, SemanticPatch
+from repro import CodeBase, FileResult, PatchSet, SemanticPatch
 from repro.engine.pipeline import PatchPipeline, PipelinePrefilter
 from repro.cli.spatch import main as spatch_main
 
@@ -71,17 +73,27 @@ class TestPatchSet:
         assert result["a.c"].matches_of("r") == 2
 
     def test_skipped_file_results_are_independent_objects(self):
-        # sequential composition hands out one FileResult per patch even for
-        # untouched files; the pipeline's skip path must do the same
+        # sequential composition hands out one untouched FileResult per
+        # patch; the pipeline's skip path shares one immutable result, so
+        # no view can change another, and each equals the sequential one
         codebase = CodeBase.from_files({"miss.c": "int zero;\n",
                                         "hit.c": "void f(void) { old_api(); }\n"})
         result = PatchSet(_patches(RENAME_A, RENAME_B)).apply(codebase)
         assert result.stats.files_skipped == 1
         views = [result.result_for(0)["miss.c"], result.result_for(1)["miss.c"],
                  result["miss.c"]]
-        assert len({id(view) for view in views}) == 3
-        views[0].diagnostics.append("marker")
-        assert not views[1].diagnostics and not views[2].diagnostics
+        for view in views:
+            with pytest.raises(AttributeError):
+                view.diagnostics.append("marker")
+            with pytest.raises(FrozenInstanceError):
+                view.text = "int one;\n"
+        sequential = [patch.apply(codebase)["miss.c"]
+                      for patch in _patches(RENAME_A, RENAME_B)]
+        untouched = FileResult(filename="miss.c", original_text="int zero;\n",
+                               text="int zero;\n")
+        assert views == sequential + [untouched]
+        assert all(view == untouched and not view.diagnostics
+                   for view in views)
 
     def test_combined_diff_is_original_to_final(self):
         codebase = CodeBase.from_files(

@@ -920,28 +920,49 @@ class TestDaemonCliFlags:
 
 
 class TestFleetDaemonEndToEnd:
-    def test_internal_error_reads_the_same_in_both_modes(self, tmp_path):
-        """A failure inside the engine answers one line, with no worker
-        traceback, whether the apply ran in-process or in a worker."""
-        broken = {"a.c": "void f(void) { old(); }\n/* never closed\n",
-                  "b.c": "int idle;\n"}
+    @staticmethod
+    def _errors_in_both_modes(tmp_path, files, tag):
+        """``(kind, message)`` of the error an apply over ``files`` answers,
+        in-process and in a fleet worker."""
         errors = []
         for workers in (1, 2):
-            daemon = PatchDaemon(f"unix:{tmp_path}/err{workers}.sock",
+            daemon = PatchDaemon(f"unix:{tmp_path}/{tag}{workers}.sock",
                                  PatchService(workers=workers))
             daemon.serve_in_thread()
             try:
                 with RemoteClient(daemon.address) as client:
                     client.open_workspace("w")
-                    client.sync_codebase("w", CodeBase.from_files(broken))
+                    client.sync_codebase("w", CodeBase.from_files(files))
                     with pytest.raises(RemoteError) as err:
                         client.apply("w", [smpl_spec()])
                 errors.append((err.value.kind, err.value.message))
             finally:
                 daemon.shutdown()
+        return errors
+
+    def test_internal_error_reads_the_same_in_both_modes(self, tmp_path,
+                                                         monkeypatch):
+        """A failure inside the engine answers one line, with no worker
+        traceback, whether the apply ran in-process or in a worker; a
+        source file the lexer rejects is the user's ``bad-source``, not an
+        internal error, in both modes alike."""
+        broken = {"a.c": "void f(void) { old(); }\n/* never closed\n",
+                  "b.c": "int idle;\n"}
+        errors = self._errors_in_both_modes(tmp_path, broken, "src")
         assert errors[0] == errors[1]
-        assert errors[0] == ("internal",
-                             "LexError: a.c:2:0: unterminated block comment")
+        assert errors[0] == ("bad-source",
+                             "a.c:2:0: unterminated block comment")
+
+        from repro.engine.session import FileSession
+
+        def engine_bug(self):
+            raise RuntimeError("engine bug")
+
+        # the fleet forks after this, so its workers inherit the bug
+        monkeypatch.setattr(FileSession, "run", engine_bug)
+        errors = self._errors_in_both_modes(tmp_path, FILES, "bug")
+        assert errors[0] == errors[1]
+        assert errors[0] == ("internal", "RuntimeError: engine bug")
         assert "Traceback" not in errors[1][1]
 
     def test_daemon_with_workers_serves_clients(self, tmp_path):

@@ -3,14 +3,18 @@
 The service's patch-spec LRU hands every request for the same spec the same
 patch objects, and a warm query splices the last result's file views.  So
 after the first query, further queries over an unchanged workspace build
-no prefilter, compile no rule or script source and count no diff line:
-each patch's prefilter, fingerprint and compiled rules are derived once
-per patch object (:mod:`repro.engine.derived`) and freed with it, each
-script source is compiled once, and a
-:class:`~repro.engine.report.FileResult`'s line counts travel with its
-copies and its pickles (the fleet's ship-home path).
+no prefilter, compile no rule or script source, count no diff line,
+build no :class:`~repro.engine.report.FileResult` and scan no rule list:
+each patch's prefilter, fingerprint, compiled rules and rule facts are
+derived once per patch object (:mod:`repro.engine.derived`) and freed
+with it, each script source is compiled once, and results are immutable
+values whose derived facts (diff, line counts, match total, summary row)
+are computed once and travel with the object, its copies and its pickles
+(the fleet's ship-home path), so a splice shares them.
 """
 
+import copy
+import dataclasses
 import gc
 import pickle
 import sys
@@ -20,12 +24,12 @@ import weakref
 import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
-from repro.engine import derived, scripting
+from repro.engine import derived, engine, scripting
 from repro.engine.compile import (CompiledRule, compiled_patch_for,
                                   matcher_counters)
 from repro.engine.pipeline import PatchPipeline, patch_fingerprint
 from repro.engine.prefilter import PatchPrefilter, patch_prefilter
-from repro.engine.report import FileResult, dumps, result_payload
+from repro.engine.report import FileResult, RuleReport, dumps, result_payload
 from repro.obs import Capture
 from repro.server.protocol import options_from_payload
 from repro.server.service import PatchService
@@ -58,12 +62,22 @@ def mixed_tree() -> dict[str, str]:
     return files
 
 
+class Seen(dict):
+    """Hook counts by name; ``files`` names the file of every
+    :class:`FileResult` constructed, in order."""
+
+    def __init__(self, *names: str):
+        super().__init__(dict.fromkeys(names, 0))
+        self.files: list[str] = []
+
+
 @pytest.fixture
 def hooks(monkeypatch):
-    """Counts prefilter builds, rule compiles, script-source compiles and
-    line counts computed (not read from a stored count) while the test
-    runs."""
-    seen = {"prefilters": 0, "rules": 0, "compiles": 0, "counts": 0}
+    """Counts prefilter builds, rule compiles, script-source compiles, line
+    counts computed (not read from a stored count), ``FileResult``
+    constructions and engine rule-list scans while the test runs."""
+    seen = Seen("prefilters", "rules", "compiles", "counts", "results",
+                "scans")
 
     build = PatchPrefilter.__init__
 
@@ -84,11 +98,26 @@ def hooks(monkeypatch):
     line_counts = FileResult.line_counts
 
     def counting_counts(self):
-        if self._counts is None:
+        if "_counts" not in vars(self):
             seen["counts"] += 1
         return line_counts(self)
 
+    post_init = FileResult.__post_init__
+
+    def counting_post_init(self):
+        seen["results"] += 1
+        seen.files.append(self.filename)
+        post_init(self)
+
+    scan = engine._scan_rules
+
+    def counting_scan(patch):
+        seen["scans"] += 1
+        return scan(patch)
+
     monkeypatch.setattr(PatchPrefilter, "__init__", counting_build)
+    monkeypatch.setattr(FileResult, "__post_init__", counting_post_init)
+    monkeypatch.setattr(engine, "_scan_rules", counting_scan)
     monkeypatch.setattr(CompiledRule, "__init__", counting_lower)
     # the module global shadows the builtin for every compile in scripting
     monkeypatch.setattr(scripting, "compile", counting_compile, raising=False)
@@ -121,7 +150,23 @@ def test_warm_queries_derive_nothing(service, hooks):
         hooks[key] = 0
     for _ in range(10):
         assert service.query("w", COOKBOOK) == first
-    assert hooks == {"prefilters": 0, "rules": 0, "compiles": 0, "counts": 0}
+    assert hooks == {"prefilters": 0, "rules": 0, "compiles": 0, "counts": 0,
+                     "results": 0, "scans": 0}
+
+
+def test_one_file_edit_builds_views_for_that_file_only(service, hooks):
+    tree = mixed_tree()
+    service.apply("w", COOKBOOK)
+    edited = sorted(tree)[0]
+    service.sync_files("w", files={**tree,
+                                   edited: tree[edited] + "int edited;\n"})
+    for key in hooks:
+        hooks[key] = 0
+    hooks.files.clear()
+    payload = service.apply("w", COOKBOOK, profile=True)
+    assert payload["profile"]["incremental"]["files_reused"] == 13
+    assert hooks["results"] > 0 and set(hooks.files) == {edited}
+    assert hooks["scans"] == 0
 
 
 RENAME = "@r@\nexpression E;\n@@\n- cudaFree(E)\n+ {}(E)\n"
@@ -229,7 +274,7 @@ def test_derived_facts_are_not_pickled_with_the_patch():
 
 
 # ---------------------------------------------------------------------------
-# line counts travel with the result
+# results are immutable, and their derived facts travel with them
 # ---------------------------------------------------------------------------
 
 def _changed_result() -> FileResult:
@@ -243,10 +288,55 @@ def test_copy_and_pickle_keep_the_counts(hooks):
     file_result = _changed_result()
     assert file_result.line_counts() == (1, 1)
     assert hooks["counts"] == 1
-    for clone in (file_result.copy(),
+    for clone in (copy.copy(file_result), copy.deepcopy(file_result),
                   pickle.loads(pickle.dumps(file_result))):
+        assert clone == file_result
         assert clone.line_counts() == (1, 1)
     assert hooks["counts"] == 1
+
+
+def test_field_assignment_raises():
+    file_result = _changed_result()
+    report = file_result.rule_reports[0]
+    for target, name, value in ((file_result, "text", ""),
+                                (file_result, "rule_reports", ()),
+                                (file_result, "total_matches", 0),
+                                (report, "matches", 999),
+                                (report, "rule", "other")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, value)
+    assert file_result == _changed_result()
+    assert (report.rule, report.matches) == ("r", 1)
+
+
+def test_reports_and_diagnostics_are_tuples():
+    file_result = FileResult(filename="a.c", original_text="a\n",
+                             text="b\n", rule_reports=[RuleReport("r", 1)],
+                             diagnostics=[])
+    for sequence in (file_result.rule_reports, file_result.diagnostics):
+        assert type(sequence) is tuple
+        assert not hasattr(sequence, "append")
+    assert file_result.rule_reports == (RuleReport("r", 1),)
+
+
+def test_pickle_keeps_the_derived_facts():
+    """The fleet ships a worker's result home by pickling it: the cached
+    diff, line counts, match total and summary row ride along, and a file
+    shared by several views stays one object."""
+    patch = SemanticPatch.from_string(RENAME.format("hipFree"))
+    result = patch.apply(CodeBase.from_files({
+        "a.cu": "void f(int *p) {\n    cudaFree(p);\n}\n",
+        "b.c": "int zero;\n"}))
+    file_result = result["a.cu"]
+    facts = (file_result.diff(), file_result.line_counts(),
+             file_result.total_matches, file_result.summary_counts())
+    assert facts[1:] == ((1, 1), 1, (1, 1, 1, 1))
+    clone = pickle.loads(pickle.dumps(result))
+    shipped = vars(clone["a.cu"])
+    assert (shipped["_diff"], shipped["_counts"], shipped["total_matches"],
+            shipped["_summary"]) == facts
+    assert clone.summary() == result.summary()
+    assert clone["b.c"] is clone.per_patch[0]["b.c"]
 
 
 def test_increment_and_decrement_lines_are_counted():
