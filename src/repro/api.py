@@ -25,11 +25,15 @@ Quick start::
 from __future__ import annotations
 
 import pathlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .engine.cache import content_sha1
 from .engine.engine import Engine
 from .engine.report import FileResult, PatchResult
+from .errors import PatchFileError, patch_error_line
 from .lang.parser import ParseTree, parse_source
 from .lang.source import SourceFile
 from .options import SpatchOptions, DEFAULT_OPTIONS
@@ -413,6 +417,113 @@ class PatchSet:
         result = self.apply(codebase, jobs=jobs, prefilter=prefilter,
                             since=since)
         return CodeBase(files={name: fr.text for name, fr in result.files.items()})
+
+
+#: LRU bound on a :class:`PatchBuilder`: an authoring loop ships a fresh
+#: SMPL revision per request (new content hash, new key), so without a
+#: bound the cache would grow with every edit ever made
+MAX_CACHED_PATCH_SPECS = 64
+
+
+class PatchBuilder:
+    """Patch specs to :class:`SemanticPatch` objects, cached by spec
+    identity: the one way a named patch becomes a patch object, for the
+    CLI, its ``--watch`` rebuilds and the daemon alike.
+
+    A spec is the plain dict the daemon protocol carries:
+    ``{"kind": "cookbook", "name": NAME}`` (``full_modernization`` names
+    the whole cookbook), or ``{"kind": KIND, "name": NAME, "text": TEXT}``
+    with ``KIND`` ``"smpl"`` or one of the machine-patch frontend kinds
+    (:data:`repro.frontends.WIRE_KINDS`).  :meth:`build` keys each spec on
+    its kind, name, content hash and the options, in an LRU of
+    :data:`MAX_CACHED_PATCH_SPECS` specs, so an unchanged spec answers
+    with the same patch objects, which carry their compiled rules and
+    prefilters.  A bad spec,
+    an unknown cookbook name or an unparsable text raises
+    :class:`~repro.errors.PatchFileError` with a one-line
+    ``name:line: message`` diagnostic.  Thread-safe: a miss parses outside
+    the lock, and of two racing builds of one spec the first stored wins."""
+
+    def __init__(self):
+        self._entries: "OrderedDict[tuple, tuple[SemanticPatch, ...]]" = \
+            OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:  # a store overshoots the bound by one inside it
+            return len(self._entries)
+
+    def __iter__(self) -> Iterator[tuple]:
+        """The cached spec keys, least recently used first."""
+        with self._lock:
+            return iter(list(self._entries))
+
+    def build(self, specs: Sequence[dict],
+              options: Optional[SpatchOptions]) -> list[SemanticPatch]:
+        """The ordered patch list ``specs`` name."""
+        built: list[SemanticPatch] = []
+        options_key = repr(options)
+        for spec in specs:
+            key = _spec_key(spec, options_key)
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._entries.move_to_end(key)
+            if cached is None:
+                cached = tuple(_parse_spec(spec, options))
+                with self._lock:
+                    cached = self._entries.setdefault(key, cached)
+                    while len(self._entries) > MAX_CACHED_PATCH_SPECS:
+                        self._entries.popitem(last=False)
+            built.extend(cached)
+        return built
+
+
+def _spec_key(spec: dict, options_key: str) -> tuple:
+    """The cache identity of one validated patch spec."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise PatchFileError("patch specs must be objects with a 'kind' "
+                             "field")
+    kind, name = spec["kind"], spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise PatchFileError("a patch spec's 'name' must be a string")
+    if kind == "cookbook":
+        return ("cookbook", name, options_key)
+    if kind == "smpl" or kind in _frontend_kinds():
+        text = spec.get("text")
+        if not isinstance(text, str):
+            raise PatchFileError(f"{kind} specs need a 'text' string")
+        return (kind, name, content_sha1(text), options_key)
+    raise PatchFileError(f"unknown patch spec kind {kind!r}")
+
+
+def _frontend_kinds() -> tuple[str, ...]:
+    # imported on first use: SmPL and cookbook runs never load the frontends
+    from .frontends import WIRE_KINDS
+
+    return WIRE_KINDS
+
+
+def _parse_spec(spec: dict, options: Optional[SpatchOptions],
+                ) -> list[SemanticPatch]:
+    """The patches one validated spec names."""
+    kind = spec["kind"]
+    if kind != "cookbook":
+        name = spec.get("name", f"<{kind}>")
+        try:
+            return [SemanticPatch.from_text(spec["text"], options=options,
+                                            name=name, format=kind)]
+        except Exception as exc:
+            raise PatchFileError(patch_error_line(name, exc)) from None
+    from .cookbook import FULL_PIPELINE, builders, full_modernization_pipeline
+
+    name = spec.get("name")
+    if name == FULL_PIPELINE:
+        return list(full_modernization_pipeline())
+    table = builders()
+    if name not in table:
+        raise PatchFileError(f"unknown cookbook patch {name!r}")
+    return [table[name]()]
 
 
 def apply_patch(patch_text: str, code: str, filename: str = "<input.c>",

@@ -47,11 +47,12 @@ machine callers can branch on it:
 * **0** — the patch matched at least one site;
 * **1** — everything ran and nothing matched;
 * **2** — the run itself failed: usage errors, a missing target, a
-  missing or unparsable ``--sp-file``/``--patch-file`` (one-line
-  ``file:line: message`` diagnostic on stderr, never a traceback), a
-  source file the front end cannot read (same one-line form, local and
-  ``--server`` alike), or a server-side patch-build error
-  (byte-identical diagnostic to the local one).
+  missing or unparsable ``--sp-file``/``--patch-file`` or an unknown
+  ``--cookbook`` name (one-line ``file:line: message`` diagnostic on
+  stderr, never a traceback: local and ``--server`` runs build patches
+  through the same :class:`~repro.api.PatchBuilder`, so the line is
+  byte-identical), or a source file the front end cannot read (same
+  one-line form, local, ``--jobs N`` and ``--server`` alike).
 
 Matches of pure idempotence-guard rules (``depends on !guard``
 suppressors, which fire exactly when a file is already modernized) do not
@@ -69,21 +70,11 @@ import sys
 import time
 
 from .. import __version__
-from ..api import C_SUFFIXES, CodeBase, PatchSet, SemanticPatch
+from ..api import C_SUFFIXES, CodeBase, PatchBuilder, PatchSet, SemanticPatch
 from ..engine.report import dumps, profile_payload, result_payload
 from ..errors import PatchFileError, ReproError, patch_error_line
 from ..obs import registry as _obs
 from ..options import SpatchOptions
-
-#: pseudo cookbook name expanding to the whole-cookbook pipeline preset
-FULL_PIPELINE = "full_modernization"
-
-
-#: name -> zero-argument builder of a cookbook patch
-def _cookbook_builders():
-    from ..cookbook import builders
-
-    return builders()
 
 
 def _prune_bound(text: str) -> float:
@@ -236,47 +227,36 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_patch_file(kind: str, value: str,
-                     options: SpatchOptions) -> SemanticPatch:
-    """One ``--sp-file``/``--patch-file`` argument as a patch, with every
-    read/parse failure normalized to a :class:`~repro.errors.PatchFileError`
-    carrying a one-line ``file:line: message`` diagnostic.  The diagnostic
-    names the file's *basename* on parse errors — the same name a server
-    patch spec carries — so local and remote error lines are byte-identical."""
-    loader = SemanticPatch.from_path if kind == "sp_file" \
-        else SemanticPatch.from_patch_file
-    try:
-        return loader(value, options=options)
-    except OSError as exc:
-        raise PatchFileError(patch_error_line(value, exc)) from None
-    except ReproError as exc:
-        raise PatchFileError(
-            patch_error_line(pathlib.Path(value).name, exc)) from None
-
-
-def _build_patches(patch_args: list[tuple[str, str]],
-                   options: SpatchOptions) -> list[SemanticPatch]:
-    """The ordered patch list an interleaved ``--sp-file``/``--cookbook``/
-    ``--patch-file`` argument list names (re-callable: the watch loop
-    rebuilds it whenever a patch file changes on disk).  Raises
-    ``ValueError`` on an unknown cookbook name and
-    :class:`~repro.errors.PatchFileError` on an unreadable or unparsable
-    patch file."""
-    patches: list[SemanticPatch] = []
-    builders = _cookbook_builders()
+def _patch_specs(patch_args: list[tuple[str, str]]) -> list[dict]:
+    """The patch arguments as the specs a
+    :class:`~repro.api.PatchBuilder` builds, for local and ``--server``
+    runs alike: sp-files as inline SMPL, ``--patch-file`` inputs as their
+    detected frontend kind (read here, so a daemon needs no shared
+    filesystem), cookbook patches by name.  An unreadable file or an
+    undetectable format raises :class:`~repro.errors.PatchFileError` with
+    a one-line diagnostic naming the file as given on a read error and by
+    its basename, the name the spec carries, otherwise."""
+    specs: list[dict] = []
     for kind, value in patch_args:
-        if kind in ("sp_file", "patch_file"):
-            patches.append(_load_patch_file(kind, value, options))
-        elif value == FULL_PIPELINE:
-            from ..cookbook import full_modernization_pipeline
+        if kind == "cookbook":
+            specs.append({"kind": "cookbook", "name": value})
+            continue
+        path = pathlib.Path(value)
+        try:
+            text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        except OSError as exc:
+            raise PatchFileError(patch_error_line(value, exc)) from None
+        wire_kind = "smpl"
+        if kind == "patch_file":
+            from ..frontends import detect_format
 
-            patches.extend(full_modernization_pipeline())
-        elif value in builders:
-            patches.append(builders[value]())
-        else:
-            raise ValueError(f"unknown cookbook patch {value!r}; "
-                             f"use --list-cookbook to see the available ones")
-    return patches
+            try:
+                wire_kind = detect_format(text, path.name)
+            except ReproError as exc:
+                raise PatchFileError(
+                    patch_error_line(path.name, exc)) from None
+        specs.append({"kind": wire_kind, "name": path.name, "text": text})
+    return specs
 
 
 def _profile_lines(result, counts, memo=None) -> list[str]:
@@ -451,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         args.memo_dir = args.incremental
 
     if args.list_cookbook:
-        for name in sorted([*_cookbook_builders(), FULL_PIPELINE]):
+        from ..cookbook import FULL_PIPELINE, builders
+
+        for name in sorted([*builders(), FULL_PIPELINE]):
             print(name)
         return 0
 
@@ -523,36 +505,28 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
     if args.json and args.watch:
         parser.error("--json cannot be combined with --watch")
         return 2
-    if args.server:
-        if args.watch or args.incremental is not None:
-            parser.error("--server cannot be combined with --watch or "
-                         "--incremental (the daemon owns the warm state)")
-        if not args.patch_args:
-            parser.error("one of --sp-file, --patch-file or --cookbook is "
-                         "required")
-        if not args.targets:
-            parser.error("no target files or directories given")
-        return _remote_main(args, options)
-
-    try:
-        patches = _build_patches(args.patch_args, options)
-    except ValueError as exc:
-        parser.error(str(exc))
-        return 2
-    except (ReproError, OSError) as exc:
-        # a missing or unparsable patch file is a *usage*-class failure:
-        # exit 2 with a one-line diagnostic, never 1 (which means "matched
-        # nothing") and never a traceback
-        print(f"repro-spatch: error: {exc}", file=sys.stderr)
-        return 2
-    if not patches:
+    if args.server and (args.watch or args.incremental is not None):
+        parser.error("--server cannot be combined with --watch or "
+                     "--incremental (the daemon owns the warm state)")
+    if not args.patch_args:
         parser.error("one of --sp-file, --patch-file or --cookbook is "
                      "required")
-        return 2
-
     if not args.targets:
         parser.error("no target files or directories given")
+    # the daemon builds a --server run's patches from the same specs with
+    # the same builder, so both fail with the same line
+    builder = PatchBuilder()
+    try:
+        specs = _patch_specs(args.patch_args)
+        patches = None if args.server else builder.build(specs, options)
+    except PatchFileError as exc:
+        # a missing or unparsable patch file or an unknown cookbook name is
+        # a *usage*-class failure: exit 2 with a one-line diagnostic, never
+        # 1 (which means "matched nothing") and never a traceback
+        print(f"repro-spatch: error: {exc}", file=sys.stderr)
         return 2
+    if args.server:
+        return _remote_main(args, options, specs)
 
     codebase, paths = _load_codebase(args.targets)
 
@@ -588,8 +562,8 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
     if not args.watch:
         return code
     _fold_rewrites(codebase, payload, names, paths)
-    return _watch_loop(args, options, patches, codebase, paths, result,
-                       code == 0, memo, journal=journal)
+    return _watch_loop(args, options, builder, patches, codebase, paths,
+                       result, code == 0, memo, journal=journal)
 
 
 def _apply(patches: list[SemanticPatch], codebase: CodeBase, args,
@@ -619,38 +593,6 @@ def _open_memo(path):
         return TransformMemo()
 
 
-def _remote_specs(patch_args: list[tuple[str, str]]) -> list[dict]:
-    """Wire patch specs for --server mode: sp-files ship as inline SMPL and
-    --patch-file inputs as their detected frontend kind (read locally,
-    parsed server-side — no shared filesystem needed), cookbook patches by
-    name (validated server-side).  Unreadable files and undetectable
-    formats raise :class:`~repro.errors.PatchFileError` with the same
-    one-line diagnostic the in-process path prints."""
-    from ..frontends import detect_format
-
-    specs: list[dict] = []
-    for kind, value in patch_args:
-        if kind in ("sp_file", "patch_file"):
-            path = pathlib.Path(value)
-            try:
-                text = path.read_text(encoding="utf-8",
-                                      errors="surrogateescape")
-            except OSError as exc:
-                raise PatchFileError(patch_error_line(value, exc)) from None
-            if kind == "sp_file":
-                wire_kind = "smpl"
-            else:
-                try:
-                    wire_kind = detect_format(text, path.name)
-                except ReproError as exc:
-                    raise PatchFileError(
-                        patch_error_line(path.name, exc)) from None
-            specs.append({"kind": wire_kind, "name": path.name, "text": text})
-        else:
-            specs.append({"kind": "cookbook", "name": value})
-    return specs
-
-
 def _default_workspace_name(targets: list[str]) -> str:
     """A stable workspace name per target set, so repeated invocations over
     the same tree land on the same warm server state."""
@@ -660,17 +602,12 @@ def _default_workspace_name(targets: list[str]) -> str:
     return f"cli-{digest}"
 
 
-def _remote_main(args, options: SpatchOptions) -> int:
+def _remote_main(args, options: SpatchOptions, specs: list[dict]) -> int:
     """The --server flow: sync the local tree by content-hash delta, apply
-    on the daemon's warm workspace, and emit the same diffs / reports /
-    exit codes a local run would."""
+    ``specs`` on the daemon's warm workspace, and emit the same diffs /
+    reports / exit codes a local run would."""
     from ..obs import trace as _trace
 
-    try:
-        specs = _remote_specs(args.patch_args)
-    except (ReproError, OSError) as exc:
-        print(f"repro-spatch: error: {exc}", file=sys.stderr)
-        return 2
     codebase, paths = _load_codebase(args.targets)
     workspace = args.workspace or _default_workspace_name(args.targets)
     # one CLI invocation = one trace: every request of every attempt
@@ -773,19 +710,22 @@ def _fold_rewrites(codebase: CodeBase, payload: dict, names,
             codebase[name] = files[name]["text"]
 
 
-def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
-                codebase: CodeBase, paths: dict[str, pathlib.Path],
-                result, matched: bool, memo=None, journal=None) -> int:
+def _watch_loop(args, options: SpatchOptions, builder: PatchBuilder,
+                patches: list[SemanticPatch], codebase: CodeBase,
+                paths: dict[str, pathlib.Path], result, matched: bool,
+                memo=None, journal=None) -> int:
     """Poll the targets *and* the sp-files, re-applying incrementally on
     every content change.
 
     Change detection is two-staged: a cheap stat sweep (mtime_ns + size)
     gates the re-read, and the engine's content hashes decide which files
     actually re-run — a ``touch`` without a content change re-runs nothing.
-    An edited sp-file rebuilds the patch list and re-applies with the prior
-    result as ``since=``: the changed list runs cold, and the session's
-    transform memo answers every unchanged patch, so only the edited
-    patch's sessions re-run; only files whose *output* changed are emitted
+    An edited sp-file rebuilds the patch list through the run's
+    ``builder``, which parses only the changed text and hands back the same
+    patch objects (compiled rules and prefilters included) for every
+    unchanged one, and re-applies with the prior result as ``since=``: the
+    changed list runs cold, and the session's transform memo answers every
+    unchanged patch, so only the edited patch's sessions re-run; only files whose *output* changed are emitted
     (or rewritten), so a patch edit never rewrites files it did not
     affect.  An sp-file that fails to parse mid-edit is
     reported and the round skipped (the old patches stay active until the
@@ -805,8 +745,8 @@ def _watch_loop(args, options: SpatchOptions, patches: list[SemanticPatch],
                               if kind in ("sp_file", "patch_file")]
     watcher = create_watcher(watched)
     try:
-        return _watch_rounds(args, options, patches, codebase, paths,
-                             result, matched, watcher, memo, journal)
+        return _watch_rounds(args, options, builder, patches, codebase,
+                             paths, result, matched, watcher, memo, journal)
     finally:
         watcher.close()
 
@@ -831,7 +771,7 @@ def _journal_watch_round(journal, result, round_seconds: float) -> None:
         wall_seconds=round(round_seconds, 6))
 
 
-def _watch_rounds(args, options: SpatchOptions,
+def _watch_rounds(args, options: SpatchOptions, builder: PatchBuilder,
                   patches: list[SemanticPatch], codebase: CodeBase,
                   paths: dict[str, pathlib.Path], result, matched: bool,
                   watcher, memo=None, journal=None) -> int:
@@ -855,8 +795,9 @@ def _watch_rounds(args, options: SpatchOptions,
             if sources_stale else []
         if patches_stale:
             try:
-                patches = _build_patches(args.patch_args, options)
-            except (ValueError, ReproError, OSError) as exc:
+                patches = builder.build(_patch_specs(args.patch_args),
+                                        options)
+            except PatchFileError as exc:
                 # one-line file:line diagnostic, same format as the cold
                 # path's exit-2 message; the old patches stay active until
                 # the next successful save

@@ -50,8 +50,13 @@ __all__ = [
     "aos_soa", "bloat_removal", "compiler_workaround", "cuda_hip",
     "declare_variant", "instrumentation", "kokkos_lambda", "mdspan",
     "multiversioning", "openacc_openmp", "stl_modernize", "unrolling",
-    "builders", "full_modernization_pipeline",
+    "builders", "full_modernization_pipeline", "FULL_PIPELINE",
 ]
+
+#: the pseudo cookbook name of the whole cookbook, in :func:`builders`
+#: order (``--cookbook full_modernization``; see
+#: :func:`full_modernization_pipeline`)
+FULL_PIPELINE = "full_modernization"
 
 
 def __getattr__(name: str):

@@ -303,24 +303,28 @@ class TransformMemo:
         return None
 
     def store(self, text_sha: str, fingerprint: str, flags: str,
-              entry: MemoEntry) -> None:
+              entry: MemoEntry, *, stored: bool = False) -> None:
+        """Memoize one entry.  ``stored`` says another process sharing this
+        memo's directory (a forked pipeline worker) already stored and
+        counted it: only the memory tier takes it here."""
         key = (text_sha, fingerprint, flags)
         with self._lock:
             known = key in self._entries
             self._store_locked(key, entry)
-        if known:
+        if known or stored:
             return  # refreshed recency; the disk entry is already there
         _COUNTS["stores"].inc()
         self._disk_store(key, entry)
 
     def store_result(self, text_sha: str, fingerprint: str, flags: str,
-                     file_result: FileResult) -> Optional[str]:
-        """Memoize one freshly computed session result; returns the output
-        text's content hash when the session edited the file (``None``
-        otherwise), so chained callers can thread boundary hashes without
-        re-hashing."""
+                     file_result: FileResult, *,
+                     stored: bool = False) -> Optional[str]:
+        """Memoize one freshly computed session result (``stored`` as for
+        :meth:`store`); returns the output text's content hash when the
+        session edited the file (``None`` otherwise), so chained callers
+        can thread boundary hashes without re-hashing."""
         entry = MemoEntry.from_file_result(file_result)
-        self.store(text_sha, fingerprint, flags, entry)
+        self.store(text_sha, fingerprint, flags, entry, stored=stored)
         return entry.output_sha
 
     def _store_locked(self, key: tuple, entry: MemoEntry) -> None:

@@ -770,17 +770,18 @@ class PatchPipeline:
         return outcomes, jobs, in_order
 
     def _memo_store_outcome(self, text: str, outcome: _FileOutcome) -> None:
-        """Memoize the sessions of one worker-computed outcome under the keys
-        the worker looked them up with, threading boundary hashes exactly as
-        the in-loop store does."""
+        """Put the sessions of one worker-computed outcome into this
+        process's memory tier under the keys the worker looked them up
+        with, threading boundary hashes exactly as the in-loop store does.
+        The worker stored them itself, disk tier and counts included."""
         text_sha: Optional[str] = None
         for file_result, key in zip(outcome.results, outcome.keys):
             output_sha = None
             if key is not None:
                 if text_sha is None:
                     text_sha = content_sha1(text)
-                output_sha = self.memo.store_result(text_sha, key[0], key[1],
-                                                    file_result)
+                output_sha = self.memo.store_result(
+                    text_sha, key[0], key[1], file_result, stored=True)
             if file_result.text != text:
                 text = file_result.text
                 text_sha = output_sha  # None when unmemoized: rehash lazily

@@ -15,8 +15,12 @@ class ReproError(Exception):
     """Base class of all errors raised by the repro library."""
 
 
-class LexError(ReproError):
-    """Raised when the C/C++ or SmPL lexer meets an unrecognisable character."""
+class LocatedError(ReproError):
+    """An error at a place in a source text, ``filename:line:col: message``.
+
+    Pickling keeps the fields, not the formatted text, so an error raised
+    in a forked pipeline worker reaches the parent reading as it would
+    have in the parent."""
 
     def __init__(self, message: str, filename: str = "<string>", line: int = 0, col: int = 0):
         super().__init__(f"{filename}:{line}:{col}: {message}")
@@ -25,21 +29,21 @@ class LexError(ReproError):
         self.line = line
         self.col = col
 
+    def __reduce__(self):
+        return type(self), (self.message, self.filename, self.line, self.col)
 
-class CParseError(ReproError):
+
+class LexError(LocatedError):
+    """Raised when the C/C++ or SmPL lexer meets an unrecognisable character."""
+
+
+class CParseError(LocatedError):
     """Raised when the C/C++ parser cannot make sense of the input.
 
     The top-level parser is error tolerant (unparsable top-level constructs
     become opaque declarations), so this error mostly surfaces for malformed
     statements inside function bodies or for malformed SmPL pattern code.
     """
-
-    def __init__(self, message: str, filename: str = "<string>", line: int = 0, col: int = 0):
-        super().__init__(f"{filename}:{line}:{col}: {message}")
-        self.message = message
-        self.filename = filename
-        self.line = line
-        self.col = col
 
 
 class SmplParseError(ReproError):

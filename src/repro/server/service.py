@@ -27,9 +27,11 @@ result (and save its manifest) there, and render the result and profile
 payloads there.  The verbs differ only in what they hand it: the files
 (the live code base or the published snapshot), the ``since=`` seed and
 whether the result is stored.  The patches they hand it come from the
-service's one spec cache (:meth:`PatchService.build_patches`), shared by
-every workspace: the same SMPL text parses and compiles once
-service-wide.
+service's one :class:`~repro.api.PatchBuilder`
+(:meth:`PatchService.build_patches`), shared by every workspace: the
+same SMPL text parses and compiles once service-wide.  It is the builder
+the CLI runs locally, so a spec fails with the same one-line diagnostic
+in both places.
 
 Concurrency model
 -----------------
@@ -92,21 +94,16 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from ..api import CodeBase, SemanticPatch
+from ..api import CodeBase, PatchBuilder, SemanticPatch
 from ..engine.cache import TreeCache, content_sha1
 from ..engine.incremental import IncrementalPipeline
 from ..engine.memo import DEFAULT_MEMO_ENTRIES, TransformMemo, atomic_write
 from ..engine.pipeline import PipelineResult
 from ..engine.report import profile_payload, result_payload
-from ..errors import ReproError, patch_error_line
-from ..frontends import WIRE_KINDS as FRONTEND_WIRE_KINDS
+from ..errors import PatchFileError, ReproError
 from ..obs import registry as _obs
 from ..options import SpatchOptions
 from .protocol import PROTOCOL_VERSION, options_from_payload
-
-#: pseudo cookbook name expanding to the whole-cookbook pipeline preset
-#: (mirrors the CLI's ``--cookbook full_modernization``)
-FULL_PIPELINE = "full_modernization"
 
 _M_WORKSPACES = _obs.REGISTRY.gauge(
     "repro_service_workspaces", "Warm workspaces currently held")
@@ -121,11 +118,6 @@ DEFAULT_SERVICE_CACHE_ENTRIES = 2048
 #: format tag for workspace manifests; any other version restores nothing
 _MANIFEST_VERSION = 1
 
-#: LRU bound on the service's built-patch spec cache: an authoring loop
-#: ships a fresh SMPL revision per request (new content hash, new key), so
-#: without a bound the cache would grow with every edit ever made
-MAX_CACHED_PATCH_SPECS = 64
-
 
 class ServiceError(Exception):
     """A request-level failure (unknown workspace, bad patch spec, ...).
@@ -136,53 +128,6 @@ class ServiceError(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-
-
-def spec_key(spec: dict, options_key: str) -> tuple:
-    """The cache identity of one wire patch spec (kind, name, content
-    hash, options) in the service's spec cache."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ServiceError("bad-patch", "patch specs must be objects with "
-                                        "a 'kind' field")
-    kind = spec["kind"]
-    if kind == "cookbook":
-        return ("cookbook", spec.get("name"), options_key)
-    if kind == "smpl" or kind in FRONTEND_WIRE_KINDS:
-        text = spec.get("text")
-        if not isinstance(text, str):
-            raise ServiceError("bad-patch",
-                               f"{kind} specs need a 'text' string")
-        return (kind, spec.get("name"), content_sha1(text), options_key)
-    raise ServiceError("bad-patch", f"unknown patch spec kind {kind!r}")
-
-
-def parse_spec(spec: dict, options: Optional[SpatchOptions],
-               ) -> list[SemanticPatch]:
-    """The patches one validated wire spec names (raises
-    :class:`ServiceError` on an unparsable patch or unknown cookbook name)."""
-    from ..cookbook import builders
-
-    kind = spec["kind"]
-    if kind == "smpl" or kind in FRONTEND_WIRE_KINDS:
-        # the error message is the same one-line file:line diagnostic the
-        # in-process CLI prints (patch_error_line over the spec's name), so
-        # a --server run fails byte-identically to a local one
-        name = spec.get("name", f"<{kind}>")
-        try:
-            return [SemanticPatch.from_text(spec["text"], options=options,
-                                            name=name, format=kind)]
-        except Exception as exc:
-            raise ServiceError("bad-patch",
-                               patch_error_line(name, exc)) from None
-    name = spec.get("name")
-    if name == FULL_PIPELINE:
-        from ..cookbook import full_modernization_pipeline
-
-        return list(full_modernization_pipeline())
-    table = builders()
-    if name not in table:
-        raise ServiceError("bad-patch", f"unknown cookbook patch {name!r}")
-    return [table[name]()]
 
 
 class Workspace:
@@ -494,18 +439,14 @@ class PatchService:
         #: ONE content-addressed parse cache shared by every workspace the
         #: same way: identical files parse once service-wide
         self.cache = TreeCache(max_entries=cache_entries)
-        #: ONE LRU of built patches keyed by spec identity (bounded by
-        #: ``MAX_CACHED_PATCH_SPECS``), shared by every workspace, so the
-        #: same SMPL text parses and compiles once service-wide (a run
-        #: never mutates a built patch, and each patch object carries its
-        #: compiled rules: a spec that falls out comes back as a new patch
-        #: that parses and compiles again)
-        self._patches: "OrderedDict[tuple, tuple[SemanticPatch, ...]]" = \
-            OrderedDict()
-        #: guards ``_patches`` alone, so the lock-free query path can build
-        #: patches without taking a workspace lock (mutating verbs hold the
-        #: workspace lock first, then this — one consistent order)
-        self._patches_lock = threading.Lock()
+        #: ONE patch builder (an LRU of built patches keyed by spec
+        #: identity), shared by every workspace, so the same SMPL text
+        #: parses and compiles once service-wide (a run never mutates a
+        #: built patch, and each patch object carries its compiled rules: a
+        #: spec that falls out comes back as a new patch that parses and
+        #: compiles again).  It has its own lock, so the lock-free query
+        #: path can build patches without taking a workspace lock
+        self._patches = PatchBuilder()
         #: disk-tier GC policy, enforced opportunistically after applies
         self.memo_max_bytes = memo_max_bytes
         self.memo_max_age = memo_max_age
@@ -639,32 +580,17 @@ class PatchService:
     def build_patches(self, specs: Sequence[dict],
                       options: Optional[SpatchOptions],
                       ) -> list[SemanticPatch]:
-        """The ordered patch list a request's wire specs name, cached by
-        spec identity (kind, name, content hash, options) so steady-state
+        """The ordered patch list a request's wire specs name, through the
+        service's one :class:`~repro.api.PatchBuilder`: steady-state
         requests skip SMPL re-parsing and, since each patch object carries
-        its compiled rules, recompiling.  Guarded by the dedicated spec-cache
-        lock, not a workspace lock — the lock-free query path builds
-        patches too."""
+        its compiled rules, recompiling.  A spec the builder rejects is a
+        ``bad-patch`` error carrying the diagnostic the CLI prints."""
         if not specs:
             raise ServiceError("bad-request", "no patches given")
-        built: list[SemanticPatch] = []
-        options_key = repr(options)
-        for spec in specs:
-            key = spec_key(spec, options_key)
-            with self._patches_lock:
-                cached = self._patches.get(key)
-                if cached is not None:
-                    self._patches.move_to_end(key)
-            if cached is None:
-                # parse outside the lock (SMPL parsing is the slow part);
-                # two racing requests may both parse — the first stored wins
-                cached = tuple(parse_spec(spec, options))
-                with self._patches_lock:
-                    cached = self._patches.setdefault(key, cached)
-                    while len(self._patches) > MAX_CACHED_PATCH_SPECS:
-                        self._patches.popitem(last=False)
-            built.extend(cached)
-        return built
+        try:
+            return self._patches.build(specs, options)
+        except PatchFileError as exc:
+            raise ServiceError("bad-patch", str(exc)) from None
 
     # -- verbs ---------------------------------------------------------------
 
@@ -873,8 +799,6 @@ class PatchService:
         hit/miss/dedup included."""
         with self._lock:
             workspaces = list(self._workspaces.values())
-        with self._patches_lock:  # the LRU overshoots by one inside it
-            patches_cached = len(self._patches)
         payload = {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
@@ -883,7 +807,7 @@ class PatchService:
             "workers": self.workers,
             "requests_total": self.counts.total(_M_REQUESTS),
             "evictions": self.counts.total(_M_EVICTIONS),
-            "patches_cached": patches_cached,
+            "patches_cached": len(self._patches),
         }
         from ..engine.compile import matcher_counters
 

@@ -15,11 +15,14 @@ in-process or inside a ``--server`` daemon.
 """
 
 import json
+import pickle
 
 import pytest
 
 from frontend_corpus import CORPUS, PATCH_FILENAMES, PATCH_TEXTS
 from repro.cli.spatch import main as spatch_main
+from repro.errors import (CParseError, FrontendParseError, LexError,
+                          SmplParseError)
 from repro.server.daemon import PatchDaemon
 from repro.server.service import PatchService
 
@@ -327,6 +330,47 @@ class TestServerExitParity:
         finally:
             daemon.shutdown()
 
+    #: (case, argv before the target, files to write: name -> text, or
+    #: ``None`` for a directory where the patch file should be)
+    SPEC_FAILURES = [
+        ("unknown-cookbook", ["--cookbook", "nope"], {}),
+        ("unreadable-sp-file", ["--sp-file", "p.cocci"], {"p.cocci": None}),
+        ("unparsable-sp-file", ["--sp-file", "p.cocci"],
+         {"p.cocci": "@r@\n- broken\n"}),
+        ("undetectable-patch-file", ["--patch-file", "edit.txt"],
+         {"edit.txt": "just some prose\n"}),
+    ]
+
+    @pytest.mark.parametrize("case, flags, files", SPEC_FAILURES,
+                             ids=[case[0] for case in SPEC_FAILURES])
+    def test_patch_spec_failure_reads_the_same_everywhere(
+            self, case, flags, files, daemon, tmp_path, capsys, monkeypatch):
+        """One builder turns patch arguments into patches, locally and in
+        a daemon, so a spec it rejects exits 2 with the same one line in
+        process, through a daemon and through a daemon's fleet."""
+        for name, text in files.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        (tmp_path / "a.c").write_text(TARGET)
+        monkeypatch.chdir(tmp_path)
+        fleet = PatchDaemon(f"unix:{tmp_path}/fleet.sock",
+                            PatchService(workers=2))
+        fleet.serve_in_thread()
+        try:
+            local_rc, local = run([*flags, "a.c"], capsys)
+            outcomes = [run([*flags, "--server", address, "a.c"], capsys)
+                        for address in (daemon.address, fleet.address)]
+        finally:
+            fleet.shutdown()
+        assert local_rc == 2 and local.out == ""
+        assert local.err.startswith("repro-spatch: error: ")
+        assert local.err.count("\n") == 1
+        for remote_rc, remote in outcomes:
+            assert remote_rc == 2 and remote.out == ""
+            assert remote.err == local.err
+
     def test_unreachable_server_exits_two(self, tmp_path, target, capsys):
         patch = tmp_path / "p.cocci"
         patch.write_text(SMPL_MATCH)
@@ -334,3 +378,37 @@ class TestServerExitParity:
                             f"unix:{tmp_path}/nope.sock", str(target)],
                            capsys)
         assert rc == 2
+
+
+class TestLocatedErrorsAcrossProcesses:
+    """An error raised in a forked pipeline worker reaches the parent as
+    the same error, so ``--jobs 2`` fails with the ``--jobs 1`` line."""
+
+    @pytest.mark.parametrize("error", [
+        LexError("unterminated block comment", "src/b.c", 2, 1),
+        CParseError("expected ';'", "a.c", 7, 12),
+        SmplParseError("bad metavariable", 3),
+        FrontendParseError("operation 1: missing 'action'", 4),
+    ], ids=lambda error: type(error).__name__)
+    def test_pickle_round_trip_keeps_the_fields(self, error):
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is type(error)
+        assert str(again) == str(error)
+        assert vars(again) == vars(error)
+
+    def test_parallel_run_prints_the_serial_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        tree = tmp_path / "t1" / "src"
+        tree.mkdir(parents=True)
+        (tree / "a.cu").write_text("void f(void) { cudaFree(p); }\n")
+        (tree / "b.c").write_text("int x;\n/* never closed\n")
+        (tree / "c.cu").write_text("void g(void) { cudaMalloc(&p, 4); }\n")
+        monkeypatch.chdir(tmp_path)
+        serial_rc, serial = run(["--cookbook", "cuda_to_hip", "--jobs", "1",
+                                 "t1"], capsys)
+        parallel_rc, parallel = run(["--cookbook", "cuda_to_hip", "--jobs",
+                                     "2", "t1"], capsys)
+        assert serial_rc == parallel_rc == 2
+        assert serial.err == ("repro-spatch: error: t1/src/b.c:2:0: "
+                              "unterminated block comment\n")
+        assert parallel.err == serial.err

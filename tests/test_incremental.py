@@ -906,6 +906,63 @@ class TestCliWatch:
         assert "changed_api" in outputs[-1]
         assert "quiet.c" not in outputs[-1]
 
+    def test_watch_spfile_edit_parses_only_the_edited_text(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        """A patch-edit round rebuilds the patch list through the run's
+        one builder: the edited sp-file's text is the only SMPL parsed,
+        and the unchanged sp-file and cookbook patch are the same objects,
+        compiled rules and prefilters included."""
+        import repro.api
+        import repro.cli.spatch as cli
+
+        parse = repro.api.parse_semantic_patch
+        parsed, rounds = [], []
+
+        def counting_parse(text, *args, **kwargs):
+            parsed.append(text)
+            return parse(text, *args, **kwargs)
+
+        apply = cli._apply
+
+        def recording_apply(patches, *args, **kwargs):
+            rounds.append((len(parsed), list(patches)))
+            return apply(patches, *args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "parse_semantic_patch",
+                            counting_parse)
+        monkeypatch.setattr(cli, "_apply", recording_apply)
+        first = tmp_path / "first.cocci"
+        first.write_text(RENAME_A)
+        second = tmp_path / "second.cocci"
+        second.write_text(RENAME_B)
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "hit.c").write_text("void f(void) { old_api(); }\n")
+        edited = "@r@ @@\n- mid_api();\n+ changed_api();\n"
+
+        def edit_later():
+            time.sleep(0.6)
+            second.write_text(edited)
+
+        editor = threading.Thread(target=edit_later)
+        editor.start()
+        try:
+            rc = spatch_main(["--sp-file", str(first), "--sp-file",
+                              str(second), "--cookbook", "cuda_to_hip",
+                              "--watch", "--watch-interval", "0.05",
+                              "--watch-polls", "40", str(src)])
+        finally:
+            editor.join()
+        assert rc == 0
+        assert "changed_api" in capsys.readouterr().out
+        (cold_parses, cold), (total_parses, again) = rounds
+        assert cold_parses == 3
+        assert parsed[cold_parses:] == [edited]
+        assert total_parses == cold_parses + 1
+        assert again[0] is cold[0] and again[2] is cold[2]
+        assert again[1] is not cold[1]
+
     def test_watch_spfile_edit_never_rewrites_unaffected_files(self, tmp_path,
                                                                capsys):
         """--in-place + a patch edit whose outcome is identical must not

@@ -137,12 +137,12 @@ def _patched_side(diff):
 
 @functools.lru_cache(maxsize=None)
 def _golden_texts():
-    from repro.cli.spatch import _cookbook_builders
+    from repro.cookbook import builders
 
     texts = [_patched_side(path.read_text())
              for path in sorted(GOLDEN_DIR.glob("*.diff"))]
     texts.extend(build().ast.source_text
-                 for _, build in sorted(_cookbook_builders().items()))
+                 for _, build in sorted(builders().items()))
     return tuple(texts)
 
 

@@ -364,6 +364,35 @@ class TestPipelineIntegration:
         assert _texts(rewarm) == _texts(cold)
         assert rewarm.stats.memo_misses == 0
 
+    def test_parallel_apply_writes_each_disk_entry_once(self, tmp_path,
+                                                        monkeypatch):
+        """The forked worker that computes a session writes its disk entry;
+        the parent only takes it into its memory tier.  Every write, in any
+        process, appends its key to one log file."""
+        files = {f"f{i}.c": HIT_TEXT.replace("f(", f"f{i}(")
+                 for i in range(6)}
+        patches = _patches(RENAME_A, RENAME_B)
+        log = tmp_path / "stores.log"
+        disk_store = TransformMemo._disk_store
+
+        def logged(memo, key, entry):
+            with open(log, "a", encoding="ascii") as handle:
+                handle.write("\0".join(key) + "\n")
+            disk_store(memo, key, entry)
+
+        monkeypatch.setattr(TransformMemo, "_disk_store", logged)
+        memo = TransformMemo(path=tmp_path / "m")
+        with Capture() as counts:
+            result = PatchSet(patches).apply(CodeBase.from_files(files),
+                                             jobs=2, memo=memo)
+        assert result.stats.jobs_used == 2
+        stores = log.read_text(encoding="ascii").splitlines()
+        assert len(stores) == len(set(stores)) == len(files) * len(patches)
+        counters = memo.counters(counts)
+        assert counters["stores"] == counters["disk_stores"] == len(stores)
+        # the parent's memory tier holds every entry all the same
+        assert len(memo) == len(stores)
+
     def test_pure_script_patches_are_memoized(self):
         scripted = ("@a@\nidentifier f;\n@@\nmarked(f);\n\n"
                     "@script:python s@\nf << a.f;\n@@\nprint(f)\n")

@@ -415,9 +415,9 @@ class TestCliPipeline:
 
     def test_unknown_cookbook_name_is_usage_error(self, tmp_path, capsys):
         target = self._write(tmp_path, "t.c", "int x;\n")
-        with pytest.raises(SystemExit) as excinfo:
-            spatch_main(["--cookbook", "nope", target])
-        assert excinfo.value.code == 2
+        assert spatch_main(["--cookbook", "nope", target]) == 2
+        assert capsys.readouterr().err \
+            == "repro-spatch: error: unknown cookbook patch 'nope'\n"
 
     def test_list_cookbook_includes_preset(self, capsys):
         assert spatch_main(["--list-cookbook"]) == 0

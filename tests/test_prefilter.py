@@ -71,8 +71,8 @@ def _cookbook_patch(name: str) -> SemanticPatch:
         # same cookbook patch at the arrays the GADGET workload declares
         from repro.cookbook import mdspan
         return mdspan.multiindex_patch_for_arrays({"rho": 3, "phi": 3})
-    from repro.cli.spatch import _cookbook_builders
-    return _cookbook_builders()[name]()
+    from repro.cookbook import builders
+    return builders()[name]()
 
 
 @pytest.mark.parametrize("name", sorted(COOKBOOK_WORKLOADS))

@@ -245,7 +245,9 @@ class TestApply:
         service.apply(name, spec)
         for bad in ([], [{"kind": "cookbook", "name": "no_such"}],
                     [{"kind": "smpl", "text": "@@@@ not smpl"}],
-                    [{"kind": "weird"}], [{"no": "kind"}]):
+                    [{"kind": "weird"}], [{"no": "kind"}],
+                    [{"kind": "cookbook", "name": ["no_such"]}],
+                    [{"kind": "smpl", "name": 3, "text": RENAME_SMPL}]):
             with pytest.raises(ServiceError):
                 service.apply(name, bad)
         payload = service.apply(name, spec, profile=True)
@@ -366,7 +368,7 @@ class TestConcurrency:
         and the LRU never outgrows its bound."""
         import sys
 
-        from repro.server.service import MAX_CACHED_PATCH_SPECS
+        from repro.api import MAX_CACHED_PATCH_SPECS
 
         service = make_service()
         names = [opened(service, f"w{index}",
@@ -415,7 +417,7 @@ class TestPatchCacheBound:
     def test_authoring_loop_cannot_grow_the_cache_forever(self):
         """One bound for the whole service, however many workspaces the
         revisions arrive through."""
-        from repro.server.service import MAX_CACHED_PATCH_SPECS
+        from repro.api import MAX_CACHED_PATCH_SPECS
 
         service = make_service()
         for name in ("w1", "w2"):
@@ -433,7 +435,7 @@ class TestCompiledFormsFollowTheSpecCache:
     so its compiled forms, are untouched by the first one's evictions."""
 
     def _flood(self, service, name):
-        from repro.server.service import MAX_CACHED_PATCH_SPECS
+        from repro.api import MAX_CACHED_PATCH_SPECS
 
         for revision in range(MAX_CACHED_PATCH_SPECS):
             service.apply(name, [smpl_spec(
