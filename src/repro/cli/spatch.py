@@ -71,7 +71,8 @@ import time
 
 from .. import __version__
 from ..api import C_SUFFIXES, CodeBase, PatchBuilder, PatchSet, SemanticPatch
-from ..engine.report import dumps, profile_payload, result_payload
+from ..engine.report import (dumps, profile_lines, profile_payload,
+                              result_payload)
 from ..errors import PatchFileError, ReproError, patch_error_line
 from ..obs import registry as _obs
 from ..options import SpatchOptions
@@ -212,7 +213,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "quiet for N consecutive polls (default: run "
                              "until interrupted)")
     parser.add_argument("--profile", action="store_true",
-                        help="print a timing/skip-rate breakdown to stderr")
+                        help="print the run's profile (coverage, cache, "
+                             "memo and matcher traffic, phase timings) to "
+                             "stderr as '# section.key: value' lines")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of the run's "
                              "phase spans (parse, prefilter, match, "
@@ -259,41 +262,6 @@ def _patch_specs(patch_args: list[tuple[str, str]]) -> list[dict]:
     return specs
 
 
-def _profile_lines(result, counts, memo=None) -> list[str]:
-    """The local ``--profile`` stderr block: the run's stats and reuse
-    breakdown, then the counters beyond them — process-wide parse-cache
-    traffic (hits/misses/dedup waits/evictions) and matcher
-    counters from the registry, plus — with ``--memo-dir`` or ``--watch`` —
-    the transform memo's two-tier traffic from its capture ``counts``."""
-    from ..engine.cache import DEFAULT_TREE_CACHE
-    from ..engine.compile import matcher_counters
-
-    lines = ["# --- profile ---"]
-    lines += [f"# {line}" for line in result.stats.describe().splitlines()]
-    if getattr(result, "incremental", None) is not None:
-        lines.append(f"# {result.incremental.describe()}")
-    cache = DEFAULT_TREE_CACHE.counters(_obs.REGISTRY)
-    lines.append(f"# parse cache (process): {cache['entries']}/"
-                 f"{cache['max_entries']} entries, {cache['hits']} hit(s), "
-                 f"{cache['misses']} miss(es), {cache['dedup_waits']} dedup "
-                 f"wait(s), {cache['evictions']} eviction(s)")
-    matcher = matcher_counters()
-    lines.append(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
-                 f"compiled, {matcher['match_calls']} match call(s)")
-    lines.append(f"# matcher candidates: {matcher['candidates_filtered']} of "
-                 f"{matcher['candidates_filtered'] + matcher['candidates_visited']} "
-                 f"pruned ({100.0 * matcher['filter_rate']:.1f}%), "
-                 f"{matcher['trees_indexed']} tree(s) indexed, "
-                 f"{matcher['index_reuses']} index reuse(s)")
-    if memo is not None:
-        counters = memo.counters(counts)
-        lines.append(f"# transform memo: {counters['hits']} hit(s) "
-                     f"({counters['disk_hits']} from disk), "
-                     f"{counters['misses']} miss(es), {counters['stores']} "
-                     f"store(s), {counters['entries']} entr(ies) in memory")
-    return lines
-
-
 def _payload_flags(args) -> dict:
     """The payload sections this run prints or writes — diffs for plain and
     ``--json`` runs, changed texts for ``--in-place`` — asked alike of the
@@ -303,12 +271,14 @@ def _payload_flags(args) -> dict:
 
 
 def _render(payload: dict, names, paths: dict[str, pathlib.Path], args,
-            profile_lines=(), report: bool = True) -> int:
+            report: bool = True) -> int:
     """Print one result payload, local and ``--server`` runs alike: the
-    ``--report``/``--verbose`` lines, the profile lines, the ``--json``
-    line, then the ``--in-place`` rewrites or the diff.  Every per-file walk
-    follows the local load order ``names`` (a JSON round trip sorts the
-    payload's files; a watch round passes only the files it touched).
+    ``--report``/``--verbose`` lines, the ``--profile`` lines of its
+    ``"profile"`` section (:func:`~repro.engine.report.profile_lines`), the
+    ``--json`` line, then the ``--in-place`` rewrites or the diff.  Every
+    per-file walk follows the local load order ``names`` (a JSON round trip
+    sorts the payload's files; a watch round passes only the files it
+    touched).
     Returns the payload's exit status."""
     files = payload["files"]
     names = [name for name in names if name in files]
@@ -321,7 +291,7 @@ def _render(payload: dict, names, paths: dict[str, pathlib.Path], args,
             for rule in files[name]["rules"]:
                 print(f"#   {name}: rule {rule['rule']} -> "
                       f"{rule['matches']} match(es)", file=sys.stderr)
-    for line in profile_lines:
+    for line in profile_lines(payload.get("profile", {})):
         print(line, file=sys.stderr)
     if args.json:
         sys.stdout.write(dumps(payload) + "\n")
@@ -549,16 +519,13 @@ def _run(parser, args, options: SpatchOptions, journal=None) -> int:
         return 2
 
     payload = result_payload(result, patches, **_payload_flags(args))
-    profile_lines = []
-    if args.profile and result.stats is not None:
-        profile_lines = _profile_lines(result, counts, memo=memo)
-    if args.profile and args.json:
+    if args.profile:
         from ..engine.cache import DEFAULT_TREE_CACHE
 
         payload["profile"] = profile_payload(
             result, counts, cache=DEFAULT_TREE_CACHE, memo=memo)
     names = codebase.names()
-    code = _render(payload, names, paths, args, profile_lines)
+    code = _render(payload, names, paths, args)
     if not args.watch:
         return code
     _fold_rewrites(codebase, payload, names, paths)
@@ -627,8 +594,6 @@ def _remote_main(args, options: SpatchOptions, specs: list[dict]) -> int:
 
 def _remote_run(args, options: SpatchOptions, codebase, paths,
                 workspace: str, specs) -> int:
-    import json
-
     from ..obs import trace as _trace
     from ..server.client import ConnectionLost, RemoteClient, RemoteError
     from ..server.protocol import options_payload
@@ -679,12 +644,7 @@ def _remote_run(args, options: SpatchOptions, codebase, paths,
                 print(f"repro-spatch: server: {exc}{tag}", file=sys.stderr)
             return 2
 
-    profile_lines = []
-    if args.profile and "profile" in payload:
-        profile_lines = ["# --- profile (server) ---"] + [
-            f"# {line}" for line in json.dumps(
-                payload["profile"], indent=1, sort_keys=True).splitlines()]
-    return _render(payload, codebase.names(), paths, args, profile_lines)
+    return _render(payload, codebase.names(), paths, args)
 
 
 def _fold_rewrites(codebase: CodeBase, payload: dict, names,

@@ -21,8 +21,8 @@ the current files:
   :class:`~repro.engine.report.FileResult`\\ s (combined and per patch) are
   shared with the fresh result — they are immutable, so the prior
   result's own objects serve, with their cached diffs and counts, and
-  nothing is copied — and their recorded coverage contributions
-  reconstruct the skip/gate counters a cold run would report;
+  nothing is copied — and their records count toward the skip/gate
+  counters exactly as a cold run would count them;
 * changed and added files **re-run** through the pipeline's own
   plan/apply machinery (token scan, union prefilter, serial or fork-pool
   application) — exactly the path a cold run would take for them;
@@ -59,7 +59,6 @@ fresh process by content.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,8 +86,6 @@ class IncrementalStats:
     patches_total: int = 0
     #: why the run degraded to a cold pipeline pass (``None`` = incremental)
     fallback: Optional[str] = None
-    hash_seconds: float = 0.0
-    total_seconds: float = 0.0
 
     @property
     def files_rerun(self) -> int:
@@ -106,15 +103,6 @@ class IncrementalStats:
         payload["files_rerun"] = self.files_rerun
         payload["reuse_rate"] = self.reuse_rate
         return payload
-
-    def describe(self) -> str:
-        if self.fallback is not None:
-            return (f"incremental: fell back to a cold run ({self.fallback}); "
-                    f"{self.files_total} file(s) processed")
-        return (f"incremental: {self.files_reused} reused ({self.reuse_rate:.0%}), "
-                f"{self.files_changed} changed + {self.files_added} added "
-                f"re-run, {self.files_dropped} dropped  "
-                f"hash: {self.hash_seconds:.3f}s  total: {self.total_seconds:.3f}s")
 
 
 class IncrementalPipeline:
@@ -150,7 +138,6 @@ class IncrementalPipeline:
 
     def _run(self, files: dict[str, str],
              since: Optional[PipelineResult]) -> PipelineResult:
-        started = time.perf_counter()
         pipeline = self.pipeline
         incremental = IncrementalStats(files_total=len(files),
                                        patches_total=len(pipeline.patches))
@@ -169,7 +156,6 @@ class IncrementalPipeline:
             incremental = IncrementalStats(
                 files_total=len(files), files_changed=len(files),
                 patches_total=len(pipeline.patches), fallback=reason)
-        incremental.total_seconds = time.perf_counter() - started
         result.incremental = incremental
         return result
 
@@ -203,7 +189,6 @@ class IncrementalPipeline:
         """The files whose prior results still answer (hash-unchanged, with
         a well-formed record), counting the reuse breakdown."""
         n_patches = len(self.pipeline.patches)
-        hash_started = time.perf_counter()
         reused: dict[str, FileRecord] = {}
         for name, text in files.items():
             record = since.records.get(name)
@@ -223,6 +208,5 @@ class IncrementalPipeline:
                 incremental.files_changed += 1
         incremental.files_dropped = sum(1 for name in since.records
                                         if name not in files)
-        incremental.hash_seconds = time.perf_counter() - hash_started
         return reused
 

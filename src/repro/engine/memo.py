@@ -392,6 +392,17 @@ class TransformMemo:
         return os.path.join(self.path, "blobs", text_sha[:2],
                             text_sha + ".blob")
 
+    def _remember_blob(self, text_sha: str, text: str) -> bool:
+        """Put ``text`` at the young end of the memory blob LRU, evicting
+        past ``max_blob_entries``; returns whether it was already held."""
+        with self._lock:
+            known = text_sha in self._blobs
+            self._blobs[text_sha] = text
+            self._blobs.move_to_end(text_sha)
+            while len(self._blobs) > self.max_blob_entries:
+                self._blobs.popitem(last=False)
+        return known
+
     def store_text(self, text: str, text_sha: Optional[str] = None) -> str:
         """Remember raw file text by content hash (memory LRU + on-disk
         blob when a ``path`` is configured); returns the hash.  This is the
@@ -400,12 +411,7 @@ class TransformMemo:
         can be *recalled* by hash instead of re-uploaded."""
         if text_sha is None:
             text_sha = content_sha1(text)
-        with self._lock:
-            known = text_sha in self._blobs
-            self._blobs[text_sha] = text
-            self._blobs.move_to_end(text_sha)
-            while len(self._blobs) > self.max_blob_entries:
-                self._blobs.popitem(last=False)
+        known = self._remember_blob(text_sha, text)
         if not known:
             _COUNTS["blob_stores"].inc()
         if not known and self.path is not None:
@@ -453,11 +459,7 @@ class TransformMemo:
                     pass
             if text is not None:
                 _COUNTS["blob_hits"].inc()
-                with self._lock:
-                    self._blobs[text_sha] = text
-                    self._blobs.move_to_end(text_sha)
-                    while len(self._blobs) > self.max_blob_entries:
-                        self._blobs.popitem(last=False)
+                self._remember_blob(text_sha, text)
                 return text
         _COUNTS["blob_misses"].inc()
         return None

@@ -157,7 +157,11 @@ def run_fork_pool(items: list, jobs: int, initializer, initargs, worker) -> list
 
 @dataclass
 class PipelineStats:
-    """Timing/coverage breakdown of one pipeline run (``--profile``)."""
+    """Coverage breakdown and wall time of one pipeline run (``--profile``).
+
+    The coverage counters are derived once the run is assembled, from its
+    :class:`FileRecord`\\ s (see :meth:`PatchPipeline._coverage`); the
+    per-phase timings live in the run's capture."""
 
     patches: int = 0
     files_total: int = 0
@@ -174,8 +178,6 @@ class PipelineStats:
     prefilter: bool = True
     jobs_requested: "int | str" = 1
     jobs_used: int = 1
-    scan_seconds: float = 0.0
-    apply_seconds: float = 0.0
     total_seconds: float = 0.0
     #: parse-cache traffic of the run, in this process and its workers
     cache_hits: int = 0
@@ -216,35 +218,16 @@ class PipelineStats:
             memo = memo_counts(counts)
             self.memo_hits, self.memo_misses = memo["hits"], memo["misses"]
 
-    def describe(self) -> str:
-        lines = [
-            f"patches: {self.patches}  files: {self.files_total}  "
-            f"skipped for the whole pipeline: {self.files_skipped} "
-            f"({self.skip_rate:.0%})",
-            f"sessions: {self.sessions_run} run, {self.sessions_gated} gated "
-            f"({self.session_rate:.0%} of file x patch pairs ran)",
-            f"rule applications gated by prefilter: {self.rules_gated}",
-            f"jobs: {self.jobs_used} (requested {self.jobs_requested})  "
-            f"prefilter: {'on' if self.prefilter else 'off'}",
-            f"token scan: {self.scan_seconds:.3f}s  apply: "
-            f"{self.apply_seconds:.3f}s  total: {self.total_seconds:.3f}s",
-            f"parse cache: {self.cache_hits} hit(s), "
-            f"{self.cache_misses} miss(es)",
-        ]
-        if self.memo_hits or self.memo_misses:
-            lines.append(f"transform memo: {self.memo_hits} hit(s), "
-                         f"{self.memo_misses} miss(es)")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class FileRecord:
     """Per-file reuse metadata a pipeline run leaves behind.
 
     Enough to splice this file's cached results into a later incremental
-    run *and* reconstruct its exact contribution to the coverage counters
-    (``files_skipped`` / ``sessions_run`` / ``rules_gated``), so an
-    incremental result's stats match a cold run's modulo timing.
+    run, and the one source of the run's coverage counters
+    (``files_skipped`` / ``sessions_run`` / ``rules_gated``, see
+    :meth:`PatchPipeline._coverage`), so a spliced file counts exactly as
+    it would in a cold run.
     """
 
     #: content hash of the *input* text this file's results were computed
@@ -639,15 +622,11 @@ class PatchPipeline:
         started = time.perf_counter()
         if self._stale:
             self.engines, self._stale = self._new_engines(), False
-        stats = self.stats = PipelineStats(
-            patches=len(self.patches), files_total=len(files),
-            prefilter=self.prefilter_enabled,
-            jobs_requested=self.jobs_requested)
         self._run_initialize(files)
         rerun = {name: text for name, text in files.items()
                  if name not in reused} if reused else files
-        outcomes, skipped, in_order = self._plan_and_apply(rerun, stats,
-                                                           serial)
+        outcomes, skipped, jobs_used, in_order = self._plan_and_apply(
+            rerun, serial)
         impure = _impure_patches(outcomes.values())
         if impure and (reused or not in_order):
             # each worker (or the prior run, or a memo answer given before
@@ -658,38 +637,36 @@ class PatchPipeline:
             return None if reused else self._run(files, serial=True)
 
         # ---- assemble in input order: splice or take the fresh outcome
-        result, per_patch_stats = self._fresh_result(len(files), stats.jobs_used)
+        result = PipelineResult(
+            patch_names=list(self.names),
+            per_patch=[PatchResult() for _ in self.patches],
+            fingerprint=self.fingerprint)
         with _obs.phase("splice") if reused is not None else nullcontext():
             for name, text in files.items():
                 if reused and name in reused:
-                    self._assemble_reused(result, per_patch_stats, stats,
-                                          name, reused[name], since)
+                    self._assemble_reused(result, name, reused[name], since)
                 elif name in skipped:
-                    self._assemble_skipped(result, per_patch_stats, stats,
-                                           name, text)
+                    self._assemble_skipped(result, name, text)
                 else:
-                    self._assemble_outcome(result, per_patch_stats, stats,
-                                           name, text, outcomes[name])
+                    self._assemble_outcome(result, name, text, outcomes[name])
 
-        self._run_finalize(result, per_patch_stats, impure)
+        self._run_finalize(result, impure)
         self._stale = bool(impure)
-        stats.total_seconds = time.perf_counter() - started
-        result.stats = stats
+        result.stats = self.stats = self._coverage(result, jobs_used)
+        result.stats.total_seconds = time.perf_counter() - started
         return result
 
     # -- run() building blocks ------------------------------------------------
 
-    def _plan_and_apply(self, files: dict[str, str], stats: PipelineStats,
-                        serial: bool,
-                        ) -> tuple[dict[str, _FileOutcome], set[str], bool]:
+    def _plan_and_apply(self, files: dict[str, str], serial: bool,
+                        ) -> tuple[dict[str, _FileOutcome], set[str], int,
+                                   bool]:
         """Token-scan ``files``, run the surviving sessions (serial or over
         worker processes) and return ``(outcomes, whole-skipped names,
-        in_order)`` (see :meth:`_apply_work`).  Updates the scan/apply
-        timing, skip and jobs fields of ``stats``."""
+        jobs_used, in_order)`` (see :meth:`_apply_work`)."""
         # ---- plan: which files could any patch possibly touch
         work: list[tuple[str, str, Optional[frozenset[str]]]] = []
         skipped: set[str] = set()
-        scan_started = time.perf_counter()
         for name, text in files.items():
             if self.prefilter is None:
                 work.append((name, text, None))
@@ -700,16 +677,10 @@ class PatchPipeline:
                 work.append((name, text, tokens))
             else:
                 skipped.add(name)
-                stats.files_skipped += 1
-        stats.scan_seconds = time.perf_counter() - scan_started
 
         jobs = 1 if serial else self._effective_jobs(len(work))
-
-        # ---- apply
-        apply_started = time.perf_counter()
-        outcomes, stats.jobs_used, in_order = self._apply_work(work, jobs)
-        stats.apply_seconds = time.perf_counter() - apply_started
-        return outcomes, skipped, in_order
+        outcomes, jobs_used, in_order = self._apply_work(work, jobs)
+        return outcomes, skipped, jobs_used, in_order
 
     def _run_initialize(self, files: dict[str, str]) -> None:
         """Initialize rules: once per patch, as soon as any file is processed
@@ -786,66 +757,32 @@ class PatchPipeline:
                 text = file_result.text
                 text_sha = output_sha  # None when unmemoized: rehash lazily
 
-    def _fresh_result(self, n_files: int, jobs_used: int,
-                      ) -> tuple[PipelineResult, list[PipelineStats]]:
-        """An empty result plus per-patch coverage counters, shaped like a
-        sequential one-patch run's stats (timing is not broken out per patch
-        — the pass is shared)."""
-        result = PipelineResult(
-            patch_names=list(self.names),
-            per_patch=[PatchResult() for _ in self.patches],
-            fingerprint=self.fingerprint)
-        per_patch_stats = [
-            PipelineStats(patches=1, files_total=n_files,
-                          prefilter=self.prefilter_enabled,
-                          jobs_requested=self.jobs_requested,
-                          jobs_used=jobs_used)
-            for _ in self.patches]
-        return result, per_patch_stats
-
-    def _assemble_skipped(self, result: PipelineResult,
-                          per_patch_stats: list[PipelineStats],
-                          stats: PipelineStats, name: str, text: str) -> None:
+    def _assemble_skipped(self, result: PipelineResult, name: str,
+                          text: str) -> None:
         """Splice one whole-pipeline-skipped file into ``result``: every
         view of it is the same untouched, immutable result."""
-        n_rules_per_patch = self._n_rules_per_patch
         untouched = FileResult(filename=name, original_text=text, text=text)
-        for index, patch_result in enumerate(result.per_patch):
+        for patch_result in result.per_patch:
             patch_result.files[name] = untouched
-            per_patch_stats[index].files_skipped += 1
-            per_patch_stats[index].rules_gated += n_rules_per_patch[index]
         result.files[name] = untouched
         result.records[name] = FileRecord(
             sha1=content_sha1(text), skipped=True,
             ran=(False,) * len(self.patches),
-            rules_gated=tuple(n_rules_per_patch))
-        stats.sessions_gated += len(self.patches)
-        stats.rules_gated += sum(n_rules_per_patch)
+            rules_gated=tuple(self._n_rules_per_patch))
 
     @staticmethod
-    def _assemble_reused(result: PipelineResult,
-                         per_patch_stats: list[PipelineStats],
-                         stats: PipelineStats, name: str, record: FileRecord,
-                         since: PipelineResult) -> None:
-        """Splice one hash-unchanged file's cached results into ``result``
-        (``since``'s own immutable objects, shared, not copied),
-        reconstructing its exact contribution to the coverage counters."""
+    def _assemble_reused(result: PipelineResult, name: str,
+                         record: FileRecord, since: PipelineResult) -> None:
+        """Splice one hash-unchanged file's cached results and record into
+        ``result`` (``since``'s own immutable objects, shared, not
+        copied)."""
         for index, patch_result in enumerate(result.per_patch):
             patch_result.files[name] = since.per_patch[index].files[name]
-            if not record.ran[index]:
-                per_patch_stats[index].files_skipped += 1
-            per_patch_stats[index].rules_gated += record.rules_gated[index]
         result.files[name] = since.files[name]
         result.records[name] = record
-        if record.skipped:
-            stats.files_skipped += 1
-        stats.sessions_run += sum(record.ran)
-        stats.sessions_gated += len(record.ran) - sum(record.ran)
-        stats.rules_gated += sum(record.rules_gated)
 
-    def _assemble_outcome(self, result: PipelineResult,
-                          per_patch_stats: list[PipelineStats],
-                          stats: PipelineStats, name: str, text: str,
+    @staticmethod
+    def _assemble_outcome(result: PipelineResult, name: str, text: str,
                           outcome: _FileOutcome) -> None:
         """Splice one file's freshly computed session outcomes into ``result``."""
         result.records[name] = FileRecord(
@@ -854,12 +791,6 @@ class PatchPipeline:
             rules_gated=tuple(outcome.rules_gated))
         for index, file_result in enumerate(outcome.results):
             result.per_patch[index].files[name] = file_result
-            if not outcome.ran[index]:
-                per_patch_stats[index].files_skipped += 1
-            per_patch_stats[index].rules_gated += outcome.rules_gated[index]
-        stats.sessions_run += sum(outcome.ran)
-        stats.sessions_gated += len(self.patches) - sum(outcome.ran)
-        stats.rules_gated += sum(outcome.rules_gated)
         final_text = outcome.results[-1].text if outcome.results else text
         result.files[name] = FileResult(
             filename=name, original_text=text, text=final_text,
@@ -868,9 +799,7 @@ class PatchPipeline:
             diagnostics=tuple(d for fr in outcome.results
                               for d in fr.diagnostics))
 
-    def _run_finalize(self, result: PipelineResult,
-                      per_patch_stats: list[PipelineStats],
-                      impure: set[int]) -> None:
+    def _run_finalize(self, result: PipelineResult, impure: set[int]) -> None:
         """Finalize rules run once per patch, in patch order, at the end,
         after one warning for each patch whose scripts were impure."""
         for index, (engine, patch_result) in enumerate(
@@ -885,8 +814,36 @@ class PatchPipeline:
                             f"order; it ran serially and is not reused"))
             engine._run_finalize_rules(patch_result)
             result.diagnostics.extend(patch_result.diagnostics)
-            patch_result.stats = per_patch_stats[index]
         result.impure_patches = [self.names[index] for index in sorted(impure)]
+
+    def _coverage(self, result: PipelineResult,
+                  jobs_used: int) -> PipelineStats:
+        """The run's coverage counters, derived from the assembled
+        ``result.records`` alone: a fresh, skipped or spliced file counts
+        the same.  Each per-patch result gets its own stats, shaped like a
+        sequential one-patch run's (``files_skipped`` counts the files that
+        patch ran no session on); the whole-run stats are returned."""
+        records = result.records.values()
+        shape = dict(files_total=len(records),
+                     prefilter=self.prefilter_enabled,
+                     jobs_requested=self.jobs_requested, jobs_used=jobs_used)
+        # one column per patch: whether its session ran, rules gated
+        ran = list(zip(*(record.ran for record in records))) \
+            or [()] * len(self.patches)
+        gated = list(zip(*(record.rules_gated for record in records))) \
+            or [()] * len(self.patches)
+        for patch_result, patch_ran, patch_gated in zip(result.per_patch,
+                                                        ran, gated):
+            patch_result.stats = PipelineStats(
+                patches=1, files_skipped=patch_ran.count(False),
+                rules_gated=sum(patch_gated), **shape)
+        sessions_run = sum(column.count(True) for column in ran)
+        return PipelineStats(
+            patches=len(self.patches),
+            files_skipped=sum(record.skipped for record in records),
+            sessions_run=sessions_run,
+            sessions_gated=len(records) * len(self.patches) - sessions_run,
+            rules_gated=sum(map(sum, gated)), **shape)
 
     # -- parallel execution ---------------------------------------------------
 

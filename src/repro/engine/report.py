@@ -10,7 +10,8 @@ runs are comparable byte-for-byte.  The payload is split into a
 status, everything two byte-identical runs agree on — and a volatile
 ``"profile"`` section (:func:`profile_payload`: timings, cache counters,
 reuse breakdowns) that is only attached on request and never part of
-parity comparisons.
+parity comparisons; :func:`profile_lines` is its one ``--profile`` text
+form, local and ``--server`` alike.
 
 :class:`FileResult` and :class:`RuleReport` are immutable values that
 results share instead of copying; each file's derived facts are computed
@@ -284,8 +285,8 @@ def result_payload(result, patches: Sequence, *, include_diff: bool = True,
 
 
 def profile_payload(result, counts, *, cache=None, memo=None) -> dict:
-    """The volatile companion of :func:`result_payload`: timings and
-    coverage from the run's stats, the incremental reuse breakdown, and —
+    """The volatile companion of :func:`result_payload`: coverage and wall
+    time from the run's stats, the incremental reuse breakdown, and —
     from ``counts``, the run's :class:`~repro.obs.registry.Capture` — the
     cache/memo/matcher traffic and per-phase wall times of that run alone
     (pass the :class:`~repro.engine.cache.TreeCache` /
@@ -311,3 +312,29 @@ def profile_payload(result, counts, *, cache=None, memo=None) -> dict:
     if phases:
         payload["phases"] = phases
     return payload
+
+
+def profile_lines(profile: dict) -> list[str]:
+    """The one human-readable form of a :func:`profile_payload`, a local
+    run's own or the ``"profile"`` a daemon answered with: one
+    ``# section.key: value`` line per value, keys sorted so the two print
+    alike (a top-level scalar is ``# key: value``; a value that is itself
+    a mapping, a phase's histogram summary, stays on its line as sorted
+    ``key=value`` pairs)."""
+    lines = []
+    for section, body in sorted(profile.items()):
+        items = sorted(body.items()) if isinstance(body, dict) \
+            else [(None, body)]
+        for key, value in items:
+            name = section if key is None else f"{section}.{key}"
+            lines.append(f"# {name}: {_profile_value(value)}")
+    return lines
+
+
+def _profile_value(value) -> str:
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_profile_value(item)}"
+                        for key, item in sorted(value.items()))
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)

@@ -8,6 +8,11 @@ comparing.  The ``unsorted`` layout names its targets out of name order
 (``z.c a.c``): per-file output follows the targets, not the sorted keys
 of a JSON round trip.
 
+``--profile`` prints one format in both modes: the run's profile payload
+as ``# section.key: value`` lines, with the same stats, parse-cache and
+matcher keys whether the run was local, in a daemon or in a daemon's
+fleet worker.
+
 A plain run never touches the server layer: importing the CLI loads no
 ``repro.server`` module (``--server`` imports its client on demand).  Nor
 does a plain cookbook run load the transform memo, the incremental layer,
@@ -28,6 +33,8 @@ from repro.cli.spatch import main as spatch_main
 from repro.engine.report import dumps
 from repro.server.daemon import PatchDaemon
 from repro.server.service import PatchService
+
+from profile_text import PROFILE_LINE
 
 SMPL = ("@r1@ @@\n- old();\n+ new_call();\n\n"
         "@r2@ @@\n- legacy();\n+ modern();\n")
@@ -242,3 +249,33 @@ def test_increment_lines_count_alike_local_and_server(flags, daemon,
         assert (summary["lines_added"], summary["lines_removed"]) == (1, 1)
     else:
         assert "matches: 1  +1 -1" in err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_local_and_server_profiles_print_alike(workers, tmp_path, capsys):
+    """One ``--profile`` renderer: local lines and the lines of a daemon's
+    profile (in-process with ``workers=1``, from a fleet worker with
+    ``workers=2``) share the format and the stats, parse-cache and
+    matcher keys."""
+    daemon = PatchDaemon(f"unix:{tmp_path}/profile.sock",
+                         PatchService(workers=workers))
+    daemon.serve_in_thread()
+    root = tmp_path / "src"
+    cocci = tmp_path / "rename.cocci"
+    cocci.write_text(SMPL)
+    argv = ["--sp-file", str(cocci), "--profile", str(root)]
+    try:
+        local = run(argv, root, capsys)
+        remote = run(["--server", daemon.address, *argv], root, capsys)
+    finally:
+        daemon.shutdown()
+
+    keys = []
+    for code, out, err, _written in (local, remote):
+        assert (code, out) == local[:2] and code == 0
+        lines = err.splitlines()
+        assert lines and all(PROFILE_LINE.match(line) for line in lines), err
+        keys.append([line.split(":")[0] for line in lines
+                     if line.startswith(("# stats.", "# parse_cache.",
+                                         "# matcher."))])
+    assert keys[0] == keys[1] and "# stats.files_total" in keys[0]

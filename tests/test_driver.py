@@ -8,6 +8,7 @@ from repro import CodeBase, SemanticPatch, __version__
 from repro.engine import Engine
 from repro.engine.cache import TreeCache
 from repro.engine.pipeline import resolve_jobs
+from repro.engine.report import profile_lines
 from repro.cli.spatch import main as spatch_main
 
 
@@ -38,7 +39,8 @@ class TestDriver:
         assert 0 < result.stats.skip_rate < 1
         # one rule, gated in each of the six skipped files
         assert result.stats.rules_gated == 6
-        assert "skipped for the whole pipeline: 6" in result.stats.describe()
+        assert "# stats.files_skipped: 6" \
+            in profile_lines({"stats": result.stats.as_dict()})
         assert result.result_for(0).stats.files_skipped == 6
         assert result["match_0.c"].changed
         assert not result["plain_0.c"].changed
@@ -216,8 +218,8 @@ class TestCliExitCodes:
                           str(target)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "profile" in captured.err
-        assert "parse cache" in captured.err
+        assert "# stats.prefilter: False" in captured.err
+        assert "# parse_cache.misses: " in captured.err
 
     def test_in_place_exit_codes(self, tmp_path, capsys):
         target = tmp_path / "a.c"

@@ -25,7 +25,9 @@ from repro.cli.spatch import main as spatch_main
 from repro.engine.cache import content_sha1
 from repro.engine.incremental import IncrementalPipeline, IncrementalStats
 from repro.engine.memo import TransformMemo
+from repro.engine.report import profile_lines
 
+from profile_text import profile_of
 from test_prefilter import _cookbook_patch
 from test_pipeline_differential import _mini
 
@@ -501,16 +503,18 @@ class TestPatchListChanges:
 
 
 class TestIncrementalStats:
-    def test_describe_mentions_reuse_breakdown(self):
+    def test_profile_lines_show_reuse_breakdown(self):
         stats = IncrementalStats(files_total=4, files_reused=3,
                                  files_changed=1)
-        described = stats.describe()
-        assert "3 reused (75%)" in described
-        assert "1 changed" in described
+        lines = profile_lines({"incremental": stats.as_dict()})
+        assert "# incremental.files_reused: 3" in lines
+        assert "# incremental.reuse_rate: 0.75" in lines
+        assert "# incremental.files_changed: 1" in lines
 
-    def test_describe_mentions_fallback(self):
+    def test_profile_lines_show_fallback(self):
         stats = IncrementalStats(files_total=2, fallback="no prior result")
-        assert "cold run" in stats.describe()
+        assert "# incremental.fallback: no prior result" \
+            in profile_lines({"incremental": stats.as_dict()})
 
     def test_rates_with_zero_files(self):
         assert IncrementalStats().reuse_rate == 0.0
@@ -648,6 +652,13 @@ class TestResultForKeyError:
 # CLI: --incremental and --watch
 # ---------------------------------------------------------------------------
 
+def _memo_traffic(err: str) -> tuple[str, str, str]:
+    """``(hits, disk_hits, misses)`` of a ``--profile`` run's memo lines."""
+    profile = profile_of(err)
+    return tuple(profile[f"memo.{key}"]
+                 for key in ("hits", "disk_hits", "misses"))
+
+
 class TestCliIncremental:
     """``--incremental DIR`` is the other spelling of ``--memo-dir DIR``: a
     repeated invocation is answered by the memo directory, and nothing but
@@ -670,13 +681,11 @@ class TestCliIncremental:
         first = capsys.readouterr()
         # cold: hit.c's one session misses (miss.c is skipped by the
         # prefilter)
-        assert "# transform memo: 0 hit(s) (0 from disk), 1 miss(es)" \
-            in first.err
+        assert _memo_traffic(first.err) == ("0", "0", "1")
 
         assert spatch_main(argv) == 0
         second = capsys.readouterr()
-        assert "# transform memo: 1 hit(s) (1 from disk), 0 miss(es)" \
-            in second.err
+        assert _memo_traffic(second.err) == ("1", "1", "0")
         assert second.out == first.out  # identical diff
 
     def test_pre_change_state_file_is_never_opened(self, tmp_path, capsys):
@@ -731,8 +740,7 @@ class TestCliIncremental:
         assert spatch_main(argv) == 0
         captured = capsys.readouterr()
         # twin.c is answered from disk; only the edited hit.c runs
-        assert "# transform memo: 1 hit(s) (1 from disk), 1 miss(es)" \
-            in captured.err
+        assert _memo_traffic(captured.err) == ("1", "1", "1")
 
     def test_other_patch_shares_the_directory_without_crosstalk(
             self, tmp_path, capsys):
@@ -745,7 +753,7 @@ class TestCliIncremental:
                           "--profile", src])
         captured = capsys.readouterr()
         assert rc == 1  # RENAME_B matches nothing in the pristine tree
-        assert "# transform memo: 0 hit(s) (0 from disk)" in captured.err
+        assert _memo_traffic(captured.err)[:2] == ("0", "0")
 
     def test_appended_patch_between_invocations_hits_the_memo(self, tmp_path,
                                                              capsys):
@@ -763,8 +771,7 @@ class TestCliIncremental:
         assert rc == 0
         # hit.c's first-patch session from disk; the appended patch's one
         # session on hit.c misses (miss.c is skipped by the prefilter)
-        assert "# transform memo: 1 hit(s) (1 from disk), 1 miss(es)" \
-            in captured.err
+        assert _memo_traffic(captured.err) == ("1", "1", "1")
         # mid_api (written by the first patch) became new_api via the second
         assert "+void f(void) { new_api(); }" in captured.out
 
@@ -776,7 +783,7 @@ class TestCliIncremental:
         assert spatch_main(["--sp-file", cocci, "--incremental", state,
                             "--memo-dir", state + "/", "--profile",
                             src]) == 0
-        assert "1 hit(s) (1 from disk)" in capsys.readouterr().err
+        assert _memo_traffic(capsys.readouterr().err)[:2] == ("1", "1")
 
     def test_only_plain_data_persists(self, tmp_path):
         """The directory holds JSON memo entries, nothing else: no result,

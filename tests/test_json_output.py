@@ -16,8 +16,14 @@ import pytest
 
 from repro import CodeBase, PatchSet, SemanticPatch
 from repro.cli.spatch import main as spatch_main
-from repro.engine.report import RESULT_SCHEMA, result_payload
+from repro.engine.cache import DEFAULT_TREE_CACHE, parse_cache_counts
+from repro.engine.compile import matcher_counters
+from repro.engine.report import RESULT_SCHEMA, profile_lines, result_payload
+from repro.obs import Capture
+from repro.obs.registry import REGISTRY
 from repro.server.service import PatchService
+
+from profile_text import PROFILE_LINE, profile_of
 
 RENAME_SMPL = "@r@ @@\n- old();\n+ new_call();\n"
 
@@ -99,9 +105,40 @@ class TestJsonFlag:
         assert {"hits", "misses", "dedup_waits", "evictions"} \
             <= set(profile["parse_cache"])
         assert "token_index" not in profile
-        # the human-readable --profile lines surface the same counters
-        assert "parse cache (process):" in captured.err
-        assert "token index:" not in captured.err
+        # the --profile lines are the same section, rendered
+        lines = profile_of(captured.err)
+        assert lines["stats.files_total"] == "2"
+        for key, value in profile["parse_cache"].items():
+            assert lines[f"parse_cache.{key}"] == str(value)
+        assert "token_index" not in captured.err
+
+    def test_second_run_reports_only_its_own_traffic(self, project, capsys):
+        """Two ``--profile`` runs in one process: every parse-cache and
+        matcher line of the second is that run's own count, and no line is
+        a process-wide total."""
+        tmp_path, cocci = project
+        argv = ["--json", "--profile", "--sp-file", str(cocci),
+                str(tmp_path)]
+        assert spatch_main(argv) == 0
+        capsys.readouterr()
+        with Capture() as counts:
+            assert spatch_main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines and all(PROFILE_LINE.match(line) for line in lines)
+        profile = json.loads(captured.out)["profile"]
+        own = {"parse_cache": DEFAULT_TREE_CACHE.counters(counts),
+               "matcher": matcher_counters(counts)}
+        assert {section: profile[section] for section in own} == own
+        assert [line for line in lines
+                if line.startswith(("# parse_cache.", "# matcher."))] \
+            == profile_lines(own)
+        # the second run parsed nothing and compiled only its own patch,
+        # while the process has missed and compiled for both runs
+        assert profile["parse_cache"]["misses"] == 0 \
+            < parse_cache_counts(REGISTRY)["misses"]
+        assert 0 < profile["matcher"]["rules_compiled"] \
+            < matcher_counters()["rules_compiled"]
 
     def test_pipeline_payload_has_per_patch_rows(self, tmp_path, capsys):
         (tmp_path / "a.c").write_text("void f(void) { old(); gone(); }\n")

@@ -716,11 +716,22 @@ class TestBlobTier:
         assert victim.exists()
         assert memo.counters(counts)["disk_errors"] == 0
 
-    def test_memory_lru_is_bounded(self):
+    def test_memory_lru_is_bounded(self, tmp_path):
         memo = TransformMemo(max_blob_entries=2)
         shas = [memo.store_text(f"int x{i};\n") for i in range(4)]
         assert memo.counters(Capture())["blob_entries"] == 2
         assert memo.recall_text(shas[0]) is None  # evicted, no disk tier
+
+        # a recall answered from disk promotes the text into a full memory
+        # tier, which evicts its oldest blob to stay at the bound
+        old_sha = TransformMemo(path=tmp_path).store_text("int on_disk;\n")
+        memo = TransformMemo(path=tmp_path, max_blob_entries=2)
+        shas = [memo.store_text(f"int y{i};\n") for i in range(2)]
+        with Capture() as counts:
+            assert memo.recall_text(old_sha) == "int on_disk;\n"
+        assert memo.counters(counts)["blob_hits"] == 1
+        assert memo.counters(Capture())["blob_entries"] == 2
+        assert list(memo._blobs) == [shas[1], old_sha]
 
 
 class TestPrune:

@@ -7,6 +7,7 @@ import pytest
 
 from repro import CodeBase, FileResult, PatchSet, SemanticPatch
 from repro.engine.pipeline import PatchPipeline, PipelinePrefilter
+from repro.engine.report import profile_lines
 from repro.cli.spatch import main as spatch_main
 
 
@@ -223,13 +224,13 @@ class TestPipelineSemantics:
         for marker in markers:
             assert marker.read_text().count("ran") == 1
 
-    def test_stats_describe_mentions_pipeline_shape(self):
+    def test_stats_profile_lines_show_pipeline_shape(self):
         result = PatchSet(_patches(RENAME_A, RENAME_B)).apply(
             CodeBase.from_files({"a.c": "void f(void) { old_api(); }\n",
                                  "b.c": "int zero(void) { return 0; }\n"}))
-        described = result.stats.describe()
-        assert "patches: 2" in described
-        assert "skipped for the whole pipeline: 1" in described
+        lines = profile_lines({"stats": result.stats.as_dict()})
+        assert "# stats.patches: 2" in lines
+        assert "# stats.files_skipped: 1" in lines
 
     def test_mismatched_options_length_rejected(self):
         ast = SemanticPatch.from_string(RENAME_A).ast
@@ -331,7 +332,9 @@ class TestForkPool:
         warm = runs[2].stats
         assert (warm.memo_hits, warm.memo_misses) == (8, 0)
         assert warm.jobs_used == 1
-        assert "jobs: 1 (requested 2)" in warm.describe()
+        lines = profile_lines({"stats": warm.as_dict()})
+        assert "# stats.jobs_used: 1" in lines
+        assert "# stats.jobs_requested: 2" in lines
         assert all(patch.stats.jobs_used == 1 for patch in runs[2].per_patch)
 
 
